@@ -764,15 +764,7 @@ toJson(const core::FrameworkOptions &o)
                 jsonNumberExact(o.training.grad_bytes_per_elem))
         .addRaw("training.optimizer_bytes_per_param",
                 jsonNumberExact(o.training.optimizer_bytes_per_param))
-        .add("solver.enable_ga", o.solver.enable_ga)
         .add("solver.engine", solver::searchEngineName(o.solver.engine))
-        .add("solver.annealing.iterations",
-             o.solver.annealing.iterations)
-        .add("solver.annealing.proposals", o.solver.annealing.proposals)
-        .addRaw("solver.annealing.initial_temp",
-                jsonNumberExact(o.solver.annealing.initial_temp))
-        .addRaw("solver.annealing.cooling",
-                jsonNumberExact(o.solver.annealing.cooling))
         .add("solver.ga_population", o.solver.ga_population)
         .add("solver.ga_generations", o.solver.ga_generations)
         .addRaw("solver.ga_mutation_rate",

@@ -94,15 +94,10 @@ optionsKey(const core::FrameworkOptions &o)
     field(key, o.solver.space.max_tp);
     field(key, o.solver.space.max_tatp);
     field(key, o.solver.space.full_occupancy);
-    field(key, o.solver.enable_ga);
     field(key, static_cast<int>(o.solver.engine));
     field(key, o.solver.ga_population);
     field(key, o.solver.ga_generations);
     field(key, o.solver.ga_mutation_rate);
-    field(key, o.solver.annealing.iterations);
-    field(key, o.solver.annealing.proposals);
-    field(key, o.solver.annealing.initial_temp);
-    field(key, o.solver.annealing.cooling);
     key += std::to_string(o.solver.seed);  // uint64: no double rounding
     key += '|';
     // Both deadline caps are result-determining configuration (the

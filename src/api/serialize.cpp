@@ -203,25 +203,6 @@ toJson(const solver::SolverResult &result,
         .add("candidate_count", result.candidate_count)
         .add("budget_exhausted", result.budget_exhausted)
         .add("quanta_used", result.quanta_used)
-        .addRaw("engine_accounts",
-                jsonArray([&] {
-                    std::vector<std::string> accounts;
-                    accounts.reserve(result.engine_accounts.size());
-                    for (const solver::EngineAccount &a :
-                         result.engine_accounts) {
-                        accounts.push_back(
-                            JsonObject()
-                                .add("engine", a.engine)
-                                .add("steps", a.steps)
-                                .add("fitness_queries",
-                                     a.fitness_queries)
-                                .add("best_fitness", a.best_fitness)
-                                .add("feasible", a.feasible)
-                                .add("winner", a.winner)
-                                .str());
-                    }
-                    return accounts;
-                }()))
         .addRaw("per_op_specs", jsonArray(per_op))
         .addRaw("report", toJson(result.report))
         .str();

@@ -117,7 +117,7 @@ toSearchEngine(const std::string &key, const std::string &value)
     solver::SearchEngineKind kind;
     if (!solver::searchEngineFromName(value, &kind))
         cfgFail("config: key '%s' has unknown search engine '%s' "
-                "(use none/genetic/annealing/beamtabu/exact/portfolio)",
+                "(use none/genetic/beamtabu)",
                 key.c_str(), value.c_str());
     return kind;
 }
@@ -315,18 +315,8 @@ frameworkOptionsFromConfigOrThrow(const ConfigMap &config)
             tr.grad_bytes_per_elem = toNumber(key, value);
         } else if (key == "training.optimizer_bytes_per_param") {
             tr.optimizer_bytes_per_param = toNumber(key, value);
-        } else if (key == "solver.enable_ga") {
-            sv.enable_ga = toBool(key, value);
         } else if (key == "solver.engine") {
             sv.engine = toSearchEngine(key, value);
-        } else if (key == "solver.annealing.iterations") {
-            sv.annealing.iterations = static_cast<int>(toNumber(key, value));
-        } else if (key == "solver.annealing.proposals") {
-            sv.annealing.proposals = static_cast<int>(toNumber(key, value));
-        } else if (key == "solver.annealing.initial_temp") {
-            sv.annealing.initial_temp = toNumber(key, value);
-        } else if (key == "solver.annealing.cooling") {
-            sv.annealing.cooling = toNumber(key, value);
         } else if (key == "solver.ga_population") {
             sv.ga_population = static_cast<int>(toNumber(key, value));
         } else if (key == "solver.ga_generations") {

@@ -17,11 +17,10 @@
  *   training.flash_attention, training.zero1_optimizer,
  *   training.weight_bytes_per_elem, training.act_bytes_per_elem,
  *   training.grad_bytes_per_elem, training.optimizer_bytes_per_param,
- *   solver.enable_ga, solver.engine (none | genetic | annealing),
+ *   solver.engine (none | genetic | beamtabu),
  *   solver.ga_population, solver.ga_generations,
- *   solver.ga_mutation_rate, solver.annealing.iterations,
- *   solver.annealing.proposals, solver.annealing.initial_temp,
- *   solver.annealing.cooling, solver.seed, solver.use_surrogate,
+ *   solver.ga_mutation_rate, solver.seed, solver.deadline.quanta,
+ *   solver.deadline.wall_ms, solver.use_surrogate,
  *   solver.surrogate_sample_fraction, solver.space.allow_dp,
  *   solver.space.allow_fsdp, solver.space.allow_tp,
  *   solver.space.allow_sp, solver.space.allow_cp,

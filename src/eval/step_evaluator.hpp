@@ -12,7 +12,7 @@
  *
  *  - reports are memoized behind a content key (graph fingerprint +
  *    the exact per-op spec sequence), so recurring genomes across GA
- *    generations, annealing proposals and repeat optimize() calls on a
+ *    generations, beam proposals and repeat optimize() calls on a
  *    shared framework simulate once and hit the memo after;
  *  - evaluateBatch deduplicates a whole generation of assignments and
  *    fans the misses out over a ThreadPool with deterministic result
@@ -72,7 +72,7 @@ std::string stepKey(std::uint64_t graph_fp,
 /**
  * Memoizing, batch-parallel front end over TrainingSimulator::simulate.
  * Thread-safe; one instance can be shared by every search phase (GA
- * fitness, annealing proposals, uniform seeding, the final report) and
+ * fitness, beam proposals, uniform seeding, the final report) and
  * across repeated solves on a long-lived framework.
  */
 class StepEvaluator

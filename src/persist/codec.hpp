@@ -2,13 +2,11 @@
  * @file
  * Little-endian byte codec for the persist layer.
  *
- * Header-only on purpose: the snapshot writer, the SearchEngine
- * checkpoint serializer and their tests all speak this one dialect
- * without a link dependency. The encoding is fixed-width
+ * Header-only on purpose: the snapshot writer and its tests speak this
+ * one dialect without a link dependency. The encoding is fixed-width
  * little-endian regardless of host order; doubles travel as raw IEEE
  * bit patterns (std::bit_cast), so a value round-trips bit-identically
- * — the property every warm-start and resume guarantee in this repo
- * reduces to.
+ * — the property every warm-start guarantee in this repo reduces to.
  *
  * ByteReader is a bounds-checked cursor: any out-of-range read flips a
  * sticky ok() flag and returns zero values instead of touching memory,

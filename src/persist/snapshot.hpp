@@ -51,7 +51,7 @@
 namespace temp::persist {
 
 /// Format version; bump on any layout change (old files cold-start).
-inline constexpr std::uint32_t kFormatVersion = 1;
+inline constexpr std::uint32_t kFormatVersion = 2;
 
 /// The serialized memo contents of one framework, addressed by the
 /// same canonical key the service's framework cache uses.

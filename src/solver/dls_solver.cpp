@@ -164,8 +164,10 @@ DlsSolver::solve(const model::ComputeGraph &graph,
         });
     }
     result.candidate_count = static_cast<int>(candidates.size());
-    if (candidates.empty())
+    if (candidates.empty()) {
+        result.search_time_s = now() - t_start;
         return result;
+    }
 
     // Per-(op, candidate) cost matrix under the additive model
     // (Eq. 2's T_intra with the per-op share of step communication),
@@ -270,11 +272,6 @@ DlsSolver::solve(const model::ComputeGraph &graph,
                                                  unsimulated);
     for (std::size_t k = 0; k < uniform_set.size(); ++k)
         uniform_reports[uniform_set[k]] = simulated[k];
-    // The RAW additive matrix — before the memory-pressure penalties
-    // below — is what the exact branch-and-bound engine certifies
-    // against (it replays ExhaustiveSolver's enumeration, which never
-    // penalises).
-    const std::vector<std::vector<double>> raw_op_cost = op_cost;
     std::vector<std::size_t> uniform_order;
     for (std::size_t s : uniform_set) {
         ++result.evaluations;
@@ -372,18 +369,18 @@ DlsSolver::solve(const model::ComputeGraph &graph,
                                     best_fitness,
                                     warm_seeds.empty() ? nullptr
                                                        : &warm_seeds,
-                                    &gauge,          &raw_op_cost,
-                                    &sim_.costModel()};
+                                    &gauge};
             RefineOutcome refined = engine_->refine(ctx, *steps_);
             result.evaluations += refined.fitness_queries;
             result.budget_exhausted = refined.budget_exhausted;
-            result.engine_accounts = std::move(refined.accounts);
             best = std::move(refined.assignment);
             best_fitness = refined.fitness;
         }
     }
 
-    const auto record_steps = [&] {
+    // Shared epilogue of both remaining exits: the step-layer
+    // accounting and the search time.
+    const auto finish = [&] {
         const eval::StepStats step_delta =
             steps_->stats() - step_stats_before;
         result.step_sims = step_delta.sims;
@@ -398,10 +395,11 @@ DlsSolver::solve(const model::ComputeGraph &graph,
         result.cache_evictions =
             matrix_delta.evictions + step_delta.evictions;
         result.quanta_used = gauge.used();
+        result.search_time_s = now() - t_start;
     };
 
     if (std::isinf(best_fitness)) {
-        record_steps();
+        finish();
         return result;
     }
 
@@ -413,8 +411,7 @@ DlsSolver::solve(const model::ComputeGraph &graph,
     result.report = steps_->evaluate(graph, result.per_op_specs, &gauge);
     ++result.evaluations;
     result.step_time_s = result.report.step_time;
-    result.search_time_s = now() - t_start;
-    record_steps();
+    finish();
     return result;
 }
 

@@ -15,7 +15,7 @@
  *    the additive DP model cannot: merged gradient-sync bucketing,
  *    contention, memory), memoized and batch-parallel behind the
  *    shared eval::StepEvaluator. The default engine is the paper's
- *    genetic refinement; annealing and DP-only engines plug into the
+ *    genetic refinement; beam-tabu and DP-only engines plug into the
  *    same seam.
  */
 #pragma once
@@ -35,16 +35,11 @@ namespace temp::solver {
 struct SolverConfig
 {
     StrategySpaceOptions space;
-    /// Legacy master switch: false forces the NoRefine engine
-    /// regardless of `engine` (kept for existing configs/call sites).
-    bool enable_ga = true;
     /// Which level-2 refinement runs after the DP.
     SearchEngineKind engine = SearchEngineKind::Genetic;
     int ga_population = 16;
     int ga_generations = 20;
     double ga_mutation_rate = 0.25;
-    /// Tuning of the annealing engine (used when engine == Annealing).
-    AnnealingConfig annealing;
     std::uint64_t seed = 1;
     /**
      * Fill the (operator, strategy) cost matrix with the DNN surrogate
@@ -111,7 +106,8 @@ struct SolverResult
     double step_time_s = 0.0;
     /// Full report of the best strategy.
     sim::PerfReport report;
-    /// Wall-clock search time.
+    /// Wall-clock search time (set on every return path, infeasible
+    /// solves included).
     double search_time_s = 0.0;
     /**
      * Total (op, strategy) cost queries the search issued: matrix
@@ -175,10 +171,6 @@ struct SolverResult
     bool budget_exhausted = false;
     /// Budget quanta (full-step fitness queries) this solve charged.
     long quanta_used = 0;
-    /// Per-engine refinement accounting (one entry for single engines,
-    /// one per raced member under the portfolio; empty when level 2
-    /// never ran — single candidate or budget exhausted in preamble).
-    std::vector<EngineAccount> engine_accounts;
 };
 
 /// The DLS solver.

@@ -320,20 +320,18 @@ TEST(ApiService, DifferentOptionsGetDistinctFrameworks)
 TEST(ApiService, SearchEngineSelectionRoundTripsThroughService)
 {
     // Engine selection is part of the framework cache key and of the
-    // solve: each engine gets its own framework, every engine returns
-    // a feasible plan, and the NoRefine plan matches the legacy
-    // enable_ga=false switch bit-for-bit.
+    // solve: each engine gets its own framework and every engine
+    // returns a feasible plan.
     TempService service;
     OptimizeRequest request{testModel(),
                             hw::WaferConfig::paperDefault(),
                             fastOptions()};
-    request.options.solver.annealing.iterations = 10;
 
     Response by_engine[3];
     const solver::SearchEngineKind kinds[3] = {
         solver::SearchEngineKind::Genetic,
         solver::SearchEngineKind::NoRefine,
-        solver::SearchEngineKind::Annealing};
+        solver::SearchEngineKind::BeamTabu};
     for (int k = 0; k < 3; ++k) {
         request.options.solver.engine = kinds[k];
         by_engine[k] = service.run(request);
@@ -349,15 +347,6 @@ TEST(ApiService, SearchEngineSelectionRoundTripsThroughService)
               by_engine[1].solver.step_time_s * 1.0001);
     EXPECT_LE(by_engine[2].solver.step_time_s,
               by_engine[1].solver.step_time_s * 1.0001);
-
-    request.options.solver.engine = solver::SearchEngineKind::Genetic;
-    request.options.solver.enable_ga = false;  // legacy NoRefine alias
-    const Response legacy = service.run(request);
-    ASSERT_TRUE(legacy.ok);
-    EXPECT_EQ(legacy.solver.per_op_specs,
-              by_engine[1].solver.per_op_specs);
-    EXPECT_DOUBLE_EQ(legacy.solver.step_time_s,
-                     by_engine[1].solver.step_time_s);
 }
 
 TEST(ApiService, ConcurrentSubmitOfMixedKindsMatchesSequentialRuns)

@@ -5,6 +5,8 @@
  */
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "core/config_io.hpp"
 
 namespace temp::core {
@@ -78,7 +80,7 @@ TEST(FrameworkOptionsConfig, DefaultsWhenEmpty)
 {
     const FrameworkOptions options = frameworkOptionsFromConfig({});
     EXPECT_EQ(options.policy.kind, tcme::MappingEngineKind::TCME);
-    EXPECT_TRUE(options.solver.enable_ga);
+    EXPECT_EQ(options.solver.engine, solver::SearchEngineKind::Genetic);
     EXPECT_EQ(options.eval_threads, 0);
 }
 
@@ -89,7 +91,7 @@ TEST(FrameworkOptionsConfig, SolverTrainingAndPolicyKeysApply)
         "eval_threads = 3\n"
         "training.flash_attention = false\n"
         "training.optimizer_bytes_per_param = 16\n"
-        "solver.enable_ga = 0\n"
+        "solver.engine = none\n"
         "solver.ga_population = 24\n"
         "solver.ga_mutation_rate = 0.5\n"
         "solver.seed = 7\n"
@@ -103,7 +105,7 @@ TEST(FrameworkOptionsConfig, SolverTrainingAndPolicyKeysApply)
     EXPECT_EQ(options.eval_threads, 3);
     EXPECT_FALSE(options.training.flash_attention);
     EXPECT_DOUBLE_EQ(options.training.optimizer_bytes_per_param, 16.0);
-    EXPECT_FALSE(options.solver.enable_ga);
+    EXPECT_EQ(options.solver.engine, solver::SearchEngineKind::NoRefine);
     EXPECT_EQ(options.solver.ga_population, 24);
     EXPECT_DOUBLE_EQ(options.solver.ga_mutation_rate, 0.5);
     EXPECT_EQ(options.solver.seed, 7u);
@@ -117,24 +119,11 @@ TEST(FrameworkOptionsConfig, SolverTrainingAndPolicyKeysApply)
     EXPECT_TRUE(options.training.zero1_optimizer);
 }
 
-TEST(FrameworkOptionsConfig, SearchEngineAndAnnealingKeysApply)
+TEST(FrameworkOptionsConfig, SearchEngineKeyApplies)
 {
-    const FrameworkOptions defaults = frameworkOptionsFromConfig({});
-    EXPECT_EQ(defaults.solver.engine, solver::SearchEngineKind::Genetic);
-
-    const ConfigMap config = parseConfigText(
-        "solver.engine = annealing\n"
-        "solver.annealing.iterations = 12\n"
-        "solver.annealing.proposals = 4\n"
-        "solver.annealing.initial_temp = 0.5\n"
-        "solver.annealing.cooling = 0.8\n");
-    const FrameworkOptions options = frameworkOptionsFromConfig(config);
-    EXPECT_EQ(options.solver.engine,
-              solver::SearchEngineKind::Annealing);
-    EXPECT_EQ(options.solver.annealing.iterations, 12);
-    EXPECT_EQ(options.solver.annealing.proposals, 4);
-    EXPECT_DOUBLE_EQ(options.solver.annealing.initial_temp, 0.5);
-    EXPECT_DOUBLE_EQ(options.solver.annealing.cooling, 0.8);
+    const FrameworkOptions options = frameworkOptionsFromConfig(
+        parseConfigText("solver.engine = beamtabu\n"));
+    EXPECT_EQ(options.solver.engine, solver::SearchEngineKind::BeamTabu);
 
     // Canonical names and aliases round-trip through the parser.
     EXPECT_EQ(frameworkOptionsFromConfig(
@@ -146,7 +135,7 @@ TEST(FrameworkOptionsConfig, SearchEngineAndAnnealingKeysApply)
                   .solver.engine,
               solver::SearchEngineKind::Genetic);
     EXPECT_STREQ(
-        solver::searchEngineName(options.solver.engine), "annealing");
+        solver::searchEngineName(options.solver.engine), "beamtabu");
 }
 
 TEST(ConfigFileDetection, DotConfSuffixOnly)
@@ -199,10 +188,26 @@ TEST(ConfigDeath, RejectsUnknownOptionsKey)
         ::testing::ExitedWithCode(1), "unknown options key");
 }
 
+TEST(ConfigDeath, RejectsRemovedSolverKnobs)
+{
+    // The retired engines and their knobs are unknown, not ignored.
+    for (const char *engine : {"annealing", "exact", "portfolio"})
+        EXPECT_EXIT(frameworkOptionsFromConfig(parseConfigText(
+                        std::string("solver.engine = ") + engine + "\n")),
+                    ::testing::ExitedWithCode(1), "unknown search engine");
+    for (const char *key :
+         {"solver.enable_ga", "solver.annealing.iterations",
+          "solver.annealing.proposals", "solver.annealing.initial_temp",
+          "solver.annealing.cooling"})
+        EXPECT_EXIT(frameworkOptionsFromConfig(parseConfigText(
+                        std::string(key) + " = 1\n")),
+                    ::testing::ExitedWithCode(1), "unknown options key");
+}
+
 TEST(ConfigDeath, RejectsNonBooleanAndUnknownEngine)
 {
     EXPECT_EXIT(frameworkOptionsFromConfig(
-                    parseConfigText("solver.enable_ga = maybe\n")),
+                    parseConfigText("solver.use_surrogate = maybe\n")),
                 ::testing::ExitedWithCode(1), "non-boolean");
     EXPECT_EXIT(
         frameworkOptionsFromConfig(parseConfigText("policy = alpa\n")),

@@ -141,6 +141,21 @@ TEST(SnapshotCodec, EveryHeaderFieldIsValidated)
     }
 }
 
+TEST(SnapshotCodec, PreviousFormatVersionIsRejected)
+{
+    // A file written before the last version bump (its framework keys
+    // can never match again) must take the cold-start path.
+    std::string bytes = encodeSnapshot(syntheticSnapshot());
+    const std::uint32_t previous = kFormatVersion - 1;
+    for (std::size_t i = 0; i < 4; ++i)
+        bytes[8 + i] = static_cast<char>((previous >> (8 * i)) & 0xff);
+    Snapshot out;
+    std::string error;
+    EXPECT_FALSE(decodeSnapshot(bytes, &out, &error));
+    EXPECT_EQ(error, "format version mismatch");
+    EXPECT_TRUE(out.blocks.empty());
+}
+
 TEST(SnapshotCodec, PayloadBitFlipsFailTheChecksum)
 {
     const std::string bytes = encodeSnapshot(syntheticSnapshot());

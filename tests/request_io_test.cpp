@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <string>
 
 #include "api/request_io.hpp"
 #include "api/request_key.hpp"
@@ -210,6 +211,25 @@ TEST(RequestParse, RejectsUnknownKeysEverywhere)
                  "unknown pod key 'wafers'");
     expectReject("{\"kind\":\"cache-stats\",\"model\":{}}",
                  "unknown key 'model' for kind 'cache-stats'");
+}
+
+TEST(RequestParse, RejectsRemovedSolverKnobs)
+{
+    // The retired engines and their knobs fail the strict parser the
+    // same way config_io does.
+    const std::string head = "{\"kind\":\"optimize\","
+                             "\"model\":{\"base\":\"GPT-3 6.7B\"},"
+                             "\"options\":{";
+    for (const char *engine : {"annealing", "exact", "portfolio"})
+        expectReject(head + "\"solver.engine\":\"" + engine + "\"}}",
+                     "unknown search engine '" + std::string(engine) +
+                         "'");
+    for (const char *key :
+         {"solver.enable_ga", "solver.annealing.iterations",
+          "solver.annealing.proposals", "solver.annealing.initial_temp",
+          "solver.annealing.cooling"})
+        expectReject(head + "\"" + key + "\":1}}",
+                     "unknown options key '" + std::string(key) + "'");
 }
 
 TEST(RequestParse, RejectsSemanticErrors)

@@ -275,23 +275,25 @@ TEST(Dispatcher, TenantsAreServedRoundRobin)
 
     // Tenant A floods 8 requests, then tenant B sends 2; with one
     // worker and round-robin dequeue B is answered interleaved, not
-    // after A's whole backlog.
+    // after A's whole backlog. Each request is admitted before the next
+    // is spawned, so the enqueue order is pinned and only the dequeue
+    // policy is under test.
     std::vector<std::thread> threads;
     threads.emplace_back(
         [&] { dispatcher.dispatch(optimizeWithSeed(100), "A"); });
     ASSERT_TRUE(waitUntil([&] { return gate.startedCount() == 1; }));
-    for (std::uint64_t i = 1; i < 8; ++i)
-        threads.emplace_back([&, i] {
-            dispatcher.dispatch(optimizeWithSeed(100 + i), "A");
+    const auto enqueue = [&](std::uint64_t seed, const char *tenant) {
+        threads.emplace_back([&, seed, tenant] {
+            dispatcher.dispatch(optimizeWithSeed(seed), tenant);
         });
-    ASSERT_TRUE(
-        waitUntil([&] { return dispatcher.stats().accepted == 8; }));
-    for (std::uint64_t j = 0; j < 2; ++j)
-        threads.emplace_back([&, j] {
-            dispatcher.dispatch(optimizeWithSeed(200 + j), "B");
-        });
-    ASSERT_TRUE(
-        waitUntil([&] { return dispatcher.stats().accepted == 10; }));
+        const long admitted = static_cast<long>(threads.size());
+        return waitUntil(
+            [&] { return dispatcher.stats().accepted == admitted; });
+    };
+    for (std::uint64_t seed = 101; seed <= 107; ++seed)
+        ASSERT_TRUE(enqueue(seed, "A"));
+    for (std::uint64_t seed = 200; seed <= 201; ++seed)
+        ASSERT_TRUE(enqueue(seed, "B"));
 
     gate.release();
     for (std::thread &thread : threads)

@@ -6,20 +6,18 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
 #include <set>
 #include <string>
 #include <vector>
 
 #include "common/budget.hpp"
 #include "common/thread_pool.hpp"
-#include "cost/breakdown_reduce.hpp"
-#include "eval/cost_evaluator.hpp"
 #include "eval/step_evaluator.hpp"
 #include "model/graph.hpp"
 #include "model/model_zoo.hpp"
 #include "sim/trainer_sim.hpp"
 #include "solver/dls_solver.hpp"
-#include "solver/portfolio.hpp"
 #include "solver/search_engine.hpp"
 #include "solver/solve_budget.hpp"
 #include "solver/strategy_space.hpp"
@@ -191,7 +189,7 @@ TEST_F(SolverTest, GaRefinesOrMatchesDp)
     const auto graph = model::ComputeGraph::transformer(
         model::modelByName("GPT-3 175B"));
     SolverConfig no_ga;
-    no_ga.enable_ga = false;
+    no_ga.engine = SearchEngineKind::NoRefine;
     const SolverResult dp_only = DlsSolver(sim_, no_ga).solve(graph);
     const SolverResult full = DlsSolver(sim_).solve(graph);
     ASSERT_TRUE(dp_only.feasible);
@@ -199,47 +197,49 @@ TEST_F(SolverTest, GaRefinesOrMatchesDp)
     EXPECT_LE(full.step_time_s, dp_only.step_time_s * 1.0001);
 }
 
-TEST_F(SolverTest, NoRefineEngineMatchesLegacyEnableGaSwitch)
-{
-    const auto graph = model::ComputeGraph::transformer(
-        model::modelByName("GPT-3 6.7B"));
-    SolverConfig legacy;
-    legacy.enable_ga = false;
-    SolverConfig engine;
-    engine.engine = SearchEngineKind::NoRefine;
-    const SolverResult a = DlsSolver(sim_, legacy).solve(graph);
-    const SolverResult b = DlsSolver(sim_, engine).solve(graph);
-    ASSERT_TRUE(a.feasible);
-    ASSERT_TRUE(b.feasible);
-    EXPECT_EQ(a.per_op_specs, b.per_op_specs);
-    EXPECT_DOUBLE_EQ(a.step_time_s, b.step_time_s);
-    EXPECT_EQ(a.evaluations, b.evaluations);
-}
-
-TEST_F(SolverTest, AnnealingEngineRefinesOrMatchesDpAndIsDeterministic)
+TEST_F(SolverTest, BeamTabuEngineRefinesOrMatchesDpAndIsDeterministic)
 {
     const auto graph = model::ComputeGraph::transformer(
         model::modelByName("Llama2 7B"));
     SolverConfig dp_cfg;
     dp_cfg.engine = SearchEngineKind::NoRefine;
-    SolverConfig sa_cfg;
-    sa_cfg.engine = SearchEngineKind::Annealing;
-    sa_cfg.annealing.iterations = 20;
+    SolverConfig beam_cfg;
+    beam_cfg.engine = SearchEngineKind::BeamTabu;
+    beam_cfg.ga_generations = 6;
 
     const SolverResult dp_only = DlsSolver(sim_, dp_cfg).solve(graph);
-    const SolverResult annealed = DlsSolver(sim_, sa_cfg).solve(graph);
+    const SolverResult beam = DlsSolver(sim_, beam_cfg).solve(graph);
     ASSERT_TRUE(dp_only.feasible);
-    ASSERT_TRUE(annealed.feasible);
+    ASSERT_TRUE(beam.feasible);
     // The engine keeps the DP incumbent, so it can never end up worse.
-    EXPECT_LE(annealed.step_time_s, dp_only.step_time_s * 1.0001);
-    // Annealing queried full-step fitness beyond the DP-only floor.
-    EXPECT_GT(annealed.step_sims + annealed.step_cache_hits,
+    EXPECT_LE(beam.step_time_s, dp_only.step_time_s * 1.0001);
+    // The beam queried full-step fitness beyond the DP-only floor.
+    EXPECT_GT(beam.step_sims + beam.step_cache_hits,
               dp_only.step_sims + dp_only.step_cache_hits);
 
-    const SolverResult repeat = DlsSolver(sim_, sa_cfg).solve(graph);
+    const SolverResult repeat = DlsSolver(sim_, beam_cfg).solve(graph);
     ASSERT_TRUE(repeat.feasible);
-    EXPECT_EQ(repeat.per_op_specs, annealed.per_op_specs);
-    EXPECT_DOUBLE_EQ(repeat.step_time_s, annealed.step_time_s);
+    EXPECT_EQ(repeat.per_op_specs, beam.per_op_specs);
+    EXPECT_DOUBLE_EQ(repeat.step_time_s, beam.step_time_s);
+}
+
+TEST_F(SolverTest, InfeasibleSolveStillReportsSearchTime)
+{
+    // With every parallel axis disabled no strategy covers the wafer's
+    // dies, so the solve returns infeasible before any search — yet
+    // the time it spent is still reported.
+    SolverConfig cfg;
+    cfg.space.allow_dp = false;
+    cfg.space.allow_fsdp = false;
+    cfg.space.allow_tp = false;
+    cfg.space.allow_sp = false;
+    cfg.space.allow_cp = false;
+    cfg.space.allow_tatp = false;
+    const SolverResult result = DlsSolver(sim_, cfg).solve(
+        model::ComputeGraph::transformer(model::modelByName("GPT-3 6.7B")));
+    EXPECT_FALSE(result.feasible);
+    EXPECT_EQ(result.candidate_count, 0);
+    EXPECT_GT(result.search_time_s, 0.0);
 }
 
 TEST_F(SolverTest, RefinerDeterministicAcrossEvalThreads)
@@ -328,7 +328,7 @@ TEST_F(SolverTest, DlsOrdersOfMagnitudeFasterThanExhaustive)
 
     SolverConfig dls_cfg;
     dls_cfg.space = space;
-    dls_cfg.enable_ga = false;  // isolate the DP level
+    dls_cfg.engine = SearchEngineKind::NoRefine;  // isolate the DP level
     DlsSolver dls(sim_, dls_cfg);
     const SolverResult fast = dls.solve(graph);
 
@@ -344,7 +344,7 @@ TEST_F(SolverTest, DlsOrdersOfMagnitudeFasterThanExhaustive)
 /**
  * Builds a RefineContext the way the solver's level 1 does — uniform
  * reports, OOM-penalised ordering, a uniform DP plan — but over a
- * trimmed candidate set so the engine checkpoint tests stay fast.
+ * trimmed candidate set so the engine-level budget tests stay fast.
  */
 class RefineHarness
 {
@@ -407,139 +407,8 @@ class RefineHarness
     double dp_fitness_ = 0.0;
 };
 
-/// refine(ctx) must equal refinePartial(k) + encode + decode + resume
-/// bit-identically, counters included, for the engine under test.
-void
-expectCheckpointRoundTripMatchesFullRefine(const SearchEngine &engine,
-                                           RefineHarness &harness,
-                                           int partial_steps)
-{
-    const RefineContext ctx = harness.ctx();
-    const RefineOutcome full = engine.refine(ctx, harness.steps());
-
-    RefineCheckpoint taken;
-    const RefineOutcome partial = engine.refinePartial(
-        ctx, harness.steps(), partial_steps, &taken);
-    EXPECT_EQ(taken.steps_done, partial_steps);
-    EXPECT_EQ(partial.fitness_queries, taken.fitness_queries);
-
-    // Through the byte codec, as a real save/load would go.
-    const std::string bytes = encodeRefineCheckpoint(taken);
-    RefineCheckpoint restored;
-    std::string error;
-    ASSERT_TRUE(decodeRefineCheckpoint(bytes, &restored, &error))
-        << error;
-    EXPECT_EQ(restored.engine, taken.engine);
-    EXPECT_EQ(restored.rng_state, taken.rng_state);
-
-    const RefineOutcome resumed =
-        engine.resume(ctx, harness.steps(), restored);
-    EXPECT_EQ(resumed.assignment, full.assignment);
-    EXPECT_DOUBLE_EQ(resumed.fitness, full.fitness);
-    EXPECT_EQ(resumed.fitness_queries, full.fitness_queries);
-}
-
-TEST_F(SolverTest, GeneticCheckpointResumeIsBitIdentical)
-{
-    RefineHarness harness(sim_);
-    const GeneticRefiner engine(/*population=*/8, /*generations=*/6,
-                                /*mutation_rate=*/0.15, /*seed=*/42);
-    expectCheckpointRoundTripMatchesFullRefine(engine, harness,
-                                               /*partial_steps=*/2);
-}
-
-TEST_F(SolverTest, AnnealingCheckpointResumeIsBitIdentical)
-{
-    RefineHarness harness(sim_);
-    AnnealingConfig config;
-    config.iterations = 8;
-    config.proposals = 4;
-    const AnnealingRefiner engine(config, /*seed=*/42);
-    expectCheckpointRoundTripMatchesFullRefine(engine, harness,
-                                               /*partial_steps=*/3);
-}
-
-TEST_F(SolverTest, CompletedCheckpointResumesAsNoOp)
-{
-    RefineHarness harness(sim_);
-    const GeneticRefiner engine(/*population=*/8, /*generations=*/4,
-                                /*mutation_rate=*/0.15, /*seed=*/7);
-    const RefineContext ctx = harness.ctx();
-
-    // max_steps beyond the configured total is a full refine; resuming
-    // its checkpoint re-runs nothing (no new fitness queries).
-    RefineCheckpoint done;
-    const RefineOutcome full =
-        engine.refinePartial(ctx, harness.steps(), 100, &done);
-    EXPECT_EQ(done.steps_done, 4);
-    const RefineOutcome resumed =
-        engine.resume(ctx, harness.steps(), done);
-    EXPECT_EQ(resumed.assignment, full.assignment);
-    EXPECT_EQ(resumed.fitness_queries, full.fitness_queries);
-}
-
-TEST_F(SolverTest, DamagedCheckpointBytesAreRejected)
-{
-    RefineHarness harness(sim_);
-    const GeneticRefiner engine(/*population=*/8, /*generations=*/4,
-                                /*mutation_rate=*/0.15, /*seed=*/42);
-    RefineCheckpoint taken;
-    engine.refinePartial(harness.ctx(), harness.steps(), 2, &taken);
-    const std::string bytes = encodeRefineCheckpoint(taken);
-
-    // Every single-byte flip is caught by the checksum (or the magic /
-    // version gates before it); spot-check a spread of offsets.
-    for (const std::size_t at :
-         {std::size_t{0}, std::size_t{5}, bytes.size() / 2,
-          bytes.size() - 1}) {
-        std::string corrupt = bytes;
-        corrupt[at] = static_cast<char>(corrupt[at] ^ 0x40);
-        RefineCheckpoint out;
-        std::string error;
-        EXPECT_FALSE(decodeRefineCheckpoint(corrupt, &out, &error))
-            << "flip at " << at << " was accepted";
-        EXPECT_FALSE(error.empty());
-        EXPECT_TRUE(out.best.empty());
-    }
-
-    // Truncation at any prefix is rejected too.
-    for (const std::size_t keep :
-         {std::size_t{0}, std::size_t{3}, bytes.size() / 2,
-          bytes.size() - 1}) {
-        RefineCheckpoint out;
-        EXPECT_FALSE(
-            decodeRefineCheckpoint(bytes.substr(0, keep), &out));
-    }
-}
-
-TEST_F(SolverTest, ForeignCheckpointDegradesToColdRefine)
-{
-    RefineHarness harness(sim_);
-    const GeneticRefiner ga(/*population=*/8, /*generations=*/4,
-                            /*mutation_rate=*/0.15, /*seed=*/42);
-    AnnealingConfig config;
-    config.iterations = 6;
-    config.proposals = 4;
-    const AnnealingRefiner annealer(config, /*seed=*/42);
-
-    RefineCheckpoint ga_checkpoint;
-    ga.refinePartial(harness.ctx(), harness.steps(), 2,
-                     &ga_checkpoint);
-
-    // Handing a GA checkpoint to the annealer must not poison it: the
-    // resume degrades to the annealer's own cold refine, bit-exactly.
-    const RefineOutcome cold =
-        annealer.refine(harness.ctx(), harness.steps());
-    const RefineOutcome resumed =
-        annealer.resume(harness.ctx(), harness.steps(), ga_checkpoint);
-    EXPECT_EQ(resumed.assignment, cold.assignment);
-    EXPECT_DOUBLE_EQ(resumed.fitness, cold.fitness);
-    EXPECT_EQ(resumed.fitness_queries, cold.fitness_queries);
-}
-
 // ---------------------------------------------------------------------
-// SolveBudget: quantum caps, prefix identity, the portfolio race and
-// the exact certification engine.
+// SolveBudget: quantum caps and prefix identity.
 // ---------------------------------------------------------------------
 
 TEST_F(SolverTest, BudgetedRefineIsBitExactPrefixOfUnbudgeted)
@@ -550,9 +419,7 @@ TEST_F(SolverTest, BudgetedRefineIsBitExactPrefixOfUnbudgeted)
 
     const RefineOutcome full = engine.refine(harness.ctx(), harness.steps());
     EXPECT_FALSE(full.budget_exhausted);
-    ASSERT_EQ(full.accounts.size(), 1u);
-    const int total_steps = full.accounts[0].steps;
-    EXPECT_EQ(total_steps, 6);
+    EXPECT_EQ(full.steps, 6);
 
     // A quantum cap that trips mid-run: the driver stops at the next
     // slice boundary and returns the best-so-far prefix, flagged.
@@ -564,16 +431,18 @@ TEST_F(SolverTest, BudgetedRefineIsBitExactPrefixOfUnbudgeted)
     const RefineOutcome truncated =
         engine.refine(capped, harness.steps());
     EXPECT_TRUE(truncated.budget_exhausted);
-    ASSERT_EQ(truncated.accounts.size(), 1u);
-    const int k = truncated.accounts[0].steps;
-    EXPECT_LT(k, total_steps);
+    const int k = truncated.steps;
+    EXPECT_LT(k, full.steps);
     EXPECT_GE(gauge.used(), budget.max_quanta);
 
-    // The truncated run is bit-identical to an explicit k-step partial
-    // of the unbudgeted run — same incumbent, fitness and accounting.
-    RefineCheckpoint ignored;
-    const RefineOutcome prefix = engine.refinePartial(
-        harness.ctx(), harness.steps(), k, &ignored);
+    // The truncated run is bit-identical to an unbudgeted run advanced
+    // by exactly k slices — same incumbent, fitness and accounting.
+    const std::unique_ptr<RefineRun> run =
+        engine.begin(harness.ctx(), harness.steps());
+    for (int i = 0; i < k; ++i)
+        run->step();
+    const RefineOutcome prefix = run->outcome();
+    EXPECT_EQ(prefix.steps, k);
     EXPECT_EQ(truncated.assignment, prefix.assignment);
     EXPECT_DOUBLE_EQ(truncated.fitness, prefix.fitness);
     EXPECT_EQ(truncated.fitness_queries, prefix.fitness_queries);
@@ -586,7 +455,7 @@ TEST_F(SolverTest, BudgetedRefineIsBitExactPrefixOfUnbudgeted)
     const RefineOutcome again = engine.refine(again_ctx, harness.steps());
     EXPECT_EQ(again.assignment, truncated.assignment);
     EXPECT_EQ(again.fitness_queries, truncated.fitness_queries);
-    EXPECT_EQ(again.accounts[0].steps, k);
+    EXPECT_EQ(again.steps, k);
 }
 
 TEST_F(SolverTest, SolverQuantumBudgetReturnsDeterministicBestSoFar)
@@ -630,21 +499,19 @@ TEST_F(SolverTest, SolverQuantumBudgetReturnsDeterministicBestSoFar)
     EXPECT_EQ(a.budget_exhausted, b.budget_exhausted);
 }
 
-TEST_F(SolverTest, PortfolioDeterministicAcrossEvalThreadsUnderBudget)
+TEST_F(SolverTest, BeamTabuDeterministicAcrossEvalThreadsUnderBudget)
 {
     const auto graph = model::ComputeGraph::transformer(
         model::modelByName("GPT-3 6.7B"));
     SolverConfig cfg;
-    cfg.engine = SearchEngineKind::Portfolio;
+    cfg.engine = SearchEngineKind::BeamTabu;
     cfg.ga_generations = 6;
-    cfg.annealing.iterations = 6;
     const SolverResult free_run = DlsSolver(sim_, cfg).solve(graph);
     ASSERT_TRUE(free_run.feasible);
     ASSERT_GT(free_run.quanta_used, 0);
 
-    // Race the members under a binding quantum budget at three pool
-    // widths: the truncated race must be bit-identical everywhere,
-    // per-member accounts included.
+    // Run the beam under a binding quantum budget at three pool
+    // widths: the truncated search must be bit-identical everywhere.
     std::vector<SolverResult> results;
     for (int threads : {1, 2, 4}) {
         SolverConfig capped = cfg;
@@ -655,132 +522,15 @@ TEST_F(SolverTest, PortfolioDeterministicAcrossEvalThreadsUnderBudget)
     }
     const SolverResult &first = results.front();
     EXPECT_TRUE(first.budget_exhausted);
-    ASSERT_FALSE(first.engine_accounts.empty());
-    int winners = 0;
-    for (const EngineAccount &account : first.engine_accounts)
-        winners += account.winner ? 1 : 0;
-    EXPECT_LE(winners, 1);
+    EXPECT_LT(first.quanta_used, free_run.quanta_used);
     for (std::size_t r = 1; r < results.size(); ++r) {
         const SolverResult &other = results[r];
         EXPECT_EQ(other.per_op_specs, first.per_op_specs);
         EXPECT_DOUBLE_EQ(other.step_time_s, first.step_time_s);
         EXPECT_EQ(other.quanta_used, first.quanta_used);
+        EXPECT_EQ(other.evaluations, first.evaluations);
         EXPECT_EQ(other.budget_exhausted, first.budget_exhausted);
-        ASSERT_EQ(other.engine_accounts.size(),
-                  first.engine_accounts.size());
-        for (std::size_t e = 0; e < first.engine_accounts.size(); ++e) {
-            const EngineAccount &want = first.engine_accounts[e];
-            const EngineAccount &got = other.engine_accounts[e];
-            EXPECT_EQ(got.engine, want.engine);
-            EXPECT_EQ(got.steps, want.steps);
-            EXPECT_EQ(got.fitness_queries, want.fitness_queries);
-            EXPECT_DOUBLE_EQ(got.best_fitness, want.best_fitness);
-            EXPECT_EQ(got.feasible, want.feasible);
-            EXPECT_EQ(got.winner, want.winner);
-        }
     }
-}
-
-TEST_F(SolverTest, PortfolioNeverWorseThanAnyMemberEngine)
-{
-    // Unbudgeted, every member runs to completion inside the race, so
-    // the portfolio's pick is the best member outcome by construction.
-    const auto graph = model::ComputeGraph::transformer(
-        model::modelByName("Llama2 7B"));
-    auto solveWith = [&](SearchEngineKind kind) {
-        SolverConfig cfg;
-        cfg.engine = kind;
-        cfg.ga_generations = 6;
-        cfg.annealing.iterations = 6;
-        return DlsSolver(sim_, cfg).solve(graph);
-    };
-    const SolverResult portfolio =
-        solveWith(SearchEngineKind::Portfolio);
-    ASSERT_TRUE(portfolio.feasible);
-    EXPECT_FALSE(portfolio.budget_exhausted);
-    EXPECT_EQ(portfolio.engine_accounts.size(), 3u);
-    for (const SearchEngineKind kind :
-         {SearchEngineKind::Genetic, SearchEngineKind::Annealing,
-          SearchEngineKind::BeamTabu}) {
-        const SolverResult single = solveWith(kind);
-        ASSERT_TRUE(single.feasible);
-        EXPECT_LE(portfolio.step_time_s, single.step_time_s * 1.0001)
-            << searchEngineName(kind) << " beat the portfolio";
-    }
-}
-
-TEST_F(SolverTest, ExactEngineMatchesExhaustiveBitForBit)
-{
-    // Same space, same truncated chain: the B&B inside the engine and
-    // the exhaustive baseline must agree on the additive optimum
-    // exactly — same assignment, same objective bits.
-    StrategySpaceOptions space;
-    space.allow_sp = false;
-    space.allow_cp = false;
-    const auto graph = model::ComputeGraph::transformer(
-        model::modelByName("GPT-3 6.7B"));
-    constexpr int kOps = 4;
-
-    ExhaustiveSolver exhaustive(sim_, space);
-    const SolverResult ex =
-        exhaustive.solve(graph, /*op_limit=*/kOps, /*time_budget_s=*/60.0);
-    ASSERT_TRUE(ex.feasible);
-
-    // Rebuild the identical additive matrix the exhaustive pass used.
-    const std::vector<ParallelSpec> candidates = enumerateStrategies(
-        sim_.wafer().dieCount(), graph.config(), space);
-    ASSERT_LE(static_cast<int>(candidates.size()),
-              ExactChainEngine::kMaxCands);
-    eval::ExactEvaluator eval(sim_.costModel());
-    std::vector<eval::EvalRequest> requests;
-    for (int i = 0; i < kOps; ++i)
-        for (const ParallelSpec &spec : candidates)
-            requests.push_back({i, spec, true});
-    const std::vector<cost::OpCostBreakdown> cells =
-        eval.evaluateBatch(graph, requests);
-    std::vector<double> totals(cells.size());
-    cost::breakdownTotals(cells, totals.data());
-    std::vector<std::vector<double>> op_cost(kOps);
-    for (int i = 0; i < kOps; ++i) {
-        const double *row = totals.data() +
-                            static_cast<std::size_t>(i) *
-                                candidates.size();
-        op_cost[i].assign(row, row + candidates.size());
-    }
-
-    const ExactChainEngine::BnbResult bnb =
-        ExactChainEngine::branchAndBound(graph, candidates, op_cost,
-                                         sim_.costModel(),
-                                         ExactChainEngine::kMaxNodes);
-    EXPECT_TRUE(bnb.complete);
-    ASSERT_EQ(bnb.assignment.size(), static_cast<std::size_t>(kOps));
-    EXPECT_EQ(bnb.additive_cost, ex.step_time_s);  // bit-for-bit
-    for (int i = 0; i < kOps; ++i)
-        EXPECT_TRUE(candidates[static_cast<std::size_t>(
-                        bnb.assignment[i])] == ex.per_op_specs[i])
-            << "op " << i << " disagrees";
-}
-
-TEST_F(SolverTest, ExactEngineEndToEndCertifiesOrKeepsDpPlan)
-{
-    const auto graph = model::ComputeGraph::transformer(
-        model::modelByName("GPT-3 6.7B"));
-    SolverConfig dp_cfg;
-    dp_cfg.engine = SearchEngineKind::NoRefine;
-    SolverConfig exact_cfg;
-    exact_cfg.engine = SearchEngineKind::Exact;
-    const SolverResult dp = DlsSolver(sim_, dp_cfg).solve(graph);
-    const SolverResult exact = DlsSolver(sim_, exact_cfg).solve(graph);
-    const SolverResult repeat = DlsSolver(sim_, exact_cfg).solve(graph);
-    ASSERT_TRUE(dp.feasible);
-    ASSERT_TRUE(exact.feasible);
-    // The engine keeps the better of {DP incumbent, certified additive
-    // optimum}, so it can never end up worse than DP-only.
-    EXPECT_LE(exact.step_time_s, dp.step_time_s * 1.0001);
-    ASSERT_EQ(exact.engine_accounts.size(), 1u);
-    EXPECT_EQ(exact.engine_accounts[0].engine, "exact");
-    EXPECT_EQ(exact.per_op_specs, repeat.per_op_specs);
-    EXPECT_DOUBLE_EQ(exact.step_time_s, repeat.step_time_s);
 }
 
 }  // namespace

@@ -142,7 +142,7 @@ usage(const char *argv0)
         "snapshot save|load|info FILE [model]\n\n"
         "model: zoo name (e.g. \"GPT-3 6.7B\") or path/to/model.conf\n"
         "options: --wafer FILE.conf, --opts FILE.conf,\n"
-        "  --refiner none|genetic|annealing|beamtabu|exact|portfolio\n"
+        "  --refiner none|genetic|beamtabu\n"
         "    (level-2 search engine),\n"
         "  --deadline-ms N (wall-clock budget per solve; for serve,\n"
         "    also the per-request queue deadline),\n"
@@ -284,7 +284,7 @@ resolveOptions(const CliArgs &args)
         std::fprintf(
             stderr,
             "unknown --refiner '%s' "
-            "(use none/genetic/annealing/beamtabu/exact/portfolio)\n",
+            "(use none/genetic/beamtabu)\n",
             args.refiner.c_str());
         std::exit(1);
     }
