@@ -124,7 +124,8 @@ TempService::consumePendingBlock(const std::string &key,
 {
     persist::MemoBlock block;
     {
-        std::lock_guard<std::mutex> lock(persist_mutex_);
+        std::unique_lock<std::mutex> lock(persist_mutex_);
+        import_done_.wait(lock, [&] { return !importing_.contains(key); });
         auto it = pending_blocks_.find(key);
         if (it == pending_blocks_.end())
             return;
@@ -133,10 +134,25 @@ TempService::consumePendingBlock(const std::string &key,
         // framework it warmed re-exports the same memos).
         block = std::move(it->second);
         pending_blocks_.erase(it);
+        importing_.insert(key);
         ++persist_stats_.frameworks_warmed;
     }
     // Import outside the lock: schedule replay lowers real schedules.
-    fw.importMemos(block);
+    // Requests racing for the same framework wait above until it ends.
+    const auto finish_import = [&] {
+        {
+            std::lock_guard<std::mutex> lock(persist_mutex_);
+            importing_.erase(key);
+        }
+        import_done_.notify_all();
+    };
+    try {
+        fw.importMemos(block);
+    } catch (...) {
+        finish_import();
+        throw;
+    }
+    finish_import();
 }
 
 bool

@@ -18,11 +18,13 @@
  */
 #pragma once
 
+#include <condition_variable>
 #include <future>
 #include <memory>
 #include <mutex>
 #include <string>
 #include <unordered_map>
+#include <unordered_set>
 
 #include "api/requests.hpp"
 #include "common/bounded_cache.hpp"
@@ -159,7 +161,9 @@ class TempService
     void applyServiceBudget(const common::CacheBudget &budget);
 
     /// Imports the staged warm-start block matching @p key into @p fw
-    /// (exactly once; no-op when none is staged).
+    /// (exactly once; no-op when none is staged). A caller that finds
+    /// the block mid-import by another request waits for it, so every
+    /// request on a warmed framework starts from the imported memos.
     void consumePendingBlock(const std::string &key,
                              const core::TempFramework &fw);
 
@@ -174,13 +178,17 @@ class TempService
                          std::shared_ptr<sim::MultiWaferSimulator>>
         pods_;
     Stats stats_;
-    /// Guards pending_blocks_ + persist_stats_. Ordered after the
-    /// framework build (taken only briefly; never while holding
-    /// mutex_ or a cache shard lock).
+    /// Guards pending_blocks_, importing_ and persist_stats_. Ordered
+    /// after the framework build (taken only briefly; never while
+    /// holding mutex_ or a cache shard lock).
     mutable std::mutex persist_mutex_;
     /// Warm-start blocks staged by warmStart(), keyed by canonical
     /// framework key; frameworkFor() consumes a match exactly once.
     std::unordered_map<std::string, persist::MemoBlock> pending_blocks_;
+    /// Keys whose block is being imported (outside the lock), and the
+    /// signal that one finished.
+    std::unordered_set<std::string> importing_;
+    std::condition_variable import_done_;
     PersistStats persist_stats_;
     /// Declared last: destroyed first, so queued submit() tasks drain
     /// (and stop touching the members above) before they go away.

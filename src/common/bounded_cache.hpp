@@ -4,7 +4,8 @@
  *
  * Every memo layer in the system — the service's framework/pod maps,
  * the breakdown and step-report memos, the layout cache, the schedule
- * cache and the router's route pool — is an append-only map by
+ * cache, the cost model's stream-plan, timed-phase and simulator-cell
+ * memos and the router's route pool — is an append-only map by
  * default, which is a by-design memory leak once the process is a
  * long-lived service. This header owns the shared machinery that
  * bounds them:
@@ -40,7 +41,9 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cstddef>
+#include <cstdint>
 #include <functional>
 #include <list>
 #include <memory>
@@ -127,6 +130,49 @@ inline long
 cacheByteEstimate(const std::string &s)
 {
     return static_cast<long>(sizeof(std::string) + s.capacity());
+}
+
+/**
+ * A compact exact cache key: a flat sequence of 32-bit words (ids,
+ * degrees, and the bit patterns of doubles and 64-bit values split in
+ * two). Equality compares every word, so two keys never collide on a
+ * hash alone; the hash only picks the bucket.
+ */
+struct WordKey
+{
+    std::vector<std::uint32_t> words;
+
+    void add(std::uint32_t word) { words.push_back(word); }
+    void addInt(int value) { add(static_cast<std::uint32_t>(value)); }
+    void add64(std::uint64_t value)
+    {
+        add(static_cast<std::uint32_t>(value));
+        add(static_cast<std::uint32_t>(value >> 32));
+    }
+    void addDouble(double value)
+    {
+        add64(std::bit_cast<std::uint64_t>(value));
+    }
+
+    bool operator==(const WordKey &other) const = default;
+};
+
+struct WordKeyHash
+{
+    std::size_t operator()(const WordKey &key) const
+    {
+        std::uint64_t hash = 0xcbf29ce484222325ull;
+        for (std::uint32_t word : key.words)
+            hash = (hash ^ word) * 0x100000001b3ull;
+        return static_cast<std::size_t>(hash ^ (hash >> 29));
+    }
+};
+
+inline long
+cacheByteEstimate(const WordKey &key)
+{
+    return static_cast<long>(sizeof(WordKey) +
+                             key.words.capacity() * sizeof(std::uint32_t));
 }
 
 /**

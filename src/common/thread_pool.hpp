@@ -15,6 +15,10 @@
  * queued FIFO behind any active parallelFor job. Workers prefer the
  * loop (its caller is blocked on it), then drain the task queue; a
  * pool without workers runs the task inline so futures always resolve.
+ *
+ * Workers start on first use (the first parallelFor with n > 1 or the
+ * first submit), not in the constructor: building a pool is free, and
+ * a pool that never runs a parallel job never spawns a thread.
  */
 #pragma once
 
@@ -46,14 +50,14 @@ class ThreadPool
                 threads = 1;
         }
         thread_count_ = threads;
-        workers_.reserve(static_cast<std::size_t>(threads - 1));
-        for (int i = 0; i < threads - 1; ++i)
-            workers_.emplace_back([this] { workerLoop(); });
     }
 
     /// Drains queued tasks (their futures resolve) before joining.
     ~ThreadPool()
     {
+        // Synchronises with a start on another thread (and forbids a
+        // late one), so reading workers_ below is race-free.
+        std::call_once(start_once_, [] {});
         {
             std::lock_guard<std::mutex> lock(mutex_);
             stop_ = true;
@@ -79,11 +83,12 @@ class ThreadPool
     {
         if (n == 0)
             return;
-        if (workers_.empty() || n == 1) {
+        if (thread_count_ == 1 || n == 1) {
             for (std::size_t i = 0; i < n; ++i)
                 fn(i);
             return;
         }
+        startWorkers();
         std::lock_guard<std::mutex> serial(job_mutex_);
         {
             std::lock_guard<std::mutex> lock(mutex_);
@@ -122,10 +127,11 @@ class ThreadPool
         auto task = std::make_shared<std::packaged_task<Result()>>(
             std::forward<Fn>(fn));
         std::future<Result> future = task->get_future();
-        if (workers_.empty()) {
+        if (thread_count_ == 1) {
             (*task)();
             return future;
         }
+        startWorkers();
         {
             std::lock_guard<std::mutex> lock(mutex_);
             tasks_.push_back([task] { (*task)(); });
@@ -135,6 +141,17 @@ class ThreadPool
     }
 
   private:
+    /// Spawns the workers once, on the first job that needs them.
+    void
+    startWorkers()
+    {
+        std::call_once(start_once_, [this] {
+            workers_.reserve(static_cast<std::size_t>(thread_count_ - 1));
+            for (int i = 0; i < thread_count_ - 1; ++i)
+                workers_.emplace_back([this] { workerLoop(); });
+        });
+    }
+
     /// Claims and runs loop iterations until the current job drains.
     void
     runShare()
@@ -192,6 +209,7 @@ class ThreadPool
     }
 
     int thread_count_ = 1;
+    std::once_flag start_once_;
     std::vector<std::thread> workers_;
     std::mutex job_mutex_;  ///< serialises concurrent parallelFor calls
     std::mutex mutex_;

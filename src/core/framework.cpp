@@ -61,14 +61,18 @@ TempFramework::importMemos(const persist::MemoBlock &block) const
 std::vector<std::pair<std::string, common::CacheStats>>
 TempFramework::cacheStats() const
 {
+    const cost::WaferCostModel &model = sim_->costModel();
     common::CacheStats layouts = exact_->layoutCache().cacheStats();
     layouts += sim_->layoutCache().cacheStats();
     return {
         {"eval_breakdowns", evaluator_->cacheStats()},
         {"step_reports", steps_->cacheStats()},
         {"layouts", layouts},
-        {"schedules", sim_->costModel().scheduleCacheStats()},
-        {"routes", sim_->costModel().routePoolStats()},
+        {"schedules", model.scheduleCacheStats()},
+        {"routes", model.routePoolStats()},
+        {"stream_plans", model.streamPlanStats()},
+        {"collective_phases", model.phaseMemoStats()},
+        {"sim_cells", model.cellMemoStats()},
     };
 }
 

@@ -226,8 +226,9 @@ class TempFramework
      * as (layer name, counters) pairs: eval_breakdowns (the shared
      * CachingEvaluator memo), step_reports, layouts (simulator +
      * exact-evaluator layout caches combined), schedules (the shared
-     * net::ScheduleCache) and routes (the Router pool). The layer
-     * names are the CacheStatsRequest JSON vocabulary.
+     * net::ScheduleCache), routes (the Router pool), and the cost
+     * model's memos: stream_plans, collective_phases and sim_cells.
+     * The layer names are the CacheStatsRequest JSON vocabulary.
      */
     std::vector<std::pair<std::string, common::CacheStats>> cacheStats()
         const;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <optional>
 
 #include "common/logging.hpp"
 
@@ -12,6 +13,84 @@ using parallel::Axis;
 using parallel::GroupLayout;
 using parallel::OpExecution;
 using parallel::ParallelSpec;
+
+namespace {
+
+/// Appends a collective task set's exact content to a memo key.
+void
+appendTasks(common::WordKey &key,
+            const std::vector<net::CollectiveTask> &tasks)
+{
+    key.add(static_cast<std::uint32_t>(tasks.size()));
+    for (const net::CollectiveTask &task : tasks) {
+        key.add(static_cast<std::uint32_t>(task.kind));
+        key.addInt(task.tag);
+        key.addDouble(task.bytes);
+        key.add(static_cast<std::uint32_t>(task.group.size()));
+        for (hw::DieId die : task.group)
+            key.addInt(die);
+    }
+}
+
+}  // namespace
+
+std::size_t
+OpCellKeyHash::operator()(const OpCellKey &key) const
+{
+    const ParallelSpec &s = key.spec;
+    std::uint64_t hash = key.graph_fp ^ (key.epoch * 0x9e3779b97f4a7c15ull);
+    for (int v : {key.op_index, s.dp, s.fsdp, s.tp, s.sp, s.cp, s.tatp, s.pp,
+                  s.coupled_sp ? 1 : 0})
+        hash = (hash ^ static_cast<std::uint32_t>(v)) * 0x100000001b3ull;
+    return static_cast<std::size_t>(hash ^ (hash >> 29));
+}
+
+/**
+ * The cost model's exact memos. Every key carries the fault epoch, and
+ * the epoch listener flushes them all.
+ */
+struct WaferCostModel::Memos
+{
+    /// TATP group set + degree -> stream plan.
+    common::BoundedCache<common::WordKey,
+                         std::shared_ptr<const tatp::StreamPlan>,
+                         common::WordKeyHash>
+        stream_plans;
+    /// Collective task-set content -> timed phase.
+    common::BoundedCache<common::WordKey, TimedPhase, common::WordKeyHash>
+        phases;
+    /// (graph, op, spec) -> the simulator's cell.
+    common::BoundedCache<OpCellKey, std::shared_ptr<const OpCell>,
+                         OpCellKeyHash>
+        cells;
+
+    Memos()
+    {
+        // Honest byte estimates, so the configured byte budgets bound
+        // what the memos really hold.
+        stream_plans.setByteEstimate(
+            [](const common::WordKey &key,
+               const std::shared_ptr<const tatp::StreamPlan> &plan) {
+                return common::cacheByteEstimate(key) +
+                       plan->byteEstimate();
+            });
+        phases.setByteEstimate(
+            [](const common::WordKey &key, const TimedPhase &) {
+                return common::cacheByteEstimate(key) +
+                       static_cast<long>(sizeof(TimedPhase));
+            });
+        cells.setByteEstimate(
+            [](const OpCellKey &, const std::shared_ptr<const OpCell> &cell) {
+                long bytes = static_cast<long>(sizeof(OpCellKey) +
+                                               sizeof(OpCell));
+                for (const net::CollectiveTask &task : cell->step_tasks)
+                    bytes += static_cast<long>(
+                        sizeof(task) +
+                        task.group.capacity() * sizeof(hw::DieId));
+                return bytes;
+            });
+    }
+};
 
 WaferCostModel::WaferCostModel(const hw::Wafer &wafer,
                                tcme::MappingPolicy policy,
@@ -36,6 +115,10 @@ WaferCostModel::WaferCostModel(const hw::Wafer &wafer,
     // caches, so it is safe from whichever thread injects the faults.
     epoch_listener_id_ =
         wafer_.addEpochListener([this](std::uint64_t epoch) {
+            Memos &memo = memos();
+            memo.cells.clear();
+            memo.phases.clear();
+            memo.stream_plans.clear();  // releases its pooled routes
             schedule_cache_.flushForEpoch(epoch);
             router_.dropStaleRoutes();
         });
@@ -46,18 +129,87 @@ WaferCostModel::~WaferCostModel()
     wafer_.removeEpochListener(epoch_listener_id_);
 }
 
+WaferCostModel::Memos &
+WaferCostModel::memos() const
+{
+    std::call_once(memos_once_,
+                   [this] { memos_ = std::make_unique<Memos>(); });
+    return *memos_;
+}
+
+common::CacheStats
+WaferCostModel::streamPlanStats() const
+{
+    return memos().stream_plans.stats();
+}
+
+common::CacheStats
+WaferCostModel::phaseMemoStats() const
+{
+    return memos().phases.stats();
+}
+
+common::CacheStats
+WaferCostModel::cellMemoStats() const
+{
+    return memos().cells.stats();
+}
+
+void
+WaferCostModel::setCacheBudgets(const common::CacheBudget &budget) const
+{
+    // Negative budgets clamp to 0 (unbounded): a size_t wrap would
+    // silently produce a never-evicting "bounded" cache that still
+    // pays the exclusive-lock hit path.
+    schedule_cache_.setMaxEntries(static_cast<std::size_t>(
+        std::max(0L, budget.max_schedule_entries)));
+    schedule_cache_.setMaxBytes(std::max(0L, budget.max_schedule_bytes));
+    router_.setPoolBudget(static_cast<std::size_t>(
+        std::max(0L, budget.max_route_entries)));
+    router_.setPoolMaxBytes(std::max(0L, budget.max_route_bytes));
+    Memos &memo = memos();
+    memo.phases.setCapacity(budget.max_schedule_entries);
+    memo.phases.setMaxBytes(budget.max_schedule_bytes);
+    memo.stream_plans.setCapacity(budget.max_layout_entries);
+    memo.stream_plans.setMaxBytes(budget.max_layout_bytes);
+    memo.cells.setCapacity(budget.max_eval_entries);
+    memo.cells.setMaxBytes(budget.max_eval_bytes);
+}
+
 net::PhaseTiming
 WaferCostModel::timeCollectiveTasks(
     const std::vector<net::CollectiveTask> &tasks, double *link_bytes,
     net::ScheduleCacheStats *sched_stats) const
 {
-    net::PhaseTiming timing;
     if (tasks.empty())
-        return timing;
+        return net::PhaseTiming{};
 
+    const std::uint64_t epoch = wafer_.faultEpoch();
+    common::WordKey key;
+    key.add64(epoch);
+    appendTasks(key, tasks);
+    Memos &memo = memos();
+    std::optional<TimedPhase> phase = memo.phases.get(key);
+    if (phase) {
+        if (sched_stats != nullptr)
+            sched_stats->hits += static_cast<long>(tasks.size());
+    } else {
+        phase = timePhase(tasks, epoch, sched_stats);
+        memo.phases.insert(key, *phase);
+    }
+    if (link_bytes != nullptr)
+        *link_bytes += phase->link_bytes;
+    return phase->timing;
+}
+
+WaferCostModel::TimedPhase
+WaferCostModel::timePhase(const std::vector<net::CollectiveTask> &tasks,
+                          std::uint64_t epoch,
+                          net::ScheduleCacheStats *sched_stats) const
+{
+    TimedPhase phase;
     // Lower every task through the shared schedule cache (content-keyed
     // on the task signature, invalidated by the wafer's fault epoch).
-    const std::uint64_t epoch = wafer_.faultEpoch();
     std::vector<std::shared_ptr<const net::CommSchedule>> lowered;
     lowered.reserve(tasks.size());
     bool feasible = true;
@@ -73,25 +225,25 @@ WaferCostModel::timeCollectiveTasks(
         }
     }
     if (!feasible) {
-        timing.time_s = std::numeric_limits<double>::infinity();
-        return timing;
+        phase.timing.time_s = std::numeric_limits<double>::infinity();
+        return phase;
     }
 
     // Single-task fast path: no overlay combination needed, and when no
     // traffic optimisation runs the cached schedule is evaluated in
-    // place — the common case of the matrix fill costs zero copies.
+    // place.
     if (tasks.size() == 1) {
         const net::CommSchedule &single = *lowered.front();
         if (!policy_.contentionOptimization()) {
-            if (link_bytes != nullptr)
-                *link_bytes += single.linkBytes();
-            return contention_.evaluateSequence(single);
+            phase.link_bytes = single.linkBytes();
+            phase.timing = contention_.evaluateSequence(single);
+            return phase;
         }
         net::CommSchedule optimized = single;
         optimizer_.optimize(optimized);
-        if (link_bytes != nullptr)
-            *link_bytes += optimized.linkBytes();
-        return contention_.evaluateSequence(optimized);
+        phase.link_bytes = optimized.linkBytes();
+        phase.timing = contention_.evaluateSequence(optimized);
+        return phase;
     }
 
     // Overlay same-kind rounds in one pass: groups of one axis run
@@ -108,9 +260,67 @@ WaferCostModel::timeCollectiveTasks(
     else
         combined.finalize();
 
-    if (link_bytes != nullptr)
-        *link_bytes += combined.linkBytes();
-    return contention_.evaluateSequence(combined);
+    phase.link_bytes = combined.linkBytes();
+    phase.timing = contention_.evaluateSequence(combined);
+    return phase;
+}
+
+std::shared_ptr<const tatp::StreamPlan>
+WaferCostModel::streamPlan(const std::vector<std::vector<hw::DieId>> &groups,
+                           int degree) const
+{
+    common::WordKey key;
+    key.add64(wafer_.faultEpoch());
+    key.addInt(degree);
+    for (const std::vector<hw::DieId> &group : groups) {
+        key.add(static_cast<std::uint32_t>(group.size()));
+        for (hw::DieId die : group)
+            key.addInt(die);
+    }
+    Memos &memo = memos();
+    if (auto plan = memo.stream_plans.get(key))
+        return *plan;
+
+    // Build the physical chains these groups give the stream. Engines
+    // other than SMap re-order scattered groups into the best chain
+    // (GMap is hop-aware; TCME is topology-aware by construction).
+    std::vector<tatp::ChainInfo> chains;
+    chains.reserve(groups.size());
+    for (const std::vector<hw::DieId> &group : groups) {
+        chains.push_back(chain_mapper_.analyzeChain(
+            policy_.kind != tcme::MappingEngineKind::SMap
+                ? chain_mapper_.orderAsChain(group)
+                : group));
+    }
+    auto plan = std::make_shared<const tatp::StreamPlan>(
+        tatp_executor_.planStream(std::move(chains), degree, router_));
+    return memo.stream_plans.insert(key, std::move(plan)).first;
+}
+
+std::shared_ptr<const OpCell>
+WaferCostModel::opCell(
+    std::uint64_t graph_fp, int op_index, const model::Operator &op,
+    const ParallelSpec &spec,
+    const std::function<const GroupLayout &()> &layout, bool *hit) const
+{
+    const OpCellKey key{graph_fp, wafer_.faultEpoch(), op_index, spec};
+    Memos &memo = memos();
+    if (auto cell = memo.cells.get(key)) {
+        *hit = true;
+        return *cell;
+    }
+    *hit = false;
+    const GroupLayout &placed = layout();
+    const OpExecution exec = partitioner_.analyze(op, placed);
+    auto cell = std::make_shared<OpCell>();
+    cell->breakdown = opCost(exec, op, placed, /*include_step=*/false);
+    cell->footprint = exec.footprint();
+    cell->step_tasks = exec.step_collectives;
+    cell->activation_bytes = exec.activation_bytes;
+    // On a racing duplicate the resident copy stays; this caller keeps
+    // its own, whose schedule counters are the lookups it really ran.
+    memo.cells.insert(key, cell);
+    return cell;
 }
 
 void
@@ -120,24 +330,12 @@ WaferCostModel::timeStream(const OpExecution &exec, const GroupLayout &layout,
     const parallel::TatpStream &stream = exec.tatp;
     const int g = stream.degree;
 
-    // Build the physical chains this layout gives the stream. Engines
-    // other than SMap re-order scattered groups into the best chain
-    // (GMap is hop-aware; TCME is topology-aware by construction).
-    std::vector<tatp::ChainInfo> chains;
-    for (const auto &group : layout.groups(Axis::TATP)) {
-        std::vector<hw::DieId> ordered = group;
-        if (policy_.kind != tcme::MappingEngineKind::SMap)
-            ordered = chain_mapper_.orderAsChain(ordered);
-        chains.push_back(chain_mapper_.analyzeChain(ordered));
-    }
-    if (chains.empty())
+    const auto &groups = layout.groups(Axis::TATP);
+    if (groups.empty())
         return;
-
-    // Worst chain gates the bulk-synchronous stream.
-    const tatp::ChainInfo *worst = &chains[0];
-    for (const tatp::ChainInfo &c : chains)
-        if (c.max_hop > worst->max_hop)
-            worst = &c;
+    const std::shared_ptr<const tatp::StreamPlan> plan =
+        streamPlan(groups, g);
+    const tatp::ChainInfo &worst = plan->chains[plan->worst];
 
     double min_derate = 1.0;
     for (hw::DieId die : layout.activeDies())
@@ -155,30 +353,33 @@ WaferCostModel::timeStream(const OpExecution &exec, const GroupLayout &layout,
         round_comp_fwd > 0.0 ? stream.fwd_flops_per_round / round_comp_fwd
                              : wafer_.config().die.peak_flops;
 
-    // Cross-group contention: evaluate the densest stream round under
-    // the contention model and take the worse of that and the
-    // store-and-forward estimate.
-    auto contended_round = [&](bool backward) {
-        const net::CommSchedule flows =
-            tatp_executor_.streamFlows(stream, chains, router_, backward);
-        if (!flows.feasible)
+    // Cross-group contention: evaluate round 0 of the stream under the
+    // contention model and take the worse of that and the
+    // store-and-forward estimate. Round 0 carries every chain-neighbour
+    // pair in both directions and later rounds only subsets of them, so
+    // it is the densest round and alone decides feasibility.
+    auto contended_round = [&](double bytes) {
+        if (!plan->feasible)
             return std::numeric_limits<double>::infinity();
-        if (flows.empty())
+        if (plan->round0.empty())
             return 0.0;
-        return contention_.evaluate(flows.round(0)).time_s;
+        std::vector<net::Flow> flows = plan->round0;
+        for (net::Flow &flow : flows)
+            flow.bytes = bytes;
+        return contention_.evaluate(flows).time_s;
     };
 
     const tatp::TatpTiming fwd = tatp_executor_.timePass(
-        stream.fwd_flops_per_round, stream.bytes_per_round, g, *worst,
+        stream.fwd_flops_per_round, stream.bytes_per_round, g, worst,
         flops_rate);
     const tatp::TatpTiming bwd = tatp_executor_.timePass(
-        stream.bwd_flops_per_round, 2.0 * stream.bytes_per_round, g, *worst,
+        stream.bwd_flops_per_round, 2.0 * stream.bytes_per_round, g, worst,
         flops_rate);
 
-    const double fwd_comm_round =
-        std::max(fwd.comm_time_s / g, contended_round(false));
-    const double bwd_comm_round =
-        std::max(bwd.comm_time_s / g, contended_round(true));
+    const double fwd_comm_round = std::max(
+        fwd.comm_time_s / g, contended_round(stream.bytes_per_round));
+    const double bwd_comm_round = std::max(
+        bwd.comm_time_s / g, contended_round(2.0 * stream.bytes_per_round));
     if (std::isinf(fwd_comm_round) || std::isinf(bwd_comm_round)) {
         out.feasible = false;
         return;
@@ -206,7 +407,7 @@ WaferCostModel::timeStream(const OpExecution &exec, const GroupLayout &layout,
              std::max(0.0, bwd_round - std::max(bwd.comp_time_s / g,
                                                 ideal_hop_bwd)));
     out.d2d_link_bytes +=
-        (fwd.link_bytes + bwd.link_bytes) * chains.size();
+        (fwd.link_bytes + bwd.link_bytes) * plan->chains.size();
 }
 
 OpCostBreakdown

@@ -15,7 +15,9 @@
 #pragma once
 
 #include <algorithm>
+#include <functional>
 #include <memory>
+#include <mutex>
 
 #include "cost/compute_model.hpp"
 #include "cost/power_model.hpp"
@@ -66,6 +68,36 @@ struct OpCostBreakdown
     double total() const { return fwd_time + bwd_time + step_comm_time; }
 };
 
+/**
+ * One operator's costed execution under a spec, as the training
+ * simulator's per-plan reduction reads it: the breakdown without
+ * step collectives, plus the analysis fields it needs besides.
+ */
+struct OpCell
+{
+    OpCostBreakdown breakdown;  ///< include_step = false
+    mem::MemoryFootprint footprint;
+    std::vector<net::CollectiveTask> step_tasks;
+    double activation_bytes = 0.0;
+};
+
+/// Exact key of an OpCell: graph fingerprint, op index, spec and the
+/// fault epoch the cell was costed under.
+struct OpCellKey
+{
+    std::uint64_t graph_fp = 0;
+    std::uint64_t epoch = 0;
+    int op_index = 0;
+    parallel::ParallelSpec spec;
+
+    bool operator==(const OpCellKey &other) const = default;
+};
+
+struct OpCellKeyHash
+{
+    std::size_t operator()(const OpCellKey &key) const;
+};
+
 /// The cost model: (operator, layout) -> OpCostBreakdown.
 class WaferCostModel
 {
@@ -103,7 +135,11 @@ class WaferCostModel
      * Lowers a set of collective tasks (all groups concurrently),
      * applies the policy's traffic optimisation, and times the result
      * under link-level contention. Lowerings are served from the shared
-     * ScheduleCache (content-keyed, fault-epoch invalidated).
+     * ScheduleCache (content-keyed, fault-epoch invalidated), and the
+     * timed result from the phase memo (keyed on the exact task-set
+     * content and the fault epoch). A memo hit skips lowering,
+     * combination, optimisation and contention evaluation, and counts
+     * every task's lookup as a schedule-cache hit.
      *
      * @param link_bytes Optional accumulator of bytes x hops (energy).
      * @param sched_stats Optional accumulator of this call's cache
@@ -113,6 +149,21 @@ class WaferCostModel
         const std::vector<net::CollectiveTask> &tasks,
         double *link_bytes = nullptr,
         net::ScheduleCacheStats *sched_stats = nullptr) const;
+
+    /**
+     * The training simulator's memoized cell: op `op_index` of the
+     * graph fingerprinted `graph_fp`, costed under `spec` without
+     * step collectives. `layout` is called only on a miss. The memo
+     * is keyed exactly on (graph_fp, op_index, spec, fault epoch).
+     *
+     * @param hit Out: true when served from the memo (the cell's
+     *        schedule lookups were then not re-run).
+     */
+    std::shared_ptr<const OpCell> opCell(
+        std::uint64_t graph_fp, int op_index, const model::Operator &op,
+        const parallel::ParallelSpec &spec,
+        const std::function<const parallel::GroupLayout &()> &layout,
+        bool *hit) const;
 
     /// Eq. (3): inter-operator resharding time between adjacent ops.
     double interOpTime(const model::Operator &producer,
@@ -157,24 +208,14 @@ class WaferCostModel
     }
 
     /**
-     * Applies the network-layer entry budgets (schedule cache and
-     * route pool; 0 = unbounded). Const for the same reason the
-     * caches are mutable: governance does not change what a cost
-     * query computes, only what stays resident.
+     * Applies the cost model's memo budgets (0 = unbounded): the
+     * schedule cache and the phase memo take the net.schedule_cache
+     * budgets, the stream-plan memo the layout budgets, the cell memo
+     * the eval.cache budgets, and the route pool its own. Const for
+     * the same reason the caches are mutable: governance does not
+     * change what a cost query computes, only what stays resident.
      */
-    void setCacheBudgets(const common::CacheBudget &budget) const
-    {
-        // Negative budgets clamp to 0 (unbounded): a size_t wrap
-        // would silently produce a never-evicting "bounded" cache
-        // that still pays the exclusive-lock hit path.
-        schedule_cache_.setMaxEntries(static_cast<std::size_t>(
-            std::max(0L, budget.max_schedule_entries)));
-        schedule_cache_.setMaxBytes(
-            std::max(0L, budget.max_schedule_bytes));
-        router_.setPoolBudget(static_cast<std::size_t>(
-            std::max(0L, budget.max_route_entries)));
-        router_.setPoolMaxBytes(std::max(0L, budget.max_route_bytes));
-    }
+    void setCacheBudgets(const common::CacheBudget &budget) const;
 
     /**
      * Re-lowers persisted task signatures into the schedule cache
@@ -209,11 +250,45 @@ class WaferCostModel
         return router_.poolStats();
     }
 
+    /// Governance counters of the stream-plan memo.
+    common::CacheStats streamPlanStats() const;
+
+    /// Governance counters of the timed collective-phase memo.
+    common::CacheStats phaseMemoStats() const;
+
+    /// Governance counters of the simulator cell memo.
+    common::CacheStats cellMemoStats() const;
+
     /// Fraction of grad-sync communication hidden behind backward
     /// compute (bucketed overlap, as Megatron/FSDP implement).
     static constexpr double kGradSyncOverlap = 0.5;
 
   private:
+    /// The stream-plan, timed-phase and cell memos (see the .cpp).
+    struct Memos;
+
+    /// A timed collective phase as the phase memo stores it.
+    struct TimedPhase
+    {
+        net::PhaseTiming timing;
+        /// Added to the caller's accumulator (0 when infeasible).
+        double link_bytes = 0.0;
+    };
+
+    /// The memos, created on first use: building a cost model does no
+    /// memo work, so frameworks that never solve pay nothing for them.
+    Memos &memos() const;
+
+    /// timeCollectiveTasks() without the phase memo.
+    TimedPhase timePhase(const std::vector<net::CollectiveTask> &tasks,
+                         std::uint64_t epoch,
+                         net::ScheduleCacheStats *sched_stats) const;
+
+    /// The (memoized) stream plan of a layout's TATP groups.
+    std::shared_ptr<const tatp::StreamPlan> streamPlan(
+        const std::vector<std::vector<hw::DieId>> &groups,
+        int degree) const;
+
     /// Times the TATP stream of an execution (all groups concurrently).
     void timeStream(const parallel::OpExecution &exec,
                     const parallel::GroupLayout &layout,
@@ -232,8 +307,11 @@ class WaferCostModel
     tatp::ChainMapper chain_mapper_;
     tatp::TatpExecutor tatp_executor_;
     tcme::TrafficOptimizer optimizer_;
+    mutable std::once_flag memos_once_;
+    mutable std::unique_ptr<Memos> memos_;
     /// Registration id of the wafer epoch listener that eagerly
-    /// flushes the schedule cache and route pool on setFaults().
+    /// flushes the memos, the schedule cache and the route pool on
+    /// setFaults().
     std::uint64_t epoch_listener_id_ = 0;
 };
 

@@ -48,19 +48,6 @@ CommSchedule::finalize()
 }
 
 void
-CommSchedule::append(const CommSchedule &other)
-{
-    soa_valid_ = false;
-    const std::uint32_t base = static_cast<std::uint32_t>(flows_.size());
-    flows_.insert(flows_.end(), other.flows_.begin(), other.flows_.end());
-    round_end_.reserve(round_end_.size() + other.round_end_.size());
-    for (std::uint32_t end : other.round_end_)
-        round_end_.push_back(base + end);
-    payload_bytes += other.payload_bytes;
-    feasible = feasible && other.feasible;
-}
-
-void
 CommSchedule::overlay(const CommSchedule &other)
 {
     const CommSchedule *pair[] = {this, &other};
@@ -161,15 +148,17 @@ CollectiveScheduler::schedule(const CollectiveTask &task) const
 }
 
 CommSchedule
-CollectiveScheduler::ringAllGather(const std::vector<DieId> &group,
-                                   double shard_bytes, int tag) const
+CollectiveScheduler::ringPasses(const std::vector<DieId> &group,
+                                double shard_bytes, int tag,
+                                int passes) const
 {
     CommSchedule sched;
     const int n = static_cast<int>(group.size());
     if (n <= 1 || shard_bytes <= 0.0)
         return sched;
 
-    sched.reserve(static_cast<std::size_t>(n) * (n - 1), n - 1);
+    const int rounds = passes * (n - 1);
+    sched.reserve(static_cast<std::size_t>(n) * rounds, rounds);
     // Every round reuses the same n ring hops; resolve the pooled
     // routes once instead of once per round.
     std::vector<RouteRef> hop_routes;
@@ -182,7 +171,7 @@ CollectiveScheduler::ringAllGather(const std::vector<DieId> &group,
         hop_routes.push_back(std::move(route));
     }
 
-    for (int round = 0; round + 1 < n; ++round) {
+    for (int round = 0; round < rounds; ++round) {
         for (int i = 0; i < n; ++i) {
             Flow flow;
             flow.src = group[i];
@@ -194,8 +183,17 @@ CollectiveScheduler::ringAllGather(const std::vector<DieId> &group,
         }
         sched.sealRound();
     }
-    sched.payload_bytes = shard_bytes * n * (n - 1);
+    const double pass_payload = shard_bytes * n * (n - 1);
+    for (int pass = 0; pass < passes; ++pass)
+        sched.payload_bytes += pass_payload;
     return sched;
+}
+
+CommSchedule
+CollectiveScheduler::ringAllGather(const std::vector<DieId> &group,
+                                   double shard_bytes, int tag) const
+{
+    return ringPasses(group, shard_bytes, tag, 1);
 }
 
 CommSchedule
@@ -206,18 +204,18 @@ CollectiveScheduler::ringReduceScatter(const std::vector<DieId> &group,
     if (n <= 1 || tensor_bytes <= 0.0)
         return CommSchedule{};
     // Same flow pattern as all-gather with tensor/N shards.
-    return ringAllGather(group, tensor_bytes / n, tag);
+    return ringPasses(group, tensor_bytes / n, tag, 1);
 }
 
 CommSchedule
 CollectiveScheduler::ringAllReduce(const std::vector<DieId> &group,
                                    double tensor_bytes, int tag) const
 {
-    CommSchedule sched = ringReduceScatter(group, tensor_bytes, tag);
     const int n = static_cast<int>(group.size());
-    if (n > 1 && tensor_bytes > 0.0)
-        sched.append(ringAllGather(group, tensor_bytes / n, tag));
-    return sched;
+    if (n <= 1 || tensor_bytes <= 0.0)
+        return CommSchedule{};
+    // Reduce-scatter then all-gather: two passes over the same hops.
+    return ringPasses(group, tensor_bytes / n, tag, 2);
 }
 
 CommSchedule

@@ -83,8 +83,8 @@ struct FlowSoa
  *
  * A *finalized* schedule additionally carries a FlowSoa view of the
  * arena, the layout the contention model's deposit loop prefers. Any
- * arena mutation invalidates the view; long-lived schedules (schedule
- * cache entries, optimizer output) re-finalize once after building.
+ * arena mutation invalidates the view; schedules evaluated after
+ * building (combined phases, optimizer output) finalize once.
  */
 class CommSchedule
 {
@@ -204,9 +204,6 @@ class CommSchedule
     const std::vector<Flow> &flows() const { return flows_; }
     std::size_t flowCount() const { return flows_.size(); }
 
-    /// Appends another schedule's rounds after this one's.
-    void append(const CommSchedule &other);
-
     /// Merges another schedule round-by-round (concurrent execution).
     void overlay(const CommSchedule &other);
 
@@ -303,6 +300,11 @@ class CollectiveScheduler
     const Router &router() const { return router_; }
 
   private:
+    /// `passes` back-to-back ring passes of (N-1) rounds each, every
+    /// member forwarding a shard to its ring successor per round.
+    CommSchedule ringPasses(const std::vector<DieId> &group,
+                            double shard_bytes, int tag, int passes) const;
+
     const Router &router_;
     RoutePolicy policy_;
 };

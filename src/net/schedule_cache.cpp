@@ -137,10 +137,11 @@ ScheduleCache::lowered(const CollectiveTask &task, std::uint64_t fault_epoch,
     // Lower under the exclusive lock: duplicates across threads would
     // break the "lowered exactly once" accounting, and each unique task
     // misses once per epoch (or per eviction under a finite budget).
-    // Cache entries are evaluated many times, so finalize the SoA view
-    // once here.
+    // No SoA view: the cost model's phase memo times each task set
+    // once, so an entry is read a handful of times (combined, copied
+    // for optimisation, or evaluated once) and the view would only
+    // double its footprint.
     CommSchedule built = scheduler_.schedule(task);
-    built.finalize();
     auto schedule =
         std::make_shared<const CommSchedule>(std::move(built));
     ++lowerings_;

@@ -104,7 +104,7 @@ class ScheduleCache
     void setMaxEntries(std::size_t max_entries);
 
     /// Byte budget within the live epoch (0 = unbounded), over the
-    /// honest per-entry estimate (key group + arena + SoA view).
+    /// honest per-entry estimate (key group + arena).
     void setMaxBytes(long max_bytes);
 
     /**

@@ -10,7 +10,6 @@
 namespace temp::sim {
 
 using parallel::GroupLayout;
-using parallel::OpExecution;
 using parallel::ParallelSpec;
 
 TrainingSimulator::TrainingSimulator(const hw::Wafer &wafer,
@@ -172,19 +171,6 @@ TrainingSimulator::simulateMicro(const model::ComputeGraph &graph,
     PerfReport report;
     report.recompute = recompute;
 
-    // Layouts are shared between ops with identical specs and, via the
-    // simulator's persistent content-keyed cache, across simulate()
-    // calls (the GA fitness loop re-simulates recurring specs). The
-    // shared_ptrs are pinned for the whole simulation: under a finite
-    // layout budget the cache may evict an entry while this pass still
-    // uses it, so borrowing a bare reference out of the lookup would
-    // dangle.
-    std::vector<std::shared_ptr<const GroupLayout>> pinned_layouts;
-    auto layout_for = [&](const ParallelSpec &spec) -> const GroupLayout & {
-        pinned_layouts.push_back(layout_cache_.layoutFor(graph, spec));
-        return *pinned_layouts.back();
-    };
-
     // ---- One representative layer -------------------------------------
     double layer_wall = 0.0;      // fwd+bwd wall time of all ops
     double layer_comp = 0.0;
@@ -202,13 +188,17 @@ TrainingSimulator::simulateMicro(const model::ComputeGraph &graph,
     std::vector<net::CollectiveTask> step_tasks;
     double util_acc = 0.0, util_weight = 0.0;
 
-    // Breakdown cells are collected and reduced in one batched pass
-    // after the loop (cost::reduceBreakdowns — bit-identical to the
-    // former per-cell accumulation); the loop keeps only the work that
-    // needs op identity: feasibility early-outs, footprints, step-task
+    // Each (op, spec) cell comes from the cost model's cell memo, so a
+    // cell is costed once per fault epoch however many plans reuse it;
+    // a memo hit counts its schedule lookups as cache hits. Breakdowns
+    // are collected and reduced in one batched pass after the loop
+    // (cost::reduceBreakdowns); the loop keeps only the work that needs
+    // the plan: feasibility early-outs, footprints, step-task
     // collection and resharding.
+    const std::uint64_t graph_fp = eval::graphFingerprint(graph);
     std::vector<cost::OpCostBreakdown> cells;
     cells.reserve(graph.opCount());
+    double first_activation_bytes = 0.0;
 
     for (int i = 0; i < graph.opCount(); ++i) {
         const model::Operator &op = graph.op(i);
@@ -218,21 +208,36 @@ TrainingSimulator::simulateMicro(const model::ComputeGraph &graph,
             report.feasible = false;
             return report;
         }
-        const GroupLayout &layout = layout_for(spec);
-        const OpExecution exec =
-            cost_model_.partitioner().analyze(op, layout);
-        const cost::OpCostBreakdown c =
-            cost_model_.opCost(exec, op, layout, /*include_step=*/false);
-        report.schedule_lowerings += c.schedule_lowerings;
-        report.schedule_cache_hits += c.schedule_cache_hits;
+        // A cell miss places the spec through the simulator's persistent
+        // layout cache. The shared_ptr pins the layout while the cell is
+        // costed: under a finite layout budget the cache may evict it.
+        std::shared_ptr<const GroupLayout> layout;
+        bool hit = false;
+        const std::shared_ptr<const cost::OpCell> cell = cost_model_.opCell(
+            graph_fp, i, op, spec,
+            [&]() -> const GroupLayout & {
+                layout = layout_cache_.layoutFor(graph, spec);
+                return *layout;
+            },
+            &hit);
+        const cost::OpCostBreakdown &c = cell->breakdown;
+        if (hit) {
+            report.schedule_cache_hits +=
+                c.schedule_lowerings + c.schedule_cache_hits;
+        } else {
+            report.schedule_lowerings += c.schedule_lowerings;
+            report.schedule_cache_hits += c.schedule_cache_hits;
+        }
         if (!c.feasible) {
             report.feasible = false;
             return report;
         }
 
         cells.push_back(c);
+        if (i == 0)
+            first_activation_bytes = cell->activation_bytes;
 
-        const mem::MemoryFootprint fp = exec.footprint();
+        const mem::MemoryFootprint &fp = cell->footprint;
         static_mem[mem::MemClass::Weights] += fp[mem::MemClass::Weights];
         static_mem[mem::MemClass::Gradients] +=
             fp[mem::MemClass::Gradients];
@@ -245,8 +250,8 @@ TrainingSimulator::simulateMicro(const model::ComputeGraph &graph,
                      fp[mem::MemClass::CommBuffers]);
         act_per_layer += fp[mem::MemClass::Activations];
 
-        step_tasks.insert(step_tasks.end(), exec.step_collectives.begin(),
-                          exec.step_collectives.end());
+        step_tasks.insert(step_tasks.end(), cell->step_tasks.begin(),
+                          cell->step_tasks.end());
 
         // Inter-op resharding (Eq. 3).
         if (i + 1 < graph.opCount() && !(per_op_specs[i + 1] == spec)) {
@@ -272,10 +277,7 @@ TrainingSimulator::simulateMicro(const model::ComputeGraph &graph,
         // Activation checkpointing: store only the layer-boundary
         // activation (the first op's input tensor) and re-run the
         // forward pass during backward.
-        const GroupLayout &first_layout = layout_for(per_op_specs[0]);
-        const OpExecution first =
-            cost_model_.partitioner().analyze(graph.op(0), first_layout);
-        act_per_layer = first.activation_bytes;
+        act_per_layer = first_activation_bytes;
         const double extra = layer_comp / 3.0;  // one extra forward
         layer_wall += extra;
         layer_comp += extra;

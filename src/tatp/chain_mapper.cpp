@@ -79,23 +79,26 @@ ChainMapper::orderAsChain(std::vector<hw::DieId> dies) const
     }
 
     // 2-opt: reverse segments while that shortens the total hop length.
-    auto seg_cost = [&](const std::vector<hw::DieId> &c) {
-        int cost = 0;
-        for (std::size_t i = 0; i + 1 < c.size(); ++i)
-            cost += mesh_.hopDistance(c[i], c[i + 1]);
-        return cost;
+    // Reversing chain[i..j] keeps every inner edge (hopDistance is
+    // symmetric) and swaps only the two boundary edges, so a candidate
+    // is scored by their integer delta instead of re-summing the path.
+    const std::size_t n = chain.size();
+    auto dist = [&](std::size_t a, std::size_t b) {
+        return mesh_.hopDistance(chain[a], chain[b]);
     };
     bool improved = true;
     int guard = 0;
     while (improved && guard++ < 64) {
         improved = false;
-        for (std::size_t i = 0; i + 1 < chain.size(); ++i) {
-            for (std::size_t j = i + 1; j < chain.size(); ++j) {
-                std::vector<hw::DieId> candidate = chain;
-                std::reverse(candidate.begin() + i,
-                             candidate.begin() + j + 1);
-                if (seg_cost(candidate) < seg_cost(chain)) {
-                    chain = std::move(candidate);
+        for (std::size_t i = 0; i + 1 < n; ++i) {
+            for (std::size_t j = i + 1; j < n; ++j) {
+                int delta = 0;
+                if (i > 0)
+                    delta += dist(i - 1, j) - dist(i - 1, i);
+                if (j + 1 < n)
+                    delta += dist(i, j + 1) - dist(j, j + 1);
+                if (delta < 0) {
+                    std::reverse(chain.begin() + i, chain.begin() + j + 1);
                     improved = true;
                 }
             }

@@ -119,6 +119,52 @@ TatpExecutor::timeNaiveRingPass(double flops_per_round,
     return timing;
 }
 
+long
+StreamPlan::byteEstimate() const
+{
+    long bytes = static_cast<long>(sizeof(StreamPlan) +
+                                   chains.capacity() * sizeof(ChainInfo) +
+                                   round0.capacity() * sizeof(net::Flow));
+    for (const ChainInfo &chain : chains)
+        bytes += static_cast<long>(chain.chain.capacity() *
+                                       sizeof(hw::DieId) +
+                                   chain.hops.capacity() * sizeof(int));
+    return bytes;
+}
+
+StreamPlan
+TatpExecutor::planStream(std::vector<ChainInfo> chains, int degree,
+                         const net::Router &router) const
+{
+    StreamPlan plan;
+    plan.chains = std::move(chains);
+    for (std::size_t c = 1; c < plan.chains.size(); ++c)
+        if (plan.chains[c].max_hop > plan.chains[plan.worst].max_hop)
+            plan.worst = c;
+    if (degree <= 1)
+        return plan;
+
+    const BidirectionalOrchestrator orch(degree);
+    const std::vector<TransferTask> &transfers = orch.rounds()[0].transfers;
+    plan.round0.reserve(plan.chains.size() * transfers.size());
+    for (const ChainInfo &group : plan.chains) {
+        if (static_cast<int>(group.chain.size()) != degree)
+            panic("TatpExecutor::planStream: chain size %zu != degree %d",
+                  group.chain.size(), degree);
+        for (const TransferTask &x : transfers) {
+            net::Flow flow;
+            flow.src = group.chain[x.from_slot];
+            flow.dst = group.chain[x.to_slot];
+            flow.route = router.safeRouteRef(flow.src, flow.dst);
+            if (!flow.route.valid())
+                plan.feasible = false;
+            flow.tag = parallel::axisTag(parallel::Axis::TATP);
+            plan.round0.push_back(std::move(flow));
+        }
+    }
+    return plan;
+}
+
 net::CommSchedule
 TatpExecutor::streamFlows(const parallel::TatpStream &stream,
                           const std::vector<ChainInfo> &groups,

@@ -35,6 +35,33 @@ struct TatpTiming
     double overlap_efficiency = 0.0;
 };
 
+/**
+ * The layout-only half of a TATP stream: what a layout's TATP groups
+ * become on the fabric, independent of the operator streaming over
+ * them. The cost model memoizes one per (group set, degree, fault
+ * epoch) and fills in only the per-operator bytes.
+ */
+struct StreamPlan
+{
+    /// One physical chain per TATP group, in layout order.
+    std::vector<ChainInfo> chains;
+    /// Index of the chain that gates the bulk-synchronous stream (the
+    /// first one with the largest max_hop).
+    std::size_t worst = 0;
+    /**
+     * Round 0 of the bidirectional relay, routed (bytes left at 0).
+     * It carries every chain-neighbour pair in both directions; later
+     * rounds use subsets of these pairs, so round 0 alone decides
+     * feasibility and is the densest round under contention.
+     */
+    std::vector<net::Flow> round0;
+    /// False when some neighbour pair has no usable route.
+    bool feasible = true;
+
+    /// Heap footprint estimate (cache byte budgets).
+    long byteEstimate() const;
+};
+
 /// Times TATP streams and lowers them to flows for contention analysis.
 class TatpExecutor
 {
@@ -77,6 +104,17 @@ class TatpExecutor
                                   const std::vector<ChainInfo> &groups,
                                   const net::Router &router,
                                   bool backward) const;
+
+    /**
+     * Builds the stream plan of a set of ordered chains: the gating
+     * chain and round 0's routed neighbour pairs, flows in the same
+     * order streamFlows() emits them.
+     *
+     * @param chains One ordered chain per TATP group.
+     * @param degree Stream degree N (every chain must have N slots).
+     */
+    StreamPlan planStream(std::vector<ChainInfo> chains, int degree,
+                          const net::Router &router) const;
 
     /// Store-and-forward time for one sub-tensor over h hops.
     double hopTransferTime(double bytes, int hops) const;

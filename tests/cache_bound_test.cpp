@@ -13,6 +13,8 @@
 #include <atomic>
 #include <future>
 #include <memory>
+#include <set>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -245,14 +247,27 @@ TEST(CacheBound, BudgetTwoSolveIsBitIdenticalToUnbounded)
     // Every layer honours its budget ("layouts" aggregates the two
     // layout caches — simulator + exact evaluator — so its bound is
     // twice the per-cache budget).
+    // The cost model's memos (stream plans, timed phases, simulator
+    // cells) ride the same budgets and were under real pressure.
+    std::set<std::string> seen;
     for (const auto &[layer, stats] : bounded.cacheStats()) {
+        seen.insert(layer);
         if (layer == "eval_breakdowns" || layer == "step_reports" ||
-            layer == "schedules")
+            layer == "schedules" || layer == "stream_plans" ||
+            layer == "collective_phases" || layer == "sim_cells")
             EXPECT_LE(stats.entries, 2) << layer;
         else if (layer == "layouts")
             EXPECT_LE(stats.entries, 4) << layer;
+        if (layer == "stream_plans" || layer == "collective_phases" ||
+            layer == "sim_cells") {
+            EXPECT_GT(stats.evictions, 0) << layer;
+            EXPECT_GT(stats.misses, 0) << layer;
+        }
         EXPECT_GE(stats.entries, 0) << layer;
     }
+    for (const char *layer :
+         {"stream_plans", "collective_phases", "sim_cells"})
+        EXPECT_TRUE(seen.count(layer)) << layer;
 }
 
 TEST(CacheBound, ByteBudgetedSolveIsBitIdenticalAndVisible)
@@ -289,8 +304,10 @@ TEST(CacheBound, ByteBudgetedSolveIsBitIdenticalAndVisible)
             EXPECT_LE(stats.bytes_est, 8 << 10) << layer;
         else if (layer == "layouts")
             EXPECT_LE(stats.bytes_est, 2 * (64 << 10)) << layer;
-        else if (layer == "schedules")
+        else if (layer == "schedules" || layer == "collective_phases")
             EXPECT_LE(stats.bytes_est, 32 << 10) << layer;
+        else if (layer == "stream_plans" || layer == "sim_cells")
+            EXPECT_LE(stats.bytes_est, 64 << 10) << layer;
         EXPECT_GE(stats.bytes_est, 0) << layer;
     }
 }
@@ -316,7 +333,10 @@ TEST(CacheBound, ServiceBudgetsHoldAfterEveryRequestAndEvictLru)
                 EXPECT_LE(layer.stats.entries, 1);
             else if (layer.layer == "eval_breakdowns" ||
                      layer.layer == "step_reports" ||
-                     layer.layer == "schedules")
+                     layer.layer == "schedules" ||
+                     layer.layer == "stream_plans" ||
+                     layer.layer == "collective_phases" ||
+                     layer.layer == "sim_cells")
                 EXPECT_LE(layer.stats.entries, 2) << layer.layer;
             else if (layer.layer == "layouts")
                 EXPECT_LE(layer.stats.entries, 4) << layer.layer;
@@ -356,7 +376,8 @@ TEST(CacheBound, ServiceBudgetsHoldAfterEveryRequestAndEvictLru)
         api::toJson(service.run(api::CacheStatsRequest{}));
     for (const char *layer :
          {"service_frameworks", "service_pods", "eval_breakdowns",
-          "step_reports", "layouts", "schedules", "routes"})
+          "step_reports", "layouts", "schedules", "routes",
+          "stream_plans", "collective_phases", "sim_cells"})
         EXPECT_NE(json.find(layer), std::string::npos) << layer;
     EXPECT_NE(json.find("\"evictions\":"), std::string::npos);
 }
@@ -443,6 +464,7 @@ TEST(CacheBound, SetFaultsFlushesScheduleCacheAndRoutePoolEagerly)
     (void)model.timeCollectiveTasks({task});
     EXPECT_GT(model.scheduleCacheStats().entries, 0);
     EXPECT_GT(model.routePoolStats().entries, 0);
+    EXPECT_GT(model.phaseMemoStats().entries, 0);
 
     hw::FaultMap faults(wafer.dieCount(), wafer.topology().linkCount());
     faults.failLink(wafer.topology().linkId(1, 2));
@@ -452,6 +474,7 @@ TEST(CacheBound, SetFaultsFlushesScheduleCacheAndRoutePoolEagerly)
     // are already gone.
     EXPECT_EQ(model.scheduleCacheStats().entries, 0);
     EXPECT_EQ(model.routePoolStats().entries, 0);
+    EXPECT_EQ(model.phaseMemoStats().entries, 0);
 
     // And the next evaluation repopulates against the degraded fabric.
     (void)model.timeCollectiveTasks({task});

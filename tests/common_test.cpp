@@ -1,16 +1,21 @@
 /**
  * @file
  * Unit tests for the common module: units, stats, linear algebra,
- * RNG, JSON parsing.
+ * RNG, JSON parsing, the thread pool's lazy start.
  */
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
+#include <future>
+#include <thread>
+#include <vector>
 
 #include "common/json.hpp"
 #include "common/rng.hpp"
 #include "common/stats.hpp"
 #include "common/table.hpp"
+#include "common/thread_pool.hpp"
 #include "common/units.hpp"
 
 namespace temp {
@@ -235,6 +240,61 @@ TEST(Table, FormattersProduceExpectedStrings)
     EXPECT_EQ(TablePrinter::fmt(1.23456, 2), "1.23");
     EXPECT_EQ(TablePrinter::fmtX(1.7, 1), "1.7x");
     EXPECT_EQ(TablePrinter::fmtPct(0.384, 1), "38.4%");
+}
+
+// ---------------------------------------------------------------------
+// ThreadPool: workers start on first use.
+// ---------------------------------------------------------------------
+
+TEST(ThreadPoolLazyStart, PoolDestroyedWithoutAnyJobJoinsCleanly)
+{
+    // Workers spawn on the first parallel job, so a pool that never runs
+    // one (a framework built and dropped) owns no thread to join; the
+    // width it reports is still the configured one.
+    for (int threads : {1, 2, 4, 8}) {
+        ThreadPool pool(threads);
+        EXPECT_EQ(pool.threadCount(), threads);
+    }
+    // Serial-sized jobs run inline and do not start the workers either.
+    ThreadPool pool(4);
+    int calls = 0;
+    pool.parallelFor(1, [&](std::size_t) { ++calls; });
+    pool.parallelFor(0, [&](std::size_t) { ++calls; });
+    EXPECT_EQ(calls, 1);
+}
+
+TEST(ThreadPoolLazyStart, SubmitAsFirstCallStartsTheWorkers)
+{
+    ThreadPool pool(3);
+    std::future<int> first = pool.submit([] { return 41 + 1; });
+    EXPECT_EQ(first.get(), 42);
+
+    // The started pool serves later loops and tasks as usual.
+    std::vector<std::atomic<int>> hits(64);
+    pool.parallelFor(hits.size(), [&](std::size_t i) { ++hits[i]; });
+    for (const std::atomic<int> &hit : hits)
+        EXPECT_EQ(hit.load(), 1);
+    std::vector<std::future<int>> futures;
+    for (int i = 0; i < 8; ++i)
+        futures.push_back(pool.submit([i] { return i * i; }));
+    for (int i = 0; i < 8; ++i)
+        EXPECT_EQ(futures[static_cast<std::size_t>(i)].get(), i * i);
+}
+
+TEST(ThreadPoolLazyStart, ConcurrentFirstJobsStartOnce)
+{
+    // Two threads race to run the first job: the workers start once and
+    // both loops cover every index exactly once.
+    ThreadPool pool(4);
+    std::vector<std::atomic<int>> a(200), b(200);
+    std::thread other(
+        [&] { pool.parallelFor(a.size(), [&](std::size_t i) { ++a[i]; }); });
+    pool.parallelFor(b.size(), [&](std::size_t i) { ++b[i]; });
+    other.join();
+    for (std::size_t i = 0; i < a.size(); ++i) {
+        EXPECT_EQ(a[i].load(), 1);
+        EXPECT_EQ(b[i].load(), 1);
+    }
 }
 
 }  // namespace

@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <thread>
+#include <vector>
 
 #include "cost/cost_model.hpp"
 #include "cost/mlp.hpp"
@@ -210,6 +212,150 @@ TEST_F(CostModelTest, FaultPartitionMakesOpsInfeasible)
         model.buildLayout(graph_, spec(1, 32, 1, 1));
     const OpCostBreakdown c = model.opCost(findOp(graph_, "proj"), layout);
     EXPECT_FALSE(c.feasible);
+}
+
+// ---------------------------------------------------------------------
+// The cost model's memos: stream plans and timed collective phases.
+// ---------------------------------------------------------------------
+
+void
+expectSameBreakdown(const OpCostBreakdown &a, const OpCostBreakdown &b)
+{
+    EXPECT_EQ(a.feasible, b.feasible);
+    EXPECT_EQ(a.fwd_time, b.fwd_time);
+    EXPECT_EQ(a.bwd_time, b.bwd_time);
+    EXPECT_EQ(a.step_comm_time, b.step_comm_time);
+    EXPECT_EQ(a.comp_time, b.comp_time);
+    EXPECT_EQ(a.collective_time, b.collective_time);
+    EXPECT_EQ(a.stream_comm_time, b.stream_comm_time);
+    EXPECT_EQ(a.exposed_comm, b.exposed_comm);
+    EXPECT_EQ(a.tail_latency, b.tail_latency);
+    EXPECT_EQ(a.d2d_link_bytes, b.d2d_link_bytes);
+    EXPECT_EQ(a.dram_bytes, b.dram_bytes);
+    EXPECT_EQ(a.flops, b.flops);
+    EXPECT_EQ(a.bw_utilization, b.bw_utilization);
+    EXPECT_EQ(a.schedule_lowerings + a.schedule_cache_hits,
+              b.schedule_lowerings + b.schedule_cache_hits);
+}
+
+/// Specs covering every axis mix the memos key on, TATP included.
+std::vector<ParallelSpec>
+memoSpecs()
+{
+    return {spec(1, 1, 1, 8),  spec(2, 2, 1, 8),  spec(2, 1, 1, 16),
+            spec(1, 8, 1, 1),  spec(8, 1, 1, 4),  spec(2, 4, 2, 2),
+            spec(1, 1, 1, 32), spec(32, 1, 1, 1), spec(2, 4, 1, 4)};
+}
+
+TEST_F(CostModelTest, MemoizedCostsMatchAFreshModel)
+{
+    for (tcme::MappingEngineKind kind :
+         {tcme::MappingEngineKind::TCME, tcme::MappingEngineKind::SMap}) {
+        const WaferCostModel warm(wafer_, tcme::MappingPolicy{kind});
+        for (int pass = 0; pass < 2; ++pass) {
+            for (const ParallelSpec &s : memoSpecs()) {
+                const WaferCostModel fresh(wafer_,
+                                           tcme::MappingPolicy{kind});
+                const parallel::GroupLayout layout =
+                    fresh.buildLayout(graph_, s);
+                for (const model::Operator &op : graph_.ops())
+                    for (bool step : {true, false})
+                        expectSameBreakdown(warm.opCost(op, layout, step),
+                                            fresh.opCost(op, layout, step));
+            }
+        }
+        // The second pass was served: plans and phases were reused.
+        EXPECT_GT(warm.streamPlanStats().hits, 0);
+        EXPECT_GT(warm.phaseMemoStats().hits, 0);
+    }
+}
+
+TEST_F(CostModelTest, PhaseMemoHitCountsLookupsAsScheduleHits)
+{
+    const WaferCostModel model(
+        wafer_, tcme::MappingPolicy{tcme::MappingEngineKind::TCME});
+    // A multi-task phase, so the memo covers the combine path.
+    std::vector<net::CollectiveTask> tasks;
+    for (const ParallelSpec &s : memoSpecs()) {
+        const parallel::GroupLayout layout = model.buildLayout(graph_, s);
+        for (const model::Operator &op : graph_.ops()) {
+            const parallel::OpExecution exec =
+                model.partitioner().analyze(op, layout);
+            for (const auto *phase :
+                 {&exec.fwd_collectives, &exec.bwd_collectives,
+                  &exec.step_collectives})
+                if (tasks.empty() && phase->size() >= 2)
+                    tasks = *phase;
+        }
+    }
+    ASSERT_GE(tasks.size(), 2u);
+    const long n = static_cast<long>(tasks.size());
+
+    double cold_bytes = 0.0;
+    net::ScheduleCacheStats cold_stats;
+    const net::PhaseTiming cold =
+        model.timeCollectiveTasks(tasks, &cold_bytes, &cold_stats);
+    EXPECT_EQ(cold_stats.lowerings + cold_stats.hits, n);
+    EXPECT_GT(cold_stats.lowerings, 0);
+
+    double warm_bytes = 0.0;
+    net::ScheduleCacheStats warm_stats;
+    const net::ScheduleCacheStats cache_before = model.scheduleStats();
+    const net::PhaseTiming warm =
+        model.timeCollectiveTasks(tasks, &warm_bytes, &warm_stats);
+    // Served whole: every lookup reads as a hit, nothing re-lowers, and
+    // the schedule cache itself was not even consulted.
+    EXPECT_EQ(warm_stats.lowerings, 0);
+    EXPECT_EQ(warm_stats.hits, n);
+    EXPECT_EQ(model.scheduleStats().lowerings, cache_before.lowerings);
+    EXPECT_EQ(model.scheduleStats().hits, cache_before.hits);
+    EXPECT_EQ(warm.time_s, cold.time_s);
+    EXPECT_EQ(warm.bandwidth_utilization, cold.bandwidth_utilization);
+    EXPECT_EQ(warm.total_bytes, cold.total_bytes);
+    EXPECT_EQ(warm_bytes, cold_bytes);
+    EXPECT_EQ(model.phaseMemoStats().hits, 1);
+    EXPECT_EQ(model.phaseMemoStats().misses, 1);
+}
+
+TEST_F(CostModelTest, ConcurrentCostQueriesMatchSerialAnswers)
+{
+    const WaferCostModel reference(
+        wafer_, tcme::MappingPolicy{tcme::MappingEngineKind::TCME});
+    const std::vector<ParallelSpec> specs = memoSpecs();
+    std::vector<parallel::GroupLayout> layouts;
+    std::vector<OpCostBreakdown> expected;
+    for (const ParallelSpec &s : specs) {
+        layouts.push_back(reference.buildLayout(graph_, s));
+        for (const model::Operator &op : graph_.ops())
+            expected.push_back(reference.opCost(op, layouts.back()));
+    }
+
+    const WaferCostModel shared(
+        wafer_, tcme::MappingPolicy{tcme::MappingEngineKind::TCME});
+    constexpr int kThreads = 4;
+    std::vector<std::vector<OpCostBreakdown>> got(kThreads);
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+        threads.emplace_back([&, t] {
+            // Every thread costs every cell, starting at a different
+            // spec, so memo misses and fills overlap across threads.
+            for (std::size_t k = 0; k < layouts.size(); ++k) {
+                const std::size_t l = (k + 2 * t) % layouts.size();
+                for (const model::Operator &op : graph_.ops())
+                    got[t].push_back(shared.opCost(op, layouts[l]));
+            }
+        });
+    }
+    for (std::thread &thread : threads)
+        thread.join();
+    const std::size_t ops = static_cast<std::size_t>(graph_.opCount());
+    for (int t = 0; t < kThreads; ++t)
+        for (std::size_t k = 0; k < layouts.size(); ++k) {
+            const std::size_t l = (k + 2 * t) % layouts.size();
+            for (std::size_t o = 0; o < ops; ++o)
+                expectSameBreakdown(got[t][k * ops + o],
+                                    expected[l * ops + o]);
+        }
 }
 
 TEST_F(CostModelTest, AxisVolumeEstimatesDriveOrdering)

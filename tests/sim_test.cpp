@@ -2,15 +2,21 @@
  * @file
  * Tests for the simulation layer: single-wafer training steps (with
  * gradient accumulation and recompute fallbacks), multi-wafer pipeline
- * simulation, and the GPU-cluster reference.
+ * simulation, the GPU-cluster reference, and the cost model's cell
+ * memo under the simulator (warm vs. fresh, fault changes, threads).
  */
 #include <gtest/gtest.h>
 
+#include <thread>
+#include <vector>
+
+#include "common/rng.hpp"
 #include "model/graph.hpp"
 #include "model/model_zoo.hpp"
 #include "sim/gpu_cluster.hpp"
 #include "sim/multi_wafer.hpp"
 #include "sim/trainer_sim.hpp"
+#include "solver/strategy_space.hpp"
 
 namespace temp::sim {
 namespace {
@@ -258,6 +264,194 @@ TEST(GpuCluster, NicBandwidthMakesCollectivesExpensive)
     ASSERT_TRUE(g.feasible);
     ASSERT_TRUE(w.feasible);
     EXPECT_GT(g.collective_time, w.collective_time);
+}
+
+// ---------------------------------------------------------------------
+// The cell memo: a warm simulator answers exactly like a fresh one.
+// ---------------------------------------------------------------------
+
+void
+expectSameReport(const PerfReport &a, const PerfReport &b)
+{
+    EXPECT_EQ(a.feasible, b.feasible);
+    EXPECT_EQ(a.oom, b.oom);
+    EXPECT_EQ(a.step_time, b.step_time);
+    EXPECT_EQ(a.comp_time, b.comp_time);
+    EXPECT_EQ(a.collective_time, b.collective_time);
+    EXPECT_EQ(a.stream_comm_time, b.stream_comm_time);
+    EXPECT_EQ(a.exposed_comm, b.exposed_comm);
+    EXPECT_EQ(a.reshard_time, b.reshard_time);
+    EXPECT_EQ(a.bubble_time, b.bubble_time);
+    EXPECT_EQ(a.grad_sync_time, b.grad_sync_time);
+    EXPECT_EQ(a.grad_sync_collective_time, b.grad_sync_collective_time);
+    EXPECT_EQ(a.grad_sync_link_bytes, b.grad_sync_link_bytes);
+    EXPECT_EQ(a.grad_accum, b.grad_accum);
+    EXPECT_EQ(a.recompute, b.recompute);
+    EXPECT_EQ(a.tail_latency, b.tail_latency);
+    EXPECT_EQ(a.peak_mem_bytes, b.peak_mem_bytes);
+    EXPECT_EQ(a.peak_footprint.bytes, b.peak_footprint.bytes);
+    EXPECT_EQ(a.energy.compute_j, b.energy.compute_j);
+    EXPECT_EQ(a.energy.dram_j, b.energy.dram_j);
+    EXPECT_EQ(a.energy.d2d_j, b.energy.d2d_j);
+    EXPECT_EQ(a.energy.static_j, b.energy.static_j);
+    EXPECT_EQ(a.avg_power_w, b.avg_power_w);
+    EXPECT_EQ(a.power_efficiency, b.power_efficiency);
+    EXPECT_EQ(a.bw_utilization, b.bw_utilization);
+    EXPECT_EQ(a.total_flops, b.total_flops);
+    EXPECT_EQ(a.throughput_tokens_per_s, b.throughput_tokens_per_s);
+    EXPECT_EQ(a.strategy_desc, b.strategy_desc);
+    // A memo hit re-labels lookups as hits; it never drops or adds one.
+    EXPECT_EQ(a.schedule_lowerings + a.schedule_cache_hits,
+              b.schedule_lowerings + b.schedule_cache_hits);
+}
+
+class CellMemoTest : public ::testing::Test
+{
+  protected:
+    CellMemoTest()
+        : wafer_(hw::WaferConfig::paperDefault()),
+          policy_{tcme::MappingEngineKind::TCME}
+    {
+    }
+
+    /// Random per-op plans over a small pool of one model's specs, so
+    /// plans share cells; every plan is drawn twice.
+    std::vector<std::vector<ParallelSpec>>
+    randomPlans(const model::ModelConfig &model, int count,
+                std::uint64_t seed) const
+    {
+        solver::StrategySpaceOptions options;
+        options.allow_fsdp = true;
+        const std::vector<ParallelSpec> candidates =
+            solver::enumerateStrategies(wafer_.dieCount(), model, options);
+        const model::ComputeGraph graph =
+            model::ComputeGraph::transformer(model);
+        Rng rng(seed);
+        std::vector<ParallelSpec> pool;
+        for (int k = 0; k < 6; ++k)
+            pool.push_back(candidates[rng.index(candidates.size())]);
+        std::vector<std::vector<ParallelSpec>> plans;
+        for (int p = 0; p < count; ++p) {
+            std::vector<ParallelSpec> plan(
+                static_cast<std::size_t>(graph.opCount()));
+            for (ParallelSpec &spec : plan)
+                spec = pool[rng.index(pool.size())];
+            plans.push_back(plan);
+            plans.push_back(plan);
+        }
+        return plans;
+    }
+
+    PerfReport
+    fresh(const model::ComputeGraph &graph,
+          const std::vector<ParallelSpec> &plan) const
+    {
+        const TrainingSimulator sim(wafer_, policy_);
+        return sim.simulate(graph, plan);
+    }
+
+    hw::Wafer wafer_;
+    tcme::MappingPolicy policy_;
+};
+
+TEST_F(CellMemoTest, WarmSimulatorMatchesFreshOnRandomPlans)
+{
+    const TrainingSimulator warm(wafer_, policy_);
+    int accumulated = 0;
+    int recomputed = 0;
+    for (const char *name : {"GPT-3 6.7B", "GPT-3 175B"}) {
+        const model::ModelConfig model = model::modelByName(name);
+        const model::ComputeGraph graph =
+            model::ComputeGraph::transformer(model);
+        const std::vector<std::vector<ParallelSpec>> plans =
+            randomPlans(model, 12, 7);
+        for (std::size_t p = 0; p < plans.size(); ++p) {
+            const PerfReport expected = fresh(graph, plans[p]);
+            const PerfReport got = warm.simulate(graph, plans[p]);
+            expectSameReport(got, expected);
+            // A repeated plan is served whole: it lowers nothing.
+            if (p % 2 == 1) {
+                EXPECT_EQ(got.schedule_lowerings, 0) << "plan " << p;
+            }
+            accumulated += got.grad_accum > 1 ? 1 : 0;
+            recomputed += got.recompute ? 1 : 0;
+        }
+    }
+    // The draw reaches both fallbacks.
+    EXPECT_GT(accumulated, 0);
+    EXPECT_GT(recomputed, 0);
+    EXPECT_GT(warm.costModel().cellMemoStats().hits, 0);
+    EXPECT_GT(warm.costModel().phaseMemoStats().hits, 0);
+}
+
+TEST_F(CellMemoTest, FaultChangeDropsCachedFeasibleCells)
+{
+    // tp = 32 across a wafer cut in two: feasible on the healthy wafer,
+    // unroutable once the cut lands.
+    const model::ComputeGraph graph = model::ComputeGraph::transformer(
+        model::modelByName("GPT-3 6.7B"));
+    const std::vector<ParallelSpec> plan(
+        static_cast<std::size_t>(graph.opCount()), spec(1, 32, 1, 1));
+    const TrainingSimulator warm(wafer_, policy_);
+
+    const PerfReport healthy = warm.simulate(graph, plan);
+    ASSERT_TRUE(healthy.feasible);
+    expectSameReport(warm.simulate(graph, plan), healthy);
+    EXPECT_GT(warm.costModel().cellMemoStats().entries, 0);
+
+    const hw::FaultMap clean(wafer_.dieCount(),
+                             wafer_.topology().linkCount());
+    hw::FaultMap cut = clean;
+    const hw::MeshTopology &mesh = wafer_.topology();
+    for (int r = 0; r < mesh.rows(); ++r) {
+        cut.failLink(mesh.linkId(mesh.dieAt(r, 3), mesh.dieAt(r, 4)));
+        cut.failLink(mesh.linkId(mesh.dieAt(r, 4), mesh.dieAt(r, 3)));
+    }
+    wafer_.setFaults(cut);
+    // The epoch listener flushed every memo before any lookup.
+    EXPECT_EQ(warm.costModel().cellMemoStats().entries, 0);
+    EXPECT_EQ(warm.costModel().phaseMemoStats().entries, 0);
+    EXPECT_EQ(warm.costModel().streamPlanStats().entries, 0);
+
+    const PerfReport faulted = warm.simulate(graph, plan);
+    EXPECT_FALSE(faulted.feasible);
+    expectSameReport(faulted, fresh(graph, plan));
+
+    wafer_.setFaults(clean);
+    expectSameReport(warm.simulate(graph, plan), healthy);
+}
+
+TEST_F(CellMemoTest, ConcurrentSimulationsMatchSerialAnswers)
+{
+    const model::ModelConfig model = model::modelByName("Llama2 7B");
+    const model::ComputeGraph graph = model::ComputeGraph::transformer(model);
+    const std::vector<std::vector<ParallelSpec>> plans =
+        randomPlans(model, 10, 11);
+    std::vector<PerfReport> expected;
+    for (const std::vector<ParallelSpec> &plan : plans)
+        expected.push_back(fresh(graph, plan));
+
+    const TrainingSimulator shared(wafer_, policy_);
+    constexpr int kThreads = 4;
+    std::vector<std::vector<PerfReport>> got(kThreads);
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+        threads.emplace_back([&, t] {
+            // Each thread walks the plans from a different offset, so
+            // the same cells are missed and filled concurrently.
+            for (std::size_t k = 0; k < plans.size(); ++k) {
+                const std::size_t i = (k + 5 * t) % plans.size();
+                got[t].push_back(shared.simulate(graph, plans[i]));
+            }
+        });
+    }
+    for (std::thread &thread : threads)
+        thread.join();
+    for (int t = 0; t < kThreads; ++t)
+        for (std::size_t k = 0; k < plans.size(); ++k) {
+            const std::size_t i = (k + 5 * t) % plans.size();
+            expectSameReport(got[t][k], expected[i]);
+        }
 }
 
 }  // namespace

@@ -6,9 +6,11 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <set>
 
+#include "common/rng.hpp"
 #include "hw/topology.hpp"
 #include "net/route.hpp"
 #include "tatp/chain_mapper.hpp"
@@ -242,6 +244,121 @@ TEST(ChainMapper, OrderAsChainImprovesScatteredGroups)
     EXPECT_LT(opt.total_hops, naive.total_hops);
 }
 
+/**
+ * The former orderAsChain, kept as the oracle for the boundary-edge
+ * 2-opt: the same greedy construction, then a 2-opt that copies the
+ * chain for every candidate reversal and re-sums both paths.
+ */
+std::vector<DieId>
+orderAsChainOracle(const MeshTopology &mesh, std::vector<DieId> dies)
+{
+    if (dies.size() <= 2)
+        return dies;
+    auto in_set_degree = [&](DieId die) {
+        int deg = 0;
+        for (DieId other : dies)
+            if (other != die && mesh.hopDistance(die, other) == 1)
+                ++deg;
+        return deg;
+    };
+    std::size_t start = 0;
+    for (std::size_t i = 1; i < dies.size(); ++i)
+        if (in_set_degree(dies[i]) < in_set_degree(dies[start]))
+            start = i;
+    std::vector<DieId> chain;
+    std::vector<bool> used(dies.size(), false);
+    chain.push_back(dies[start]);
+    used[start] = true;
+    while (chain.size() < dies.size()) {
+        const DieId cur = chain.back();
+        int best = -1;
+        int best_dist = 0;
+        for (std::size_t i = 0; i < dies.size(); ++i) {
+            if (used[i])
+                continue;
+            const int dist = mesh.hopDistance(cur, dies[i]);
+            if (best < 0 || dist < best_dist) {
+                best = static_cast<int>(i);
+                best_dist = dist;
+            }
+        }
+        chain.push_back(dies[best]);
+        used[best] = true;
+    }
+    auto seg_cost = [&](const std::vector<DieId> &c) {
+        int cost = 0;
+        for (std::size_t i = 0; i + 1 < c.size(); ++i)
+            cost += mesh.hopDistance(c[i], c[i + 1]);
+        return cost;
+    };
+    bool improved = true;
+    int guard = 0;
+    while (improved && guard++ < 64) {
+        improved = false;
+        for (std::size_t i = 0; i + 1 < chain.size(); ++i) {
+            for (std::size_t j = i + 1; j < chain.size(); ++j) {
+                std::vector<DieId> candidate = chain;
+                std::reverse(candidate.begin() + i,
+                             candidate.begin() + j + 1);
+                if (seg_cost(candidate) < seg_cost(chain)) {
+                    chain = std::move(candidate);
+                    improved = true;
+                }
+            }
+        }
+    }
+    return chain;
+}
+
+TEST(ChainMapper, OrderAsChainMatchesCopyAndResumOracle)
+{
+    Rng rng(2024);
+    for (bool torus : {false, true}) {
+        const MeshTopology mesh(6, 8, torus);
+        const ChainMapper mapper(mesh);
+        std::vector<DieId> all(static_cast<std::size_t>(mesh.dieCount()));
+        for (std::size_t d = 0; d < all.size(); ++d)
+            all[d] = static_cast<DieId>(d);
+        for (int trial = 0; trial < 60; ++trial) {
+            // Random: any die subset in any order.
+            std::vector<DieId> pool = all;
+            std::shuffle(pool.begin(), pool.end(), rng.engine());
+            const int n = rng.uniformInt(1, 16);
+            std::vector<DieId> random(pool.begin(), pool.begin() + n);
+            // Scattered: a random subset of two far-apart blocks.
+            std::vector<DieId> scattered;
+            for (int r = 0; r < 2; ++r)
+                for (int c = 0; c < 3; ++c) {
+                    scattered.push_back(mesh.dieAt(r, c));
+                    scattered.push_back(mesh.dieAt(5 - r, 7 - c));
+                }
+            std::shuffle(scattered.begin(), scattered.end(), rng.engine());
+            scattered.resize(static_cast<std::size_t>(rng.uniformInt(3, 12)));
+            // Fault-pruned: consecutive snake slots after killing dies,
+            // the groups a degraded layout hands the stream.
+            std::vector<DieId> snake;
+            for (int r = 0; r < mesh.rows(); ++r)
+                for (int c = 0; c < mesh.cols(); ++c)
+                    snake.push_back(
+                        mesh.dieAt(r, r % 2 == 0 ? c : mesh.cols() - 1 - c));
+            for (int k = 0; k < 6; ++k)
+                std::erase(snake, static_cast<DieId>(
+                                      rng.uniformInt(0, mesh.dieCount() - 1)));
+            const int len = rng.uniformInt(2, 16);
+            const int at = rng.uniformInt(
+                0, static_cast<int>(snake.size()) - len);
+            std::vector<DieId> pruned(snake.begin() + at,
+                                      snake.begin() + at + len);
+
+            for (const std::vector<DieId> &dies : {random, scattered, pruned})
+                EXPECT_EQ(mapper.orderAsChain(dies),
+                          orderAsChainOracle(mesh, dies))
+                    << "torus " << torus << " trial " << trial << " n "
+                    << dies.size();
+        }
+    }
+}
+
 TEST(ChainMapper, PhysicalRingExistence)
 {
     EXPECT_FALSE(ChainMapper::physicalRingExists(1, 8));
@@ -381,6 +498,80 @@ TEST_F(ExecutorTest, StreamFlowsMatchOrchestratorSchedule)
         exec_.streamFlows(stream, chains, router, true);
     EXPECT_DOUBLE_EQ(bwd.round(0)[0].bytes,
                      2.0 * sched.round(0)[0].bytes);
+}
+
+TEST_F(ExecutorTest, StreamPlanRoundZeroCarriesEveryRoundsPairs)
+{
+    // The stream plan routes round 0 only. That is exact because round 0
+    // holds every chain-neighbour pair in both directions and later
+    // rounds use subsets of them: the plan's flows equal streamFlows'
+    // round 0, and its feasibility equals the all-rounds feasibility,
+    // on healthy and faulted meshes alike.
+    Rng rng(5);
+    int infeasible = 0;
+    for (int trial = 0; trial < 24; ++trial) {
+        hw::FaultMap faults(mesh_.dieCount(), mesh_.linkCount());
+        const int victim = rng.uniformInt(0, mesh_.dieCount() - 1);
+        for (int other = 0; other < mesh_.dieCount(); ++other) {
+            if (mesh_.hopDistance(victim, other) != 1)
+                continue;
+            // Some trials cut the victim off completely (infeasible).
+            if (trial % 3 == 0 || rng.uniformInt(0, 1) == 0) {
+                faults.failLink(mesh_.linkId(victim, other));
+                faults.failLink(mesh_.linkId(other, victim));
+            }
+        }
+        const net::Router router(mesh_, &faults);
+
+        const int degree = rng.uniformInt(2, 8);
+        std::vector<DieId> dies(static_cast<std::size_t>(mesh_.dieCount()));
+        for (std::size_t d = 0; d < dies.size(); ++d)
+            dies[d] = static_cast<DieId>(d);
+        std::shuffle(dies.begin(), dies.end(), rng.engine());
+        std::vector<ChainInfo> chains;
+        for (int g = 0; g < 3; ++g)
+            chains.push_back(mapper_.analyzeChain(mapper_.orderAsChain(
+                std::vector<DieId>(dies.begin() + g * degree,
+                                   dies.begin() + (g + 1) * degree))));
+
+        parallel::TatpStream stream;
+        stream.active = true;
+        stream.degree = degree;
+        stream.bytes_per_round = 1e6;
+        const net::CommSchedule all =
+            exec_.streamFlows(stream, chains, router, false);
+        const StreamPlan plan = exec_.planStream(chains, degree, router);
+
+        EXPECT_EQ(plan.feasible, all.feasible) << "trial " << trial;
+        infeasible += plan.feasible ? 0 : 1;
+        const auto round0 = all.round(0);
+        ASSERT_EQ(plan.round0.size(), round0.size());
+        std::set<std::pair<DieId, DieId>> pairs;
+        for (std::size_t f = 0; f < round0.size(); ++f) {
+            EXPECT_EQ(plan.round0[f].src, round0[f].src);
+            EXPECT_EQ(plan.round0[f].dst, round0[f].dst);
+            EXPECT_EQ(plan.round0[f].tag, round0[f].tag);
+            EXPECT_EQ(plan.round0[f].route.valid(), round0[f].route.valid());
+            if (round0[f].route.valid()) {
+                EXPECT_EQ(plan.round0[f].route.links(),
+                          round0[f].route.links());
+            }
+            pairs.insert({round0[f].src, round0[f].dst});
+        }
+        for (int r = 1; r < all.roundCount(); ++r)
+            for (const net::Flow &flow : all.round(r))
+                EXPECT_TRUE(pairs.count({flow.src, flow.dst}))
+                    << "round " << r << " pair outside round 0";
+
+        std::size_t worst = 0;
+        for (std::size_t c = 0; c < chains.size(); ++c)
+            if (chains[c].max_hop > chains[worst].max_hop)
+                worst = c;
+        EXPECT_EQ(plan.worst, worst);
+    }
+    // Both outcomes occur: some draws put the isolated die in a chain.
+    EXPECT_GT(infeasible, 0);
+    EXPECT_LT(infeasible, 24);
 }
 
 TEST_F(ExecutorTest, LinkBytesScaleQuadratically)
