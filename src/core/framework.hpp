@@ -143,6 +143,9 @@ class TempFramework
     explicit TempFramework(hw::WaferConfig wafer_config,
                            FrameworkOptions options = FrameworkOptions());
 
+    /// Frees the memo stack, then returns its memory to the allocator.
+    ~TempFramework();
+
     /**
      * Runs the full TEMP pipeline on a model: DLWS search over the
      * TATP-extended strategy space, TCME mapping, final simulation.
@@ -235,21 +238,20 @@ class TempFramework
 
     /**
      * Exports this framework's persistable memo layers — breakdown
-     * memo, step-report memo and schedule-cache task signatures — as
-     * one snapshot block (framework_key left empty; the service stamps
-     * its canonical key). Layout caches are deliberately not exported:
-     * layouts are only consulted on breakdown misses, so a warm
-     * breakdown/step tier never needs them, and they re-build
-     * bit-identically when it does miss.
+     * memo and step-report memo — as one snapshot block (framework_key
+     * left empty; the service stamps its canonical key). Layouts and
+     * lowered schedules are deliberately not exported: they are only
+     * consulted on breakdown misses, so a warm breakdown/step tier
+     * never needs them, and they re-build bit-identically when it does
+     * miss.
      */
     persist::MemoBlock exportMemos() const;
 
     /**
      * Seeds the memo layers from a snapshot block (warm start).
      * Breakdowns and step reports import by value under their content
-     * keys; schedule tasks re-lower under the live fault epoch.
-     * Resident entries always win, so importing into a warm framework
-     * never changes what it serves.
+     * keys. Resident entries always win, so importing into a warm
+     * framework never changes what it serves.
      */
     void importMemos(const persist::MemoBlock &block) const;
 

@@ -217,27 +217,6 @@ class WaferCostModel
      */
     void setCacheBudgets(const common::CacheBudget &budget) const;
 
-    /**
-     * Re-lowers persisted task signatures into the schedule cache
-     * under the *current* fault epoch — the warm-start import. A
-     * snapshot never carries lowered routes (they bake the fault
-     * state in), so import-by-replay is correct under any fault
-     * state; replays count as lowerings, honestly. Const for the same
-     * reason the cache is mutable.
-     */
-    void prewarmSchedules(
-        const std::vector<net::CollectiveTask> &tasks) const
-    {
-        for (const net::CollectiveTask &task : tasks)
-            schedule_cache_.lowered(task, wafer_.faultEpoch());
-    }
-
-    /// Content signatures of every resident schedule (persist export).
-    std::vector<net::CollectiveTask> exportScheduleTasks() const
-    {
-        return schedule_cache_.exportTasks();
-    }
-
     /// Governance counters of the shared schedule cache.
     common::CacheStats scheduleCacheStats() const
     {

@@ -59,35 +59,92 @@ CommSchedule::combine(std::span<const CommSchedule *const> schedules)
 {
     CommSchedule out;
     std::size_t total_flows = 0;
-    std::size_t total_rounds = 0;
+    std::size_t total_runs = 0;
     for (const CommSchedule *s : schedules) {
-        total_flows += s->flowCount();
-        total_rounds = std::max(
-            total_rounds, static_cast<std::size_t>(s->roundCount()));
+        total_flows += s->flows_.size();
+        total_runs += s->runs_.size();
         out.payload_bytes += s->payload_bytes;
         out.feasible = out.feasible && s->feasible;
     }
-    out.reserve(total_flows, total_rounds);
-    for (std::size_t r = 0; r < total_rounds; ++r) {
-        for (const CommSchedule *s : schedules) {
-            if (static_cast<int>(r) >= s->roundCount())
-                continue;
-            const std::span<const Flow> round =
-                s->round(static_cast<int>(r));
-            out.flows_.insert(out.flows_.end(), round.begin(),
-                              round.end());
+    out.reserve(total_flows, total_runs);
+
+    // Per part: its current run and the executions of it still owed.
+    // Every step emits one output run covering the active parts'
+    // current runs (in part order, as the per-round overlay did), as
+    // long as the shortest of them still repeats.
+    struct Cursor
+    {
+        int run = 0;
+        std::uint32_t left = 0;
+    };
+    std::vector<Cursor> cursors(schedules.size());
+    for (std::size_t p = 0; p < schedules.size(); ++p)
+        if (!schedules[p]->runs_.empty())
+            cursors[p].left = schedules[p]->runs_[0].repeat;
+    for (;;) {
+        std::uint32_t step = 0;
+        for (std::size_t p = 0; p < schedules.size(); ++p) {
+            const std::uint32_t left = cursors[p].left;
+            if (left > 0 && (step == 0 || left < step))
+                step = left;
         }
-        out.sealRound();
+        if (step == 0)
+            break;
+        for (std::size_t p = 0; p < schedules.size(); ++p) {
+            Cursor &c = cursors[p];
+            if (c.left == 0)
+                continue;
+            const CommSchedule &part = *schedules[p];
+            const std::span<const Flow> flows = part.run(c.run);
+            out.flows_.insert(out.flows_.end(), flows.begin(), flows.end());
+            c.left -= step;
+            if (c.left == 0 && ++c.run < part.runCount())
+                c.left = part.runs_[c.run].repeat;
+        }
+        out.sealRound(step);
     }
     return out;
+}
+
+int
+CommSchedule::roundCount() const
+{
+    int count = 0;
+    for (const Run &run : runs_)
+        count += static_cast<int>(run.repeat);
+    return count;
+}
+
+std::span<const Flow>
+CommSchedule::round(int r) const
+{
+    int i = 0;
+    while (r >= static_cast<int>(runs_[i].repeat))
+        r -= static_cast<int>(runs_[i++].repeat);
+    return run(i);
+}
+
+std::size_t
+CommSchedule::flowCount() const
+{
+    std::size_t count = 0;
+    for (int i = 0; i < runCount(); ++i)
+        count += run(i).size() * repeat(i);
+    return count;
 }
 
 double
 CommSchedule::linkBytes() const
 {
+    // Accumulated once per executed round, in round order, so the sum
+    // is bit-identical to walking the expanded schedule.
     double total = 0.0;
-    for (const Flow &flow : flows_)
-        total += flow.bytes * flow.route.hops();
+    for (int i = 0; i < runCount(); ++i) {
+        const std::span<const Flow> flows = run(i);
+        for (std::uint32_t k = 0; k < repeat(i); ++k)
+            for (const Flow &flow : flows)
+                total += flow.bytes * flow.route.hops();
+    }
     return total;
 }
 
@@ -157,32 +214,21 @@ CollectiveScheduler::ringPasses(const std::vector<DieId> &group,
     if (n <= 1 || shard_bytes <= 0.0)
         return sched;
 
-    const int rounds = passes * (n - 1);
-    sched.reserve(static_cast<std::size_t>(n) * rounds, rounds);
-    // Every round reuses the same n ring hops; resolve the pooled
-    // routes once instead of once per round.
-    std::vector<RouteRef> hop_routes;
-    hop_routes.reserve(n);
+    // Every round moves a shard over the same n ring hops, so the
+    // whole lowering is one run of n flows.
+    sched.reserve(static_cast<std::size_t>(n), 1);
     for (int i = 0; i < n; ++i) {
-        RouteRef route =
-            router_.safeRouteRef(group[i], group[(i + 1) % n], policy_);
-        if (!route.valid())
+        Flow flow;
+        flow.src = group[i];
+        flow.dst = group[(i + 1) % n];
+        flow.bytes = shard_bytes;
+        flow.route = router_.safeRouteRef(flow.src, flow.dst, policy_);
+        if (!flow.route.valid())
             sched.feasible = false;
-        hop_routes.push_back(std::move(route));
+        flow.tag = tag;
+        sched.addFlow(std::move(flow));
     }
-
-    for (int round = 0; round < rounds; ++round) {
-        for (int i = 0; i < n; ++i) {
-            Flow flow;
-            flow.src = group[i];
-            flow.dst = group[(i + 1) % n];
-            flow.bytes = shard_bytes;
-            flow.route = hop_routes[i];
-            flow.tag = tag;
-            sched.addFlow(std::move(flow));
-        }
-        sched.sealRound();
-    }
+    sched.sealRound(static_cast<std::uint32_t>(passes * (n - 1)));
     const double pass_payload = shard_bytes * n * (n - 1);
     for (int pass = 0; pass < passes; ++pass)
         sched.payload_bytes += pass_payload;

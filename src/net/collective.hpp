@@ -75,11 +75,14 @@ struct FlowSoa
 /**
  * Ordered rounds of concurrent flows realising one or more collectives.
  *
- * Flows live in one contiguous arena; rounds are offset spans into it.
- * This keeps lowering, overlay combination and sequence evaluation free
- * of per-round vector allocations (the former vector<vector<Flow>>
- * shape), which matters because schedules are built and walked millions
- * of times across a DP matrix fill.
+ * The unit of storage is the *run*: one distinct round of flows plus the
+ * number of times it executes back to back. A ring pass of N members is
+ * N-1 identical rounds, so it is stored as one run of N flows repeated
+ * N-1 times instead of N(N-1) flows. Flows live in one contiguous arena;
+ * runs are offset spans into it. `roundCount()` and `round(r)` keep the
+ * meaning of *executed* rounds (a run of repeat k counts k times); hot
+ * paths walk `runCount()` / `run(i)` / `repeat(i)` and process each
+ * stored round once. See src/net/README.md, "Run-length rounds".
  *
  * A *finalized* schedule additionally carries a FlowSoa view of the
  * arena, the layout the contention model's deposit loop prefers. Any
@@ -101,7 +104,7 @@ class CommSchedule
     // traffic optimizer, which re-finalizes after its rebuild.
     CommSchedule(const CommSchedule &other)
         : payload_bytes(other.payload_bytes), feasible(other.feasible),
-          flows_(other.flows_), round_end_(other.round_end_)
+          flows_(other.flows_), runs_(other.runs_)
     {
     }
     CommSchedule &operator=(const CommSchedule &other)
@@ -110,7 +113,7 @@ class CommSchedule
             payload_bytes = other.payload_bytes;
             feasible = other.feasible;
             flows_ = other.flows_;
-            round_end_ = other.round_end_;
+            runs_ = other.runs_;
             soa_ = FlowSoa{};
             soa_valid_ = false;
         }
@@ -128,37 +131,28 @@ class CommSchedule
     }
 
     /// Seals the round under construction (flows added since the last
-    /// seal); an empty round is legal but usually skipped by callers.
-    void sealRound()
+    /// seal) as one run executing `repeat` (>= 1) times back to back;
+    /// an empty round is legal but usually skipped by callers.
+    void sealRound(std::uint32_t repeat = 1)
     {
-        round_end_.push_back(static_cast<std::uint32_t>(flows_.size()));
+        runs_.push_back({static_cast<std::uint32_t>(flows_.size()), repeat});
     }
 
     /// Number of flows added since the last sealed round.
     std::size_t openFlowCount() const
     {
-        return flows_.size() -
-               (round_end_.empty() ? 0 : round_end_.back());
+        return flows_.size() - (runs_.empty() ? 0 : runs_.back().flow_end);
     }
 
-    /// Reserves arena capacity (rounds * flows-per-round known upfront).
-    void reserve(std::size_t flow_count, std::size_t round_count)
+    /// Reserves arena capacity (stored flows and runs known upfront).
+    void reserve(std::size_t flow_count, std::size_t run_count)
     {
         flows_.reserve(flow_count);
-        round_end_.reserve(round_count);
-    }
-
-    /// Replaces the arena wholesale (the traffic optimizer's rebuild).
-    void assign(std::vector<Flow> flows,
-                std::vector<std::uint32_t> round_end)
-    {
-        soa_valid_ = false;
-        flows_ = std::move(flows);
-        round_end_ = std::move(round_end);
+        runs_.reserve(run_count);
     }
 
     /**
-     * Builds (or rebuilds) the SoA view of the current arena.
+     * Builds (or rebuilds) the SoA view of the stored flows.
      * Idempotent; call once after the arena stops mutating. The AoS
      * arena stays authoritative — the view is a derived, redundant
      * layout, and evaluation of a non-finalized schedule simply walks
@@ -166,61 +160,74 @@ class CommSchedule
      */
     void finalize();
 
-    // --- access -------------------------------------------------------
-    int roundCount() const { return static_cast<int>(round_end_.size()); }
-    bool empty() const { return round_end_.empty(); }
+    // --- access: executed rounds ----------------------------------------
+    /// Executed rounds (each run counts `repeat` times).
+    int roundCount() const;
+    bool empty() const { return runs_.empty(); }
 
-    std::span<const Flow> round(int r) const
-    {
-        const std::uint32_t begin = r > 0 ? round_end_[r - 1] : 0;
-        return {flows_.data() + begin, round_end_[r] - begin};
-    }
-    std::span<Flow> round(int r)
-    {
-        // Callers may rewrite flows through this span.
-        soa_valid_ = false;
-        const std::uint32_t begin = r > 0 ? round_end_[r - 1] : 0;
-        return {flows_.data() + begin, round_end_[r] - begin};
-    }
+    /// Flows of executed round r (the stored run that round r repeats).
+    std::span<const Flow> round(int r) const;
 
-    /// Flow-index bounds of round r in the arena (and the SoA columns).
-    std::uint32_t roundBegin(int r) const
+    /// Flows over all executed rounds.
+    std::size_t flowCount() const;
+
+    // --- access: stored runs (hot paths) --------------------------------
+    int runCount() const { return static_cast<int>(runs_.size()); }
+    /// Flows of stored run i.
+    std::span<const Flow> run(int i) const
     {
-        return r > 0 ? round_end_[r - 1] : 0;
+        return {flows_.data() + runBegin(i), runEnd(i) - runBegin(i)};
     }
-    std::uint32_t roundEnd(int r) const { return round_end_[r]; }
+    /// Back-to-back executions of run i.
+    std::uint32_t repeat(int i) const { return runs_[i].repeat; }
+
+    /// Flow-index bounds of run i in the arena (and the SoA columns).
+    std::uint32_t runBegin(int i) const
+    {
+        return i > 0 ? runs_[i - 1].flow_end : 0;
+    }
+    std::uint32_t runEnd(int i) const { return runs_[i].flow_end; }
 
     /// True when the SoA view matches the arena.
     bool soaReady() const { return soa_valid_; }
     /// The SoA view (meaningful only when soaReady()).
     const FlowSoa &soa() const { return soa_; }
-    /// Heap bytes held by the SoA view (cache byte estimates).
-    std::size_t soaByteEstimate() const
+
+    /// Heap bytes held by the arena, the run table and the SoA view
+    /// (cache byte estimates).
+    std::size_t byteEstimate() const
     {
-        return soa_valid_ ? soa_.byteSize() : 0;
+        return flows_.size() * sizeof(Flow) + runs_.size() * sizeof(Run) +
+               (soa_valid_ ? soa_.byteSize() : 0);
     }
 
-    /// The whole flow arena (all rounds, in round order).
+    /// The stored flow arena (every run once, in run order).
     const std::vector<Flow> &flows() const { return flows_; }
-    std::size_t flowCount() const { return flows_.size(); }
 
     /// Merges another schedule round-by-round (concurrent execution).
     void overlay(const CommSchedule &other);
 
     /**
-     * Round-by-round merge of many schedules in one pass (one arena
-     * allocation total instead of one rebuild per overlay).
+     * Round-by-round merge of many schedules in one pass, run by run:
+     * each output run ends where the shortest remaining run among the
+     * still-active parts ends, so the executed rounds equal the
+     * per-round overlay while every distinct round is stored once.
      */
     static CommSchedule combine(
         std::span<const CommSchedule *const> schedules);
 
-    /// Total bytes*hops deposited on the fabric.
+    /// Total bytes*hops deposited on the fabric over executed rounds.
     double linkBytes() const;
 
   private:
+    struct Run
+    {
+        std::uint32_t flow_end;  ///< run i = flows_[end(i-1) .. flow_end)
+        std::uint32_t repeat;    ///< back-to-back executions
+    };
+
     std::vector<Flow> flows_;
-    /// round r = flows_[round_end_[r-1] .. round_end_[r]).
-    std::vector<std::uint32_t> round_end_;
+    std::vector<Run> runs_;
     FlowSoa soa_;             ///< derived view, see finalize()
     bool soa_valid_ = false;  ///< soa_ matches flows_
 };

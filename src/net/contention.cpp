@@ -282,19 +282,17 @@ ContentionModel::evaluateSequence(const CommSchedule &schedule) const
     refresh();
     PhaseTiming total;
     double busy_capacity_time = 0.0;
-    if (schedule.soaReady()) {
-        const FlowSoa &soa = schedule.soa();
-        for (int r = 0; r < schedule.roundCount(); ++r) {
-            accumulatePhase(total,
-                            evaluateSoaRound(soa, schedule.roundBegin(r),
-                                             schedule.roundEnd(r)),
-                            fabric_capacity_, busy_capacity_time);
-        }
-    } else {
-        for (int r = 0; r < schedule.roundCount(); ++r) {
-            accumulatePhase(total, evaluate(schedule.round(r)),
-                            fabric_capacity_, busy_capacity_time);
-        }
+    // Each stored run is evaluated once and folded in once per executed
+    // round, so the accumulation order matches the expanded schedule.
+    for (int i = 0; i < schedule.runCount(); ++i) {
+        const PhaseTiming t =
+            schedule.soaReady()
+                ? evaluateSoaRound(schedule.soa(), schedule.runBegin(i),
+                                   schedule.runEnd(i))
+                : evaluate(schedule.run(i));
+        for (std::uint32_t k = 0; k < schedule.repeat(i); ++k)
+            accumulatePhase(total, t, fabric_capacity_,
+                            busy_capacity_time);
     }
     if (busy_capacity_time > 0.0)
         total.bandwidth_utilization = total.link_bytes / busy_capacity_time;

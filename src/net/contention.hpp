@@ -157,7 +157,8 @@ class ContentionModel
         return evaluate(std::span<const Flow>(flows));
     }
 
-    /// Evaluates a schedule's rounds as dependent phases. Takes the
+    /// Evaluates a schedule's rounds as dependent phases: each stored
+    /// run once, folded in once per executed round. Takes the
     /// contiguous SoA deposit path when the schedule is finalized, the
     /// per-flow route-pointer path otherwise; both are bit-identical.
     PhaseTiming evaluateSequence(const CommSchedule &schedule) const;
@@ -188,7 +189,7 @@ class ContentionModel
     }
 
   private:
-    /// Evaluates one round of a finalized schedule through its SoA view.
+    /// Evaluates one run of a finalized schedule through its SoA view.
     PhaseTiming evaluateSoaRound(const FlowSoa &soa, std::uint32_t begin,
                                  std::uint32_t end) const;
 

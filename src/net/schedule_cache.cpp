@@ -77,10 +77,8 @@ ScheduleCache::ScheduleCache(const CollectiveScheduler &scheduler)
             long bytes = static_cast<long>(
                 sizeof(Key) + key.group.capacity() * sizeof(DieId));
             if (s != nullptr)
-                bytes += static_cast<long>(
-                    sizeof(CommSchedule) +
-                    s->flowCount() * sizeof(Flow) +
-                    s->soaByteEstimate());
+                bytes += static_cast<long>(sizeof(CommSchedule) +
+                                           s->byteEstimate());
             return bytes;
         });
 }
@@ -183,23 +181,6 @@ ScheduleCache::setMaxBytes(long max_bytes)
     max_bytes_.store(max_bytes > 0 ? max_bytes : 0,
                      std::memory_order_relaxed);
     cache_.setMaxBytes(max_bytes);
-}
-
-std::vector<CollectiveTask>
-ScheduleCache::exportTasks() const
-{
-    std::shared_lock<std::shared_mutex> lock(mutex_);
-    std::vector<CollectiveTask> tasks;
-    tasks.reserve(cache_.size());
-    cache_.forEachResident(
-        [&](const Key &key,
-            const std::shared_ptr<const CommSchedule> &) {
-            tasks.push_back(
-                CollectiveTask{key.kind, key.group,
-                               std::bit_cast<double>(key.bytes_bits),
-                               key.tag});
-        });
-    return tasks;
 }
 
 void

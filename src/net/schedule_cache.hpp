@@ -108,15 +108,6 @@ class ScheduleCache
     void setMaxBytes(long max_bytes);
 
     /**
-     * Reconstructs the content signature of every resident schedule —
-     * the persist layer's export hook. Signatures only: lowered
-     * schedules bake the fault state into their routes, so snapshots
-     * re-lower ("replay") tasks at import under the live epoch instead
-     * of ever persisting routes.
-     */
-    std::vector<CollectiveTask> exportTasks() const;
-
-    /**
      * Eagerly drops all entries when `fault_epoch` differs from the
      * contents' epoch (no-op otherwise). Wired to the wafer's epoch
      * listeners so fault-injection sweeps don't retain a dead epoch's

@@ -3,8 +3,8 @@
  * The persistent memo tier: content-addressed warm-start snapshots.
  *
  * A snapshot is the on-disk image of the memo stack a long-lived
- * TempService accumulates — evaluator breakdown memos, full-step
- * report memos and the lowered-schedule cache — keyed by the same
+ * TempService accumulates — evaluator breakdown memos and full-step
+ * report memos — keyed by the same
  * canonical content keys the live caches use, so a fresh process
  * imports it and serves repeat work without re-measuring (the restart
  * counterpart of the in-process framework cache).
@@ -17,17 +17,16 @@
  *   u32     block count
  *   blocks  repeated:
  *     str   framework key  (api::waferKey + api::optionsKey)
- *     3 sections, each:
- *       u32  section tag ('BRKD' | 'STEP' | 'SCHD')
+ *     2 sections, each:
+ *       u32  section tag ('BRKD' | 'STEP')
  *       u64  payload size
  *       u64  FNV-1a checksum of the payload
  *       payload bytes
  *
  * One block per framework: breakdowns and step reports are persisted
- * by value under their content keys; the schedule cache is persisted
- * as *task signatures only* and re-lowered at import time (routes bake
- * the fault state in, so import-by-replay is always correct under the
- * importing process's fault epoch).
+ * by value under their content keys. Lowered schedules are not
+ * persisted: a warm answer reads none, and a cold cell after a warm
+ * start lowers on demand under the live fault epoch.
  *
  * Validation contract: decode verifies magic, version, contract
  * fingerprint, per-section checksums and exact payload consumption.
@@ -45,13 +44,12 @@
 #include <vector>
 
 #include "cost/cost_model.hpp"
-#include "net/collective.hpp"
 #include "sim/perf_report.hpp"
 
 namespace temp::persist {
 
 /// Format version; bump on any layout change (old files cold-start).
-inline constexpr std::uint32_t kFormatVersion = 2;
+inline constexpr std::uint32_t kFormatVersion = 3;
 
 /// The serialized memo contents of one framework, addressed by the
 /// same canonical key the service's framework cache uses.
@@ -62,14 +60,10 @@ struct MemoBlock
     std::vector<std::pair<std::string, cost::OpCostBreakdown>> breakdowns;
     /// StepEvaluator memo: stepKey -> report, by value.
     std::vector<std::pair<std::string, sim::PerfReport>> step_reports;
-    /// ScheduleCache contents as content signatures (re-lowered at
-    /// import under the live fault epoch).
-    std::vector<net::CollectiveTask> schedule_tasks;
 
     bool empty() const
     {
-        return breakdowns.empty() && step_reports.empty() &&
-               schedule_tasks.empty();
+        return breakdowns.empty() && step_reports.empty();
     }
 };
 

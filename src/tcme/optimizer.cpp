@@ -27,30 +27,35 @@ OptimizationStats
 TrafficOptimizer::optimize(net::CommSchedule &schedule) const
 {
     OptimizationStats total;
-    // The arena is rebuilt round by round through a reused scratch
-    // vector: path merging can change a round's flow count, so rounds
-    // cannot be rewritten in place. Flow copies are RouteRef-cheap.
-    std::vector<net::Flow> rebuilt;
-    rebuilt.reserve(schedule.flowCount());
-    std::vector<std::uint32_t> round_end;
-    round_end.reserve(schedule.roundCount());
+    // The arena is rebuilt run by run through a reused scratch vector:
+    // path merging can change a round's flow count, so rounds cannot be
+    // rewritten in place. Flow copies are RouteRef-cheap. optimizePhase
+    // is a pure function of its flows, so each stored run is optimized
+    // once and keeps its repeat; its stats count once per executed
+    // round.
+    net::CommSchedule rebuilt;
+    rebuilt.payload_bytes = schedule.payload_bytes;
+    rebuilt.feasible = schedule.feasible;
+    rebuilt.reserve(schedule.flows().size(), schedule.runCount());
     std::vector<net::Flow> scratch;
-    for (int r = 0; r < schedule.roundCount(); ++r) {
-        const std::span<const net::Flow> round = schedule.round(r);
-        scratch.assign(round.begin(), round.end());
+    for (int i = 0; i < schedule.runCount(); ++i) {
+        const std::span<const net::Flow> run = schedule.run(i);
+        const std::uint32_t repeat = schedule.repeat(i);
+        scratch.assign(run.begin(), run.end());
         const OptimizationStats s = optimizePhase(scratch);
         total.initial_max_load = std::max(total.initial_max_load,
                                           s.initial_max_load);
         total.final_max_load = std::max(total.final_max_load,
                                         s.final_max_load);
-        total.iterations += s.iterations;
-        total.reroutes += s.reroutes;
-        total.merges += s.merges;
-        ++total.phases;
-        rebuilt.insert(rebuilt.end(), scratch.begin(), scratch.end());
-        round_end.push_back(static_cast<std::uint32_t>(rebuilt.size()));
+        total.iterations += s.iterations * static_cast<int>(repeat);
+        total.reroutes += s.reroutes * static_cast<int>(repeat);
+        total.merges += s.merges * static_cast<int>(repeat);
+        total.phases += static_cast<int>(repeat);
+        for (net::Flow &flow : scratch)
+            rebuilt.addFlow(std::move(flow));
+        rebuilt.sealRound(repeat);
     }
-    schedule.assign(std::move(rebuilt), std::move(round_end));
+    schedule = std::move(rebuilt);
     // The optimized schedule goes straight to contention evaluation;
     // hand it the SoA deposit path.
     schedule.finalize();

@@ -61,7 +61,9 @@ class TrafficOptimizer
 
     /**
      * Optimises every round of a schedule in place (rounds execute
-     * back-to-back, so each is an independent contention domain).
+     * back-to-back, so each is an independent contention domain). Each
+     * stored run is optimized once; stats count it once per executed
+     * round.
      */
     OptimizationStats optimize(net::CommSchedule &schedule) const;
 

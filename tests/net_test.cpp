@@ -6,7 +6,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 
+#include "common/rng.hpp"
 #include "hw/fault.hpp"
 #include "hw/topology.hpp"
 #include "net/collective.hpp"
@@ -389,6 +392,215 @@ TEST(CommSchedule, LinkBytesCountsHops)
     CollectiveScheduler sched(router);
     const CommSchedule s = sched.p2p(0, 3, 1e6);
     EXPECT_DOUBLE_EQ(s.linkBytes(), 3e6);
+}
+
+
+// --- run-length rounds: oracles over the expanded schedule -------------
+
+/// Bit pattern of a double: "same bits", not "close".
+std::uint64_t
+bits(double value)
+{
+    return std::bit_cast<std::uint64_t>(value);
+}
+
+void
+expectSameFlow(const Flow &got, const Flow &want)
+{
+    EXPECT_EQ(got.src, want.src);
+    EXPECT_EQ(got.dst, want.dst);
+    EXPECT_EQ(bits(got.bytes), bits(want.bytes));
+    EXPECT_EQ(got.tag, want.tag);
+    ASSERT_EQ(got.route.valid(), want.route.valid());
+    if (got.route.valid()) {
+        EXPECT_EQ(got.route.links(), want.route.links());
+    }
+}
+
+void
+expectSameRound(std::span<const Flow> got, std::span<const Flow> want)
+{
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t f = 0; f < got.size(); ++f)
+        expectSameFlow(got[f], want[f]);
+}
+
+void
+expectSameTiming(const PhaseTiming &got, const PhaseTiming &want)
+{
+    EXPECT_EQ(bits(got.time_s), bits(want.time_s));
+    EXPECT_EQ(bits(got.serial_time_s), bits(want.serial_time_s));
+    EXPECT_EQ(got.bottleneck_link, want.bottleneck_link);
+    EXPECT_EQ(bits(got.bottleneck_bytes), bits(want.bottleneck_bytes));
+    EXPECT_EQ(bits(got.total_bytes), bits(want.total_bytes));
+    EXPECT_EQ(bits(got.link_bytes), bits(want.link_bytes));
+    EXPECT_EQ(got.max_hops, want.max_hops);
+    EXPECT_EQ(bits(got.bandwidth_utilization),
+              bits(want.bandwidth_utilization));
+}
+
+/// The executed rounds as the former nested shape, one vector each.
+std::vector<std::vector<Flow>>
+expandRounds(const CommSchedule &s)
+{
+    std::vector<std::vector<Flow>> rounds;
+    for (int r = 0; r < s.roundCount(); ++r)
+        rounds.emplace_back(s.round(r).begin(), s.round(r).end());
+    return rounds;
+}
+
+TEST(RunLength, RingLoweringStoresOneRun)
+{
+    // Every ring kind over 2..9 members is one stored run whose
+    // executed rounds equal a hand-built per-round ring, with the same
+    // payload and the same timing bits.
+    MeshTopology mesh(3, 4);
+    Router router(mesh);
+    CollectiveScheduler sched(router);
+    ContentionModel model(mesh, 1e11, 50e-9);
+    Rng rng(11);
+    for (int n = 2; n <= 9; ++n) {
+        std::vector<DieId> group(static_cast<std::size_t>(mesh.dieCount()));
+        for (std::size_t d = 0; d < group.size(); ++d)
+            group[d] = static_cast<DieId>(d);
+        std::shuffle(group.begin(), group.end(), rng.engine());
+        group.resize(static_cast<std::size_t>(n));
+        const double tensor = 3e6 + 1e5 * n;
+        struct Kind
+        {
+            CommSchedule lowered;
+            double shard;
+            int passes;
+        };
+        const Kind kinds[] = {
+            {sched.ringAllGather(group, tensor, 5), tensor, 1},
+            {sched.ringReduceScatter(group, tensor, 5), tensor / n, 1},
+            {sched.ringAllReduce(group, tensor, 5), tensor / n, 2},
+        };
+        for (const Kind &k : kinds) {
+            const CommSchedule &s = k.lowered;
+            const int rounds = k.passes * (n - 1);
+            ASSERT_EQ(s.runCount(), 1) << "n=" << n;
+            EXPECT_EQ(s.repeat(0), static_cast<std::uint32_t>(rounds));
+            EXPECT_EQ(s.flows().size(), static_cast<std::size_t>(n));
+            ASSERT_EQ(s.roundCount(), rounds);
+
+            CommSchedule hand;
+            for (int r = 0; r < rounds; ++r) {
+                for (int i = 0; i < n; ++i) {
+                    Flow flow;
+                    flow.src = group[i];
+                    flow.dst = group[(i + 1) % n];
+                    flow.bytes = k.shard;
+                    flow.route = router.safeRouteRef(flow.src, flow.dst);
+                    flow.tag = 5;
+                    hand.addFlow(flow);
+                }
+                hand.sealRound();
+            }
+            ASSERT_EQ(hand.roundCount(), rounds);
+            for (int r = 0; r < rounds; ++r)
+                expectSameRound(s.round(r), hand.round(r));
+            EXPECT_EQ(s.flowCount(), hand.flowCount());
+            EXPECT_EQ(bits(s.linkBytes()), bits(hand.linkBytes()));
+            expectSameTiming(model.evaluateSequence(s),
+                             model.evaluateSequence(hand));
+            // Payload is summed per pass; compare against the same
+            // pass-wise sum rather than the per-flow one.
+            double payload = 0.0;
+            for (int p = 0; p < k.passes; ++p)
+                payload += k.shard * n * (n - 1);
+            EXPECT_EQ(bits(s.payload_bytes), bits(payload));
+        }
+    }
+}
+
+/// A random collective from the mixes the cost model overlays: rings of
+/// 2..9 members (all three kinds), tree all-reduce, broadcast and p2p.
+CommSchedule
+randomPart(const CollectiveScheduler &sched, const MeshTopology &mesh,
+           Rng &rng)
+{
+    std::vector<DieId> dies(static_cast<std::size_t>(mesh.dieCount()));
+    for (std::size_t d = 0; d < dies.size(); ++d)
+        dies[d] = static_cast<DieId>(d);
+    std::shuffle(dies.begin(), dies.end(), rng.engine());
+    const int n = rng.uniformInt(2, 9);
+    const std::vector<DieId> group(dies.begin(), dies.begin() + n);
+    const double bytes = 1e6 * rng.uniformInt(1, 64);
+    const int tag = rng.uniformInt(0, 3);
+    switch (rng.uniformInt(0, 5)) {
+      case 0: return sched.ringAllGather(group, bytes, tag);
+      case 1: return sched.ringReduceScatter(group, bytes, tag);
+      case 2: return sched.ringAllReduce(group, bytes, tag);
+      case 3: return sched.treeAllReduce(group, bytes, tag);
+      case 4: return sched.broadcast(group, bytes, tag);
+      default: return sched.p2p(group[0], group[1], bytes, tag);
+    }
+}
+
+TEST(RunLength, CombineEqualsTheExpandedOverlay)
+{
+    // combine() cuts runs at the shortest active repeat; its executed
+    // rounds, flow count, payload and feasibility equal the per-round
+    // overlay of the parts' expanded rounds, and every consumer (AoS and
+    // SoA evaluation, linkBytes) gives the nested oracle's bits.
+    MeshTopology mesh(4, 5);
+    Router router(mesh);
+    CollectiveScheduler sched(router);
+    ContentionModel model(mesh, 2e11, 80e-9);
+    Rng rng(23);
+    int compressed = 0;
+    for (int trial = 0; trial < 60; ++trial) {
+        std::vector<CommSchedule> parts;
+        const int count = rng.uniformInt(1, 6);
+        for (int p = 0; p < count; ++p)
+            parts.push_back(randomPart(sched, mesh, rng));
+        std::vector<const CommSchedule *> ptrs;
+        for (const CommSchedule &part : parts)
+            ptrs.push_back(&part);
+        CommSchedule combined = CommSchedule::combine(ptrs);
+
+        // Hand-expanded overlay: round r concatenates every part's
+        // executed round r, in part order.
+        std::vector<std::vector<Flow>> oracle;
+        double payload = 0.0;
+        bool feasible = true;
+        for (const CommSchedule &part : parts) {
+            payload += part.payload_bytes;
+            feasible = feasible && part.feasible;
+            const auto rounds = expandRounds(part);
+            if (oracle.size() < rounds.size())
+                oracle.resize(rounds.size());
+            for (std::size_t r = 0; r < rounds.size(); ++r)
+                oracle[r].insert(oracle[r].end(), rounds[r].begin(),
+                                 rounds[r].end());
+        }
+        std::size_t oracle_flows = 0;
+        double oracle_link_bytes = 0.0;
+        for (const auto &round : oracle)
+            for (const Flow &flow : round) {
+                ++oracle_flows;
+                oracle_link_bytes += flow.bytes * flow.route.hops();
+            }
+
+        ASSERT_EQ(combined.roundCount(), static_cast<int>(oracle.size()))
+            << "trial " << trial;
+        for (int r = 0; r < combined.roundCount(); ++r)
+            expectSameRound(combined.round(r), oracle[r]);
+        EXPECT_EQ(combined.flowCount(), oracle_flows);
+        EXPECT_EQ(bits(combined.payload_bytes), bits(payload));
+        EXPECT_EQ(combined.feasible, feasible);
+        EXPECT_EQ(bits(combined.linkBytes()), bits(oracle_link_bytes));
+        compressed += combined.flows().size() < oracle_flows ? 1 : 0;
+
+        const PhaseTiming nested = model.evaluateSequence(oracle);
+        expectSameTiming(model.evaluateSequence(combined), nested);
+        combined.finalize();
+        expectSameTiming(model.evaluateSequence(combined), nested);
+    }
+    // Most mixes hold a ring, so storage really is run-length.
+    EXPECT_GT(compressed, 30);
 }
 
 }  // namespace

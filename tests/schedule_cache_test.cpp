@@ -162,13 +162,18 @@ TEST(CommSchedule, FlatArenaRoundsPartitionTheFlowArena)
 
     const CommSchedule s = scheduler.ringAllReduce(
         {0, 1, 2, 3, 4, 5, 6, 7}, 32e6);
-    std::size_t spanned = 0;
-    for (int r = 0; r < s.roundCount(); ++r) {
-        const auto round = s.round(r);
-        // Rounds are contiguous, ordered slices of flows().
-        EXPECT_EQ(round.data(), s.flows().data() + spanned);
-        spanned += round.size();
+    std::size_t stored = 0;
+    for (int i = 0; i < s.runCount(); ++i) {
+        const auto run = s.run(i);
+        // Runs are contiguous, ordered slices of flows().
+        EXPECT_EQ(run.data(), s.flows().data() + stored);
+        stored += run.size();
     }
+    EXPECT_EQ(stored, s.flows().size());
+    // Executed rounds each view the run they repeat.
+    std::size_t spanned = 0;
+    for (int r = 0; r < s.roundCount(); ++r)
+        spanned += s.round(r).size();
     EXPECT_EQ(spanned, s.flowCount());
 
     // combine() interleaves per round and preserves totals.

@@ -5,6 +5,12 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cstdint>
+
+#include "common/rng.hpp"
+#include "hw/fault.hpp"
 #include "hw/topology.hpp"
 #include "net/collective.hpp"
 #include "net/contention.hpp"
@@ -185,6 +191,137 @@ TEST(Policy, EngineNames)
 {
     EXPECT_STREQ(mappingEngineName(MappingEngineKind::SMap), "SMap");
     EXPECT_STREQ(mappingEngineName(MappingEngineKind::TCME), "TCME");
+}
+
+
+/// The schedule with every executed round stored on its own (repeat 1):
+/// the reference the run-length paths must match.
+net::CommSchedule
+expanded(const net::CommSchedule &s)
+{
+    net::CommSchedule out;
+    out.payload_bytes = s.payload_bytes;
+    out.feasible = s.feasible;
+    for (int r = 0; r < s.roundCount(); ++r) {
+        for (const Flow &flow : s.round(r))
+            out.addFlow(flow);
+        out.sealRound();
+    }
+    return out;
+}
+
+std::uint64_t
+bits(double value)
+{
+    return std::bit_cast<std::uint64_t>(value);
+}
+
+TEST(Optimizer, RunLengthScheduleOptimizesLikeItsExpansion)
+{
+    // Optimizing each stored run once (stats scaled by its repeat) must
+    // equal optimizing every executed round of the expanded schedule:
+    // same rounds, same stats, same timing bits. Overlapping rings that
+    // share a tag and shard size put same-source, same-payload flows in
+    // one round, so merges fire; the faulted mesh forces detours and
+    // congestion, so reroutes fire.
+    MeshTopology mesh(4, 6);
+    hw::FaultMap faults(mesh.dieCount(), mesh.linkCount());
+    for (const auto &[a, b] : {std::pair{mesh.dieAt(1, 2), mesh.dieAt(1, 3)},
+                               std::pair{mesh.dieAt(2, 1), mesh.dieAt(2, 2)},
+                               std::pair{mesh.dieAt(0, 4), mesh.dieAt(1, 4)}}) {
+        faults.failLink(mesh.linkId(a, b));
+        faults.failLink(mesh.linkId(b, a));
+    }
+    const net::Router router(mesh, &faults);
+    const net::CollectiveScheduler sched(router);
+    const TrafficOptimizer opt(router);
+    const net::ContentionModel model(mesh, 1e11, 50e-9);
+
+    Rng rng(31);
+    std::vector<DieId> dies(static_cast<std::size_t>(mesh.dieCount()));
+    for (std::size_t d = 0; d < dies.size(); ++d)
+        dies[d] = static_cast<DieId>(d);
+    int merges = 0;
+    int reroutes = 0;
+    int repeated_merges = 0;    // inside runs that repeat
+    int repeated_reroutes = 0;
+    for (int trial = 0; trial < 40; ++trial) {
+        std::vector<net::CommSchedule> parts;
+        const int count = rng.uniformInt(2, 5);
+        const double shard = 1e6 * rng.uniformInt(1, 4);
+        for (int p = 0; p < count; ++p) {
+            std::shuffle(dies.begin(), dies.end(), rng.engine());
+            const int n = rng.uniformInt(2, 9);
+            const std::vector<DieId> group(dies.begin(), dies.begin() + n);
+            switch (rng.uniformInt(0, 3)) {
+              case 0:
+                parts.push_back(sched.ringAllGather(group, shard, 1));
+                break;
+              case 1:
+                parts.push_back(sched.ringAllReduce(group, shard * n, 1));
+                break;
+              case 2:
+                parts.push_back(sched.treeAllReduce(group, shard, 2));
+                break;
+              default:
+                parts.push_back(sched.p2p(group[0], group[1], shard, 1));
+            }
+        }
+        std::vector<const net::CommSchedule *> ptrs;
+        for (const net::CommSchedule &part : parts)
+            ptrs.push_back(&part);
+        net::CommSchedule runs = net::CommSchedule::combine(ptrs);
+        ASSERT_TRUE(runs.feasible);
+        net::CommSchedule oracle = expanded(runs);
+        for (int i = 0; i < runs.runCount(); ++i) {
+            if (runs.repeat(i) == 1)
+                continue;
+            std::vector<Flow> flows(runs.run(i).begin(), runs.run(i).end());
+            const OptimizationStats s = opt.optimizePhase(flows);
+            repeated_merges += s.merges;
+            repeated_reroutes += s.reroutes;
+        }
+
+        const OptimizationStats got = opt.optimize(runs);
+        const OptimizationStats want = opt.optimize(oracle);
+        EXPECT_EQ(got.iterations, want.iterations);
+        EXPECT_EQ(got.reroutes, want.reroutes);
+        EXPECT_EQ(got.merges, want.merges);
+        EXPECT_EQ(got.phases, want.phases);
+        EXPECT_EQ(bits(got.initial_max_load), bits(want.initial_max_load));
+        EXPECT_EQ(bits(got.final_max_load), bits(want.final_max_load));
+        merges += got.merges;
+        reroutes += got.reroutes;
+
+        ASSERT_EQ(runs.roundCount(), oracle.roundCount()) << trial;
+        for (int r = 0; r < runs.roundCount(); ++r) {
+            const auto a = runs.round(r);
+            const auto b = oracle.round(r);
+            ASSERT_EQ(a.size(), b.size()) << "trial " << trial;
+            for (std::size_t f = 0; f < a.size(); ++f) {
+                EXPECT_EQ(a[f].src, b[f].src);
+                EXPECT_EQ(a[f].dst, b[f].dst);
+                EXPECT_EQ(bits(a[f].bytes), bits(b[f].bytes));
+                EXPECT_EQ(a[f].tag, b[f].tag);
+                EXPECT_EQ(a[f].route.links(), b[f].route.links());
+            }
+        }
+        EXPECT_EQ(runs.flowCount(), oracle.flowCount());
+        EXPECT_EQ(bits(runs.payload_bytes), bits(oracle.payload_bytes));
+        EXPECT_EQ(bits(runs.linkBytes()), bits(oracle.linkBytes()));
+        const net::PhaseTiming a = model.evaluateSequence(runs);
+        const net::PhaseTiming b = model.evaluateSequence(oracle);
+        EXPECT_EQ(bits(a.time_s), bits(b.time_s));
+        EXPECT_EQ(bits(a.link_bytes), bits(b.link_bytes));
+        EXPECT_EQ(bits(a.bandwidth_utilization),
+                  bits(b.bandwidth_utilization));
+        EXPECT_EQ(a.bottleneck_link, b.bottleneck_link);
+    }
+    // The oracle is only meaningful if the rewrites actually fired.
+    EXPECT_GT(merges, 0);
+    EXPECT_GT(reroutes, 0);
+    EXPECT_GT(repeated_merges, 0);
+    EXPECT_GT(repeated_reroutes, 0);
 }
 
 }  // namespace

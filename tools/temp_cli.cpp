@@ -896,9 +896,6 @@ runSnapshot(api::TempService &service, const CliArgs &args)
                         .add("step_reports",
                              static_cast<long>(
                                  block.step_reports.size()))
-                        .add("schedule_tasks",
-                             static_cast<long>(
-                                 block.schedule_tasks.size()))
                         .str());
             std::printf("%s\n",
                         api::JsonObject()
@@ -916,11 +913,10 @@ runSnapshot(api::TempService &service, const CliArgs &args)
                     file.c_str(), persist::kFormatVersion,
                     snapshot.blocks.size());
         for (const persist::MemoBlock &block : snapshot.blocks)
-            std::printf("  %zu breakdowns, %zu step reports, %zu "
-                        "schedule tasks  [%.40s...]\n",
+            std::printf("  %zu breakdowns, %zu step reports  "
+                        "[%.40s...]\n",
                         block.breakdowns.size(),
                         block.step_reports.size(),
-                        block.schedule_tasks.size(),
                         block.framework_key.c_str());
         return 0;
     }
