@@ -114,6 +114,15 @@ configMapOf(const JsonValue &v, const std::string &what)
     return config;
 }
 
+/// The `options` member: the config vocabulary, minus the
+/// process-local keys, which never travel with a request.
+core::FrameworkOptions
+optionsOf(const JsonValue &v)
+{
+    return core::frameworkOptionsFromConfigOrThrow(
+        configMapOf(v, "options"), core::OptionScope::Wire);
+}
+
 /// Inverse of toJson(WaferConfig): raw-SI field names, unknown keys
 /// rejected. Starts from the Table I default like the request structs.
 hw::WaferConfig
@@ -515,11 +524,7 @@ parseRequest(const std::string &json_text, ParsedRequest *out,
                                  request.wafer =
                                      waferOf(value, "wafer");
                              } else if (key == "options") {
-                                 request.options =
-                                     core::
-                                         frameworkOptionsFromConfigOrThrow(
-                                             configMapOf(value,
-                                                         "options"));
+                                 request.options = optionsOf(value);
                              } else {
                                  return false;
                              }
@@ -539,11 +544,7 @@ parseRequest(const std::string &json_text, ParsedRequest *out,
                                  request.wafer =
                                      waferOf(value, "wafer");
                              } else if (key == "options") {
-                                 request.options =
-                                     core::
-                                         frameworkOptionsFromConfigOrThrow(
-                                             configMapOf(value,
-                                                         "options"));
+                                 request.options = optionsOf(value);
                              } else if (key == "baseline_kind") {
                                  request.kind = baselineKindOf(value);
                              } else if (key == "mapping_engine") {
@@ -568,11 +569,7 @@ parseRequest(const std::string &json_text, ParsedRequest *out,
                                  request.wafer =
                                      waferOf(value, "wafer");
                              } else if (key == "options") {
-                                 request.options =
-                                     core::
-                                         frameworkOptionsFromConfigOrThrow(
-                                             configMapOf(value,
-                                                         "options"));
+                                 request.options = optionsOf(value);
                              } else if (key == "spec") {
                                  request.spec = specOf(value, "spec");
                              } else {
@@ -593,9 +590,7 @@ parseRequest(const std::string &json_text, ParsedRequest *out,
                     } else if (key == "wafer") {
                         request.wafer = waferOf(value, "wafer");
                     } else if (key == "options") {
-                        request.options =
-                            core::frameworkOptionsFromConfigOrThrow(
-                                configMapOf(value, "options"));
+                        request.options = optionsOf(value);
                     } else if (key == "link_fault_rate") {
                         request.link_fault_rate =
                             asNumber(value, "link_fault_rate");
@@ -625,9 +620,7 @@ parseRequest(const std::string &json_text, ParsedRequest *out,
                     } else if (key == "pod") {
                         request.pod = podOf(value);
                     } else if (key == "options") {
-                        request.options =
-                            core::frameworkOptionsFromConfigOrThrow(
-                                configMapOf(value, "options"));
+                        request.options = optionsOf(value);
                     } else if (key == "pp") {
                         request.pp = asInt(value, "pp");
                     } else if (key == "microbatches") {
@@ -660,9 +653,7 @@ parseRequest(const std::string &json_text, ParsedRequest *out,
                     } else if (key == "wafer") {
                         request.wafer = waferOf(value, "wafer");
                     } else if (key == "options") {
-                        request.options =
-                            core::frameworkOptionsFromConfigOrThrow(
-                                configMapOf(value, "options"));
+                        request.options = optionsOf(value);
                     } else if (key == "warm_seed") {
                         request.warm_seed =
                             asBool(value, "warm_seed");
@@ -751,56 +742,41 @@ toJson(const hw::WaferConfig &w)
 std::string
 toJson(const core::FrameworkOptions &o)
 {
-    return JsonObject()
-        .add("policy", policyName(o.policy.kind))
-        .add("eval_threads", o.eval_threads)
-        .add("training.flash_attention", o.training.flash_attention)
-        .add("training.zero1_optimizer", o.training.zero1_optimizer)
-        .addRaw("training.weight_bytes_per_elem",
-                jsonNumberExact(o.training.weight_bytes_per_elem))
-        .addRaw("training.act_bytes_per_elem",
-                jsonNumberExact(o.training.act_bytes_per_elem))
-        .addRaw("training.grad_bytes_per_elem",
-                jsonNumberExact(o.training.grad_bytes_per_elem))
-        .addRaw("training.optimizer_bytes_per_param",
-                jsonNumberExact(o.training.optimizer_bytes_per_param))
-        .add("solver.engine", solver::searchEngineName(o.solver.engine))
-        .add("solver.ga_population", o.solver.ga_population)
-        .add("solver.ga_generations", o.solver.ga_generations)
-        .addRaw("solver.ga_mutation_rate",
-                jsonNumberExact(o.solver.ga_mutation_rate))
-        .addRaw("solver.seed", std::to_string(o.solver.seed))
-        .addRaw("solver.deadline.quanta",
-                std::to_string(o.solver.deadline.max_quanta))
-        .addRaw("solver.deadline.wall_ms",
-                jsonNumberExact(o.solver.deadline.max_wall_ms))
-        .add("solver.use_surrogate", o.solver.use_surrogate)
-        .addRaw("solver.surrogate_sample_fraction",
-                jsonNumberExact(o.solver.surrogate_sample_fraction))
-        .add("solver.space.allow_dp", o.solver.space.allow_dp)
-        .add("solver.space.allow_fsdp", o.solver.space.allow_fsdp)
-        .add("solver.space.allow_tp", o.solver.space.allow_tp)
-        .add("solver.space.allow_sp", o.solver.space.allow_sp)
-        .add("solver.space.allow_cp", o.solver.space.allow_cp)
-        .add("solver.space.allow_tatp", o.solver.space.allow_tatp)
-        .add("solver.space.max_tp", o.solver.space.max_tp)
-        .add("solver.space.max_tatp", o.solver.space.max_tatp)
-        .add("solver.space.full_occupancy",
-             o.solver.space.full_occupancy)
-        .add("service.cache.max_frameworks", o.cache.max_frameworks)
-        .add("service.cache.max_pods", o.cache.max_pods)
-        .add("eval.cache.max_entries", o.cache.max_eval_entries)
-        .add("eval.cache.max_step_entries", o.cache.max_step_entries)
-        .add("eval.cache.max_layouts", o.cache.max_layout_entries)
-        .add("net.schedule_cache.max_entries",
-             o.cache.max_schedule_entries)
-        .add("net.route_pool.max_entries", o.cache.max_route_entries)
-        .add("eval.cache.max_bytes", o.cache.max_eval_bytes)
-        .add("eval.cache.max_step_bytes", o.cache.max_step_bytes)
-        .add("eval.cache.max_layout_bytes", o.cache.max_layout_bytes)
-        .add("net.schedule_cache.max_bytes", o.cache.max_schedule_bytes)
-        .add("net.route_pool.max_bytes", o.cache.max_route_bytes)
-        .str();
+    using core::OptionKind;
+    JsonObject json;
+    for (const core::OptionRow &row : core::optionRows()) {
+        if (row.scope > core::OptionScope::Wire)
+            continue;
+        const std::string key(row.key);
+        switch (row.kind()) {
+        case OptionKind::Policy:
+            json.add(key, policyName(row.at<OptionKind::Policy>(o)));
+            break;
+        case OptionKind::Engine:
+            json.add(key, solver::searchEngineName(
+                              row.at<OptionKind::Engine>(o)));
+            break;
+        case OptionKind::Bool:
+            json.add(key, row.at<OptionKind::Bool>(o));
+            break;
+        case OptionKind::Int:
+            json.add(key, row.at<OptionKind::Int>(o));
+            break;
+        case OptionKind::Count:
+            json.add(key, row.at<OptionKind::Count>(o));
+            break;
+        case OptionKind::Double:
+            json.addRaw(key, jsonNumberExact(row.at<OptionKind::Double>(o)));
+            break;
+        case OptionKind::Seed:
+            json.addRaw(key, std::to_string(row.at<OptionKind::Seed>(o)));
+            break;
+        case OptionKind::Text:
+            json.add(key, row.at<OptionKind::Text>(o));
+            break;
+        }
+    }
+    return json.str();
 }
 
 std::string

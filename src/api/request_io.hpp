@@ -7,11 +7,13 @@
  *   {"kind": "optimize", "tenant": "team-a",
  *    "model": {...}, "wafer": {...}, "options": {...}, ...}
  *
- * where `model` and `options` use exactly the config_io key vocabulary
- * (the same names a .conf file uses, so one mental model covers files
- * and wire), and `wafer` uses the raw-SI field names of WaferConfig
- * (rows, die_peak_flops, hbm_latency_s, ...) rendered at %.17g so a
- * serialize -> parse round trip reproduces every double bit-for-bit.
+ * where `model` and `options` use the config_io key vocabulary (the
+ * same names a .conf file uses, so one mental model covers files and
+ * wire; `options` carries every core/options_schema row except the
+ * process-local persist.* and serve.* keys), and `wafer` uses the
+ * raw-SI field names of WaferConfig (rows, die_peak_flops,
+ * hbm_latency_s, ...) rendered at %.17g so a serialize -> parse round
+ * trip reproduces every double bit-for-bit.
  * Kind-specific fields ride alongside: baseline_kind/mapping_engine
  * (baseline), spec (strategy), link_fault_rate/core_fault_rate/
  * fault_seed/faults (fault), pod/pp/microbatches/intra_spec

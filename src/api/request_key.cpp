@@ -2,6 +2,8 @@
 
 #include <cstdio>
 
+#include "core/options_schema.hpp"
+
 namespace temp::api {
 
 namespace {
@@ -67,73 +69,63 @@ waferKey(const hw::WaferConfig &w)
     return key;
 }
 
+namespace {
+
+/// The options rows of scope `widest` or narrower, in table order.
+/// uint64 and long values are rendered directly, so no double rounding
+/// can alias two keys.
+std::string
+optionRowsKey(const core::FrameworkOptions &o, core::OptionScope widest)
+{
+    using core::OptionKind;
+    std::string key;
+    for (const core::OptionRow &row : core::optionRows()) {
+        if (row.scope > widest)
+            continue;
+        switch (row.kind()) {
+        case OptionKind::Policy:
+            field(key, static_cast<int>(row.at<OptionKind::Policy>(o)));
+            break;
+        case OptionKind::Engine:
+            field(key, static_cast<int>(row.at<OptionKind::Engine>(o)));
+            break;
+        case OptionKind::Bool:
+            field(key, row.at<OptionKind::Bool>(o));
+            break;
+        case OptionKind::Int:
+            field(key, row.at<OptionKind::Int>(o));
+            break;
+        case OptionKind::Count:
+            key += std::to_string(row.at<OptionKind::Count>(o));
+            key += '|';
+            break;
+        case OptionKind::Double:
+            field(key, row.at<OptionKind::Double>(o));
+            break;
+        case OptionKind::Seed:
+            key += std::to_string(row.at<OptionKind::Seed>(o));
+            key += '|';
+            break;
+        case OptionKind::Text:
+            field(key, row.at<OptionKind::Text>(o));
+            break;
+        }
+    }
+    return key;
+}
+
+}  // namespace
+
 std::string
 policyTrainingKey(const core::FrameworkOptions &o)
 {
-    std::string key;
-    field(key, static_cast<int>(o.policy.kind));
-    field(key, o.training.flash_attention);
-    field(key, o.training.zero1_optimizer);
-    field(key, o.training.weight_bytes_per_elem);
-    field(key, o.training.act_bytes_per_elem);
-    field(key, o.training.grad_bytes_per_elem);
-    field(key, o.training.optimizer_bytes_per_param);
-    return key;
+    return optionRowsKey(o, core::OptionScope::Pod);
 }
 
 std::string
 optionsKey(const core::FrameworkOptions &o)
 {
-    std::string key = policyTrainingKey(o);
-    field(key, o.solver.space.allow_dp);
-    field(key, o.solver.space.allow_fsdp);
-    field(key, o.solver.space.allow_tp);
-    field(key, o.solver.space.allow_sp);
-    field(key, o.solver.space.allow_cp);
-    field(key, o.solver.space.allow_tatp);
-    field(key, o.solver.space.max_tp);
-    field(key, o.solver.space.max_tatp);
-    field(key, o.solver.space.full_occupancy);
-    field(key, static_cast<int>(o.solver.engine));
-    field(key, o.solver.ga_population);
-    field(key, o.solver.ga_generations);
-    field(key, o.solver.ga_mutation_rate);
-    key += std::to_string(o.solver.seed);  // uint64: no double rounding
-    key += '|';
-    // Both deadline caps are result-determining configuration (the
-    // quantum cap deterministically, the wall cap by rounding down to
-    // a quantum boundary), so requests differing only in deadline must
-    // not alias. The runtime budget the dispatcher merges in (a
-    // request's remaining queue deadline) stays out — it is per-call
-    // state, not options identity. Quanta rendered like seed
-    // (long -> no double rounding).
-    key += std::to_string(o.solver.deadline.max_quanta);
-    key += '|';
-    field(key, o.solver.deadline.max_wall_ms);
-    field(key, o.solver.use_surrogate);
-    field(key, o.solver.surrogate_sample_fraction);
-    field(key, o.eval_threads);
-    // Framework-level cache budgets are applied at construction, so
-    // they are part of the framework's identity. The service-level
-    // budgets (max_frameworks/max_pods) re-tune the service maps and
-    // deliberately stay out of the key — they do not change what a
-    // framework computes or caches. PersistOptions stays out too:
-    // where a process saves/loads snapshots must not fragment the
-    // framework cache (two processes pointed at different snapshot
-    // paths share identical results). ServeOptions likewise: how long
-    // a process queues a request is front-end policy, not framework
-    // identity. Budgets are long: rendered
-    // directly (like solver.seed) so no narrowing can alias keys.
-    for (const long budget :
-         {o.cache.max_eval_entries, o.cache.max_step_entries,
-          o.cache.max_layout_entries, o.cache.max_schedule_entries,
-          o.cache.max_route_entries, o.cache.max_eval_bytes,
-          o.cache.max_step_bytes, o.cache.max_layout_bytes,
-          o.cache.max_schedule_bytes, o.cache.max_route_bytes}) {
-        key += std::to_string(budget);
-        key += '|';
-    }
-    return key;
+    return optionRowsKey(o, core::OptionScope::Identity);
 }
 
 std::string

@@ -21,13 +21,14 @@ namespace temp::api {
 /// All 17 WaferConfig fields (die, HBM, D2D).
 std::string waferKey(const hw::WaferConfig &wafer);
 
-/// The (policy, training) slice of the options — all a simulator
+/// The OptionScope::Pod rows (policy, training.*) — all a simulator
 /// consumes; pods key on this so solver-only knobs don't evict them.
 std::string policyTrainingKey(const core::FrameworkOptions &options);
 
-/// Full FrameworkOptions: policy + training + solver + eval_threads +
-/// framework-level cache budgets (service-level budgets excluded — they
-/// re-tune the service maps without changing what a framework computes).
+/// Every OptionScope::Identity row (core/options_schema.cpp): policy,
+/// training, solver, eval_threads and the framework-level cache
+/// budgets. The service-level budgets and the process-local keys stay
+/// out — they change nothing a framework computes.
 std::string optionsKey(const core::FrameworkOptions &options);
 
 /// Pod fabric + the policy/training slice (what MultiWaferSimulator

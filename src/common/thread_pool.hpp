@@ -147,8 +147,25 @@ class ThreadPool
     {
         std::call_once(start_once_, [this] {
             workers_.reserve(static_cast<std::size_t>(thread_count_ - 1));
-            for (int i = 0; i < thread_count_ - 1; ++i)
-                workers_.emplace_back([this] { workerLoop(); });
+            try {
+                for (int i = 0; i < thread_count_ - 1; ++i)
+                    workers_.emplace_back([this] { workerLoop(); });
+            } catch (...) {
+                // Out of threads: join the ones that did start, so a
+                // failed start holds no threads (the next job retries
+                // it), then fail the job.
+                {
+                    std::lock_guard<std::mutex> lock(mutex_);
+                    stop_ = true;
+                }
+                cv_.notify_all();
+                for (std::thread &worker : workers_)
+                    worker.join();
+                workers_.clear();
+                std::lock_guard<std::mutex> lock(mutex_);
+                stop_ = false;
+                throw;
+            }
         });
     }
 

@@ -1,6 +1,7 @@
 #include "core/config_io.hpp"
 
 #include <cctype>
+#include <cmath>
 #include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
@@ -69,14 +70,29 @@ toBool(const std::string &key, const std::string &value)
             key.c_str(), value.c_str());
 }
 
+/// An integer in [min, max]. A fraction or an out-of-range value is
+/// rejected rather than truncated (or, past the int range, converted
+/// with undefined behaviour).
+int
+toInt(const std::string &key, const std::string &value, int min, int max)
+{
+    const double v = toNumber(key, value);
+    if (v != std::floor(v) || v < min || v > max)
+        cfgFail("config: key '%s' must be an integer in [%d, %d], got "
+                "'%s'",
+                key.c_str(), min, max, value.c_str());
+    return static_cast<int>(v);
+}
+
 /// A non-negative whole-number config value (cache budgets). Negative
 /// values are rejected rather than wrapping into "bounded by 2^64".
 long
 toCount(const std::string &key, const std::string &value)
 {
     const double v = toNumber(key, value);
-    if (v < 0)
-        cfgFail("config: key '%s' must be >= 0 (0 = unbounded), got '%s'",
+    if (v != std::floor(v) || v < 0 || v >= 0x1p63)
+        cfgFail("config: key '%s' must be a whole number >= 0 "
+                "(0 = unbounded), got '%s'",
                 key.c_str(), value.c_str());
     return static_cast<long>(v);
 }
@@ -291,101 +307,41 @@ modelFromConfig(const ConfigMap &config)
 }
 
 FrameworkOptions
-frameworkOptionsFromConfigOrThrow(const ConfigMap &config)
+frameworkOptionsFromConfigOrThrow(const ConfigMap &config,
+                                  OptionScope widest)
 {
     FrameworkOptions options;
-    parallel::TrainingOptions &tr = options.training;
-    solver::SolverConfig &sv = options.solver;
-    solver::StrategySpaceOptions &sp = sv.space;
-
     for (const auto &[key, value] : config) {
-        if (key == "policy") {
-            options.policy.kind = toEngine(key, value);
-        } else if (key == "eval_threads") {
-            options.eval_threads = static_cast<int>(toNumber(key, value));
-        } else if (key == "training.flash_attention") {
-            tr.flash_attention = toBool(key, value);
-        } else if (key == "training.zero1_optimizer") {
-            tr.zero1_optimizer = toBool(key, value);
-        } else if (key == "training.weight_bytes_per_elem") {
-            tr.weight_bytes_per_elem = toNumber(key, value);
-        } else if (key == "training.act_bytes_per_elem") {
-            tr.act_bytes_per_elem = toNumber(key, value);
-        } else if (key == "training.grad_bytes_per_elem") {
-            tr.grad_bytes_per_elem = toNumber(key, value);
-        } else if (key == "training.optimizer_bytes_per_param") {
-            tr.optimizer_bytes_per_param = toNumber(key, value);
-        } else if (key == "solver.engine") {
-            sv.engine = toSearchEngine(key, value);
-        } else if (key == "solver.ga_population") {
-            sv.ga_population = static_cast<int>(toNumber(key, value));
-        } else if (key == "solver.ga_generations") {
-            sv.ga_generations = static_cast<int>(toNumber(key, value));
-        } else if (key == "solver.ga_mutation_rate") {
-            sv.ga_mutation_rate = toNumber(key, value);
-        } else if (key == "solver.seed") {
-            sv.seed = toSeed(key, value);
-        } else if (key == "solver.deadline.quanta") {
-            sv.deadline.max_quanta = toCount(key, value);
-        } else if (key == "solver.deadline.wall_ms") {
-            sv.deadline.max_wall_ms = toNumber(key, value);
-        } else if (key == "solver.use_surrogate") {
-            sv.use_surrogate = toBool(key, value);
-        } else if (key == "solver.surrogate_sample_fraction") {
-            sv.surrogate_sample_fraction = toNumber(key, value);
-        } else if (key == "solver.space.allow_dp") {
-            sp.allow_dp = toBool(key, value);
-        } else if (key == "solver.space.allow_fsdp") {
-            sp.allow_fsdp = toBool(key, value);
-        } else if (key == "solver.space.allow_tp") {
-            sp.allow_tp = toBool(key, value);
-        } else if (key == "solver.space.allow_sp") {
-            sp.allow_sp = toBool(key, value);
-        } else if (key == "solver.space.allow_cp") {
-            sp.allow_cp = toBool(key, value);
-        } else if (key == "solver.space.allow_tatp") {
-            sp.allow_tatp = toBool(key, value);
-        } else if (key == "solver.space.max_tp") {
-            sp.max_tp = static_cast<int>(toNumber(key, value));
-        } else if (key == "solver.space.max_tatp") {
-            sp.max_tatp = static_cast<int>(toNumber(key, value));
-        } else if (key == "solver.space.full_occupancy") {
-            sp.full_occupancy = toBool(key, value);
-        } else if (key == "service.cache.max_frameworks") {
-            options.cache.max_frameworks = toCount(key, value);
-        } else if (key == "service.cache.max_pods") {
-            options.cache.max_pods = toCount(key, value);
-        } else if (key == "eval.cache.max_entries") {
-            options.cache.max_eval_entries = toCount(key, value);
-        } else if (key == "eval.cache.max_step_entries") {
-            options.cache.max_step_entries = toCount(key, value);
-        } else if (key == "eval.cache.max_layouts") {
-            options.cache.max_layout_entries = toCount(key, value);
-        } else if (key == "net.schedule_cache.max_entries") {
-            options.cache.max_schedule_entries = toCount(key, value);
-        } else if (key == "net.route_pool.max_entries") {
-            options.cache.max_route_entries = toCount(key, value);
-        } else if (key == "eval.cache.max_bytes") {
-            options.cache.max_eval_bytes = toCount(key, value);
-        } else if (key == "eval.cache.max_step_bytes") {
-            options.cache.max_step_bytes = toCount(key, value);
-        } else if (key == "eval.cache.max_layout_bytes") {
-            options.cache.max_layout_bytes = toCount(key, value);
-        } else if (key == "net.schedule_cache.max_bytes") {
-            options.cache.max_schedule_bytes = toCount(key, value);
-        } else if (key == "net.route_pool.max_bytes") {
-            options.cache.max_route_bytes = toCount(key, value);
-        } else if (key == "persist.path") {
-            options.persist.path = value;
-        } else if (key == "persist.save_on_exit") {
-            options.persist.save_on_exit = toBool(key, value);
-        } else if (key == "persist.period_s") {
-            options.persist.period_s = toNumber(key, value);
-        } else if (key == "serve.deadline_ms") {
-            options.serve.deadline_ms =
-                static_cast<int>(toCount(key, value));
-        } else {
+        const OptionRow *row = findOptionRow(key);
+        if (row == nullptr || row->scope > widest)
             cfgFail("config: unknown options key '%s'", key.c_str());
+        switch (row->kind()) {
+        case OptionKind::Policy:
+            row->at<OptionKind::Policy>(options) = toEngine(key, value);
+            break;
+        case OptionKind::Engine:
+            row->at<OptionKind::Engine>(options) =
+                toSearchEngine(key, value);
+            break;
+        case OptionKind::Bool:
+            row->at<OptionKind::Bool>(options) = toBool(key, value);
+            break;
+        case OptionKind::Int:
+            row->at<OptionKind::Int>(options) =
+                toInt(key, value, row->min, row->max);
+            break;
+        case OptionKind::Count:
+            row->at<OptionKind::Count>(options) = toCount(key, value);
+            break;
+        case OptionKind::Double:
+            row->at<OptionKind::Double>(options) = toNumber(key, value);
+            break;
+        case OptionKind::Seed:
+            row->at<OptionKind::Seed>(options) = toSeed(key, value);
+            break;
+        case OptionKind::Text:
+            row->at<OptionKind::Text>(options) = value;
+            break;
         }
     }
     return options;

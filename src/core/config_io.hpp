@@ -12,38 +12,10 @@
  * Model keys:
  *   name, heads, batch, hidden, layers, seq, ffn_mult, vocab
  *
- * Framework-options keys (booleans accept 0/1/true/false):
- *   policy (smap | gmap | tcme), eval_threads,
- *   training.flash_attention, training.zero1_optimizer,
- *   training.weight_bytes_per_elem, training.act_bytes_per_elem,
- *   training.grad_bytes_per_elem, training.optimizer_bytes_per_param,
- *   solver.engine (none | genetic | beamtabu),
- *   solver.ga_population, solver.ga_generations,
- *   solver.ga_mutation_rate, solver.seed, solver.deadline.quanta,
- *   solver.deadline.wall_ms, solver.use_surrogate,
- *   solver.surrogate_sample_fraction, solver.space.allow_dp,
- *   solver.space.allow_fsdp, solver.space.allow_tp,
- *   solver.space.allow_sp, solver.space.allow_cp,
- *   solver.space.allow_tatp, solver.space.max_tp,
- *   solver.space.max_tatp, solver.space.full_occupancy
- *
- * Cache-governance keys (entry budgets; 0 = unbounded, the default):
- *   service.cache.max_frameworks, service.cache.max_pods,
- *   eval.cache.max_entries, eval.cache.max_step_entries,
- *   eval.cache.max_layouts, net.schedule_cache.max_entries,
- *   net.route_pool.max_entries
- * Byte budgets (compose with entry budgets; 0 = unbounded):
- *   eval.cache.max_bytes, eval.cache.max_step_bytes,
- *   eval.cache.max_layout_bytes, net.schedule_cache.max_bytes,
- *   net.route_pool.max_bytes
- *
- * Persistent-tier keys (process-local; never part of the framework
- * cache key or the request wire format):
- *   persist.path (snapshot file; empty disables),
- *   persist.save_on_exit (bool), persist.period_s (serve mode)
- *
- * Service front-end keys (process-local like persist.*):
- *   serve.deadline_ms (per-request queue deadline; 0 = off)
+ * Framework-options keys: one row each in core/options_schema.cpp,
+ * which also gives each key's scope (which keys travel on the wire
+ * and which enter the framework cache key) and value kind. Booleans
+ * accept 0/1/true/false.
  */
 #pragma once
 
@@ -52,6 +24,7 @@
 #include <string>
 
 #include "core/framework.hpp"
+#include "core/options_schema.hpp"
 #include "hw/config.hpp"
 #include "model/model_zoo.hpp"
 
@@ -106,8 +79,10 @@ FrameworkOptions frameworkOptionsFromConfig(const ConfigMap &config);
 ConfigMap parseConfigTextOrThrow(const std::string &text);
 hw::WaferConfig waferFromConfigOrThrow(const ConfigMap &config);
 model::ModelConfig modelFromConfigOrThrow(const ConfigMap &config);
+/// `widest` narrows the accepted keys: the wire parser passes
+/// OptionScope::Wire, so process-local keys are unknown there.
 FrameworkOptions frameworkOptionsFromConfigOrThrow(
-    const ConfigMap &config);
+    const ConfigMap &config, OptionScope widest = OptionScope::Local);
 /// @}
 
 /// True when a command-line argument names a config file rather than a

@@ -3,8 +3,8 @@
  * The unified cost-evaluation layer.
  *
  * Every search phase of the Dual-Level Wafer Solver — the DP matrix
- * fill, GA fitness, the exhaustive baseline and the surrogate's sampled
- * cells — reduces to the same primitive: (operator, strategy) ->
+ * fill, GA fitness and the exhaustive baseline — reduces to the same
+ * primitive: (operator, strategy) ->
  * OpCostBreakdown. This layer owns that primitive so callers stop
  * hand-rolling buildLayout + opCost loops:
  *
@@ -16,8 +16,6 @@
  *    backend, so one cache can be shared across solver phases (DP, GA,
  *    final simulation) and future backends (learned cost models, remote
  *    evaluation) plug in under it.
- *  - SurrogateEvaluator (surrogate_evaluator.hpp) measures a sampled
- *    subset through an underlying evaluator and predicts the rest.
  *
  * Caches key on a content fingerprint of the graph (not its address),
  * so one evaluator safely serves many graphs/models.

@@ -48,8 +48,9 @@
 
 namespace temp::persist {
 
-/// Format version; bump on any layout change (old files cold-start).
-inline constexpr std::uint32_t kFormatVersion = 3;
+/// Format version; bump on any layout change or any change to the
+/// byte form of a block key (old files cold-start).
+inline constexpr std::uint32_t kFormatVersion = 4;
 
 /// The serialized memo contents of one framework, addressed by the
 /// same canonical key the service's framework cache uses.

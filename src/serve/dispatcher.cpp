@@ -1,6 +1,7 @@
 #include "serve/dispatcher.hpp"
 
 #include <algorithm>
+#include <stdexcept>
 
 #include "api/request_key.hpp"
 
@@ -105,6 +106,8 @@ Dispatcher::dispatch(const api::Request &request,
     }
 
     api::Response response = entry->future.get();
+    if (entry->failure)
+        throw std::runtime_error(*entry->failure);
     // `attached` is final once the future is ready: the entry left the
     // in-flight map (under the lock) before fulfilment, so no rider
     // can attach afterwards.
@@ -168,6 +171,11 @@ Dispatcher::workerLoop()
         lock.unlock();
 
         api::Response response;
+        // A throwing solve (a framework that cannot start its threads,
+        // say) must not escape the worker thread, which would
+        // terminate the process: it becomes this entry's outcome, and
+        // every session waiting on it answers with an error.
+        std::optional<std::string> failure;
         if (expired) {
             response.kind = kindOf(work->request);
             response.ok = false;
@@ -194,9 +202,15 @@ Dispatcher::workerLoop()
                     waited_ms;
                 budget.cancel = common::CancelToken::make();
             }
-            response = options_.executor
-                           ? options_.executor(work->request, budget)
-                           : service_.run(work->request, budget);
+            try {
+                response = options_.executor
+                               ? options_.executor(work->request, budget)
+                               : service_.run(work->request, budget);
+            } catch (const std::exception &e) {
+                failure = e.what();
+            } catch (...) {
+                failure = "unknown exception";
+            }
         }
 
         lock.lock();
@@ -218,6 +232,7 @@ Dispatcher::workerLoop()
         lock.unlock();
         // Fulfil outside the lock so woken waiters never pile up on
         // the dispatcher mutex.
+        work->entry->failure = std::move(failure);
         work->entry->promise.set_value(std::move(response));
         lock.lock();
     }

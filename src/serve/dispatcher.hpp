@@ -40,6 +40,7 @@
 #include <future>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <unordered_map>
@@ -146,6 +147,10 @@ class Dispatcher
         std::promise<api::Response> promise;
         std::shared_future<api::Response> future;
         long attached = 1;
+        /// What the solve threw, if it did. Each waiter throws it as its
+        /// own exception: a stored exception object would be shared by
+        /// every rider's session thread.
+        std::optional<std::string> failure;
     };
 
     struct Work

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cerrno>
 #include <cstring>
+#include <system_error>
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
@@ -98,13 +99,20 @@ Server::acceptLoop()
                 // this bounds the threads feeding it.
                 ::close(fd);
             } else {
-                session_fds_.push_back(fd);
                 // Created under the lock: the session's exit epilogue
                 // needs the same lock, so its id is registered here
-                // before it could ever report itself finished.
-                std::thread thread([this, fd] { session(fd); });
-                const std::thread::id id = thread.get_id();
-                session_threads_.emplace(id, std::move(thread));
+                // before it could ever report itself finished. With no
+                // thread to spare, refuse the connection like one over
+                // the cap.
+                session_fds_.push_back(fd);
+                try {
+                    std::thread thread([this, fd] { session(fd); });
+                    const std::thread::id id = thread.get_id();
+                    session_threads_.emplace(id, std::move(thread));
+                } catch (const std::system_error &) {
+                    session_fds_.pop_back();
+                    ::close(fd);
+                }
             }
         }
         for (std::thread &thread : finished)
@@ -216,6 +224,9 @@ Server::serveHttp(int fd)
                        .add("coalesced", stats.coalesced)
                        .add("executed", stats.executed)
                        .add("shed", stats.shed)
+                       .add("deadline_expired", stats.deadline_expired)
+                       .add("deadline_cancelled",
+                            stats.deadline_cancelled)
                        .add("completed", stats.completed)
                        .add("in_flight",
                             static_cast<long>(dispatcher_.inFlight()))

@@ -9,9 +9,7 @@
 
 #include "common/kernels.hpp"
 #include "common/logging.hpp"
-#include "common/rng.hpp"
 #include "cost/breakdown_reduce.hpp"
-#include "eval/surrogate_evaluator.hpp"
 
 namespace temp::solver {
 
@@ -177,43 +175,26 @@ DlsSolver::solve(const model::ComputeGraph &graph,
     const double inf = std::numeric_limits<double>::infinity();
     const eval::EvalStats stats_before = eval_->stats();
     const eval::StepStats step_stats_before = steps_->stats();
-    std::vector<std::vector<double>> op_cost;
-    if (config_.use_surrogate) {
-        eval::SurrogateEvaluator surrogate(
-            *eval_, config_.surrogate_sample_fraction);
-        Rng sample_rng(config_.seed + 97);
-        const eval::SurrogateEvaluator::MatrixFill fill =
-            surrogate.fillMatrix(graph, candidates, sample_rng);
-        op_cost = fill.cost;
-        result.evaluations +=
-            fill.sampled + fill.predicted + fill.exact_fallbacks;
-        // Same boundary poll the budget-aware evaluateBatch performs:
-        // a wall cap or cancel that expired during the fill latches
-        // here, at the quantum boundary after the atomic batch.
-        gauge.exhausted();
-    } else {
-        std::vector<eval::EvalRequest> requests;
-        requests.reserve(static_cast<std::size_t>(graph.opCount()) *
-                         candidates.size());
-        for (int i = 0; i < graph.opCount(); ++i)
-            for (const ParallelSpec &spec : candidates)
-                requests.push_back({i, spec, true});
-        const std::vector<cost::OpCostBreakdown> cells =
-            eval_->evaluateBatch(graph, requests, &gauge);
-        op_cost.assign(graph.opCount(),
-                       std::vector<double>(candidates.size(), inf));
-        // Row-major cells -> per-op rows through the batched totals
-        // kernel (feasible ? total() : inf).
-        std::vector<double> totals(cells.size());
-        cost::breakdownTotals(cells, totals.data());
-        for (int i = 0; i < graph.opCount(); ++i) {
-            const double *row =
-                totals.data() +
-                static_cast<std::size_t>(i) * candidates.size();
-            op_cost[i].assign(row, row + candidates.size());
-        }
-        result.evaluations += static_cast<long>(requests.size());
+    std::vector<eval::EvalRequest> requests;
+    requests.reserve(static_cast<std::size_t>(graph.opCount()) *
+                     candidates.size());
+    for (int i = 0; i < graph.opCount(); ++i)
+        for (const ParallelSpec &spec : candidates)
+            requests.push_back({i, spec, true});
+    const std::vector<cost::OpCostBreakdown> cells =
+        eval_->evaluateBatch(graph, requests, &gauge);
+    // Row-major cells -> per-op rows through the batched totals
+    // kernel (feasible ? total() : inf).
+    std::vector<double> totals(cells.size());
+    cost::breakdownTotals(cells, totals.data());
+    std::vector<std::vector<double>> op_cost(graph.opCount());
+    for (int i = 0; i < graph.opCount(); ++i) {
+        const double *row =
+            totals.data() +
+            static_cast<std::size_t>(i) * candidates.size();
+        op_cost[i].assign(row, row + candidates.size());
     }
+    result.evaluations += static_cast<long>(requests.size());
     const eval::EvalStats matrix_stats = eval_->stats() - stats_before;
     result.matrix_measurements = matrix_stats.measurements;
     result.cache_hits = matrix_stats.cache_hits;

@@ -42,14 +42,6 @@ struct SolverConfig
     double ga_mutation_rate = 0.25;
     std::uint64_t seed = 1;
     /**
-     * Fill the (operator, strategy) cost matrix with the DNN surrogate
-     * (Sec. VII-A): only `surrogate_sample_fraction` of the cells are
-     * measured with the simulator, the rest are predicted. The paper's
-     * "100-1000x more efficient than simulation" search mode.
-     */
-    bool use_surrogate = false;
-    double surrogate_sample_fraction = 0.3;
-    /**
      * Threads for the evaluator's batch matrix fill when the solver
      * owns its evaluator (an injected evaluator brings its own pool).
      * 0 means hardware concurrency. Results are bit-exact across
@@ -111,17 +103,17 @@ struct SolverResult
     double search_time_s = 0.0;
     /**
      * Total (op, strategy) cost queries the search issued: matrix
-     * cells (measured, cached or predicted), DP transition
+     * cells (measured or cached), DP transition
      * evaluations and uniform-candidate simulations. The work the
      * *algorithm* asked for, independent of caching.
      */
     long evaluations = 0;
     /**
      * Unique exact measurements of (op, strategy) matrix cells — cache
-     * misses only, counted once (what surrogate mode and the shared
-     * evaluator cache reduce). `evaluations - cache served` accounting
-     * stays honest: matrix_measurements + cache_hits + predicted cells
-     * add up to the matrix queries issued.
+     * misses only, counted once (what the shared evaluator cache
+     * reduces). `evaluations - cache served` accounting stays honest:
+     * matrix_measurements + cache_hits add up to the matrix queries
+     * issued.
      */
     long matrix_measurements = 0;
     /// Matrix queries served from the evaluator cache.

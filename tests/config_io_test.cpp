@@ -95,8 +95,6 @@ TEST(FrameworkOptionsConfig, SolverTrainingAndPolicyKeysApply)
         "solver.ga_population = 24\n"
         "solver.ga_mutation_rate = 0.5\n"
         "solver.seed = 7\n"
-        "solver.use_surrogate = true\n"
-        "solver.surrogate_sample_fraction = 0.2\n"
         "solver.space.allow_sp = false\n"
         "solver.space.max_tp = 8\n"
         "solver.space.full_occupancy = 0\n");
@@ -109,8 +107,6 @@ TEST(FrameworkOptionsConfig, SolverTrainingAndPolicyKeysApply)
     EXPECT_EQ(options.solver.ga_population, 24);
     EXPECT_DOUBLE_EQ(options.solver.ga_mutation_rate, 0.5);
     EXPECT_EQ(options.solver.seed, 7u);
-    EXPECT_TRUE(options.solver.use_surrogate);
-    EXPECT_DOUBLE_EQ(options.solver.surrogate_sample_fraction, 0.2);
     EXPECT_FALSE(options.solver.space.allow_sp);
     EXPECT_EQ(options.solver.space.max_tp, 8);
     EXPECT_FALSE(options.solver.space.full_occupancy);
@@ -198,7 +194,8 @@ TEST(ConfigDeath, RejectsRemovedSolverKnobs)
     for (const char *key :
          {"solver.enable_ga", "solver.annealing.iterations",
           "solver.annealing.proposals", "solver.annealing.initial_temp",
-          "solver.annealing.cooling"})
+          "solver.annealing.cooling", "solver.use_surrogate",
+          "solver.surrogate_sample_fraction"})
         EXPECT_EXIT(frameworkOptionsFromConfig(parseConfigText(
                         std::string(key) + " = 1\n")),
                     ::testing::ExitedWithCode(1), "unknown options key");
@@ -206,8 +203,8 @@ TEST(ConfigDeath, RejectsRemovedSolverKnobs)
 
 TEST(ConfigDeath, RejectsNonBooleanAndUnknownEngine)
 {
-    EXPECT_EXIT(frameworkOptionsFromConfig(
-                    parseConfigText("solver.use_surrogate = maybe\n")),
+    EXPECT_EXIT(frameworkOptionsFromConfig(parseConfigText(
+                    "training.flash_attention = maybe\n")),
                 ::testing::ExitedWithCode(1), "non-boolean");
     EXPECT_EXIT(
         frameworkOptionsFromConfig(parseConfigText("policy = alpa\n")),
@@ -215,6 +212,26 @@ TEST(ConfigDeath, RejectsNonBooleanAndUnknownEngine)
     EXPECT_EXIT(frameworkOptionsFromConfig(
                     parseConfigText("solver.engine = tabu\n")),
                 ::testing::ExitedWithCode(1), "unknown search engine");
+}
+
+TEST(ConfigDeath, RejectsNonIntegralAndOutOfRangeIntegers)
+{
+    // Integer keys never truncate a fraction or convert an
+    // out-of-range double.
+    for (const char *line :
+         {"solver.ga_population = 2.5\n", "eval_threads = 1e12\n",
+          "eval_threads = 257\n", "eval_threads = -1\n",
+          "solver.space.max_tp = 3e9\n", "serve.deadline_ms = -5\n"})
+        EXPECT_EXIT(frameworkOptionsFromConfig(parseConfigText(line)),
+                    ::testing::ExitedWithCode(1), "must be an integer in")
+            << line;
+    EXPECT_EXIT(frameworkOptionsFromConfig(
+                    parseConfigText("eval.cache.max_bytes = 1.5\n")),
+                ::testing::ExitedWithCode(1), "must be a whole number");
+    EXPECT_EQ(frameworkOptionsFromConfig(
+                  parseConfigText("eval_threads = 256\n"))
+                  .eval_threads,
+              256);
 }
 
 }  // namespace

@@ -3,8 +3,7 @@
  * Tests for the unified cost-evaluation layer: the thread pool, memo
  * correctness (cached == recomputed, bit-exact), parallel batch
  * determinism across thread counts, honest measurement/hit accounting,
- * the surrogate's infeasible-column and exact-fallback handling, and
- * solver invariance under evaluator sharing.
+ * and solver invariance under evaluator sharing.
  */
 #include <gtest/gtest.h>
 
@@ -17,7 +16,6 @@
 #include "common/thread_pool.hpp"
 #include "eval/cost_evaluator.hpp"
 #include "eval/step_evaluator.hpp"
-#include "eval/surrogate_evaluator.hpp"
 #include "model/graph.hpp"
 #include "model/model_zoo.hpp"
 #include "sim/trainer_sim.hpp"
@@ -331,111 +329,6 @@ TEST_F(EvalTest, StepBatchDeterministicAcrossThreadCountsAndDedups)
     // Duplicates carry the same bits as their originals.
     expectReportBitExact(runs[0][generation.size() - 2], runs[0][0]);
     expectReportBitExact(runs[0][generation.size() - 1], runs[0][5]);
-}
-
-// ---------------------------------------------------------------------
-// Surrogate evaluator.
-// ---------------------------------------------------------------------
-
-TEST_F(EvalTest, SurrogateUnfittedFallsBackToExact)
-{
-    ExactEvaluator exact(sim_.costModel());
-    SurrogateEvaluator surrogate(exact, 0.3);
-    ASSERT_FALSE(surrogate.fitted());
-    const EvalRequest request{2, candidates_[1], true};
-    const cost::OpCostBreakdown via_surrogate =
-        surrogate.evaluate(graph_, request);
-    const cost::OpCostBreakdown via_exact =
-        exact.evaluate(graph_, request);
-    expectBitExact(via_surrogate, via_exact);
-}
-
-TEST_F(EvalTest, SurrogateMatrixMeasuresSubsetAndPredictsRest)
-{
-    ExactEvaluator exact(sim_.costModel());
-    SurrogateEvaluator surrogate(exact, 0.3);
-    Rng rng(97);
-    const auto fill =
-        surrogate.fillMatrix(graph_, candidates_, rng);
-    const long cells = static_cast<long>(graph_.opCount()) *
-                       static_cast<long>(candidates_.size());
-    EXPECT_EQ(fill.sampled + fill.predicted + fill.exact_fallbacks,
-              cells);
-    EXPECT_GT(fill.predicted, 0);
-    EXPECT_LT(fill.sampled, cells);
-    EXPECT_TRUE(surrogate.fitted());
-    for (const auto &row : fill.cost)
-        for (double c : row)
-            EXPECT_GT(c, 0.0);
-}
-
-TEST(SurrogateFaults, InfeasibleColumnsNeverPredictedFinite)
-{
-    // Link faults isolate one corner die: full-occupancy (32-die)
-    // strategies route through the dead links and are infeasible;
-    // partial strategies fit on the surviving component and stay
-    // feasible.
-    hw::Wafer healthy(hw::WaferConfig::paperDefault());
-    const hw::MeshTopology &topo = healthy.topology();
-    hw::FaultMap faults(topo.dieCount(), topo.linkCount());
-    const hw::DieId dead = topo.dieCount() - 1;
-    for (hw::DieId neighbor : topo.neighbors(dead)) {
-        faults.failLink(topo.linkId(dead, neighbor));
-        faults.failLink(topo.linkId(neighbor, dead));
-    }
-    hw::Wafer wafer(hw::WaferConfig::paperDefault(), faults);
-    sim::TrainingSimulator sim(
-        wafer, tcme::MappingPolicy{tcme::MappingEngineKind::TCME});
-    const auto graph = model::ComputeGraph::transformer(
-        model::modelByName("GPT-3 6.7B"));
-
-    solver::StrategySpaceOptions space;
-    space.allow_sp = false;
-    space.full_occupancy = false;
-    const std::vector<ParallelSpec> candidates =
-        solver::enumerateStrategies(wafer.dieCount(), graph.config(),
-                                    space);
-
-    ExactEvaluator exact(sim.costModel());
-    SurrogateEvaluator surrogate(exact, 0.25);
-    Rng rng(5);
-    const auto fill = surrogate.fillMatrix(graph, candidates, rng);
-
-    // Ground truth per cell from the exact evaluator. Columns where the
-    // sampling pass saw at least one infeasible cell must carry *no*
-    // finite prediction on any truly-infeasible cell (the fallback
-    // measures them exactly instead).
-    int infeasible_cells = 0;
-    int suspect_columns = 0;
-    for (std::size_t s = 0; s < candidates.size(); ++s) {
-        bool measured_infeasible = false;
-        std::vector<bool> truth_infeasible(graph.opCount(), false);
-        for (int i = 0; i < graph.opCount(); ++i) {
-            const cost::OpCostBreakdown truth =
-                exact.evaluate(graph, {i, candidates[s], true});
-            truth_infeasible[i] = !truth.feasible;
-            if (!truth.feasible)
-                ++infeasible_cells;
-            if (!truth.feasible && std::isinf(fill.cost[i][s]))
-                measured_infeasible = true;
-        }
-        if (!measured_infeasible)
-            continue;
-        ++suspect_columns;
-        for (int i = 0; i < graph.opCount(); ++i) {
-            if (truth_infeasible[i])
-                EXPECT_TRUE(std::isinf(fill.cost[i][s]))
-                    << "suspect column " << candidates[s].str()
-                    << " op " << i << " predicted finite";
-        }
-    }
-    EXPECT_GT(infeasible_cells, 0)
-        << "fault scenario produced no infeasible cells";
-    EXPECT_GT(suspect_columns, 0)
-        << "sampling pass never saw an infeasible cell";
-    EXPECT_GT(fill.exact_fallbacks, 0);
-    EXPECT_GT(fill.predicted, 0)
-        << "feasible columns should still be predicted";
 }
 
 // ---------------------------------------------------------------------

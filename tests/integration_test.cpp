@@ -2,14 +2,12 @@
  * @file
  * Cross-module integration and property tests: conservation laws that
  * must hold for every spec (work, parameters), simulator monotonicity,
- * baseline-family structure, fault-aware layout, and the
- * surrogate-driven solver.
+ * baseline-family structure and fault-aware layout.
  */
 #include <gtest/gtest.h>
 
 #include "baselines/strategies.hpp"
 #include "core/framework.hpp"
-#include "eval/surrogate_evaluator.hpp"
 
 namespace temp {
 namespace {
@@ -267,49 +265,6 @@ TEST(FaultAware, SolverCoversSurvivingDies)
     // With 31 usable dies, dense-DP enumeration still covers > half.
     for (const auto &s : result.per_op_specs)
         EXPECT_GT(s.totalDegree(), 15);
-}
-
-// ---------------------------------------------------------------------
-// Surrogate-driven search.
-// ---------------------------------------------------------------------
-
-TEST(SurrogateSearch, FeaturesDistinguishSpecs)
-{
-    const auto graph = model::ComputeGraph::transformer(
-        model::modelByName("GPT-3 6.7B"));
-    const auto f1 = eval::OpCostSurrogate::features(graph.op(1),
-                                                      spec(4, 1, 1, 8));
-    const auto f2 = eval::OpCostSurrogate::features(graph.op(1),
-                                                      spec(1, 8, 1, 4));
-    EXPECT_EQ(f1.size(), f2.size());
-    EXPECT_NE(f1, f2);
-}
-
-TEST(SurrogateSearch, SolverWithSurrogateFindsFeasiblePlan)
-{
-    hw::Wafer wafer(hw::WaferConfig::paperDefault());
-    sim::TrainingSimulator sim(
-        wafer, tcme::MappingPolicy{tcme::MappingEngineKind::TCME});
-    solver::SolverConfig cfg;
-    cfg.use_surrogate = true;
-    cfg.surrogate_sample_fraction = 0.3;
-    solver::DlsSolver solver(sim, cfg);
-    const auto graph = model::ComputeGraph::transformer(
-        model::modelByName("GPT-3 6.7B"));
-    const auto result = solver.solve(graph);
-    ASSERT_TRUE(result.feasible);
-    EXPECT_FALSE(result.report.oom);
-    // Fewer exact measurements than the full matrix.
-    EXPECT_LT(result.matrix_measurements,
-              static_cast<long>(graph.opCount()) *
-                  result.candidate_count);
-
-    // Quality within 15% of the exact search.
-    solver::SolverConfig exact_cfg;
-    const auto exact =
-        solver::DlsSolver(sim, exact_cfg).solve(graph);
-    ASSERT_TRUE(exact.feasible);
-    EXPECT_LE(result.step_time_s, exact.step_time_s * 1.15);
 }
 
 }  // namespace

@@ -12,6 +12,9 @@
 
 #include "api/request_io.hpp"
 #include "api/request_key.hpp"
+#include "api/serialize.hpp"
+#include "core/config_io.hpp"
+#include "core/options_schema.hpp"
 #include "model/model_zoo.hpp"
 
 namespace temp::api {
@@ -227,7 +230,13 @@ TEST(RequestParse, RejectsRemovedSolverKnobs)
     for (const char *key :
          {"solver.enable_ga", "solver.annealing.iterations",
           "solver.annealing.proposals", "solver.annealing.initial_temp",
-          "solver.annealing.cooling"})
+          "solver.annealing.cooling", "solver.use_surrogate",
+          "solver.surrogate_sample_fraction"})
+        expectReject(head + "\"" + key + "\":1}}",
+                     "unknown options key '" + std::string(key) + "'");
+    // Process-local keys are config-only: a request cannot carry them.
+    for (const char *key : {"persist.path", "persist.save_on_exit",
+                            "persist.period_s", "serve.deadline_ms"})
         expectReject(head + "\"" + key + "\":1}}",
                      "unknown options key '" + std::string(key) + "'");
 }
@@ -272,6 +281,15 @@ TEST(RequestParse, RejectsSemanticErrors)
     expectReject("{\"kind\":\"optimize\",\"model\":"
                  "{\"base\":\"GPT-3 6.7B\",\"layers\":{}}}",
                  "must be a scalar");
+    // Integer options reject fractions and out-of-range values instead
+    // of truncating them; eval_threads is capped.
+    for (const char *member :
+         {"\"solver.ga_population\":2.5", "\"eval_threads\":1e12",
+          "\"eval_threads\":100000", "\"solver.space.max_tatp\":-3e10"})
+        expectReject("{\"kind\":\"optimize\",\"model\":{\"base\":"
+                     "\"GPT-3 6.7B\"},\"options\":{" +
+                         std::string(member) + "}}",
+                     "must be an integer in");
 }
 
 TEST(RequestParse, BoundsHostileAllocationSizes)
@@ -291,6 +309,126 @@ TEST(RequestParse, BoundsHostileAllocationSizes)
                  "\"pod\":{\"wafer_count\":1000000},"
                  "\"model\":{\"base\":\"GPT-3 6.7B\"}}",
                  "pod.wafer_count exceeds");
+}
+
+/// A config-text value for `row` that differs from its default.
+std::string
+nonDefaultValue(const core::OptionRow &row)
+{
+    using core::OptionKind;
+    const core::FrameworkOptions d;
+    switch (row.kind()) {
+    case OptionKind::Policy: return "gmap";
+    case OptionKind::Engine: return "beamtabu";
+    case OptionKind::Bool: return row.at<OptionKind::Bool>(d) ? "0" : "1";
+    case OptionKind::Int: {
+        const int v = row.at<OptionKind::Int>(d);
+        return std::to_string(v < row.max ? v + 1 : v - 1);
+    }
+    case OptionKind::Count:
+        return std::to_string(row.at<OptionKind::Count>(d) + 7);
+    case OptionKind::Double:
+        return jsonNumberExact(row.at<OptionKind::Double>(d) + 1.0 / 3.0);
+    case OptionKind::Seed: return "18446744073709551557";
+    case OptionKind::Text: return "warm.snap";
+    }
+    return "";
+}
+
+/// The scope each key must have, stated independently of the table:
+/// policy and training.* key pods; service.* budgets ride the wire
+/// without entering optionsKey; persist.* and serve.* stay in config
+/// files; everything else is framework identity.
+core::OptionScope
+expectedScope(std::string_view key)
+{
+    using core::OptionScope;
+    if (key == "policy" || key.starts_with("training."))
+        return OptionScope::Pod;
+    if (key.starts_with("service."))
+        return OptionScope::Wire;
+    if (key.starts_with("persist.") || key.starts_with("serve."))
+        return OptionScope::Local;
+    return OptionScope::Identity;
+}
+
+TEST(OptionsSchema, EveryRowRoundTripsAndKeysByScope)
+{
+    using core::OptionScope;
+    const core::FrameworkOptions defaults;
+    // The default wire form, byte for byte: key order and value
+    // lexemes are part of the wire contract.
+    EXPECT_EQ(
+        toJson(defaults),
+        "{\"policy\":\"tcme\",\"eval_threads\":0,"
+        "\"training.flash_attention\":true,"
+        "\"training.zero1_optimizer\":true,"
+        "\"training.weight_bytes_per_elem\":2,"
+        "\"training.act_bytes_per_elem\":2,"
+        "\"training.grad_bytes_per_elem\":2,"
+        "\"training.optimizer_bytes_per_param\":12,"
+        "\"solver.engine\":\"genetic\",\"solver.ga_population\":16,"
+        "\"solver.ga_generations\":20,\"solver.ga_mutation_rate\":0.25,"
+        "\"solver.seed\":1,\"solver.deadline.quanta\":0,"
+        "\"solver.deadline.wall_ms\":0,\"solver.space.allow_dp\":true,"
+        "\"solver.space.allow_fsdp\":false,\"solver.space.allow_tp\":true,"
+        "\"solver.space.allow_sp\":true,\"solver.space.allow_cp\":false,"
+        "\"solver.space.allow_tatp\":true,"
+        "\"solver.space.max_tp\":1048576,\"solver.space.max_tatp\":32,"
+        "\"solver.space.full_occupancy\":true,"
+        "\"service.cache.max_frameworks\":0,"
+        "\"service.cache.max_pods\":0,\"eval.cache.max_entries\":0,"
+        "\"eval.cache.max_step_entries\":0,"
+        "\"eval.cache.max_layouts\":0,"
+        "\"net.schedule_cache.max_entries\":0,"
+        "\"net.route_pool.max_entries\":0,\"eval.cache.max_bytes\":0,"
+        "\"eval.cache.max_step_bytes\":0,"
+        "\"eval.cache.max_layout_bytes\":0,"
+        "\"net.schedule_cache.max_bytes\":0,"
+        "\"net.route_pool.max_bytes\":0}");
+    // The snapshot block key form: changing these bytes requires a
+    // persist::kFormatVersion bump.
+    EXPECT_EQ(optionsKey(defaults),
+              "2|0|1|1|2|2|2|12|1|16|20|0.25|1|0|0|1|0|1|1|0|1|1048576|32|"
+              "1|0|0|0|0|0|0|0|0|0|0|");
+    EXPECT_EQ(core::optionRows().size(), 40u);
+
+    for (const core::OptionRow &row : core::optionRows()) {
+        SCOPED_TRACE(row.key);
+        EXPECT_EQ(core::findOptionRow(row.key), &row);
+        EXPECT_NE(std::string_view(row.doc), "");
+        const OptionScope scope = expectedScope(row.key);
+        EXPECT_EQ(row.scope, scope);
+        const core::FrameworkOptions flipped =
+            core::frameworkOptionsFromConfig(core::parseConfigText(
+                std::string(row.key) + " = " + nonDefaultValue(row) +
+                "\n"));
+
+        // Only identity rows change optionsKey; only pod rows change
+        // policyTrainingKey.
+        EXPECT_EQ(optionsKey(flipped) != optionsKey(defaults),
+                  scope <= OptionScope::Identity);
+        EXPECT_EQ(policyTrainingKey(flipped) != policyTrainingKey(defaults),
+                  scope == OptionScope::Pod);
+
+        // Wire rows survive toJson -> parse; process-local rows are
+        // neither rendered nor accepted.
+        const std::string wire = toJson(flipped);
+        EXPECT_EQ(wire != toJson(defaults), scope <= OptionScope::Wire);
+        if (scope > OptionScope::Wire)
+            continue;
+        ParsedRequest parsed;
+        std::string error;
+        ASSERT_TRUE(parseRequest(
+            "{\"kind\":\"optimize\",\"model\":{\"base\":\"GPT-3 6.7B\"},"
+            "\"options\":" + wire + "}",
+            &parsed, &error))
+            << error;
+        const core::FrameworkOptions &back =
+            std::get<OptimizeRequest>(parsed.request).options;
+        EXPECT_EQ(toJson(back), wire);
+        EXPECT_EQ(optionsKey(back), optionsKey(flipped));
+    }
 }
 
 }  // namespace

@@ -18,6 +18,7 @@
 #include <cstdint>
 #include <mutex>
 #include <regex>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -539,7 +540,11 @@ TEST(Server, HttpKeepAliveServesSequentialExchanges)
     ASSERT_TRUE(client.exchange("/stats", "", &status, &body, &error))
         << error;
     EXPECT_EQ(status, 200);
-    EXPECT_NE(body.find("\"accepted\":"), std::string::npos);
+    // Every DispatchStats counter, deadline ones included.
+    EXPECT_EQ(body, "{\"ok\":true,\"accepted\":2,\"coalesced\":0,"
+                    "\"executed\":2,\"shed\":0,\"deadline_expired\":0,"
+                    "\"deadline_cancelled\":0,\"completed\":2,"
+                    "\"in_flight\":0}");
     EXPECT_TRUE(client.connected());
     server.stop();
 }
@@ -663,6 +668,74 @@ TEST(Server, StopDrainsInFlightSessions)
     EXPECT_EQ(stats.accepted,
               stats.executed + stats.coalesced + stats.shed);
     EXPECT_GE(completed.load(), 0);
+}
+
+TEST(Server, ThrowingSolveAnswersErrorAndServerKeepsServing)
+{
+    // A solve that throws (seed 666 here) must not take the worker
+    // thread, and with it the process, down: its session and every
+    // rider coalesced onto it get a 500, and the next request is
+    // served.
+    api::TempService service;
+    ServerOptions options;
+    options.dispatcher.workers = 1;
+    Gate gate;
+    options.dispatcher.executor = [&](const api::Request &request,
+                                      const solver::SolveBudget &) {
+        if (std::get<api::OptimizeRequest>(request).options.solver.seed ==
+            666) {
+            gate.waitOpen();
+            throw std::runtime_error("solve failed");
+        }
+        api::Response response;
+        response.ok = true;
+        return response;
+    };
+    Server server(service, options);
+    std::string error;
+    ASSERT_TRUE(server.start(&error)) << error;
+    const int port = server.port();
+
+    int statuses[2] = {0, 0};
+    std::string bodies[2];
+    const auto post = [&](int i) {
+        std::string post_error;
+        EXPECT_TRUE(Client::httpPost("127.0.0.1", port, "/v1/requests",
+                                     api::toJson(optimizeWithSeed(666)),
+                                     &statuses[i], &bodies[i],
+                                     &post_error))
+            << post_error;
+    };
+    std::thread owner(post, 0);
+    ASSERT_TRUE(waitUntil([&] { return gate.startedCount() == 1; }));
+    std::thread rider(post, 1);
+    ASSERT_TRUE(
+        waitUntil([&] { return server.stats().coalesced == 1; }));
+    gate.release();
+    owner.join();
+    rider.join();
+    for (int i = 0; i < 2; ++i) {
+        EXPECT_EQ(statuses[i], 500);
+        EXPECT_NE(bodies[i].find("internal error: solve failed"),
+                  std::string::npos)
+            << bodies[i];
+    }
+
+    int status = 0;
+    std::string body;
+    ASSERT_TRUE(Client::httpPost("127.0.0.1", port, "/v1/requests",
+                                 api::toJson(optimizeWithSeed(1)),
+                                 &status, &body, &error))
+        << error;
+    EXPECT_EQ(status, 200);
+    EXPECT_NE(body.find("\"ok\":true"), std::string::npos);
+
+    server.stop();
+    const DispatchStats stats = server.stats();
+    EXPECT_EQ(stats.executed, 2);
+    EXPECT_EQ(stats.coalesced, 1);
+    EXPECT_EQ(stats.accepted,
+              stats.coalesced + stats.executed + stats.shed);
 }
 
 TEST(Server, SessionCapRefusesExtraConnections)

@@ -715,9 +715,11 @@ runServe(api::TempService &service, const CliArgs &args)
     std::fprintf(stderr,
                  "temp_cli serve: drained (accepted=%ld "
                  "coalesced=%ld executed=%ld shed=%ld "
-                 "deadline_expired=%ld completed=%ld)\n",
+                 "deadline_expired=%ld deadline_cancelled=%ld "
+                 "completed=%ld)\n",
                  stats.accepted, stats.coalesced, stats.executed,
-                 stats.shed, stats.deadline_expired, stats.completed);
+                 stats.shed, stats.deadline_expired,
+                 stats.deadline_cancelled, stats.completed);
     return 0;
 }
 
