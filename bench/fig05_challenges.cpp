@@ -59,12 +59,12 @@ main()
     a.src = mesh.dieAt(0, 0);
     a.dst = mesh.dieAt(0, 2);
     a.bytes = 256e6;
-    a.route = router.route(a.src, a.dst);
+    a.route = router.intern(router.route(a.src, a.dst));
     net::Flow b;
     b.src = mesh.dieAt(0, 1);
     b.dst = mesh.dieAt(0, 3);
     b.bytes = 256e6;
-    b.route = router.route(b.src, b.dst);
+    b.route = router.intern(router.route(b.src, b.dst));
 
     const double solo = model.evaluate({a}).time_s;
     const double contended = model.evaluate({a, b}).time_s;

@@ -85,7 +85,7 @@ struct MultiWaferRequest
  * Observability: a snapshot of every memo layer's governance counters
  * — the service's framework/pod maps plus, aggregated across all
  * cached frameworks, the breakdown memo, step-report memo, layout
- * caches, schedule cache and route pool. The `temp_cli cache-stats`
+ * caches, schedule cache and routes. The `temp_cli cache-stats`
  * subcommand is the CLI face of this request.
  */
 struct CacheStatsRequest

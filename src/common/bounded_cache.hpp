@@ -4,18 +4,15 @@
  *
  * Every memo layer in the system — the service's framework/pod maps,
  * the breakdown and step-report memos, the layout cache, the schedule
- * cache, the cost model's stream-plan, timed-phase and simulator-cell
- * memos and the router's route pool — is an append-only map by
- * default, which is a by-design memory leak once the process is a
- * long-lived service. This header owns the shared machinery that
- * bounds them:
+ * cache and the cost model's stream-plan, timed-phase and
+ * simulator-cell memos — is an append-only map by default, which is a
+ * by-design memory leak once the process is a long-lived service. This
+ * header owns the shared machinery that bounds them:
  *
  *  - LruMap: the unsynchronized LRU core (hash map + intrusive
  *    recency list) for caches that already run under their own lock
- *    (ScheduleCache lowers under its exclusive lock, the Router pool
- *    shares one mutex across three pools). Supports heterogeneous
- *    probes (transparent Hash/Equal), an eviction guard (never evict
- *    a pinned route) and a byte estimator.
+ *    (each ScheduleCache shard). Supports heterogeneous probes
+ *    (transparent Hash/Equal) and a byte estimator.
  *  - BoundedCache: a thread-safe sharded facade over LruMap shards
  *    (one shared_mutex per shard). Unbounded lookups take the lock
  *    shared and touch nothing, so a capacity of 0 — the default
@@ -30,9 +27,8 @@
  * unbounded for either); the cache evicts while over *either*. Byte
  * budgets are fed by the per-layer bytes_est estimators, so
  * `*.max_bytes` config keys govern real memory residency instead of
- * entry counts. Eviction is strict LRU among evictable entries; when
- * every entry is pinned the cache may transiently exceed its budget
- * rather than drop live data. Evicted keys that return recount as
+ * entry counts. Eviction is strict LRU, except that the entry just
+ * inserted is never evicted. Evicted keys that return recount as
  * misses — the honest-accounting contract of the evaluator stack is
  * preserved under eviction because every cached value is a pure
  * function of its key.
@@ -95,14 +91,12 @@ struct CacheBudget
     long max_step_entries = 0;      ///< eval.cache.max_step_entries
     long max_layout_entries = 0;    ///< eval.cache.max_layouts
     long max_schedule_entries = 0;  ///< net.schedule_cache.max_entries
-    long max_route_entries = 0;     ///< net.route_pool.max_entries
 
     /// @{ Byte budgets, fed by the per-layer bytes_est estimators.
     long max_eval_bytes = 0;      ///< eval.cache.max_bytes
     long max_step_bytes = 0;      ///< eval.cache.max_step_bytes
     long max_layout_bytes = 0;    ///< eval.cache.max_layout_bytes
     long max_schedule_bytes = 0;  ///< net.schedule_cache.max_bytes
-    long max_route_bytes = 0;     ///< net.route_pool.max_bytes
     /// @}
 
     /// True when any framework-level budget is finite (the service
@@ -111,9 +105,8 @@ struct CacheBudget
     {
         return max_eval_entries > 0 || max_step_entries > 0 ||
                max_layout_entries > 0 || max_schedule_entries > 0 ||
-               max_route_entries > 0 || max_eval_bytes > 0 ||
-               max_step_bytes > 0 || max_layout_bytes > 0 ||
-               max_schedule_bytes > 0 || max_route_bytes > 0;
+               max_eval_bytes > 0 || max_step_bytes > 0 ||
+               max_layout_bytes > 0 || max_schedule_bytes > 0;
     }
 };
 
@@ -211,13 +204,6 @@ class LruMap
     long bytesEstimate() const { return bytes_; }
     long evictions() const { return evictions_; }
 
-    /// Entries for which the guard returns false are never evicted
-    /// (e.g. routes still referenced by live flows).
-    void setEvictable(std::function<bool(const Value &)> guard)
-    {
-        evictable_ = std::move(guard);
-    }
-
     /// Replaces the default sizeof-based byte estimator. Applies to
     /// entries inserted after the call.
     void setByteEstimate(
@@ -307,20 +293,16 @@ class LruMap
     {
         if (!overBudget())
             return;
-        // Scan from the LRU tail, skipping pinned entries. The scan
-        // restarts per insert but the cache is at most one entry over
-        // budget then, so the common case drops exactly the tail. The
-        // MRU head is never evicted: insert() hands out a pointer to
-        // it, and a cache that cannot hold even the entry being
-        // inserted would invalidate that pointer mid-flight.
+        // Drop from the LRU tail. The MRU head is never evicted:
+        // insert() hands out a pointer to it, and a cache that cannot
+        // hold even the entry being inserted would invalidate that
+        // pointer mid-flight.
         auto pos = lru_.end();
         while (overBudget() && pos != lru_.begin()) {
             --pos;
             if (pos == lru_.begin())
                 break;  // the MRU entry stays resident
             auto it = map_.find(**pos);
-            if (evictable_ && !evictable_(it->second.value))
-                continue;  // pinned: keep, try the next-older entry
             bytes_ -= it->second.bytes;
             pos = lru_.erase(pos);
             map_.erase(it);
@@ -336,7 +318,6 @@ class LruMap
     std::list<const Key *> lru_;
     long bytes_ = 0;
     long evictions_ = 0;
-    std::function<bool(const Value &)> evictable_;
     std::function<long(const Key &, const Value &)> estimate_;
 };
 
@@ -478,14 +459,6 @@ class BoundedCache
             total.evictions += shard->map.evictions();
         }
         return total;
-    }
-
-    void setEvictable(std::function<bool(const Value &)> guard)
-    {
-        for (auto &shard : shards_) {
-            std::unique_lock<std::shared_mutex> lock(shard->mutex);
-            shard->map.setEvictable(guard);
-        }
     }
 
     void setByteEstimate(

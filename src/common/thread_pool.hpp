@@ -22,6 +22,7 @@
  */
 #pragma once
 
+#include <atomic>
 #include <condition_variable>
 #include <cstddef>
 #include <deque>
@@ -94,15 +95,15 @@ class ThreadPool
             std::lock_guard<std::mutex> lock(mutex_);
             job_fn_ = &fn;
             job_n_ = n;
-            next_ = 0;
-            in_flight_ = 0;
+            next_.store(0, std::memory_order_relaxed);
             error_ = nullptr;
         }
         cv_.notify_all();
-        runShare();
+        runShare(fn, n);
         std::unique_lock<std::mutex> lock(mutex_);
-        done_cv_.wait(lock,
-                      [this] { return next_ >= job_n_ && in_flight_ == 0; });
+        // Every index is claimed; wait for the workers still running
+        // theirs. No worker joins once the cursor is past the end.
+        done_cv_.wait(lock, [this] { return joined_ == 0; });
         job_fn_ = nullptr;
         if (error_) {
             std::exception_ptr error = error_;
@@ -169,48 +170,51 @@ class ThreadPool
         });
     }
 
-    /// Claims and runs loop iterations until the current job drains.
+    /// Claims and runs loop iterations until the cursor passes n: one
+    /// atomic fetch_add per index, no lock.
     void
-    runShare()
+    runShare(const std::function<void(std::size_t)> &fn, std::size_t n)
     {
-        for (;;) {
-            std::size_t index;
-            {
-                std::lock_guard<std::mutex> lock(mutex_);
-                if (job_fn_ == nullptr || next_ >= job_n_)
-                    return;
-                index = next_++;
-                ++in_flight_;
-            }
+        for (std::size_t index =
+                 next_.fetch_add(1, std::memory_order_relaxed);
+             index < n;
+             index = next_.fetch_add(1, std::memory_order_relaxed)) {
             try {
-                (*job_fn_)(index);
+                fn(index);
             } catch (...) {
                 std::lock_guard<std::mutex> lock(mutex_);
                 if (!error_)
                     error_ = std::current_exception();
             }
-            {
-                std::lock_guard<std::mutex> lock(mutex_);
-                if (--in_flight_ == 0 && next_ >= job_n_)
-                    done_cv_.notify_all();
-            }
         }
+    }
+
+    /// True while the current job has unclaimed indices. Caller holds
+    /// mutex_.
+    bool jobOpen() const
+    {
+        return job_fn_ != nullptr &&
+               next_.load(std::memory_order_relaxed) < job_n_;
     }
 
     void
     workerLoop()
     {
         for (;;) {
-            bool run_job = false;
+            const std::function<void(std::size_t)> *job = nullptr;
+            std::size_t n = 0;
             std::function<void()> task;
             {
                 std::unique_lock<std::mutex> lock(mutex_);
                 cv_.wait(lock, [this] {
-                    return stop_ || !tasks_.empty() ||
-                           (job_fn_ != nullptr && next_ < job_n_);
+                    return stop_ || !tasks_.empty() || jobOpen();
                 });
-                if (job_fn_ != nullptr && next_ < job_n_) {
-                    run_job = true;
+                if (jobOpen()) {
+                    // Join under the lock, so the caller waits for this
+                    // worker before it retires the job.
+                    job = job_fn_;
+                    n = job_n_;
+                    ++joined_;
                 } else if (!tasks_.empty()) {
                     task = std::move(tasks_.front());
                     tasks_.pop_front();
@@ -218,10 +222,14 @@ class ThreadPool
                     return;
                 }
             }
-            if (run_job)
-                runShare();
-            else if (task)
+            if (job != nullptr) {
+                runShare(*job, n);
+                std::lock_guard<std::mutex> lock(mutex_);
+                if (--joined_ == 0)
+                    done_cv_.notify_all();
+            } else if (task) {
                 task();
+            }
         }
     }
 
@@ -235,8 +243,9 @@ class ThreadPool
     std::condition_variable done_cv_;
     const std::function<void(std::size_t)> *job_fn_ = nullptr;
     std::size_t job_n_ = 0;
-    std::size_t next_ = 0;
-    std::size_t in_flight_ = 0;
+    /// The loop cursor: the next unclaimed index of the current job.
+    std::atomic<std::size_t> next_{0};
+    std::size_t joined_ = 0;  ///< workers inside the current job
     std::exception_ptr error_;
     bool stop_ = false;
 };

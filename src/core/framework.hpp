@@ -229,8 +229,9 @@ class TempFramework
      * as (layer name, counters) pairs: eval_breakdowns (the shared
      * CachingEvaluator memo), step_reports, layouts (simulator +
      * exact-evaluator layout caches combined), schedules (the shared
-     * net::ScheduleCache), routes (the Router pool), and the cost
-     * model's memos: stream_plans, collective_phases and sim_cells.
+     * net::ScheduleCache), routes (the Router's current-epoch route
+     * storage), and the cost model's memos: stream_plans,
+     * collective_phases and sim_cells.
      * The layer names are the CacheStatsRequest JSON vocabulary.
      */
     std::vector<std::pair<std::string, common::CacheStats>> cacheStats()

@@ -109,9 +109,6 @@ const OptionRow kRows[] = {
     {"net.schedule_cache.max_entries", Identity,
      +[](O &o) { return &o.cache.max_schedule_entries; },
      "entry budget of the schedule cache"},
-    {"net.route_pool.max_entries", Identity,
-     +[](O &o) { return &o.cache.max_route_entries; },
-     "entry budget of the route pool"},
     {"eval.cache.max_bytes", Identity,
      +[](O &o) { return &o.cache.max_eval_bytes; },
      "byte budget of the breakdown and sim-cell memos"},
@@ -124,9 +121,6 @@ const OptionRow kRows[] = {
     {"net.schedule_cache.max_bytes", Identity,
      +[](O &o) { return &o.cache.max_schedule_bytes; },
      "byte budget of the schedule cache"},
-    {"net.route_pool.max_bytes", Identity,
-     +[](O &o) { return &o.cache.max_route_bytes; },
-     "byte budget of the route pool"},
     {"persist.path", Local, +[](O &o) { return &o.persist.path; },
      "snapshot file (empty disables the persistent tier)"},
     {"persist.save_on_exit", Local,

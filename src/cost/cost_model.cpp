@@ -109,7 +109,7 @@ WaferCostModel::WaferCostModel(const hw::Wafer &wafer,
       optimizer_(router_)
 {
     // Eager invalidation: a setFaults() on the live wafer flushes the
-    // dead epoch's schedules and pooled routes immediately, instead of
+    // dead epoch's schedules and route storage immediately, instead of
     // retaining them until (unless) a next lookup notices the epoch
     // moved. The listener only touches this model's own thread-safe
     // caches, so it is safe from whichever thread injects the faults.
@@ -118,7 +118,7 @@ WaferCostModel::WaferCostModel(const hw::Wafer &wafer,
             Memos &memo = memos();
             memo.cells.clear();
             memo.phases.clear();
-            memo.stream_plans.clear();  // releases its pooled routes
+            memo.stream_plans.clear();  // releases their route epochs
             schedule_cache_.flushForEpoch(epoch);
             router_.dropStaleRoutes();
         });
@@ -164,9 +164,6 @@ WaferCostModel::setCacheBudgets(const common::CacheBudget &budget) const
     schedule_cache_.setMaxEntries(static_cast<std::size_t>(
         std::max(0L, budget.max_schedule_entries)));
     schedule_cache_.setMaxBytes(std::max(0L, budget.max_schedule_bytes));
-    router_.setPoolBudget(static_cast<std::size_t>(
-        std::max(0L, budget.max_route_entries)));
-    router_.setPoolMaxBytes(std::max(0L, budget.max_route_bytes));
     Memos &memo = memos();
     memo.phases.setCapacity(budget.max_schedule_entries);
     memo.phases.setMaxBytes(budget.max_schedule_bytes);

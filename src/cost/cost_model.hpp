@@ -211,7 +211,7 @@ class WaferCostModel
      * Applies the cost model's memo budgets (0 = unbounded): the
      * schedule cache and the phase memo take the net.schedule_cache
      * budgets, the stream-plan memo the layout budgets, the cell memo
-     * the eval.cache budgets, and the route pool its own. Const for
+     * the eval.cache budgets; routes are not budgeted. Const for
      * the same reason the caches are mutable: governance does not
      * change what a cost query computes, only what stays resident.
      */
@@ -223,7 +223,7 @@ class WaferCostModel
         return schedule_cache_.cacheStats();
     }
 
-    /// Governance counters of the router's route pool.
+    /// Governance counters of the router's memoized routes.
     common::CacheStats routePoolStats() const
     {
         return router_.poolStats();
@@ -289,8 +289,8 @@ class WaferCostModel
     mutable std::once_flag memos_once_;
     mutable std::unique_ptr<Memos> memos_;
     /// Registration id of the wafer epoch listener that eagerly
-    /// flushes the memos, the schedule cache and the route pool on
-    /// setFaults().
+    /// flushes the memos, the schedule cache and the stale route epoch
+    /// on setFaults().
     std::uint64_t epoch_listener_id_ = 0;
 };
 

@@ -133,7 +133,7 @@ class FaultMap
 
     /**
      * Monotonic mutation counter: bumped by every failLink() /
-     * setCoreFaultFraction() call. Fault-sensitive caches (route pools,
+     * setCoreFaultFraction() call. Fault-sensitive caches (route epochs,
      * schedule caches, per-link bandwidth snapshots) compare revisions
      * instead of hashing the fault set per lookup.
      */

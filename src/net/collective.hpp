@@ -52,7 +52,7 @@ struct CollectiveTask
  * `bytes`/`hops` columns plus all route links concatenated behind a
  * `link_begin` offset column (flow f's links are
  * links[link_begin[f] .. link_begin[f+1])). Contention evaluation walks
- * these contiguous arrays instead of chasing each flow's pooled Route
+ * these contiguous arrays instead of chasing each flow's Route
  * pointer; see src/net/README.md for the layout and dispatch rules.
  */
 struct FlowSoa

@@ -26,6 +26,7 @@
 #include <functional>
 #include <mutex>
 #include <span>
+#include <type_traits>
 #include <vector>
 
 #include "hw/config.hpp"
@@ -45,12 +46,15 @@ struct Flow
     DieId src = -1;
     DieId dst = -1;
     double bytes = 0.0;
-    /// Pooled, immutable route (invalid ref = no usable route).
+    /// Handle to the router's stored route (invalid ref = no usable
+    /// route).
     RouteRef route;
     /// Opaque tag identifying the parallel group / collective that owns
     /// this flow (used by the optimizer for redundant-path merging).
     int tag = 0;
 };
+static_assert(std::is_trivially_copyable_v<Flow>,
+              "flows are copied freely on the cost path");
 
 /**
  * Per-link accumulated byte loads.

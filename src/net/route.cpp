@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <deque>
 #include <mutex>
+#include <unordered_map>
 
 #include "common/logging.hpp"
 
@@ -23,6 +24,29 @@ endpointKey(DieId src, DieId dst, RoutePolicy policy)
 
 }  // namespace
 
+/// One fault epoch's routes. Append-only: deques never move their
+/// elements, so every RouteRef and candidate span handed out stays
+/// valid for the storage's lifetime.
+struct RouteEpoch
+{
+    explicit RouteEpoch(std::uint64_t rev) : revision(rev) {}
+
+    RouteRef add(Route route)
+    {
+        bytes += static_cast<long>(sizeof(Route) +
+                                   route.links.size() * sizeof(LinkId));
+        routes.push_back(std::move(route));
+        return RouteRef(&routes.back());
+    }
+
+    const std::uint64_t revision;
+    std::deque<Route> routes;
+    std::deque<std::vector<RouteRef>> candidate_lists;
+    std::unordered_map<std::uint64_t, RouteRef> safe;
+    std::unordered_map<std::uint64_t, std::span<const RouteRef>> candidates;
+    long bytes = 0;  ///< estimate of routes + candidate lists
+};
+
 const Route &
 RouteRef::get() const
 {
@@ -33,31 +57,6 @@ RouteRef::get() const
 Router::Router(const hw::MeshTopology &topo, const hw::FaultMap *faults)
     : topo_(topo), faults_(faults)
 {
-    // Pin checks: the pool holds one reference itself, so anything
-    // above it means live flows (cached schedules, iterating callers)
-    // still use the route — never evict those.
-    safe_pool_.setEvictable(
-        [](const RouteRef &ref) { return ref.shareCount() <= 1; });
-    candidate_pool_.setEvictable(
-        [](const std::shared_ptr<const std::vector<RouteRef>> &refs) {
-            return refs.use_count() <= 1;
-        });
-    safe_pool_.setByteEstimate([](std::uint64_t, const RouteRef &ref) {
-        return static_cast<long>(sizeof(RouteRef) + sizeof(Route) +
-                                 ref.links().size() * sizeof(LinkId));
-    });
-    candidate_pool_.setByteEstimate(
-        [](std::uint64_t,
-           const std::shared_ptr<const std::vector<RouteRef>> &refs) {
-            long bytes = static_cast<long>(sizeof(refs) +
-                                           sizeof(std::vector<RouteRef>));
-            if (refs != nullptr)
-                for (const RouteRef &ref : *refs)
-                    bytes += static_cast<long>(
-                        sizeof(RouteRef) + sizeof(Route) +
-                        ref.links().size() * sizeof(LinkId));
-            return bytes;
-        });
 }
 
 bool
@@ -228,18 +227,21 @@ Router::routeUsable(const Route &route) const
                        [this](LinkId l) { return linkUsable(l); });
 }
 
-void
-Router::refreshPoolLocked() const
+RouteEpoch &
+Router::currentLocked() const
 {
     const std::uint64_t revision = faultRevision();
-    if (revision == pool_revision_)
-        return;
-    // Fault state moved: every memoized route may now cross a failed
-    // link (or a better one may exist). Single-link routes survive —
-    // their usability is checked by the consumer, not baked in.
-    safe_pool_.clear();
-    candidate_pool_.clear();
-    pool_revision_ = revision;
+    if (epoch_ == nullptr || epoch_->revision != revision) {
+        // Fault state moved: every memoized route may now cross a
+        // failed link (or a better one may exist). Start a new epoch;
+        // the old one lives on only in the cached entries holding it.
+        epoch_ = std::make_shared<RouteEpoch>(revision);
+        std::erase_if(epochs_, [](const std::weak_ptr<const RouteEpoch> &e) {
+            return e.expired();
+        });
+        epochs_.push_back(epoch_);
+    }
+    return *epoch_;
 }
 
 RouteRef
@@ -247,144 +249,131 @@ Router::safeRouteRef(DieId src, DieId dst, RoutePolicy policy) const
 {
     const std::uint64_t revision = faultRevision();
     const std::uint64_t key = endpointKey(src, dst, policy);
-    const bool bounded =
-        pool_budget_.load(std::memory_order_relaxed) > 0 ||
-        pool_max_bytes_.load(std::memory_order_relaxed) > 0;
-    if (!bounded) {
-        std::shared_lock<std::shared_mutex> lock(pool_mutex_);
-        if (pool_revision_ == revision) {
-            if (const RouteRef *pooled = safe_pool_.peek(key)) {
+    {
+        std::shared_lock<std::shared_mutex> lock(mutex_);
+        if (epoch_ != nullptr && epoch_->revision == revision) {
+            auto it = epoch_->safe.find(key);
+            if (it != epoch_->safe.end()) {
                 ++pool_hits_;
-                return *pooled;
-            }
-        }
-    } else {
-        std::unique_lock<std::shared_mutex> lock(pool_mutex_);
-        if (pool_revision_ == revision) {
-            if (RouteRef *pooled = safe_pool_.touch(key)) {
-                ++pool_hits_;
-                return *pooled;
+                return it->second;
             }
         }
     }
     ++pool_misses_;
     std::optional<Route> found = safeRoute(src, dst, policy);
-    RouteRef ref = found ? RouteRef(std::move(*found)) : RouteRef();
-    std::unique_lock<std::shared_mutex> lock(pool_mutex_);
-    refreshPoolLocked();
+    std::unique_lock<std::shared_mutex> lock(mutex_);
+    RouteEpoch &epoch = currentLocked();
     // The fault map moved while this route was computed under the old
-    // one: return it (the pre-pool race semantics) but never persist it
-    // into the new epoch's pool.
-    if (pool_revision_ != revision)
-        return ref;
-    return *safe_pool_.insert(key, std::move(ref)).first;
+    // one: store it (callers hold the ref) but never index it in the
+    // new epoch.
+    if (epoch.revision != revision)
+        return found ? epoch.add(std::move(*found)) : RouteRef();
+    auto [it, inserted] = epoch.safe.try_emplace(key);
+    if (inserted && found)
+        it->second = epoch.add(std::move(*found));
+    return it->second;
 }
 
 RouteRef
 Router::linkRoute(LinkId link) const
 {
-    // Single-link routes depend only on the topology, never on faults.
-    {
-        std::shared_lock<std::shared_mutex> lock(pool_mutex_);
-        if (!link_pool_.empty() && link_pool_[link].valid())
-            return link_pool_[link];
-    }
-    std::unique_lock<std::shared_mutex> lock(pool_mutex_);
-    if (link_pool_.empty())
-        link_pool_.resize(topo_.linkCount());
-    if (!link_pool_[link].valid()) {
-        const hw::Link &l = topo_.link(link);
-        Route r;
-        r.src = l.src;
-        r.dst = l.dst;
-        r.links = {link};
-        link_pool_[link] = RouteRef(std::move(r));
-    }
-    return link_pool_[link];
+    // Built once, never resized: the refs stay valid for the router's
+    // lifetime.
+    std::call_once(link_routes_once_, [this] {
+        link_routes_.resize(static_cast<std::size_t>(topo_.linkCount()));
+        for (LinkId id = 0; id < topo_.linkCount(); ++id) {
+            const hw::Link &l = topo_.link(id);
+            Route &r = link_routes_[static_cast<std::size_t>(id)];
+            r.src = l.src;
+            r.dst = l.dst;
+            r.links = {id};
+        }
+    });
+    return RouteRef(&link_routes_[static_cast<std::size_t>(link)]);
 }
 
-std::shared_ptr<const std::vector<RouteRef>>
+std::span<const RouteRef>
 Router::candidateRouteRefs(DieId src, DieId dst) const
 {
     const std::uint64_t revision = faultRevision();
     const std::uint64_t key = endpointKey(src, dst, RoutePolicy::XY);
-    const bool bounded =
-        pool_budget_.load(std::memory_order_relaxed) > 0 ||
-        pool_max_bytes_.load(std::memory_order_relaxed) > 0;
-    if (!bounded) {
-        std::shared_lock<std::shared_mutex> lock(pool_mutex_);
-        if (pool_revision_ == revision) {
-            if (const auto *pooled = candidate_pool_.peek(key)) {
+    {
+        std::shared_lock<std::shared_mutex> lock(mutex_);
+        if (epoch_ != nullptr && epoch_->revision == revision) {
+            auto it = epoch_->candidates.find(key);
+            if (it != epoch_->candidates.end()) {
                 ++pool_hits_;
-                return *pooled;
-            }
-        }
-    } else {
-        std::unique_lock<std::shared_mutex> lock(pool_mutex_);
-        if (pool_revision_ == revision) {
-            if (auto *pooled = candidate_pool_.touch(key)) {
-                ++pool_hits_;
-                return *pooled;
+                return it->second;
             }
         }
     }
     ++pool_misses_;
     std::vector<Route> routes = candidateRoutes(src, dst);
-    auto refs = std::make_shared<std::vector<RouteRef>>();
-    refs->reserve(routes.size());
+    std::unique_lock<std::shared_mutex> lock(mutex_);
+    RouteEpoch &epoch = currentLocked();
+    if (epoch.revision == revision) {
+        auto it = epoch.candidates.find(key);
+        if (it != epoch.candidates.end())
+            return it->second;  // a racing miss stored it first
+    }
+    std::vector<RouteRef> &refs = epoch.candidate_lists.emplace_back();
+    refs.reserve(routes.size());
     for (Route &r : routes)
-        refs->emplace_back(std::move(r));
-    std::unique_lock<std::shared_mutex> lock(pool_mutex_);
-    refreshPoolLocked();
-    if (pool_revision_ != revision)
-        return refs;  // computed under a superseded fault map
-    return *candidate_pool_.insert(key, std::move(refs)).first;
+        refs.push_back(epoch.add(std::move(r)));
+    epoch.bytes += static_cast<long>(sizeof(refs) +
+                                     refs.size() * sizeof(RouteRef));
+    const std::span<const RouteRef> span(refs);
+    if (epoch.revision == revision)  // else computed under a stale map
+        epoch.candidates.emplace(key, span);
+    return span;
 }
 
-void
-Router::setPoolBudget(std::size_t max_entries) const
+RouteRef
+Router::intern(Route route) const
 {
-    std::unique_lock<std::shared_mutex> lock(pool_mutex_);
-    pool_budget_.store(max_entries, std::memory_order_relaxed);
-    safe_pool_.setCapacity(max_entries);
-    candidate_pool_.setCapacity(max_entries);
+    std::unique_lock<std::shared_mutex> lock(mutex_);
+    return currentLocked().add(std::move(route));
 }
 
-void
-Router::setPoolMaxBytes(long max_bytes) const
+std::shared_ptr<const RouteEpoch>
+Router::routeEpoch() const
 {
-    std::unique_lock<std::shared_mutex> lock(pool_mutex_);
-    if (max_bytes < 0)
-        max_bytes = 0;
-    pool_max_bytes_.store(max_bytes, std::memory_order_relaxed);
-    // The budget governs the combined pool footprint; split it evenly
-    // (never handing either pool a 0 = unbounded slice), the same
-    // partitioning the sharded caches use.
-    safe_pool_.setMaxBytes(max_bytes == 0 ? 0
-                                          : std::max(1L, max_bytes / 2));
-    candidate_pool_.setMaxBytes(
-        max_bytes == 0 ? 0 : std::max(1L, max_bytes - max_bytes / 2));
+    std::unique_lock<std::shared_mutex> lock(mutex_);
+    currentLocked();
+    return epoch_;
 }
 
 void
 Router::dropStaleRoutes() const
 {
-    std::unique_lock<std::shared_mutex> lock(pool_mutex_);
-    refreshPoolLocked();
+    std::unique_lock<std::shared_mutex> lock(mutex_);
+    if (epoch_ != nullptr && epoch_->revision != faultRevision())
+        epoch_.reset();
+}
+
+int
+Router::liveEpochs() const
+{
+    std::unique_lock<std::shared_mutex> lock(mutex_);
+    return static_cast<int>(std::count_if(
+        epochs_.begin(), epochs_.end(),
+        [](const std::weak_ptr<const RouteEpoch> &e) {
+            return !e.expired();
+        }));
 }
 
 common::CacheStats
 Router::poolStats() const
 {
-    std::unique_lock<std::shared_mutex> lock(pool_mutex_);
+    std::shared_lock<std::shared_mutex> lock(mutex_);
     common::CacheStats stats;
-    stats.entries = static_cast<long>(safe_pool_.size() +
-                                      candidate_pool_.size());
-    stats.bytes_est =
-        safe_pool_.bytesEstimate() + candidate_pool_.bytesEstimate();
+    if (epoch_ != nullptr) {
+        stats.entries = static_cast<long>(epoch_->safe.size() +
+                                          epoch_->candidates.size());
+        stats.bytes_est = epoch_->bytes;
+    }
     stats.hits = pool_hits_.load();
     stats.misses = pool_misses_.load();
-    stats.evictions = safe_pool_.evictions() + candidate_pool_.evictions();
     return stats;
 }
 

@@ -12,8 +12,10 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <shared_mutex>
+#include <span>
 #include <vector>
 
 #include "common/bounded_cache.hpp"
@@ -39,26 +41,28 @@ struct Route
 };
 
 /**
- * A shared handle to an immutable, pooled Route.
+ * One fault epoch's route storage (defined in route.cpp). Holding a
+ * shared reference keeps every route interned in that epoch alive.
+ */
+struct RouteEpoch;
+
+/**
+ * A non-owning handle to an immutable Route in a Router's storage.
  *
  * Flows reference routes through this instead of owning a Route copy,
- * so copying a flow (schedule-cache reuse, overlay combination) costs a
- * reference count instead of a LinkId-vector allocation. A
- * default-constructed ref reads as an empty route (no links), the state
- * of an infeasible transfer.
+ * so a Flow is trivially copyable and copying one (schedule-cache
+ * reuse, overlay combination) writes no shared state. Only the Router
+ * makes valid refs. A ref stays valid while its route's storage lives:
+ * link routes as long as the router, every other route as long as its
+ * fault epoch's storage (the router keeps the current epoch; cached
+ * schedules and stream plans each keep theirs). A default-constructed
+ * ref reads as an empty route (no links), the state of an infeasible
+ * transfer.
  */
 class RouteRef
 {
   public:
     RouteRef() = default;
-    RouteRef(std::shared_ptr<const Route> route) : route_(std::move(route))
-    {
-    }
-    /// Pools a one-off route value (ad-hoc flows, tests).
-    RouteRef(Route route)
-        : route_(std::make_shared<const Route>(std::move(route)))
-    {
-    }
 
     /// True when a route is attached (even a trivial src==dst one).
     bool valid() const { return route_ != nullptr; }
@@ -77,19 +81,12 @@ class RouteRef
         return route_ == other.route_ || links() == other.links();
     }
 
-    /**
-     * Number of RouteRefs sharing the underlying route (0 for an
-     * invalid ref). The router's pool eviction uses this as its pin
-     * check: a pooled route with a share count above the pool's own
-     * reference is held by live flows and must not be dropped.
-     */
-    long shareCount() const
-    {
-        return route_ ? static_cast<long>(route_.use_count()) : 0;
-    }
-
   private:
-    std::shared_ptr<const Route> route_;
+    friend class Router;
+    friend struct RouteEpoch;
+    explicit RouteRef(const Route *route) : route_(route) {}
+
+    const Route *route_ = nullptr;
 };
 
 /// Dimension order used for deterministic mesh routing.
@@ -139,16 +136,17 @@ class Router
         const;
 
     /**
-     * Memoized, pooled safeRoute(): the hot path of collective
-     * lowering. Returns an invalid (empty) ref when the destination is
-     * unreachable. Entries invalidate when the fault map's revision
-     * changes; thread-safe.
+     * Memoized safeRoute(): the hot path of collective lowering.
+     * Returns an invalid (empty) ref when the destination is
+     * unreachable. The route lives in the current fault epoch's
+     * storage; a moved fault revision starts a new epoch. Thread-safe.
      */
     RouteRef safeRouteRef(DieId src, DieId dst,
                           RoutePolicy policy = RoutePolicy::XY) const;
 
-    /// Pooled single-link route (broadcast trees, multicast branches).
-    /// Link routes are topology-only, so they never invalidate.
+    /// Single-link route (broadcast trees, multicast branches). Link
+    /// routes depend only on the topology and live as long as the
+    /// router.
     RouteRef linkRoute(LinkId link) const;
 
     /**
@@ -158,11 +156,22 @@ class Router
      */
     std::vector<Route> candidateRoutes(DieId src, DieId dst) const;
 
-    /// Memoized, pooled candidateRoutes() (same fault-revision
-    /// invalidation contract as safeRouteRef). The returned vector is
-    /// shared and immutable.
-    std::shared_ptr<const std::vector<RouteRef>> candidateRouteRefs(
-        DieId src, DieId dst) const;
+    /// Memoized candidateRoutes(), stored like safeRouteRef()'s routes;
+    /// the span lives as long as the current epoch's storage.
+    std::span<const RouteRef> candidateRouteRefs(DieId src,
+                                                 DieId dst) const;
+
+    /// Stores an ad-hoc route (tests, benches, hand-built flows) in
+    /// the current epoch's storage and returns its handle.
+    RouteRef intern(Route route) const;
+
+    /**
+     * The current fault epoch's route storage. A cache that keeps
+     * flows routed in this epoch (schedules, stream plans) holds one
+     * of these per entry, so the epoch's routes outlive a fault swap
+     * for as long as any such entry does.
+     */
+    std::shared_ptr<const RouteEpoch> routeEpoch() const;
 
     /// True if every link on the route is usable under the fault map.
     bool routeUsable(const Route &route) const;
@@ -176,62 +185,43 @@ class Router
     }
 
     /**
-     * Entry budget for each of the safe-route and candidate pools
-     * (0 = unbounded). Eviction is LRU but refcount-aware: a route
-     * (or candidate list) still referenced outside the pool — live
-     * flows in cached schedules, callers iterating candidates — is
-     * pinned and never dropped; consumers always keep their shared
-     * handles alive regardless. The per-link pool is topology-sized
-     * and stays unbudgeted.
-     */
-    void setPoolBudget(std::size_t max_entries) const;
-
-    /// Byte budget for each pool (0 = unbounded), over the pools'
-    /// honest route-footprint estimates; composes with the entry
-    /// budget and the same refcount-aware pinning applies.
-    void setPoolMaxBytes(long max_bytes) const;
-
-    /**
-     * Eagerly drops every pooled route computed under a superseded
-     * fault revision (no-op when the pool is current). Without this,
-     * the pool retains a dead epoch's routes until (unless) a next
-     * pooled lookup arrives — wired to the wafer's epoch listeners by
-     * the cost model so fault-injection sweeps don't accumulate them.
+     * Releases the router's hold on a superseded epoch's storage
+     * (no-op when it is current). The storage is freed once no cached
+     * entry holds it either. Wired to the wafer's epoch listeners by
+     * the cost model so fault-injection sweeps don't accumulate dead
+     * epochs.
      */
     void dropStaleRoutes() const;
 
-    /// Governance counters of the route pool (safe + candidate pools
-    /// combined; hits/misses cover the pooled lookups).
+    /// Epochs whose route storage is still alive (held by the router
+    /// or by cached entries).
+    int liveEpochs() const;
+
+    /// Counters of the memoized lookups (safeRouteRef and
+    /// candidateRouteRefs) over the current epoch's storage.
     common::CacheStats poolStats() const;
 
   private:
     bool linkUsable(LinkId link) const;
 
-    /// Drops memoized routes when the fault revision moved. Caller must
-    /// hold pool_mutex_ exclusively.
-    void refreshPoolLocked() const;
+    /// The current epoch's storage, started anew when the fault
+    /// revision moved. Caller must hold mutex_ exclusively.
+    RouteEpoch &currentLocked() const;
 
     const hw::MeshTopology &topo_;
     const hw::FaultMap *faults_;
 
-    /// Route pool: memoized safe routes and optimizer candidates, keyed
-    /// on (src, dst, policy), plus per-link single-hop routes. Reads
-    /// take the lock shared when unbounded (the warm-pool hot path;
-    /// bounded reads go exclusive to refresh LRU order); misses upgrade
-    /// to exclusive. Cleared when faults_->revision() changes; a route
-    /// computed while the revision moved is returned but never
-    /// persisted, so stale routes cannot leak into the new epoch.
-    mutable std::shared_mutex pool_mutex_;
-    mutable std::uint64_t pool_revision_ = 0;
-    /// Lockless mirrors of the pools' budgets (hit paths branch on
-    /// boundedness before locking).
-    mutable std::atomic<std::size_t> pool_budget_{0};
-    mutable std::atomic<long> pool_max_bytes_{0};
-    mutable common::LruMap<std::uint64_t, RouteRef> safe_pool_;
-    mutable common::LruMap<
-        std::uint64_t, std::shared_ptr<const std::vector<RouteRef>>>
-        candidate_pool_;
-    mutable std::vector<RouteRef> link_pool_;
+    /// Guards epoch_ and the storage it points to: lookups read it
+    /// under the shared lock, misses and interning append under the
+    /// exclusive one. Storage is append-only with stable addresses,
+    /// so handed-out refs never move.
+    mutable std::shared_mutex mutex_;
+    mutable std::shared_ptr<RouteEpoch> epoch_;
+    /// Every epoch started, for liveEpochs() (pruned as they expire).
+    mutable std::vector<std::weak_ptr<const RouteEpoch>> epochs_;
+    /// One route per link, built on the first linkRoute().
+    mutable std::once_flag link_routes_once_;
+    mutable std::vector<Route> link_routes_;
     mutable std::atomic<long> pool_hits_{0};
     mutable std::atomic<long> pool_misses_{0};
 };

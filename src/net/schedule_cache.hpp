@@ -3,15 +3,15 @@
  * Content-keyed cache of lowered collective schedules.
  *
  * Every (op, strategy) cost query lowers its collective tasks into
- * CommSchedules — ring rounds, pooled routes, payload accounting. The
+ * CommSchedules — ring rounds, memoized routes, payload accounting. The
  * same tasks recur millions of times across a DP matrix fill, refiner
  * fitness simulations and repeat solves, so the lowering is memoized
  * here on the task's content signature (kind, group, bytes, tag).
  *
  * Fault handling: entries are valid only for the fault epoch they were
- * lowered under (routes bake the fault state in). The cache stores the
+ * lowered under (routes bake the fault state in). Each shard stores the
  * epoch of its contents and flushes wholesale when a lookup arrives
- * with a newer epoch — one integer compare per lookup instead of
+ * with another epoch — one integer compare per lookup instead of
  * hashing the fault set. flushForEpoch() is the eager twin: the cost
  * model wires it to hw::Wafer's epoch listeners so a setFaults() drops
  * the dead epoch's entries immediately instead of holding them until
@@ -19,20 +19,32 @@
  *
  * Eviction: setMaxEntries() bounds the cache *within* the live epoch
  * (long-lived services sweep many task signatures through one epoch).
- * The store is an LRU; evicted tasks simply re-lower on return and
- * recount as lowerings, so results stay bit-identical under any
- * budget. Default 0 = unbounded, the historical behaviour.
+ * The store is an LRU per shard; evicted tasks simply re-lower on
+ * return and recount as lowerings, so results stay bit-identical under
+ * any budget. Default 0 = unbounded, the historical behaviour.
+ *
+ * Concurrency: the store is sharded by the signature hash. An
+ * unbounded hit takes only its shard's shared lock and bumps only that
+ * shard's counters. A miss marks its key in flight and lowers outside
+ * any lock; concurrent askers of that key wait for the one lowering and
+ * count a hit, so a task is still lowered exactly once per epoch.
  *
  * Cached schedules are shared immutable snapshots: consumers that
  * mutate (the traffic optimizer rewrites routes in place) must copy
- * first. Flow copies are cheap — routes are pooled RouteRefs.
+ * first. Flows are trivially copyable, and each cached schedule keeps
+ * its fault epoch's route storage alive, so a schedule stays readable
+ * after a fault swap for as long as the caller holds it.
  */
 #pragma once
 
 #include <atomic>
 #include <cstdint>
+#include <future>
 #include <memory>
+#include <mutex>
 #include <shared_mutex>
+#include <span>
+#include <unordered_map>
 
 #include "common/bounded_cache.hpp"
 #include "net/collective.hpp"
@@ -66,16 +78,17 @@ struct ScheduleCacheStats
 class ScheduleCache
 {
   public:
+    /// Allocates nothing: the shard table is built on the first lookup.
     explicit ScheduleCache(const CollectiveScheduler &scheduler);
 
     /**
      * Returns the (possibly cached) lowering of a task under the given
-     * fault epoch. Unbounded hits take the lock shared and allocate
-     * nothing (the task is probed through a non-owning key view;
-     * bounded hits take it exclusive to refresh LRU order); misses
-     * lower under the exclusive lock, so a task is lowered exactly
-     * once regardless of thread count and the counters stay
-     * deterministic.
+     * fault epoch. Unbounded hits take their shard's lock shared and
+     * allocate nothing (the task is probed through a non-owning key
+     * view); bounded hits take it exclusive to refresh LRU order. A
+     * miss lowers outside the lock while other askers of the same task
+     * wait for it, so a task is lowered exactly once regardless of
+     * thread count and the counters stay deterministic.
      *
      * @param hit Optional out-flag: true when served from the cache.
      */
@@ -85,26 +98,29 @@ class ScheduleCache
 
     /**
      * Cumulative counters since construction (survive epoch flushes
-     * and evictions). Snapshotted under the exclusive lock so the two
-     * counters are mutually consistent — two independent atomic loads
-     * could tear against a concurrent lookup (hits visible without its
-     * sibling lowering), making interval deltas transiently dishonest.
+     * and evictions), summed over the shards. Hits are read before
+     * lowerings: a hit on a task another thread lowered is counted
+     * after that lowering, so a snapshot never shows the hit without
+     * its lowering.
      */
-    ScheduleCacheStats stats() const
-    {
-        std::unique_lock<std::shared_mutex> lock(mutex_);
-        return {lowerings_.load(), hits_.load()};
-    }
+    ScheduleCacheStats stats() const;
 
     /// Governance counters (entries/bytes gauges, hit/miss/eviction
     /// totals) for CacheStatsRequest reporting.
     common::CacheStats cacheStats() const;
 
-    /// Entry budget within the live epoch (0 = unbounded).
+    /**
+     * Entry budget within the live epoch (0 = unbounded). Set before
+     * the first lookup, it makes the table a single shard, one LRU
+     * over the whole budget. A re-budget after the first lookup keeps
+     * the shard count and splits the budget over the shards, each
+     * keeping at least one entry.
+     */
     void setMaxEntries(std::size_t max_entries);
 
     /// Byte budget within the live epoch (0 = unbounded), over the
-    /// honest per-entry estimate (key group + arena).
+    /// honest per-entry estimate (key group + arena); composes with
+    /// the entry budget like it.
     void setMaxBytes(long max_bytes);
 
     /**
@@ -118,20 +134,18 @@ class ScheduleCache
     /// Entries currently cached (current epoch only).
     std::size_t size() const;
 
-    /// Drops all entries (counters are kept).
-    void clear();
-
     const CollectiveScheduler &scheduler() const { return scheduler_; }
 
   private:
     /// Owning map key: the task signature with its own group copy
-    /// (materialized on the miss path only).
+    /// (materialized on the miss path only) and its hash.
     struct Key
     {
         CollectiveKind kind;
         int tag;
         std::uint64_t bytes_bits;  ///< bit pattern of the double
         std::vector<DieId> group;
+        std::size_t hash;
     };
 
     /// Non-owning probe key so the hit path never copies the group.
@@ -141,13 +155,14 @@ class ScheduleCache
         int tag;
         std::uint64_t bytes_bits;
         const std::vector<DieId> *group;
+        std::size_t hash;
     };
 
     struct KeyHash
     {
         using is_transparent = void;
-        std::size_t operator()(const Key &key) const;
-        std::size_t operator()(const KeyView &key) const;
+        std::size_t operator()(const Key &key) const { return key.hash; }
+        std::size_t operator()(const KeyView &key) const { return key.hash; }
     };
 
     struct KeyEqual
@@ -158,20 +173,53 @@ class ScheduleCache
         bool operator()(const KeyView &a, const Key &b) const;
     };
 
+    using Schedule = std::shared_ptr<const CommSchedule>;
+
+    /// One slice of the store. Aligned so shards never share a cache
+    /// line: the hit path writes its shard's lock and counters only.
+    struct alignas(64) Shard
+    {
+        /// Unbounded hits read-lock; bounded hits, misses, budget
+        /// changes and epoch flushes write-lock.
+        mutable std::shared_mutex mutex;
+        std::uint64_t epoch = 0;
+        /// Bumped by every flush, so a lowering that outlived one
+        /// leaves the new contents alone.
+        std::uint64_t generation = 0;
+        /// The router's route storage for this epoch, fetched on the
+        /// shard's first miss in it; each entry copies the reference,
+        /// so a lowering does not take the router's lock.
+        std::shared_ptr<const RouteEpoch> routes;
+        common::LruMap<Key, Schedule, KeyHash, KeyEqual> map;
+        /// Keys being lowered, each with the future its waiters read.
+        std::unordered_map<Key, std::shared_future<Schedule>, KeyHash,
+                           KeyEqual>
+            in_flight;
+        std::atomic<long> lowerings{0};
+        std::atomic<long> hits{0};
+    };
+
+    /// The shard of a signature hash, building the table on first use.
+    Shard &shardFor(std::size_t hash);
+    /// The built shards (empty before the first lookup).
+    std::span<Shard> shards() const;
+    /// Splits the budgets over the shards. Caller holds budget_mutex_.
+    void applyBudgetsLocked();
+    /// Drops the shard's contents (and in-flight marks) when
+    /// `fault_epoch` is not theirs. Caller holds the shard's lock
+    /// exclusively.
+    static void flushLocked(Shard &shard, std::uint64_t fault_epoch);
+
     const CollectiveScheduler &scheduler_;
-    /// Unbounded hits read-lock; bounded hits, misses, budget changes
-    /// and epoch flushes write-lock.
-    mutable std::shared_mutex mutex_;
-    std::uint64_t epoch_ = 0;
-    /// Mirrors of the LruMap budgets, readable without the lock (the
-    /// hit path branches on boundedness before locking).
+    std::once_flag shards_once_;
+    std::unique_ptr<Shard[]> shards_;
+    std::atomic<std::size_t> shard_count_{0};
+    /// Serialises re-budgeting with the table build.
+    std::mutex budget_mutex_;
+    /// The budgets, readable without a lock (the hit path branches on
+    /// boundedness before locking).
     std::atomic<std::size_t> max_entries_{0};
     std::atomic<long> max_bytes_{0};
-    common::LruMap<Key, std::shared_ptr<const CommSchedule>, KeyHash,
-                   KeyEqual>
-        cache_;
-    std::atomic<long> lowerings_{0};
-    std::atomic<long> hits_{0};
 };
 
 }  // namespace temp::net

@@ -50,7 +50,7 @@ namespace temp::persist {
 
 /// Format version; bump on any layout change or any change to the
 /// byte form of a block key (old files cold-start).
-inline constexpr std::uint32_t kFormatVersion = 4;
+inline constexpr std::uint32_t kFormatVersion = 5;
 
 /// The serialized memo contents of one framework, addressed by the
 /// same canonical key the service's framework cache uses.

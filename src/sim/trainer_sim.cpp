@@ -199,12 +199,13 @@ TrainingSimulator::simulateMicro(const model::ComputeGraph &graph,
     std::vector<cost::OpCostBreakdown> cells;
     cells.reserve(graph.opCount());
     double first_activation_bytes = 0.0;
+    // A breadth-first search over the fault map: once per call.
+    const int usable_dies = wafer_.usableDieCount();
 
     for (int i = 0; i < graph.opCount(); ++i) {
         const model::Operator &op = graph.op(i);
         const ParallelSpec &spec = per_op_specs[i];
-        if (!spec.valid() ||
-            spec.totalDegree() > wafer_.usableDieCount()) {
+        if (!spec.valid() || spec.totalDegree() > usable_dies) {
             report.feasible = false;
             return report;
         }

@@ -144,6 +144,7 @@ TatpExecutor::planStream(std::vector<ChainInfo> chains, int degree,
     if (degree <= 1)
         return plan;
 
+    plan.routes = router.routeEpoch();
     const BidirectionalOrchestrator orch(degree);
     const std::vector<TransferTask> &transfers = orch.rounds()[0].transfers;
     plan.round0.reserve(plan.chains.size() * transfers.size());

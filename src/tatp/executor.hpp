@@ -57,6 +57,9 @@ struct StreamPlan
     std::vector<net::Flow> round0;
     /// False when some neighbour pair has no usable route.
     bool feasible = true;
+    /// Keeps round0's routes alive across a fault swap while the plan
+    /// is cached.
+    std::shared_ptr<const net::RouteEpoch> routes;
 
     /// Heap footprint estimate (cache byte budgets).
     long byteEstimate() const;

@@ -29,10 +29,11 @@ TrafficOptimizer::optimize(net::CommSchedule &schedule) const
     OptimizationStats total;
     // The arena is rebuilt run by run through a reused scratch vector:
     // path merging can change a round's flow count, so rounds cannot be
-    // rewritten in place. Flow copies are RouteRef-cheap. optimizePhase
-    // is a pure function of its flows, so each stored run is optimized
-    // once and keeps its repeat; its stats count once per executed
-    // round.
+    // rewritten in place. Flows are trivially copyable (a route is a
+    // non-owning handle), so the copies write no shared state.
+    // optimizePhase is a pure function of its flows, so each stored run
+    // is optimized once and keeps its repeat; its stats count once per
+    // executed round.
     net::CommSchedule rebuilt;
     rebuilt.payload_bytes = schedule.payload_bytes;
     rebuilt.feasible = schedule.feasible;
@@ -213,13 +214,13 @@ TrafficOptimizer::rerouteCongested(std::vector<Flow> &flows,
             return peak;
         };
 
-        // Candidates come from the router's pooled memo, so the reroute
-        // loop allocates nothing per flow.
-        const std::shared_ptr<const std::vector<net::RouteRef>> candidates =
+        // Candidates come from the router's memo, so the reroute loop
+        // allocates nothing per flow.
+        const std::span<const net::RouteRef> candidates =
             router_.candidateRouteRefs(flow.src, flow.dst);
         net::RouteRef best = flow.route;
         double best_peak = route_peak(flow.route);
-        for (const net::RouteRef &cand : *candidates) {
+        for (const net::RouteRef &cand : candidates) {
             const double peak = route_peak(cand);
             if (peak < best_peak) {
                 best_peak = peak;

@@ -53,32 +53,20 @@ TEST(LruMap, EvictsLeastRecentlyUsedAndCountsEvictions)
     EXPECT_EQ(map.evictions(), 2);
 }
 
-TEST(LruMap, PinnedEntriesSurviveEvictionAndMruIsNeverDropped)
+TEST(LruMap, MruIsNeverDropped)
 {
-    common::LruMap<int, std::shared_ptr<int>> map(2);
-    map.setEvictable([](const std::shared_ptr<int> &v) {
-        return v.use_count() <= 1;  // pinned while a caller holds it
-    });
-    auto pinned_a = std::make_shared<int>(1);
-    auto pinned_b = std::make_shared<int>(2);
-    map.insert(1, pinned_a);
-    map.insert(2, pinned_b);
-    // Everything is pinned: the insert may transiently exceed the
-    // budget rather than drop live data, and the freshly inserted
-    // (MRU) entry is never evicted even though it is the only
-    // unpinned one.
-    auto [resident, inserted] = map.insert(3, std::make_shared<int>(3));
+    // A byte budget smaller than one entry: every insert is over
+    // budget, yet the freshly inserted (MRU) entry stays resident and
+    // the pointer insert() returns stays valid.
+    common::LruMap<int, std::shared_ptr<int>> map;
+    map.setMaxBytes(1);
+    map.insert(1, std::make_shared<int>(1));
+    auto [resident, inserted] = map.insert(2, std::make_shared<int>(2));
     EXPECT_TRUE(inserted);
-    EXPECT_EQ(**resident, 3);  // the returned pointer stays valid
-    EXPECT_EQ(map.size(), 3u);
-    EXPECT_EQ(map.evictions(), 0);
-
-    // Unpinning makes the stale entries evictable on the next insert.
-    pinned_a.reset();
-    pinned_b.reset();
-    map.insert(4, std::make_shared<int>(4));
-    EXPECT_LE(map.size(), 2u);
-    EXPECT_GT(map.evictions(), 0);
+    EXPECT_EQ(**resident, 2);
+    EXPECT_EQ(map.size(), 1u);
+    EXPECT_EQ(map.peek(1), nullptr);
+    EXPECT_EQ(map.evictions(), 1);
 }
 
 TEST(BoundedCache, EvictedKeysRecountAsMissesHonestly)
@@ -193,9 +181,8 @@ fastOptions()
     return options;
 }
 
-/// The issue's acceptance budget: two entries per memo layer (the
-/// route pool gets room for its pinned entries — routes referenced by
-/// live flows are never dropped).
+/// Two entries per budgeted memo layer (routes are not budgeted: they
+/// live in per-epoch storage that cached entries keep alive).
 common::CacheBudget
 tinyBudget()
 {
@@ -204,7 +191,6 @@ tinyBudget()
     budget.max_step_entries = 2;
     budget.max_layout_entries = 2;
     budget.max_schedule_entries = 2;
-    budget.max_route_entries = 1024;
     return budget;
 }
 

@@ -8,6 +8,7 @@
 #include <atomic>
 #include <cmath>
 #include <future>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -295,6 +296,73 @@ TEST(ThreadPoolLazyStart, ConcurrentFirstJobsStartOnce)
         EXPECT_EQ(a[i].load(), 1);
         EXPECT_EQ(b[i].load(), 1);
     }
+}
+
+// ---------------------------------------------------------------------
+// ThreadPool: lock-free index claiming.
+// ---------------------------------------------------------------------
+
+TEST(ThreadPoolClaiming, EveryIndexRunsExactlyOnce)
+{
+    // Indices are claimed with one atomic fetch_add each; many short
+    // back-to-back jobs also check that a worker never carries a claim
+    // from one job into the next.
+    ThreadPool pool(4);
+    std::vector<std::atomic<int>> runs(100000);
+    pool.parallelFor(runs.size(), [&](std::size_t i) { ++runs[i]; });
+    for (const std::atomic<int> &count : runs)
+        ASSERT_EQ(count.load(), 1);
+    for (int job = 0; job < 200; ++job) {
+        std::vector<std::atomic<int>> small(3 + job % 7);
+        pool.parallelFor(small.size(), [&](std::size_t i) { ++small[i]; });
+        for (const std::atomic<int> &count : small)
+            ASSERT_EQ(count.load(), 1) << "job " << job;
+    }
+}
+
+TEST(ThreadPoolClaiming, FirstExceptionPropagatesAndThePoolStaysUsable)
+{
+    ThreadPool pool(4);
+    std::atomic<int> ran{0};
+    EXPECT_THROW(pool.parallelFor(1000,
+                                  [&](std::size_t i) {
+                                      ++ran;
+                                      if (i % 100 == 7)
+                                          throw std::runtime_error("boom");
+                                  }),
+                 std::runtime_error);
+    // A throwing index does not stop the others from being claimed.
+    EXPECT_EQ(ran.load(), 1000);
+    std::vector<std::atomic<int>> runs(500);
+    pool.parallelFor(runs.size(), [&](std::size_t i) { ++runs[i]; });
+    for (const std::atomic<int> &count : runs)
+        EXPECT_EQ(count.load(), 1);
+}
+
+TEST(ThreadPoolClaiming, NestedSubmitAndParallelForComplete)
+{
+    // Submitted tasks run loops on the same pool: the calling worker
+    // runs its share, so nesting cannot deadlock.
+    ThreadPool pool(4);
+    std::vector<std::future<long>> futures;
+    for (int t = 0; t < 6; ++t)
+        futures.push_back(pool.submit([&pool, t] {
+            std::vector<long> out(1000);
+            pool.parallelFor(out.size(), [&](std::size_t i) {
+                out[i] = static_cast<long>(i) * t;
+            });
+            long sum = 0;
+            for (long v : out)
+                sum += v;
+            return sum;
+        }));
+    std::vector<std::atomic<int>> outer(2000);
+    pool.parallelFor(outer.size(), [&](std::size_t i) { ++outer[i]; });
+    for (int t = 0; t < 6; ++t)
+        EXPECT_EQ(futures[static_cast<std::size_t>(t)].get(),
+                  499500L * t);
+    for (const std::atomic<int> &count : outer)
+        EXPECT_EQ(count.load(), 1);
 }
 
 }  // namespace

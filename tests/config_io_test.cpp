@@ -195,7 +195,8 @@ TEST(ConfigDeath, RejectsRemovedSolverKnobs)
          {"solver.enable_ga", "solver.annealing.iterations",
           "solver.annealing.proposals", "solver.annealing.initial_temp",
           "solver.annealing.cooling", "solver.use_surrogate",
-          "solver.surrogate_sample_fraction"})
+          "solver.surrogate_sample_fraction", "net.route_pool.max_entries",
+          "net.route_pool.max_bytes"})
         EXPECT_EXIT(frameworkOptionsFromConfig(parseConfigText(
                         std::string(key) + " = 1\n")),
                     ::testing::ExitedWithCode(1), "unknown options key");

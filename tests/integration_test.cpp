@@ -2,10 +2,12 @@
  * @file
  * Cross-module integration and property tests: conservation laws that
  * must hold for every spec (work, parameters), simulator monotonicity,
- * baseline-family structure and fault-aware layout.
+ * baseline-family structure, fault-aware layout, and answers that do
+ * not depend on the evaluation width.
  */
 #include <gtest/gtest.h>
 
+#include "api/serialize.hpp"
 #include "baselines/strategies.hpp"
 #include "core/framework.hpp"
 
@@ -265,6 +267,51 @@ TEST(FaultAware, SolverCoversSurvivingDies)
     // With 31 usable dies, dense-DP enumeration still covers > half.
     for (const auto &s : result.per_op_specs)
         EXPECT_GT(s.totalDegree(), 15);
+}
+
+TEST(EvalWidth, TableTwoAnswersAreBitIdenticalAcrossEvalThreads)
+{
+    // Every Table II model under every level-2 engine, solved cold on
+    // a fresh framework at 1, 2 and 4 eval threads: the plan, the
+    // exact step time, the full report and the work counters
+    // must not see the width.
+    for (const model::ModelConfig &model : model::evaluationModels()) {
+        for (solver::SearchEngineKind engine :
+             {solver::SearchEngineKind::NoRefine,
+              solver::SearchEngineKind::Genetic,
+              solver::SearchEngineKind::BeamTabu}) {
+            std::vector<solver::SolverResult> results;
+            for (int threads : {1, 2, 4}) {
+                core::FrameworkOptions options;
+                options.eval_threads = threads;
+                options.solver.engine = engine;
+                const core::TempFramework framework(
+                    hw::WaferConfig::paperDefault(), options);
+                results.push_back(framework.optimize(model));
+            }
+            const std::string label =
+                model.name + " / " + solver::searchEngineName(engine);
+            ASSERT_TRUE(results[0].feasible) << label;
+            for (std::size_t r = 1; r < results.size(); ++r) {
+                EXPECT_EQ(results[r].per_op_specs, results[0].per_op_specs)
+                    << label;
+                EXPECT_EQ(results[r].step_time_s, results[0].step_time_s)
+                    << label;
+                EXPECT_EQ(api::toJson(results[r].report),
+                          api::toJson(results[0].report))
+                    << label;
+                EXPECT_EQ(results[r].step_sims, results[0].step_sims)
+                    << label;
+                EXPECT_EQ(results[r].quanta_used, results[0].quanta_used)
+                    << label;
+                EXPECT_EQ(results[r].evaluations, results[0].evaluations)
+                    << label;
+                EXPECT_EQ(results[r].matrix_measurements,
+                          results[0].matrix_measurements)
+                    << label;
+            }
+        }
+    }
 }
 
 }  // namespace

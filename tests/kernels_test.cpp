@@ -283,7 +283,7 @@ TEST(ContentionSoa, ZeroByteFlowsAreExact)
         f.src = src;
         f.dst = dst;
         f.bytes = bytes;
-        f.route = router.route(src, dst);
+        f.route = router.intern(router.route(src, dst));
         s.addFlow(f);
     };
     add(0, 5, 0.0);  // zero-byte flow still occupies its route
@@ -315,7 +315,7 @@ TEST(ContentionSoaDeathTest, DeadLinkPanicsInBothModes)
     f.src = 0;
     f.dst = 1;
     f.bytes = 1e6;
-    f.route = router.route(0, 1);
+    f.route = router.intern(router.route(0, 1));
     net::CommSchedule s;
     s.addFlow(f);
     s.sealRound();
@@ -382,7 +382,7 @@ TEST(LinkLoadMapStats, MatchDenseReferenceUnderChurn)
             DieId dst = die(rng);
             if (dst == src)
                 dst = (dst + 1) % mesh.dieCount();
-            Added a{router.route(src, dst), bytes(rng)};
+            Added a{router.intern(router.route(src, dst)), bytes(rng)};
             map.add(a.route, a.bytes);
             for (LinkId l : a.route.links())
                 dense[l] += a.bytes;

@@ -174,7 +174,7 @@ TEST(ContentionProperty, AddingFlowsNeverSpeedsUpPhase)
         if (f.src == f.dst)
             f.dst = (f.dst + 1) % 32;
         f.bytes = 32e6;
-        f.route = router.route(f.src, f.dst);
+        f.route = router.intern(router.route(f.src, f.dst));
         flows.push_back(f);
         const double t = model.evaluate(flows).time_s;
         EXPECT_GE(t, prev - 1e-15) << "after flow " << i;
@@ -191,7 +191,7 @@ TEST(ContentionProperty, SerialTimeScalesLinearlyWithBytes)
     f.src = 0;
     f.dst = 7;
     f.bytes = 1e6;
-    f.route = router.route(0, 7);
+    f.route = router.intern(router.route(0, 7));
     const double t1 = model.evaluate({f}).serial_time_s;
     f.bytes = 4e6;
     const double t4 = model.evaluate({f}).serial_time_s;
@@ -224,7 +224,7 @@ TEST(ContentionProperty, BottleneckIdentificationMatchesMaxLoad)
         f.src = 0;
         f.dst = dst;
         f.bytes = 1e6;
-        f.route = router.route(0, dst);
+        f.route = router.intern(router.route(0, dst));
         flows.push_back(f);
     }
     const PhaseTiming t = model.evaluate(flows);

@@ -148,7 +148,7 @@ TEST(Contention, SingleFlowTime)
     flow.src = 0;
     flow.dst = 7;
     flow.bytes = 4e9;  // 4 GB over 4 TB/s = 1 ms
-    flow.route = router.route(0, 7);
+    flow.route = router.intern(router.route(0, 7));
     const PhaseTiming t = model.evaluate({flow});
     EXPECT_NEAR(t.time_s, 1e-3 + 7 * 200e-9, 1e-9);
     EXPECT_EQ(t.max_hops, 7);
@@ -166,12 +166,12 @@ TEST(Contention, SharedLinkDoublesTime)
     a.src = 0;
     a.dst = 2;
     a.bytes = 1e9;
-    a.route = router.route(0, 2);
+    a.route = router.intern(router.route(0, 2));
     Flow b;
     b.src = 1;
     b.dst = 3;
     b.bytes = 1e9;
-    b.route = router.route(1, 3);
+    b.route = router.intern(router.route(1, 3));
 
     const double solo = model.evaluate({a}).time_s;
     const double both = model.evaluate({a, b}).time_s;
@@ -191,12 +191,12 @@ TEST(Contention, DisjointFlowsRunConcurrently)
     a.src = mesh.dieAt(0, 0);
     a.dst = mesh.dieAt(0, 1);
     a.bytes = 1e9;
-    a.route = router.route(a.src, a.dst);
+    a.route = router.intern(router.route(a.src, a.dst));
     Flow b;
     b.src = mesh.dieAt(1, 0);
     b.dst = mesh.dieAt(1, 1);
     b.bytes = 1e9;
-    b.route = router.route(b.src, b.dst);
+    b.route = router.intern(router.route(b.src, b.dst));
     const double solo = model.evaluate({a}).time_s;
     const double both = model.evaluate({a, b}).time_s;
     EXPECT_NEAR(both, solo, 1e-12);
@@ -218,7 +218,7 @@ TEST(Contention, SequenceSumsRounds)
     f.src = 0;
     f.dst = 1;
     f.bytes = 1e9;
-    f.route = router.route(0, 1);
+    f.route = router.intern(router.route(0, 1));
     const PhaseTiming t = model.evaluateSequence({{f}, {f}, {f}});
     EXPECT_NEAR(t.time_s, 3e-3, 1e-12);
     EXPECT_DOUBLE_EQ(t.total_bytes, 3e9);

@@ -256,7 +256,6 @@ TEST(ServiceWarmStart, ByteBudgetedCachesStayBitIdentical)
     request.options.cache.max_step_bytes = 128 << 10;
     request.options.cache.max_layout_bytes = 256 << 10;
     request.options.cache.max_schedule_bytes = 256 << 10;
-    request.options.cache.max_route_bytes = 1 << 20;
 
     api::OptimizeRequest unbounded = testRequest();
 

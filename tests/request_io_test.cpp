@@ -231,7 +231,8 @@ TEST(RequestParse, RejectsRemovedSolverKnobs)
          {"solver.enable_ga", "solver.annealing.iterations",
           "solver.annealing.proposals", "solver.annealing.initial_temp",
           "solver.annealing.cooling", "solver.use_surrogate",
-          "solver.surrogate_sample_fraction"})
+          "solver.surrogate_sample_fraction", "net.route_pool.max_entries",
+          "net.route_pool.max_bytes"})
         expectReject(head + "\"" + key + "\":1}}",
                      "unknown options key '" + std::string(key) + "'");
     // Process-local keys are config-only: a request cannot carry them.
@@ -381,17 +382,16 @@ TEST(OptionsSchema, EveryRowRoundTripsAndKeysByScope)
         "\"eval.cache.max_step_entries\":0,"
         "\"eval.cache.max_layouts\":0,"
         "\"net.schedule_cache.max_entries\":0,"
-        "\"net.route_pool.max_entries\":0,\"eval.cache.max_bytes\":0,"
+        "\"eval.cache.max_bytes\":0,"
         "\"eval.cache.max_step_bytes\":0,"
         "\"eval.cache.max_layout_bytes\":0,"
-        "\"net.schedule_cache.max_bytes\":0,"
-        "\"net.route_pool.max_bytes\":0}");
+        "\"net.schedule_cache.max_bytes\":0}");
     // The snapshot block key form: changing these bytes requires a
     // persist::kFormatVersion bump.
     EXPECT_EQ(optionsKey(defaults),
               "2|0|1|1|2|2|2|12|1|16|20|0.25|1|0|0|1|0|1|1|0|1|1048576|32|"
-              "1|0|0|0|0|0|0|0|0|0|0|");
-    EXPECT_EQ(core::optionRows().size(), 40u);
+              "1|0|0|0|0|0|0|0|0|");
+    EXPECT_EQ(core::optionRows().size(), 38u);
 
     for (const core::OptionRow &row : core::optionRows()) {
         SCOPED_TRACE(row.key);

@@ -3,11 +3,15 @@
  * Tests for the network hot path's schedule layer: ScheduleCache
  * hit/miss accounting, bit-exact cached vs. uncached timings,
  * fault-epoch invalidation (injected faults must not reuse stale
- * routes), flat-arena CommSchedule invariants, and determinism of the
- * whole stack across eval_threads.
+ * routes), flat-arena CommSchedule invariants, concurrent cold
+ * lookups (each task lowered once, outside the lock), the lifetime of
+ * per-epoch route storage, and determinism of the whole stack across
+ * eval_threads.
  */
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <thread>
 #include <vector>
 
 #include "core/framework.hpp"
@@ -16,6 +20,8 @@
 #include "model/model_zoo.hpp"
 #include "net/collective.hpp"
 #include "net/schedule_cache.hpp"
+#include "sim/trainer_sim.hpp"
+#include "solver/strategy_space.hpp"
 
 namespace temp::net {
 namespace {
@@ -222,6 +228,136 @@ TEST(ScheduleCache, SolveIsDeterministicAcrossEvalThreads)
         static_cast<double>(r1.schedule_lowerings +
                             r1.schedule_cache_hits);
     EXPECT_GT(hit_rate, 0.5);
+}
+
+/// Runs `lookups` lookups per thread on 4 threads over `unique`
+/// overlapping tasks (each thread starts at a different offset).
+void
+lookUpConcurrently(ScheduleCache &cache, std::uint64_t epoch, int unique,
+                   int lookups)
+{
+    std::vector<std::thread> threads;
+    for (int t = 0; t < 4; ++t)
+        threads.emplace_back([&, t] {
+            for (int i = 0; i < lookups; ++i) {
+                const int k = (i + 7 * t) % unique;
+                const auto schedule = cache.lowered(
+                    allReduceTask({0, 1, 2, 3, 4, 5}, 1e6 * (1 + k % 3),
+                                  k),
+                    epoch);
+                ASSERT_TRUE(schedule->feasible);
+            }
+        });
+    for (std::thread &thread : threads)
+        thread.join();
+}
+
+TEST(ScheduleCache, ColdConcurrentLookupsLowerEachTaskOnce)
+{
+    // Four threads miss on the same cold keys at once: one lowers
+    // (outside the lock), the others wait for it and count a hit.
+    hw::Wafer wafer(hw::WaferConfig::paperDefault());
+    Router router(wafer.topology(), &wafer.faults());
+    CollectiveScheduler scheduler(router);
+    constexpr int kUnique = 24;
+    constexpr int kLookups = 300;
+    for (int round = 0; round < 5; ++round) {
+        ScheduleCache cache(scheduler);
+        lookUpConcurrently(cache, wafer.faultEpoch(), kUnique, kLookups);
+        const ScheduleCacheStats stats = cache.stats();
+        EXPECT_EQ(stats.lowerings, kUnique);
+        EXPECT_EQ(stats.lowerings + stats.hits, 4L * kLookups);
+        EXPECT_EQ(cache.size(), static_cast<std::size_t>(kUnique));
+    }
+
+    // Budget 2, set before the first lookup: at most two entries ever,
+    // evicted tasks re-lower, and the books still balance.
+    ScheduleCache bounded(scheduler);
+    bounded.setMaxEntries(2);
+    lookUpConcurrently(bounded, wafer.faultEpoch(), kUnique, kLookups);
+    const ScheduleCacheStats stats = bounded.stats();
+    EXPECT_LE(bounded.size(), 2u);
+    EXPECT_LE(bounded.cacheStats().entries, 2);
+    EXPECT_GT(stats.lowerings, kUnique);
+    EXPECT_EQ(stats.lowerings + stats.hits, 4L * kLookups);
+}
+
+TEST(RouteEpochs, CachedScheduleStaysReadableAfterSetFaults)
+{
+    // A cached schedule holds its epoch's route storage: after the
+    // fault swap flushes the cache and the router lets go of the old
+    // epoch (what the cost model's epoch listener does), a caller still
+    // holding the schedule reads valid routes (ASan turns a dangling
+    // read here into a failure).
+    hw::Wafer wafer(hw::WaferConfig::paperDefault());
+    Router router(wafer.topology(), &wafer.faults());
+    CollectiveScheduler scheduler(router);
+    ScheduleCache cache(scheduler);
+    const std::uint64_t listener =
+        wafer.addEpochListener([&](std::uint64_t epoch) {
+            cache.flushForEpoch(epoch);
+            router.dropStaleRoutes();
+        });
+    const CollectiveTask task =
+        allReduceTask({0, 1, 2, 3, 11, 10, 9, 8}, 8e6);
+    std::shared_ptr<const CommSchedule> held =
+        cache.lowered(task, wafer.faultEpoch());
+    std::vector<std::vector<LinkId>> expected;
+    for (const Flow &flow : held->flows())
+        expected.push_back(flow.route.links());
+    EXPECT_EQ(router.liveEpochs(), 1);
+
+    hw::FaultMap faults(wafer.dieCount(), wafer.topology().linkCount());
+    faults.failLink(wafer.topology().linkId(1, 2));
+    wafer.setFaults(faults);
+    EXPECT_EQ(cache.size(), 0u);
+    EXPECT_EQ(router.liveEpochs(), 1);  // only `held` keeps it
+
+    // A lookup in the new epoch starts new storage beside the old one.
+    const auto degraded = cache.lowered(task, wafer.faultEpoch());
+    EXPECT_TRUE(degraded->feasible);
+    EXPECT_EQ(router.liveEpochs(), 2);
+
+    ASSERT_EQ(held->flows().size(), expected.size());
+    for (std::size_t f = 0; f < expected.size(); ++f) {
+        EXPECT_TRUE(held->flows()[f].route.valid());
+        EXPECT_EQ(held->flows()[f].route.links(), expected[f]);
+    }
+    held.reset();
+    EXPECT_EQ(router.liveEpochs(), 1);
+    wafer.removeEpochListener(listener);
+}
+
+TEST(RouteEpochs, CostModelCycledThroughFaultEpochsRetainsAtMostTwo)
+{
+    hw::Wafer wafer(hw::WaferConfig::paperDefault());
+    const core::FrameworkOptions options;
+    const sim::TrainingSimulator sim(wafer, options.policy,
+                                     options.training);
+    const model::ModelConfig model = model::modelByName("GPT-3 6.7B");
+    const model::ComputeGraph graph =
+        model::ComputeGraph::transformer(model);
+    // Plans with TATP streams, so stream plans hold routes as well as
+    // schedules.
+    std::vector<parallel::ParallelSpec> plans;
+    for (const parallel::ParallelSpec &spec : solver::enumerateStrategies(
+             wafer.dieCount(), model, solver::StrategySpaceOptions{}))
+        if (spec.tatp > 1 && plans.size() < 4)
+            plans.push_back(spec);
+    ASSERT_FALSE(plans.empty());
+
+    const net::Router &router = sim.costModel().router();
+    const int links = wafer.topology().linkCount();
+    for (int epoch = 0; epoch < 20; ++epoch) {
+        hw::FaultMap faults(wafer.dieCount(), links);
+        faults.failLink((epoch * 37) % links);
+        wafer.setFaults(faults);
+        for (const parallel::ParallelSpec &spec : plans)
+            (void)sim.simulate(graph, spec);
+        EXPECT_GT(sim.costModel().routePoolStats().entries, 0);
+        EXPECT_GE(router.liveEpochs(), 1);
+        EXPECT_LE(router.liveEpochs(), 2) << "epoch " << epoch;
+    }
 }
 
 }  // namespace

@@ -34,7 +34,7 @@ makeFlow(const net::Router &router, DieId src, DieId dst, double bytes,
     f.src = src;
     f.dst = dst;
     f.bytes = bytes;
-    f.route = router.route(src, dst);
+    f.route = router.intern(router.route(src, dst));
     f.tag = tag;
     return f;
 }
