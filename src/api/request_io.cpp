@@ -1,8 +1,6 @@
 #include "api/request_io.hpp"
 
-#include <cctype>
 #include <cmath>
-#include <cstdlib>
 #include <stdexcept>
 
 #include "api/serialize.hpp"
@@ -22,17 +20,10 @@ struct ParseError : std::runtime_error
     using std::runtime_error::runtime_error;
 };
 
-/**
- * Hostile-input allocation caps. Server-originated requests size real
- * allocations and topology builds from these fields (FaultMap's
- * per-die vector, the rows x cols mesh), so each is bounded far above
- * any plausible wafer: the paper's system is 4x8 dies, pods a handful
- * of wafers. Without the caps a one-line request
- * ({"faults":{"die_count":2000000000}}) drives a multi-GB allocation
- * during parsing.
- */
-constexpr long long kMaxWaferDies = 1 << 16;
-constexpr int kMaxWaferCount = 1024;
+/// The hostile-input caps of core/schema.hpp: without them a one-line
+/// request ({"faults":{"die_count":2000000000}}) drives a multi-GB
+/// allocation during parsing.
+using core::kMaxWaferDies;
 /// A timeline is replayed sequentially, one solve per event; the cap
 /// keeps a one-line hostile request from queueing unbounded work.
 constexpr std::size_t kMaxScenarioEvents = 4096;
@@ -89,28 +80,33 @@ asObject(const JsonValue &v, const std::string &what)
 }
 
 /**
- * Flattens a JSON object into the string-valued ConfigMap the
- * config_io builders consume. Numbers keep their raw lexeme (so a
- * %.17g-rendered double survives the trip exactly), booleans become
- * the canonical "1"/"0", strings pass through.
+ * A scalar member's text as a .conf file would give it: a number's raw
+ * lexeme (so a %.17g-rendered double survives the trip exactly),
+ * booleans as "1"/"0", strings as they are.
  */
+const std::string &
+scalarText(const JsonValue &value, const std::string &what,
+           const std::string &key)
+{
+    static const std::string yes = "1", no = "0";
+    switch (value.type) {
+    case JsonValue::Type::Number:
+    case JsonValue::Type::String: return value.text;
+    case JsonValue::Type::Bool: return value.bool_value ? yes : no;
+    default:
+        fail("request: " + what + " key '" + key +
+             "' must be a scalar, got " + value.typeName());
+    }
+}
+
+/// A JSON object as the string-valued ConfigMap the config_io builders
+/// consume (models and options share them with .conf files).
 core::ConfigMap
 configMapOf(const JsonValue &v, const std::string &what)
 {
-    asObject(v, what);
     core::ConfigMap config;
-    for (const auto &[key, value] : v.members) {
-        switch (value.type) {
-        case JsonValue::Type::Number: config[key] = value.text; break;
-        case JsonValue::Type::Bool:
-            config[key] = value.bool_value ? "1" : "0";
-            break;
-        case JsonValue::Type::String: config[key] = value.text; break;
-        default:
-            fail("request: " + what + " key '" + key +
-                 "' must be a scalar, got " + value.typeName());
-        }
-    }
+    for (const auto &[key, value] : asObject(v, what).members)
+        config[key] = scalarText(value, what, key);
     return config;
 }
 
@@ -120,90 +116,30 @@ core::FrameworkOptions
 optionsOf(const JsonValue &v)
 {
     return core::frameworkOptionsFromConfigOrThrow(
-        configMapOf(v, "options"), core::OptionScope::Wire);
+        configMapOf(v, "options"), core::Source::Wire);
 }
 
-/// Inverse of toJson(WaferConfig): raw-SI field names, unknown keys
-/// rejected. Starts from the Table I default like the request structs.
-hw::WaferConfig
-waferOf(const JsonValue &v, const std::string &what)
+/// A member described by a field table (wafer, spec, pod): its rows
+/// over the struct's defaults (a pod's nested wafer first), then the
+/// table's check.
+template <typename T>
+T
+fieldsOf(const JsonValue &v, const std::string &what)
 {
-    asObject(v, what);
-    hw::WaferConfig w = hw::WaferConfig::paperDefault();
-    for (const auto &[key, value] : v.members) {
-        const std::string name = what + " key '" + key + "'";
-        if (key == "rows")
-            w.rows = asInt(value, name);
-        else if (key == "cols")
-            w.cols = asInt(value, name);
-        else if (key == "die_area_mm2")
-            w.die.area_mm2 = asNumber(value, name);
-        else if (key == "die_sram_bytes")
-            w.die.sram_bytes = asNumber(value, name);
-        else if (key == "die_frequency_hz")
-            w.die.frequency_hz = asNumber(value, name);
-        else if (key == "die_peak_flops")
-            w.die.peak_flops = asNumber(value, name);
-        else if (key == "die_flops_per_watt")
-            w.die.flops_per_watt = asNumber(value, name);
-        else if (key == "hbm_area_mm2")
-            w.hbm.area_mm2 = asNumber(value, name);
-        else if (key == "hbm_stacks_per_die")
-            w.hbm.stacks_per_die = asInt(value, name);
-        else if (key == "hbm_capacity_bytes")
-            w.hbm.capacity_bytes = asNumber(value, name);
-        else if (key == "hbm_bandwidth_bytes_per_s")
-            w.hbm.bandwidth_bytes_per_s = asNumber(value, name);
-        else if (key == "hbm_latency_s")
-            w.hbm.latency_s = asNumber(value, name);
-        else if (key == "hbm_energy_pj_per_bit")
-            w.hbm.energy_pj_per_bit = asNumber(value, name);
-        else if (key == "d2d_bandwidth_bytes_per_s")
-            w.d2d.bandwidth_bytes_per_s = asNumber(value, name);
-        else if (key == "d2d_latency_s")
-            w.d2d.latency_s = asNumber(value, name);
-        else if (key == "d2d_energy_pj_per_bit")
-            w.d2d.energy_pj_per_bit = asNumber(value, name);
-        else if (key == "d2d_efficient_transfer_bytes")
-            w.d2d.efficient_transfer_bytes = asNumber(value, name);
-        else
-            fail("request: unknown " + what + " key '" + key + "'");
+    T out{};
+    std::string_view nested;
+    if constexpr (std::is_same_v<T, hw::MultiWaferConfig>) {
+        nested = "wafer";
+        if (const JsonValue *wafer = asObject(v, what).find("wafer"))
+            out.wafer = fieldsOf<hw::WaferConfig>(*wafer, what + ".wafer");
     }
-    if (w.rows < 1 || w.cols < 1)
-        fail("request: " + what + " grid must be at least 1x1");
-    if (static_cast<long long>(w.rows) * w.cols > kMaxWaferDies)
-        fail("request: " + what + " grid exceeds " +
-             std::to_string(kMaxWaferDies) + " dies");
-    return w;
-}
-
-parallel::ParallelSpec
-specOf(const JsonValue &v, const std::string &what)
-{
-    asObject(v, what);
-    parallel::ParallelSpec spec;
-    for (const auto &[key, value] : v.members) {
-        const std::string name = what + " key '" + key + "'";
-        if (key == "dp")
-            spec.dp = asInt(value, name);
-        else if (key == "fsdp")
-            spec.fsdp = asInt(value, name);
-        else if (key == "tp")
-            spec.tp = asInt(value, name);
-        else if (key == "sp")
-            spec.sp = asInt(value, name);
-        else if (key == "cp")
-            spec.cp = asInt(value, name);
-        else if (key == "tatp")
-            spec.tatp = asInt(value, name);
-        else if (key == "pp")
-            spec.pp = asInt(value, name);
-        else if (key == "coupled_sp")
-            spec.coupled_sp = asBool(value, name);
-        else
-            fail("request: unknown " + what + " key '" + key + "'");
-    }
-    return spec;
+    for (const auto &[key, value] : asObject(v, what).members)
+        if (key != nested)
+            core::readField(key, scalarText(value, what, key),
+                            core::Source::Wire, what, out);
+    core::throwIfInvalid(core::fieldError(out, core::Source::Wire, what),
+                         core::Source::Wire);
+    return out;
 }
 
 hw::FaultMap
@@ -256,47 +192,19 @@ faultsOf(const JsonValue &v)
     return faults;
 }
 
-hw::MultiWaferConfig
-podOf(const JsonValue &v)
-{
-    asObject(v, "pod");
-    hw::MultiWaferConfig pod;
-    for (const auto &[key, value] : v.members) {
-        const std::string name = "pod key '" + key + "'";
-        if (key == "wafer")
-            pod.wafer = waferOf(value, "pod.wafer");
-        else if (key == "wafer_count")
-            pod.wafer_count = asInt(value, name);
-        else if (key == "inter_wafer_bandwidth_bytes_per_s")
-            pod.inter_wafer_bandwidth_bytes_per_s =
-                asNumber(value, name);
-        else if (key == "inter_wafer_latency_s")
-            pod.inter_wafer_latency_s = asNumber(value, name);
-        else
-            fail("request: unknown pod key '" + key + "'");
-    }
-    if (pod.wafer_count > kMaxWaferCount)
-        fail("request: pod.wafer_count exceeds " +
-             std::to_string(kMaxWaferCount));
-    return pod;
-}
-
-/// Seeds are uint64 and must not round through double: the raw decimal
-/// lexeme is re-parsed with strtoull.
+/// A uint64 seed, from the number's raw lexeme (core::parseSeed).
 std::uint64_t
 seedOf(const JsonValue &v, const std::string &what)
 {
     if (!v.isNumber())
         fail("request: " + what + " must be a number, got " +
              v.typeName());
-    for (const char c : v.text)
-        if (!std::isdigit(static_cast<unsigned char>(c)))
-            fail("request: " + what +
-                 " must be a non-negative integer, got '" + v.text +
-                 "'");
-    if (v.text.empty() || v.text.size() > 20)
-        fail("request: " + what + " out of uint64 range");
-    return std::strtoull(v.text.c_str(), nullptr, 10);
+    std::uint64_t seed = 0;
+    if (!core::parseSeed(v.text, &seed))
+        fail("request: " + what +
+             " must be a non-negative integer below 2^64, got '" + v.text +
+             "'");
+    return seed;
 }
 
 /**
@@ -384,7 +292,8 @@ eventsOf(const JsonValue &v)
                 fail("request: " + what +
                      " (model_switch) requires 'model'");
             event.model = core::modelFromConfigOrThrow(
-                configMapOf(*model, what + ".model"));
+                configMapOf(*model, what + ".model"), core::Source::Wire,
+                what + ".model");
         } else if (model != nullptr) {
             fail("request: " + what +
                  " carries 'model' but is not a model_switch");
@@ -412,25 +321,11 @@ tcme::MappingEngineKind
 mappingEngineOf(const JsonValue &v)
 {
     const std::string name = asString(v, "mapping_engine");
-    if (name == "smap")
-        return tcme::MappingEngineKind::SMap;
-    if (name == "gmap")
-        return tcme::MappingEngineKind::GMap;
-    if (name == "tcme")
-        return tcme::MappingEngineKind::TCME;
-    fail("request: unknown mapping_engine '" + name +
-         "' (use smap/gmap/tcme)");
-}
-
-const char *
-policyName(tcme::MappingEngineKind kind)
-{
-    switch (kind) {
-    case tcme::MappingEngineKind::SMap: return "smap";
-    case tcme::MappingEngineKind::GMap: return "gmap";
-    case tcme::MappingEngineKind::TCME: return "tcme";
-    }
-    return "?";
+    tcme::MappingEngineKind kind;
+    if (!core::policyFromName(name, &kind))
+        fail("request: unknown mapping_engine '" + name +
+             "' (use smap/gmap/tcme)");
+    return kind;
 }
 
 const char *
@@ -442,21 +337,6 @@ baselineWireName(baselines::BaselineKind kind)
     case baselines::BaselineKind::Fsdp: return "fsdp";
     }
     return "?";
-}
-
-std::string
-specJson(const parallel::ParallelSpec &spec)
-{
-    return JsonObject()
-        .add("dp", spec.dp)
-        .add("fsdp", spec.fsdp)
-        .add("tp", spec.tp)
-        .add("sp", spec.sp)
-        .add("cp", spec.cp)
-        .add("tatp", spec.tatp)
-        .add("pp", spec.pp)
-        .add("coupled_sp", spec.coupled_sp)
-        .str();
 }
 
 /**
@@ -483,13 +363,46 @@ walkEnvelope(const JsonValue &root, const std::string &kind,
     }
 }
 
-model::ModelConfig
-requireModel(const JsonValue *model, const std::string &kind)
+/// The `wafer` member, for the kinds that have one.
+template <typename R>
+bool
+readWafer(R &request, const std::string &key, const JsonValue &value)
 {
+    if constexpr (requires { request.wafer; })
+        if (key == "wafer") {
+            request.wafer = fieldsOf<hw::WaferConfig>(value, "wafer");
+            return true;
+        }
+    return false;
+}
+
+/**
+ * A request of a kind that carries a model: the shared members (model,
+ * wafer, options) are read here, and `member` reads the kind's own keys
+ * (returning false for an unknown one). The model is required.
+ */
+template <typename R, typename Member>
+R
+readRequest(const JsonValue &root, const std::string &kind,
+            std::string *tenant, Member &&member)
+{
+    R request;
+    const JsonValue *model = nullptr;
+    walkEnvelope(root, kind, tenant,
+                 [&](const std::string &key, const JsonValue &value) {
+                     if (key == "model")
+                         model = &value;
+                     else if (key == "options")
+                         request.options = optionsOf(value);
+                     else if (!readWafer(request, key, value))
+                         return member(request, key, value);
+                     return true;
+                 });
     if (model == nullptr)
         fail("request: 'model' is required for kind '" + kind + "'");
-    return core::modelFromConfigOrThrow(
-        configMapOf(*model, "model"));
+    request.model = core::modelFromConfigOrThrow(configMapOf(*model, "model"),
+                                                 core::Source::Wire);
+    return request;
 }
 
 }  // namespace
@@ -512,164 +425,87 @@ parseRequest(const std::string &json_text, ParsedRequest *out,
         const std::string kind = asString(*kind_value, "kind");
 
         std::string tenant;
+        using Key = const std::string &;
+        using Value = const JsonValue &;
         if (kind == "optimize") {
-            OptimizeRequest request;
-            const JsonValue *model = nullptr;
-            walkEnvelope(root, kind, &tenant,
-                         [&](const std::string &key,
-                             const JsonValue &value) {
-                             if (key == "model") {
-                                 model = &value;
-                             } else if (key == "wafer") {
-                                 request.wafer =
-                                     waferOf(value, "wafer");
-                             } else if (key == "options") {
-                                 request.options = optionsOf(value);
-                             } else {
-                                 return false;
-                             }
-                             return true;
-                         });
-            request.model = requireModel(model, kind);
-            out->request = std::move(request);
+            out->request = readRequest<OptimizeRequest>(
+                root, kind, &tenant, [](auto &, Key, Value) { return false; });
         } else if (kind == "baseline") {
-            BaselineRequest request;
-            const JsonValue *model = nullptr;
-            walkEnvelope(root, kind, &tenant,
-                         [&](const std::string &key,
-                             const JsonValue &value) {
-                             if (key == "model") {
-                                 model = &value;
-                             } else if (key == "wafer") {
-                                 request.wafer =
-                                     waferOf(value, "wafer");
-                             } else if (key == "options") {
-                                 request.options = optionsOf(value);
-                             } else if (key == "baseline_kind") {
-                                 request.kind = baselineKindOf(value);
-                             } else if (key == "mapping_engine") {
-                                 request.engine =
-                                     mappingEngineOf(value);
-                             } else {
-                                 return false;
-                             }
-                             return true;
-                         });
-            request.model = requireModel(model, kind);
-            out->request = std::move(request);
+            out->request = readRequest<BaselineRequest>(
+                root, kind, &tenant,
+                [](BaselineRequest &r, Key key, Value value) {
+                    if (key == "baseline_kind")
+                        r.kind = baselineKindOf(value);
+                    else if (key == "mapping_engine")
+                        r.engine = mappingEngineOf(value);
+                    else
+                        return false;
+                    return true;
+                });
         } else if (kind == "strategy") {
-            StrategyRequest request;
-            const JsonValue *model = nullptr;
-            walkEnvelope(root, kind, &tenant,
-                         [&](const std::string &key,
-                             const JsonValue &value) {
-                             if (key == "model") {
-                                 model = &value;
-                             } else if (key == "wafer") {
-                                 request.wafer =
-                                     waferOf(value, "wafer");
-                             } else if (key == "options") {
-                                 request.options = optionsOf(value);
-                             } else if (key == "spec") {
-                                 request.spec = specOf(value, "spec");
-                             } else {
-                                 return false;
-                             }
-                             return true;
-                         });
-            request.model = requireModel(model, kind);
-            out->request = std::move(request);
+            out->request = readRequest<StrategyRequest>(
+                root, kind, &tenant,
+                [](StrategyRequest &r, Key key, Value value) {
+                    if (key != "spec")
+                        return false;
+                    r.spec = fieldsOf<parallel::ParallelSpec>(value, key);
+                    return true;
+                });
         } else if (kind == "fault") {
-            FaultRequest request;
-            const JsonValue *model = nullptr;
-            walkEnvelope(
+            out->request = readRequest<FaultRequest>(
                 root, kind, &tenant,
-                [&](const std::string &key, const JsonValue &value) {
-                    if (key == "model") {
-                        model = &value;
-                    } else if (key == "wafer") {
-                        request.wafer = waferOf(value, "wafer");
-                    } else if (key == "options") {
-                        request.options = optionsOf(value);
-                    } else if (key == "link_fault_rate") {
-                        request.link_fault_rate =
-                            asNumber(value, "link_fault_rate");
-                    } else if (key == "core_fault_rate") {
-                        request.core_fault_rate =
-                            asNumber(value, "core_fault_rate");
-                    } else if (key == "fault_seed") {
-                        request.fault_seed =
-                            seedOf(value, "fault_seed");
-                    } else if (key == "faults") {
-                        request.faults = faultsOf(value);
-                    } else {
+                [](FaultRequest &r, Key key, Value value) {
+                    if (key == "link_fault_rate")
+                        r.link_fault_rate = asNumber(value, key);
+                    else if (key == "core_fault_rate")
+                        r.core_fault_rate = asNumber(value, key);
+                    else if (key == "fault_seed")
+                        r.fault_seed = seedOf(value, key);
+                    else if (key == "faults")
+                        r.faults = faultsOf(value);
+                    else
                         return false;
-                    }
                     return true;
                 });
-            request.model = requireModel(model, kind);
-            out->request = std::move(request);
         } else if (kind == "multiwafer") {
-            MultiWaferRequest request;
-            const JsonValue *model = nullptr;
-            walkEnvelope(
+            out->request = readRequest<MultiWaferRequest>(
                 root, kind, &tenant,
-                [&](const std::string &key, const JsonValue &value) {
-                    if (key == "model") {
-                        model = &value;
-                    } else if (key == "pod") {
-                        request.pod = podOf(value);
-                    } else if (key == "options") {
-                        request.options = optionsOf(value);
-                    } else if (key == "pp") {
-                        request.pp = asInt(value, "pp");
-                    } else if (key == "microbatches") {
-                        request.microbatches =
-                            asInt(value, "microbatches");
-                    } else if (key == "intra_spec") {
-                        request.intra_spec =
-                            specOf(value, "intra_spec");
-                    } else {
+                [](MultiWaferRequest &r, Key key, Value value) {
+                    if (key == "pod")
+                        r.pod = fieldsOf<hw::MultiWaferConfig>(value, key);
+                    else if (key == "pp")
+                        r.pp = asInt(value, key);
+                    else if (key == "microbatches")
+                        r.microbatches = asInt(value, key);
+                    else if (key == "intra_spec")
+                        r.intra_spec =
+                            fieldsOf<parallel::ParallelSpec>(value, key);
+                    else
                         return false;
-                    }
                     return true;
                 });
-            request.model = requireModel(model, kind);
-            out->request = std::move(request);
         } else if (kind == "cache-stats") {
             walkEnvelope(root, kind, &tenant,
-                         [&](const std::string &,
-                             const JsonValue &) { return false; });
+                         [](Key, Value) { return false; });
             out->request = CacheStatsRequest{};
         } else if (kind == "scenario") {
-            ScenarioRequest request;
-            const JsonValue *model = nullptr;
             bool have_events = false;
-            walkEnvelope(
+            out->request = readRequest<ScenarioRequest>(
                 root, kind, &tenant,
-                [&](const std::string &key, const JsonValue &value) {
-                    if (key == "model") {
-                        model = &value;
-                    } else if (key == "wafer") {
-                        request.wafer = waferOf(value, "wafer");
-                    } else if (key == "options") {
-                        request.options = optionsOf(value);
-                    } else if (key == "warm_seed") {
-                        request.warm_seed =
-                            asBool(value, "warm_seed");
+                [&](ScenarioRequest &r, Key key, Value value) {
+                    if (key == "warm_seed") {
+                        r.warm_seed = asBool(value, key);
                     } else if (key == "events") {
-                        request.events = eventsOf(value);
+                        r.events = eventsOf(value);
                         have_events = true;
                     } else {
                         return false;
                     }
                     return true;
                 });
-            request.model = requireModel(model, kind);
             if (!have_events)
                 fail("request: 'events' is required for kind "
                      "'scenario'");
-            out->request = std::move(request);
         } else {
             fail("request: unknown kind '" + kind +
                  "' (use optimize/baseline/strategy/fault/multiwafer/"
@@ -690,106 +526,6 @@ parseRequest(const std::string &json_text, ParsedRequest *out,
         *error = std::string("request: ") + e.what();
         return false;
     }
-}
-
-std::string
-toJson(const model::ModelConfig &m)
-{
-    return JsonObject()
-        .add("name", m.name)
-        .add("heads", m.heads)
-        .add("batch", m.batch)
-        .add("hidden", m.hidden)
-        .add("layers", m.layers)
-        .add("seq", m.seq)
-        .add("ffn_mult", m.ffn_mult)
-        .add("vocab", m.vocab)
-        .str();
-}
-
-std::string
-toJson(const hw::WaferConfig &w)
-{
-    return JsonObject()
-        .add("rows", w.rows)
-        .add("cols", w.cols)
-        .addRaw("die_area_mm2", jsonNumberExact(w.die.area_mm2))
-        .addRaw("die_sram_bytes", jsonNumberExact(w.die.sram_bytes))
-        .addRaw("die_frequency_hz",
-                jsonNumberExact(w.die.frequency_hz))
-        .addRaw("die_peak_flops", jsonNumberExact(w.die.peak_flops))
-        .addRaw("die_flops_per_watt",
-                jsonNumberExact(w.die.flops_per_watt))
-        .addRaw("hbm_area_mm2", jsonNumberExact(w.hbm.area_mm2))
-        .add("hbm_stacks_per_die", w.hbm.stacks_per_die)
-        .addRaw("hbm_capacity_bytes",
-                jsonNumberExact(w.hbm.capacity_bytes))
-        .addRaw("hbm_bandwidth_bytes_per_s",
-                jsonNumberExact(w.hbm.bandwidth_bytes_per_s))
-        .addRaw("hbm_latency_s", jsonNumberExact(w.hbm.latency_s))
-        .addRaw("hbm_energy_pj_per_bit",
-                jsonNumberExact(w.hbm.energy_pj_per_bit))
-        .addRaw("d2d_bandwidth_bytes_per_s",
-                jsonNumberExact(w.d2d.bandwidth_bytes_per_s))
-        .addRaw("d2d_latency_s", jsonNumberExact(w.d2d.latency_s))
-        .addRaw("d2d_energy_pj_per_bit",
-                jsonNumberExact(w.d2d.energy_pj_per_bit))
-        .addRaw("d2d_efficient_transfer_bytes",
-                jsonNumberExact(w.d2d.efficient_transfer_bytes))
-        .str();
-}
-
-std::string
-toJson(const core::FrameworkOptions &o)
-{
-    using core::OptionKind;
-    JsonObject json;
-    for (const core::OptionRow &row : core::optionRows()) {
-        if (row.scope > core::OptionScope::Wire)
-            continue;
-        const std::string key(row.key);
-        switch (row.kind()) {
-        case OptionKind::Policy:
-            json.add(key, policyName(row.at<OptionKind::Policy>(o)));
-            break;
-        case OptionKind::Engine:
-            json.add(key, solver::searchEngineName(
-                              row.at<OptionKind::Engine>(o)));
-            break;
-        case OptionKind::Bool:
-            json.add(key, row.at<OptionKind::Bool>(o));
-            break;
-        case OptionKind::Int:
-            json.add(key, row.at<OptionKind::Int>(o));
-            break;
-        case OptionKind::Count:
-            json.add(key, row.at<OptionKind::Count>(o));
-            break;
-        case OptionKind::Double:
-            json.addRaw(key, jsonNumberExact(row.at<OptionKind::Double>(o)));
-            break;
-        case OptionKind::Seed:
-            json.addRaw(key, std::to_string(row.at<OptionKind::Seed>(o)));
-            break;
-        case OptionKind::Text:
-            json.add(key, row.at<OptionKind::Text>(o));
-            break;
-        }
-    }
-    return json.str();
-}
-
-std::string
-toJson(const hw::MultiWaferConfig &pod)
-{
-    return JsonObject()
-        .addRaw("wafer", toJson(pod.wafer))
-        .add("wafer_count", pod.wafer_count)
-        .addRaw("inter_wafer_bandwidth_bytes_per_s",
-                jsonNumberExact(pod.inter_wafer_bandwidth_bytes_per_s))
-        .addRaw("inter_wafer_latency_s",
-                jsonNumberExact(pod.inter_wafer_latency_s))
-        .str();
 }
 
 std::string
@@ -814,53 +550,47 @@ struct RequestJsonVisitor
 {
     const std::string &tenant;
 
-    JsonObject envelope(const char *kind) const
+    /// kind and tenant, then the members every kind with a model
+    /// shares: model, wafer (or pod), options.
+    template <typename R>
+    JsonObject envelope(const char *kind, const R &r) const
     {
         JsonObject json;
-        json.add("kind", kind).add("tenant", tenant);
-        return json;
+        json.add("kind", kind)
+            .add("tenant", tenant)
+            .addRaw("model", fieldsJson(r.model));
+        if constexpr (requires { r.wafer; })
+            json.addRaw("wafer", fieldsJson(r.wafer));
+        else
+            json.addRaw("pod", fieldsJson(r.pod));
+        return json.addRaw("options", fieldsJson(r.options));
     }
 
     std::string operator()(const OptimizeRequest &r) const
     {
-        return envelope("optimize")
-            .addRaw("model", toJson(r.model))
-            .addRaw("wafer", toJson(r.wafer))
-            .addRaw("options", toJson(r.options))
-            .str();
+        return envelope("optimize", r).str();
     }
 
     std::string operator()(const BaselineRequest &r) const
     {
-        return envelope("baseline")
-            .addRaw("model", toJson(r.model))
-            .addRaw("wafer", toJson(r.wafer))
-            .addRaw("options", toJson(r.options))
+        return envelope("baseline", r)
             .add("baseline_kind", baselineWireName(r.kind))
-            .add("mapping_engine", policyName(r.engine))
+            .add("mapping_engine", core::policyName(r.engine))
             .str();
     }
 
     std::string operator()(const StrategyRequest &r) const
     {
-        return envelope("strategy")
-            .addRaw("model", toJson(r.model))
-            .addRaw("wafer", toJson(r.wafer))
-            .addRaw("options", toJson(r.options))
-            .addRaw("spec", specJson(r.spec))
+        return envelope("strategy", r)
+            .addRaw("spec", fieldsJson(r.spec))
             .str();
     }
 
     std::string operator()(const FaultRequest &r) const
     {
-        JsonObject json = envelope("fault");
-        json.addRaw("model", toJson(r.model))
-            .addRaw("wafer", toJson(r.wafer))
-            .addRaw("options", toJson(r.options))
-            .addRaw("link_fault_rate",
-                    jsonNumberExact(r.link_fault_rate))
-            .addRaw("core_fault_rate",
-                    jsonNumberExact(r.core_fault_rate))
+        JsonObject json = envelope("fault", r);
+        json.addRaw("link_fault_rate", jsonNumberExact(r.link_fault_rate))
+            .addRaw("core_fault_rate", jsonNumberExact(r.core_fault_rate))
             .addRaw("fault_seed", std::to_string(r.fault_seed));
         if (r.faults)
             json.addRaw("faults", toJson(*r.faults));
@@ -869,19 +599,19 @@ struct RequestJsonVisitor
 
     std::string operator()(const MultiWaferRequest &r) const
     {
-        return envelope("multiwafer")
-            .addRaw("model", toJson(r.model))
-            .addRaw("pod", toJson(r.pod))
-            .addRaw("options", toJson(r.options))
+        return envelope("multiwafer", r)
             .add("pp", r.pp)
             .add("microbatches", r.microbatches)
-            .addRaw("intra_spec", specJson(r.intra_spec))
+            .addRaw("intra_spec", fieldsJson(r.intra_spec))
             .str();
     }
 
     std::string operator()(const CacheStatsRequest &) const
     {
-        return envelope("cache-stats").str();
+        return JsonObject()
+            .add("kind", "cache-stats")
+            .add("tenant", tenant)
+            .str();
     }
 
     std::string operator()(const ScenarioRequest &r) const
@@ -906,13 +636,10 @@ struct RequestJsonVisitor
                     .addRaw("kill_dies", jsonArray(kills));
             }
             if (event.kind == scenario::Event::Kind::ModelSwitch)
-                json.addRaw("model", toJson(event.model));
+                json.addRaw("model", fieldsJson(event.model));
             events.push_back(json.str());
         }
-        return envelope("scenario")
-            .addRaw("model", toJson(r.model))
-            .addRaw("wafer", toJson(r.wafer))
-            .addRaw("options", toJson(r.options))
+        return envelope("scenario", r)
             .add("warm_seed", r.warm_seed)
             .addRaw("events", jsonArray(events))
             .str();

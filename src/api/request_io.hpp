@@ -7,13 +7,12 @@
  *   {"kind": "optimize", "tenant": "team-a",
  *    "model": {...}, "wafer": {...}, "options": {...}, ...}
  *
- * where `model` and `options` use the config_io key vocabulary (the
- * same names a .conf file uses, so one mental model covers files and
- * wire; `options` carries every core/options_schema row except the
- * process-local persist.* and serve.* keys), and `wafer` uses the
- * raw-SI field names of WaferConfig (rows, die_peak_flops,
- * hbm_latency_s, ...) rendered at %.17g so a serialize -> parse round
- * trip reproduces every double bit-for-bit.
+ * where `model`, `wafer`, `options`, `spec` and `pod` carry the wire
+ * keys of their field tables (core/schema.cpp): `model` and `options`
+ * match the .conf names (`options` minus the process-local persist.*
+ * and serve.* keys), `wafer` uses raw-SI names (rows, die_peak_flops,
+ * hbm_latency_s, ...). Doubles render at %.17g so a serialize -> parse
+ * round trip reproduces every double bit-for-bit.
  * Kind-specific fields ride alongside: baseline_kind/mapping_engine
  * (baseline), spec (strategy), link_fault_rate/core_fault_rate/
  * fault_seed/faults (fault), pod/pp/microbatches/intra_spec
@@ -59,11 +58,9 @@ bool parseRequest(const std::string &json_text, ParsedRequest *out,
 
 /// @{ Wire-format renderers (the outbound half; inverse of
 /// parseRequest). Every field is emitted, defaults included, so
-/// documents are self-contained and byte-stable.
-std::string toJson(const model::ModelConfig &model);
-std::string toJson(const hw::WaferConfig &wafer);
-std::string toJson(const core::FrameworkOptions &options);
-std::string toJson(const hw::MultiWaferConfig &pod);
+/// documents are self-contained and byte-stable. The table-described
+/// members (model, wafer, options, spec, pod) render through
+/// fieldsJson (api/serialize.hpp).
 std::string toJson(const hw::FaultMap &faults);
 std::string toJson(const Request &request,
                    const std::string &tenant = "");

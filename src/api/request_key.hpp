@@ -15,33 +15,36 @@
 #include <string>
 
 #include "api/requests.hpp"
+#include "core/schema.hpp"
 
 namespace temp::api {
 
-/// All 17 WaferConfig fields (die, HBM, D2D).
-std::string waferKey(const hw::WaferConfig &wafer);
+/**
+ * Appends one struct's canonical key in place: every row of its field
+ * table (core/schema.hpp) of scope `widest` or narrower, in table order
+ * (a pod's nested wafer first). T is FrameworkOptions,
+ * hw::WaferConfig, model::ModelConfig, parallel::ParallelSpec or
+ * hw::MultiWaferConfig; only options rows are narrower than Identity.
+ */
+template <typename T>
+void appendKey(std::string &key, const T &value,
+               core::OptionScope widest = core::OptionScope::Identity);
 
-/// The OptionScope::Pod rows (policy, training.*) — all a simulator
-/// consumes; pods key on this so solver-only knobs don't evict them.
-std::string policyTrainingKey(const core::FrameworkOptions &options);
+/// The framework cache key and snapshot block key: the wafer, then
+/// optionsKey.
+std::string frameworkKey(const hw::WaferConfig &wafer,
+                         const core::FrameworkOptions &options);
 
-/// Every OptionScope::Identity row (core/options_schema.cpp): policy,
-/// training, solver, eval_threads and the framework-level cache
-/// budgets. The service-level budgets and the process-local keys stay
-/// out — they change nothing a framework computes.
+/// Every OptionScope::Identity row: policy, training, solver,
+/// eval_threads and the framework-level cache budgets. The
+/// service-level budgets and the process-local keys stay out — they
+/// change nothing a framework computes.
 std::string optionsKey(const core::FrameworkOptions &options);
 
-/// Pod fabric + the policy/training slice (what MultiWaferSimulator
-/// construction consumes).
+/// Pod (wafer + fabric) + the policy/training slice (what
+/// MultiWaferSimulator construction consumes).
 std::string podKey(const hw::MultiWaferConfig &pod,
                    const core::FrameworkOptions &options);
-
-/// Model hyper-parameters; the name is length-prefixed so no two
-/// distinct (name, fields) pairs can collide by concatenation.
-std::string modelKey(const model::ModelConfig &model);
-
-/// All ParallelSpec axes plus coupled_sp.
-std::string specKey(const parallel::ParallelSpec &spec);
 
 /**
  * Whole-request canonical key: kind tag + every field that affects the

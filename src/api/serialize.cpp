@@ -3,10 +3,12 @@
 #include <cmath>
 #include <cstdio>
 
+#include "core/schema.hpp"
+
 namespace temp::api {
 
 std::string
-jsonEscape(const std::string &s)
+jsonEscape(std::string_view s)
 {
     std::string out;
     out.reserve(s.size());
@@ -51,7 +53,7 @@ jsonNumberExact(double v)
 }
 
 JsonObject &
-JsonObject::addRaw(const std::string &key, const std::string &json)
+JsonObject::addRaw(std::string_view key, const std::string &json)
 {
     if (!body_.empty())
         body_ += ',';
@@ -63,40 +65,73 @@ JsonObject::addRaw(const std::string &key, const std::string &json)
 }
 
 JsonObject &
-JsonObject::add(const std::string &key, const std::string &value)
+JsonObject::add(std::string_view key, const std::string &value)
 {
     return addRaw(key, "\"" + jsonEscape(value) + "\"");
 }
 
 JsonObject &
-JsonObject::add(const std::string &key, const char *value)
+JsonObject::add(std::string_view key, const char *value)
 {
     return add(key, std::string(value));
 }
 
 JsonObject &
-JsonObject::add(const std::string &key, double value)
+JsonObject::add(std::string_view key, double value)
 {
     return addRaw(key, jsonNumber(value));
 }
 
 JsonObject &
-JsonObject::add(const std::string &key, long value)
+JsonObject::add(std::string_view key, long value)
 {
     return addRaw(key, std::to_string(value));
 }
 
 JsonObject &
-JsonObject::add(const std::string &key, int value)
+JsonObject::add(std::string_view key, int value)
 {
     return addRaw(key, std::to_string(value));
 }
 
 JsonObject &
-JsonObject::add(const std::string &key, bool value)
+JsonObject::add(std::string_view key, bool value)
 {
     return addRaw(key, value ? "true" : "false");
 }
+
+template <typename T>
+void
+addFields(JsonObject &json, const T &value)
+{
+    if constexpr (std::is_same_v<T, hw::MultiWaferConfig>)
+        json.addRaw("wafer", fieldsJson(value.wafer));
+    for (const core::FieldRow<T> &row : core::fieldRows<T>()) {
+        if (!row.readBy(core::Source::Wire))
+            continue;
+        // Doubles at %.17g and uint64 seeds as their exact decimal, so
+        // every value parses back bit-identical; enums by name.
+        row.visit(value, [&](const auto &v) {
+            using V = std::decay_t<decltype(v)>;
+            if constexpr (std::is_same_v<V, double>)
+                json.addRaw(row.key, jsonNumberExact(v));
+            else if constexpr (std::is_same_v<V, std::uint64_t>)
+                json.addRaw(row.key, std::to_string(v));
+            else if constexpr (std::is_same_v<V, tcme::MappingEngineKind>)
+                json.add(row.key, core::policyName(v));
+            else if constexpr (std::is_same_v<V, solver::SearchEngineKind>)
+                json.add(row.key, solver::searchEngineName(v));
+            else
+                json.add(row.key, v);
+        });
+    }
+}
+
+template void addFields(JsonObject &, const core::FrameworkOptions &);
+template void addFields(JsonObject &, const hw::WaferConfig &);
+template void addFields(JsonObject &, const model::ModelConfig &);
+template void addFields(JsonObject &, const parallel::ParallelSpec &);
+template void addFields(JsonObject &, const hw::MultiWaferConfig &);
 
 std::string
 JsonObject::str() const
@@ -146,17 +181,9 @@ toJson(const sim::PerfReport &r)
 std::string
 toJson(const parallel::ParallelSpec &spec)
 {
-    return JsonObject()
-        .add("dp", spec.dp)
-        .add("fsdp", spec.fsdp)
-        .add("tp", spec.tp)
-        .add("sp", spec.sp)
-        .add("cp", spec.cp)
-        .add("tatp", spec.tatp)
-        .add("pp", spec.pp)
-        .add("coupled_sp", spec.coupled_sp)
-        .add("str", spec.str())
-        .str();
+    JsonObject json;
+    addFields(json, spec);
+    return json.add("str", spec.str()).str();
 }
 
 std::string

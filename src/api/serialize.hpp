@@ -9,6 +9,7 @@
 #pragma once
 
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "api/requests.hpp"
@@ -16,7 +17,7 @@
 namespace temp::api {
 
 /// Escapes a string for embedding inside a JSON string literal.
-std::string jsonEscape(const std::string &s);
+std::string jsonEscape(std::string_view s);
 
 /// Renders a double as a JSON number; non-finite values become null
 /// (JSON has no inf/nan).
@@ -31,14 +32,14 @@ std::string jsonNumberExact(double v);
 class JsonObject
 {
   public:
-    JsonObject &add(const std::string &key, const std::string &value);
-    JsonObject &add(const std::string &key, const char *value);
-    JsonObject &add(const std::string &key, double value);
-    JsonObject &add(const std::string &key, long value);
-    JsonObject &add(const std::string &key, int value);
-    JsonObject &add(const std::string &key, bool value);
+    JsonObject &add(std::string_view key, const std::string &value);
+    JsonObject &add(std::string_view key, const char *value);
+    JsonObject &add(std::string_view key, double value);
+    JsonObject &add(std::string_view key, long value);
+    JsonObject &add(std::string_view key, int value);
+    JsonObject &add(std::string_view key, bool value);
     /// Embeds pre-rendered JSON (an object or array) verbatim.
-    JsonObject &addRaw(const std::string &key, const std::string &json);
+    JsonObject &addRaw(std::string_view key, const std::string &json);
 
     /// The rendered document, e.g. {"a":1,"b":"x"}.
     std::string str() const;
@@ -46,6 +47,25 @@ class JsonObject
   private:
     std::string body_;
 };
+
+/**
+ * The one render loop of the wire format: adds every row of T's field
+ * table (core/schema.hpp) that travels on the wire, in table order (a
+ * pod's nested wafer first). Doubles render with jsonNumberExact, so
+ * the object parses back bit-identical.
+ */
+template <typename T>
+void addFields(JsonObject &json, const T &value);
+
+/// The wire object of a table-described struct: {addFields}.
+template <typename T>
+std::string
+fieldsJson(const T &value)
+{
+    JsonObject json;
+    addFields(json, value);
+    return json.str();
+}
 
 /// Renders a JSON array from pre-rendered element documents.
 std::string jsonArray(const std::vector<std::string> &elements);

@@ -1,8 +1,10 @@
 #include "api/service.hpp"
 
 #include <chrono>
+#include <cstdio>
 
 #include "api/request_key.hpp"
+#include "core/schema.hpp"
 #include "model/graph.hpp"
 
 namespace temp::api {
@@ -25,11 +27,40 @@ checkSpec(const parallel::ParallelSpec &spec, int die_count)
     if (!spec.valid())
         return "invalid spec " + spec.str() +
                " (degrees must be >= 1; dp and fsdp are exclusive)";
-    if (spec.totalDegree() > die_count)
-        return "spec " + spec.str() + " needs " +
-               std::to_string(spec.totalDegree()) + " dies, wafer has " +
-               std::to_string(die_count);
+    // The product in double: two in-range degrees of 2^16 already
+    // overflow int, and a wrapped product would pass the check.
+    const double dies = static_cast<double>(spec.dp) * spec.fsdp * spec.tp *
+                        spec.sp * spec.cp * spec.tatp;
+    if (dies > die_count) {
+        char needs[64];
+        std::snprintf(needs, sizeof(needs), "%.0f", dies);
+        return "spec " + spec.str() + " needs " + needs +
+               " dies, wafer has " + std::to_string(die_count);
+    }
     return "";
+}
+
+/**
+ * The parsers' field-table checks, for requests built in-process: a
+ * value no request document may carry (seq = -4, a zero peak rate)
+ * answers an error instead of reaching a model that panics on it. The
+ * explicit specs keep their runtime check, checkSpec.
+ */
+template <typename R>
+std::string
+fieldsError(const R &request)
+{
+    const auto check = [](const auto &value, std::string_view what) {
+        return core::fieldError(value, core::Source::Wire, what);
+    };
+    std::string error = check(request.model, "model");
+    if constexpr (requires { request.wafer; })
+        if (error.empty())
+            error = check(request.wafer, "wafer");
+    if constexpr (requires { request.pod; })
+        if (error.empty())
+            error = check(request.pod, "pod");
+    return error.empty() ? check(request.options, "options") : error;
 }
 
 std::vector<std::string>
@@ -88,7 +119,7 @@ TempService::frameworkFor(const hw::WaferConfig &wafer,
                           bool *reused)
 {
     applyServiceBudget(options.cache);
-    const std::string key = waferKey(wafer) + optionsKey(options);
+    const std::string key = frameworkKey(wafer, options);
     if (auto cached = frameworks_.get(key)) {
         {
             std::lock_guard<std::mutex> lock(mutex_);
@@ -256,18 +287,15 @@ TempService::finish(Response response, double start_time)
 }
 
 Response
-TempService::run(const OptimizeRequest &request)
-{
-    return run(request, solver::SolveBudget{});
-}
-
-Response
 TempService::run(const OptimizeRequest &request,
                  const solver::SolveBudget &budget)
 {
     const double t0 = now();
     Response response;
     response.kind = RequestKind::Optimize;
+    response.error = fieldsError(request);
+    if (!response.error.empty())
+        return finish(std::move(response), t0);
     auto fw = frameworkFor(request.wafer, request.options,
                            &response.framework_reused);
     response.solver = fw->optimize(request.model, budget);
@@ -283,11 +311,14 @@ TempService::run(const OptimizeRequest &request,
 }
 
 Response
-TempService::run(const BaselineRequest &request)
+TempService::run(const BaselineRequest &request, const solver::SolveBudget &)
 {
     const double t0 = now();
     Response response;
     response.kind = RequestKind::Baseline;
+    response.error = fieldsError(request);
+    if (!response.error.empty())
+        return finish(std::move(response), t0);
     auto fw = frameworkFor(request.wafer, request.options,
                            &response.framework_reused);
     response.baseline =
@@ -300,12 +331,14 @@ TempService::run(const BaselineRequest &request)
 }
 
 Response
-TempService::run(const StrategyRequest &request)
+TempService::run(const StrategyRequest &request, const solver::SolveBudget &)
 {
     const double t0 = now();
     Response response;
     response.kind = RequestKind::Strategy;
-    response.error = checkSpec(request.spec, request.wafer.dieCount());
+    response.error = fieldsError(request);
+    if (response.error.empty())
+        response.error = checkSpec(request.spec, request.wafer.dieCount());
     if (!response.error.empty())
         return finish(std::move(response), t0);
     auto fw = frameworkFor(request.wafer, request.options,
@@ -318,18 +351,15 @@ TempService::run(const StrategyRequest &request)
 }
 
 Response
-TempService::run(const FaultRequest &request)
-{
-    return run(request, solver::SolveBudget{});
-}
-
-Response
 TempService::run(const FaultRequest &request,
                  const solver::SolveBudget &budget)
 {
     const double t0 = now();
     Response response;
     response.kind = RequestKind::Fault;
+    response.error = fieldsError(request);
+    if (!response.error.empty())
+        return finish(std::move(response), t0);
     auto fw = frameworkFor(request.wafer, request.options,
                            &response.framework_reused);
 
@@ -371,11 +401,14 @@ TempService::run(const FaultRequest &request,
 }
 
 Response
-TempService::run(const MultiWaferRequest &request)
+TempService::run(const MultiWaferRequest &request, const solver::SolveBudget &)
 {
     const double t0 = now();
     Response response;
     response.kind = RequestKind::MultiWafer;
+    response.error = fieldsError(request);
+    if (!response.error.empty())
+        return finish(std::move(response), t0);
 
     // Pre-validate everything MultiWaferSimulator would fatal() on, so
     // a malformed request degrades to an error response instead of
@@ -426,7 +459,7 @@ TempService::run(const MultiWaferRequest &request)
 }
 
 Response
-TempService::run(const CacheStatsRequest &)
+TempService::run(const CacheStatsRequest &, const solver::SolveBudget &)
 {
     const double t0 = now();
     Response response;
@@ -457,12 +490,6 @@ TempService::run(const CacheStatsRequest &)
 }
 
 Response
-TempService::run(const ScenarioRequest &request)
-{
-    return run(request, solver::SolveBudget{});
-}
-
-Response
 TempService::run(const ScenarioRequest &request,
                  const solver::SolveBudget &budget)
 {
@@ -473,6 +500,15 @@ TempService::run(const ScenarioRequest &request,
         response.error = "scenario: empty event timeline";
         return finish(std::move(response), t0);
     }
+    response.error = fieldsError(request);
+    for (std::size_t i = 0;
+         i < request.events.size() && response.error.empty(); ++i)
+        if (request.events[i].kind == scenario::Event::Kind::ModelSwitch)
+            response.error = core::fieldError(
+                request.events[i].model, core::Source::Wire,
+                "events[" + std::to_string(i) + "].model");
+    if (!response.error.empty())
+        return finish(std::move(response), t0);
     auto fw = frameworkFor(request.wafer, request.options,
                            &response.framework_reused);
     scenario::ScenarioEngine::Options opts;
@@ -493,26 +529,11 @@ TempService::run(const ScenarioRequest &request,
 }
 
 Response
-TempService::run(const Request &request)
-{
-    return std::visit([this](const auto &r) { return run(r); }, request);
-}
-
-Response
 TempService::run(const Request &request,
                  const solver::SolveBudget &budget)
 {
-    return std::visit(
-        [&](const auto &r) -> Response {
-            using T = std::decay_t<decltype(r)>;
-            if constexpr (std::is_same_v<T, OptimizeRequest> ||
-                          std::is_same_v<T, FaultRequest> ||
-                          std::is_same_v<T, ScenarioRequest>)
-                return run(r, budget);
-            else
-                return run(r);
-        },
-        request);
+    return std::visit([&](const auto &r) { return run(r, budget); },
+                      request);
 }
 
 std::future<Response>

@@ -58,33 +58,30 @@ class TempService
   public:
     explicit TempService(ServiceOptions options = ServiceOptions());
 
-    /// @{ Synchronous execution of one request.
-    Response run(const OptimizeRequest &request);
-    Response run(const BaselineRequest &request);
-    Response run(const StrategyRequest &request);
-    Response run(const FaultRequest &request);
-    Response run(const MultiWaferRequest &request);
-    Response run(const CacheStatsRequest &request);
-    Response run(const ScenarioRequest &request);
-    Response run(const Request &request);
-    /// @}
-
-    /// @{ Budget-carrying execution: the caller's SolveBudget (e.g.
-    /// the dispatcher's remaining per-request deadline plus its cancel
-    /// token) is merged with the request's own solver.deadline inside
-    /// the solver — the tighter cap wins per dimension. Kinds that
-    /// solve (Optimize, Fault, Scenario — per re-solve there) honour
-    /// it and mirror SolverResult::budget_exhausted / quanta_used into
-    /// the Response; other kinds ignore it. The plain run() overloads
-    /// delegate here with an unlimited budget.
+    /// @{ Synchronous execution of one request. The caller's
+    /// SolveBudget (e.g. the dispatcher's remaining per-request
+    /// deadline plus its cancel token) is merged with the request's own
+    /// solver.deadline inside the solver — the tighter cap wins per
+    /// dimension. Kinds that solve (Optimize, Fault, Scenario — per
+    /// re-solve there) honour it and mirror
+    /// SolverResult::budget_exhausted / quanta_used into the Response;
+    /// other kinds ignore it.
     Response run(const OptimizeRequest &request,
-                 const solver::SolveBudget &budget);
+                 const solver::SolveBudget &budget = {});
+    Response run(const BaselineRequest &request,
+                 const solver::SolveBudget &budget = {});
+    Response run(const StrategyRequest &request,
+                 const solver::SolveBudget &budget = {});
     Response run(const FaultRequest &request,
-                 const solver::SolveBudget &budget);
+                 const solver::SolveBudget &budget = {});
+    Response run(const MultiWaferRequest &request,
+                 const solver::SolveBudget &budget = {});
+    Response run(const CacheStatsRequest &request,
+                 const solver::SolveBudget &budget = {});
     Response run(const ScenarioRequest &request,
-                 const solver::SolveBudget &budget);
+                 const solver::SolveBudget &budget = {});
     Response run(const Request &request,
-                 const solver::SolveBudget &budget);
+                 const solver::SolveBudget &budget = {});
     /// @}
 
     /// Asynchronous execution: queues the request on the service pool

@@ -1,9 +1,9 @@
 #include "core/config_io.hpp"
 
 #include <cctype>
+#include <cerrno>
+#include <climits>
 #include <cmath>
-#include <cstdarg>
-#include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
@@ -15,20 +15,11 @@ namespace temp::core {
 
 namespace {
 
-/// printf-style ConfigError: the throwing twin of fatal(), so the
-/// OrThrow builders keep byte-identical messages.
-[[noreturn]] void
-cfgFail(const char *fmt, ...) __attribute__((format(printf, 1, 2)));
-
-void
-cfgFail(const char *fmt, ...)
+const std::string &
+prefix(Source source)
 {
-    char buf[512];
-    va_list args;
-    va_start(args, fmt);
-    std::vsnprintf(buf, sizeof(buf), fmt, args);
-    va_end(args);
-    throw ConfigError(buf);
+    static const std::string wire = "request: ", config = "config: ";
+    return source == Source::Wire ? wire : config;
 }
 
 std::string
@@ -41,101 +32,71 @@ trim(const std::string &s)
     return s.substr(begin, end - begin + 1);
 }
 
-double
-toNumber(const std::string &key, const std::string &value)
-{
-    try {
-        std::size_t used = 0;
-        const double v = std::stod(value, &used);
-        if (used != value.size())
-            throw std::invalid_argument(value);
-        return v;
-    } catch (const ConfigError &) {
-        throw;
-    } catch (const std::exception &) {
-        cfgFail("config: key '%s' has non-numeric value '%s'",
-                key.c_str(), value.c_str());
-    }
-}
-
+/// strtod over the whole of `text`: the bits the JSON parser reads
+/// from the same lexeme. Overflow reads as inf, which fieldError
+/// rejects. False when `text` is not a number.
 bool
-toBool(const std::string &key, const std::string &value)
+toNumber(const std::string &text, double *out)
 {
-    if (value == "true" || value == "1")
-        return true;
-    if (value == "false" || value == "0")
-        return false;
-    cfgFail("config: key '%s' has non-boolean value '%s' "
-            "(use 0/1/true/false)",
-            key.c_str(), value.c_str());
+    char *end = nullptr;
+    *out = std::strtod(text.c_str(), &end);
+    return !text.empty() && end == text.c_str() + text.size();
 }
 
-/// An integer in [min, max]. A fraction or an out-of-range value is
-/// rejected rather than truncated (or, past the int range, converted
-/// with undefined behaviour).
-int
-toInt(const std::string &key, const std::string &value, int min, int max)
+/**
+ * The one parse switch: sets `member`, the field `row` names, from
+ * `text`, by the member's type. An int rejects a fraction or a value
+ * past the int range rather than truncating it; a long budget rejects
+ * a negative value rather than wrapping it; a uint64 seed parses its
+ * raw decimal lexeme, which a double would corrupt above 2^53. Ranges
+ * are fieldError's. Messages name the key as `source` does, and are
+ * built only on failure: every request reads every field through here.
+ */
+template <typename T, typename V>
+void
+read(const FieldRow<T> &row, V &member, const std::string &text,
+     Source source, std::string_view what)
 {
-    const double v = toNumber(key, value);
-    if (v != std::floor(v) || v < min || v > max)
-        cfgFail("config: key '%s' must be an integer in [%d, %d], got "
-                "'%s'",
-                key.c_str(), min, max, value.c_str());
-    return static_cast<int>(v);
-}
-
-/// A non-negative whole-number config value (cache budgets). Negative
-/// values are rejected rather than wrapping into "bounded by 2^64".
-long
-toCount(const std::string &key, const std::string &value)
-{
-    const double v = toNumber(key, value);
-    if (v != std::floor(v) || v < 0 || v >= 0x1p63)
-        cfgFail("config: key '%s' must be a whole number >= 0 "
-                "(0 = unbounded), got '%s'",
-                key.c_str(), value.c_str());
-    return static_cast<long>(v);
-}
-
-/// A uint64 seed. Parsed from the raw decimal lexeme — routing it
-/// through toNumber's double would silently corrupt seeds above 2^53.
-std::uint64_t
-toSeed(const std::string &key, const std::string &value)
-{
-    if (value.empty() || value.size() > 20)
-        cfgFail("config: key '%s' is out of uint64 range ('%s')",
-                key.c_str(), value.c_str());
-    for (const char c : value)
-        if (!std::isdigit(static_cast<unsigned char>(c)))
-            cfgFail("config: key '%s' must be a non-negative "
-                    "integer, got '%s'",
-                    key.c_str(), value.c_str());
-    return std::strtoull(value.c_str(), nullptr, 10);
-}
-
-tcme::MappingEngineKind
-toEngine(const std::string &key, const std::string &value)
-{
-    if (value == "smap")
-        return tcme::MappingEngineKind::SMap;
-    if (value == "gmap")
-        return tcme::MappingEngineKind::GMap;
-    if (value == "tcme")
-        return tcme::MappingEngineKind::TCME;
-    cfgFail("config: key '%s' has unknown engine '%s' "
-            "(use smap/gmap/tcme)",
-            key.c_str(), value.c_str());
-}
-
-solver::SearchEngineKind
-toSearchEngine(const std::string &key, const std::string &value)
-{
-    solver::SearchEngineKind kind;
-    if (!solver::searchEngineFromName(value, &kind))
-        cfgFail("config: key '%s' has unknown search engine '%s' "
-                "(use none/genetic/beamtabu)",
-                key.c_str(), value.c_str());
-    return kind;
+    const auto reject = [&](const std::string &why) {
+        throw ConfigError(prefix(source) + row.name(source, what) + " " +
+                          why);
+    };
+    double v = 0;
+    if constexpr (std::is_same_v<V, int> || std::is_same_v<V, long> ||
+                  std::is_same_v<V, double>)
+        if (!toNumber(text, &v))
+            reject("has non-numeric value '" + text + "'");
+    if constexpr (std::is_same_v<V, bool>) {
+        if (text != "true" && text != "1" && text != "false" && text != "0")
+            reject("has non-boolean value '" + text +
+                   "' (use 0/1/true/false)");
+        member = text == "true" || text == "1";
+    } else if constexpr (std::is_same_v<V, int>) {
+        if (v != std::floor(v) || v < INT_MIN || v > INT_MAX)
+            reject("must be " + rangeText<int>(row.min, row.max) +
+                   ", got '" + text + "'");
+        member = static_cast<int>(v);
+    } else if constexpr (std::is_same_v<V, long>) {
+        if (v != std::floor(v) || v < 0 || v >= 0x1p63)
+            reject("must be " + rangeText<long>(0, 0) + ", got '" + text +
+                   "'");
+        member = static_cast<long>(v);
+    } else if constexpr (std::is_same_v<V, double>) {
+        member = source == Source::Config ? v * row.config_scale : v;
+    } else if constexpr (std::is_same_v<V, std::uint64_t>) {
+        if (!parseSeed(text, &member))
+            reject("must be a non-negative integer below 2^64, got '" +
+                   text + "'");
+    } else if constexpr (std::is_same_v<V, std::string>) {
+        member = text;
+    } else if constexpr (std::is_same_v<V, tcme::MappingEngineKind>) {
+        if (!policyFromName(text, &member))
+            reject("has unknown engine '" + text + "' (use smap/gmap/tcme)");
+    } else {
+        if (!solver::searchEngineFromName(text, &member))
+            reject("has unknown search engine '" + text +
+                   "' (use none/genetic/beamtabu)");
+    }
 }
 
 /// Runs a throwing builder, converting ConfigError to fatal() — the
@@ -153,6 +114,53 @@ fatalOnError(Fn &&fn) -> decltype(fn())
 
 }  // namespace
 
+template <typename T>
+void
+readField(const std::string &key, const std::string &text, Source source,
+          std::string_view what, T &out)
+{
+    for (const FieldRow<T> &row : fieldRows<T>())
+        if (row.readBy(source) && row.keyIn(source) == key) {
+            row.visit(out, [&](auto &member) {
+                read(row, member, text, source, what);
+            });
+            return;
+        }
+    throw ConfigError(prefix(source) + "unknown " + std::string(what) +
+                      " key '" + key + "'");
+}
+
+template void readField(const std::string &, const std::string &, Source,
+                        std::string_view, FrameworkOptions &);
+template void readField(const std::string &, const std::string &, Source,
+                        std::string_view, hw::WaferConfig &);
+template void readField(const std::string &, const std::string &, Source,
+                        std::string_view, model::ModelConfig &);
+template void readField(const std::string &, const std::string &, Source,
+                        std::string_view, parallel::ParallelSpec &);
+template void readField(const std::string &, const std::string &, Source,
+                        std::string_view, hw::MultiWaferConfig &);
+
+bool
+parseSeed(const std::string &text, std::uint64_t *out)
+{
+    if (text.empty() || text.size() > 20)
+        return false;
+    for (const char c : text)
+        if (!std::isdigit(static_cast<unsigned char>(c)))
+            return false;
+    errno = 0;
+    *out = std::strtoull(text.c_str(), nullptr, 10);
+    return errno != ERANGE;
+}
+
+void
+throwIfInvalid(const std::string &error, Source source)
+{
+    if (!error.empty())
+        throw ConfigError(prefix(source) + error);
+}
+
 ConfigMap
 parseConfigTextOrThrow(const std::string &text)
 {
@@ -169,13 +177,14 @@ parseConfigTextOrThrow(const std::string &text)
         if (line.empty())
             continue;
         const auto eq = line.find('=');
+        const std::string where = "config line " + std::to_string(line_no);
         if (eq == std::string::npos)
-            cfgFail("config line %d: expected 'key = value', got '%s'",
-                    line_no, line.c_str());
+            throw ConfigError(where + ": expected 'key = value', got '" +
+                              line + "'");
         const std::string key = trim(line.substr(0, eq));
         const std::string value = trim(line.substr(eq + 1));
         if (key.empty() || value.empty())
-            cfgFail("config line %d: empty key or value", line_no);
+            throw ConfigError(where + ": empty key or value");
         config[key] = value;
     }
     return config;
@@ -201,49 +210,25 @@ loadConfigFile(const std::string &path)
 hw::WaferConfig
 waferFromConfigOrThrow(const ConfigMap &config)
 {
+    // By hand: a .conf file rates HBM per stack, the wafer per die.
+    const auto perStack = [&](const std::string &key, double fallback) {
+        const auto it = config.find(key);
+        if (it != config.end() && !toNumber(it->second, &fallback))
+            throw ConfigError("config: key '" + key +
+                              "' has non-numeric value '" + it->second + "'");
+        return fallback;
+    };
+    const double hbm_gb = perStack("hbm_gb_per_stack", 72.0);
+    const double hbm_tbps = perStack("hbm_tbps_per_stack", 1.0);
     hw::WaferConfig wafer = hw::WaferConfig::paperDefault();
-    double hbm_stacks = wafer.hbm.stacks_per_die;
-    double hbm_gb = 72.0;
-    double hbm_tbps = 1.0;
-
-    for (const auto &[key, value] : config) {
-        const double v = toNumber(key, value);
-        if (key == "rows") {
-            wafer.rows = static_cast<int>(v);
-        } else if (key == "cols") {
-            wafer.cols = static_cast<int>(v);
-        } else if (key == "peak_tflops") {
-            wafer.die.peak_flops = tflops(v);
-        } else if (key == "sram_mb") {
-            wafer.die.sram_bytes = megabytes(v);
-        } else if (key == "flops_per_watt_t") {
-            wafer.die.flops_per_watt = tflops(v);
-        } else if (key == "d2d_tbps") {
-            wafer.d2d.bandwidth_bytes_per_s = tbPerSec(v);
-        } else if (key == "d2d_latency_ns") {
-            wafer.d2d.latency_s = v * kNano;
-        } else if (key == "d2d_pj_per_bit") {
-            wafer.d2d.energy_pj_per_bit = v;
-        } else if (key == "hbm_stacks") {
-            hbm_stacks = v;
-        } else if (key == "hbm_gb_per_stack") {
-            hbm_gb = v;
-        } else if (key == "hbm_tbps_per_stack") {
-            hbm_tbps = v;
-        } else if (key == "hbm_latency_ns") {
-            wafer.hbm.latency_s = v * kNano;
-        } else if (key == "hbm_pj_per_bit") {
-            wafer.hbm.energy_pj_per_bit = v;
-        } else {
-            cfgFail("config: unknown wafer key '%s'", key.c_str());
-        }
-    }
-    wafer.hbm.stacks_per_die = static_cast<int>(hbm_stacks);
-    wafer.hbm.capacity_bytes = hbm_stacks * gigabytes(hbm_gb);
-    wafer.hbm.bandwidth_bytes_per_s = hbm_stacks * tbPerSec(hbm_tbps);
-    if (wafer.rows < 1 || wafer.cols < 1)
-        cfgFail("config: invalid wafer grid %dx%d", wafer.rows,
-                wafer.cols);
+    for (const auto &[key, value] : config)
+        if (key != "hbm_gb_per_stack" && key != "hbm_tbps_per_stack")
+            readField(key, value, Source::Config, "wafer", wafer);
+    const double stacks = wafer.hbm.stacks_per_die;
+    wafer.hbm.capacity_bytes = stacks * gigabytes(hbm_gb);
+    wafer.hbm.bandwidth_bytes_per_s = stacks * tbPerSec(hbm_tbps);
+    throwIfInvalid(fieldError(wafer, Source::Config, "wafer"),
+                   Source::Config);
     return wafer;
 }
 
@@ -254,49 +239,22 @@ waferFromConfig(const ConfigMap &config)
 }
 
 model::ModelConfig
-modelFromConfigOrThrow(const ConfigMap &config)
+modelFromConfigOrThrow(const ConfigMap &config, Source source,
+                       std::string_view what)
 {
     model::ModelConfig model;
-    const auto base = config.find("base");
-    const auto name = config.find("name");
-    if (base != config.end()) {
+    if (const auto base = config.find("base"); base != config.end()) {
         if (!model::tryModelByName(base->second, &model))
-            cfgFail("config: unknown base model '%s'",
-                    base->second.c_str());
-    } else if (name == config.end()) {
-        cfgFail("config: model needs 'name' or 'base'");
+            throw ConfigError(prefix(source) + "unknown base model '" +
+                              base->second + "'");
+    } else if (!config.contains("name")) {
+        throw ConfigError(prefix(source) + std::string(what) +
+                          " needs 'name' or 'base'");
     }
-
-    for (const auto &[key, value] : config) {
-        if (key == "base")
-            continue;
-        if (key == "name") {
-            model.name = value;
-            continue;
-        }
-        const int v = static_cast<int>(toNumber(key, value));
-        if (key == "heads")
-            model.heads = v;
-        else if (key == "batch")
-            model.batch = v;
-        else if (key == "hidden")
-            model.hidden = v;
-        else if (key == "layers")
-            model.layers = v;
-        else if (key == "seq")
-            model.seq = v;
-        else if (key == "ffn_mult")
-            model.ffn_mult = v;
-        else if (key == "vocab")
-            model.vocab = v;
-        else
-            cfgFail("config: unknown model key '%s'", key.c_str());
-    }
-    if (model.heads < 1 || model.hidden < 1)
-        cfgFail("config: heads and hidden must be positive");
-    if (model.hidden % model.heads != 0)
-        cfgFail("config: hidden (%d) must divide by heads (%d)",
-                model.hidden, model.heads);
+    for (const auto &[key, value] : config)
+        if (key != "base")
+            readField(key, value, source, what, model);
+    throwIfInvalid(fieldError(model, source, what), source);
     return model;
 }
 
@@ -307,43 +265,12 @@ modelFromConfig(const ConfigMap &config)
 }
 
 FrameworkOptions
-frameworkOptionsFromConfigOrThrow(const ConfigMap &config,
-                                  OptionScope widest)
+frameworkOptionsFromConfigOrThrow(const ConfigMap &config, Source source)
 {
     FrameworkOptions options;
-    for (const auto &[key, value] : config) {
-        const OptionRow *row = findOptionRow(key);
-        if (row == nullptr || row->scope > widest)
-            cfgFail("config: unknown options key '%s'", key.c_str());
-        switch (row->kind()) {
-        case OptionKind::Policy:
-            row->at<OptionKind::Policy>(options) = toEngine(key, value);
-            break;
-        case OptionKind::Engine:
-            row->at<OptionKind::Engine>(options) =
-                toSearchEngine(key, value);
-            break;
-        case OptionKind::Bool:
-            row->at<OptionKind::Bool>(options) = toBool(key, value);
-            break;
-        case OptionKind::Int:
-            row->at<OptionKind::Int>(options) =
-                toInt(key, value, row->min, row->max);
-            break;
-        case OptionKind::Count:
-            row->at<OptionKind::Count>(options) = toCount(key, value);
-            break;
-        case OptionKind::Double:
-            row->at<OptionKind::Double>(options) = toNumber(key, value);
-            break;
-        case OptionKind::Seed:
-            row->at<OptionKind::Seed>(options) = toSeed(key, value);
-            break;
-        case OptionKind::Text:
-            row->at<OptionKind::Text>(options) = value;
-            break;
-        }
-    }
+    for (const auto &[key, value] : config)
+        readField(key, value, source, "options", options);
+    throwIfInvalid(fieldError(options, source, "options"), source);
     return options;
 }
 

@@ -4,18 +4,12 @@
  * users can describe their own hardware and workloads without
  * recompiling. Format: one `key = value` pair per line, `#` comments.
  *
- * Wafer keys (defaults = Table I):
- *   rows, cols, peak_tflops, sram_mb, d2d_tbps, d2d_latency_ns,
- *   d2d_pj_per_bit, hbm_stacks, hbm_gb_per_stack, hbm_tbps_per_stack,
- *   hbm_latency_ns, hbm_pj_per_bit, flops_per_watt_t
- *
- * Model keys:
- *   name, heads, batch, hidden, layers, seq, ffn_mult, vocab
- *
- * Framework-options keys: one row each in core/options_schema.cpp,
- * which also gives each key's scope (which keys travel on the wire
- * and which enter the framework cache key) and value kind. Booleans
- * accept 0/1/true/false.
+ * The keys, their units, ranges and docs are the rows of the field
+ * tables in core/schema.cpp: options, wafer (defaults = Table I; the
+ * rows' config_key names, plus the by-hand hbm_gb_per_stack and
+ * hbm_tbps_per_stack) and model (plus the by-hand `base`). The options
+ * rows also give each key's scope (which keys travel on the wire and
+ * which enter the framework cache key). Booleans accept 0/1/true/false.
  */
 #pragma once
 
@@ -24,7 +18,7 @@
 #include <string>
 
 #include "core/framework.hpp"
-#include "core/options_schema.hpp"
+#include "core/schema.hpp"
 #include "hw/config.hpp"
 #include "model/model_zoo.hpp"
 
@@ -75,15 +69,36 @@ FrameworkOptions frameworkOptionsFromConfig(const ConfigMap &config);
 /// @{ Error-returning twins of the builders above: identical
 /// validation (same messages, same unknown-key strictness), but they
 /// throw ConfigError instead of terminating the process. The fatal()
-/// versions are thin wrappers over these.
+/// versions are thin wrappers over these. The wire parser reads models
+/// and options through them with Source::Wire, which names keys
+/// "<what>.<key>" and leaves the process-local options unknown.
 ConfigMap parseConfigTextOrThrow(const std::string &text);
 hw::WaferConfig waferFromConfigOrThrow(const ConfigMap &config);
-model::ModelConfig modelFromConfigOrThrow(const ConfigMap &config);
-/// `widest` narrows the accepted keys: the wire parser passes
-/// OptionScope::Wire, so process-local keys are unknown there.
+model::ModelConfig modelFromConfigOrThrow(const ConfigMap &config,
+                                          Source source = Source::Config,
+                                          std::string_view what = "model");
 FrameworkOptions frameworkOptionsFromConfigOrThrow(
-    const ConfigMap &config, OptionScope widest = OptionScope::Local);
+    const ConfigMap &config, Source source = Source::Config);
 /// @}
+
+/**
+ * The one field reader: sets the field of `out` that `key` names, by
+ * the keys of T's table (core/schema.hpp) that `source` reads, from its
+ * text (scaled from config units to wire units). An unknown key or a
+ * malformed value throws ConfigError naming the key; ranges are
+ * fieldError's, checked once the whole struct is read.
+ */
+template <typename T>
+void readField(const std::string &key, const std::string &text,
+               Source source, std::string_view what, T &out);
+
+/// A uint64 from its raw decimal lexeme (a double would corrupt seeds
+/// above 2^53): false unless `text` is digits only and below 2^64.
+bool parseSeed(const std::string &text, std::uint64_t *out);
+
+/// Throws ConfigError("config: " or "request: " + error) unless
+/// `error` is empty.
+void throwIfInvalid(const std::string &error, Source source);
 
 /// True when a command-line argument names a config file rather than a
 /// zoo model (shared by the CLI and the examples).

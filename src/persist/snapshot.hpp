@@ -16,7 +16,7 @@
  *   u64     contract fingerprint (kernel/SIMD numeric contract)
  *   u32     block count
  *   blocks  repeated:
- *     str   framework key  (api::waferKey + api::optionsKey)
+ *     str   framework key  (api::frameworkKey: wafer + options)
  *     2 sections, each:
  *       u32  section tag ('BRKD' | 'STEP')
  *       u64  payload size

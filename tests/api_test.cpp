@@ -420,6 +420,68 @@ TEST(ApiService, InvalidRequestsReturnErrorResponsesNotAborts)
     EXPECT_EQ(service.stats().pods_built, 0);
 }
 
+TEST(ApiService, OutOfRangeFieldsAnswerErrorsNotPanics)
+{
+    // A typed request skips the parser, so run() applies the same field
+    // checks: each of these once panicked in the cost model.
+    TempService service;
+    OptimizeRequest bad_seq;
+    bad_seq.model = testModel();
+    bad_seq.options = fastOptions();
+    bad_seq.model.seq = -4;
+    const Response seq = service.run(bad_seq);
+    EXPECT_FALSE(seq.ok);
+    EXPECT_NE(seq.error.find("model.seq"), std::string::npos) << seq.error;
+
+    FaultRequest bad_rate;
+    bad_rate.model = testModel();
+    bad_rate.wafer.die.peak_flops = 0;
+    const Response rate = service.run(Request{bad_rate});
+    EXPECT_FALSE(rate.ok);
+    EXPECT_NE(rate.error.find("wafer.die_peak_flops"), std::string::npos)
+        << rate.error;
+
+    MultiWaferRequest bad_pod;
+    bad_pod.model = testModel();
+    bad_pod.pod.wafer.d2d.bandwidth_bytes_per_s = -1;
+    const Response pod = service.run(bad_pod);
+    EXPECT_FALSE(pod.ok);
+    EXPECT_NE(pod.error.find("pod.wafer.d2d_bandwidth_bytes_per_s"),
+              std::string::npos)
+        << pod.error;
+
+    ScenarioRequest bad_switch;
+    bad_switch.model = testModel();
+    bad_switch.options = fastOptions();
+    scenario::Event event;
+    event.kind = scenario::Event::Kind::ModelSwitch;
+    event.model = testModel();
+    event.model.ffn_mult = 0;
+    bad_switch.events.push_back(event);
+    const Response replay = service.run(bad_switch);
+    EXPECT_FALSE(replay.ok);
+    EXPECT_NE(replay.error.find("events[0].model.ffn_mult"),
+              std::string::npos)
+        << replay.error;
+
+    // Each degree is in range, but their product overflows an int: the
+    // runtime spec check must not let the wrapped value pass.
+    StrategyRequest huge;
+    huge.model = testModel();
+    huge.spec.dp = 1 << 16;
+    huge.spec.tp = 1 << 16;
+    const Response strategy = service.run(huge);
+    EXPECT_FALSE(strategy.ok);
+    EXPECT_NE(strategy.error.find("needs 4294967296 dies"), std::string::npos)
+        << strategy.error;
+
+    // Nothing was built for any of them, and a valid request still runs.
+    EXPECT_EQ(service.stats().frameworks_built, 0);
+    EXPECT_EQ(service.stats().pods_built, 0);
+    bad_seq.model.seq = 2048;
+    EXPECT_TRUE(service.run(bad_seq).ok);
+}
+
 TEST(ApiService, MultiWaferRequestMatchesDirectSimulator)
 {
     const model::ModelConfig model = model::modelByName("GPT-3 175B");

@@ -738,6 +738,40 @@ TEST(Server, ThrowingSolveAnswersErrorAndServerKeepsServing)
               stats.coalesced + stats.executed + stats.shed);
 }
 
+TEST(Server, HostileModelValueAnswersErrorAndServerKeepsServing)
+{
+    // A negative sequence length used to parse, reach the cost model and
+    // panic, which aborted the whole server. The parser now rejects it
+    // by name, and the next request is served.
+    api::TempService service;
+    ServerOptions options;
+    options.dispatcher.workers = 1;
+    Server server(service, options);
+    std::string error;
+    ASSERT_TRUE(server.start(&error)) << error;
+    const int port = server.port();
+
+    int status = 0;
+    std::string body;
+    ASSERT_TRUE(Client::httpPost(
+        "127.0.0.1", port, "/v1/requests",
+        "{\"kind\":\"optimize\","
+        "\"model\":{\"base\":\"GPT-3 6.7B\",\"seq\":-4}}",
+        &status, &body, &error))
+        << error;
+    EXPECT_EQ(status, 400);
+    EXPECT_NE(body.find("model.seq"), std::string::npos) << body;
+
+    ASSERT_TRUE(Client::httpPost("127.0.0.1", port, "/v1/requests",
+                                 api::toJson(optimizeWithSeed(1)), &status,
+                                 &body, &error))
+        << error;
+    EXPECT_EQ(status, 200);
+    EXPECT_NE(body.find("\"ok\":true"), std::string::npos);
+    server.stop();
+    EXPECT_EQ(server.stats().executed, 1);
+}
+
 TEST(Server, SessionCapRefusesExtraConnections)
 {
     api::TempService service;
