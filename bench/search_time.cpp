@@ -10,6 +10,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <memory>
 #include <string>
 #include <thread>
 
@@ -57,9 +58,18 @@ evaluatorThroughput(const sim::TrainingSimulator &sim,
                     "Warm refill (s)", "Warm hit rate", "DLS solve (s)",
                     "Speedup vs 1T"});
     double base_cold = 0.0;
+    // Each width fills, and then solves on, simulators of its own: the
+    // op-cell memo lives in the cost model, so a shared one would make
+    // every fill after the first a warm refill.
+    const auto fresh = [&] {
+        return std::make_unique<sim::TrainingSimulator>(
+            sim.wafer(), sim.costModel().policy(),
+            sim.costModel().partitioner().options());
+    };
     for (int threads : {1, 2, hw_threads}) {
         ThreadPool pool(threads);
-        eval::ExactEvaluator evaluator(sim.costModel(), &pool);
+        const auto fill_sim = fresh();
+        eval::ExactEvaluator evaluator(fill_sim->costModel(), &pool);
 
         const double t0 = now();
         evaluator.evaluateBatch(graph, requests);
@@ -86,7 +96,7 @@ evaluatorThroughput(const sim::TrainingSimulator &sim,
         cfg.eval_threads = threads;
         const double t2 = now();
         const solver::SolverResult solved =
-            solver::DlsSolver(sim, cfg).solve(graph);
+            solver::DlsSolver(*fresh(), cfg).solve(graph);
         const double solve = now() - t2;
 
         if (threads == 1)

@@ -28,6 +28,34 @@ using core::kMaxWaferDies;
 /// keeps a one-line hostile request from queueing unbounded work.
 constexpr std::size_t kMaxScenarioEvents = 4096;
 
+/*
+ * The scalars this parser reads outside the field tables of
+ * core/schema.cpp, ranged by the same check. A link fault rate is the
+ * probability that a link channel fails and a core fault rate the mean
+ * fraction of failed cores per die (hw::FaultMap::randomLinkFaults and
+ * randomCoreFaults), so both lie in [0, 1]; an event time is virtual
+ * seconds from the start of the timeline, so finite and >= 0.
+ */
+const core::FieldRow<FaultRequest> kFaultRows[] = {
+    {.key = "link_fault_rate",
+     .field = +[](FaultRequest &r) { return &r.link_fault_rate; },
+     .doc = "probability a link channel fails", .min = 0, .max = 1},
+    {.key = "core_fault_rate",
+     .field = +[](FaultRequest &r) { return &r.core_fault_rate; },
+     .doc = "mean fraction of failed cores per die", .min = 0, .max = 1},
+};
+
+const core::FieldRow<scenario::Event> kEventRows[] = {
+    {.key = "at_s", .field = +[](scenario::Event &e) { return &e.at_s; },
+     .doc = "virtual time of the event, s", .min = 0},
+    {.key = "link_fault_rate",
+     .field = +[](scenario::Event &e) { return &e.link_fault_rate; },
+     .doc = "probability a link channel fails", .min = 0, .max = 1},
+    {.key = "core_fault_rate",
+     .field = +[](scenario::Event &e) { return &e.core_fault_rate; },
+     .doc = "mean fraction of failed cores per die", .min = 0, .max = 1},
+};
+
 [[noreturn]] void
 fail(const std::string &message)
 {
@@ -279,6 +307,7 @@ eventsOf(const JsonValue &v)
         }
         if (!have_type)
             fail("request: " + what + " is missing 'type'");
+        core::throwIfInvalid(fieldError(event, what), core::Source::Wire);
         // Payload fields are per-type: accepting a fault draw on a
         // reoptimize (or a model on a wafer_join) would parse into a
         // request whose canonical key and re-serialization disagree
@@ -407,6 +436,18 @@ readRequest(const JsonValue &root, const std::string &kind,
 
 }  // namespace
 
+std::string
+fieldError(const FaultRequest &request)
+{
+    return core::rowsError(request, kFaultRows, core::Source::Wire, "fault");
+}
+
+std::string
+fieldError(const scenario::Event &event, const std::string &what)
+{
+    return core::rowsError(event, kEventRows, core::Source::Wire, what);
+}
+
 bool
 parseRequest(const std::string &json_text, ParsedRequest *out,
              std::string *error)
@@ -452,7 +493,7 @@ parseRequest(const std::string &json_text, ParsedRequest *out,
                     return true;
                 });
         } else if (kind == "fault") {
-            out->request = readRequest<FaultRequest>(
+            FaultRequest fault = readRequest<FaultRequest>(
                 root, kind, &tenant,
                 [](FaultRequest &r, Key key, Value value) {
                     if (key == "link_fault_rate")
@@ -467,6 +508,8 @@ parseRequest(const std::string &json_text, ParsedRequest *out,
                         return false;
                     return true;
                 });
+            core::throwIfInvalid(fieldError(fault), core::Source::Wire);
+            out->request = std::move(fault);
         } else if (kind == "multiwafer") {
             out->request = readRequest<MultiWaferRequest>(
                 root, kind, &tenant,

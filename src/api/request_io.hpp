@@ -56,6 +56,16 @@ struct ParsedRequest
 bool parseRequest(const std::string &json_text, ParsedRequest *out,
                   std::string *error);
 
+/// @{ Range checks of the scalars the parser reads outside the field
+/// tables of core/schema.cpp (the fault envelope; an event's time and
+/// rates), by the same row check: "" or the first violation, named as
+/// a request document names it. TempService runs them on typed
+/// requests too.
+std::string fieldError(const FaultRequest &request);
+std::string fieldError(const scenario::Event &event,
+                       const std::string &what);
+/// @}
+
 /// @{ Wire-format renderers (the outbound half; inverse of
 /// parseRequest). Every field is emitted, defaults included, so
 /// documents are self-contained and byte-stable. The table-described

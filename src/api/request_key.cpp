@@ -3,6 +3,7 @@
 #include <charconv>
 #include <concepts>
 
+#include "api/serialize.hpp"
 #include "core/schema.hpp"
 
 namespace temp::api {
@@ -15,12 +16,7 @@ namespace {
 void
 field(std::string &key, double v)
 {
-    // to_chars at precision 17 writes exactly what printf's %.17g does,
-    // without the locale and format-string work.
-    char buf[40];
-    key.append(buf, std::to_chars(buf, buf + sizeof(buf), v,
-                                  std::chars_format::general, 17)
-                        .ptr);
+    appendExact(key, v);
     key += '|';
 }
 

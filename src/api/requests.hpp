@@ -84,9 +84,10 @@ struct MultiWaferRequest
 /**
  * Observability: a snapshot of every memo layer's governance counters
  * — the service's framework/pod maps plus, aggregated across all
- * cached frameworks, the breakdown memo, step-report memo, layout
- * caches, schedule cache and routes. The `temp_cli cache-stats`
- * subcommand is the CLI face of this request.
+ * cached frameworks, the step-report memo, schedule cache, routes and
+ * the cost model's layout, stream-plan, timed-phase and op-cell
+ * memos. The `temp_cli cache-stats` subcommand is the CLI face of this
+ * request.
  */
 struct CacheStatsRequest
 {

@@ -1,5 +1,6 @@
 #include "api/serialize.hpp"
 
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 
@@ -47,9 +48,18 @@ jsonNumberExact(double v)
 {
     if (!std::isfinite(v))
         return "null";
+    std::string out;
+    appendExact(out, v);
+    return out;
+}
+
+void
+appendExact(std::string &out, double v)
+{
     char buf[40];
-    std::snprintf(buf, sizeof(buf), "%.17g", v);
-    return buf;
+    out.append(buf, std::to_chars(buf, buf + sizeof(buf), v,
+                                  std::chars_format::general, 17)
+                        .ptr);
 }
 
 JsonObject &

@@ -23,8 +23,14 @@ std::string jsonEscape(std::string_view s);
 /// (JSON has no inf/nan).
 std::string jsonNumber(double v);
 
-/// Round-trip-exact variant (%.17g): a double rendered with this and
-/// parsed back compares bit-equal. Request serialization uses it so
+/// Appends a double as %.17g writes it, through std::to_chars at
+/// precision 17 (the same bytes without printf's locale and
+/// format-string work), so it parses back bit-equal. The canonical
+/// keys and jsonNumberExact both write doubles through it.
+void appendExact(std::string &out, double v);
+
+/// Round-trip-exact variant (appendExact): a double rendered with this
+/// and parsed back compares bit-equal. Request serialization uses it so
 /// serialize -> parse -> requestKey is an identity.
 std::string jsonNumberExact(double v);
 

@@ -3,6 +3,7 @@
 #include <chrono>
 #include <cstdio>
 
+#include "api/request_io.hpp"
 #include "api/request_key.hpp"
 #include "core/schema.hpp"
 #include "model/graph.hpp"
@@ -60,6 +61,9 @@ fieldsError(const R &request)
     if constexpr (requires { request.pod; })
         if (error.empty())
             error = check(request.pod, "pod");
+    if constexpr (std::is_same_v<R, FaultRequest>)
+        if (error.empty())
+            error = fieldError(request);
     return error.empty() ? check(request.options, "options") : error;
 }
 
@@ -166,24 +170,27 @@ TempService::consumePendingBlock(const std::string &key,
         block = std::move(it->second);
         pending_blocks_.erase(it);
         importing_.insert(key);
-        ++persist_stats_.frameworks_warmed;
     }
-    // Import outside the lock: schedule replay lowers real schedules.
-    // Requests racing for the same framework wait above until it ends.
-    const auto finish_import = [&] {
+    // Import outside the lock. Requests racing for the same framework
+    // wait above until it ends. A block naming dies this wafer lacks
+    // imports nothing and counts as a failed load.
+    const auto finish_import = [&](bool imported) {
         {
             std::lock_guard<std::mutex> lock(persist_mutex_);
             importing_.erase(key);
+            ++(imported ? persist_stats_.frameworks_warmed
+                        : persist_stats_.load_failures);
         }
         import_done_.notify_all();
     };
+    bool imported = false;
     try {
-        fw.importMemos(block);
+        imported = fw.importMemos(std::move(block));
     } catch (...) {
-        finish_import();
+        finish_import(false);
         throw;
     }
-    finish_import();
+    finish_import(imported);
 }
 
 bool
@@ -502,11 +509,14 @@ TempService::run(const ScenarioRequest &request,
     }
     response.error = fieldsError(request);
     for (std::size_t i = 0;
-         i < request.events.size() && response.error.empty(); ++i)
-        if (request.events[i].kind == scenario::Event::Kind::ModelSwitch)
+         i < request.events.size() && response.error.empty(); ++i) {
+        const std::string what = "events[" + std::to_string(i) + "]";
+        response.error = fieldError(request.events[i], what);
+        if (response.error.empty() &&
+            request.events[i].kind == scenario::Event::Kind::ModelSwitch)
             response.error = core::fieldError(
-                request.events[i].model, core::Source::Wire,
-                "events[" + std::to_string(i) + "].model");
+                request.events[i].model, core::Source::Wire, what + ".model");
+    }
     if (!response.error.empty())
         return finish(std::move(response), t0);
     auto fw = frameworkFor(request.wafer, request.options,

@@ -6,7 +6,7 @@
  * The service owns a cache of TempFramework instances keyed by the
  * canonicalized (WaferConfig, FrameworkOptions) content, so every
  * request against the same wafer shares one framework — and with it
- * the CachingEvaluator and its memos. A repeated OptimizeRequest is
+ * its memo stack. A repeated OptimizeRequest is
  * served entirely from cache: its SolverResult reports zero new
  * matrix_measurements and pure cache_hits. Multi-wafer pods are cached
  * the same way (MultiWaferSimulator keeps per-pp stage contexts).

@@ -3,9 +3,9 @@
  * Bounded-cache governance for the whole memo stack.
  *
  * Every memo layer in the system — the service's framework/pod maps,
- * the breakdown and step-report memos, the layout cache, the schedule
- * cache and the cost model's stream-plan, timed-phase and
- * simulator-cell memos — is an append-only map by default, which is a
+ * the step-report memo, the schedule cache and the cost model's
+ * layout, stream-plan, timed-phase and op-cell memos — is an
+ * append-only map by default, which is a
  * by-design memory leak once the process is a long-lived service. This
  * header owns the shared machinery that bounds them:
  *

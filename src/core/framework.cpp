@@ -13,9 +13,8 @@ TempFramework::TempFramework(hw::WaferConfig wafer_config,
       sim_(std::make_unique<sim::TrainingSimulator>(*wafer_, options.policy,
                                                     options.training)),
       pool_(std::make_unique<ThreadPool>(options.eval_threads)),
-      exact_(std::make_unique<eval::ExactEvaluator>(
-          sim_->costModel(), pool_.get(), /*memoize_breakdowns=*/false)),
-      evaluator_(std::make_unique<eval::CachingEvaluator>(*exact_)),
+      evaluator_(std::make_unique<eval::ExactEvaluator>(sim_->costModel(),
+                                                        pool_.get())),
       steps_(std::make_unique<eval::StepEvaluator>(*sim_, pool_.get()))
 {
     // Cache governance: thread the entry and byte budgets through
@@ -24,14 +23,7 @@ TempFramework::TempFramework(hw::WaferConfig wafer_config,
     // guarantees its tests assert — are untouched unless a budget is
     // configured.
     if (options.cache.boundsFramework()) {
-        evaluator_->setMaxEntries(options.cache.max_eval_entries);
-        evaluator_->setMaxBytes(options.cache.max_eval_bytes);
-        steps_->setMaxEntries(options.cache.max_step_entries);
-        steps_->setMaxBytes(options.cache.max_step_bytes);
-        exact_->setCacheBudget(options.cache);
-        sim_->layoutCache().setMaxEntries(
-            options.cache.max_layout_entries);
-        sim_->layoutCache().setMaxBytes(options.cache.max_layout_bytes);
+        steps_->setCacheBudget(options.cache);
         sim_->costModel().setCacheBudgets(options.cache);
     }
 }
@@ -42,7 +34,6 @@ TempFramework::~TempFramework()
     // destructor would free them, so the trim below sees their memory.
     steps_.reset();
     evaluator_.reset();
-    exact_.reset();
     pool_.reset();
     sim_.reset();
     wafer_.reset();
@@ -60,9 +51,9 @@ persist::MemoBlock
 TempFramework::exportMemos() const
 {
     persist::MemoBlock block;
-    evaluator_->forEachCached(
-        [&](const std::string &key, const cost::OpCostBreakdown &b) {
-            block.breakdowns.emplace_back(key, b);
+    sim_->costModel().forEachCell(
+        [&](const cost::OpCellKey &key, const cost::OpCell &cell) {
+            block.cells.emplace_back(key, cell);
         });
     steps_->forEachCached(
         [&](const std::string &key, const sim::PerfReport &report) {
@@ -71,25 +62,31 @@ TempFramework::exportMemos() const
     return block;
 }
 
-void
-TempFramework::importMemos(const persist::MemoBlock &block) const
+bool
+TempFramework::importMemos(persist::MemoBlock block) const
 {
-    for (const auto &[key, breakdown] : block.breakdowns)
-        evaluator_->importCached(key, breakdown);
+    const int dies = wafer_->dieCount();
+    for (const auto &[key, cell] : block.cells)
+        for (const net::CollectiveTask &task : cell.step_tasks)
+            for (hw::DieId die : task.group)
+                if (die < 0 || die >= dies)
+                    return false;
+    const cost::WaferCostModel &model = sim_->costModel();
+    for (auto &[key, cell] : block.cells)
+        model.importCell(key.graph_fp, key.op_index, key.spec,
+                         std::move(cell));
     for (const auto &[key, report] : block.step_reports)
         steps_->importCached(key, report);
+    return true;
 }
 
 std::vector<std::pair<std::string, common::CacheStats>>
 TempFramework::cacheStats() const
 {
     const cost::WaferCostModel &model = sim_->costModel();
-    common::CacheStats layouts = exact_->layoutCache().cacheStats();
-    layouts += sim_->layoutCache().cacheStats();
     return {
-        {"eval_breakdowns", evaluator_->cacheStats()},
         {"step_reports", steps_->cacheStats()},
-        {"layouts", layouts},
+        {"layouts", model.layoutMemoStats()},
         {"schedules", model.scheduleCacheStats()},
         {"routes", model.routePoolStats()},
         {"stream_plans", model.streamPlanStats()},
@@ -123,26 +120,18 @@ DegradedContext::DegradedContext(const hw::WaferConfig &config,
     // in optimize() against this derate-/fault-aware stack. The
     // degraded wafer has its own cost model, so the shared healthy
     // evaluator cannot serve it; this context-local evaluator (sharing
-    // the framework pool) keeps the caching + parallel fill — and,
-    // unlike the historical per-call locals, keeps its memos across
-    // calls.
+    // the framework pool) keeps the parallel fill — and, unlike the
+    // historical per-call locals, its cost model keeps its memos
+    // across calls.
     : options_(options), fingerprint_(faults.contentFingerprint()),
       wafer_(config, faults),
       sim_(wafer_, options.policy, options.training),
-      exact_(sim_.costModel(), pool, /*memoize_breakdowns=*/false),
-      eval_(exact_), steps_(sim_, pool)
+      eval_(sim_.costModel(), pool), steps_(sim_, pool)
 {
     // Same governance the healthy framework applies in its ctor: a
     // long-lived degraded context must honour the configured budgets.
     if (options.cache.boundsFramework()) {
-        eval_.setMaxEntries(options.cache.max_eval_entries);
-        eval_.setMaxBytes(options.cache.max_eval_bytes);
-        steps_.setMaxEntries(options.cache.max_step_entries);
-        steps_.setMaxBytes(options.cache.max_step_bytes);
-        exact_.setCacheBudget(options.cache);
-        sim_.layoutCache().setMaxEntries(
-            options.cache.max_layout_entries);
-        sim_.layoutCache().setMaxBytes(options.cache.max_layout_bytes);
+        steps_.setCacheBudget(options.cache);
         sim_.costModel().setCacheBudgets(options.cache);
     }
 }

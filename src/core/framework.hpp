@@ -90,7 +90,7 @@ struct FrameworkOptions
 
 /**
  * A reusable degraded-wafer solve context: the wafer rebuilt under one
- * fault state plus a full evaluator stack (simulator, caching matrix
+ * fault state plus a full evaluator stack (simulator, matrix
  * evaluator, step evaluator) over it. optimizeWithFaults() historically
  * built and discarded this per call; holding one keeps the degraded
  * memos alive, so a repeat solve of the same model on the same fault
@@ -131,8 +131,7 @@ class DegradedContext
     std::uint64_t fingerprint_;
     hw::Wafer wafer_;
     sim::TrainingSimulator sim_;
-    eval::ExactEvaluator exact_;
-    eval::CachingEvaluator eval_;
+    eval::ExactEvaluator eval_;
     eval::StepEvaluator steps_;
 };
 
@@ -201,11 +200,12 @@ class TempFramework
     const FrameworkOptions &options() const { return options_; }
 
     /**
-     * The framework-owned evaluation backend: a caching evaluator over
-     * the simulator's cost model, shared by every optimize() call so
-     * DP, refiner seeding and repeat optimisations of the same model
-     * never re-measure a matrix cell. SolverResult's
-     * matrix_measurements / cache_hits report its per-solve deltas.
+     * The framework-owned evaluation backend over the simulator's cost
+     * model. Matrix entries come from the cost model's op-cell memo,
+     * which the simulator shares, so DP, uniform seeding and repeat
+     * optimisations of the same model never re-cost a cell.
+     * SolverResult's matrix_measurements / cache_hits report its
+     * per-solve deltas.
      */
     eval::CostEvaluator &evaluator() const { return *evaluator_; }
 
@@ -226,43 +226,43 @@ class TempFramework
 
     /**
      * Governance counters of every memo layer this framework owns,
-     * as (layer name, counters) pairs: eval_breakdowns (the shared
-     * CachingEvaluator memo), step_reports, layouts (simulator +
-     * exact-evaluator layout caches combined), schedules (the shared
-     * net::ScheduleCache), routes (the Router's current-epoch route
-     * storage), and the cost model's memos: stream_plans,
-     * collective_phases and sim_cells.
-     * The layer names are the CacheStatsRequest JSON vocabulary.
+     * as (layer name, counters) pairs: step_reports, layouts,
+     * schedules (the shared net::ScheduleCache), routes (the Router's
+     * current-epoch route storage), stream_plans, collective_phases
+     * and sim_cells (the op-cell memo the DP matrix and the simulator
+     * share). The layer names are the CacheStatsRequest JSON
+     * vocabulary.
      */
     std::vector<std::pair<std::string, common::CacheStats>> cacheStats()
         const;
 
     /**
-     * Exports this framework's persistable memo layers — breakdown
-     * memo and step-report memo — as one snapshot block (framework_key
-     * left empty; the service stamps its canonical key). Layouts and
-     * lowered schedules are deliberately not exported: they are only
-     * consulted on breakdown misses, so a warm breakdown/step tier
-     * never needs them, and they re-build bit-identically when it does
-     * miss.
+     * Exports this framework's persistable memo layers — the op-cell
+     * memo of the live fault epoch and the step-report memo — as one
+     * snapshot block (framework_key left empty; the service stamps its
+     * canonical key). Layouts and lowered schedules are deliberately
+     * not exported: they are only consulted on cell misses, and they
+     * re-build bit-identically when one happens.
      */
     persist::MemoBlock exportMemos() const;
 
     /**
-     * Seeds the memo layers from a snapshot block (warm start).
-     * Breakdowns and step reports import by value under their content
-     * keys. Resident entries always win, so importing into a warm
-     * framework never changes what it serves.
+     * Seeds the memo layers from a snapshot block (warm start). Cells
+     * import by value under the live fault epoch, step reports under
+     * their content keys. Resident entries always win, so importing
+     * into a warm framework never changes what it serves.
+     *
+     * @return false, importing nothing, when a cell names a die this
+     *         wafer does not have.
      */
-    void importMemos(const persist::MemoBlock &block) const;
+    bool importMemos(persist::MemoBlock block) const;
 
   private:
     FrameworkOptions options_;
     std::unique_ptr<hw::Wafer> wafer_;
     std::unique_ptr<sim::TrainingSimulator> sim_;
     std::unique_ptr<ThreadPool> pool_;
-    std::unique_ptr<eval::ExactEvaluator> exact_;
-    std::unique_ptr<eval::CachingEvaluator> evaluator_;
+    std::unique_ptr<eval::ExactEvaluator> evaluator_;
     std::unique_ptr<eval::StepEvaluator> steps_;
 };
 

@@ -106,25 +106,25 @@ const OptionRow kOptionRows[] = {
      "entry budget of the service's pod cache"},
     {"eval.cache.max_entries", Identity,
      +[](O &o) { return &o.cache.max_eval_entries; },
-     "entry budget of the breakdown and sim-cell memos"},
+     "entry budget of the op-cell memo (DP matrix and simulator)"},
     {"eval.cache.max_step_entries", Identity,
      +[](O &o) { return &o.cache.max_step_entries; },
      "entry budget of the step-report memo"},
     {"eval.cache.max_layouts", Identity,
      +[](O &o) { return &o.cache.max_layout_entries; },
-     "entry budget of the layout caches"},
+     "entry budget of the layout and stream-plan memos"},
     {"net.schedule_cache.max_entries", Identity,
      +[](O &o) { return &o.cache.max_schedule_entries; },
      "entry budget of the schedule cache"},
     {"eval.cache.max_bytes", Identity,
      +[](O &o) { return &o.cache.max_eval_bytes; },
-     "byte budget of the breakdown and sim-cell memos"},
+     "byte budget of the op-cell memo (DP matrix and simulator)"},
     {"eval.cache.max_step_bytes", Identity,
      +[](O &o) { return &o.cache.max_step_bytes; },
      "byte budget of the step-report memo"},
     {"eval.cache.max_layout_bytes", Identity,
      +[](O &o) { return &o.cache.max_layout_bytes; },
-     "byte budget of the layout caches"},
+     "byte budget of the layout and stream-plan memos"},
     {"net.schedule_cache.max_bytes", Identity,
      +[](O &o) { return &o.cache.max_schedule_bytes; },
      "byte budget of the schedule cache"},
@@ -324,6 +324,29 @@ template std::string rangeText<int>(double, double, double);
 template std::string rangeText<long>(double, double, double);
 template std::string rangeText<double>(double, double, double);
 
+template <typename V>
+std::string
+rangeError(double v, double min, double max, double scale,
+           const std::string &name)
+{
+    if constexpr (std::is_same_v<V, long>)
+        min = 0;
+    if (std::isfinite(v) && v >= min && v <= max)
+        return "";
+    const std::string range = rangeText<V>(min, max, scale);
+    const std::string got = number(v / scale);
+    return v > max ? name + " exceeds " + number(max / scale) +
+                         " (must be " + range + ", got " + got + ")"
+                   : name + " must be " + range + ", got " + got;
+}
+
+template std::string rangeError<int>(double, double, double, double,
+                                     const std::string &);
+template std::string rangeError<long>(double, double, double, double,
+                                      const std::string &);
+template std::string rangeError<double>(double, double, double, double,
+                                        const std::string &);
+
 template <typename T>
 std::string
 fieldError(const T &value, Source source, std::string_view what)
@@ -339,31 +362,9 @@ fieldError(const T &value, Source source, std::string_view what)
             return grid + "exceeds " + std::to_string(kMaxWaferDies) +
                    " dies";
     }
-    for (const FieldRow<T> &row : fieldRows<T>()) {
-        std::string error;
-        row.visit(value, [&](const auto &member) {
-            using V = std::decay_t<decltype(member)>;
-            if constexpr (std::is_same_v<V, int> || std::is_same_v<V, long> ||
-                          std::is_same_v<V, double>) {
-                const double v = static_cast<double>(member);
-                const double min = std::is_same_v<V, long> ? 0 : row.min;
-                if (std::isfinite(v) && v >= min && v <= row.max)
-                    return;
-                const double scale =
-                    source == Source::Config ? row.config_scale : 1;
-                const std::string name = row.name(source, what);
-                const std::string range =
-                    rangeText<V>(row.min, row.max, scale);
-                const std::string got = number(v / scale);
-                error = v > row.max
-                            ? name + " exceeds " + number(row.max / scale) +
-                                  " (must be " + range + ", got " + got + ")"
-                            : name + " must be " + range + ", got " + got;
-            }
-        });
-        if (!error.empty())
-            return error;
-    }
+    if (std::string error = rowsError(value, fieldRows<T>(), source, what);
+        !error.empty())
+        return error;
     if constexpr (std::is_same_v<T, M>)
         if (value.hidden % value.heads != 0)
             return std::string(what) + " hidden (" +

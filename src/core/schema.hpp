@@ -24,6 +24,7 @@
 #include <span>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <variant>
 
 #include "core/framework.hpp"
@@ -166,6 +167,42 @@ std::span<const FieldRow<hw::MultiWaferConfig>> fieldRows();
 /// divided by `scale` (config units).
 template <typename V>
 std::string rangeText(double min, double max, double scale = 1.0);
+
+/// "" when `v`, a member of type V (int, long or double), lies in
+/// [min, max]; else the message naming it `name`, with bounds and value
+/// divided by `scale` (config units).
+template <typename V>
+std::string rangeError(double v, double min, double max, double scale,
+                       const std::string &name);
+
+/**
+ * The first member of `value` out of its row's range, named as
+ * `source` does, or "". fieldError runs it over a table's rows; the
+ * request parser runs it over its own small tables (the fault envelope,
+ * scenario events), so every range message reads alike.
+ */
+template <typename T>
+std::string
+rowsError(const T &value,
+          std::type_identity_t<std::span<const FieldRow<T>>> rows,
+          Source source, std::string_view what)
+{
+    for (const FieldRow<T> &row : rows) {
+        std::string error;
+        row.visit(value, [&](const auto &member) {
+            using V = std::decay_t<decltype(member)>;
+            if constexpr (std::is_same_v<V, int> || std::is_same_v<V, long> ||
+                          std::is_same_v<V, double>)
+                error = rangeError<V>(
+                    static_cast<double>(member), row.min, row.max,
+                    source == Source::Config ? row.config_scale : 1,
+                    row.name(source, what));
+        });
+        if (!error.empty())
+            return error;
+    }
+    return "";
+}
 
 /**
  * The one check per table: every row in range plus the struct's

@@ -1,9 +1,11 @@
 #include "cost/cost_model.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <limits>
 #include <optional>
+#include <tuple>
 
 #include "common/logging.hpp"
 
@@ -51,6 +53,12 @@ OpCellKeyHash::operator()(const OpCellKey &key) const
  */
 struct WaferCostModel::Memos
 {
+    /// (graph, spec) -> the placed layout.
+    common::BoundedCache<OpCellKey,
+                         std::shared_ptr<const parallel::GroupLayout>,
+                         OpCellKeyHash>
+        layouts;
+    std::atomic<long> layout_builds{0};
     /// TATP group set + degree -> stream plan.
     common::BoundedCache<common::WordKey,
                          std::shared_ptr<const tatp::StreamPlan>,
@@ -59,7 +67,8 @@ struct WaferCostModel::Memos
     /// Collective task-set content -> timed phase.
     common::BoundedCache<common::WordKey, TimedPhase, common::WordKeyHash>
         phases;
-    /// (graph, op, spec) -> the simulator's cell.
+    /// (graph, op, spec) -> the cell the DP matrix and the simulator
+    /// share.
     common::BoundedCache<OpCellKey, std::shared_ptr<const OpCell>,
                          OpCellKeyHash>
         cells;
@@ -68,6 +77,13 @@ struct WaferCostModel::Memos
     {
         // Honest byte estimates, so the configured byte budgets bound
         // what the memos really hold.
+        layouts.setByteEstimate(
+            [](const OpCellKey &,
+               const std::shared_ptr<const GroupLayout> &layout) {
+                return static_cast<long>(sizeof(OpCellKey) +
+                                         sizeof(layout)) +
+                       layout->byteEstimate();
+            });
         stream_plans.setByteEstimate(
             [](const common::WordKey &key,
                const std::shared_ptr<const tatp::StreamPlan> &plan) {
@@ -116,6 +132,7 @@ WaferCostModel::WaferCostModel(const hw::Wafer &wafer,
     epoch_listener_id_ =
         wafer_.addEpochListener([this](std::uint64_t epoch) {
             Memos &memo = memos();
+            memo.layouts.clear();
             memo.cells.clear();
             memo.phases.clear();
             memo.stream_plans.clear();  // releases their route epochs
@@ -155,6 +172,18 @@ WaferCostModel::cellMemoStats() const
     return memos().cells.stats();
 }
 
+common::CacheStats
+WaferCostModel::layoutMemoStats() const
+{
+    return memos().layouts.stats();
+}
+
+long
+WaferCostModel::layoutBuilds() const
+{
+    return memos().layout_builds.load();
+}
+
 void
 WaferCostModel::setCacheBudgets(const common::CacheBudget &budget) const
 {
@@ -167,6 +196,8 @@ WaferCostModel::setCacheBudgets(const common::CacheBudget &budget) const
     Memos &memo = memos();
     memo.phases.setCapacity(budget.max_schedule_entries);
     memo.phases.setMaxBytes(budget.max_schedule_bytes);
+    memo.layouts.setCapacity(budget.max_layout_entries);
+    memo.layouts.setMaxBytes(budget.max_layout_bytes);
     memo.stream_plans.setCapacity(budget.max_layout_entries);
     memo.stream_plans.setMaxBytes(budget.max_layout_bytes);
     memo.cells.setCapacity(budget.max_eval_entries);
@@ -295,29 +326,63 @@ WaferCostModel::streamPlan(const std::vector<std::vector<hw::DieId>> &groups,
 }
 
 std::shared_ptr<const OpCell>
-WaferCostModel::opCell(
-    std::uint64_t graph_fp, int op_index, const model::Operator &op,
-    const ParallelSpec &spec,
-    const std::function<const GroupLayout &()> &layout, bool *hit) const
+WaferCostModel::findCell(std::uint64_t graph_fp, int op_index,
+                         const ParallelSpec &spec) const
+{
+    auto cell = memos().cells.get(
+        OpCellKey{graph_fp, wafer_.faultEpoch(), op_index, spec});
+    return cell ? *cell : nullptr;
+}
+
+std::shared_ptr<const OpCell>
+WaferCostModel::addCell(const model::ComputeGraph &graph,
+                        std::uint64_t graph_fp, int op_index,
+                        const ParallelSpec &spec) const
 {
     const OpCellKey key{graph_fp, wafer_.faultEpoch(), op_index, spec};
     Memos &memo = memos();
-    if (auto cell = memo.cells.get(key)) {
-        *hit = true;
-        return *cell;
+    // Place the spec (built outside the cache lock; on a racing
+    // duplicate the first insert wins). The shared_ptr pins the layout
+    // while the cell is costed: under a finite layout budget the memo
+    // may evict it meanwhile.
+    const OpCellKey layout_key{graph_fp, key.epoch, OpCellKey::kLayoutOp,
+                               spec};
+    std::shared_ptr<const GroupLayout> placed;
+    if (auto cached = memo.layouts.get(layout_key)) {
+        placed = std::move(*cached);
+    } else {
+        bool inserted = false;
+        std::tie(placed, inserted) = memo.layouts.insert(
+            layout_key,
+            std::make_shared<const GroupLayout>(buildLayout(graph, spec)));
+        memo.layout_builds += inserted ? 1 : 0;
     }
-    *hit = false;
-    const GroupLayout &placed = layout();
-    const OpExecution exec = partitioner_.analyze(op, placed);
-    auto cell = std::make_shared<OpCell>();
-    cell->breakdown = opCost(exec, op, placed, /*include_step=*/false);
-    cell->footprint = exec.footprint();
-    cell->step_tasks = exec.step_collectives;
-    cell->activation_bytes = exec.activation_bytes;
-    // On a racing duplicate the resident copy stays; this caller keeps
-    // its own, whose schedule counters are the lookups it really ran.
+    const model::Operator &op = graph.op(op_index);
+    auto cell = std::make_shared<const OpCell>(costCell(
+        partitioner_.analyze(op, *placed), op, *placed, /*time_step=*/true));
     memo.cells.insert(key, cell);
     return cell;
+}
+
+void
+WaferCostModel::importCell(std::uint64_t graph_fp, int op_index,
+                           const ParallelSpec &spec, OpCell cell) const
+{
+    memos().cells.insert(
+        OpCellKey{graph_fp, wafer_.faultEpoch(), op_index, spec},
+        std::make_shared<const OpCell>(std::move(cell)));
+}
+
+void
+WaferCostModel::forEachCell(
+    const std::function<void(const OpCellKey &, const OpCell &)> &fn) const
+{
+    const std::uint64_t epoch = wafer_.faultEpoch();
+    memos().cells.forEach(
+        [&](const OpCellKey &key, const std::shared_ptr<const OpCell> &cell) {
+            if (key.epoch == epoch)
+                fn(key, *cell);
+        });
 }
 
 void
@@ -419,7 +484,44 @@ OpCostBreakdown
 WaferCostModel::opCost(const OpExecution &exec, const model::Operator &op,
                        const GroupLayout &layout, bool include_step) const
 {
-    OpCostBreakdown out;
+    const OpCell cell = costCell(exec, op, layout, include_step);
+    return include_step ? cell.withStep() : cell.breakdown;
+}
+
+OpCostBreakdown
+OpCell::withStep() const
+{
+    OpCostBreakdown out = breakdown;
+    out.schedule_lowerings += step.schedule_lowerings;
+    out.schedule_cache_hits += step.schedule_cache_hits;
+    if (!out.feasible)
+        return out;
+    out.d2d_link_bytes += step.link_bytes;
+    if (std::isinf(step.time_s)) {
+        out.feasible = false;
+        return out;
+    }
+    // Gradient-sync collectives partially overlap backward compute.
+    out.step_comm_time =
+        step.time_s * (1.0 - WaferCostModel::kGradSyncOverlap);
+    out.exposed_comm += out.step_comm_time;
+    if (step.bytes > 0.0)
+        out.bw_utilization =
+            (out.bw_utilization * comm_bytes +
+             step.utilization * step.bytes) /
+            (comm_bytes + step.bytes);
+    return out;
+}
+
+OpCell
+WaferCostModel::costCell(const OpExecution &exec, const model::Operator &op,
+                         const GroupLayout &layout, bool time_step) const
+{
+    OpCell cell;
+    cell.footprint = exec.footprint();
+    cell.step_tasks = exec.step_collectives;
+    cell.activation_bytes = exec.activation_bytes;
+    OpCostBreakdown &out = cell.breakdown;
     const int dies = layout.usedDies();
 
     double min_derate = 1.0;
@@ -440,25 +542,20 @@ WaferCostModel::opCost(const OpExecution &exec, const model::Operator &op,
         exec.fwd_collectives, &out.d2d_link_bytes, &sched_stats);
     const net::PhaseTiming coll_bwd = timeCollectiveTasks(
         exec.bwd_collectives, &out.d2d_link_bytes, &sched_stats);
-    const net::PhaseTiming coll_step =
-        include_step
-            ? timeCollectiveTasks(exec.step_collectives,
-                                  &out.d2d_link_bytes, &sched_stats)
-            : net::PhaseTiming{};
     const net::PhaseTiming coll_overlap = timeCollectiveTasks(
         exec.overlap_collectives, &out.d2d_link_bytes, &sched_stats);
     out.schedule_lowerings = sched_stats.lowerings;
     out.schedule_cache_hits = sched_stats.hits;
     if (std::isinf(coll_fwd.time_s) || std::isinf(coll_bwd.time_s) ||
-        std::isinf(coll_step.time_s) || std::isinf(coll_overlap.time_s)) {
+        std::isinf(coll_overlap.time_s)) {
         out.feasible = false;
-        return out;
+        return cell;
     }
 
     if (exec.tatp.active) {
         timeStream(exec, layout, out);
         if (!out.feasible)
-            return out;
+            return cell;
     } else {
         out.fwd_time += std::max(comp_fwd, coll_overlap.time_s);
         out.bwd_time += comp_bwd;
@@ -472,25 +569,32 @@ WaferCostModel::opCost(const OpExecution &exec, const model::Operator &op,
     out.collective_time += coll_fwd.time_s + coll_bwd.time_s;
     out.exposed_comm += coll_fwd.time_s + coll_bwd.time_s;
 
-    // Gradient-sync collectives partially overlap backward compute.
-    out.step_comm_time = coll_step.time_s * (1.0 - kGradSyncOverlap);
-    out.exposed_comm += out.step_comm_time;
-
     out.dram_bytes = (exec.dram_bytes_fwd + exec.dram_bytes_bwd) * dies;
     out.flops = (exec.fwd_flops_per_die + exec.bwd_flops_per_die) * dies;
 
     // Utilisation: byte-weighted over the communication phases.
-    double util_weight = 0.0;
     double util_acc = 0.0;
-    for (const net::PhaseTiming *t :
-         {&coll_fwd, &coll_bwd, &coll_step, &coll_overlap}) {
+    for (const net::PhaseTiming *t : {&coll_fwd, &coll_bwd, &coll_overlap}) {
         if (t->total_bytes > 0.0) {
             util_acc += t->bandwidth_utilization * t->total_bytes;
-            util_weight += t->total_bytes;
+            cell.comm_bytes += t->total_bytes;
         }
     }
-    out.bw_utilization = util_weight > 0.0 ? util_acc / util_weight : 0.0;
-    return out;
+    out.bw_utilization =
+        cell.comm_bytes > 0.0 ? util_acc / cell.comm_bytes : 0.0;
+
+    if (time_step) {
+        // The per-op step phase the matrix entry adds (withStep).
+        net::ScheduleCacheStats step_stats;
+        const net::PhaseTiming step = timeCollectiveTasks(
+            exec.step_collectives, &cell.step.link_bytes, &step_stats);
+        cell.step.time_s = step.time_s;
+        cell.step.bytes = step.total_bytes;
+        cell.step.utilization = step.bandwidth_utilization;
+        cell.step.schedule_lowerings = step_stats.lowerings;
+        cell.step.schedule_cache_hits = step_stats.hits;
+    }
+    return cell;
 }
 
 double

@@ -69,22 +69,54 @@ struct OpCostBreakdown
 };
 
 /**
- * One operator's costed execution under a spec, as the training
- * simulator's per-plan reduction reads it: the breakdown without
- * step collectives, plus the analysis fields it needs besides.
+ * An op's gradient-sync collectives timed as a phase of their own: the
+ * per-op share of step communication the DP matrix charges. The
+ * simulator times a layer's step tasks jointly instead, but counts
+ * these lookups with the cell's own.
+ */
+struct StepPhase
+{
+    double time_s = 0.0;       ///< +inf when a route is partitioned
+    double bytes = 0.0;        ///< payload bytes: the utilisation weight
+    double utilization = 0.0;  ///< bandwidth utilisation of the phase
+    double link_bytes = 0.0;   ///< bytes x hops (energy)
+    long schedule_lowerings = 0;   ///< lookups of timing it
+    long schedule_cache_hits = 0;
+};
+
+/**
+ * One operator's costed execution under a spec: the breakdown without
+ * step collectives plus its own step phase, and the analysis fields the
+ * training simulator reads besides. The one op-level memo: the DP
+ * matrix reads withStep(), the simulator the breakdown.
  */
 struct OpCell
 {
     OpCostBreakdown breakdown;  ///< include_step = false
+    /// Phase bytes that weight breakdown.bw_utilization, so the step
+    /// phase can be blended in.
+    double comm_bytes = 0.0;
+    StepPhase step;  ///< untimed when the breakdown is infeasible
     mem::MemoryFootprint footprint;
     std::vector<net::CollectiveTask> step_tasks;
     double activation_bytes = 0.0;
+
+    /**
+     * The cell's DP matrix entry, opCost(..., include_step=true): the
+     * breakdown with the step phase added last (link bytes,
+     * step_comm_time into exposed_comm, the utilisation blend) and its
+     * schedule lookups added to the counters.
+     */
+    OpCostBreakdown withStep() const;
 };
 
 /// Exact key of an OpCell: graph fingerprint, op index, spec and the
-/// fault epoch the cell was costed under.
+/// fault epoch the cell was costed under. The layout memo uses the
+/// same key with op_index kLayoutOp.
 struct OpCellKey
 {
+    static constexpr int kLayoutOp = -1;
+
     std::uint64_t graph_fp = 0;
     std::uint64_t epoch = 0;
     int op_index = 0;
@@ -151,19 +183,40 @@ class WaferCostModel
         net::ScheduleCacheStats *sched_stats = nullptr) const;
 
     /**
-     * The training simulator's memoized cell: op `op_index` of the
-     * graph fingerprinted `graph_fp`, costed under `spec` without
-     * step collectives. `layout` is called only on a miss. The memo
-     * is keyed exactly on (graph_fp, op_index, spec, fault epoch).
-     *
-     * @param hit Out: true when served from the memo (the cell's
-     *        schedule lookups were then not re-run).
+     * The op-level memo shared by the DP matrix and the simulator: op
+     * `op_index` of `graph` (fingerprinted `graph_fp`) costed under
+     * `spec`, keyed exactly on (graph_fp, op_index, spec, fault
+     * epoch). findCell returns the resident cell or nullptr (one memo
+     * miss); addCell is the miss path: it places the spec through the
+     * layout memo, keyed on (graph_fp, fault epoch, spec), so a fault
+     * change never serves a placement built around dies that have
+     * since died, costs the cell and memoizes it. On a racing
+     * duplicate miss the resident cell stays and each caller keeps its
+     * own, whose schedule counters are the lookups it really ran.
      */
-    std::shared_ptr<const OpCell> opCell(
-        std::uint64_t graph_fp, int op_index, const model::Operator &op,
-        const parallel::ParallelSpec &spec,
-        const std::function<const parallel::GroupLayout &()> &layout,
-        bool *hit) const;
+    std::shared_ptr<const OpCell> findCell(
+        std::uint64_t graph_fp, int op_index,
+        const parallel::ParallelSpec &spec) const;
+    std::shared_ptr<const OpCell> addCell(const model::ComputeGraph &graph,
+                                          std::uint64_t graph_fp,
+                                          int op_index,
+                                          const parallel::ParallelSpec &spec)
+        const;
+
+    /// Seeds the cell memo under the live fault epoch (warm start); a
+    /// resident cell wins.
+    void importCell(std::uint64_t graph_fp, int op_index,
+                    const parallel::ParallelSpec &spec, OpCell cell) const;
+
+    /// Visits every resident cell of the live fault epoch (the persist
+    /// layer's export hook; the key's epoch field is meaningless).
+    void forEachCell(
+        const std::function<void(const OpCellKey &, const OpCell &)> &fn)
+        const;
+
+    /// Unique layout constructions since construction (racing
+    /// duplicates count once).
+    long layoutBuilds() const;
 
     /// Eq. (3): inter-operator resharding time between adjacent ops.
     double interOpTime(const model::Operator &producer,
@@ -210,10 +263,11 @@ class WaferCostModel
     /**
      * Applies the cost model's memo budgets (0 = unbounded): the
      * schedule cache and the phase memo take the net.schedule_cache
-     * budgets, the stream-plan memo the layout budgets, the cell memo
-     * the eval.cache budgets; routes are not budgeted. Const for
-     * the same reason the caches are mutable: governance does not
-     * change what a cost query computes, only what stays resident.
+     * budgets, the layout and stream-plan memos the layout budgets,
+     * the cell memo the eval.cache budgets; routes are not budgeted.
+     * Const for the same reason the caches are mutable: governance
+     * does not change what a cost query computes, only what stays
+     * resident.
      */
     void setCacheBudgets(const common::CacheBudget &budget) const;
 
@@ -235,15 +289,19 @@ class WaferCostModel
     /// Governance counters of the timed collective-phase memo.
     common::CacheStats phaseMemoStats() const;
 
-    /// Governance counters of the simulator cell memo.
+    /// Governance counters of the op-cell memo.
     common::CacheStats cellMemoStats() const;
+
+    /// Governance counters of the layout memo.
+    common::CacheStats layoutMemoStats() const;
 
     /// Fraction of grad-sync communication hidden behind backward
     /// compute (bucketed overlap, as Megatron/FSDP implement).
     static constexpr double kGradSyncOverlap = 0.5;
 
   private:
-    /// The stream-plan, timed-phase and cell memos (see the .cpp).
+    /// The layout, stream-plan, timed-phase and cell memos (see the
+    /// .cpp).
     struct Memos;
 
     /// A timed collective phase as the phase memo stores it.
@@ -267,6 +325,13 @@ class WaferCostModel
     std::shared_ptr<const tatp::StreamPlan> streamPlan(
         const std::vector<std::vector<hw::DieId>> &groups,
         int degree) const;
+
+    /// Costs an analysed execution as a cell; its step phase is timed
+    /// only when `time_step` is set.
+    OpCell costCell(const parallel::OpExecution &exec,
+                    const model::Operator &op,
+                    const parallel::GroupLayout &layout,
+                    bool time_step) const;
 
     /// Times the TATP stream of an execution (all groups concurrently).
     void timeStream(const parallel::OpExecution &exec,

@@ -1,289 +1,22 @@
 #include "eval/cost_evaluator.hpp"
 
-#include <algorithm>
+#include <unordered_map>
 
 namespace temp::eval {
 
-using parallel::GroupLayout;
-using parallel::ParallelSpec;
-
-namespace {
-
-std::uint64_t
-fnv1a(std::uint64_t hash, std::uint64_t value)
-{
-    for (int i = 0; i < 8; ++i) {
-        hash ^= (value >> (8 * i)) & 0xff;
-        hash *= 0x100000001b3ull;
-    }
-    return hash;
-}
-
-std::uint64_t
-fnv1a(std::uint64_t hash, const std::string &text)
-{
-    for (unsigned char c : text) {
-        hash ^= c;
-        hash *= 0x100000001b3ull;
-    }
-    return hash;
-}
-
-}  // namespace
-
-void
-markScheduleServed(cost::OpCostBreakdown &breakdown)
-{
-    breakdown.schedule_cache_hits += breakdown.schedule_lowerings;
-    breakdown.schedule_lowerings = 0;
-}
-
-void
-appendSpecKey(std::string &key, const ParallelSpec &spec)
-{
-    key += std::to_string(spec.dp);
-    key += ',';
-    key += std::to_string(spec.fsdp);
-    key += ',';
-    key += std::to_string(spec.tp);
-    key += ',';
-    key += std::to_string(spec.sp);
-    key += ',';
-    key += std::to_string(spec.cp);
-    key += ',';
-    key += std::to_string(spec.tatp);
-    key += ',';
-    key += std::to_string(spec.pp);
-    key += spec.coupled_sp ? ",c" : ",n";
-}
-
-std::uint64_t
-graphFingerprint(const model::ComputeGraph &graph)
-{
-    const model::ModelConfig &cfg = graph.config();
-    std::uint64_t hash = 0xcbf29ce484222325ull;
-    hash = fnv1a(hash, cfg.name);
-    hash = fnv1a(hash, static_cast<std::uint64_t>(cfg.heads));
-    hash = fnv1a(hash, static_cast<std::uint64_t>(cfg.batch));
-    hash = fnv1a(hash, static_cast<std::uint64_t>(cfg.hidden));
-    hash = fnv1a(hash, static_cast<std::uint64_t>(cfg.layers));
-    hash = fnv1a(hash, static_cast<std::uint64_t>(cfg.seq));
-    hash = fnv1a(hash, static_cast<std::uint64_t>(cfg.ffn_mult));
-    hash = fnv1a(hash, static_cast<std::uint64_t>(cfg.vocab));
-    hash = fnv1a(hash, static_cast<std::uint64_t>(graph.opCount()));
-    hash = fnv1a(hash, static_cast<std::uint64_t>(graph.layerCount()));
-    return hash;
-}
-
-std::string
-evalKey(std::uint64_t graph_fp, const EvalRequest &request)
-{
-    std::string key = std::to_string(graph_fp);
-    key += '|';
-    key += std::to_string(request.op_id);
-    key += '|';
-    appendSpecKey(key, request.spec);
-    key += request.include_step ? "|s" : "|m";
-    return key;
-}
-
-std::string
-layoutKey(std::uint64_t graph_fp, const ParallelSpec &spec)
-{
-    std::string key = std::to_string(graph_fp);
-    key += '|';
-    appendSpecKey(key, spec);
-    return key;
-}
-
-// ---------------------------------------------------------------------
-// LayoutCache
-// ---------------------------------------------------------------------
-
-LayoutCache::LayoutCache(const cost::WaferCostModel &model) : model_(model)
-{
-    // Honest byte estimate: the default sizeof(shared_ptr) would make
-    // a layout byte budget meaningless.
-    cache_.setByteEstimate(
-        [](const std::string &key,
-           const std::shared_ptr<const GroupLayout> &layout) {
-            long bytes = common::cacheByteEstimate(key) +
-                         static_cast<long>(sizeof(layout));
-            if (layout != nullptr)
-                bytes += layout->byteEstimate();
-            return bytes;
-        });
-}
-
-std::shared_ptr<const GroupLayout>
-LayoutCache::layoutFor(const model::ComputeGraph &graph,
-                       const ParallelSpec &spec)
-{
-    const std::string key = layoutKey(graphFingerprint(graph), spec);
-    if (auto cached = cache_.get(key)) {
-        ++hits_;
-        return *cached;
-    }
-    // Build outside the cache lock (construction dominates); on a
-    // concurrent duplicate build, the first insert wins so callers
-    // share one instance.
-    auto layout =
-        std::make_shared<const GroupLayout>(model_.buildLayout(graph, spec));
-    auto [resident, inserted] = cache_.insert(key, std::move(layout));
-    if (inserted)
-        ++builds_;
-    else
-        ++hits_;
-    return resident;
-}
-
-namespace {
-
-/**
- * The shared dedup machinery of the batched evaluators: each distinct
- * key gets one slot; every request maps to a slot. With `dedup` off
- * (non-memoizing backends, where served-from-memo accounting would be
- * a lie) every request is its own slot.
- */
-struct BatchPlan
-{
-    std::vector<std::string> distinct_keys;
-    /// Index of the first request referencing each slot.
-    std::vector<std::size_t> distinct_request;
-    std::vector<std::size_t> request_slot;
-
-    BatchPlan(std::uint64_t graph_fp,
-              const std::vector<EvalRequest> &requests, bool dedup)
-    {
-        request_slot.resize(requests.size());
-        if (!dedup) {
-            distinct_keys.resize(requests.size());
-            distinct_request.resize(requests.size());
-            for (std::size_t i = 0; i < requests.size(); ++i) {
-                distinct_request[i] = i;
-                request_slot[i] = i;
-            }
-            return;
-        }
-        std::unordered_map<std::string, std::size_t> slot_of;
-        for (std::size_t i = 0; i < requests.size(); ++i) {
-            std::string key = evalKey(graph_fp, requests[i]);
-            auto [it, inserted] =
-                slot_of.emplace(std::move(key), distinct_keys.size());
-            if (inserted) {
-                distinct_keys.push_back(it->first);
-                distinct_request.push_back(i);
-            }
-            request_slot[i] = it->second;
-        }
-    }
-
-    /**
-     * Expands slot values into request order, counting a hit for every
-     * request beyond the first reference of an uncached slot (and for
-     * every reference of a pre-cached one). Served results get their
-     * schedule accounting rewritten to hits; the schedule aggregates
-     * accumulate one charge per request.
-     */
-    long
-    assemble(const std::vector<cost::OpCostBreakdown> &slot_value,
-             std::vector<bool> &slot_cached,
-             std::vector<cost::OpCostBreakdown> &results,
-             long &sched_lowerings, long &sched_hits) const
-    {
-        long hits = 0;
-        for (std::size_t i = 0; i < request_slot.size(); ++i) {
-            const std::size_t s = request_slot[i];
-            results[i] = slot_value[s];
-            if (slot_cached[s]) {
-                ++hits;
-                markScheduleServed(results[i]);
-                sched_hits += results[i].schedule_cache_hits;
-            } else {
-                slot_cached[s] = true;  // first reference measured it
-                sched_lowerings += results[i].schedule_lowerings;
-                sched_hits += results[i].schedule_cache_hits;
-            }
-        }
-        return hits;
-    }
-};
-
-}  // namespace
-
-// ---------------------------------------------------------------------
-// CostEvaluator default batch
-// ---------------------------------------------------------------------
-
-std::vector<cost::OpCostBreakdown>
-CostEvaluator::evaluateBatch(const model::ComputeGraph &graph,
-                             const std::vector<EvalRequest> &requests,
-                             common::BudgetGauge *gauge)
-{
-    std::vector<cost::OpCostBreakdown> results(requests.size());
-    for (std::size_t i = 0; i < requests.size(); ++i)
-        results[i] = evaluate(graph, requests[i]);
-    // Matrix batches are atomic and charge no quanta; polling the
-    // gauge after the batch latches a wall/token expiry at this
-    // quantum boundary (see the interface contract).
-    if (gauge != nullptr)
-        gauge->exhausted();
-    return results;
-}
-
-// ---------------------------------------------------------------------
-// ExactEvaluator
-// ---------------------------------------------------------------------
+using cost::OpCellKey;
 
 ExactEvaluator::ExactEvaluator(const cost::WaferCostModel &model,
-                               ThreadPool *pool, bool memoize_breakdowns)
-    : model_(model), pool_(pool), memoize_(memoize_breakdowns),
-      layouts_(model)
+                               ThreadPool *pool, bool)
+    : model_(model), pool_(pool != nullptr ? *pool : serial_)
 {
-}
-
-cost::OpCostBreakdown
-ExactEvaluator::compute(const model::ComputeGraph &graph,
-                        const EvalRequest &request)
-{
-    const std::shared_ptr<const GroupLayout> layout =
-        layouts_.layoutFor(graph, request.spec);
-    return model_.opCost(graph.op(request.op_id), *layout,
-                         request.include_step);
 }
 
 cost::OpCostBreakdown
 ExactEvaluator::evaluate(const model::ComputeGraph &graph,
                          const EvalRequest &request)
 {
-    if (!memoize_) {
-        ++measurements_;
-        const cost::OpCostBreakdown breakdown = compute(graph, request);
-        schedule_lowerings_ += breakdown.schedule_lowerings;
-        schedule_cache_hits_ += breakdown.schedule_cache_hits;
-        return breakdown;
-    }
-    const std::string key = evalKey(graphFingerprint(graph), request);
-    if (auto cached = cache_.get(key)) {
-        ++cache_hits_;
-        cost::OpCostBreakdown served = *cached;
-        markScheduleServed(served);
-        schedule_cache_hits_ += served.schedule_cache_hits;
-        return served;
-    }
-    const cost::OpCostBreakdown breakdown = compute(graph, request);
-    auto [resident, inserted] = cache_.insert(key, breakdown);
-    if (inserted) {
-        ++measurements_;
-        schedule_lowerings_ += breakdown.schedule_lowerings;
-        schedule_cache_hits_ += breakdown.schedule_cache_hits;
-        return resident;
-    }
-    ++cache_hits_;
-    cost::OpCostBreakdown served = resident;
-    markScheduleServed(served);
-    schedule_cache_hits_ += served.schedule_cache_hits;
-    return served;
+    return evaluateBatch(graph, {request}).front();
 }
 
 std::vector<cost::OpCostBreakdown>
@@ -291,89 +24,63 @@ ExactEvaluator::evaluateBatch(const model::ComputeGraph &graph,
                               const std::vector<EvalRequest> &requests,
                               common::BudgetGauge *gauge)
 {
-    std::vector<cost::OpCostBreakdown> results(requests.size());
-    if (requests.empty())
-        return results;
-    const std::uint64_t graph_fp = graphFingerprint(graph);
-    // Without the memo there is nothing to serve duplicates from, so
-    // every request is its own slot and no hit is ever reported.
-    const BatchPlan plan(graph_fp, requests, /*dedup=*/memoize_);
-    const std::size_t n_slots = plan.distinct_request.size();
+    const std::uint64_t graph_fp = model::graphFingerprint(graph);
 
-    // Serve cached slots; collect the misses.
-    std::vector<cost::OpCostBreakdown> slot_value(n_slots);
-    std::vector<bool> slot_cached(n_slots, false);
+    // One slot per distinct (op, spec) cell; every request maps to a
+    // slot, so in-batch duplicates are hits at any thread count.
+    std::unordered_map<OpCellKey, std::size_t, cost::OpCellKeyHash> slot_of;
+    std::vector<std::size_t> request_slot(requests.size());
+    std::vector<std::size_t> slot_request;
+    for (std::size_t i = 0; i < requests.size(); ++i) {
+        const EvalRequest &request = requests[i];
+        const auto [it, inserted] = slot_of.try_emplace(
+            OpCellKey{graph_fp, 0, request.op_id, request.spec},
+            slot_request.size());
+        if (inserted)
+            slot_request.push_back(i);
+        request_slot[i] = it->second;
+    }
+
+    // Serve resident cells serially (a warm batch never wakes the
+    // pool); the misses are this batch's measurements, costed in
+    // parallel. Requests come op-major, so concurrent misses almost
+    // always place different specs; a racing duplicate layout build is
+    // discarded and counted once.
+    std::vector<std::shared_ptr<const cost::OpCell>> cells(
+        slot_request.size());
     std::vector<std::size_t> missing;
-    if (memoize_) {
-        for (std::size_t s = 0; s < n_slots; ++s) {
-            if (auto cached = cache_.get(plan.distinct_keys[s])) {
-                slot_value[s] = *cached;
-                slot_cached[s] = true;
-            } else {
-                missing.push_back(s);
-            }
-        }
-    } else {
-        for (std::size_t s = 0; s < n_slots; ++s)
+    for (std::size_t s = 0; s < cells.size(); ++s) {
+        const EvalRequest &request = requests[slot_request[s]];
+        cells[s] = model_.findCell(graph_fp, request.op_id, request.spec);
+        if (cells[s] == nullptr)
             missing.push_back(s);
     }
-    auto slot_request = [&](std::size_t s) -> const EvalRequest & {
-        return requests[plan.distinct_request[s]];
-    };
+    pool_.parallelFor(missing.size(), [&](std::size_t m) {
+        const EvalRequest &request = requests[slot_request[missing[m]]];
+        cells[missing[m]] = model_.addCell(graph, graph_fp, request.op_id,
+                                           request.spec);
+    });
 
-    // Phase 1: build the missing specs' layouts, one task per distinct
-    // spec, keeping the shared_ptr at hand so phase 2 reads it without
-    // re-keying or touching the cache mutex per cell.
-    std::unordered_map<std::string, std::size_t> spec_slot;
-    std::vector<const ParallelSpec *> spec_list;
-    std::vector<std::size_t> missing_spec(missing.size());
-    for (std::size_t m = 0; m < missing.size(); ++m) {
-        const ParallelSpec &spec = slot_request(missing[m]).spec;
-        std::string key = layoutKey(graph_fp, spec);
-        auto [it, inserted] =
-            spec_slot.emplace(std::move(key), spec_list.size());
-        if (inserted)
-            spec_list.push_back(&spec);
-        missing_spec[m] = it->second;
+    // A matrix entry is the cell plus its step phase. Schedule
+    // accounting: a cell's lookups include its step phase's; those of
+    // the cells costed here are real lowerings, and every other lookup
+    // a request stands for counts as a hit.
+    long lowerings = 0;
+    for (std::size_t s : missing)
+        lowerings += cells[s]->withStep().schedule_lowerings;
+    long lookups = 0;
+    std::vector<cost::OpCostBreakdown> results(requests.size());
+    for (std::size_t i = 0; i < requests.size(); ++i) {
+        const cost::OpCell &cell = *cells[request_slot[i]];
+        const cost::OpCostBreakdown entry = cell.withStep();
+        lookups += entry.schedule_lowerings + entry.schedule_cache_hits;
+        results[i] = requests[i].include_step ? entry : cell.breakdown;
     }
-    std::vector<std::shared_ptr<const GroupLayout>> layout_list(
-        spec_list.size());
-    auto build_layout = [&](std::size_t i) {
-        layout_list[i] = layouts_.layoutFor(graph, *spec_list[i]);
-    };
-    if (pool_ != nullptr)
-        pool_->parallelFor(spec_list.size(), build_layout);
-    else
-        for (std::size_t i = 0; i < spec_list.size(); ++i)
-            build_layout(i);
-
-    // Phase 2: compute the missing breakdowns in parallel. Each cell is
-    // independent, so values are bit-exact for any thread count.
-    auto compute_missing = [&](std::size_t m) {
-        const EvalRequest &request = slot_request(missing[m]);
-        slot_value[missing[m]] =
-            model_.opCost(graph.op(request.op_id),
-                          *layout_list[missing_spec[m]],
-                          request.include_step);
-    };
-    if (pool_ != nullptr)
-        pool_->parallelFor(missing.size(), compute_missing);
-    else
-        for (std::size_t m = 0; m < missing.size(); ++m)
-            compute_missing(m);
-    measurements_ += static_cast<long>(missing.size());
-
-    if (memoize_ && !missing.empty()) {
-        for (std::size_t s : missing)
-            cache_.insert(plan.distinct_keys[s], slot_value[s]);
-    }
-
-    long sched_lowerings = 0;
-    long sched_hits = 0;
-    cache_hits_ += plan.assemble(slot_value, slot_cached, results,
-                                 sched_lowerings, sched_hits);
-    schedule_lowerings_ += sched_lowerings;
-    schedule_cache_hits_ += sched_hits;
+    const long n_measured = static_cast<long>(missing.size());
+    measurements_ += n_measured;
+    cache_hits_ += static_cast<long>(requests.size()) - n_measured;
+    schedule_lowerings_ += lowerings;
+    schedule_cache_hits_ += lookups - lowerings;
     // Batch complete: latch any wall/token expiry at this boundary.
     if (gauge != nullptr)
         gauge->exhausted();
@@ -383,117 +90,15 @@ ExactEvaluator::evaluateBatch(const model::ComputeGraph &graph,
 EvalStats
 ExactEvaluator::stats() const
 {
+    const common::CacheStats layouts = model_.layoutMemoStats();
+    const long builds = model_.layoutBuilds();
     return {measurements_.load(),
             cache_hits_.load(),
-            layouts_.builds(),
-            layouts_.hits(),
+            builds,
+            layouts.hits + layouts.misses - builds,
             schedule_lowerings_.load(),
             schedule_cache_hits_.load(),
-            cache_.stats().evictions + layouts_.cacheStats().evictions};
-}
-
-void
-ExactEvaluator::setCacheBudget(const common::CacheBudget &budget)
-{
-    cache_.setCapacity(budget.max_eval_entries);
-    cache_.setMaxBytes(budget.max_eval_bytes);
-    layouts_.setMaxEntries(budget.max_layout_entries);
-    layouts_.setMaxBytes(budget.max_layout_bytes);
-}
-
-// ---------------------------------------------------------------------
-// CachingEvaluator
-// ---------------------------------------------------------------------
-
-CachingEvaluator::CachingEvaluator(CostEvaluator &inner) : inner_(inner)
-{
-}
-
-cost::OpCostBreakdown
-CachingEvaluator::evaluate(const model::ComputeGraph &graph,
-                           const EvalRequest &request)
-{
-    const std::string key = evalKey(graphFingerprint(graph), request);
-    if (auto cached = cache_.get(key)) {
-        ++cache_hits_;
-        cost::OpCostBreakdown served = *cached;
-        markScheduleServed(served);
-        schedule_cache_hits_ += served.schedule_cache_hits;
-        return served;
-    }
-    const cost::OpCostBreakdown breakdown = inner_.evaluate(graph, request);
-    auto [resident, inserted] = cache_.insert(key, breakdown);
-    if (inserted) {
-        ++measurements_;
-        schedule_lowerings_ += breakdown.schedule_lowerings;
-        schedule_cache_hits_ += breakdown.schedule_cache_hits;
-        return resident;
-    }
-    ++cache_hits_;
-    cost::OpCostBreakdown served = resident;
-    markScheduleServed(served);
-    schedule_cache_hits_ += served.schedule_cache_hits;
-    return served;
-}
-
-std::vector<cost::OpCostBreakdown>
-CachingEvaluator::evaluateBatch(const model::ComputeGraph &graph,
-                                const std::vector<EvalRequest> &requests,
-                                common::BudgetGauge *gauge)
-{
-    std::vector<cost::OpCostBreakdown> results(requests.size());
-    if (requests.empty())
-        return results;
-    const std::uint64_t graph_fp = graphFingerprint(graph);
-    const BatchPlan plan(graph_fp, requests, /*dedup=*/true);
-    const std::size_t n_slots = plan.distinct_request.size();
-
-    std::vector<cost::OpCostBreakdown> slot_value(n_slots);
-    std::vector<bool> slot_cached(n_slots, false);
-    std::vector<std::size_t> missing;
-    for (std::size_t s = 0; s < n_slots; ++s) {
-        if (auto cached = cache_.get(plan.distinct_keys[s])) {
-            slot_value[s] = *cached;
-            slot_cached[s] = true;
-        } else {
-            missing.push_back(s);
-        }
-    }
-
-    std::vector<EvalRequest> miss_requests;
-    miss_requests.reserve(missing.size());
-    for (std::size_t s : missing)
-        miss_requests.push_back(requests[plan.distinct_request[s]]);
-    const std::vector<cost::OpCostBreakdown> computed =
-        inner_.evaluateBatch(graph, miss_requests);
-    for (std::size_t m = 0; m < missing.size(); ++m) {
-        slot_value[missing[m]] = computed[m];
-        cache_.insert(plan.distinct_keys[missing[m]], computed[m]);
-    }
-    measurements_ += static_cast<long>(missing.size());
-
-    long sched_lowerings = 0;
-    long sched_hits = 0;
-    cache_hits_ += plan.assemble(slot_value, slot_cached, results,
-                                 sched_lowerings, sched_hits);
-    schedule_lowerings_ += sched_lowerings;
-    schedule_cache_hits_ += sched_hits;
-    if (gauge != nullptr)
-        gauge->exhausted();
-    return results;
-}
-
-EvalStats
-CachingEvaluator::stats() const
-{
-    const EvalStats inner = inner_.stats();
-    return {measurements_.load(),
-            cache_hits_.load(),
-            inner.layouts_built,
-            inner.layout_hits,
-            schedule_lowerings_.load(),
-            schedule_cache_hits_.load(),
-            cache_.stats().evictions + inner.evictions};
+            model_.cellMemoStats().evictions + layouts.evictions};
 }
 
 }  // namespace temp::eval

@@ -1,20 +1,37 @@
 #include "eval/step_evaluator.hpp"
 
-#include "eval/cost_evaluator.hpp"
-
 namespace temp::eval {
 
 using parallel::ParallelSpec;
 
 namespace {
 
-/// Memo-served reports charge their schedule work as hits (see
-/// markScheduleServed for the breakdown-level twin).
+/// Memo-served reports charge their schedule work as hits.
 void
 markReportServed(sim::PerfReport &report)
 {
     report.schedule_cache_hits += report.schedule_lowerings;
     report.schedule_lowerings = 0;
+}
+
+/// Appends one spec's content encoding to a step key.
+void
+appendSpecKey(std::string &key, const ParallelSpec &spec)
+{
+    key += std::to_string(spec.dp);
+    key += ',';
+    key += std::to_string(spec.fsdp);
+    key += ',';
+    key += std::to_string(spec.tp);
+    key += ',';
+    key += std::to_string(spec.sp);
+    key += ',';
+    key += std::to_string(spec.cp);
+    key += ',';
+    key += std::to_string(spec.tatp);
+    key += ',';
+    key += std::to_string(spec.pp);
+    key += spec.coupled_sp ? ",c" : ",n";
 }
 
 }  // namespace
@@ -32,7 +49,7 @@ stepKey(std::uint64_t graph_fp, const std::vector<ParallelSpec> &specs)
 
 StepEvaluator::StepEvaluator(const sim::TrainingSimulator &simulator,
                              ThreadPool *pool)
-    : sim_(simulator), pool_(pool)
+    : sim_(simulator), pool_(pool != nullptr ? *pool : serial_)
 {
     // Honest byte estimate: PerfReport owns a heap string
     // (strategy_desc) the default sizeof-based estimate would miss.
@@ -49,30 +66,7 @@ StepEvaluator::evaluate(const model::ComputeGraph &graph,
                         const std::vector<ParallelSpec> &per_op_specs,
                         common::BudgetGauge *gauge)
 {
-    if (gauge != nullptr)
-        gauge->charge(1);
-    const std::string key =
-        stepKey(graphFingerprint(graph), per_op_specs);
-    if (auto cached = cache_.get(key)) {
-        ++cache_hits_;
-        sim::PerfReport served = *cached;
-        markReportServed(served);
-        schedule_cache_hits_ += served.schedule_cache_hits;
-        return served;
-    }
-    const sim::PerfReport report = sim_.simulate(graph, per_op_specs);
-    auto [resident, inserted] = cache_.insert(key, report);
-    if (inserted) {
-        ++sims_;
-        schedule_lowerings_ += report.schedule_lowerings;
-        schedule_cache_hits_ += report.schedule_cache_hits;
-        return resident;
-    }
-    ++cache_hits_;
-    sim::PerfReport served = resident;
-    markReportServed(served);
-    schedule_cache_hits_ += served.schedule_cache_hits;
-    return served;
+    return evaluateBatch(graph, {per_op_specs}, gauge).front();
 }
 
 sim::PerfReport
@@ -98,81 +92,61 @@ StepEvaluator::evaluateBatch(
     // what keeps budget-truncated runs bit-exact.
     if (gauge != nullptr)
         gauge->charge(static_cast<long>(assignments.size()));
-    std::vector<sim::PerfReport> results(assignments.size());
-    if (assignments.empty())
-        return results;
-    const std::uint64_t graph_fp = graphFingerprint(graph);
+    const std::uint64_t graph_fp = model::graphFingerprint(graph);
 
     // Dedup: one slot per distinct assignment, every request maps to a
-    // slot (the same machinery as the matrix evaluators' BatchPlan).
+    // slot.
     std::vector<std::string> slot_key;
     std::vector<std::size_t> slot_request;
     std::vector<std::size_t> request_slot(assignments.size());
     std::unordered_map<std::string, std::size_t> slot_of;
     for (std::size_t i = 0; i < assignments.size(); ++i) {
-        std::string key = stepKey(graph_fp, assignments[i]);
-        auto [it, inserted] =
-            slot_of.emplace(std::move(key), slot_key.size());
+        auto [it, inserted] = slot_of.emplace(
+            stepKey(graph_fp, assignments[i]), slot_key.size());
         if (inserted) {
             slot_key.push_back(it->first);
             slot_request.push_back(i);
         }
         request_slot[i] = it->second;
     }
-    const std::size_t n_slots = slot_key.size();
 
-    // Serve cached slots; collect the misses.
-    std::vector<sim::PerfReport> slot_value(n_slots);
-    std::vector<bool> slot_cached(n_slots, false);
+    // Serve cached slots; simulate the misses in parallel. Each
+    // simulation is independent and the simulator is thread-safe, so
+    // slot s always holds the same bits for any thread count.
+    std::vector<sim::PerfReport> slot_value(slot_key.size());
+    std::vector<char> simulated(slot_key.size(), 0);
     std::vector<std::size_t> missing;
-    for (std::size_t s = 0; s < n_slots; ++s) {
-        if (auto cached = cache_.get(slot_key[s])) {
-            slot_value[s] = *cached;
-            slot_cached[s] = true;
-        } else {
+    for (std::size_t s = 0; s < slot_key.size(); ++s) {
+        if (auto cached = cache_.get(slot_key[s]))
+            slot_value[s] = std::move(*cached);
+        else
             missing.push_back(s);
-        }
     }
-
-    // Simulate the misses in parallel. Each simulation is independent
-    // and the simulator is thread-safe (its layout memo is locked, the
-    // rest is stateless), so slot s always holds the same bits for any
-    // thread count.
-    auto simulate_missing = [&](std::size_t m) {
+    pool_.parallelFor(missing.size(), [&](std::size_t m) {
         const std::size_t s = missing[m];
         slot_value[s] = sim_.simulate(graph, assignments[slot_request[s]]);
-    };
-    if (pool_ != nullptr)
-        pool_->parallelFor(missing.size(), simulate_missing);
-    else
-        for (std::size_t m = 0; m < missing.size(); ++m)
-            simulate_missing(m);
-    sims_ += static_cast<long>(missing.size());
-
+        simulated[s] = 1;
+    });
     for (std::size_t s : missing)
         cache_.insert(slot_key[s], slot_value[s]);
 
-    // Expand slots into request order: every request beyond the first
-    // reference of an uncached slot (and every reference of a
-    // pre-cached one) is a hit, and served reports charge their
-    // schedule work as hits.
-    long hits = 0;
+    // Expand slots into request order: the first request of a slot
+    // simulated here charges its real lowerings; every other request is
+    // a hit, and its served report charges its schedule work as hits.
+    std::vector<sim::PerfReport> results(assignments.size());
     long sched_lowerings = 0;
     long sched_hits = 0;
     for (std::size_t i = 0; i < assignments.size(); ++i) {
         const std::size_t s = request_slot[i];
         results[i] = slot_value[s];
-        if (slot_cached[s]) {
-            ++hits;
+        if (!simulated[s] || slot_request[s] != i)
             markReportServed(results[i]);
-            sched_hits += results[i].schedule_cache_hits;
-        } else {
-            slot_cached[s] = true;
-            sched_lowerings += results[i].schedule_lowerings;
-            sched_hits += results[i].schedule_cache_hits;
-        }
+        sched_lowerings += results[i].schedule_lowerings;
+        sched_hits += results[i].schedule_cache_hits;
     }
-    cache_hits_ += hits;
+    const long sims = static_cast<long>(missing.size());
+    sims_ += sims;
+    cache_hits_ += static_cast<long>(assignments.size()) - sims;
     schedule_lowerings_ += sched_lowerings;
     schedule_cache_hits_ += sched_hits;
     return results;
@@ -181,13 +155,11 @@ StepEvaluator::evaluateBatch(
 StepStats
 StepEvaluator::stats() const
 {
-    // Evictions cover the layers a step query touches: the report
-    // memo plus the simulator's own layout cache (the matrix side's
-    // layout cache is counted by EvalStats, not here).
+    // Evictions of the report memo only: the cell and layout memos a
+    // step query also touches belong to the cost model, and EvalStats
+    // counts them.
     return {sims_.load(), cache_hits_.load(), schedule_lowerings_.load(),
-            schedule_cache_hits_.load(),
-            cache_.stats().evictions +
-                sim_.layoutCache().cacheStats().evictions};
+            schedule_cache_hits_.load(), cache_.stats().evictions};
 }
 
 }  // namespace temp::eval

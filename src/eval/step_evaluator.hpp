@@ -50,10 +50,10 @@ struct StepStats
      */
     long schedule_lowerings = 0;
     long schedule_cache_hits = 0;
-    /// Entries dropped to honour a budget across the layers a step
-    /// query touches: the report memo plus the simulator's layout
-    /// cache (0 under the default unbounded budgets; evicted genomes
-    /// re-simulate and recount as sims on return).
+    /// Entries the report memo dropped to honour a budget (0 under the
+    /// default unbounded budgets; evicted genomes re-simulate and
+    /// recount as sims on return). The cell and layout memos a
+    /// simulation reads are counted by EvalStats.
     long evictions = 0;
 
     StepStats operator-(const StepStats &other) const
@@ -123,17 +123,16 @@ class StepEvaluator
     /// Cumulative counters since construction.
     StepStats stats() const;
 
-    /// Entry budget of the report memo (0 = unbounded). Eviction
-    /// never changes reported values — a dropped genome re-simulates
-    /// bit-identically and recounts as a sim.
-    void setMaxEntries(long max_entries)
+    /// Entry and byte budgets of the report memo (max_step_entries,
+    /// max_step_bytes; 0 = unbounded). Eviction never changes reported
+    /// values — a dropped genome re-simulates bit-identically and
+    /// recounts as a sim. Entries carry an honest byte estimate
+    /// including the strategy_desc heap payload.
+    void setCacheBudget(const common::CacheBudget &budget)
     {
-        cache_.setCapacity(max_entries);
+        cache_.setCapacity(budget.max_step_entries);
+        cache_.setMaxBytes(budget.max_step_bytes);
     }
-
-    /// Byte budget of the report memo (0 = unbounded); entries carry
-    /// an honest estimate including the strategy_desc heap payload.
-    void setMaxBytes(long max_bytes) { cache_.setMaxBytes(max_bytes); }
 
     /// Governance counters for CacheStatsRequest reporting.
     common::CacheStats cacheStats() const { return cache_.stats(); }
@@ -158,7 +157,8 @@ class StepEvaluator
 
   private:
     const sim::TrainingSimulator &sim_;
-    ThreadPool *pool_;
+    ThreadPool serial_{1};
+    ThreadPool &pool_;
     common::BoundedCache<std::string, sim::PerfReport> cache_;
     std::atomic<long> sims_{0};
     std::atomic<long> cache_hits_{0};

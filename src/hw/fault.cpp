@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "common/hash.hpp"
 #include "common/logging.hpp"
 
 namespace temp::hw {
@@ -70,42 +71,23 @@ FaultMap::deltaBetween(const FaultMap &from, const FaultMap &to)
     return delta;
 }
 
-namespace {
-
-/// Local FNV-1a (hw sits below the persist layer's codec helpers).
-std::uint64_t
-fnv1a(std::uint64_t hash, const void *data, std::size_t size)
-{
-    const auto *bytes = static_cast<const unsigned char *>(data);
-    for (std::size_t i = 0; i < size; ++i) {
-        hash ^= bytes[i];
-        hash *= 1099511628211ULL;
-    }
-    return hash;
-}
-
-}  // namespace
-
 std::uint64_t
 FaultMap::contentFingerprint() const
 {
-    std::uint64_t hash = 14695981039346656037ULL;
-    const std::vector<LinkId> links = failedLinks();
-    for (LinkId link : links) {
-        const std::uint64_t id = static_cast<std::uint64_t>(link);
-        hash = fnv1a(hash, &id, sizeof(id));
-    }
+    using common::fnv1aValue;
+    std::uint64_t hash = common::kFnvOffset;
+    for (LinkId link : failedLinks())
+        hash = fnv1aValue(hash, static_cast<std::uint64_t>(link));
     // Trailing zero fractions are excluded so a map resized by a probe
     // of a healthy die fingerprints like one never probed.
     std::size_t last = core_fault_fraction_.size();
     while (last > 0 && core_fault_fraction_[last - 1] == 0.0)
         --last;
     for (std::size_t die = 0; die < last; ++die)
-        hash = fnv1a(hash, &core_fault_fraction_[die],
-                     sizeof(core_fault_fraction_[die]));
+        hash = fnv1aValue(hash, core_fault_fraction_[die]);
     // Separate the two sections so N links / 0 fractions never
     // collides with N-1 links / 1 fraction by concatenation.
-    hash = fnv1a(hash, &last, sizeof(last));
+    hash = fnv1aValue(hash, last);
     return hash;
 }
 

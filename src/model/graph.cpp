@@ -1,6 +1,9 @@
 #include "model/graph.hpp"
 
+#include "common/hash.hpp"
+
 namespace temp::model {
+
 
 double
 ComputeGraph::layerForwardFlops() const
@@ -110,6 +113,18 @@ ComputeGraph::transformer(const ModelConfig &config)
     graph.edges_.push_back(Edge{ln2, res2, true});
 
     return graph;
+}
+
+std::uint64_t
+graphFingerprint(const ComputeGraph &graph)
+{
+    const ModelConfig &cfg = graph.config();
+    std::uint64_t hash = common::fnv1aBytes(cfg.name.data(), cfg.name.size());
+    for (const int value : {cfg.heads, cfg.batch, cfg.hidden, cfg.layers,
+                            cfg.seq, cfg.ffn_mult, cfg.vocab, graph.opCount(),
+                            graph.layerCount()})
+        hash = common::fnv1aValue(hash, static_cast<std::uint64_t>(value));
+    return hash;
 }
 
 }  // namespace temp::model

@@ -9,6 +9,7 @@
  */
 #pragma once
 
+#include <cstdint>
 #include <vector>
 
 #include "model/model_zoo.hpp"
@@ -78,5 +79,10 @@ class ComputeGraph
     ModelConfig config_;
     int layer_count_ = 1;
 };
+
+/// Content fingerprint of a graph for memo keys (FNV-1a over the model
+/// configuration and graph shape), so memos key on what a graph is,
+/// not where it lives.
+std::uint64_t graphFingerprint(const ComputeGraph &graph);
 
 }  // namespace temp::model

@@ -4,6 +4,8 @@
 #include <bit>
 #include <mutex>
 
+#include "common/hash.hpp"
+
 namespace temp::net {
 
 namespace {
@@ -12,31 +14,19 @@ namespace {
 /// runs on, so concurrent lookups rarely meet on one lock.
 constexpr std::size_t kShards = 16;
 
-constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ull;
-constexpr std::uint64_t kFnvPrime = 0x100000001b3ull;
-
-std::uint64_t
-fnv1a(std::uint64_t hash, std::uint64_t value)
-{
-    for (int i = 0; i < 8; ++i) {
-        hash ^= (value >> (8 * i)) & 0xff;
-        hash *= kFnvPrime;
-    }
-    return hash;
-}
-
 std::size_t
 hashSignature(CollectiveKind kind, int tag, std::uint64_t bytes_bits,
               const std::vector<hw::DieId> &group)
 {
-    std::uint64_t hash = kFnvOffset;
-    hash = fnv1a(hash, static_cast<std::uint64_t>(kind));
-    hash = fnv1a(hash,
-                 static_cast<std::uint64_t>(static_cast<std::uint32_t>(tag)));
-    hash = fnv1a(hash, bytes_bits);
+    using common::fnv1aValue;
+    std::uint64_t hash =
+        fnv1aValue(common::kFnvOffset, static_cast<std::uint64_t>(kind));
+    hash = fnv1aValue(
+        hash, static_cast<std::uint64_t>(static_cast<std::uint32_t>(tag)));
+    hash = fnv1aValue(hash, bytes_bits);
     for (hw::DieId die : group)
-        hash = fnv1a(hash, static_cast<std::uint64_t>(
-                               static_cast<std::uint32_t>(die)));
+        hash = fnv1aValue(hash, static_cast<std::uint64_t>(
+                                    static_cast<std::uint32_t>(die)));
     return static_cast<std::size_t>(hash);
 }
 

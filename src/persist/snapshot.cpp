@@ -1,5 +1,6 @@
 #include "persist/snapshot.hpp"
 
+#include <array>
 #include <bit>
 #include <cstdio>
 #include <cstring>
@@ -13,7 +14,7 @@ namespace {
 constexpr char kMagic[8] = {'T', 'E', 'M', 'P', 'S', 'N', 'P', '\x01'};
 
 // Section tags read as their ASCII name in a little-endian hex dump.
-constexpr std::uint32_t kTagBreakdowns = 0x444b5242;   // "BRKD"
+constexpr std::uint32_t kTagCells = 0x4c4c4543;        // "CELL"
 constexpr std::uint32_t kTagStepReports = 0x50455453;  // "STEP"
 
 /// Ceiling on any count field before allocating: a corrupt or hostile
@@ -27,22 +28,97 @@ plausibleCount(std::uint64_t count, std::size_t min_entry_bytes,
     return count <= r.remaining() / min_entry_bytes;
 }
 
+/// @{ The doubles of each persisted value, in file order; const or
+/// mutable, so one list drives both the writer and the reader.
+template <typename B>
+auto
+breakdownDoubles(B &b)
+{
+    return std::array{&b.fwd_time,        &b.bwd_time,
+                      &b.step_comm_time,  &b.comp_time,
+                      &b.collective_time, &b.stream_comm_time,
+                      &b.exposed_comm,    &b.tail_latency,
+                      &b.d2d_link_bytes,  &b.dram_bytes,
+                      &b.flops,           &b.bw_utilization};
+}
+
+template <typename C>
+auto
+cellDoubles(C &c)
+{
+    return std::array{&c.comm_bytes,      &c.step.time_s,
+                      &c.step.bytes,      &c.step.utilization,
+                      &c.step.link_bytes, &c.activation_bytes};
+}
+
+template <typename P>
+auto
+reportDoubles(P &p)
+{
+    return std::array{&p.step_time,
+                      &p.comp_time,
+                      &p.collective_time,
+                      &p.stream_comm_time,
+                      &p.exposed_comm,
+                      &p.reshard_time,
+                      &p.bubble_time,
+                      &p.grad_sync_time,
+                      &p.grad_sync_collective_time,
+                      &p.grad_sync_link_bytes,
+                      &p.tail_latency,
+                      &p.peak_mem_bytes,
+                      &p.energy.compute_j,
+                      &p.energy.dram_j,
+                      &p.energy.d2d_j,
+                      &p.energy.static_j,
+                      &p.avg_power_w,
+                      &p.power_efficiency,
+                      &p.bw_utilization,
+                      &p.total_flops,
+                      &p.throughput_tokens_per_s};
+}
+/// @}
+
+template <std::size_t N>
+void
+putDoubles(ByteWriter &w, const std::array<const double *, N> &values)
+{
+    for (const double *v : values)
+        w.f64(*v);
+}
+
+template <std::size_t N>
+void
+getDoubles(ByteReader &r, const std::array<double *, N> &values)
+{
+    for (double *v : values)
+        *v = r.f64();
+}
+
+void
+putFootprint(ByteWriter &w, const mem::MemoryFootprint &footprint)
+{
+    w.u32(static_cast<std::uint32_t>(footprint.bytes.size()));
+    for (double bytes : footprint.bytes)
+        w.f64(bytes);
+}
+
+/// A MemClass-count mismatch means the writer's memory taxonomy differs
+/// from ours: the value cannot be represented here.
+void
+getFootprint(ByteReader &r, mem::MemoryFootprint &footprint)
+{
+    if (r.u32() != footprint.bytes.size())
+        r.fail();
+    for (double &bytes : footprint.bytes)
+        bytes = r.f64();
+}
+
 void
 putBreakdown(ByteWriter &w, const cost::OpCostBreakdown &b)
 {
     w.u8(b.feasible ? 1 : 0);
-    w.f64(b.fwd_time);
-    w.f64(b.bwd_time);
-    w.f64(b.step_comm_time);
-    w.f64(b.comp_time);
-    w.f64(b.collective_time);
-    w.f64(b.stream_comm_time);
-    w.f64(b.exposed_comm);
-    w.f64(b.tail_latency);
-    w.f64(b.d2d_link_bytes);
-    w.f64(b.dram_bytes);
-    w.f64(b.flops);
-    w.f64(b.bw_utilization);
+    putDoubles(w, breakdownDoubles(b));
     w.i64(b.schedule_lowerings);
     w.i64(b.schedule_cache_hits);
 }
@@ -52,124 +128,116 @@ getBreakdown(ByteReader &r)
 {
     cost::OpCostBreakdown b;
     b.feasible = r.u8() != 0;
-    b.fwd_time = r.f64();
-    b.bwd_time = r.f64();
-    b.step_comm_time = r.f64();
-    b.comp_time = r.f64();
-    b.collective_time = r.f64();
-    b.stream_comm_time = r.f64();
-    b.exposed_comm = r.f64();
-    b.tail_latency = r.f64();
-    b.d2d_link_bytes = r.f64();
-    b.dram_bytes = r.f64();
-    b.flops = r.f64();
-    b.bw_utilization = r.f64();
+    getDoubles(r, breakdownDoubles(b));
     b.schedule_lowerings = r.i64();
     b.schedule_cache_hits = r.i64();
     return b;
 }
 
+using CellEntry = std::pair<cost::OpCellKey, cost::OpCell>;
+using StepEntry = std::pair<std::string, sim::PerfReport>;
+
 void
-putReport(ByteWriter &w, const sim::PerfReport &p)
+putCell(ByteWriter &w, const CellEntry &entry)
 {
+    const auto &[key, cell] = entry;
+    w.u64(key.graph_fp);
+    w.i32(key.op_index);
+    for (int degree : {key.spec.dp, key.spec.fsdp, key.spec.tp, key.spec.sp,
+                       key.spec.cp, key.spec.tatp, key.spec.pp})
+        w.i32(degree);
+    w.u8(key.spec.coupled_sp ? 1 : 0);
+    putBreakdown(w, cell.breakdown);
+    putDoubles(w, cellDoubles(cell));
+    w.i64(cell.step.schedule_lowerings);
+    w.i64(cell.step.schedule_cache_hits);
+    putFootprint(w, cell.footprint);
+    w.u32(static_cast<std::uint32_t>(cell.step_tasks.size()));
+    for (const net::CollectiveTask &task : cell.step_tasks) {
+        w.u32(static_cast<std::uint32_t>(task.kind));
+        w.i32(task.tag);
+        w.f64(task.bytes);
+        w.u32(static_cast<std::uint32_t>(task.group.size()));
+        for (hw::DieId die : task.group)
+            w.i32(die);
+    }
+}
+
+/// Decodes one cell; a collective kind past the last one, a negative
+/// die id or a MemClass-count mismatch poisons the reader.
+CellEntry
+getCell(ByteReader &r)
+{
+    cost::OpCellKey key;
+    key.graph_fp = r.u64();
+    key.op_index = r.i32();
+    parallel::ParallelSpec &spec = key.spec;
+    for (int *degree : {&spec.dp, &spec.fsdp, &spec.tp, &spec.sp, &spec.cp,
+                        &spec.tatp, &spec.pp})
+        *degree = r.i32();
+    spec.coupled_sp = r.u8() != 0;
+    cost::OpCell cell;
+    cell.breakdown = getBreakdown(r);
+    getDoubles(r, cellDoubles(cell));
+    cell.step.schedule_lowerings = r.i64();
+    cell.step.schedule_cache_hits = r.i64();
+    getFootprint(r, cell.footprint);
+    const std::uint32_t n_tasks = r.u32();
+    if (!plausibleCount(n_tasks, 4 + 4 + 8 + 4, r))
+        r.fail();
+    for (std::uint32_t t = 0; t < n_tasks && r.ok(); ++t) {
+        net::CollectiveTask task;
+        const std::uint32_t kind = r.u32();
+        if (kind > static_cast<std::uint32_t>(net::CollectiveKind::P2P))
+            r.fail();
+        task.kind = static_cast<net::CollectiveKind>(kind);
+        task.tag = r.i32();
+        task.bytes = r.f64();
+        const std::uint32_t n_dies = r.u32();
+        if (!plausibleCount(n_dies, 4, r))
+            r.fail();
+        for (std::uint32_t d = 0; d < n_dies && r.ok(); ++d) {
+            const hw::DieId die = r.i32();
+            if (die < 0)
+                r.fail();
+            task.group.push_back(die);
+        }
+        cell.step_tasks.push_back(std::move(task));
+    }
+    return {key, std::move(cell)};
+}
+
+void
+putStep(ByteWriter &w, const StepEntry &entry)
+{
+    const sim::PerfReport &p = entry.second;
+    w.str(entry.first);
     w.u8(p.feasible ? 1 : 0);
     w.u8(p.oom ? 1 : 0);
-    w.f64(p.step_time);
-    w.f64(p.comp_time);
-    w.f64(p.collective_time);
-    w.f64(p.stream_comm_time);
-    w.f64(p.exposed_comm);
-    w.f64(p.reshard_time);
-    w.f64(p.bubble_time);
-    w.f64(p.grad_sync_time);
-    w.f64(p.grad_sync_collective_time);
-    w.f64(p.grad_sync_link_bytes);
-    w.i32(p.grad_accum);
     w.u8(p.recompute ? 1 : 0);
-    w.f64(p.tail_latency);
-    w.f64(p.peak_mem_bytes);
-    w.u32(static_cast<std::uint32_t>(p.peak_footprint.bytes.size()));
-    for (double bytes : p.peak_footprint.bytes)
-        w.f64(bytes);
-    w.f64(p.energy.compute_j);
-    w.f64(p.energy.dram_j);
-    w.f64(p.energy.d2d_j);
-    w.f64(p.energy.static_j);
-    w.f64(p.avg_power_w);
-    w.f64(p.power_efficiency);
-    w.f64(p.bw_utilization);
-    w.f64(p.total_flops);
-    w.f64(p.throughput_tokens_per_s);
+    w.i32(p.grad_accum);
+    putDoubles(w, reportDoubles(p));
+    putFootprint(w, p.peak_footprint);
     w.i64(p.schedule_lowerings);
     w.i64(p.schedule_cache_hits);
     w.str(p.strategy_desc);
 }
 
-sim::PerfReport
-getReport(ByteReader &r)
+StepEntry
+getStep(ByteReader &r)
 {
-    sim::PerfReport p;
+    StepEntry entry{r.str(), {}};
+    sim::PerfReport &p = entry.second;
     p.feasible = r.u8() != 0;
     p.oom = r.u8() != 0;
-    p.step_time = r.f64();
-    p.comp_time = r.f64();
-    p.collective_time = r.f64();
-    p.stream_comm_time = r.f64();
-    p.exposed_comm = r.f64();
-    p.reshard_time = r.f64();
-    p.bubble_time = r.f64();
-    p.grad_sync_time = r.f64();
-    p.grad_sync_collective_time = r.f64();
-    p.grad_sync_link_bytes = r.f64();
-    p.grad_accum = r.i32();
     p.recompute = r.u8() != 0;
-    p.tail_latency = r.f64();
-    p.peak_mem_bytes = r.f64();
-    // A MemClass-count mismatch means the writer's memory taxonomy
-    // differs from ours: the report cannot be represented here.
-    if (r.u32() != p.peak_footprint.bytes.size()) {
-        r.fail();
-        return p;
-    }
-    for (double &bytes : p.peak_footprint.bytes)
-        bytes = r.f64();
-    p.energy.compute_j = r.f64();
-    p.energy.dram_j = r.f64();
-    p.energy.d2d_j = r.f64();
-    p.energy.static_j = r.f64();
-    p.avg_power_w = r.f64();
-    p.power_efficiency = r.f64();
-    p.bw_utilization = r.f64();
-    p.total_flops = r.f64();
-    p.throughput_tokens_per_s = r.f64();
+    p.grad_accum = r.i32();
+    getDoubles(r, reportDoubles(p));
+    getFootprint(r, p.peak_footprint);
     p.schedule_lowerings = r.i64();
     p.schedule_cache_hits = r.i64();
     p.strategy_desc = r.str();
-    return p;
-}
-
-std::string
-encodeBreakdownSection(const MemoBlock &block)
-{
-    ByteWriter w;
-    w.u64(block.breakdowns.size());
-    for (const auto &[key, breakdown] : block.breakdowns) {
-        w.str(key);
-        putBreakdown(w, breakdown);
-    }
-    return w.take();
-}
-
-std::string
-encodeStepSection(const MemoBlock &block)
-{
-    ByteWriter w;
-    w.u64(block.step_reports.size());
-    for (const auto &[key, report] : block.step_reports) {
-        w.str(key);
-        putReport(w, report);
-    }
-    return w.take();
+    return entry;
 }
 
 /// Frames one section: tag, payload size, checksum, payload bytes.
@@ -208,37 +276,49 @@ getSection(ByteReader &r, std::uint32_t expected_tag)
     return ByteReader(base, size);
 }
 
+/// One section's payload: the entry count, then each entry.
+template <typename Entry>
+std::string
+encodeEntries(const std::vector<Entry> &entries,
+              void (*put)(ByteWriter &, const Entry &))
+{
+    ByteWriter w;
+    w.u64(entries.size());
+    for (const Entry &entry : entries)
+        put(w, entry);
+    return w.take();
+}
+
+/// Decodes one section into `entries`. A count the payload cannot hold
+/// (no entry is shorter than `min_entry_bytes`), a poisoned entry or
+/// trailing bytes fail it.
+template <typename Entry>
+bool
+decodeEntries(ByteReader &r, std::uint32_t tag, std::size_t min_entry_bytes,
+              Entry (*get)(ByteReader &), std::vector<Entry> &entries)
+{
+    ByteReader section = getSection(r, tag);
+    const std::uint64_t count = section.u64();
+    if (!plausibleCount(count, min_entry_bytes, section))
+        return false;
+    entries.reserve(count);
+    for (std::uint64_t i = 0; i < count && section.ok(); ++i)
+        entries.push_back(get(section));
+    return section.ok() && section.atEnd() && r.ok();
+}
+
 bool
 decodeBlock(ByteReader &r, MemoBlock *block)
 {
     block->framework_key = r.str();
-
-    ByteReader brkd = getSection(r, kTagBreakdowns);
-    const std::uint64_t n_breakdowns = brkd.u64();
-    // One breakdown entry is at least its fixed fields plus the key's
-    // length prefix.
-    if (!plausibleCount(n_breakdowns, 4 + 1 + 12 * 8 + 2 * 8, brkd))
-        return false;
-    block->breakdowns.reserve(n_breakdowns);
-    for (std::uint64_t i = 0; i < n_breakdowns && brkd.ok(); ++i) {
-        std::string key = brkd.str();
-        block->breakdowns.emplace_back(std::move(key),
-                                       getBreakdown(brkd));
-    }
-    if (!brkd.ok() || !brkd.atEnd() || !r.ok())
-        return false;
-
-    ByteReader step = getSection(r, kTagStepReports);
-    const std::uint64_t n_reports = step.u64();
-    if (!plausibleCount(n_reports, 4 + 3 + 10 * 8, step))
-        return false;
-    block->step_reports.reserve(n_reports);
-    for (std::uint64_t i = 0; i < n_reports && step.ok(); ++i) {
-        std::string key = step.str();
-        block->step_reports.emplace_back(std::move(key),
-                                         getReport(step));
-    }
-    return step.ok() && step.atEnd() && r.ok();
+    // A cell is at least its key, breakdown, fixed fields and two
+    // counts; a step entry at least its key's length, flags and a
+    // handful of doubles.
+    return decodeEntries(r, kTagCells,
+                         8 + 4 + 7 * 4 + 1 + (1 + 14 * 8) + 8 * 8 + 2 * 4,
+                         getCell, block->cells) &&
+           decodeEntries(r, kTagStepReports, 4 + 3 + 10 * 8, getStep,
+                         block->step_reports);
 }
 
 }  // namespace
@@ -272,8 +352,9 @@ encodeSnapshot(const Snapshot &snapshot)
     w.u32(static_cast<std::uint32_t>(snapshot.blocks.size()));
     for (const MemoBlock &block : snapshot.blocks) {
         w.str(block.framework_key);
-        putSection(w, kTagBreakdowns, encodeBreakdownSection(block));
-        putSection(w, kTagStepReports, encodeStepSection(block));
+        putSection(w, kTagCells, encodeEntries(block.cells, putCell));
+        putSection(w, kTagStepReports,
+                   encodeEntries(block.step_reports, putStep));
     }
     return w.take();
 }

@@ -3,11 +3,11 @@
  * The persistent memo tier: content-addressed warm-start snapshots.
  *
  * A snapshot is the on-disk image of the memo stack a long-lived
- * TempService accumulates — evaluator breakdown memos and full-step
- * report memos — keyed by the same
- * canonical content keys the live caches use, so a fresh process
- * imports it and serves repeat work without re-measuring (the restart
- * counterpart of the in-process framework cache).
+ * TempService accumulates — the cost model's op cells and full-step
+ * report memos — keyed by the same content keys the live caches use,
+ * so a fresh process imports it and serves repeat work without
+ * re-measuring (the restart counterpart of the in-process framework
+ * cache).
  *
  * File layout (all integers little-endian; see codec.hpp):
  *
@@ -18,18 +18,22 @@
  *   blocks  repeated:
  *     str   framework key  (api::frameworkKey: wafer + options)
  *     2 sections, each:
- *       u32  section tag ('BRKD' | 'STEP')
+ *       u32  section tag ('CELL' | 'STEP')
  *       u64  payload size
  *       u64  FNV-1a checksum of the payload
  *       payload bytes
  *
- * One block per framework: breakdowns and step reports are persisted
- * by value under their content keys. Lowered schedules are not
- * persisted: a warm answer reads none, and a cold cell after a warm
- * start lowers on demand under the live fault epoch.
+ * One block per framework: op cells (under graph fingerprint, op index
+ * and spec) and step reports (under their content keys) are persisted
+ * by value; cells import under the importing framework's live fault
+ * epoch. Lowered schedules are not persisted: a warm answer reads none
+ * (a cell carries its own timed step phase), and a cold cell after a
+ * warm start lowers on demand under the live fault epoch.
  *
  * Validation contract: decode verifies magic, version, contract
- * fingerprint, per-section checksums and exact payload consumption.
+ * fingerprint, per-section checksums, exact payload consumption and
+ * every cell's collective kinds and die ids (the import then checks
+ * the die ids against the importing wafer).
  * Any mismatch — truncation, bit flips, a snapshot written by an
  * incompatible build — fails the whole load; callers degrade to a cold
  * start and bump a counter. A valid snapshot from a *different wafer*
@@ -50,21 +54,22 @@ namespace temp::persist {
 
 /// Format version; bump on any layout change or any change to the
 /// byte form of a block key (old files cold-start).
-inline constexpr std::uint32_t kFormatVersion = 5;
+inline constexpr std::uint32_t kFormatVersion = 6;
 
 /// The serialized memo contents of one framework, addressed by the
 /// same canonical key the service's framework cache uses.
 struct MemoBlock
 {
     std::string framework_key;
-    /// CachingEvaluator memo: evalKey -> breakdown, by value.
-    std::vector<std::pair<std::string, cost::OpCostBreakdown>> breakdowns;
+    /// Op-cell memo: (graph fingerprint, op, spec) -> cell, by value
+    /// (the key's epoch is not persisted).
+    std::vector<std::pair<cost::OpCellKey, cost::OpCell>> cells;
     /// StepEvaluator memo: stepKey -> report, by value.
     std::vector<std::pair<std::string, sim::PerfReport>> step_reports;
 
     bool empty() const
     {
-        return breakdowns.empty() && step_reports.empty();
+        return cells.empty() && step_reports.empty();
     }
 };
 
@@ -91,7 +96,8 @@ std::string encodeSnapshot(const Snapshot &snapshot);
  * Parses and validates a byte image.
  *
  * @return false with *error describing the first failure (magic,
- *         version, fingerprint, checksum, truncation); *out is left
+ *         version, fingerprint, checksum, truncation, a cell's
+ *         collective kind or die id out of range); *out is left
  *         empty then — a failed load never yields partial contents.
  */
 bool decodeSnapshot(const std::string &bytes, Snapshot *out,

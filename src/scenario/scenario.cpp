@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 
+#include "common/hash.hpp"
 #include "common/rng.hpp"
 
 namespace temp::scenario {
@@ -18,20 +19,9 @@ now()
 }
 
 std::uint64_t
-fnv1a(std::uint64_t hash, const void *data, std::size_t size)
-{
-    const auto *bytes = static_cast<const unsigned char *>(data);
-    for (std::size_t i = 0; i < size; ++i) {
-        hash ^= bytes[i];
-        hash *= 1099511628211ULL;
-    }
-    return hash;
-}
-
-std::uint64_t
 foldU64(std::uint64_t hash, std::uint64_t value)
 {
-    return fnv1a(hash, &value, sizeof(value));
+    return common::fnv1aValue(hash, value);
 }
 
 std::uint64_t
@@ -107,7 +97,8 @@ foldEventReport(std::uint64_t hash, const EventReport &r)
         (r.budget_exhausted ? 16u : 0u);
     hash = foldU64(hash, flags);
     hash = foldU64(hash, static_cast<std::uint64_t>(r.quanta_used));
-    hash = fnv1a(hash, r.degradation.data(), r.degradation.size());
+    hash = common::fnv1aBytes(r.degradation.data(), r.degradation.size(),
+                              hash);
     hash = foldU64(hash, r.degradation.size());
     // recovery_wall_s deliberately excluded: it is the one
     // nondeterministic field of the report.

@@ -55,7 +55,8 @@ class MultiWaferSimulator
   private:
     /// One pipeline stage's wafer + simulator. Cached per pp so sweeps
     /// over (pp, m, spec) reuse the stage simulator — and with it its
-    /// persistent layout cache — instead of rebuilding both per call.
+    /// cost model's layout and cell memos — instead of rebuilding both
+    /// per call.
     struct StageContext
     {
         StageContext(const hw::WaferConfig &cfg, tcme::MappingPolicy policy,

@@ -9,14 +9,12 @@
 
 namespace temp::sim {
 
-using parallel::GroupLayout;
 using parallel::ParallelSpec;
 
 TrainingSimulator::TrainingSimulator(const hw::Wafer &wafer,
                                      tcme::MappingPolicy policy,
                                      parallel::TrainingOptions options)
-    : wafer_(wafer), cost_model_(wafer, policy, options),
-      layout_cache_(cost_model_)
+    : wafer_(wafer), cost_model_(wafer, policy, options)
 {
 }
 
@@ -172,30 +170,20 @@ TrainingSimulator::simulateMicro(const model::ComputeGraph &graph,
     report.recompute = recompute;
 
     // ---- One representative layer -------------------------------------
-    double layer_wall = 0.0;      // fwd+bwd wall time of all ops
-    double layer_comp = 0.0;
-    double layer_coll = 0.0;      // blocking collectives
-    double layer_stream = 0.0;
-    double layer_exposed = 0.0;   // op-level exposed communication
-    double layer_tail = 0.0;
     double layer_reshard = 0.0;
-    double layer_flops = 0.0;
-    double layer_dram = 0.0;
-    double layer_d2d = 0.0;
-
     mem::MemoryFootprint static_mem;  // weights/grads/optimizer/buffers
     double act_per_layer = 0.0;       // activations stored per layer
     std::vector<net::CollectiveTask> step_tasks;
-    double util_acc = 0.0, util_weight = 0.0;
 
-    // Each (op, spec) cell comes from the cost model's cell memo, so a
-    // cell is costed once per fault epoch however many plans reuse it;
+    // Each (op, spec) cell comes from the cost model's cell memo, which
+    // the DP matrix fills too, so a cell is costed once per fault epoch
+    // however many plans and matrix fills reuse it;
     // a memo hit counts its schedule lookups as cache hits. Breakdowns
     // are collected and reduced in one batched pass after the loop
     // (cost::reduceBreakdowns); the loop keeps only the work that needs
     // the plan: feasibility early-outs, footprints, step-task
     // collection and resharding.
-    const std::uint64_t graph_fp = eval::graphFingerprint(graph);
+    const std::uint64_t graph_fp = model::graphFingerprint(graph);
     std::vector<cost::OpCostBreakdown> cells;
     cells.reserve(graph.opCount());
     double first_activation_bytes = 0.0;
@@ -209,26 +197,21 @@ TrainingSimulator::simulateMicro(const model::ComputeGraph &graph,
             report.feasible = false;
             return report;
         }
-        // A cell miss places the spec through the simulator's persistent
-        // layout cache. The shared_ptr pins the layout while the cell is
-        // costed: under a finite layout budget the cache may evict it.
-        std::shared_ptr<const GroupLayout> layout;
-        bool hit = false;
-        const std::shared_ptr<const cost::OpCell> cell = cost_model_.opCell(
-            graph_fp, i, op, spec,
-            [&]() -> const GroupLayout & {
-                layout = layout_cache_.layoutFor(graph, spec);
-                return *layout;
-            },
-            &hit);
+        std::shared_ptr<const cost::OpCell> cell =
+            cost_model_.findCell(graph_fp, i, spec);
+        const bool hit = cell != nullptr;
+        if (!hit)
+            cell = cost_model_.addCell(graph, graph_fp, i, spec);
+        // A cell's lookups include its own step phase, timed for the DP
+        // matrix when the cell was costed.
         const cost::OpCostBreakdown &c = cell->breakdown;
-        if (hit) {
-            report.schedule_cache_hits +=
-                c.schedule_lowerings + c.schedule_cache_hits;
-        } else {
-            report.schedule_lowerings += c.schedule_lowerings;
-            report.schedule_cache_hits += c.schedule_cache_hits;
-        }
+        const long lowerings =
+            c.schedule_lowerings + cell->step.schedule_lowerings;
+        const long lookups = lowerings + c.schedule_cache_hits +
+                             cell->step.schedule_cache_hits;
+        if (!hit)
+            report.schedule_lowerings += lowerings;
+        report.schedule_cache_hits += hit ? lookups : lookups - lowerings;
         if (!c.feasible) {
             report.feasible = false;
             return report;
@@ -261,28 +244,19 @@ TrainingSimulator::simulateMicro(const model::ComputeGraph &graph,
         }
     }
 
-    const cost::BreakdownSums sums = cost::reduceBreakdowns(cells);
-    layer_wall = sums.wall;
-    layer_comp = sums.comp;
-    layer_coll = sums.collective;
-    layer_stream = sums.stream;
-    layer_exposed = sums.exposed;
-    layer_tail = sums.tail;
-    layer_flops = sums.flops;
-    layer_dram = sums.dram;
-    layer_d2d = sums.d2d;
-    util_acc = sums.util_acc;
-    util_weight = sums.util_weight;
+    // The layer's fwd+bwd wall, compute, blocking collectives, stream,
+    // op-level exposed communication, tail, FLOPs, DRAM and D2D bytes.
+    cost::BreakdownSums layer = cost::reduceBreakdowns(cells);
 
     if (recompute) {
         // Activation checkpointing: store only the layer-boundary
         // activation (the first op's input tensor) and re-run the
         // forward pass during backward.
         act_per_layer = first_activation_bytes;
-        const double extra = layer_comp / 3.0;  // one extra forward
-        layer_wall += extra;
-        layer_comp += extra;
-        layer_flops += layer_flops / 3.0;
+        const double extra = layer.comp / 3.0;  // one extra forward
+        layer.wall += extra;
+        layer.comp += extra;
+        layer.flops += layer.flops / 3.0;
     }
 
     // Merged gradient synchronisation: all the layer's grad-sync
@@ -302,24 +276,25 @@ TrainingSimulator::simulateMicro(const model::ComputeGraph &graph,
         step_timing.time_s *
         (1.0 - cost::WaferCostModel::kGradSyncOverlap);
     if (step_timing.total_bytes > 0.0 && step_link_bytes > 0.0) {
-        util_acc += step_timing.bandwidth_utilization * step_link_bytes;
-        util_weight += step_link_bytes;
+        layer.util_acc +=
+            step_timing.bandwidth_utilization * step_link_bytes;
+        layer.util_weight += step_link_bytes;
     }
 
     // ---- Scale the layer to the model (Eq. 4) --------------------------
     const double layers = graph.layerCount();
     report.step_time =
-        (layer_wall + layer_reshard + step_exposed) * layers;
-    report.comp_time = layer_comp * layers;
-    report.collective_time = (layer_coll + step_timing.time_s) * layers;
-    report.stream_comm_time = layer_stream * layers;
-    report.exposed_comm = (layer_exposed + step_exposed) * layers;
-    report.tail_latency = layer_tail * layers;
+        (layer.wall + layer_reshard + step_exposed) * layers;
+    report.comp_time = layer.comp * layers;
+    report.collective_time = (layer.collective + step_timing.time_s) * layers;
+    report.stream_comm_time = layer.stream * layers;
+    report.exposed_comm = (layer.exposed + step_exposed) * layers;
+    report.tail_latency = layer.tail * layers;
     report.reshard_time = layer_reshard * layers;
     report.grad_sync_time = step_exposed * layers;
     report.grad_sync_collective_time = step_timing.time_s * layers;
     report.grad_sync_link_bytes = step_link_bytes * layers;
-    report.total_flops = layer_flops * layers;
+    report.total_flops = layer.flops * layers;
 
     // ---- Memory ---------------------------------------------------------
     const double capacity = wafer_.config().hbm.capacity_bytes;
@@ -335,15 +310,15 @@ TrainingSimulator::simulateMicro(const model::ComputeGraph &graph,
 
     // ---- Energy and derived metrics --------------------------------------
     report.energy = cost_model_.powerModel().stepEnergy(
-        report.total_flops, layer_dram * layers,
-        (layer_d2d + step_link_bytes) * layers, report.step_time,
+        report.total_flops, layer.dram * layers,
+        (layer.d2d + step_link_bytes) * layers, report.step_time,
         wafer_.dieCount());
     report.avg_power_w = cost_model_.powerModel().averagePower(
         report.energy, report.step_time);
     report.power_efficiency = cost_model_.powerModel().powerEfficiency(
         report.total_flops, report.energy);
     report.bw_utilization =
-        util_weight > 0.0 ? util_acc / util_weight : 0.0;
+        layer.util_weight > 0.0 ? layer.util_acc / layer.util_weight : 0.0;
 
     const double tokens = static_cast<double>(graph.config().batch) *
                           graph.config().seq;

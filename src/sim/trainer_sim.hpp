@@ -11,7 +11,6 @@
 #pragma once
 
 #include "cost/cost_model.hpp"
-#include "eval/cost_evaluator.hpp"
 #include "sim/perf_report.hpp"
 
 namespace temp::sim {
@@ -49,19 +48,6 @@ class TrainingSimulator
     const cost::WaferCostModel &costModel() const { return cost_model_; }
     const hw::Wafer &wafer() const { return wafer_; }
 
-    /**
-     * The simulator's persistent layout memo. Layouts are content-keyed
-     * on (graph, spec), so repeated simulations — the GA fitness loop
-     * alone issues hundreds with recurring specs — build each layout
-     * once across calls instead of once per call. Thread-safe, which
-     * also makes concurrent simulate() calls safe (the rest of the
-     * simulator is stateless).
-     */
-    const eval::LayoutCache &layoutCache() const { return layout_cache_; }
-
-    /// Mutable access for cache governance (budget application).
-    eval::LayoutCache &layoutCache() { return layout_cache_; }
-
   private:
     /// Simulates one microbatch pass (no accumulation logic).
     /// @param recompute Activation checkpointing: only the layer input
@@ -77,7 +63,6 @@ class TrainingSimulator
 
     const hw::Wafer &wafer_;
     cost::WaferCostModel cost_model_;
-    mutable eval::LayoutCache layout_cache_;
 };
 
 }  // namespace temp::sim

@@ -38,11 +38,8 @@ DlsSolver::DlsSolver(const sim::TrainingSimulator &simulator,
     if (evaluator != nullptr) {
         eval_ = evaluator;
     } else {
-        owned_exact_ = std::make_unique<eval::ExactEvaluator>(
-            sim_.costModel(), owned_pool_.get(),
-            /*memoize_breakdowns=*/false);
-        owned_eval_ =
-            std::make_unique<eval::CachingEvaluator>(*owned_exact_);
+        owned_eval_ = std::make_unique<eval::ExactEvaluator>(
+            sim_.costModel(), owned_pool_.get());
         eval_ = owned_eval_.get();
     }
     if (steps != nullptr) {
@@ -169,8 +166,9 @@ DlsSolver::solve(const model::ComputeGraph &graph,
 
     // Per-(op, candidate) cost matrix under the additive model
     // (Eq. 2's T_intra with the per-op share of step communication),
-    // filled through the shared evaluation layer: layouts and
-    // breakdowns are memoized, misses run in parallel, and the
+    // filled through the shared evaluation layer: layouts and op cells
+    // are memoized in the cost model (the uniform seeding below reads
+    // the same cells), misses run in parallel, and the
     // measurement/hit split keeps the accounting honest.
     const double inf = std::numeric_limits<double>::infinity();
     const eval::EvalStats stats_before = eval_->stats();
@@ -367,7 +365,7 @@ DlsSolver::solve(const model::ComputeGraph &graph,
         result.step_sims = step_delta.sims;
         result.step_cache_hits = step_delta.cache_hits;
         // Schedule-cache accounting spans both query layers: the
-        // matrix fill's breakdowns and the full-step simulations.
+        // matrix fill's entries and the full-step simulations.
         const eval::EvalStats matrix_delta = eval_->stats() - stats_before;
         result.schedule_lowerings = matrix_delta.schedule_lowerings +
                                     step_delta.schedule_lowerings;

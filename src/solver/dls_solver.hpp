@@ -142,7 +142,7 @@ struct SolverResult
     /// Schedule queries served by (or absorbed above) the cache.
     long schedule_cache_hits = 0;
     /**
-     * Memo entries (breakdowns, layouts, step reports) evicted during
+     * Memo entries (cells, layouts, step reports) evicted during
      * this solve to honour a finite cache budget. Zero under the
      * default unbounded budgets. Nonzero eviction with bit-identical
      * results is bounded mode working as designed; the re-measurement
@@ -174,7 +174,7 @@ class DlsSolver
      *        report).
      * @param config Search tuning.
      * @param evaluator Optional shared evaluation backend; when null
-     *        the solver owns a caching exact evaluator over the
+     *        the solver owns an exact evaluator over the
      *        simulator's cost model (config.eval_threads wide).
      * @param steps Optional shared full-step evaluator (uniform
      *        seeding, refiner fitness, final report); when null the
@@ -235,8 +235,7 @@ class DlsSolver
     SolverConfig config_;
     /// Owned backends when none are injected.
     std::unique_ptr<ThreadPool> owned_pool_;
-    std::unique_ptr<eval::ExactEvaluator> owned_exact_;
-    std::unique_ptr<eval::CachingEvaluator> owned_eval_;
+    std::unique_ptr<eval::ExactEvaluator> owned_eval_;
     std::unique_ptr<eval::StepEvaluator> owned_steps_;
     eval::CostEvaluator *eval_ = nullptr;
     eval::StepEvaluator *steps_ = nullptr;

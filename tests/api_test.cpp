@@ -441,6 +441,24 @@ TEST(ApiService, OutOfRangeFieldsAnswerErrorsNotPanics)
     EXPECT_NE(rate.error.find("wafer.die_peak_flops"), std::string::npos)
         << rate.error;
 
+    // The fault envelope and event scalars are ranged on this path too.
+    FaultRequest bad_link;
+    bad_link.model = testModel();
+    bad_link.link_fault_rate = 7;
+    const Response link = service.run(Request{bad_link});
+    EXPECT_FALSE(link.ok);
+    EXPECT_NE(link.error.find("fault.link_fault_rate"), std::string::npos)
+        << link.error;
+    ScenarioRequest bad_time;
+    bad_time.model = testModel();
+    bad_time.options = fastOptions();
+    bad_time.events.push_back(scenario::Event{});
+    bad_time.events.back().at_s = -5;
+    const Response time = service.run(bad_time);
+    EXPECT_FALSE(time.ok);
+    EXPECT_NE(time.error.find("events[0].at_s"), std::string::npos)
+        << time.error;
+
     MultiWaferRequest bad_pod;
     bad_pod.model = testModel();
     bad_pod.pod.wafer.d2d.bandwidth_bytes_per_s = -1;

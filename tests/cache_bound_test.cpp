@@ -230,30 +230,27 @@ TEST(CacheBound, BudgetTwoSolveIsBitIdenticalToUnbounded)
     EXPECT_EQ(unbounded_repeat.matrix_measurements, 0);
     EXPECT_EQ(unbounded_repeat.step_sims, 0);
 
-    // Every layer honours its budget ("layouts" aggregates the two
-    // layout caches — simulator + exact evaluator — so its bound is
-    // twice the per-cache budget).
-    // The cost model's memos (stream plans, timed phases, simulator
-    // cells) ride the same budgets and were under real pressure.
+    // Every layer honours its budget. The cost model's memos (layouts,
+    // stream plans, timed phases, op cells) ride the same budgets and
+    // were under real pressure.
     std::set<std::string> seen;
     for (const auto &[layer, stats] : bounded.cacheStats()) {
         seen.insert(layer);
-        if (layer == "eval_breakdowns" || layer == "step_reports" ||
+        if (layer == "step_reports" || layer == "layouts" ||
             layer == "schedules" || layer == "stream_plans" ||
             layer == "collective_phases" || layer == "sim_cells")
             EXPECT_LE(stats.entries, 2) << layer;
-        else if (layer == "layouts")
-            EXPECT_LE(stats.entries, 4) << layer;
-        if (layer == "stream_plans" || layer == "collective_phases" ||
-            layer == "sim_cells") {
+        if (layer == "layouts" || layer == "stream_plans" ||
+            layer == "collective_phases" || layer == "sim_cells") {
             EXPECT_GT(stats.evictions, 0) << layer;
             EXPECT_GT(stats.misses, 0) << layer;
         }
         EXPECT_GE(stats.entries, 0) << layer;
     }
     for (const char *layer :
-         {"stream_plans", "collective_phases", "sim_cells"})
+         {"layouts", "stream_plans", "collective_phases", "sim_cells"})
         EXPECT_TRUE(seen.count(layer)) << layer;
+    EXPECT_FALSE(seen.count("eval_breakdowns"));
 }
 
 TEST(CacheBound, ByteBudgetedSolveIsBitIdenticalAndVisible)
@@ -280,19 +277,15 @@ TEST(CacheBound, ByteBudgetedSolveIsBitIdenticalAndVisible)
     EXPECT_DOUBLE_EQ(result.step_time_s, expected.step_time_s);
     EXPECT_GT(result.cache_evictions, 0);
 
-    // The gauges respect the budgets they were given ("layouts"
-    // aggregates two caches, so its bound is twice the per-cache
-    // budget; the route pool is unbudgeted here).
+    // The gauges respect the budgets they were given (the route pool
+    // is unbudgeted here).
     for (const auto &[layer, stats] : bounded.cacheStats()) {
-        if (layer == "eval_breakdowns")
-            EXPECT_LE(stats.bytes_est, 64 << 10) << layer;
-        else if (layer == "step_reports")
+        if (layer == "step_reports")
             EXPECT_LE(stats.bytes_est, 8 << 10) << layer;
-        else if (layer == "layouts")
-            EXPECT_LE(stats.bytes_est, 2 * (64 << 10)) << layer;
         else if (layer == "schedules" || layer == "collective_phases")
             EXPECT_LE(stats.bytes_est, 32 << 10) << layer;
-        else if (layer == "stream_plans" || layer == "sim_cells")
+        else if (layer == "layouts" || layer == "stream_plans" ||
+                 layer == "sim_cells")
             EXPECT_LE(stats.bytes_est, 64 << 10) << layer;
         EXPECT_GE(stats.bytes_est, 0) << layer;
     }
@@ -317,15 +310,13 @@ TEST(CacheBound, ServiceBudgetsHoldAfterEveryRequestAndEvictLru)
         for (const api::CacheLayerStats &layer : stats.cache_layers) {
             if (layer.layer == "service_frameworks")
                 EXPECT_LE(layer.stats.entries, 1);
-            else if (layer.layer == "eval_breakdowns" ||
-                     layer.layer == "step_reports" ||
+            else if (layer.layer == "step_reports" ||
+                     layer.layer == "layouts" ||
                      layer.layer == "schedules" ||
                      layer.layer == "stream_plans" ||
                      layer.layer == "collective_phases" ||
                      layer.layer == "sim_cells")
                 EXPECT_LE(layer.stats.entries, 2) << layer.layer;
-            else if (layer.layer == "layouts")
-                EXPECT_LE(layer.stats.entries, 4) << layer.layer;
         }
     };
 
@@ -361,10 +352,11 @@ TEST(CacheBound, ServiceBudgetsHoldAfterEveryRequestAndEvictLru)
     const std::string json =
         api::toJson(service.run(api::CacheStatsRequest{}));
     for (const char *layer :
-         {"service_frameworks", "service_pods", "eval_breakdowns",
-          "step_reports", "layouts", "schedules", "routes",
-          "stream_plans", "collective_phases", "sim_cells"})
+         {"service_frameworks", "service_pods", "step_reports", "layouts",
+          "schedules", "routes", "stream_plans", "collective_phases",
+          "sim_cells"})
         EXPECT_NE(json.find(layer), std::string::npos) << layer;
+    EXPECT_EQ(json.find("eval_breakdowns"), std::string::npos);
     EXPECT_NE(json.find("\"evictions\":"), std::string::npos);
 }
 

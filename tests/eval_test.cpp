@@ -3,7 +3,8 @@
  * Tests for the unified cost-evaluation layer: the thread pool, memo
  * correctness (cached == recomputed, bit-exact), parallel batch
  * determinism across thread counts, honest measurement/hit accounting,
- * and solver invariance under evaluator sharing.
+ * the op-cell memo the matrix shares with the simulator, and solver
+ * invariance under evaluator sharing.
  */
 #include <gtest/gtest.h>
 
@@ -116,14 +117,16 @@ TEST_F(EvalTest, CachedBreakdownEqualsRecomputedBitExact)
 {
     ASSERT_FALSE(candidates_.empty());
     ExactEvaluator cached(sim_.costModel());
-    ExactEvaluator fresh(sim_.costModel(), nullptr,
-                         /*memoize_breakdowns=*/false);
     const EvalRequest request{3, candidates_[candidates_.size() / 2],
                               true};
     const cost::OpCostBreakdown first = cached.evaluate(graph_, request);
     const cost::OpCostBreakdown hit = cached.evaluate(graph_, request);
-    const cost::OpCostBreakdown recomputed =
-        fresh.evaluate(graph_, request);
+    // A matrix entry is the cell composed with its step phase, which
+    // is exactly opCost(..., include_step=true) on a fresh cost model.
+    const sim::TrainingSimulator fresh(wafer_, sim_.costModel().policy());
+    const cost::OpCostBreakdown recomputed = fresh.costModel().opCost(
+        graph_.op(request.op_id),
+        fresh.costModel().buildLayout(graph_, request.spec), true);
     expectBitExact(first, hit);
     expectBitExact(first, recomputed);
     EXPECT_EQ(cached.stats().measurements, 1);
@@ -132,14 +135,18 @@ TEST_F(EvalTest, CachedBreakdownEqualsRecomputedBitExact)
 
 TEST_F(EvalTest, BatchDeterministicAcrossThreadCounts)
 {
+    // Each width fills its own cost model's cell memo from cold.
     const std::vector<EvalRequest> requests = fullMatrix();
     std::vector<std::vector<cost::OpCostBreakdown>> runs;
     for (int threads : {1, 2, 4}) {
         ThreadPool pool(threads);
-        ExactEvaluator evaluator(sim_.costModel(), &pool);
+        const sim::TrainingSimulator sim(wafer_, sim_.costModel().policy());
+        ExactEvaluator evaluator(sim.costModel(), &pool);
         runs.push_back(evaluator.evaluateBatch(graph_, requests));
         EXPECT_EQ(evaluator.stats().measurements,
                   static_cast<long>(requests.size()));
+        EXPECT_EQ(evaluator.stats().layouts_built,
+                  static_cast<long>(candidates_.size()));
     }
     for (std::size_t r = 1; r < runs.size(); ++r) {
         ASSERT_EQ(runs[r].size(), runs[0].size());
@@ -152,7 +159,8 @@ TEST_F(EvalTest, BatchMatchesSingleEvaluate)
 {
     ThreadPool pool(2);
     ExactEvaluator batched(sim_.costModel(), &pool);
-    ExactEvaluator single(sim_.costModel());
+    const sim::TrainingSimulator other(wafer_, sim_.costModel().policy());
+    ExactEvaluator single(other.costModel());
     const std::vector<EvalRequest> requests = fullMatrix();
     const std::vector<cost::OpCostBreakdown> batch =
         batched.evaluateBatch(graph_, requests);
@@ -162,9 +170,7 @@ TEST_F(EvalTest, BatchMatchesSingleEvaluate)
 
 TEST_F(EvalTest, StatsCountUniqueMeasurementsOnceAndHitsSeparately)
 {
-    ExactEvaluator exact(sim_.costModel(), nullptr,
-                         /*memoize_breakdowns=*/false);
-    CachingEvaluator caching(exact);
+    ExactEvaluator caching(sim_.costModel());
     const std::vector<EvalRequest> requests = fullMatrix();
     const long n = static_cast<long>(requests.size());
 
@@ -195,19 +201,29 @@ TEST_F(EvalTest, DuplicateRequestsWithinOneBatchMeasureOnce)
     EXPECT_EQ(evaluator.stats().cache_hits, 4);
 }
 
-TEST_F(EvalTest, NonMemoizingBatchNeverFabricatesHits)
+TEST_F(EvalTest, MatrixFillServesEveryUniformSimulation)
 {
-    // Without a memo there is nothing to serve duplicates from, so the
-    // hit counter must stay zero and every request is a measurement.
-    ExactEvaluator evaluator(sim_.costModel(), nullptr,
-                             /*memoize_breakdowns=*/false);
-    std::vector<EvalRequest> requests(3,
-                                      EvalRequest{0, candidates_[0], true});
-    const auto results = evaluator.evaluateBatch(graph_, requests);
-    expectBitExact(results[0], results[1]);
-    expectBitExact(results[0], results[2]);
-    EXPECT_EQ(evaluator.stats().measurements, 3);
-    EXPECT_EQ(evaluator.stats().cache_hits, 0);
+    // The DP matrix and the simulator read one op-cell memo: once the
+    // matrix is filled, simulating any uniform candidate on the full
+    // graph costs no new cell and places no new layout. Only the
+    // micro-batch graphs of candidates that fall back to gradient
+    // accumulation are new to the memo, because no matrix costs them.
+    ThreadPool pool(2);
+    ExactEvaluator evaluator(sim_.costModel(), &pool);
+    evaluator.evaluateBatch(graph_, fullMatrix());
+    const cost::WaferCostModel &model = sim_.costModel();
+    int served = 0;
+    for (const ParallelSpec &spec : candidates_) {
+        const long cell_misses = model.cellMemoStats().misses;
+        const long layouts = model.layoutBuilds();
+        const sim::PerfReport report = sim_.simulate(graph_, spec);
+        if (report.grad_accum > 1 || report.recompute)
+            continue;
+        ++served;
+        EXPECT_EQ(model.cellMemoStats().misses, cell_misses) << spec.str();
+        EXPECT_EQ(model.layoutBuilds(), layouts) << spec.str();
+    }
+    EXPECT_GT(served, static_cast<int>(candidates_.size()) / 2);
 }
 
 TEST_F(EvalTest, DistinctGraphsDoNotCollideInTheCache)
@@ -340,11 +356,12 @@ TEST_F(EvalTest, SolverIdenticalWithOwnedAndSharedEvaluator)
     solver::DlsSolver owned(sim_);
     const solver::SolverResult a = owned.solve(graph_);
 
+    // A second simulator, so the injected solve starts from a cold
+    // cell memo.
+    const sim::TrainingSimulator sim(wafer_, sim_.costModel().policy());
     ThreadPool pool(2);
-    ExactEvaluator exact(sim_.costModel(), &pool,
-                         /*memoize_breakdowns=*/false);
-    CachingEvaluator shared(exact);
-    solver::DlsSolver injected(sim_, solver::SolverConfig{}, &shared);
+    ExactEvaluator shared(sim.costModel(), &pool);
+    solver::DlsSolver injected(sim, solver::SolverConfig{}, &shared);
     const solver::SolverResult b = injected.solve(graph_);
 
     ASSERT_TRUE(a.feasible);

@@ -58,6 +58,52 @@ class TempFile
     std::string path_;
 };
 
+/// A cell with every field set to a distinct value.
+cost::OpCell
+syntheticCell()
+{
+    cost::OpCell cell;
+    cost::OpCostBreakdown &b = cell.breakdown;
+    double value = 1.5;
+    for (double *field :
+         {&b.fwd_time, &b.bwd_time, &b.step_comm_time, &b.comp_time,
+          &b.collective_time, &b.stream_comm_time, &b.exposed_comm,
+          &b.tail_latency, &b.d2d_link_bytes, &b.dram_bytes, &b.flops,
+          &b.bw_utilization}) {
+        *field = value;
+        value *= 1.75;
+    }
+    b.schedule_lowerings = 7;
+    b.schedule_cache_hits = 11;
+    cell.comm_bytes = 4096.25;
+    cell.step = {2.5e-3, 8.0e8, 0.625, 1.6e9, 3, 5};
+    for (std::size_t c = 0; c < cell.footprint.bytes.size(); ++c)
+        cell.footprint.bytes[c] = 1e6 * static_cast<double>(c + 1);
+    cell.step_tasks.push_back(
+        {net::CollectiveKind::AllReduce, {0, 1, 2, 3}, 2.5e8, 1003});
+    cell.step_tasks.push_back(
+        {net::CollectiveKind::P2P, {31, 30}, 1.25e6, 7});
+    cell.activation_bytes = 3.0e9;
+    return cell;
+}
+
+cost::OpCellKey
+syntheticCellKey()
+{
+    cost::OpCellKey key;
+    key.graph_fp = 0x0123456789abcdefull;
+    key.op_index = 9;
+    key.spec.dp = 2;
+    key.spec.fsdp = 1;
+    key.spec.tp = 4;
+    key.spec.sp = 1;
+    key.spec.cp = 1;
+    key.spec.tatp = 4;
+    key.spec.pp = 1;
+    key.spec.coupled_sp = true;
+    return key;
+}
+
 /// A small synthetic snapshot exercising every section kind.
 Snapshot
 syntheticSnapshot()
@@ -65,13 +111,10 @@ syntheticSnapshot()
     MemoBlock block;
     block.framework_key = "wafer{4x8}|opts{test}";
 
-    cost::OpCostBreakdown breakdown;
-    breakdown.fwd_time = 1.5;
-    breakdown.bwd_time = 3.0;
-    breakdown.step_comm_time = 0.25;
-    block.breakdowns.emplace_back("eval-key-1", breakdown);
-    breakdown.feasible = false;
-    block.breakdowns.emplace_back("eval-key-2", breakdown);
+    block.cells.emplace_back(syntheticCellKey(), syntheticCell());
+    cost::OpCell infeasible;
+    infeasible.breakdown.feasible = false;
+    block.cells.emplace_back(cost::OpCellKey{}, infeasible);
 
     sim::PerfReport report;
     report.step_time = 0.125;
@@ -95,17 +138,75 @@ TEST(SnapshotCodec, EncodeDecodeRoundTripsByteStable)
     ASSERT_EQ(decoded.blocks.size(), 1u);
     const MemoBlock &block = decoded.blocks[0];
     EXPECT_EQ(block.framework_key, snapshot.blocks[0].framework_key);
-    ASSERT_EQ(block.breakdowns.size(), 2u);
-    EXPECT_EQ(block.breakdowns[0].first, "eval-key-1");
-    EXPECT_DOUBLE_EQ(block.breakdowns[0].second.bwd_time, 3.0);
-    EXPECT_FALSE(block.breakdowns[1].second.feasible);
+    ASSERT_EQ(block.cells.size(), 2u);
+    EXPECT_FALSE(block.cells[1].second.breakdown.feasible);
     ASSERT_EQ(block.step_reports.size(), 1u);
     EXPECT_TRUE(block.step_reports[0].second.oom);
     EXPECT_EQ(block.step_reports[0].second.grad_accum, 4);
 
+    // Every field of the cell, its key and its step tasks survives.
+    const auto &[key, cell] = block.cells[0];
+    EXPECT_EQ(key, syntheticCellKey());
+    const cost::OpCell expected = syntheticCell();
+    const cost::OpCostBreakdown &b = cell.breakdown;
+    const cost::OpCostBreakdown &e = expected.breakdown;
+    EXPECT_TRUE(b.feasible);
+    EXPECT_EQ(b.fwd_time, e.fwd_time);
+    EXPECT_EQ(b.bwd_time, e.bwd_time);
+    EXPECT_EQ(b.step_comm_time, e.step_comm_time);
+    EXPECT_EQ(b.comp_time, e.comp_time);
+    EXPECT_EQ(b.collective_time, e.collective_time);
+    EXPECT_EQ(b.stream_comm_time, e.stream_comm_time);
+    EXPECT_EQ(b.exposed_comm, e.exposed_comm);
+    EXPECT_EQ(b.tail_latency, e.tail_latency);
+    EXPECT_EQ(b.d2d_link_bytes, e.d2d_link_bytes);
+    EXPECT_EQ(b.dram_bytes, e.dram_bytes);
+    EXPECT_EQ(b.flops, e.flops);
+    EXPECT_EQ(b.bw_utilization, e.bw_utilization);
+    EXPECT_EQ(b.schedule_lowerings, e.schedule_lowerings);
+    EXPECT_EQ(b.schedule_cache_hits, e.schedule_cache_hits);
+    EXPECT_EQ(cell.comm_bytes, expected.comm_bytes);
+    EXPECT_EQ(cell.step.time_s, expected.step.time_s);
+    EXPECT_EQ(cell.step.bytes, expected.step.bytes);
+    EXPECT_EQ(cell.step.utilization, expected.step.utilization);
+    EXPECT_EQ(cell.step.link_bytes, expected.step.link_bytes);
+    EXPECT_EQ(cell.step.schedule_lowerings, expected.step.schedule_lowerings);
+    EXPECT_EQ(cell.step.schedule_cache_hits,
+              expected.step.schedule_cache_hits);
+    EXPECT_EQ(cell.footprint.bytes, expected.footprint.bytes);
+    EXPECT_EQ(cell.activation_bytes, expected.activation_bytes);
+    ASSERT_EQ(cell.step_tasks.size(), expected.step_tasks.size());
+    for (std::size_t t = 0; t < cell.step_tasks.size(); ++t) {
+        EXPECT_EQ(cell.step_tasks[t].kind, expected.step_tasks[t].kind);
+        EXPECT_EQ(cell.step_tasks[t].group, expected.step_tasks[t].group);
+        EXPECT_EQ(cell.step_tasks[t].bytes, expected.step_tasks[t].bytes);
+        EXPECT_EQ(cell.step_tasks[t].tag, expected.step_tasks[t].tag);
+    }
+
     // Decode then re-encode is the identity on the byte image: the
     // format has one canonical serialization.
     EXPECT_EQ(encodeSnapshot(decoded), bytes);
+}
+
+TEST(SnapshotCodec, CellWithBadKindOrDieFailsTheWholeLoad)
+{
+    const auto rejected = [](const cost::OpCell &cell) {
+        Snapshot snapshot = syntheticSnapshot();
+        snapshot.blocks[0].cells.emplace_back(syntheticCellKey(), cell);
+        Snapshot out;
+        std::string error;
+        const bool ok =
+            decodeSnapshot(encodeSnapshot(snapshot), &out, &error);
+        return !ok && out.blocks.empty() && !error.empty();
+    };
+    cost::OpCell bad_kind = syntheticCell();
+    bad_kind.step_tasks[1].kind = static_cast<net::CollectiveKind>(
+        static_cast<int>(net::CollectiveKind::P2P) + 1);
+    EXPECT_TRUE(rejected(bad_kind));
+    cost::OpCell bad_die = syntheticCell();
+    bad_die.step_tasks[0].group[2] = -3;
+    EXPECT_TRUE(rejected(bad_die));
+    EXPECT_FALSE(rejected(syntheticCell()));
 }
 
 TEST(SnapshotCodec, EveryHeaderFieldIsValidated)
@@ -320,6 +421,45 @@ TEST(ServiceWarmStart, CorruptSnapshotColdStartsAndCounts)
     const api::Response response = service.run(request);
     ASSERT_TRUE(response.ok) << response.error;
     EXPECT_GT(response.solver.matrix_measurements, 0);
+}
+
+TEST(ServiceWarmStart, CellNamingAMissingDieImportsNothing)
+{
+    TempFile file("foreign_die.snap");
+    const api::OptimizeRequest request = testRequest();
+    {
+        api::TempService service;
+        ASSERT_TRUE(service.run(request).ok);
+        std::string error;
+        ASSERT_TRUE(service.saveSnapshot(file.path(), &error)) << error;
+    }
+    // A die id the 4x8 wafer lacks decodes (it is a valid die id), but
+    // the import checks it against the importing wafer.
+    {
+        Snapshot loaded;
+        std::string error;
+        ASSERT_TRUE(loadSnapshotFile(file.path(), &loaded, &error));
+        bool planted = false;
+        for (auto &[key, cell] : loaded.blocks[0].cells)
+            for (net::CollectiveTask &task : cell.step_tasks)
+                if (!planted && !task.group.empty()) {
+                    task.group[0] = 1000;
+                    planted = true;
+                }
+        ASSERT_TRUE(planted);
+        ASSERT_TRUE(saveSnapshotFile(file.path(), loaded, &error));
+    }
+
+    api::TempService service;
+    std::string error;
+    ASSERT_TRUE(service.warmStart(file.path(), &error)) << error;
+    const api::Response response = service.run(request);
+    ASSERT_TRUE(response.ok) << response.error;
+    // Nothing of the block was imported: an honest cold solve.
+    EXPECT_GT(response.solver.matrix_measurements, 0);
+    EXPECT_GT(response.solver.step_sims, 0);
+    EXPECT_EQ(service.persistStats().frameworks_warmed, 0);
+    EXPECT_EQ(service.persistStats().load_failures, 1);
 }
 
 TEST(ServiceWarmStart, DifferentWaferSnapshotStaysPending)

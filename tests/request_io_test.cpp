@@ -359,6 +359,39 @@ TEST(RequestParse, HostileModelAndWaferValuesNameTheirKey)
                  "pod.wafer.hbm_capacity_bytes");
 }
 
+TEST(RequestParse, FaultRatesAndEventTimesAreRanged)
+{
+    // The fault envelope and the scenario event scalars are checked
+    // like the table rows: rates are probabilities or fractions in
+    // [0, 1], event times are >= 0, and the message names the key.
+    const std::string model = "\"model\":{\"base\":\"GPT-3 6.7B\"}";
+    const std::pair<const char *, const char *> fault_cases[] = {
+        {"\"link_fault_rate\":7", "fault.link_fault_rate exceeds 1"},
+        {"\"link_fault_rate\":-0.5", "fault.link_fault_rate must be"},
+        {"\"core_fault_rate\":-1", "fault.core_fault_rate must be"},
+        {"\"core_fault_rate\":1.5", "fault.core_fault_rate exceeds 1"}};
+    for (const auto &[member, needle] : fault_cases)
+        expectReject("{\"kind\":\"fault\"," + model + "," + member + "}",
+                     needle);
+    const std::pair<const char *, const char *> event_cases[] = {
+        {"\"link_fault_rate\":5", "events[0].link_fault_rate exceeds 1"},
+        {"\"core_fault_rate\":-3", "events[0].core_fault_rate must be"},
+        {"\"at_s\":-5", "events[0].at_s must be a finite number >= 0"}};
+    for (const auto &[member, needle] : event_cases)
+        expectReject("{\"kind\":\"scenario\"," + model +
+                         ",\"events\":[{\"type\":\"set_faults\"," +
+                         member + "}]}",
+                     needle);
+    // The bounds themselves are accepted.
+    ParsedRequest parsed;
+    std::string error;
+    EXPECT_TRUE(parseRequest("{\"kind\":\"fault\"," + model +
+                                 ",\"link_fault_rate\":1,"
+                                 "\"core_fault_rate\":0}",
+                             &parsed, &error))
+        << error;
+}
+
 TEST(RequestParse, HostileValuesInConfigFilesNameTheirKey)
 {
     const auto expectConfigReject = [](const auto &build,

@@ -421,6 +421,30 @@ TEST_F(CellMemoTest, FaultChangeDropsCachedFeasibleCells)
     expectSameReport(warm.simulate(graph, plan), healthy);
 }
 
+TEST_F(CellMemoTest, KilledDiesNeverServeStaleLayouts)
+{
+    // Layouts are memoized per fault epoch: a warm simulator must not
+    // place a spec on dies that have since died (that layout once
+    // reached ComputeModel::opTime with a zero derate and aborted).
+    const model::ComputeGraph graph = model::ComputeGraph::transformer(
+        model::modelByName("GPT-3 6.7B"));
+    const ParallelSpec dp3_tatp8 = spec(3, 1, 1, 8);
+    const TrainingSimulator warm(wafer_, policy_);
+    ASSERT_TRUE(warm.simulate(graph, dp3_tatp8).feasible);
+
+    hw::FaultMap killed(wafer_.dieCount(), wafer_.topology().linkCount());
+    const hw::MeshTopology &mesh = wafer_.topology();
+    killed.setCoreFaultFraction(mesh.dieAt(0, 0), 1.0);
+    killed.setCoreFaultFraction(mesh.dieAt(1, 1), 1.0);
+    wafer_.setFaults(killed);
+
+    const PerfReport faulted = warm.simulate(graph, dp3_tatp8);
+    EXPECT_TRUE(faulted.feasible);
+    const std::vector<ParallelSpec> plan(
+        static_cast<std::size_t>(graph.opCount()), dp3_tatp8);
+    expectSameReport(faulted, fresh(graph, plan));
+}
+
 TEST_F(CellMemoTest, ConcurrentSimulationsMatchSerialAnswers)
 {
     const model::ModelConfig model = model::modelByName("Llama2 7B");

@@ -632,6 +632,8 @@ runCacheStats(api::TempService &service, const CliArgs &args)
                         .add("warm_ok", solve.ok)
                         .add("warm_cache_evictions",
                              solve.solver.cache_evictions)
+                        .add("warm_matrix_measurements",
+                             solve.solver.matrix_measurements)
                         .addRaw("response", api::toJson(stats))
                         .str()
                         .c_str());
@@ -893,8 +895,7 @@ runSnapshot(api::TempService &service, const CliArgs &args)
                 blocks.push_back(
                     api::JsonObject()
                         .add("framework_key", block.framework_key)
-                        .add("breakdowns",
-                             static_cast<long>(block.breakdowns.size()))
+                        .add("cells", static_cast<long>(block.cells.size()))
                         .add("step_reports",
                              static_cast<long>(
                                  block.step_reports.size()))
@@ -915,9 +916,9 @@ runSnapshot(api::TempService &service, const CliArgs &args)
                     file.c_str(), persist::kFormatVersion,
                     snapshot.blocks.size());
         for (const persist::MemoBlock &block : snapshot.blocks)
-            std::printf("  %zu breakdowns, %zu step reports  "
+            std::printf("  %zu cells, %zu step reports  "
                         "[%.40s...]\n",
-                        block.breakdowns.size(),
+                        block.cells.size(),
                         block.step_reports.size(),
                         block.framework_key.c_str());
         return 0;
