@@ -145,13 +145,13 @@ main()
     net::ScheduleCache cache(scheduler);
     const double t2 = now();
     for (const net::CollectiveTask &task : tasks)
-        cache.lowered(task, wafer.faultEpoch());
+        cache.lowered(task);
     const double cold_s = now() - t2;
 
     const double t3 = now();
     for (int rep = 0; rep < reps; ++rep)
         for (const net::CollectiveTask &task : tasks)
-            cache.lowered(task, wafer.faultEpoch());
+            cache.lowered(task);
     const double warm_s = (now() - t3) / reps;
 
     const double cold_rate = static_cast<double>(tasks.size()) / cold_s;
@@ -212,13 +212,13 @@ main()
     for (int rep = 0; rep < reps; ++rep) {
         for (std::size_t i = 0; i < tasks.size(); ++i) {
             const auto b =
-                bounded.lowered(tasks[i], wafer.faultEpoch());
+                bounded.lowered(tasks[i]);
             // The interleaved hot-slice touch (the skew).
-            (void)bounded.lowered(tasks[i % hot], wafer.faultEpoch());
+            (void)bounded.lowered(tasks[i % hot]);
             if (bounded.size() > budget)
                 ++over_budget;
             // Bit-exactness spot check against the unbounded cache.
-            const auto u = cache.lowered(tasks[i], wafer.faultEpoch());
+            const auto u = cache.lowered(tasks[i]);
             if (b->linkBytes() != u->linkBytes() ||
                 b->flowCount() != u->flowCount())
                 mismatches += 1.0;

@@ -13,6 +13,7 @@
 #include <memory>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "api/service.hpp"
 #include "eval/cost_evaluator.hpp"
@@ -279,68 +280,97 @@ scheduleCacheSection(const char *name)
  * The persistent-tier section: the service-cache experiment across a
  * process boundary. A cold service solves and saves a snapshot; a
  * *fresh* service warm-starts from the file and answers the same
- * request from the imported memos. The acceptance bars are the repo's
- * warm-start contract — zero new matrix measurements, zero new step
- * simulations, bit-identical specs, and >= 5x wall-clock — enforced
- * through the exit code so CI fails when the persist path rots.
+ * request from the imported memos. Five such cold/warm pairs run, each
+ * on fresh services. The acceptance bars are the repo's warm-start
+ * contract — zero new matrix measurements, zero new step simulations
+ * and bit-identical specs on every pair, and a median speedup >= 5x
+ * (one pair's ratio is too noisy on a shared host to gate on) —
+ * enforced through the exit code so CI fails when the persist path
+ * rots.
  */
 int
 warmStartSection(const char *name)
 {
+    constexpr int kPairs = 5;
     const std::string path = "warm_start.bench.snap";
-    std::remove(path.c_str());
     const api::OptimizeRequest request{model::modelByName(name)};
 
-    api::Response cold;
-    std::string error;
-    {
-        api::TempService service;  // the "first process"
-        cold = service.run(request);
-        if (!cold.ok || !service.saveSnapshot(path, &error)) {
-            std::printf("warm_start: cold solve/save failed: %s\n",
-                        error.c_str());
+    TablePrinter t({"Model", "Pair", "Cold (s)", "Warm (s)", "Speedup",
+                    "Warm meas.", "Warm sims", "Identical"});
+    std::vector<double> cold_s, warm_s, speedups;
+    long warm_measurements = 0;
+    long warm_sims = 0;
+    long warm_hits = 0;
+    bool identical = true;
+    api::TempService::PersistStats persist;
+    for (int pair = 0; pair < kPairs; ++pair) {
+        std::remove(path.c_str());
+        api::Response cold;
+        std::string error;
+        {
+            api::TempService service;  // the "first process"
+            cold = service.run(request);
+            if (!cold.ok || !service.saveSnapshot(path, &error)) {
+                std::printf("warm_start: cold solve/save failed: %s\n",
+                            error.c_str());
+                return 1;
+            }
+        }
+
+        api::TempService warmed;  // the "restarted process"
+        if (!warmed.warmStart(path, &error)) {
+            std::printf("warm_start: load failed: %s\n", error.c_str());
+            std::remove(path.c_str());
             return 1;
         }
-    }
-
-    api::TempService warmed;  // the "restarted process"
-    if (!warmed.warmStart(path, &error)) {
-        std::printf("warm_start: load failed: %s\n", error.c_str());
+        const api::Response warm = warmed.run(request);
         std::remove(path.c_str());
-        return 1;
+
+        const double speedup = warm.wall_time_s > 0.0
+                                   ? cold.wall_time_s / warm.wall_time_s
+                                   : 0.0;
+        const bool same =
+            warm.solver.per_op_specs == cold.solver.per_op_specs &&
+            warm.solver.step_time_s == cold.solver.step_time_s;
+        cold_s.push_back(cold.wall_time_s);
+        warm_s.push_back(warm.wall_time_s);
+        speedups.push_back(speedup);
+        warm_measurements =
+            std::max(warm_measurements, warm.solver.matrix_measurements);
+        warm_sims = std::max(warm_sims, warm.solver.step_sims);
+        warm_hits = warm.solver.cache_hits;
+        identical = identical && same;
+        persist = warmed.persistStats();
+        t.addRow({name, std::to_string(pair + 1),
+                  TablePrinter::fmt(cold.wall_time_s, 3),
+                  TablePrinter::fmt(warm.wall_time_s, 3),
+                  TablePrinter::fmtX(speedup, 1),
+                  std::to_string(warm.solver.matrix_measurements),
+                  std::to_string(warm.solver.step_sims),
+                  same ? "yes" : "NO"});
     }
-    const api::Response warm = warmed.run(request);
-    std::remove(path.c_str());
-
-    const double speedup = warm.wall_time_s > 0.0
-                               ? cold.wall_time_s / warm.wall_time_s
-                               : 0.0;
-    const bool identical =
-        warm.solver.per_op_specs == cold.solver.per_op_specs &&
-        warm.solver.step_time_s == cold.solver.step_time_s;
-    const api::TempService::PersistStats persist =
-        warmed.persistStats();
-
-    TablePrinter t({"Model", "Cold (s)", "Warm (s)", "Speedup",
-                    "Warm meas.", "Warm sims", "Identical"});
-    t.addRow({name, TablePrinter::fmt(cold.wall_time_s, 3),
-              TablePrinter::fmt(warm.wall_time_s, 3),
-              TablePrinter::fmtX(speedup, 1),
-              std::to_string(warm.solver.matrix_measurements),
-              std::to_string(warm.solver.step_sims),
-              identical ? "yes" : "NO"});
     t.print("Snapshot warm start across a process boundary");
+
+    const auto median = [](std::vector<double> v) {
+        std::sort(v.begin(), v.end());
+        return v[v.size() / 2];
+    };
+    const double speedup = median(speedups);
+    const auto [min_it, max_it] =
+        std::minmax_element(speedups.begin(), speedups.end());
     std::printf("BENCH_JSON {\"bench\":\"search_time\","
                 "\"section\":\"warm_start\",\"model\":\"%s\","
-                "\"cold_s\":%.6f,\"warm_s\":%.6f,\"speedup\":%.2f,"
+                "\"pairs\":%d,\"cold_s\":%.6f,\"warm_s\":%.6f,"
+                "\"speedup\":%.2f,\"speedup_min\":%.2f,"
+                "\"speedup_max\":%.2f,"
                 "\"warm_matrix_measurements\":%ld,"
                 "\"warm_step_sims\":%ld,\"warm_cache_hits\":%ld,"
                 "\"blocks_staged\":%ld,\"frameworks_warmed\":%ld,"
                 "\"bit_identical\":%s}\n",
-                name, cold.wall_time_s, warm.wall_time_s, speedup,
-                warm.solver.matrix_measurements, warm.solver.step_sims,
-                warm.solver.cache_hits, persist.blocks_staged,
-                persist.frameworks_warmed, identical ? "true" : "false");
+                name, kPairs, median(cold_s), median(warm_s), speedup,
+                *min_it, *max_it, warm_measurements, warm_sims, warm_hits,
+                persist.blocks_staged, persist.frameworks_warmed,
+                identical ? "true" : "false");
 
     int failures = 0;
     const auto bar = [&](bool ok, const char *what) {
@@ -348,11 +378,10 @@ warmStartSection(const char *name)
         if (!ok)
             ++failures;
     };
-    bar(warm.solver.matrix_measurements == 0,
-        "warm solve re-measures nothing");
-    bar(warm.solver.step_sims == 0, "warm solve re-simulates nothing");
-    bar(identical, "warm answer is bit-identical to the cold one");
-    bar(speedup >= 5.0, "warm start is >= 5x faster");
+    bar(warm_measurements == 0, "every warm solve re-measures nothing");
+    bar(warm_sims == 0, "every warm solve re-simulates nothing");
+    bar(identical, "every warm answer is bit-identical to its cold one");
+    bar(speedup >= 5.0, "warm start is >= 5x faster (median of pairs)");
     return failures;
 }
 

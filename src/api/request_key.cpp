@@ -3,6 +3,7 @@
 #include <charconv>
 #include <concepts>
 
+#include "api/request_io.hpp"
 #include "api/serialize.hpp"
 #include "core/schema.hpp"
 
@@ -112,115 +113,10 @@ podKey(const hw::MultiWaferConfig &pod, const core::FrameworkOptions &o)
     return key;
 }
 
-namespace {
-
-std::string
-faultMapKey(const hw::FaultMap &faults)
-{
-    std::string key;
-    field(key, faults.dieCount());
-    const auto links = faults.failedLinks();
-    field(key, static_cast<int>(links.size()));
-    for (const hw::LinkId link : links)
-        field(key, link);
-    for (const double fraction : faults.coreFaultFractions())
-        field(key, fraction);
-    return key;
-}
-
-/// The tag, then each part's key, appended in place.
-template <typename... Parts>
-std::string
-keyOf(const char *tag, const Parts &...parts)
-{
-    std::string key = tag;
-    (appendKey(key, parts), ...);
-    return key;
-}
-
-struct RequestKeyVisitor
-{
-    std::string operator()(const OptimizeRequest &r) const
-    {
-        return keyOf("optimize|", r.model, r.wafer, r.options);
-    }
-
-    std::string operator()(const BaselineRequest &r) const
-    {
-        std::string key = keyOf("baseline|", r.model, r.wafer, r.options);
-        field(key, static_cast<int>(r.kind));
-        field(key, static_cast<int>(r.engine));
-        return key;
-    }
-
-    std::string operator()(const StrategyRequest &r) const
-    {
-        return keyOf("strategy|", r.model, r.wafer, r.options, r.spec);
-    }
-
-    std::string operator()(const FaultRequest &r) const
-    {
-        std::string key = keyOf("fault|", r.model, r.wafer, r.options);
-        // An explicit map replaces the (rates, seed) triple entirely —
-        // mirroring run(), which ignores them when faults is set.
-        if (r.faults) {
-            key += "map|";
-            key += faultMapKey(*r.faults);
-            return key;
-        }
-        key += "rng|";
-        field(key, r.link_fault_rate);
-        field(key, r.core_fault_rate);
-        field(key, r.fault_seed);
-        return key;
-    }
-
-    std::string operator()(const MultiWaferRequest &r) const
-    {
-        // The pod's key carries the simulator's options slice, then the
-        // framework's full options follow.
-        std::string key = keyOf("multiwafer|", r.model, r.pod);
-        appendKey(key, r.options, core::OptionScope::Pod);
-        appendKey(key, r.options);
-        appendKey(key, r.intra_spec);
-        field(key, r.pp);
-        field(key, r.microbatches);
-        return key;
-    }
-
-    std::string operator()(const CacheStatsRequest &) const
-    {
-        return "cache-stats|";
-    }
-
-    std::string operator()(const ScenarioRequest &r) const
-    {
-        std::string key = keyOf("scenario|", r.model, r.wafer, r.options);
-        field(key, r.warm_seed);
-        field(key, static_cast<int>(r.events.size()));
-        for (const scenario::Event &event : r.events) {
-            key += scenario::eventKindName(event.kind);
-            key += '|';
-            field(key, event.at_s);
-            field(key, event.link_fault_rate);
-            field(key, event.core_fault_rate);
-            field(key, event.fault_seed);
-            field(key, static_cast<int>(event.kill_dies.size()));
-            for (int die : event.kill_dies)
-                field(key, die);
-            if (event.kind == scenario::Event::Kind::ModelSwitch)
-                appendKey(key, event.model);
-        }
-        return key;
-    }
-};
-
-}  // namespace
-
 std::string
 requestKey(const Request &request)
 {
-    return std::visit(RequestKeyVisitor{}, request);
+    return toJson(request);
 }
 
 }  // namespace temp::api

@@ -6,9 +6,9 @@
  * at that precision), so two values share a key iff they are
  * bit-for-bit the same computation. TempService keys its framework and
  * pod caches on these; the serve-layer dispatcher keys its in-flight
- * coalescing map on requestKey(), which additionally tags the request
- * kind and the kind-specific fields — two requests with equal keys are
- * interchangeable and can legally share one Response.
+ * coalescing map on requestKey(), the request's wire document — two
+ * requests with equal keys are interchangeable and can legally share
+ * one Response.
  */
 #pragma once
 
@@ -47,11 +47,13 @@ std::string podKey(const hw::MultiWaferConfig &pod,
                    const core::FrameworkOptions &options);
 
 /**
- * Whole-request canonical key: kind tag + every field that affects the
- * response payload. Responses are deterministic functions of this key
- * (timing fields aside), which is what makes in-flight coalescing
- * sound. CacheStats requests key on the tag alone but are never
- * coalesced by the dispatcher — their answer depends on when they run.
+ * Whole-request canonical key: the request's wire JSON (toJson in
+ * api/request_io.hpp) with an empty tenant, so requests from different
+ * tenants still share a key. The wire format is lossless, so responses
+ * are deterministic functions of this key (timing fields aside), which
+ * is what makes in-flight coalescing sound. CacheStats requests are
+ * never coalesced by the dispatcher — their answer depends on when
+ * they run.
  */
 std::string requestKey(const Request &request);
 

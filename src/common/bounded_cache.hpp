@@ -13,8 +13,8 @@
  *    recency list) for caches that already run under their own lock
  *    (each ScheduleCache shard). Supports heterogeneous probes
  *    (transparent Hash/Equal) and a byte estimator.
- *  - BoundedCache: a thread-safe sharded facade over LruMap shards
- *    (one shared_mutex per shard). Unbounded lookups take the lock
+ *  - BoundedCache: a thread-safe facade over one LruMap (one
+ *    shared_mutex). Unbounded lookups take the lock
  *    shared and touch nothing, so a capacity of 0 — the default
  *    everywhere — keeps the pre-governance hot paths and their
  *    bit-exactness guarantees intact; bounded lookups upgrade to the
@@ -171,8 +171,8 @@ cacheByteEstimate(const WordKey &key)
 /**
  * The unsynchronized LRU core: an unordered map plus an intrusive
  * recency list of pointers into the map's (node-stable) keys. For use
- * under an external lock; BoundedCache wraps it per shard for
- * stand-alone thread-safe use.
+ * under an external lock; BoundedCache wraps it for stand-alone
+ * thread-safe use.
  */
 template <typename Key, typename Value, typename Hash = std::hash<Key>,
           typename Equal = std::equal_to<Key>>
@@ -322,66 +322,48 @@ class LruMap
 };
 
 /**
- * Thread-safe sharded LRU cache: the drop-in replacement for the
- * mutex + unordered_map idiom of the memo layers. Keys hash to a
- * shard; each shard is a shared_mutex over an LruMap. When the cache
- * is unbounded (the default), get() takes the shard lock shared and
- * performs no recency maintenance — the exact cost profile of the
- * maps it replaces; a finite budget upgrades lookups to the exclusive
- * shard lock so LRU order stays truthful.
+ * Thread-safe LRU cache: the drop-in replacement for the mutex +
+ * unordered_map idiom of the memo layers, one shared_mutex over an
+ * LruMap. When the cache is unbounded (the default), get() takes the
+ * lock shared and performs no recency maintenance — the exact cost
+ * profile of the maps it replaces; a finite budget upgrades lookups to
+ * the exclusive lock so LRU order stays truthful.
  */
 template <typename Key, typename Value, typename Hash = std::hash<Key>,
           typename Equal = std::equal_to<Key>>
 class BoundedCache
 {
   public:
-    /**
-     * @param capacity Total entry budget across shards (0 = unbounded).
-     * @param shards Shard count; clamped so every shard owns at least
-     *        one budgeted entry, which keeps `size() <= capacity`
-     *        exact (per-shard budgets partition the total). The
-     *        default is a single shard: every memo this replaces ran
-     *        under one global mutex, and one shard is the only layout
-     *        that keeps `size() <= capacity` exact across
-     *        setCapacity() re-budgeting (shard count is fixed after
-     *        construction). Opt into more shards only for caches
-     *        whose budget is set once at construction.
-     */
-    explicit BoundedCache(long capacity = 0, int shards = 1)
-    {
-        const int n = shardCountFor(capacity, shards);
-        shards_.reserve(static_cast<std::size_t>(n));
-        for (int i = 0; i < n; ++i)
-            shards_.push_back(std::make_unique<Shard>());
-        distributeCapacity(capacity);
-    }
+    /// @param capacity Entry budget (0 = unbounded).
+    explicit BoundedCache(long capacity = 0) { setCapacity(capacity); }
 
-    /// Re-budgets in place (shard count is fixed at construction);
-    /// shrinking evicts immediately. An unchanged capacity is a
-    /// lock-free no-op — per-request budget application sits on the
-    /// service hot path and must not serialise cache hits.
+    /// Re-budgets in place; shrinking evicts immediately. An unchanged
+    /// capacity is a lock-free no-op — per-request budget application
+    /// sits on the service hot path and must not serialise cache hits.
     void setCapacity(long capacity)
     {
         if (capacity < 0)
             capacity = 0;
         if (capacity_.load() == capacity)
             return;
-        std::lock_guard<std::mutex> lock(capacity_mutex_);
-        distributeCapacity(capacity);
+        std::unique_lock<std::shared_mutex> lock(mutex_);
+        capacity_ = capacity;
+        map_.setCapacity(static_cast<std::size_t>(capacity));
     }
 
     long capacity() const { return capacity_.load(); }
 
-    /// Total byte budget across shards (0 = unbounded); split like the
-    /// entry budget. Same lock-free no-op guard on unchanged values.
+    /// Byte budget (0 = unbounded). Same lock-free no-op guard on
+    /// unchanged values.
     void setMaxBytes(long max_bytes)
     {
         if (max_bytes < 0)
             max_bytes = 0;
         if (max_bytes_.load() == max_bytes)
             return;
-        std::lock_guard<std::mutex> lock(capacity_mutex_);
-        distributeMaxBytes(max_bytes);
+        std::unique_lock<std::shared_mutex> lock(mutex_);
+        max_bytes_ = max_bytes;
+        map_.setMaxBytes(max_bytes);
     }
 
     long maxBytes() const { return max_bytes_.load(); }
@@ -394,21 +376,20 @@ class BoundedCache
     /// Looks a key up, counting a hit or miss.
     std::optional<Value> get(const Key &key)
     {
-        Shard &shard = shardFor(key);
         if (!bounded()) {
-            std::shared_lock<std::shared_mutex> lock(shard.mutex);
-            if (const Value *value = shard.map.peek(key)) {
-                ++shard.hits;
+            std::shared_lock<std::shared_mutex> lock(mutex_);
+            if (const Value *value = map_.peek(key)) {
+                ++hits_;
                 return *value;
             }
         } else {
-            std::unique_lock<std::shared_mutex> lock(shard.mutex);
-            if (Value *value = shard.map.touch(key)) {
-                ++shard.hits;
+            std::unique_lock<std::shared_mutex> lock(mutex_);
+            if (Value *value = map_.touch(key)) {
+                ++hits_;
                 return *value;
             }
         }
-        ++shard.misses;
+        ++misses_;
         return std::nullopt;
     }
 
@@ -419,141 +400,60 @@ class BoundedCache
      */
     std::pair<Value, bool> insert(const Key &key, Value value)
     {
-        Shard &shard = shardFor(key);
-        std::unique_lock<std::shared_mutex> lock(shard.mutex);
-        auto [resident, inserted] =
-            shard.map.insert(key, std::move(value));
+        std::unique_lock<std::shared_mutex> lock(mutex_);
+        auto [resident, inserted] = map_.insert(key, std::move(value));
         return {*resident, inserted};
     }
 
     void clear()
     {
-        for (auto &shard : shards_) {
-            std::unique_lock<std::shared_mutex> lock(shard->mutex);
-            shard->map.clear();
-        }
+        std::unique_lock<std::shared_mutex> lock(mutex_);
+        map_.clear();
     }
 
     std::size_t size() const
     {
-        std::size_t total = 0;
-        for (const auto &shard : shards_) {
-            std::shared_lock<std::shared_mutex> lock(shard->mutex);
-            total += shard->map.size();
-        }
-        return total;
+        std::shared_lock<std::shared_mutex> lock(mutex_);
+        return map_.size();
     }
 
-    /// Aggregated counters across shards. Each shard is snapshotted
-    /// under its lock; the cross-shard sum is not one atomic cut, but
-    /// every per-shard snapshot is internally consistent.
+    /// Counters, snapshotted under the lock.
     CacheStats stats() const
     {
-        CacheStats total;
-        for (const auto &shard : shards_) {
-            std::unique_lock<std::shared_mutex> lock(shard->mutex);
-            total.entries += static_cast<long>(shard->map.size());
-            total.bytes_est += shard->map.bytesEstimate();
-            total.hits += shard->hits.load();
-            total.misses += shard->misses.load();
-            total.evictions += shard->map.evictions();
-        }
-        return total;
+        std::unique_lock<std::shared_mutex> lock(mutex_);
+        CacheStats stats;
+        stats.entries = static_cast<long>(map_.size());
+        stats.bytes_est = map_.bytesEstimate();
+        stats.hits = hits_.load();
+        stats.misses = misses_.load();
+        stats.evictions = map_.evictions();
+        return stats;
     }
 
     void setByteEstimate(
         std::function<long(const Key &, const Value &)> estimate)
     {
-        for (auto &shard : shards_) {
-            std::unique_lock<std::shared_mutex> lock(shard->mutex);
-            shard->map.setByteEstimate(estimate);
-        }
+        std::unique_lock<std::shared_mutex> lock(mutex_);
+        map_.setByteEstimate(std::move(estimate));
     }
 
-    /// Visits every resident (key, value) pair (shard by shard, under
-    /// the shared lock). For stats collection, not mutation.
+    /// Visits every resident (key, value) pair under the shared lock.
+    /// For stats collection, not mutation.
     template <typename Fn>
     void forEach(Fn &&fn) const
     {
-        for (const auto &shard : shards_) {
-            std::shared_lock<std::shared_mutex> lock(shard->mutex);
-            shard->map.forEachResident(fn);
-        }
+        std::shared_lock<std::shared_mutex> lock(mutex_);
+        map_.forEachResident(fn);
     }
 
   private:
-    struct Shard
-    {
-        mutable std::shared_mutex mutex;
-        LruMap<Key, Value, Hash, Equal> map;
-        /// Atomic: bumped under the shared lock on unbounded hits.
-        std::atomic<long> hits{0};
-        std::atomic<long> misses{0};
-    };
-
-    static int shardCountFor(long capacity, int shards)
-    {
-        if (shards < 1)
-            shards = 1;
-        if (capacity > 0 && static_cast<long>(shards) > capacity)
-            shards = static_cast<int>(capacity);
-        return shards;
-    }
-
-    /// Splits a total budget into per-shard budgets that sum to it.
-    void distributeCapacity(long capacity)
-    {
-        if (capacity < 0)
-            capacity = 0;
-        capacity_ = capacity;
-        const long n = static_cast<long>(shards_.size());
-        // A nonzero budget smaller than the shard count would leave
-        // zero-capacity (= unbounded) shards; give every shard at
-        // least one entry instead. setCapacity after construction
-        // cannot re-shard, so `size() <= max(capacity, shards)` is
-        // the honest bound then (construction-time budgets are exact).
-        const long base = capacity / n;
-        const long extra = capacity % n;
-        for (long i = 0; i < n; ++i) {
-            auto &shard = shards_[static_cast<std::size_t>(i)];
-            std::unique_lock<std::shared_mutex> lock(shard->mutex);
-            const long cap = base + (i < extra ? 1 : 0);
-            shard->map.setCapacity(static_cast<std::size_t>(
-                capacity == 0 ? 0 : std::max(cap, 1L)));
-        }
-    }
-
-    /// Splits a total byte budget into per-shard budgets that sum to
-    /// it; residency of an entry bigger than its shard's slice is
-    /// still guaranteed by the MRU-head protection, so a too-small
-    /// byte budget degrades to caching one entry per shard.
-    void distributeMaxBytes(long max_bytes)
-    {
-        if (max_bytes < 0)
-            max_bytes = 0;
-        max_bytes_ = max_bytes;
-        const long n = static_cast<long>(shards_.size());
-        const long base = max_bytes / n;
-        const long extra = max_bytes % n;
-        for (long i = 0; i < n; ++i) {
-            auto &shard = shards_[static_cast<std::size_t>(i)];
-            std::unique_lock<std::shared_mutex> lock(shard->mutex);
-            const long cap = base + (i < extra ? 1 : 0);
-            shard->map.setMaxBytes(max_bytes == 0 ? 0
-                                                  : std::max(cap, 1L));
-        }
-    }
-
-    Shard &shardFor(const Key &key)
-    {
-        const std::size_t h = Hash{}(key);
-        return *shards_[h % shards_.size()];
-    }
-
-    std::vector<std::unique_ptr<Shard>> shards_;
+    mutable std::shared_mutex mutex_;
+    LruMap<Key, Value, Hash, Equal> map_;
+    /// Atomic: bumped under the shared lock on unbounded hits.
+    std::atomic<long> hits_{0};
+    std::atomic<long> misses_{0};
     std::atomic<long> capacity_{0};
     std::atomic<long> max_bytes_{0};
-    std::mutex capacity_mutex_;  ///< serialises re-budgeting
 };
 
 }  // namespace temp::common

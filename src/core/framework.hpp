@@ -228,7 +228,7 @@ class TempFramework
      * Governance counters of every memo layer this framework owns,
      * as (layer name, counters) pairs: step_reports, layouts,
      * schedules (the shared net::ScheduleCache), routes (the Router's
-     * current-epoch route storage), stream_plans, collective_phases
+     * current route-epoch storage), stream_plans, collective_phases
      * and sim_cells (the op-cell memo the DP matrix and the simulator
      * share). The layer names are the CacheStatsRequest JSON
      * vocabulary.
@@ -238,7 +238,7 @@ class TempFramework
 
     /**
      * Exports this framework's persistable memo layers — the op-cell
-     * memo of the live fault epoch and the step-report memo — as one
+     * memo and the step-report memo — as one
      * snapshot block (framework_key left empty; the service stamps its
      * canonical key). Layouts and lowered schedules are deliberately
      * not exported: they are only consulted on cell misses, and they
@@ -248,8 +248,8 @@ class TempFramework
 
     /**
      * Seeds the memo layers from a snapshot block (warm start). Cells
-     * import by value under the live fault epoch, step reports under
-     * their content keys. Resident entries always win, so importing
+     * import by value under (graph fingerprint, op, spec), step
+     * reports under their content keys. Resident entries always win, so importing
      * into a warm framework never changes what it serves.
      *
      * @return false, importing nothing, when a cell names a die this

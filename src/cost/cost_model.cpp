@@ -40,17 +40,14 @@ std::size_t
 OpCellKeyHash::operator()(const OpCellKey &key) const
 {
     const ParallelSpec &s = key.spec;
-    std::uint64_t hash = key.graph_fp ^ (key.epoch * 0x9e3779b97f4a7c15ull);
+    std::uint64_t hash = key.graph_fp;
     for (int v : {key.op_index, s.dp, s.fsdp, s.tp, s.sp, s.cp, s.tatp, s.pp,
                   s.coupled_sp ? 1 : 0})
         hash = (hash ^ static_cast<std::uint32_t>(v)) * 0x100000001b3ull;
     return static_cast<std::size_t>(hash ^ (hash >> 29));
 }
 
-/**
- * The cost model's exact memos. Every key carries the fault epoch, and
- * the epoch listener flushes them all.
- */
+/// The cost model's exact memos; the fault listener clears them all.
 struct WaferCostModel::Memos
 {
     /// (graph, spec) -> the placed layout.
@@ -124,26 +121,23 @@ WaferCostModel::WaferCostModel(const hw::Wafer &wafer,
       tatp_executor_(wafer.config().d2d),
       optimizer_(router_)
 {
-    // Eager invalidation: a setFaults() on the live wafer flushes the
-    // dead epoch's schedules and route storage immediately, instead of
-    // retaining them until (unless) a next lookup notices the epoch
-    // moved. The listener only touches this model's own thread-safe
-    // caches, so it is safe from whichever thread injects the faults.
-    epoch_listener_id_ =
-        wafer_.addEpochListener([this](std::uint64_t epoch) {
-            Memos &memo = memos();
-            memo.layouts.clear();
-            memo.cells.clear();
-            memo.phases.clear();
-            memo.stream_plans.clear();  // releases their route epochs
-            schedule_cache_.flushForEpoch(epoch);
-            router_.dropStaleRoutes();
-        });
+    // Everything below derives from the fault state: a setFaults() on
+    // the live wafer clears it before any further lookup.
+    fault_listener_id_ = wafer_.addFaultListener([this] {
+        Memos &memo = memos();
+        memo.layouts.clear();
+        memo.cells.clear();
+        memo.phases.clear();
+        memo.stream_plans.clear();  // releases their route epochs
+        schedule_cache_.clear();
+        router_.newEpoch();
+        contention_.resnapshot();
+    });
 }
 
 WaferCostModel::~WaferCostModel()
 {
-    wafer_.removeEpochListener(epoch_listener_id_);
+    wafer_.removeFaultListener(fault_listener_id_);
 }
 
 WaferCostModel::Memos &
@@ -212,9 +206,7 @@ WaferCostModel::timeCollectiveTasks(
     if (tasks.empty())
         return net::PhaseTiming{};
 
-    const std::uint64_t epoch = wafer_.faultEpoch();
     common::WordKey key;
-    key.add64(epoch);
     appendTasks(key, tasks);
     Memos &memo = memos();
     std::optional<TimedPhase> phase = memo.phases.get(key);
@@ -222,7 +214,7 @@ WaferCostModel::timeCollectiveTasks(
         if (sched_stats != nullptr)
             sched_stats->hits += static_cast<long>(tasks.size());
     } else {
-        phase = timePhase(tasks, epoch, sched_stats);
+        phase = timePhase(tasks, sched_stats);
         memo.phases.insert(key, *phase);
     }
     if (link_bytes != nullptr)
@@ -232,18 +224,17 @@ WaferCostModel::timeCollectiveTasks(
 
 WaferCostModel::TimedPhase
 WaferCostModel::timePhase(const std::vector<net::CollectiveTask> &tasks,
-                          std::uint64_t epoch,
                           net::ScheduleCacheStats *sched_stats) const
 {
     TimedPhase phase;
     // Lower every task through the shared schedule cache (content-keyed
-    // on the task signature, invalidated by the wafer's fault epoch).
+    // on the task signature).
     std::vector<std::shared_ptr<const net::CommSchedule>> lowered;
     lowered.reserve(tasks.size());
     bool feasible = true;
     for (const net::CollectiveTask &task : tasks) {
         bool hit = false;
-        lowered.push_back(schedule_cache_.lowered(task, epoch, &hit));
+        lowered.push_back(schedule_cache_.lowered(task, &hit));
         feasible = feasible && lowered.back()->feasible;
         if (sched_stats != nullptr) {
             if (hit)
@@ -298,7 +289,6 @@ WaferCostModel::streamPlan(const std::vector<std::vector<hw::DieId>> &groups,
                            int degree) const
 {
     common::WordKey key;
-    key.add64(wafer_.faultEpoch());
     key.addInt(degree);
     for (const std::vector<hw::DieId> &group : groups) {
         key.add(static_cast<std::uint32_t>(group.size()));
@@ -329,8 +319,7 @@ std::shared_ptr<const OpCell>
 WaferCostModel::findCell(std::uint64_t graph_fp, int op_index,
                          const ParallelSpec &spec) const
 {
-    auto cell = memos().cells.get(
-        OpCellKey{graph_fp, wafer_.faultEpoch(), op_index, spec});
+    auto cell = memos().cells.get(OpCellKey{graph_fp, op_index, spec});
     return cell ? *cell : nullptr;
 }
 
@@ -339,14 +328,13 @@ WaferCostModel::addCell(const model::ComputeGraph &graph,
                         std::uint64_t graph_fp, int op_index,
                         const ParallelSpec &spec) const
 {
-    const OpCellKey key{graph_fp, wafer_.faultEpoch(), op_index, spec};
+    const OpCellKey key{graph_fp, op_index, spec};
     Memos &memo = memos();
     // Place the spec (built outside the cache lock; on a racing
     // duplicate the first insert wins). The shared_ptr pins the layout
     // while the cell is costed: under a finite layout budget the memo
     // may evict it meanwhile.
-    const OpCellKey layout_key{graph_fp, key.epoch, OpCellKey::kLayoutOp,
-                               spec};
+    const OpCellKey layout_key{graph_fp, OpCellKey::kLayoutOp, spec};
     std::shared_ptr<const GroupLayout> placed;
     if (auto cached = memo.layouts.get(layout_key)) {
         placed = std::move(*cached);
@@ -368,20 +356,17 @@ void
 WaferCostModel::importCell(std::uint64_t graph_fp, int op_index,
                            const ParallelSpec &spec, OpCell cell) const
 {
-    memos().cells.insert(
-        OpCellKey{graph_fp, wafer_.faultEpoch(), op_index, spec},
-        std::make_shared<const OpCell>(std::move(cell)));
+    memos().cells.insert(OpCellKey{graph_fp, op_index, spec},
+                         std::make_shared<const OpCell>(std::move(cell)));
 }
 
 void
 WaferCostModel::forEachCell(
     const std::function<void(const OpCellKey &, const OpCell &)> &fn) const
 {
-    const std::uint64_t epoch = wafer_.faultEpoch();
     memos().cells.forEach(
         [&](const OpCellKey &key, const std::shared_ptr<const OpCell> &cell) {
-            if (key.epoch == epoch)
-                fn(key, *cell);
+            fn(key, *cell);
         });
 }
 

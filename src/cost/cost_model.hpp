@@ -110,15 +110,13 @@ struct OpCell
     OpCostBreakdown withStep() const;
 };
 
-/// Exact key of an OpCell: graph fingerprint, op index, spec and the
-/// fault epoch the cell was costed under. The layout memo uses the
-/// same key with op_index kLayoutOp.
+/// Exact key of an OpCell: graph fingerprint, op index and spec. The
+/// layout memo uses the same key with op_index kLayoutOp.
 struct OpCellKey
 {
     static constexpr int kLayoutOp = -1;
 
     std::uint64_t graph_fp = 0;
-    std::uint64_t epoch = 0;
     int op_index = 0;
     parallel::ParallelSpec spec;
 
@@ -143,7 +141,7 @@ class WaferCostModel
                    parallel::TrainingOptions options =
                        parallel::TrainingOptions());
 
-    /// Unregisters the fault-epoch listener (see constructor).
+    /// Unregisters the fault listener (see constructor).
     ~WaferCostModel();
 
     WaferCostModel(const WaferCostModel &) = delete;
@@ -167,9 +165,9 @@ class WaferCostModel
      * Lowers a set of collective tasks (all groups concurrently),
      * applies the policy's traffic optimisation, and times the result
      * under link-level contention. Lowerings are served from the shared
-     * ScheduleCache (content-keyed, fault-epoch invalidated), and the
-     * timed result from the phase memo (keyed on the exact task-set
-     * content and the fault epoch). A memo hit skips lowering,
+     * ScheduleCache (content-keyed), and the timed result from the
+     * phase memo (keyed on the exact task-set content). A memo hit
+     * skips lowering,
      * combination, optimisation and contention evaluation, and counts
      * every task's lookup as a schedule-cache hit.
      *
@@ -185,12 +183,12 @@ class WaferCostModel
     /**
      * The op-level memo shared by the DP matrix and the simulator: op
      * `op_index` of `graph` (fingerprinted `graph_fp`) costed under
-     * `spec`, keyed exactly on (graph_fp, op_index, spec, fault
-     * epoch). findCell returns the resident cell or nullptr (one memo
-     * miss); addCell is the miss path: it places the spec through the
-     * layout memo, keyed on (graph_fp, fault epoch, spec), so a fault
-     * change never serves a placement built around dies that have
-     * since died, costs the cell and memoizes it. On a racing
+     * `spec`, keyed exactly on (graph_fp, op_index, spec). findCell
+     * returns the resident cell or nullptr (one memo miss); addCell is
+     * the miss path: it places the spec through the layout memo, keyed
+     * on (graph_fp, spec), costs the cell and memoizes it. Both memos
+     * are cleared on setFaults(), so a fault change never serves a
+     * placement built around dies that have since died. On a racing
      * duplicate miss the resident cell stays and each caller keeps its
      * own, whose schedule counters are the lookups it really ran.
      */
@@ -203,13 +201,11 @@ class WaferCostModel
                                           const parallel::ParallelSpec &spec)
         const;
 
-    /// Seeds the cell memo under the live fault epoch (warm start); a
-    /// resident cell wins.
+    /// Seeds the cell memo (warm start); a resident cell wins.
     void importCell(std::uint64_t graph_fp, int op_index,
                     const parallel::ParallelSpec &spec, OpCell cell) const;
 
-    /// Visits every resident cell of the live fault epoch (the persist
-    /// layer's export hook; the key's epoch field is meaningless).
+    /// Visits every resident cell (the persist layer's export hook).
     void forEachCell(
         const std::function<void(const OpCellKey &, const OpCell &)> &fn)
         const;
@@ -318,7 +314,6 @@ class WaferCostModel
 
     /// timeCollectiveTasks() without the phase memo.
     TimedPhase timePhase(const std::vector<net::CollectiveTask> &tasks,
-                         std::uint64_t epoch,
                          net::ScheduleCacheStats *sched_stats) const;
 
     /// The (memoized) stream plan of a layout's TATP groups.
@@ -353,10 +348,10 @@ class WaferCostModel
     tcme::TrafficOptimizer optimizer_;
     mutable std::once_flag memos_once_;
     mutable std::unique_ptr<Memos> memos_;
-    /// Registration id of the wafer epoch listener that eagerly
-    /// flushes the memos, the schedule cache and the stale route epoch
-    /// on setFaults().
-    std::uint64_t epoch_listener_id_ = 0;
+    /// Registration id of the wafer fault listener that clears the
+    /// memos, the schedule cache and the route epoch and re-snapshots
+    /// the contention model on setFaults().
+    std::uint64_t fault_listener_id_ = 0;
 };
 
 }  // namespace temp::cost

@@ -34,7 +34,7 @@ ExactEvaluator::evaluateBatch(const model::ComputeGraph &graph,
     for (std::size_t i = 0; i < requests.size(); ++i) {
         const EvalRequest &request = requests[i];
         const auto [it, inserted] = slot_of.try_emplace(
-            OpCellKey{graph_fp, 0, request.op_id, request.spec},
+            OpCellKey{graph_fp, request.op_id, request.spec},
             slot_request.size());
         if (inserted)
             slot_request.push_back(i);

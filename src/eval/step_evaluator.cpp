@@ -59,6 +59,13 @@ StepEvaluator::StepEvaluator(const sim::TrainingSimulator &simulator,
                    static_cast<long>(sizeof(report) +
                                      report.strategy_desc.capacity());
         });
+    fault_listener_id_ =
+        sim_.wafer().addFaultListener([this] { cache_.clear(); });
+}
+
+StepEvaluator::~StepEvaluator()
+{
+    sim_.wafer().removeFaultListener(fault_listener_id_);
 }
 
 sim::PerfReport

@@ -20,7 +20,10 @@
  *    across thread counts (same contract as CostEvaluator's
  *    evaluateBatch);
  *  - StepStats carries the honest accounting: a report is *simulated*
- *    exactly once, every further request for it is a cache hit.
+ *    exactly once, every further request for it is a cache hit;
+ *  - reports derive from the wafer's fault state, so a setFaults() on
+ *    the simulator's wafer clears the memo (a fault listener, like the
+ *    cost model's).
  */
 #pragma once
 
@@ -84,6 +87,12 @@ class StepEvaluator
      */
     explicit StepEvaluator(const sim::TrainingSimulator &simulator,
                            ThreadPool *pool = nullptr);
+
+    /// Unregisters the fault listener (see constructor).
+    ~StepEvaluator();
+
+    StepEvaluator(const StepEvaluator &) = delete;
+    StepEvaluator &operator=(const StepEvaluator &) = delete;
 
     /**
      * Simulates (or serves from the memo) one per-op assignment.
@@ -164,6 +173,8 @@ class StepEvaluator
     std::atomic<long> cache_hits_{0};
     std::atomic<long> schedule_lowerings_{0};
     std::atomic<long> schedule_cache_hits_{0};
+    /// Registration id of the wafer fault listener that clears cache_.
+    std::uint64_t fault_listener_id_ = 0;
 };
 
 }  // namespace temp::eval

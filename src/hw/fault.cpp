@@ -21,7 +21,6 @@ FaultMap::setCoreFaultFraction(DieId die, double fraction)
     if (static_cast<std::size_t>(die) >= core_fault_fraction_.size())
         core_fault_fraction_.resize(die + 1, 0.0);
     core_fault_fraction_[die] = std::clamp(fraction, 0.0, 1.0);
-    ++revision_;
 }
 
 double

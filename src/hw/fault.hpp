@@ -9,7 +9,6 @@
  */
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
 #include <unordered_set>
 #include <vector>
@@ -22,9 +21,7 @@ namespace temp::hw {
 /**
  * An incremental change to a FaultMap — the currency of scenario fault
  * storms. Applying a delta touches only the listed links/dies, so
- * back-to-back storm events stay O(changes) instead of O(fabric), and
- * every mutation bumps the map's revision, keeping fault epochs
- * strictly increasing across a storm.
+ * back-to-back storm events stay O(changes) instead of O(fabric).
  */
 struct FaultDelta
 {
@@ -52,19 +49,10 @@ class FaultMap
     FaultMap(int die_count, int link_count);
 
     /// Marks the directed link (and typically its reverse) as failed.
-    void failLink(LinkId link)
-    {
-        failed_links_.insert(link);
-        ++revision_;
-    }
+    void failLink(LinkId link) { failed_links_.insert(link); }
 
-    /// Marks the directed link healthy again (a repaired lane). Bumps
-    /// the revision like failLink(), mutation attempted == mutation.
-    void restoreLink(LinkId link)
-    {
-        failed_links_.erase(link);
-        ++revision_;
-    }
+    /// Marks the directed link healthy again (a repaired lane).
+    void restoreLink(LinkId link) { failed_links_.erase(link); }
 
     /// True if the link is unusable.
     bool linkFailed(LinkId link) const
@@ -73,13 +61,13 @@ class FaultMap
     }
 
     /// Applies an incremental change: fails, restores, then overwrites
-    /// core fractions, in that order. Each mutation bumps the revision.
+    /// core fractions, in that order.
     void applyDelta(const FaultDelta &delta);
 
     /**
      * The delta transforming `from` into `to`: applyDelta(deltaBetween(
      * from, to)) on a copy of `from` yields a map content-equal to
-     * `to` (fingerprints match; revisions are bookkeeping and differ).
+     * `to` (fingerprints match).
      */
     static FaultDelta deltaBetween(const FaultMap &from,
                                    const FaultMap &to);
@@ -125,26 +113,10 @@ class FaultMap
      * Content fingerprint (FNV-1a over the sorted failed links and the
      * core-fraction bit patterns, trailing zeros excluded). Two maps
      * with equal fault content fingerprint equally regardless of how
-     * they were built (bulk draw vs. accumulated deltas) and of their
-     * revision counters — the scenario engine keys its degraded solve
-     * contexts on this.
+     * they were built (bulk draw vs. accumulated deltas) — the scenario
+     * engine keys its degraded solve contexts on this.
      */
     std::uint64_t contentFingerprint() const;
-
-    /**
-     * Monotonic mutation counter: bumped by every failLink() /
-     * setCoreFaultFraction() call. Fault-sensitive caches (route epochs,
-     * schedule caches, per-link bandwidth snapshots) compare revisions
-     * instead of hashing the fault set per lookup.
-     */
-    std::uint64_t revision() const { return revision_; }
-
-    /// Raises the revision to at least `floor` (hw::Wafer uses this to
-    /// keep epochs monotonic when a whole map is swapped in).
-    void advanceRevision(std::uint64_t floor)
-    {
-        revision_ = std::max(revision_, floor);
-    }
 
     /**
      * Generates random symmetric link faults: each undirected mesh link
@@ -164,7 +136,6 @@ class FaultMap
   private:
     std::unordered_set<LinkId> failed_links_;
     std::vector<double> core_fault_fraction_;
-    std::uint64_t revision_ = 0;
 };
 
 }  // namespace temp::hw

@@ -51,44 +51,38 @@ class Wafer
         return linkUsable(link) ? config_.d2d.bandwidth_bytes_per_s : 0.0;
     }
 
-    /// Replaces the fault state (used by fault-injection sweeps). The
-    /// fault epoch strictly increases so fault-sensitive caches see the
-    /// swap even when the new map's own revision is small. Epoch
-    /// listeners fire before this returns, so fault-sensitive caches
-    /// flush their dead-epoch entries eagerly instead of holding them
-    /// until (unless) a next lookup arrives.
+    /**
+     * Replaces the fault state (fault-injection sweeps). The one
+     * fault-invalidation rule: before this returns, every registered
+     * fault listener has run, and each owner has cleared everything it
+     * derived from the old fault state (memos, lowered schedules, route
+     * storage, bandwidth snapshots). No evaluation may run over this
+     * wafer during the call: callers quiesce evaluation first.
+     */
     void setFaults(FaultMap faults)
     {
-        const std::uint64_t floor = faults_.revision() + 1;
         faults_ = std::move(faults);
-        faults_.advanceRevision(floor);
-        notifyEpochListeners(faults_.revision());
+        // Under the registry lock, so removeFaultListener() synchronizes
+        // with in-flight callbacks: once remove() returns, the listener
+        // can never fire again, which is what lets an owner's
+        // destructor race a concurrent setFaults() safely. Consequence:
+        // listeners must not register/unregister listeners or call
+        // setFaults() from inside the callback (they clear their own
+        // caches, nothing more).
+        std::lock_guard<std::mutex> lock(listeners_->mutex);
+        for (const auto &[id, listener] : listeners_->entries)
+            listener();
     }
 
     /**
-     * Applies an incremental fault change: copy current map, apply the
-     * delta, swap through setFaults() — so the epoch-floor and
-     * listener-notification contract of a full swap holds verbatim for
-     * storm deltas, and back-to-back deltas observe strictly
-     * increasing faultEpoch() values.
+     * Registers a callback invoked on every setFaults(). Callers whose
+     * lifetime is shorter than the wafer's (per-call simulators,
+     * degraded-solve cost models) MUST removeFaultListener() the
+     * returned id before they die. Const: observation does not change
+     * the wafer's physical state, and the registrants hold const
+     * references.
      */
-    void applyFaultDelta(const FaultDelta &delta)
-    {
-        FaultMap next = faults_;
-        next.applyDelta(delta);
-        setFaults(std::move(next));
-    }
-
-    /**
-     * Registers a callback invoked with the new epoch on every
-     * setFaults(). Callers whose lifetime is shorter than the wafer's
-     * (per-call simulators, degraded-solve cost models) MUST
-     * removeEpochListener() the returned id before they die. Const:
-     * observation does not change the wafer's physical state, and the
-     * registrants hold const references.
-     */
-    std::uint64_t addEpochListener(
-        std::function<void(std::uint64_t)> listener) const
+    std::uint64_t addFaultListener(std::function<void()> listener) const
     {
         std::lock_guard<std::mutex> lock(listeners_->mutex);
         const std::uint64_t id = listeners_->next_id++;
@@ -96,26 +90,12 @@ class Wafer
         return id;
     }
 
-    void removeEpochListener(std::uint64_t id) const
+    void removeFaultListener(std::uint64_t id) const
     {
         std::lock_guard<std::mutex> lock(listeners_->mutex);
-        auto &entries = listeners_->entries;
-        for (std::size_t i = 0; i < entries.size(); ++i) {
-            if (entries[i].first == id) {
-                entries.erase(entries.begin() +
-                              static_cast<std::ptrdiff_t>(i));
-                return;
-            }
-        }
+        std::erase_if(listeners_->entries,
+                      [id](const auto &entry) { return entry.first == id; });
     }
-
-    /**
-     * Monotonic fault epoch of this wafer: changes whenever the fault
-     * state does (construction-time map included). Caches keyed on
-     * lowered schedules or per-link bandwidth compare this instead of
-     * hashing the fault set per lookup.
-     */
-    std::uint64_t faultEpoch() const { return faults_.revision(); }
 
     /**
      * The dies the framework can actually use: the largest connected
@@ -147,34 +127,19 @@ class Wafer
 
   private:
     /// Heap-allocated so the wafer stays movable despite the mutex.
-    struct EpochListeners
+    struct FaultListeners
     {
         std::mutex mutex;
         std::uint64_t next_id = 1;
-        std::vector<
-            std::pair<std::uint64_t, std::function<void(std::uint64_t)>>>
+        std::vector<std::pair<std::uint64_t, std::function<void()>>>
             entries;
     };
-
-    void notifyEpochListeners(std::uint64_t epoch)
-    {
-        // Invoked under the registry lock so removeEpochListener()
-        // synchronizes with in-flight callbacks: once remove()
-        // returns, the listener can never fire again, which is what
-        // lets ~WaferCostModel race a concurrent setFaults() safely.
-        // Consequence: listeners must not register/unregister
-        // listeners or call setFaults() from inside the callback
-        // (they flush their own caches, nothing more).
-        std::lock_guard<std::mutex> lock(listeners_->mutex);
-        for (const auto &[id, listener] : listeners_->entries)
-            listener(epoch);
-    }
 
     WaferConfig config_;
     std::unique_ptr<MeshTopology> topology_;
     FaultMap faults_;
-    std::unique_ptr<EpochListeners> listeners_ =
-        std::make_unique<EpochListeners>();
+    std::unique_ptr<FaultListeners> listeners_ =
+        std::make_unique<FaultListeners>();
 };
 
 }  // namespace temp::hw

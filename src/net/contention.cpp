@@ -130,45 +130,30 @@ phaseScratch()
 
 ContentionModel::ContentionModel(const hw::Topology &topo,
                                  double link_bandwidth, double hop_latency_s)
-    : topo_(topo), hop_latency_s_(hop_latency_s)
+    : topo_(topo), link_bandwidth_(topo.linkCount(), link_bandwidth),
+      hop_latency_s_(hop_latency_s)
 {
-    snapshot([link_bandwidth](LinkId) { return link_bandwidth; });
+    for (double bandwidth : link_bandwidth_)
+        fabric_capacity_ += bandwidth;
 }
 
 ContentionModel::ContentionModel(const hw::Wafer &wafer, double hop_latency_s)
     : topo_(wafer.topology()), wafer_(&wafer),
-      hop_latency_s_(hop_latency_s)
+      link_bandwidth_(topo_.linkCount()), hop_latency_s_(hop_latency_s)
 {
-    snapshot([&wafer](LinkId link) { return wafer.linkBandwidth(link); });
-    snapshot_epoch_.store(wafer.faultEpoch(), std::memory_order_release);
+    resnapshot();
 }
 
 void
-ContentionModel::snapshot(
-    const std::function<double(LinkId)> &bandwidth_of) const
-{
-    link_bandwidth_.resize(topo_.linkCount());
-    fabric_capacity_ = 0.0;
-    for (LinkId link = 0; link < topo_.linkCount(); ++link) {
-        link_bandwidth_[link] = bandwidth_of(link);
-        fabric_capacity_ += link_bandwidth_[link];
-    }
-}
-
-void
-ContentionModel::refresh() const
+ContentionModel::resnapshot()
 {
     if (wafer_ == nullptr)
         return;
-    const std::uint64_t epoch = wafer_->faultEpoch();
-    if (epoch == snapshot_epoch_.load(std::memory_order_acquire))
-        return;
-    std::lock_guard<std::mutex> lock(rebuild_mutex_);
-    if (epoch == snapshot_epoch_.load(std::memory_order_acquire))
-        return;
-    snapshot(
-        [this](LinkId link) { return wafer_->linkBandwidth(link); });
-    snapshot_epoch_.store(epoch, std::memory_order_release);
+    fabric_capacity_ = 0.0;
+    for (LinkId link = 0; link < topo_.linkCount(); ++link) {
+        link_bandwidth_[link] = wafer_->linkBandwidth(link);
+        fabric_capacity_ += link_bandwidth_[link];
+    }
 }
 
 namespace {
@@ -206,7 +191,6 @@ ContentionModel::evaluate(std::span<const Flow> flows) const
     PhaseTiming timing;
     if (flows.empty())
         return timing;
-    refresh();
 
     PhaseScratch &scratch = phaseScratch();
     scratch.prepare(topo_.linkCount());
@@ -279,7 +263,6 @@ accumulatePhase(PhaseTiming &total, const PhaseTiming &t,
 PhaseTiming
 ContentionModel::evaluateSequence(const CommSchedule &schedule) const
 {
-    refresh();
     PhaseTiming total;
     double busy_capacity_time = 0.0;
     // Each stored run is evaluated once and folded in once per executed
@@ -303,7 +286,6 @@ PhaseTiming
 ContentionModel::evaluateSequence(
     const std::vector<std::vector<Flow>> &phases) const
 {
-    refresh();
     PhaseTiming total;
     double busy_capacity_time = 0.0;
     for (const auto &phase : phases) {
@@ -320,7 +302,6 @@ ContentionModel::flowTime(const Flow &flow) const
 {
     if (flow.bytes <= 0.0 || flow.route.empty())
         return 0.0;
-    refresh();
     double min_bw = link_bandwidth_[flow.route.links().front()];
     for (LinkId link : flow.route.links())
         min_bw = std::min(min_bw, link_bandwidth_[link]);

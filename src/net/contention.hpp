@@ -11,8 +11,9 @@
  * link `mcl`, link loads, Fig. 11).
  *
  * The model is on the innermost loop of every cost query, so it avoids
- * indirection: per-link bandwidth is a precomputed flat vector (rebuilt
- * when the wafer's fault epoch changes), not a callback per link; phase
+ * indirection: per-link bandwidth is a precomputed flat vector
+ * (re-snapshotted when the wafer's faults change), not a callback per
+ * link; phase
  * evaluation deposits into a thread-local epoch-stamped scratch (no
  * per-phase zeroing or allocation) and finds the bottleneck with the
  * vectorized drain scan from common/kernels.hpp; and schedules that
@@ -21,10 +22,7 @@
  */
 #pragma once
 
-#include <atomic>
 #include <cstdint>
-#include <functional>
-#include <mutex>
 #include <span>
 #include <type_traits>
 #include <vector>
@@ -135,9 +133,9 @@ struct PhaseTiming
  *
  * Bandwidth may differ per link (failed links carry zero; switch fabrics
  * use NIC bandwidth). The per-link bandwidths are snapshotted into a
- * flat vector at construction; the wafer-bound constructor additionally
- * re-snapshots whenever the wafer's fault epoch changes, so fault
- * injection on a live wafer is observed without a callback per link.
+ * flat vector at construction; a wafer-bound model is re-snapshotted
+ * by its owner's fault listener (resnapshot()) when the wafer's faults
+ * change.
  */
 class ContentionModel
 {
@@ -146,13 +144,17 @@ class ContentionModel
     ContentionModel(const hw::Topology &topo, double link_bandwidth,
                     double hop_latency_s);
 
-    /**
-     * Wafer-bound fabric: per-link bandwidth snapshots
-     * wafer.linkBandwidth() and rebuilds when wafer.faultEpoch() moves
-     * (fault injection zeroes failed links without reconstructing the
-     * model).
-     */
+    /// Wafer-bound fabric: per-link bandwidth snapshots
+    /// wafer.linkBandwidth() once, here and on every resnapshot().
     ContentionModel(const hw::Wafer &wafer, double hop_latency_s);
+
+    /**
+     * Re-reads the bound wafer's per-link bandwidth (no-op for a
+     * uniform fabric). The owner's fault listener calls it, under the
+     * wafer's listener lock; like setFaults() itself, it must not run
+     * concurrently with evaluation.
+     */
+    void resnapshot();
 
     /// Evaluates a phase of concurrent flows.
     PhaseTiming evaluate(std::span<const Flow> flows) const;
@@ -179,41 +181,20 @@ class ContentionModel
     const hw::Topology &topology() const { return topo_; }
 
     /// Bandwidth of one link under this model.
-    double linkBandwidth(LinkId link) const
-    {
-        refresh();
-        return link_bandwidth_[link];
-    }
+    double linkBandwidth(LinkId link) const { return link_bandwidth_[link]; }
 
     /// Sum of all link bandwidths (the fabric's aggregate capacity).
-    double fabricCapacity() const
-    {
-        refresh();
-        return fabric_capacity_;
-    }
+    double fabricCapacity() const { return fabric_capacity_; }
 
   private:
     /// Evaluates one run of a finalized schedule through its SoA view.
     PhaseTiming evaluateSoaRound(const FlowSoa &soa, std::uint32_t begin,
                                  std::uint32_t end) const;
 
-    /**
-     * Re-snapshots per-link bandwidth when the bound wafer's fault
-     * epoch moved. No-op (one relaxed load + compare) on the hot path.
-     * Rebuilds are serialized, but are NOT synchronized against
-     * concurrent evaluate() readers: fault injection must quiesce
-     * evaluation (the existing setFaults() contract).
-     */
-    void refresh() const;
-
-    void snapshot(const std::function<double(LinkId)> &bandwidth_of) const;
-
     const hw::Topology &topo_;
     const hw::Wafer *wafer_ = nullptr;  ///< bound wafer (may be null)
-    mutable std::mutex rebuild_mutex_;
-    mutable std::atomic<std::uint64_t> snapshot_epoch_{0};
-    mutable std::vector<double> link_bandwidth_;
-    mutable double fabric_capacity_ = 0.0;
+    std::vector<double> link_bandwidth_;
+    double fabric_capacity_ = 0.0;
     double hop_latency_s_;
 };
 

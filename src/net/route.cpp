@@ -24,13 +24,11 @@ endpointKey(DieId src, DieId dst, RoutePolicy policy)
 
 }  // namespace
 
-/// One fault epoch's routes. Append-only: deques never move their
+/// One route epoch's routes. Append-only: deques never move their
 /// elements, so every RouteRef and candidate span handed out stays
 /// valid for the storage's lifetime.
 struct RouteEpoch
 {
-    explicit RouteEpoch(std::uint64_t rev) : revision(rev) {}
-
     RouteRef add(Route route)
     {
         bytes += static_cast<long>(sizeof(Route) +
@@ -39,7 +37,6 @@ struct RouteEpoch
         return RouteRef(&routes.back());
     }
 
-    const std::uint64_t revision;
     std::deque<Route> routes;
     std::deque<std::vector<RouteRef>> candidate_lists;
     std::unordered_map<std::uint64_t, RouteRef> safe;
@@ -230,12 +227,8 @@ Router::routeUsable(const Route &route) const
 RouteEpoch &
 Router::currentLocked() const
 {
-    const std::uint64_t revision = faultRevision();
-    if (epoch_ == nullptr || epoch_->revision != revision) {
-        // Fault state moved: every memoized route may now cross a
-        // failed link (or a better one may exist). Start a new epoch;
-        // the old one lives on only in the cached entries holding it.
-        epoch_ = std::make_shared<RouteEpoch>(revision);
+    if (epoch_ == nullptr) {
+        epoch_ = std::make_shared<RouteEpoch>();
         std::erase_if(epochs_, [](const std::weak_ptr<const RouteEpoch> &e) {
             return e.expired();
         });
@@ -247,11 +240,10 @@ Router::currentLocked() const
 RouteRef
 Router::safeRouteRef(DieId src, DieId dst, RoutePolicy policy) const
 {
-    const std::uint64_t revision = faultRevision();
     const std::uint64_t key = endpointKey(src, dst, policy);
     {
         std::shared_lock<std::shared_mutex> lock(mutex_);
-        if (epoch_ != nullptr && epoch_->revision == revision) {
+        if (epoch_ != nullptr) {
             auto it = epoch_->safe.find(key);
             if (it != epoch_->safe.end()) {
                 ++pool_hits_;
@@ -263,11 +255,6 @@ Router::safeRouteRef(DieId src, DieId dst, RoutePolicy policy) const
     std::optional<Route> found = safeRoute(src, dst, policy);
     std::unique_lock<std::shared_mutex> lock(mutex_);
     RouteEpoch &epoch = currentLocked();
-    // The fault map moved while this route was computed under the old
-    // one: store it (callers hold the ref) but never index it in the
-    // new epoch.
-    if (epoch.revision != revision)
-        return found ? epoch.add(std::move(*found)) : RouteRef();
     auto [it, inserted] = epoch.safe.try_emplace(key);
     if (inserted && found)
         it->second = epoch.add(std::move(*found));
@@ -295,11 +282,10 @@ Router::linkRoute(LinkId link) const
 std::span<const RouteRef>
 Router::candidateRouteRefs(DieId src, DieId dst) const
 {
-    const std::uint64_t revision = faultRevision();
     const std::uint64_t key = endpointKey(src, dst, RoutePolicy::XY);
     {
         std::shared_lock<std::shared_mutex> lock(mutex_);
-        if (epoch_ != nullptr && epoch_->revision == revision) {
+        if (epoch_ != nullptr) {
             auto it = epoch_->candidates.find(key);
             if (it != epoch_->candidates.end()) {
                 ++pool_hits_;
@@ -311,11 +297,8 @@ Router::candidateRouteRefs(DieId src, DieId dst) const
     std::vector<Route> routes = candidateRoutes(src, dst);
     std::unique_lock<std::shared_mutex> lock(mutex_);
     RouteEpoch &epoch = currentLocked();
-    if (epoch.revision == revision) {
-        auto it = epoch.candidates.find(key);
-        if (it != epoch.candidates.end())
-            return it->second;  // a racing miss stored it first
-    }
+    if (auto it = epoch.candidates.find(key); it != epoch.candidates.end())
+        return it->second;  // a racing miss stored it first
     std::vector<RouteRef> &refs = epoch.candidate_lists.emplace_back();
     refs.reserve(routes.size());
     for (Route &r : routes)
@@ -323,8 +306,7 @@ Router::candidateRouteRefs(DieId src, DieId dst) const
     epoch.bytes += static_cast<long>(sizeof(refs) +
                                      refs.size() * sizeof(RouteRef));
     const std::span<const RouteRef> span(refs);
-    if (epoch.revision == revision)  // else computed under a stale map
-        epoch.candidates.emplace(key, span);
+    epoch.candidates.emplace(key, span);
     return span;
 }
 
@@ -344,11 +326,10 @@ Router::routeEpoch() const
 }
 
 void
-Router::dropStaleRoutes() const
+Router::newEpoch() const
 {
     std::unique_lock<std::shared_mutex> lock(mutex_);
-    if (epoch_ != nullptr && epoch_->revision != faultRevision())
-        epoch_.reset();
+    epoch_.reset();
 }
 
 int

@@ -41,8 +41,9 @@ struct Route
 };
 
 /**
- * One fault epoch's route storage (defined in route.cpp). Holding a
- * shared reference keeps every route interned in that epoch alive.
+ * One route epoch's storage (defined in route.cpp): every route the
+ * router memoized between two fault changes. Holding a shared
+ * reference keeps every route interned in that epoch alive.
  */
 struct RouteEpoch;
 
@@ -54,7 +55,7 @@ struct RouteEpoch;
  * reuse, overlay combination) writes no shared state. Only the Router
  * makes valid refs. A ref stays valid while its route's storage lives:
  * link routes as long as the router, every other route as long as its
- * fault epoch's storage (the router keeps the current epoch; cached
+ * route epoch's storage (the router keeps the current epoch; cached
  * schedules and stream plans each keep theirs). A default-constructed
  * ref reads as an empty route (no links), the state of an infeasible
  * transfer.
@@ -138,8 +139,8 @@ class Router
     /**
      * Memoized safeRoute(): the hot path of collective lowering.
      * Returns an invalid (empty) ref when the destination is
-     * unreachable. The route lives in the current fault epoch's
-     * storage; a moved fault revision starts a new epoch. Thread-safe.
+     * unreachable. The route lives in the current route epoch's
+     * storage. Thread-safe.
      */
     RouteRef safeRouteRef(DieId src, DieId dst,
                           RoutePolicy policy = RoutePolicy::XY) const;
@@ -166,7 +167,7 @@ class Router
     RouteRef intern(Route route) const;
 
     /**
-     * The current fault epoch's route storage. A cache that keeps
+     * The current route epoch's storage. A cache that keeps
      * flows routed in this epoch (schedules, stream plans) holds one
      * of these per entry, so the epoch's routes outlive a fault swap
      * for as long as any such entry does.
@@ -178,20 +179,14 @@ class Router
 
     const hw::MeshTopology &topology() const { return topo_; }
 
-    /// Current fault revision this router observes (0 when fault-free).
-    std::uint64_t faultRevision() const
-    {
-        return faults_ != nullptr ? faults_->revision() : 0;
-    }
-
     /**
-     * Releases the router's hold on a superseded epoch's storage
-     * (no-op when it is current). The storage is freed once no cached
-     * entry holds it either. Wired to the wafer's epoch listeners by
-     * the cost model so fault-injection sweeps don't accumulate dead
-     * epochs.
+     * Starts a new route epoch: the router lets go of the current
+     * epoch's storage, which is freed once no cached entry holds it
+     * either, and the next lookup routes afresh under the fault map.
+     * The owner calls it whenever the fault map changes (the cost
+     * model's fault listener does); no lookup may run meanwhile.
      */
-    void dropStaleRoutes() const;
+    void newEpoch() const;
 
     /// Epochs whose route storage is still alive (held by the router
     /// or by cached entries).
@@ -204,8 +199,8 @@ class Router
   private:
     bool linkUsable(LinkId link) const;
 
-    /// The current epoch's storage, started anew when the fault
-    /// revision moved. Caller must hold mutex_ exclusively.
+    /// The current epoch's storage, started on the first lookup after
+    /// construction or newEpoch(). Caller must hold mutex_ exclusively.
     RouteEpoch &currentLocked() const;
 
     const hw::MeshTopology &topo_;

@@ -115,8 +115,7 @@ ScheduleCache::applyBudgetsLocked()
 }
 
 std::shared_ptr<const CommSchedule>
-ScheduleCache::lowered(const CollectiveTask &task, std::uint64_t fault_epoch,
-                       bool *hit)
+ScheduleCache::lowered(const CollectiveTask &task, bool *hit)
 {
     const std::uint64_t bytes_bits = std::bit_cast<std::uint64_t>(task.bytes);
     const KeyView view{task.kind, task.tag, bytes_bits, &task.group,
@@ -137,15 +136,11 @@ ScheduleCache::lowered(const CollectiveTask &task, std::uint64_t fault_epoch,
     if (max_entries_.load(std::memory_order_relaxed) == 0 &&
         max_bytes_.load(std::memory_order_relaxed) == 0) {
         std::shared_lock<std::shared_mutex> lock(shard.mutex);
-        if (shard.epoch == fault_epoch)
-            if (const Schedule *cached = shard.map.peek(view))
-                return served(*cached);
+        if (const Schedule *cached = shard.map.peek(view))
+            return served(*cached);
     }
 
     std::unique_lock<std::shared_mutex> lock(shard.mutex);
-    // Fault state moved since these schedules were lowered; their
-    // routes are stale.
-    flushLocked(shard, fault_epoch);
     if (Schedule *cached = shard.map.touch(view))
         return served(*cached);
     if (auto it = shard.in_flight.find(view); it != shard.in_flight.end()) {
@@ -156,7 +151,7 @@ ScheduleCache::lowered(const CollectiveTask &task, std::uint64_t fault_epoch,
     }
 
     // Miss: mark the key in flight and lower outside the lock. The
-    // entry holds its epoch's route storage, so the schedule stays
+    // entry holds its route epoch's storage, so the schedule stays
     // readable after a fault swap for as long as a caller holds it.
     std::promise<Schedule> promise;
     const std::uint64_t generation = shard.generation;
@@ -189,8 +184,9 @@ ScheduleCache::lowered(const CollectiveTask &task, std::uint64_t fault_epoch,
 
     lock.lock();
     ++shard.lowerings;
-    // A flush while lowering dropped the in-flight mark with the rest
-    // of the epoch: hand the result to this lookup's waiters only.
+    // A clear() while lowering dropped the in-flight mark with the
+    // rest of the contents: hand the result to this lookup's waiters
+    // only.
     if (shard.generation == generation) {
         auto node = shard.in_flight.extract(shard.in_flight.find(view));
         shard.map.insert(std::move(node.key()), schedule);
@@ -245,23 +241,14 @@ ScheduleCache::setMaxBytes(long max_bytes)
 }
 
 void
-ScheduleCache::flushLocked(Shard &shard, std::uint64_t fault_epoch)
-{
-    if (fault_epoch == shard.epoch)
-        return;
-    shard.map.clear();
-    shard.in_flight.clear();
-    shard.routes.reset();
-    ++shard.generation;
-    shard.epoch = fault_epoch;
-}
-
-void
-ScheduleCache::flushForEpoch(std::uint64_t fault_epoch)
+ScheduleCache::clear()
 {
     for (Shard &shard : shards()) {
         std::unique_lock<std::shared_mutex> lock(shard.mutex);
-        flushLocked(shard, fault_epoch);
+        shard.map.clear();
+        shard.in_flight.clear();
+        shard.routes.reset();
+        ++shard.generation;
     }
 }
 

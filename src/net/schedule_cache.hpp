@@ -8,17 +8,14 @@
  * fitness simulations and repeat solves, so the lowering is memoized
  * here on the task's content signature (kind, group, bytes, tag).
  *
- * Fault handling: entries are valid only for the fault epoch they were
- * lowered under (routes bake the fault state in). Each shard stores the
- * epoch of its contents and flushes wholesale when a lookup arrives
- * with another epoch — one integer compare per lookup instead of
- * hashing the fault set. flushForEpoch() is the eager twin: the cost
- * model wires it to hw::Wafer's epoch listeners so a setFaults() drops
- * the dead epoch's entries immediately instead of holding them until
- * (unless) a next lookup arrives.
+ * Fault handling: routes bake the fault state in, so entries are valid
+ * only until the wafer's faults change. The owner's fault listener
+ * calls clear() (the cost model's does, with Router::newEpoch()); no
+ * lookup compares fault state.
  *
- * Eviction: setMaxEntries() bounds the cache *within* the live epoch
- * (long-lived services sweep many task signatures through one epoch).
+ * Eviction: setMaxEntries() bounds the cache between fault changes
+ * (long-lived services sweep many task signatures through one fault
+ * state).
  * The store is an LRU per shard; evicted tasks simply re-lower on
  * return and recount as lowerings, so results stay bit-identical under
  * any budget. Default 0 = unbounded, the historical behaviour.
@@ -27,12 +24,12 @@
  * unbounded hit takes only its shard's shared lock and bumps only that
  * shard's counters. A miss marks its key in flight and lowers outside
  * any lock; concurrent askers of that key wait for the one lowering and
- * count a hit, so a task is still lowered exactly once per epoch.
+ * count a hit, so a task is still lowered exactly once per fault state.
  *
  * Cached schedules are shared immutable snapshots: consumers that
  * mutate (the traffic optimizer rewrites routes in place) must copy
  * first. Flows are trivially copyable, and each cached schedule keeps
- * its fault epoch's route storage alive, so a schedule stays readable
+ * its route epoch's storage alive, so a schedule stays readable
  * after a fault swap for as long as the caller holds it.
  */
 #pragma once
@@ -52,7 +49,7 @@
 namespace temp::net {
 
 /// Cumulative cache counters. `lowerings + hits` equals the lookups
-/// issued; a task is lowered exactly once per fault epoch (eviction
+/// issued; a task is lowered exactly once per fault state (eviction
 /// under a finite budget honestly recounts a re-lowering).
 struct ScheduleCacheStats
 {
@@ -82,8 +79,7 @@ class ScheduleCache
     explicit ScheduleCache(const CollectiveScheduler &scheduler);
 
     /**
-     * Returns the (possibly cached) lowering of a task under the given
-     * fault epoch. Unbounded hits take their shard's lock shared and
+     * Returns the (possibly cached) lowering of a task. Unbounded hits take their shard's lock shared and
      * allocate nothing (the task is probed through a non-owning key
      * view); bounded hits take it exclusive to refresh LRU order. A
      * miss lowers outside the lock while other askers of the same task
@@ -93,12 +89,11 @@ class ScheduleCache
      * @param hit Optional out-flag: true when served from the cache.
      */
     std::shared_ptr<const CommSchedule> lowered(const CollectiveTask &task,
-                                                std::uint64_t fault_epoch,
                                                 bool *hit = nullptr);
 
     /**
-     * Cumulative counters since construction (survive epoch flushes
-     * and evictions), summed over the shards. Hits are read before
+     * Cumulative counters since construction (survive clear() and
+     * evictions), summed over the shards. Hits are read before
      * lowerings: a hit on a task another thread lowered is counted
      * after that lowering, so a snapshot never shows the hit without
      * its lowering.
@@ -110,7 +105,7 @@ class ScheduleCache
     common::CacheStats cacheStats() const;
 
     /**
-     * Entry budget within the live epoch (0 = unbounded). Set before
+     * Entry budget (0 = unbounded). Set before
      * the first lookup, it makes the table a single shard, one LRU
      * over the whole budget. A re-budget after the first lookup keeps
      * the shard count and splits the budget over the shards, each
@@ -118,20 +113,16 @@ class ScheduleCache
      */
     void setMaxEntries(std::size_t max_entries);
 
-    /// Byte budget within the live epoch (0 = unbounded), over the
+    /// Byte budget (0 = unbounded), over the
     /// honest per-entry estimate (key group + arena); composes with
     /// the entry budget like it.
     void setMaxBytes(long max_bytes);
 
-    /**
-     * Eagerly drops all entries when `fault_epoch` differs from the
-     * contents' epoch (no-op otherwise). Wired to the wafer's epoch
-     * listeners so fault-injection sweeps don't retain a dead epoch's
-     * schedules between lookups.
-     */
-    void flushForEpoch(std::uint64_t fault_epoch);
+    /// Drops every entry and in-flight mark, and the held route
+    /// epoch; counters survive. Called when the fault state changes.
+    void clear();
 
-    /// Entries currently cached (current epoch only).
+    /// Entries currently cached.
     std::size_t size() const;
 
     const CollectiveScheduler &scheduler() const { return scheduler_; }
@@ -180,14 +171,13 @@ class ScheduleCache
     struct alignas(64) Shard
     {
         /// Unbounded hits read-lock; bounded hits, misses, budget
-        /// changes and epoch flushes write-lock.
+        /// changes and clear() write-lock.
         mutable std::shared_mutex mutex;
-        std::uint64_t epoch = 0;
-        /// Bumped by every flush, so a lowering that outlived one
+        /// Bumped by every clear(), so a lowering that outlived one
         /// leaves the new contents alone.
         std::uint64_t generation = 0;
-        /// The router's route storage for this epoch, fetched on the
-        /// shard's first miss in it; each entry copies the reference,
+        /// The router's current route storage, fetched on the shard's
+        /// first miss after a clear(); each entry copies the reference,
         /// so a lowering does not take the router's lock.
         std::shared_ptr<const RouteEpoch> routes;
         common::LruMap<Key, Schedule, KeyHash, KeyEqual> map;
@@ -205,10 +195,6 @@ class ScheduleCache
     std::span<Shard> shards() const;
     /// Splits the budgets over the shards. Caller holds budget_mutex_.
     void applyBudgetsLocked();
-    /// Drops the shard's contents (and in-flight marks) when
-    /// `fault_epoch` is not theirs. Caller holds the shard's lock
-    /// exclusively.
-    static void flushLocked(Shard &shard, std::uint64_t fault_epoch);
 
     const CollectiveScheduler &scheduler_;
     std::once_flag shards_once_;

@@ -25,10 +25,10 @@
  *
  * One block per framework: op cells (under graph fingerprint, op index
  * and spec) and step reports (under their content keys) are persisted
- * by value; cells import under the importing framework's live fault
- * epoch. Lowered schedules are not persisted: a warm answer reads none
- * (a cell carries its own timed step phase), and a cold cell after a
- * warm start lowers on demand under the live fault epoch.
+ * by value; cells import into the importing framework's memo. Lowered
+ * schedules are not persisted: a warm answer reads none (a cell
+ * carries its own timed step phase), and a cold cell after a warm
+ * start lowers on demand under the live fault state.
  *
  * Validation contract: decode verifies magic, version, contract
  * fingerprint, per-section checksums, exact payload consumption and
@@ -61,8 +61,7 @@ inline constexpr std::uint32_t kFormatVersion = 6;
 struct MemoBlock
 {
     std::string framework_key;
-    /// Op-cell memo: (graph fingerprint, op, spec) -> cell, by value
-    /// (the key's epoch is not persisted).
+    /// Op-cell memo: (graph fingerprint, op, spec) -> cell, by value.
     std::vector<std::pair<cost::OpCellKey, cost::OpCell>> cells;
     /// StepEvaluator memo: stepKey -> report, by value.
     std::vector<std::pair<std::string, sim::PerfReport>> step_reports;

@@ -176,7 +176,7 @@ TrainingSimulator::simulateMicro(const model::ComputeGraph &graph,
     std::vector<net::CollectiveTask> step_tasks;
 
     // Each (op, spec) cell comes from the cost model's cell memo, which
-    // the DP matrix fills too, so a cell is costed once per fault epoch
+    // the DP matrix fills too, so a cell is costed once per fault state
     // however many plans and matrix fills reuse it;
     // a memo hit counts its schedule lookups as cache hits. Breakdowns
     // are collected and reduced in one batched pass after the loop

@@ -25,6 +25,51 @@ now()
         .count();
 }
 
+/// The additive per-(op, candidate) cost matrix of ops [0, n_ops) and
+/// what filling it cost.
+struct CostMatrix
+{
+    std::vector<std::vector<double>> op_cost;  ///< [op][candidate]
+    long requests = 0;      ///< cells requested (n_ops x candidates)
+    eval::EvalStats stats;  ///< the evaluator's delta over the fill
+};
+
+/**
+ * Fills the matrix through the shared evaluation layer: one
+ * evaluateBatch over the row-major (op, candidate) requests (layouts
+ * and op cells are memoized in the cost model, misses run in
+ * parallel), then per-op rows through the batched totals kernel
+ * (feasible ? total() : inf).
+ */
+CostMatrix
+fillCostMatrix(eval::CostEvaluator &evaluator,
+               const model::ComputeGraph &graph, int n_ops,
+               const std::vector<ParallelSpec> &candidates,
+               common::BudgetGauge *gauge)
+{
+    const eval::EvalStats before = evaluator.stats();
+    std::vector<eval::EvalRequest> requests;
+    requests.reserve(static_cast<std::size_t>(n_ops) * candidates.size());
+    for (int i = 0; i < n_ops; ++i)
+        for (const ParallelSpec &spec : candidates)
+            requests.push_back({i, spec, true});
+    const std::vector<cost::OpCostBreakdown> cells =
+        evaluator.evaluateBatch(graph, requests, gauge);
+    std::vector<double> totals(cells.size());
+    cost::breakdownTotals(cells, totals.data());
+
+    CostMatrix matrix;
+    matrix.op_cost.resize(static_cast<std::size_t>(n_ops));
+    for (int i = 0; i < n_ops; ++i) {
+        const double *row =
+            totals.data() + static_cast<std::size_t>(i) * candidates.size();
+        matrix.op_cost[i].assign(row, row + candidates.size());
+    }
+    matrix.requests = static_cast<long>(requests.size());
+    matrix.stats = evaluator.stats() - before;
+    return matrix;
+}
+
 }  // namespace
 
 DlsSolver::DlsSolver(const sim::TrainingSimulator &simulator,
@@ -165,37 +210,17 @@ DlsSolver::solve(const model::ComputeGraph &graph,
     }
 
     // Per-(op, candidate) cost matrix under the additive model
-    // (Eq. 2's T_intra with the per-op share of step communication),
-    // filled through the shared evaluation layer: layouts and op cells
-    // are memoized in the cost model (the uniform seeding below reads
-    // the same cells), misses run in parallel, and the
+    // (Eq. 2's T_intra with the per-op share of step communication);
+    // the uniform seeding below reads the same memoized cells, and the
     // measurement/hit split keeps the accounting honest.
     const double inf = std::numeric_limits<double>::infinity();
-    const eval::EvalStats stats_before = eval_->stats();
     const eval::StepStats step_stats_before = steps_->stats();
-    std::vector<eval::EvalRequest> requests;
-    requests.reserve(static_cast<std::size_t>(graph.opCount()) *
-                     candidates.size());
-    for (int i = 0; i < graph.opCount(); ++i)
-        for (const ParallelSpec &spec : candidates)
-            requests.push_back({i, spec, true});
-    const std::vector<cost::OpCostBreakdown> cells =
-        eval_->evaluateBatch(graph, requests, &gauge);
-    // Row-major cells -> per-op rows through the batched totals
-    // kernel (feasible ? total() : inf).
-    std::vector<double> totals(cells.size());
-    cost::breakdownTotals(cells, totals.data());
-    std::vector<std::vector<double>> op_cost(graph.opCount());
-    for (int i = 0; i < graph.opCount(); ++i) {
-        const double *row =
-            totals.data() +
-            static_cast<std::size_t>(i) * candidates.size();
-        op_cost[i].assign(row, row + candidates.size());
-    }
-    result.evaluations += static_cast<long>(requests.size());
-    const eval::EvalStats matrix_stats = eval_->stats() - stats_before;
-    result.matrix_measurements = matrix_stats.measurements;
-    result.cache_hits = matrix_stats.cache_hits;
+    CostMatrix matrix = fillCostMatrix(*eval_, graph, graph.opCount(),
+                                       candidates, &gauge);
+    std::vector<std::vector<double>> &op_cost = matrix.op_cost;
+    result.evaluations += matrix.requests;
+    result.matrix_measurements = matrix.stats.measurements;
+    result.cache_hits = matrix.stats.cache_hits;
 
     // Memory awareness: evaluate each candidate as a uniform layer spec
     // through the full simulator — one deterministic StepEvaluator
@@ -366,13 +391,12 @@ DlsSolver::solve(const model::ComputeGraph &graph,
         result.step_cache_hits = step_delta.cache_hits;
         // Schedule-cache accounting spans both query layers: the
         // matrix fill's entries and the full-step simulations.
-        const eval::EvalStats matrix_delta = eval_->stats() - stats_before;
-        result.schedule_lowerings = matrix_delta.schedule_lowerings +
+        result.schedule_lowerings = matrix.stats.schedule_lowerings +
                                     step_delta.schedule_lowerings;
-        result.schedule_cache_hits = matrix_delta.schedule_cache_hits +
+        result.schedule_cache_hits = matrix.stats.schedule_cache_hits +
                                      step_delta.schedule_cache_hits;
         result.cache_evictions =
-            matrix_delta.evictions + step_delta.evictions;
+            matrix.stats.evictions + step_delta.evictions;
         result.quanta_used = gauge.used();
         result.search_time_s = now() - t_start;
     };
@@ -427,32 +451,15 @@ ExhaustiveSolver::solve(const model::ComputeGraph &graph, int op_limit,
 
     const cost::WaferCostModel &model = sim_.costModel();
     const double inf = std::numeric_limits<double>::infinity();
-    const eval::EvalStats stats_before = eval_->stats();
-    std::vector<eval::EvalRequest> requests;
-    requests.reserve(static_cast<std::size_t>(n_ops) *
-                     candidates.size());
-    for (int i = 0; i < n_ops; ++i)
-        for (const ParallelSpec &spec : candidates)
-            requests.push_back({i, spec, true});
-    const std::vector<cost::OpCostBreakdown> cells =
-        eval_->evaluateBatch(graph, requests);
-    std::vector<std::vector<double>> op_cost(
-        n_ops, std::vector<double>(candidates.size(), inf));
-    std::vector<double> totals(cells.size());
-    cost::breakdownTotals(cells, totals.data());
-    for (int i = 0; i < n_ops; ++i) {
-        const double *row = totals.data() +
-                            static_cast<std::size_t>(i) *
-                                candidates.size();
-        op_cost[i].assign(row, row + candidates.size());
-    }
-    result.evaluations += static_cast<long>(requests.size());
-    const eval::EvalStats matrix_stats = eval_->stats() - stats_before;
-    result.matrix_measurements = matrix_stats.measurements;
-    result.cache_hits = matrix_stats.cache_hits;
-    result.schedule_lowerings = matrix_stats.schedule_lowerings;
-    result.schedule_cache_hits = matrix_stats.schedule_cache_hits;
-    result.cache_evictions = matrix_stats.evictions;
+    const CostMatrix matrix =
+        fillCostMatrix(*eval_, graph, n_ops, candidates, nullptr);
+    const std::vector<std::vector<double>> &op_cost = matrix.op_cost;
+    result.evaluations += matrix.requests;
+    result.matrix_measurements = matrix.stats.measurements;
+    result.cache_hits = matrix.stats.cache_hits;
+    result.schedule_lowerings = matrix.stats.schedule_lowerings;
+    result.schedule_cache_hits = matrix.stats.schedule_cache_hits;
+    result.cache_evictions = matrix.stats.evictions;
 
     std::vector<int> current(n_ops, 0);
     std::vector<int> best;

@@ -132,7 +132,7 @@ struct SolverResult
     /**
      * Collective-schedule lowerings this solve ran — the network-layer
      * mirror of matrix_measurements/step_sims. Lowerings are unique
-     * (task, fault-epoch) schedules built; every further need for one
+     * (task, fault state) schedules built; every further need for one
      * is a schedule_cache_hit (queries absorbed by the higher-level
      * breakdown/step memos charge their schedule work as hits too, so
      * a repeat solve on a shared framework reports

@@ -5,7 +5,8 @@
  * recounting of evicted keys), bounded-vs-unbounded bit-exactness of
  * a real solve, per-layer budget enforcement observed through
  * CacheStatsRequest, the torn-snapshot regression of
- * ScheduleCache::stats() (TSan-exercised), eager epoch flushing, and
+ * ScheduleCache::stats() (TSan-exercised), setFaults() clearing every
+ * fault-derived layer, and
  * queue-time-aware submit() latency.
  */
 #include <gtest/gtest.h>
@@ -21,10 +22,12 @@
 #include "api/serialize.hpp"
 #include "api/service.hpp"
 #include "common/bounded_cache.hpp"
+#include "core/framework.hpp"
 #include "cost/cost_model.hpp"
 #include "hw/wafer.hpp"
 #include "model/model_zoo.hpp"
 #include "net/schedule_cache.hpp"
+#include "solver/strategy_space.hpp"
 
 namespace temp {
 namespace {
@@ -410,7 +413,7 @@ TEST(CacheBound, ScheduleCacheStatsSnapshotsAreConsistentUnderLoad)
                 task.group = {0, 1, 2, 3};
                 task.bytes = 1e6;
                 task.tag = (t + i) % kUniqueTasks;
-                cache.lowered(task, wafer.faultEpoch());
+                cache.lowered(task);
             }
         });
     }
@@ -428,35 +431,44 @@ TEST(CacheBound, ScheduleCacheStatsSnapshotsAreConsistentUnderLoad)
 
 TEST(CacheBound, SetFaultsFlushesScheduleCacheAndRoutePoolEagerly)
 {
-    // Satellite: fault-injection sweeps must not retain a dead
-    // epoch's schedules/routes until some later lookup happens to
-    // notice the epoch moved.
-    hw::Wafer wafer(hw::WaferConfig::paperDefault());
-    cost::WaferCostModel model(
-        wafer, tcme::MappingPolicy{tcme::MappingEngineKind::TCME});
+    // Fault-injection sweeps must not retain anything derived from the
+    // old fault state until some later lookup: setFaults() clears every
+    // fault-derived memo layer of a framework before it returns.
+    const core::TempFramework framework(hw::WaferConfig::paperDefault());
+    const model::ModelConfig model = model::modelByName("GPT-3 6.7B");
+    const model::ComputeGraph graph =
+        model::ComputeGraph::transformer(model);
+    // A data- and TATP-parallel plan, so collective schedules and
+    // stream plans are both populated.
+    parallel::ParallelSpec tatp;
+    for (const parallel::ParallelSpec &spec : solver::enumerateStrategies(
+             framework.wafer().dieCount(), model,
+             solver::StrategySpaceOptions{}))
+        if (spec.dp > 1 && spec.tatp > 1) {
+            tatp = spec;
+            break;
+        }
+    ASSERT_GT(tatp.tatp, 1);
+    ASSERT_TRUE(framework.stepEvaluator().evaluate(graph, tatp).feasible);
+    const auto layers = framework.cacheStats();
+    ASSERT_EQ(layers.size(), 7u);
+    for (const auto &[layer, stats] : layers)
+        EXPECT_GT(stats.entries, 0) << layer;
 
-    net::CollectiveTask task;
-    task.kind = net::CollectiveKind::AllReduce;
-    task.group = {0, 1, 2, 3};
-    task.bytes = 64e6;
-    (void)model.timeCollectiveTasks({task});
-    EXPECT_GT(model.scheduleCacheStats().entries, 0);
-    EXPECT_GT(model.routePoolStats().entries, 0);
-    EXPECT_GT(model.phaseMemoStats().entries, 0);
-
+    // The framework owns its wafer; a live fault swap goes through it.
+    hw::Wafer &wafer = const_cast<hw::Wafer &>(framework.wafer());
     hw::FaultMap faults(wafer.dieCount(), wafer.topology().linkCount());
     faults.failLink(wafer.topology().linkId(1, 2));
     wafer.setFaults(faults);
 
-    // No lookup has run since the injection: the dead epoch's entries
-    // are already gone.
-    EXPECT_EQ(model.scheduleCacheStats().entries, 0);
-    EXPECT_EQ(model.routePoolStats().entries, 0);
-    EXPECT_EQ(model.phaseMemoStats().entries, 0);
+    // No lookup has run since the injection: every layer is empty.
+    for (const auto &[layer, stats] : framework.cacheStats())
+        EXPECT_EQ(stats.entries, 0) << layer;
 
     // And the next evaluation repopulates against the degraded fabric.
-    (void)model.timeCollectiveTasks({task});
-    EXPECT_GT(model.scheduleCacheStats().entries, 0);
+    (void)framework.stepEvaluator().evaluate(graph, tatp);
+    for (const auto &[layer, stats] : framework.cacheStats())
+        EXPECT_GT(stats.entries, 0) << layer;
 }
 
 TEST(CacheBound, BoundedScheduleCacheEvictsWithinEpochBitExactly)
@@ -479,8 +491,8 @@ TEST(CacheBound, BoundedScheduleCacheEvictsWithinEpochBitExactly)
     }
     for (int rep = 0; rep < 3; ++rep) {
         for (const net::CollectiveTask &task : tasks) {
-            const auto a = unbounded.lowered(task, wafer.faultEpoch());
-            const auto b = bounded.lowered(task, wafer.faultEpoch());
+            const auto a = unbounded.lowered(task);
+            const auto b = bounded.lowered(task);
             EXPECT_EQ(a->linkBytes(), b->linkBytes());
             EXPECT_EQ(a->flowCount(), b->flowCount());
             EXPECT_LE(bounded.size(), 2u);

@@ -3,8 +3,9 @@
  * Tests for the unified cost-evaluation layer: the thread pool, memo
  * correctness (cached == recomputed, bit-exact), parallel batch
  * determinism across thread counts, honest measurement/hit accounting,
- * the op-cell memo the matrix shares with the simulator, and solver
- * invariance under evaluator sharing.
+ * the op-cell memo the matrix shares with the simulator, the step-report
+ * memo cleared by setFaults(), and solver invariance under evaluator
+ * sharing.
  */
 #include <gtest/gtest.h>
 
@@ -299,6 +300,43 @@ TEST_F(EvalTest, StepEvaluatorUniformOverloadSharesBroadcastKey)
     expectReportBitExact(uniform, broadcast);
     EXPECT_EQ(steps.stats().sims, 1);
     EXPECT_EQ(steps.stats().cache_hits, 1);
+}
+
+TEST_F(EvalTest, StepEvaluatorNeverServesAReportAcrossSetFaults)
+{
+    // Reports derive from the fault state: after setFaults() on the
+    // simulator's wafer the memo must answer like a fresh simulator on
+    // a wafer built with those faults, not serve the healthy report.
+    ParallelSpec tatp;
+    for (const ParallelSpec &spec : solver::enumerateStrategies(
+             wafer_.dieCount(), graph_.config(),
+             solver::StrategySpaceOptions{}))
+        if (spec.tatp > 1) {
+            tatp = spec;
+            break;
+        }
+    ASSERT_EQ(tatp.dp, 1);
+    ASSERT_EQ(tatp.tp, 1);
+    ASSERT_EQ(tatp.sp, 1);
+    ASSERT_EQ(tatp.tatp, 32);
+
+    StepEvaluator steps(sim_);
+    const sim::PerfReport healthy = steps.evaluate(graph_, tatp);
+
+    hw::FaultMap faults(wafer_.dieCount(), wafer_.topology().linkCount());
+    for (hw::LinkId link = 0; link < wafer_.topology().linkCount();
+         link += 7)
+        faults.failLink(link);
+    faults.setCoreFaultFraction(0, 0.5);
+    wafer_.setFaults(faults);
+
+    const hw::Wafer degraded(wafer_.config(), faults);
+    const sim::TrainingSimulator fresh(
+        degraded, tcme::MappingPolicy{tcme::MappingEngineKind::TCME});
+    const sim::PerfReport expected = fresh.simulate(graph_, tatp);
+    EXPECT_NE(expected.step_time, healthy.step_time);
+    expectReportBitExact(steps.evaluate(graph_, tatp), expected);
+    EXPECT_EQ(steps.stats().sims, 2);
 }
 
 TEST_F(EvalTest, StepBatchDeterministicAcrossThreadCountsAndDedups)

@@ -562,12 +562,51 @@ TEST(FieldTables, ByteFormsArePinned)
     request.pod = pod;
     request.intra_spec = spec;
     request.options = o;
+    // The request key is the wire document with an empty tenant.
     EXPECT_EQ(requestKey(request),
-              "multiwafer|9:My|Net 1B|32|128|4096|32|4096|3|51200|" +
-                  wafer_key +
-                  "4|3333333333333.3335|2.5000000000000002e-06|1|0|1|4|2|2|"
-                  "12|1|0|0|1|4|2|2|12|1|16|20|0.25|99|0|0|1|0|1|1|0|1|"
-                  "1048576|32|1|0|0|0|0|0|0|0|0|2|1|4|1|1|2|3|1|2|8|");
+              "{\"kind\":\"multiwafer\",\"tenant\":\"\",\"model\":"
+              "{\"name\":\"My|Net 1B\",\"heads\":32,\"batch\":128,"
+              "\"hidden\":4096,\"layers\":32,\"seq\":4096,\"ffn_mult\":3,"
+              "\"vocab\":51200},\"pod\":{\"wafer\":" +
+                  wafer_json +
+                  ",\"wafer_count\":4,"
+                  "\"inter_wafer_bandwidth_bytes_per_s\":3333333333333.3335,"
+                  "\"inter_wafer_latency_s\":2.5000000000000002e-06},"
+                  "\"options\":{\"policy\":\"gmap\",\"eval_threads\":0,"
+                  "\"training.flash_attention\":false,"
+                  "\"training.zero1_optimizer\":true,"
+                  "\"training.weight_bytes_per_elem\":4,"
+                  "\"training.act_bytes_per_elem\":2,"
+                  "\"training.grad_bytes_per_elem\":2,"
+                  "\"training.optimizer_bytes_per_param\":12,"
+                  "\"solver.engine\":\"genetic\","
+                  "\"solver.ga_population\":16,"
+                  "\"solver.ga_generations\":20,"
+                  "\"solver.ga_mutation_rate\":0.25,\"solver.seed\":99,"
+                  "\"solver.deadline.quanta\":0,"
+                  "\"solver.deadline.wall_ms\":0,"
+                  "\"solver.space.allow_dp\":true,"
+                  "\"solver.space.allow_fsdp\":false,"
+                  "\"solver.space.allow_tp\":true,"
+                  "\"solver.space.allow_sp\":true,"
+                  "\"solver.space.allow_cp\":false,"
+                  "\"solver.space.allow_tatp\":true,"
+                  "\"solver.space.max_tp\":1048576,"
+                  "\"solver.space.max_tatp\":32,"
+                  "\"solver.space.full_occupancy\":true,"
+                  "\"service.cache.max_frameworks\":0,"
+                  "\"service.cache.max_pods\":0,"
+                  "\"eval.cache.max_entries\":0,"
+                  "\"eval.cache.max_step_entries\":0,"
+                  "\"eval.cache.max_layouts\":0,"
+                  "\"net.schedule_cache.max_entries\":0,"
+                  "\"eval.cache.max_bytes\":0,"
+                  "\"eval.cache.max_step_bytes\":0,"
+                  "\"eval.cache.max_layout_bytes\":0,"
+                  "\"net.schedule_cache.max_bytes\":0},"
+                  "\"pp\":2,\"microbatches\":8,\"intra_spec\":"
+                  "{\"dp\":2,\"fsdp\":1,\"tp\":4,\"sp\":1,\"cp\":1,"
+                  "\"tatp\":2,\"pp\":3,\"coupled_sp\":true}}");
 }
 
 /*

@@ -1,6 +1,6 @@
 /**
  * @file
- * The robustness suite: fault-delta plumbing, epoch churn on a live
+ * The robustness suite: fault-delta plumbing, fault churn on a live
  * wafer, and the scenario engine's determinism / warm-recovery /
  * degraded-answer contracts (src/scenario/README.md). Runs under TSan
  * in CI — the listener-storm tests exist precisely for that build.
@@ -36,7 +36,6 @@ TEST(FaultDelta, ApplyFailsRestoresAndSetsFractions)
 {
     hw::FaultMap map(4, 16);
     map.failLink(3);
-    const std::uint64_t before = map.revision();
 
     hw::FaultDelta delta;
     delta.fail_links = {5, 7};
@@ -49,7 +48,6 @@ TEST(FaultDelta, ApplyFailsRestoresAndSetsFractions)
     EXPECT_TRUE(map.linkFailed(5));
     EXPECT_TRUE(map.linkFailed(7));
     EXPECT_DOUBLE_EQ(map.coreFaultFraction(1), 0.25);
-    EXPECT_GT(map.revision(), before);
     EXPECT_TRUE(hw::FaultDelta{}.empty());
 }
 
@@ -88,7 +86,6 @@ TEST(FaultDelta, FingerprintIsContentAddressed)
     b.failLink(9);
 
     EXPECT_EQ(a.contentFingerprint(), b.contentFingerprint());
-    EXPECT_NE(a.revision(), b.revision());
 
     // Probing a healthy die (trailing zero fraction) must not change
     // the fingerprint; a real fraction must.
@@ -100,13 +97,24 @@ TEST(FaultDelta, FingerprintIsContentAddressed)
 }
 
 // ---------------------------------------------------------------------
-// hw: epoch churn on a live wafer.
+// hw: fault churn on a live wafer.
 // ---------------------------------------------------------------------
 
-TEST(WaferChurn, BackToBackDeltasStrictlyIncreaseEpoch)
+/// Applies a delta to the wafer's live fault map the way a storm does
+/// (copy, apply, swap) and returns the new map's fingerprint.
+std::uint64_t
+applyToWafer(hw::Wafer &wafer, const hw::FaultDelta &delta)
+{
+    hw::FaultMap next = wafer.faults();
+    next.applyDelta(delta);
+    const std::uint64_t fingerprint = next.contentFingerprint();
+    wafer.setFaults(std::move(next));
+    return fingerprint;
+}
+
+TEST(WaferChurn, BackToBackDeltasEachReachTheWafer)
 {
     hw::Wafer wafer(hw::WaferConfig::paperDefault());
-    std::uint64_t last = wafer.faultEpoch();
     for (int i = 0; i < 32; ++i) {
         hw::FaultDelta delta;
         if (i % 3 == 2)
@@ -115,32 +123,37 @@ TEST(WaferChurn, BackToBackDeltasStrictlyIncreaseEpoch)
             delta.fail_links.push_back(i);
         delta.core_fractions.emplace_back(i % wafer.dieCount(),
                                           (i % 2) ? 0.25 : 0.0);
-        wafer.applyFaultDelta(delta);
-        EXPECT_GT(wafer.faultEpoch(), last);
-        last = wafer.faultEpoch();
+        const std::uint64_t applied = applyToWafer(wafer, delta);
+        EXPECT_EQ(wafer.faults().contentFingerprint(), applied);
+        for (hw::LinkId link : delta.fail_links)
+            EXPECT_FALSE(wafer.linkUsable(link));
+        for (hw::LinkId link : delta.restore_links)
+            EXPECT_TRUE(wafer.linkUsable(link));
     }
 }
 
-TEST(WaferChurn, ListenersSeeStrictlyIncreasingEpochsDuringStorm)
+TEST(WaferChurn, ListenersSeeEveryFaultSwapDuringStorm)
 {
+    // Each setFaults() notifies once, after the swap: the listener
+    // reads the new fault state.
     hw::Wafer wafer(hw::WaferConfig::paperDefault());
     std::vector<std::uint64_t> seen;
-    const std::uint64_t id = wafer.addEpochListener(
-        [&seen](std::uint64_t epoch) { seen.push_back(epoch); });
+    const std::uint64_t id = wafer.addFaultListener([&] {
+        seen.push_back(wafer.faults().contentFingerprint());
+    });
+    std::vector<std::uint64_t> expected;
     for (int i = 0; i < 64; ++i) {
         hw::FaultDelta delta;
         delta.fail_links.push_back(i % 8);
-        wafer.applyFaultDelta(delta);
+        delta.core_fractions.emplace_back(i % wafer.dieCount(),
+                                          0.125 * (i % 4));
+        expected.push_back(applyToWafer(wafer, delta));
     }
-    wafer.removeEpochListener(id);
+    wafer.removeFaultListener(id);
     // Removed: a further storm event must not reach the listener.
-    const std::size_t count = seen.size();
     wafer.setFaults(hw::FaultMap(wafer.dieCount(),
                                  wafer.topology().linkCount()));
-    EXPECT_EQ(seen.size(), count);
-    ASSERT_EQ(count, 64u);
-    for (std::size_t i = 1; i < seen.size(); ++i)
-        EXPECT_GT(seen[i], seen[i - 1]);
+    EXPECT_EQ(seen, expected);
 }
 
 TEST(WaferChurn, ListenerRegistrationRacesStormSafely)
@@ -151,9 +164,11 @@ TEST(WaferChurn, ListenerRegistrationRacesStormSafely)
     // a listener held across the storm.
     hw::Wafer wafer(hw::WaferConfig::paperDefault());
     std::vector<std::uint64_t> seen;
-    const std::uint64_t stable = wafer.addEpochListener(
-        [&seen](std::uint64_t epoch) { seen.push_back(epoch); });
+    const std::uint64_t stable = wafer.addFaultListener([&] {
+        seen.push_back(wafer.faults().contentFingerprint());
+    });
 
+    std::vector<std::uint64_t> expected;
     std::atomic<bool> storm_done{false};
     std::thread churner([&] {
         for (int i = 0; i < 200; ++i) {
@@ -161,21 +176,19 @@ TEST(WaferChurn, ListenerRegistrationRacesStormSafely)
             delta.fail_links.push_back(i % 16);
             if (i % 4 == 3)
                 delta.restore_links.push_back((i - 2) % 16);
-            wafer.applyFaultDelta(delta);
+            expected.push_back(applyToWafer(wafer, delta));
         }
         storm_done.store(true);
     });
     while (!storm_done.load()) {
-        const std::uint64_t id =
-            wafer.addEpochListener([](std::uint64_t) {});
-        wafer.removeEpochListener(id);
+        const std::uint64_t id = wafer.addFaultListener([] {});
+        wafer.removeFaultListener(id);
     }
     churner.join();
 
-    wafer.removeEpochListener(stable);
+    wafer.removeFaultListener(stable);
     ASSERT_EQ(seen.size(), 200u);
-    for (std::size_t i = 1; i < seen.size(); ++i)
-        EXPECT_GT(seen[i], seen[i - 1]);
+    EXPECT_EQ(seen, expected);
 }
 
 // ---------------------------------------------------------------------

@@ -2,8 +2,8 @@
  * @file
  * Tests for the network hot path's schedule layer: ScheduleCache
  * hit/miss accounting, bit-exact cached vs. uncached timings,
- * fault-epoch invalidation (injected faults must not reuse stale
- * routes), flat-arena CommSchedule invariants, concurrent cold
+ * fault invalidation through the wafer's fault listeners (injected
+ * faults must not reuse stale routes), flat-arena CommSchedule invariants, concurrent cold
  * lookups (each task lowered once, outside the lock), the lifetime of
  * per-epoch route storage, and determinism of the whole stack across
  * eval_threads.
@@ -46,9 +46,9 @@ TEST(ScheduleCache, CountsLoweringsAndHitsHonestly)
 
     const CollectiveTask task = allReduceTask({0, 1, 2, 3}, 4e6);
     bool hit = true;
-    const auto first = cache.lowered(task, wafer.faultEpoch(), &hit);
+    const auto first = cache.lowered(task, &hit);
     EXPECT_FALSE(hit);
-    const auto second = cache.lowered(task, wafer.faultEpoch(), &hit);
+    const auto second = cache.lowered(task, &hit);
     EXPECT_TRUE(hit);
     // Hits share the lowered instance, they do not re-lower.
     EXPECT_EQ(first.get(), second.get());
@@ -60,7 +60,7 @@ TEST(ScheduleCache, CountsLoweringsAndHitsHonestly)
     EXPECT_EQ(cache.size(), 1u);
 
     // A different signature (bytes) is its own entry.
-    cache.lowered(allReduceTask({0, 1, 2, 3}, 8e6), wafer.faultEpoch());
+    cache.lowered(allReduceTask({0, 1, 2, 3}, 8e6));
     EXPECT_EQ(cache.stats().lowerings, 2);
     EXPECT_EQ(cache.size(), 2u);
 }
@@ -80,8 +80,8 @@ TEST(ScheduleCache, CachedScheduleTimesBitExactly)
         const CollectiveTask task = allReduceTask(group, 1e6 * size);
 
         const CommSchedule fresh = scheduler.schedule(task);
-        const auto cached = cache.lowered(task, wafer.faultEpoch());
-        const auto served = cache.lowered(task, wafer.faultEpoch());
+        const auto cached = cache.lowered(task);
+        const auto served = cache.lowered(task);
 
         const PhaseTiming t_fresh = contention.evaluateSequence(fresh);
         const PhaseTiming t_cached = contention.evaluateSequence(*cached);
@@ -100,10 +100,15 @@ TEST(ScheduleCache, FaultInjectionBumpsEpochAndInvalidates)
     Router router(wafer.topology(), &wafer.faults());
     CollectiveScheduler scheduler(router);
     ScheduleCache cache(scheduler);
+    // What an owner's fault listener does (the cost model's does this
+    // and more).
+    const std::uint64_t listener = wafer.addFaultListener([&] {
+        cache.clear();
+        router.newEpoch();
+    });
 
-    const std::uint64_t healthy_epoch = wafer.faultEpoch();
     const CollectiveTask task = allReduceTask({0, 1, 2, 3}, 4e6);
-    const auto healthy = cache.lowered(task, healthy_epoch);
+    const auto healthy = cache.lowered(task);
     EXPECT_TRUE(healthy->feasible);
 
     // Fail the 1->2 channel (both directions), which the healthy ring
@@ -112,13 +117,13 @@ TEST(ScheduleCache, FaultInjectionBumpsEpochAndInvalidates)
     faults.failLink(wafer.topology().linkId(1, 2));
     faults.failLink(wafer.topology().linkId(2, 1));
     wafer.setFaults(faults);
-    EXPECT_GT(wafer.faultEpoch(), healthy_epoch);
+    EXPECT_EQ(cache.size(), 0u);
 
     // The stale schedule must not be served: the lookup re-lowers
     // against the degraded fabric and the detour shows up as longer
     // routes.
     bool hit = true;
-    const auto degraded = cache.lowered(task, wafer.faultEpoch(), &hit);
+    const auto degraded = cache.lowered(task, &hit);
     EXPECT_FALSE(hit);
     EXPECT_EQ(cache.stats().lowerings, 2);
     EXPECT_TRUE(degraded->feasible);
@@ -127,9 +132,10 @@ TEST(ScheduleCache, FaultInjectionBumpsEpochAndInvalidates)
         for (LinkId link : flow.route.links())
             EXPECT_TRUE(wafer.linkUsable(link));
 
-    // Same epoch again: served from the rebuilt cache.
-    cache.lowered(task, wafer.faultEpoch(), &hit);
+    // Same fault state again: served from the rebuilt cache.
+    cache.lowered(task, &hit);
     EXPECT_TRUE(hit);
+    wafer.removeFaultListener(listener);
 }
 
 TEST(ScheduleCache, CostModelReactsToLiveFaultInjection)
@@ -154,7 +160,7 @@ TEST(ScheduleCache, CostModelReactsToLiveFaultInjection)
 
     const PhaseTiming degraded = model.timeCollectiveTasks(tasks);
     const net::ScheduleCacheStats after = model.scheduleStats();
-    // Epoch bump forced a re-lowering instead of a stale hit...
+    // The fault listener forced a re-lowering instead of a stale hit...
     EXPECT_GT(after.lowerings, before.lowerings);
     // ...and the detour costs more wall time than the healthy ring.
     EXPECT_GT(degraded.time_s, healthy.time_s);
@@ -233,8 +239,7 @@ TEST(ScheduleCache, SolveIsDeterministicAcrossEvalThreads)
 /// Runs `lookups` lookups per thread on 4 threads over `unique`
 /// overlapping tasks (each thread starts at a different offset).
 void
-lookUpConcurrently(ScheduleCache &cache, std::uint64_t epoch, int unique,
-                   int lookups)
+lookUpConcurrently(ScheduleCache &cache, int unique, int lookups)
 {
     std::vector<std::thread> threads;
     for (int t = 0; t < 4; ++t)
@@ -243,8 +248,7 @@ lookUpConcurrently(ScheduleCache &cache, std::uint64_t epoch, int unique,
                 const int k = (i + 7 * t) % unique;
                 const auto schedule = cache.lowered(
                     allReduceTask({0, 1, 2, 3, 4, 5}, 1e6 * (1 + k % 3),
-                                  k),
-                    epoch);
+                                  k));
                 ASSERT_TRUE(schedule->feasible);
             }
         });
@@ -263,7 +267,7 @@ TEST(ScheduleCache, ColdConcurrentLookupsLowerEachTaskOnce)
     constexpr int kLookups = 300;
     for (int round = 0; round < 5; ++round) {
         ScheduleCache cache(scheduler);
-        lookUpConcurrently(cache, wafer.faultEpoch(), kUnique, kLookups);
+        lookUpConcurrently(cache, kUnique, kLookups);
         const ScheduleCacheStats stats = cache.stats();
         EXPECT_EQ(stats.lowerings, kUnique);
         EXPECT_EQ(stats.lowerings + stats.hits, 4L * kLookups);
@@ -274,7 +278,7 @@ TEST(ScheduleCache, ColdConcurrentLookupsLowerEachTaskOnce)
     // evicted tasks re-lower, and the books still balance.
     ScheduleCache bounded(scheduler);
     bounded.setMaxEntries(2);
-    lookUpConcurrently(bounded, wafer.faultEpoch(), kUnique, kLookups);
+    lookUpConcurrently(bounded, kUnique, kLookups);
     const ScheduleCacheStats stats = bounded.stats();
     EXPECT_LE(bounded.size(), 2u);
     EXPECT_LE(bounded.cacheStats().entries, 2);
@@ -285,23 +289,22 @@ TEST(ScheduleCache, ColdConcurrentLookupsLowerEachTaskOnce)
 TEST(RouteEpochs, CachedScheduleStaysReadableAfterSetFaults)
 {
     // A cached schedule holds its epoch's route storage: after the
-    // fault swap flushes the cache and the router lets go of the old
-    // epoch (what the cost model's epoch listener does), a caller still
+    // fault swap clears the cache and the router lets go of the old
+    // epoch (what the cost model's fault listener does), a caller still
     // holding the schedule reads valid routes (ASan turns a dangling
     // read here into a failure).
     hw::Wafer wafer(hw::WaferConfig::paperDefault());
     Router router(wafer.topology(), &wafer.faults());
     CollectiveScheduler scheduler(router);
     ScheduleCache cache(scheduler);
-    const std::uint64_t listener =
-        wafer.addEpochListener([&](std::uint64_t epoch) {
-            cache.flushForEpoch(epoch);
-            router.dropStaleRoutes();
-        });
+    const std::uint64_t listener = wafer.addFaultListener([&] {
+        cache.clear();
+        router.newEpoch();
+    });
     const CollectiveTask task =
         allReduceTask({0, 1, 2, 3, 11, 10, 9, 8}, 8e6);
     std::shared_ptr<const CommSchedule> held =
-        cache.lowered(task, wafer.faultEpoch());
+        cache.lowered(task);
     std::vector<std::vector<LinkId>> expected;
     for (const Flow &flow : held->flows())
         expected.push_back(flow.route.links());
@@ -314,7 +317,7 @@ TEST(RouteEpochs, CachedScheduleStaysReadableAfterSetFaults)
     EXPECT_EQ(router.liveEpochs(), 1);  // only `held` keeps it
 
     // A lookup in the new epoch starts new storage beside the old one.
-    const auto degraded = cache.lowered(task, wafer.faultEpoch());
+    const auto degraded = cache.lowered(task);
     EXPECT_TRUE(degraded->feasible);
     EXPECT_EQ(router.liveEpochs(), 2);
 
@@ -325,7 +328,7 @@ TEST(RouteEpochs, CachedScheduleStaysReadableAfterSetFaults)
     }
     held.reset();
     EXPECT_EQ(router.liveEpochs(), 1);
-    wafer.removeEpochListener(listener);
+    wafer.removeFaultListener(listener);
 }
 
 TEST(RouteEpochs, CostModelCycledThroughFaultEpochsRetainsAtMostTwo)

@@ -408,7 +408,7 @@ TEST_F(CellMemoTest, FaultChangeDropsCachedFeasibleCells)
         cut.failLink(mesh.linkId(mesh.dieAt(r, 4), mesh.dieAt(r, 3)));
     }
     wafer_.setFaults(cut);
-    // The epoch listener flushed every memo before any lookup.
+    // The fault listener cleared every memo before any lookup.
     EXPECT_EQ(warm.costModel().cellMemoStats().entries, 0);
     EXPECT_EQ(warm.costModel().phaseMemoStats().entries, 0);
     EXPECT_EQ(warm.costModel().streamPlanStats().entries, 0);
@@ -423,7 +423,7 @@ TEST_F(CellMemoTest, FaultChangeDropsCachedFeasibleCells)
 
 TEST_F(CellMemoTest, KilledDiesNeverServeStaleLayouts)
 {
-    // Layouts are memoized per fault epoch: a warm simulator must not
+    // setFaults() clears the layout memo: a warm simulator must not
     // place a spec on dies that have since died (that layout once
     // reached ComputeModel::opTime with a zero derate and aborted).
     const model::ComputeGraph graph = model::ComputeGraph::transformer(
