@@ -28,6 +28,7 @@
 
 #include <chrono>
 #include <cstdio>
+#include <span>
 #include <vector>
 
 #include "api/service.hpp"
@@ -57,6 +58,7 @@ taskMix(const hw::Wafer &wafer)
 {
     const auto snake =
         parallel::GroupLayout::snakeOrder(wafer.topology());
+    hw::DieGroupTable &groups = wafer.topology().dieGroups();
     std::vector<net::CollectiveTask> tasks;
     const net::CollectiveKind kinds[] = {net::CollectiveKind::AllReduce,
                                          net::CollectiveKind::AllGather,
@@ -68,8 +70,8 @@ taskMix(const hw::Wafer &wafer)
             for (const net::CollectiveKind kind : kinds) {
                 net::CollectiveTask task;
                 task.kind = kind;
-                task.group.assign(snake.begin() + start,
-                                  snake.begin() + start + size);
+                task.group = groups.intern(
+                    std::span<const hw::DieId>(snake).subspan(start, size));
                 task.bytes = 1e6 * size;
                 task.tag = tag++ % 1006;
                 tasks.push_back(std::move(task));
@@ -79,7 +81,8 @@ taskMix(const hw::Wafer &wafer)
     for (int i = 0; i + 1 < wafer.dieCount(); i += 7) {
         net::CollectiveTask task;
         task.kind = net::CollectiveKind::P2P;
-        task.group = {snake[i], snake[i + 1]};
+        task.group = groups.intern(
+            std::span<const hw::DieId>(snake).subspan(i, 2));
         task.bytes = 4e6;
         tasks.push_back(std::move(task));
     }

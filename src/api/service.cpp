@@ -1,5 +1,6 @@
 #include "api/service.hpp"
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 
@@ -244,6 +245,11 @@ TempService::saveSnapshot(const std::string &path, std::string *error)
                 snapshot.blocks.push_back(block);
         }
     }
+    // Blocks in key order too: the bytes are a function of the memos.
+    std::sort(snapshot.blocks.begin(), snapshot.blocks.end(),
+              [](const persist::MemoBlock &a, const persist::MemoBlock &b) {
+                  return a.framework_key < b.framework_key;
+              });
     if (!persist::saveSnapshotFile(path, snapshot, error))
         return false;
     std::lock_guard<std::mutex> lock(persist_mutex_);

@@ -37,7 +37,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
@@ -123,49 +122,6 @@ inline long
 cacheByteEstimate(const std::string &s)
 {
     return static_cast<long>(sizeof(std::string) + s.capacity());
-}
-
-/**
- * A compact exact cache key: a flat sequence of 32-bit words (ids,
- * degrees, and the bit patterns of doubles and 64-bit values split in
- * two). Equality compares every word, so two keys never collide on a
- * hash alone; the hash only picks the bucket.
- */
-struct WordKey
-{
-    std::vector<std::uint32_t> words;
-
-    void add(std::uint32_t word) { words.push_back(word); }
-    void addInt(int value) { add(static_cast<std::uint32_t>(value)); }
-    void add64(std::uint64_t value)
-    {
-        add(static_cast<std::uint32_t>(value));
-        add(static_cast<std::uint32_t>(value >> 32));
-    }
-    void addDouble(double value)
-    {
-        add64(std::bit_cast<std::uint64_t>(value));
-    }
-
-    bool operator==(const WordKey &other) const = default;
-};
-
-struct WordKeyHash
-{
-    std::size_t operator()(const WordKey &key) const
-    {
-        std::uint64_t hash = 0xcbf29ce484222325ull;
-        for (std::uint32_t word : key.words)
-            hash = (hash ^ word) * 0x100000001b3ull;
-        return static_cast<std::size_t>(hash ^ (hash >> 29));
-    }
-};
-
-inline long
-cacheByteEstimate(const WordKey &key)
-{
-    return static_cast<long>(sizeof(WordKey) +
-                             key.words.capacity() * sizeof(std::uint32_t));
 }
 
 /**

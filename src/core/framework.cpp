@@ -1,5 +1,11 @@
 #include "core/framework.hpp"
 
+#include <algorithm>
+#include <tuple>
+#include <utility>
+
+#include "common/logging.hpp"
+
 #if defined(__GLIBC__)
 #include <malloc.h>
 #endif
@@ -50,31 +56,76 @@ TempFramework::~TempFramework()
 persist::MemoBlock
 TempFramework::exportMemos() const
 {
+    // A snapshot's bytes must not see the race of the pool threads that
+    // filled the memos: entries are sorted by key, and schedule lookups
+    // are exported as hits. Which thread lowered a shared task first
+    // decides a cell's or report's lowering/hit split; an imported
+    // entry is only ever served from its memo, which reads the total
+    // (a served report counts them as hits anyway). Step tasks move to
+    // the block's own group table, which outlives this wafer.
+    const auto as_hits = [](long &lowerings, long &hits) {
+        hits += std::exchange(lowerings, 0);
+    };
     persist::MemoBlock block;
+    block.groups = std::make_shared<hw::DieGroupTable>();
     sim_->costModel().forEachCell(
         [&](const cost::OpCellKey &key, const cost::OpCell &cell) {
-            block.cells.emplace_back(key, cell);
+            cost::OpCell &entry = block.cells.emplace_back(key, cell).second;
+            for (net::CollectiveTask &task : entry.step_tasks)
+                task.group = block.groups->intern(task.group->dies);
+            as_hits(entry.breakdown.schedule_lowerings,
+                    entry.breakdown.schedule_cache_hits);
+            as_hits(entry.step.schedule_lowerings,
+                    entry.step.schedule_cache_hits);
         });
+    const auto rank = [](const cost::OpCellKey &k) {
+        const parallel::ParallelSpec &s = k.spec;
+        return std::tuple(k.graph_fp, k.op_index, s.dp, s.fsdp, s.tp, s.sp,
+                          s.cp, s.tatp, s.pp, s.coupled_sp);
+    };
+    std::sort(block.cells.begin(), block.cells.end(),
+              [&](const auto &a, const auto &b) {
+                  return rank(a.first) < rank(b.first);
+              });
     steps_->forEachCached(
         [&](const std::string &key, const sim::PerfReport &report) {
-            block.step_reports.emplace_back(key, report);
+            sim::PerfReport &entry =
+                block.step_reports.emplace_back(key, report).second;
+            as_hits(entry.schedule_lowerings, entry.schedule_cache_hits);
         });
+    std::sort(block.step_reports.begin(), block.step_reports.end(),
+              [](const auto &a, const auto &b) { return a.first < b.first; });
     return block;
 }
 
 bool
 TempFramework::importMemos(persist::MemoBlock block) const
 {
+    // Each distinct group of the block is checked against this wafer
+    // and re-interned into its table once; the tasks then swap handles.
     const int dies = wafer_->dieCount();
+    hw::DieGroupTable &groups = wafer_->topology().dieGroups();
+    std::vector<const hw::DieGroup *> local(
+        block.groups != nullptr ? block.groups->size() : 0);
     for (const auto &[key, cell] : block.cells)
-        for (const net::CollectiveTask &task : cell.step_tasks)
-            for (hw::DieId die : task.group)
+        for (const net::CollectiveTask &task : cell.step_tasks) {
+            if (task.group->table != block.groups.get())
+                panic("importMemos: a step task outside the block's groups");
+            const hw::DieGroup *&mine = local[task.group->index];
+            if (mine != nullptr)
+                continue;
+            for (hw::DieId die : task.group->dies)
                 if (die < 0 || die >= dies)
                     return false;
+            mine = groups.intern(task.group->dies);
+        }
     const cost::WaferCostModel &model = sim_->costModel();
-    for (auto &[key, cell] : block.cells)
+    for (auto &[key, cell] : block.cells) {
+        for (net::CollectiveTask &task : cell.step_tasks)
+            task.group = local[task.group->index];
         model.importCell(key.graph_fp, key.op_index, key.spec,
                          std::move(cell));
+    }
     for (const auto &[key, report] : block.step_reports)
         steps_->importCached(key, report);
     return true;

@@ -2,11 +2,14 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cmath>
 #include <limits>
 #include <optional>
+#include <span>
 #include <tuple>
 
+#include "common/hash.hpp"
 #include "common/logging.hpp"
 
 namespace temp::cost {
@@ -18,20 +21,91 @@ using parallel::ParallelSpec;
 
 namespace {
 
-/// Appends a collective task set's exact content to a memo key.
-void
-appendTasks(common::WordKey &key,
-            const std::vector<net::CollectiveTask> &tasks)
+/**
+ * An exact memo key over interned die groups: a flat word sequence in
+ * which a group is one word, its intern index (unique per content
+ * within the wafer's table). The hash folds in each group's content
+ * hash rather than its index, so it depends on content only, never on
+ * which thread interned a group first.
+ */
+struct GroupKey
 {
-    key.add(static_cast<std::uint32_t>(tasks.size()));
-    for (const net::CollectiveTask &task : tasks) {
-        key.add(static_cast<std::uint32_t>(task.kind));
-        key.addInt(task.tag);
-        key.addDouble(task.bytes);
-        key.add(static_cast<std::uint32_t>(task.group.size()));
-        for (hw::DieId die : task.group)
-            key.addInt(die);
+    std::vector<std::uint32_t> words;
+    std::uint64_t hash = common::kFnvOffset;
+
+    void clear()
+    {
+        words.clear();
+        hash = common::kFnvOffset;
     }
+    void add(std::uint32_t word)
+    {
+        words.push_back(word);
+        mix(word);
+    }
+    void addDouble(double value)
+    {
+        const auto bits = std::bit_cast<std::uint64_t>(value);
+        add(static_cast<std::uint32_t>(bits));
+        add(static_cast<std::uint32_t>(bits >> 32));
+    }
+    /// One word: the group's index, with `high` (< 8) in the top bits
+    /// (the table holds fewer than 2^29 groups).
+    void addGroup(const hw::DieGroup &group, std::uint32_t high,
+                  const hw::DieGroupTable &table)
+    {
+        if (group.table != &table)
+            panic("cost key: a die group from another topology's table");
+        words.push_back(group.index | high << 29);
+        mix(high);
+        mix(static_cast<std::uint32_t>(group.hash));
+        mix(static_cast<std::uint32_t>(group.hash >> 32));
+    }
+
+    bool operator==(const GroupKey &other) const
+    {
+        return words == other.words;
+    }
+
+  private:
+    /// FNV-1a, one word at a time.
+    void mix(std::uint32_t word) { hash = (hash ^ word) * 0x100000001b3ull; }
+};
+
+struct GroupKeyHash
+{
+    std::size_t operator()(const GroupKey &key) const
+    {
+        return static_cast<std::size_t>(key.hash ^ (key.hash >> 29));
+    }
+};
+
+long
+keyBytes(const GroupKey &key)
+{
+    return static_cast<long>(sizeof(GroupKey) +
+                             key.words.capacity() * sizeof(std::uint32_t));
+}
+
+/**
+ * The phase-memo key of a task set: four words per task, [group index
+ * | kind << 29], tag and the two halves of the byte count. Built in a
+ * per-thread buffer reused across calls; the memo copies it only when
+ * it inserts a new phase.
+ */
+const GroupKey &
+phaseKey(std::span<const net::CollectiveTask> tasks,
+         const hw::DieGroupTable &table)
+{
+    thread_local GroupKey key;
+    key.clear();
+    for (const net::CollectiveTask &task : tasks) {
+        key.addGroup(*task.group, static_cast<std::uint32_t>(task.kind),
+                     table);
+        key.add(static_cast<std::uint32_t>(task.tag));
+        key.addDouble(task.bytes);
+    }
+    return key;
 }
 
 }  // namespace
@@ -57,18 +131,17 @@ struct WaferCostModel::Memos
         layouts;
     std::atomic<long> layout_builds{0};
     /// TATP group set + degree -> stream plan.
-    common::BoundedCache<common::WordKey,
-                         std::shared_ptr<const tatp::StreamPlan>,
-                         common::WordKeyHash>
+    common::BoundedCache<GroupKey, std::shared_ptr<const tatp::StreamPlan>,
+                         GroupKeyHash>
         stream_plans;
     /// Collective task-set content -> timed phase.
-    common::BoundedCache<common::WordKey, TimedPhase, common::WordKeyHash>
-        phases;
+    common::BoundedCache<GroupKey, TimedPhase, GroupKeyHash> phases;
     /// (graph, op, spec) -> the cell the DP matrix and the simulator
     /// share.
     common::BoundedCache<OpCellKey, std::shared_ptr<const OpCell>,
                          OpCellKeyHash>
         cells;
+    std::atomic<long> cell_builds{0};
 
     Memos()
     {
@@ -82,25 +155,19 @@ struct WaferCostModel::Memos
                        layout->byteEstimate();
             });
         stream_plans.setByteEstimate(
-            [](const common::WordKey &key,
+            [](const GroupKey &key,
                const std::shared_ptr<const tatp::StreamPlan> &plan) {
-                return common::cacheByteEstimate(key) +
-                       plan->byteEstimate();
+                return keyBytes(key) + plan->byteEstimate();
             });
-        phases.setByteEstimate(
-            [](const common::WordKey &key, const TimedPhase &) {
-                return common::cacheByteEstimate(key) +
-                       static_cast<long>(sizeof(TimedPhase));
-            });
+        phases.setByteEstimate([](const GroupKey &key, const TimedPhase &) {
+            return keyBytes(key) + static_cast<long>(sizeof(TimedPhase));
+        });
         cells.setByteEstimate(
             [](const OpCellKey &, const std::shared_ptr<const OpCell> &cell) {
-                long bytes = static_cast<long>(sizeof(OpCellKey) +
-                                               sizeof(OpCell));
-                for (const net::CollectiveTask &task : cell->step_tasks)
-                    bytes += static_cast<long>(
-                        sizeof(task) +
-                        task.group.capacity() * sizeof(hw::DieId));
-                return bytes;
+                return static_cast<long>(
+                    sizeof(OpCellKey) + sizeof(OpCell) +
+                    cell->step_tasks.capacity() *
+                        sizeof(net::CollectiveTask));
             });
     }
 };
@@ -178,6 +245,12 @@ WaferCostModel::layoutBuilds() const
     return memos().layout_builds.load();
 }
 
+long
+WaferCostModel::cellBuilds() const
+{
+    return memos().cell_builds.load();
+}
+
 void
 WaferCostModel::setCacheBudgets(const common::CacheBudget &budget) const
 {
@@ -206,8 +279,7 @@ WaferCostModel::timeCollectiveTasks(
     if (tasks.empty())
         return net::PhaseTiming{};
 
-    common::WordKey key;
-    appendTasks(key, tasks);
+    const GroupKey &key = phaseKey(tasks, wafer_.topology().dieGroups());
     Memos &memo = memos();
     std::optional<TimedPhase> phase = memo.phases.get(key);
     if (phase) {
@@ -285,16 +357,14 @@ WaferCostModel::timePhase(const std::vector<net::CollectiveTask> &tasks,
 }
 
 std::shared_ptr<const tatp::StreamPlan>
-WaferCostModel::streamPlan(const std::vector<std::vector<hw::DieId>> &groups,
+WaferCostModel::streamPlan(std::span<const hw::DieGroup *const> groups,
                            int degree) const
 {
-    common::WordKey key;
-    key.addInt(degree);
-    for (const std::vector<hw::DieId> &group : groups) {
-        key.add(static_cast<std::uint32_t>(group.size()));
-        for (hw::DieId die : group)
-            key.addInt(die);
-    }
+    thread_local GroupKey key;
+    key.clear();
+    key.add(static_cast<std::uint32_t>(degree));
+    for (const hw::DieGroup *group : groups)
+        key.addGroup(*group, 0, wafer_.topology().dieGroups());
     Memos &memo = memos();
     if (auto plan = memo.stream_plans.get(key))
         return *plan;
@@ -304,11 +374,11 @@ WaferCostModel::streamPlan(const std::vector<std::vector<hw::DieId>> &groups,
     // (GMap is hop-aware; TCME is topology-aware by construction).
     std::vector<tatp::ChainInfo> chains;
     chains.reserve(groups.size());
-    for (const std::vector<hw::DieId> &group : groups) {
+    for (const hw::DieGroup *group : groups) {
         chains.push_back(chain_mapper_.analyzeChain(
             policy_.kind != tcme::MappingEngineKind::SMap
-                ? chain_mapper_.orderAsChain(group)
-                : group));
+                ? chain_mapper_.orderAsChain(group->dies)
+                : group->dies));
     }
     auto plan = std::make_shared<const tatp::StreamPlan>(
         tatp_executor_.planStream(std::move(chains), degree, router_));
@@ -348,7 +418,7 @@ WaferCostModel::addCell(const model::ComputeGraph &graph,
     const model::Operator &op = graph.op(op_index);
     auto cell = std::make_shared<const OpCell>(costCell(
         partitioner_.analyze(op, *placed), op, *placed, /*time_step=*/true));
-    memo.cells.insert(key, cell);
+    memo.cell_builds += memo.cells.insert(key, cell).second ? 1 : 0;
     return cell;
 }
 
@@ -377,7 +447,8 @@ WaferCostModel::timeStream(const OpExecution &exec, const GroupLayout &layout,
     const parallel::TatpStream &stream = exec.tatp;
     const int g = stream.degree;
 
-    const auto &groups = layout.groups(Axis::TATP);
+    const std::span<const hw::DieGroup *const> groups =
+        layout.handles(Axis::TATP);
     if (groups.empty())
         return;
     const std::shared_ptr<const tatp::StreamPlan> plan =
@@ -601,38 +672,26 @@ tcme::AxisVolumes
 WaferCostModel::estimateAxisVolumes(const model::ComputeGraph &graph,
                                     const ParallelSpec &spec) const
 {
+    // Every group of an axis carries the same collective, so the
+    // volumes need no placement: an emission adds bytes x degree once
+    // per group, list by list in task order as the placed tasks would.
     tcme::AxisVolumes volumes{};
-    std::vector<hw::DieId> probe_order =
-        GroupLayout::snakeOrder(wafer_.topology());
-    if (!wafer_.faults().healthy()) {
-        const std::vector<hw::DieId> usable = wafer_.usableDies();
-        if (static_cast<int>(usable.size()) >= spec.totalDegree()) {
-            std::vector<bool> ok(wafer_.dieCount(), false);
-            for (hw::DieId die : usable)
-                ok[die] = true;
-            std::erase_if(probe_order,
-                          [&](hw::DieId die) { return !ok[die]; });
-        }
-    }
-    GroupLayout probe(std::move(probe_order), spec,
-                      parallel::defaultAxisOrder());
+    const int total = spec.totalDegree();
+    parallel::CollectivePlan plan;
     for (const model::Operator &op : graph.ops()) {
-        const OpExecution exec = partitioner_.analyze(op, probe);
-        auto account = [&volumes](const std::vector<net::CollectiveTask>
-                                      &tasks) {
-            for (const net::CollectiveTask &task : tasks) {
-                const int axis = task.tag - 1000;
-                if (axis < 0 ||
-                    axis >= static_cast<int>(parallel::Axis::Count))
+        const OpExecution exec = partitioner_.analyzeUnplaced(op, spec, plan);
+        for (auto list : {&OpExecution::fwd_collectives,
+                          &OpExecution::bwd_collectives,
+                          &OpExecution::step_collectives,
+                          &OpExecution::overlap_collectives})
+            for (const parallel::CollectivePlan::Emission &e : plan.items()) {
+                const int degree = spec.degree(e.axis);
+                if (e.list != list || degree <= 1)
                     continue;
-                volumes[axis] +=
-                    task.bytes * static_cast<double>(task.group.size());
+                double &volume = volumes[static_cast<std::size_t>(e.axis)];
+                for (int group = 0; group < total / degree; ++group)
+                    volume += e.bytes * static_cast<double>(degree);
             }
-        };
-        account(exec.fwd_collectives);
-        account(exec.bwd_collectives);
-        account(exec.step_collectives);
-        account(exec.overlap_collectives);
         if (exec.tatp.active) {
             volumes[static_cast<std::size_t>(Axis::TATP)] +=
                 exec.tatp.group_tensor_bytes * 2.0;
@@ -655,7 +714,7 @@ WaferCostModel::buildLayout(const model::ComputeGraph &graph,
     // re-balance partitioning around the faults). A spec too large for
     // the component is placed on the full snake instead; its routes
     // then cross the faults and the cost model reports infeasibility.
-    const std::vector<hw::DieId> usable = wafer_.usableDies();
+    const std::vector<hw::DieId> &usable = wafer_.usableDies();
     if (static_cast<int>(usable.size()) < spec.totalDegree()) {
         return GroupLayout(wafer_.topology(), spec,
                            policy_.axisOrder(volumes));
@@ -667,7 +726,7 @@ WaferCostModel::buildLayout(const model::ComputeGraph &graph,
     for (hw::DieId die : GroupLayout::snakeOrder(wafer_.topology()))
         if (ok[die])
             order.push_back(die);
-    return GroupLayout(std::move(order), spec,
+    return GroupLayout(wafer_.topology(), order, spec,
                        policy_.axisOrder(volumes));
 }
 

@@ -214,6 +214,11 @@ class WaferCostModel
     /// duplicates count once).
     long layoutBuilds() const;
 
+    /// Unique cells addCell() memoized since construction (racing
+    /// duplicates count once, imported cells not at all): each placed
+    /// its spec through one layout lookup.
+    long cellBuilds() const;
+
     /// Eq. (3): inter-operator resharding time between adjacent ops.
     double interOpTime(const model::Operator &producer,
                        const parallel::ParallelSpec &from,
@@ -318,8 +323,7 @@ class WaferCostModel
 
     /// The (memoized) stream plan of a layout's TATP groups.
     std::shared_ptr<const tatp::StreamPlan> streamPlan(
-        const std::vector<std::vector<hw::DieId>> &groups,
-        int degree) const;
+        std::span<const hw::DieGroup *const> groups, int degree) const;
 
     /// Costs an analysed execution as a cell; its step phase is timed
     /// only when `time_step` is set.

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <span>
 
 #include "common/logging.hpp"
 #include "common/stats.hpp"
@@ -79,12 +80,12 @@ CostDatasetGenerator::communicationSample(Rng &rng) const
     const auto snake =
         parallel::GroupLayout::snakeOrder(wafer_.topology());
     const int start = rng.uniformInt(0, max_group - group_size);
-    std::vector<hw::DieId> group(snake.begin() + start,
-                                 snake.begin() + start + group_size);
+    const std::span<const hw::DieId> group(snake.data() + start,
+                                           group_size);
 
     net::CollectiveTask task;
     task.kind = kind;
-    task.group = group;
+    task.group = wafer_.topology().dieGroups().intern(group);
     task.bytes = bytes;
     const net::CommSchedule sched = scheduler_.schedule(task);
     const double latency = contention_.evaluateSequence(sched).time_s;

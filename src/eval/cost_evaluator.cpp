@@ -90,15 +90,19 @@ ExactEvaluator::evaluateBatch(const model::ComputeGraph &graph,
 EvalStats
 ExactEvaluator::stats() const
 {
-    const common::CacheStats layouts = model_.layoutMemoStats();
+    // Every unique cell placed its spec through one layout lookup, so
+    // the layout hits are the cells minus the layouts they built: both
+    // counts are unique, hence exact at any width (racing duplicate
+    // cell costings add lookups, not cells).
     const long builds = model_.layoutBuilds();
     return {measurements_.load(),
             cache_hits_.load(),
             builds,
-            layouts.hits + layouts.misses - builds,
+            model_.cellBuilds() - builds,
             schedule_lowerings_.load(),
             schedule_cache_hits_.load(),
-            model_.cellMemoStats().evictions + layouts.evictions};
+            model_.cellMemoStats().evictions +
+                model_.layoutMemoStats().evictions};
 }
 
 }  // namespace temp::eval

@@ -13,9 +13,10 @@
 #include <unordered_map>
 #include <vector>
 
+#include "hw/die_group.hpp"
+
 namespace temp::hw {
 
-using DieId = int;
 using LinkId = int;
 
 /// Grid position of a die on the wafer.
@@ -72,6 +73,13 @@ class Topology
     /// Human-readable name of the die (for traces and reports).
     virtual std::string dieName(DieId die) const;
 
+    /**
+     * The intern table of this fabric's die groups (see
+     * hw/die_group.hpp). Lives as long as the topology; interning is
+     * thread-safe and does not change the fabric, hence const.
+     */
+    DieGroupTable &dieGroups() const { return die_groups_; }
+
   protected:
     /// Registers a directed link during construction; returns its id.
     LinkId addLink(DieId src, DieId dst);
@@ -79,6 +87,7 @@ class Topology
     std::vector<Link> links_;
     std::vector<std::vector<DieId>> neighbors_;
     std::unordered_map<long long, LinkId> link_index_;
+    mutable DieGroupTable die_groups_;
 
     static long long pairKey(DieId src, DieId dst)
     {

@@ -10,12 +10,12 @@ namespace temp::hw {
 Wafer::Wafer(WaferConfig config, FaultMap faults)
     : config_(config),
       topology_(std::make_unique<MeshTopology>(config.rows, config.cols)),
-      faults_(std::move(faults))
+      faults_(std::move(faults)), usable_dies_(computeUsableDies())
 {
 }
 
 std::vector<DieId>
-Wafer::usableDies() const
+Wafer::computeUsableDies() const
 {
     // BFS over usable links; keep the largest connected component of
     // dies that still have working compute.

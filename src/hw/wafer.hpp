@@ -62,6 +62,7 @@ class Wafer
     void setFaults(FaultMap faults)
     {
         faults_ = std::move(faults);
+        usable_dies_ = computeUsableDies();
         // Under the registry lock, so removeFaultListener() synchronizes
         // with in-flight callbacks: once remove() returns, the listener
         // can never fire again, which is what lets an owner's
@@ -101,14 +102,16 @@ class Wafer
      * The dies the framework can actually use: the largest connected
      * component of the usable-link graph, excluding dies whose compute
      * is fully dead. Fault-tolerant re-optimisation (Sec. VIII-F) maps
-     * work onto this set and leaves stranded dies idle.
+     * work onto this set and leaves stranded dies idle. Computed at
+     * construction and on each setFaults(), so reads are lock-free
+     * under setFaults()' quiesce contract.
      */
-    std::vector<DieId> usableDies() const;
+    const std::vector<DieId> &usableDies() const { return usable_dies_; }
 
     /// Size of usableDies().
     int usableDieCount() const
     {
-        return static_cast<int>(usableDies().size());
+        return static_cast<int>(usable_dies_.size());
     }
 
     /**
@@ -135,9 +138,13 @@ class Wafer
             entries;
     };
 
+    /// The usable-die BFS over the current fault state.
+    std::vector<DieId> computeUsableDies() const;
+
     WaferConfig config_;
     std::unique_ptr<MeshTopology> topology_;
     FaultMap faults_;
+    std::vector<DieId> usable_dies_;  ///< computeUsableDies() of faults_
     std::unique_ptr<FaultListeners> listeners_ =
         std::make_unique<FaultListeners>();
 };

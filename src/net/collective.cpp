@@ -186,20 +186,23 @@ CollectiveScheduler::CollectiveScheduler(const Router &router,
 CommSchedule
 CollectiveScheduler::schedule(const CollectiveTask &task) const
 {
+    if (task.group == nullptr)
+        panic("CollectiveScheduler::schedule: task without a group");
+    const std::vector<DieId> &group = task.group->dies;
     switch (task.kind) {
       case CollectiveKind::AllReduce:
-        return ringAllReduce(task.group, task.bytes, task.tag);
+        return ringAllReduce(group, task.bytes, task.tag);
       case CollectiveKind::AllGather:
-        return ringAllGather(task.group, task.bytes, task.tag);
+        return ringAllGather(group, task.bytes, task.tag);
       case CollectiveKind::ReduceScatter:
-        return ringReduceScatter(task.group, task.bytes, task.tag);
+        return ringReduceScatter(group, task.bytes, task.tag);
       case CollectiveKind::Broadcast:
-        return broadcast(task.group, task.bytes, task.tag);
+        return broadcast(group, task.bytes, task.tag);
       case CollectiveKind::P2P:
-        if (task.group.size() != 2)
+        if (group.size() != 2)
             panic("P2P task needs exactly 2 members, got %zu",
-                  task.group.size());
-        return p2p(task.group[0], task.group[1], task.bytes, task.tag);
+                  group.size());
+        return p2p(group[0], group[1], task.bytes, task.tag);
     }
     panic("CollectiveScheduler::schedule: unknown kind");
 }

@@ -10,6 +10,7 @@
 
 #include <cstdint>
 #include <span>
+#include <type_traits>
 #include <vector>
 
 #include "net/contention.hpp"
@@ -31,7 +32,11 @@ enum class CollectiveKind
 const char *collectiveKindName(CollectiveKind kind);
 
 /**
- * One collective operation over an ordered group of dies.
+ * One collective operation over an ordered group of dies: a flat value
+ * naming its group by an interned handle (hw/die_group.hpp), so tasks
+ * are copied, merged and keyed without touching a die list. The group
+ * must come from the dieGroups() table of the topology the task is
+ * lowered on.
  *
  * Byte semantics follow NCCL conventions:
  *  - AllReduce / ReduceScatter: bytes = full tensor size held per member;
@@ -42,10 +47,15 @@ const char *collectiveKindName(CollectiveKind kind);
 struct CollectiveTask
 {
     CollectiveKind kind = CollectiveKind::AllReduce;
-    std::vector<DieId> group;
-    double bytes = 0.0;
     int tag = 0;
+    double bytes = 0.0;
+    const hw::DieGroup *group = nullptr;
+
+    /// Members of the group (0 without one).
+    std::size_t size() const { return group != nullptr ? group->size() : 0; }
 };
+static_assert(std::is_trivially_copyable_v<CollectiveTask>,
+              "tasks are copied freely on the cost path");
 
 /**
  * Structure-of-arrays view of a schedule's flow arena: parallel per-flow

@@ -33,6 +33,21 @@ LinkLoadMap::remove(const Route &route, double bytes)
     }
 }
 
+void
+LinkLoadMap::reset(int link_count)
+{
+    if (link_count != linkCount()) {
+        loads_.assign(link_count, 0.0);
+        marked_.assign(link_count, 0);
+    } else {
+        for (LinkId link : touched_) {
+            loads_[link] = 0.0;
+            marked_[link] = 0;
+        }
+    }
+    touched_.clear();
+}
+
 LinkId
 LinkLoadMap::maxLoadLink() const
 {

@@ -72,6 +72,10 @@ class LinkLoadMap
     {
     }
 
+    /// Empties the map for reuse over `link_count` links, zeroing only
+    /// the touched ones: a reused map allocates nothing once grown.
+    void reset(int link_count);
+
     /// Adds a flow's bytes to every link on its route.
     void add(const Route &route, double bytes);
     void add(const RouteRef &route, double bytes) { add(*route, bytes); }

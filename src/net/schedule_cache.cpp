@@ -5,6 +5,7 @@
 #include <mutex>
 
 #include "common/hash.hpp"
+#include "common/logging.hpp"
 
 namespace temp::net {
 
@@ -14,9 +15,11 @@ namespace {
 /// runs on, so concurrent lookups rarely meet on one lock.
 constexpr std::size_t kShards = 16;
 
+/// Content hash of a task signature: the group enters through its
+/// content hash, never its address.
 std::size_t
 hashSignature(CollectiveKind kind, int tag, std::uint64_t bytes_bits,
-              const std::vector<hw::DieId> &group)
+              const hw::DieGroup &group)
 {
     using common::fnv1aValue;
     std::uint64_t hash =
@@ -24,33 +27,11 @@ hashSignature(CollectiveKind kind, int tag, std::uint64_t bytes_bits,
     hash = fnv1aValue(
         hash, static_cast<std::uint64_t>(static_cast<std::uint32_t>(tag)));
     hash = fnv1aValue(hash, bytes_bits);
-    for (hw::DieId die : group)
-        hash = fnv1aValue(hash, static_cast<std::uint64_t>(
-                                    static_cast<std::uint32_t>(die)));
+    hash = fnv1aValue(hash, group.hash);
     return static_cast<std::size_t>(hash);
 }
 
 }  // namespace
-
-bool
-ScheduleCache::KeyEqual::operator()(const Key &a, const Key &b) const
-{
-    return a.hash == b.hash && a.kind == b.kind && a.tag == b.tag &&
-           a.bytes_bits == b.bytes_bits && a.group == b.group;
-}
-
-bool
-ScheduleCache::KeyEqual::operator()(const Key &a, const KeyView &b) const
-{
-    return a.hash == b.hash && a.kind == b.kind && a.tag == b.tag &&
-           a.bytes_bits == b.bytes_bits && a.group == *b.group;
-}
-
-bool
-ScheduleCache::KeyEqual::operator()(const KeyView &a, const Key &b) const
-{
-    return (*this)(b, a);
-}
 
 ScheduleCache::ScheduleCache(const CollectiveScheduler &scheduler)
     : scheduler_(scheduler)
@@ -72,10 +53,10 @@ ScheduleCache::shardFor(std::size_t hash)
         shards_ = std::make_unique<Shard[]>(count);
         for (std::size_t i = 0; i < count; ++i)
             shards_[i].map.setByteEstimate(
-                [](const Key &key, const Schedule &s) {
-                    return static_cast<long>(
-                        sizeof(Key) + key.group.capacity() * sizeof(DieId) +
-                        sizeof(CommSchedule) + s->byteEstimate());
+                [](const Key &, const Schedule &s) {
+                    return static_cast<long>(sizeof(Key) +
+                                             sizeof(CommSchedule) +
+                                             s->byteEstimate());
                 });
         shard_count_.store(count, std::memory_order_release);
         applyBudgetsLocked();
@@ -117,11 +98,13 @@ ScheduleCache::applyBudgetsLocked()
 std::shared_ptr<const CommSchedule>
 ScheduleCache::lowered(const CollectiveTask &task, bool *hit)
 {
+    if (task.group == nullptr)
+        panic("ScheduleCache::lowered: task without a group");
     const std::uint64_t bytes_bits = std::bit_cast<std::uint64_t>(task.bytes);
-    const KeyView view{task.kind, task.tag, bytes_bits, &task.group,
-                       hashSignature(task.kind, task.tag, bytes_bits,
-                                     task.group)};
-    Shard &shard = shardFor(view.hash);
+    const Key key{task.kind, task.tag, bytes_bits, task.group,
+                  hashSignature(task.kind, task.tag, bytes_bits,
+                                *task.group)};
+    Shard &shard = shardFor(key.hash);
     const auto served = [&](Schedule schedule) {
         ++shard.hits;
         if (hit != nullptr)
@@ -129,70 +112,69 @@ ScheduleCache::lowered(const CollectiveTask &task, bool *hit)
         return schedule;
     };
 
-    // Hit path. Unbounded: shared lock, non-owning probe, no
-    // allocation, no recency maintenance. Bounded (by entries or
-    // bytes): the same probe under the exclusive lock so the LRU
-    // order stays truthful.
+    // Hit path. Unbounded: shared lock, no allocation, no recency
+    // maintenance. Bounded (by entries or bytes): the same probe under
+    // the exclusive lock so the LRU order stays truthful.
     if (max_entries_.load(std::memory_order_relaxed) == 0 &&
         max_bytes_.load(std::memory_order_relaxed) == 0) {
         std::shared_lock<std::shared_mutex> lock(shard.mutex);
-        if (const Schedule *cached = shard.map.peek(view))
+        if (const Schedule *cached = shard.map.peek(key))
             return served(*cached);
     }
 
     std::unique_lock<std::shared_mutex> lock(shard.mutex);
-    if (Schedule *cached = shard.map.touch(view))
+    if (Schedule *cached = shard.map.touch(key))
         return served(*cached);
-    if (auto it = shard.in_flight.find(view); it != shard.in_flight.end()) {
+    for (const auto &[pending_key, pending] : shard.in_flight) {
+        if (!(pending_key == key))
+            continue;
         // Another thread is lowering this task: wait for its result.
-        const std::shared_future<Schedule> pending = it->second;
+        const std::shared_ptr<Lowering> lowering = pending;
         lock.unlock();
-        return served(pending.get());  // rethrows a failed lowering
+        lowering->state.wait(Lowering::kLowering, std::memory_order_acquire);
+        if (lowering->state.load(std::memory_order_acquire) ==
+            Lowering::kFailed)
+            std::rethrow_exception(lowering->error);
+        return served(Schedule(lowering, &lowering->schedule));
     }
 
     // Miss: mark the key in flight and lower outside the lock. The
-    // entry holds its route epoch's storage, so the schedule stays
+    // lowering holds its route epoch's storage, so the schedule stays
     // readable after a fault swap for as long as a caller holds it.
-    std::promise<Schedule> promise;
+    auto lowering = std::make_shared<Lowering>();
     const std::uint64_t generation = shard.generation;
-    shard.in_flight.emplace(
-        Key{task.kind, task.tag, bytes_bits, task.group, view.hash},
-        promise.get_future().share());
+    shard.in_flight.emplace_back(key, lowering);
     if (shard.routes == nullptr)
         shard.routes = scheduler_.router().routeEpoch();
-    std::shared_ptr<const RouteEpoch> routes = shard.routes;
+    lowering->routes = shard.routes;
     lock.unlock();
 
-    struct Entry
-    {
-        CommSchedule schedule;
-        std::shared_ptr<const RouteEpoch> routes;
-    };
-    Schedule schedule;
     try {
-        auto entry = std::make_shared<const Entry>(
-            Entry{scheduler_.schedule(task), std::move(routes)});
-        schedule = Schedule(entry, &entry->schedule);
+        lowering->schedule = scheduler_.schedule(task);
     } catch (...) {
-        lock.lock();
-        if (shard.generation == generation)
-            shard.in_flight.erase(shard.in_flight.find(view));
-        lock.unlock();
-        promise.set_exception(std::current_exception());
-        throw;
+        lowering->error = std::current_exception();
     }
 
     lock.lock();
-    ++shard.lowerings;
     // A clear() while lowering dropped the in-flight mark with the
     // rest of the contents: hand the result to this lookup's waiters
     // only.
-    if (shard.generation == generation) {
-        auto node = shard.in_flight.extract(shard.in_flight.find(view));
-        shard.map.insert(std::move(node.key()), schedule);
+    std::erase_if(shard.in_flight, [&](const auto &entry) {
+        return entry.second == lowering;
+    });
+    const Schedule schedule(lowering, &lowering->schedule);
+    if (lowering->error == nullptr) {
+        ++shard.lowerings;
+        if (shard.generation == generation)
+            shard.map.insert(key, schedule);
     }
     lock.unlock();
-    promise.set_value(schedule);
+    lowering->state.store(lowering->error == nullptr ? Lowering::kReady
+                                                     : Lowering::kFailed,
+                          std::memory_order_release);
+    lowering->state.notify_all();
+    if (lowering->error != nullptr)
+        std::rethrow_exception(lowering->error);
     if (hit != nullptr)
         *hit = false;
     return schedule;

@@ -23,8 +23,9 @@
  * Concurrency: the store is sharded by the signature hash. An
  * unbounded hit takes only its shard's shared lock and bumps only that
  * shard's counters. A miss marks its key in flight and lowers outside
- * any lock; concurrent askers of that key wait for the one lowering and
- * count a hit, so a task is still lowered exactly once per fault state.
+ * any lock; concurrent askers of that key wait on the lowering's state
+ * word and count a hit, so a task is still lowered exactly once per
+ * fault state.
  *
  * Cached schedules are shared immutable snapshots: consumers that
  * mutate (the traffic optimizer rewrites routes in place) must copy
@@ -36,12 +37,13 @@
 
 #include <atomic>
 #include <cstdint>
-#include <future>
+#include <exception>
 #include <memory>
 #include <mutex>
 #include <shared_mutex>
 #include <span>
-#include <unordered_map>
+#include <utility>
+#include <vector>
 
 #include "common/bounded_cache.hpp"
 #include "net/collective.hpp"
@@ -79,9 +81,9 @@ class ScheduleCache
     explicit ScheduleCache(const CollectiveScheduler &scheduler);
 
     /**
-     * Returns the (possibly cached) lowering of a task. Unbounded hits take their shard's lock shared and
-     * allocate nothing (the task is probed through a non-owning key
-     * view); bounded hits take it exclusive to refresh LRU order. A
+     * Returns the (possibly cached) lowering of a task. Unbounded hits
+     * take their shard's lock shared and allocate nothing; bounded
+     * hits take it exclusive to refresh LRU order. A
      * miss lowers outside the lock while other askers of the same task
      * wait for it, so a task is lowered exactly once regardless of
      * thread count and the counters stay deterministic.
@@ -114,8 +116,8 @@ class ScheduleCache
     void setMaxEntries(std::size_t max_entries);
 
     /// Byte budget (0 = unbounded), over the
-    /// honest per-entry estimate (key group + arena); composes with
-    /// the entry budget like it.
+    /// honest per-entry estimate (key + arena; the group belongs to the
+    /// topology's table); composes with the entry budget like it.
     void setMaxBytes(long max_bytes);
 
     /// Drops every entry and in-flight mark, and the held route
@@ -128,43 +130,41 @@ class ScheduleCache
     const CollectiveScheduler &scheduler() const { return scheduler_; }
 
   private:
-    /// Owning map key: the task signature with its own group copy
-    /// (materialized on the miss path only) and its hash.
+    /// The task signature: a flat value (the group is an interned
+    /// handle, so equal content means an equal pointer) with a hash
+    /// computed from the content.
     struct Key
     {
         CollectiveKind kind;
         int tag;
         std::uint64_t bytes_bits;  ///< bit pattern of the double
-        std::vector<DieId> group;
+        const hw::DieGroup *group;
         std::size_t hash;
-    };
 
-    /// Non-owning probe key so the hit path never copies the group.
-    struct KeyView
-    {
-        CollectiveKind kind;
-        int tag;
-        std::uint64_t bytes_bits;
-        const std::vector<DieId> *group;
-        std::size_t hash;
+        bool operator==(const Key &other) const = default;
     };
 
     struct KeyHash
     {
-        using is_transparent = void;
         std::size_t operator()(const Key &key) const { return key.hash; }
-        std::size_t operator()(const KeyView &key) const { return key.hash; }
-    };
-
-    struct KeyEqual
-    {
-        using is_transparent = void;
-        bool operator()(const Key &a, const Key &b) const;
-        bool operator()(const Key &a, const KeyView &b) const;
-        bool operator()(const KeyView &a, const Key &b) const;
     };
 
     using Schedule = std::shared_ptr<const CommSchedule>;
+
+    /// One lowering, shared by the cache entry and its waiters: the
+    /// schedule plus the route storage it reads. Readable once `state`
+    /// leaves kLowering.
+    struct Lowering
+    {
+        static constexpr int kLowering = 0;
+        static constexpr int kReady = 1;
+        static constexpr int kFailed = 2;
+
+        CommSchedule schedule;
+        std::shared_ptr<const RouteEpoch> routes;
+        std::atomic<int> state{kLowering};
+        std::exception_ptr error;  ///< set before kFailed
+    };
 
     /// One slice of the store. Aligned so shards never share a cache
     /// line: the hit path writes its shard's lock and counters only.
@@ -180,11 +180,10 @@ class ScheduleCache
         /// first miss after a clear(); each entry copies the reference,
         /// so a lowering does not take the router's lock.
         std::shared_ptr<const RouteEpoch> routes;
-        common::LruMap<Key, Schedule, KeyHash, KeyEqual> map;
-        /// Keys being lowered, each with the future its waiters read.
-        std::unordered_map<Key, std::shared_future<Schedule>, KeyHash,
-                           KeyEqual>
-            in_flight;
+        common::LruMap<Key, Schedule, KeyHash> map;
+        /// Keys being lowered (at most one per thread, so a scan beats
+        /// a map), each with the lowering its waiters block on.
+        std::vector<std::pair<Key, std::shared_ptr<Lowering>>> in_flight;
         std::atomic<long> lowerings{0};
         std::atomic<long> hits{0};
     };

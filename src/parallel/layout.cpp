@@ -1,5 +1,7 @@
 #include "parallel/layout.hpp"
 
+#include <algorithm>
+
 #include "common/logging.hpp"
 
 namespace temp::parallel {
@@ -30,11 +32,12 @@ GroupLayout::snakeOrder(const hw::MeshTopology &mesh)
 GroupLayout::GroupLayout(const hw::MeshTopology &mesh,
                          const ParallelSpec &spec,
                          std::vector<Axis> inner_to_outer)
-    : GroupLayout(snakeOrder(mesh), spec, std::move(inner_to_outer))
+    : GroupLayout(mesh, snakeOrder(mesh), spec, std::move(inner_to_outer))
 {
 }
 
-GroupLayout::GroupLayout(std::vector<hw::DieId> die_order,
+GroupLayout::GroupLayout(const hw::Topology &fabric,
+                         const std::vector<hw::DieId> &die_order,
                          const ParallelSpec &spec,
                          std::vector<Axis> inner_to_outer)
     : spec_(spec), order_(std::move(inner_to_outer))
@@ -52,81 +55,57 @@ GroupLayout::GroupLayout(std::vector<hw::DieId> die_order,
     active_.assign(die_order.begin(), die_order.begin() + total);
 
     // Strides of each axis in the mixed-radix snake index.
-    std::vector<int> stride(static_cast<std::size_t>(Axis::Count), 1);
+    std::array<int, static_cast<std::size_t>(Axis::Count)> stride{};
     int running = 1;
+    std::size_t group_total = 0;
     for (Axis axis : order_) {
+        const int degree = spec.degree(axis);
         stride[static_cast<std::size_t>(axis)] = running;
-        running *= spec.degree(axis);
+        running *= degree;
+        if (degree > 1)
+            group_total += static_cast<std::size_t>(total / degree);
     }
 
-    int max_die = 0;
-    for (hw::DieId die : die_order)
-        max_die = std::max(max_die, die);
-    groups_.resize(static_cast<std::size_t>(Axis::Count));
-    group_of_.assign(static_cast<std::size_t>(Axis::Count),
-                     std::vector<int>(max_die + 1, -1));
-
+    hw::DieGroupTable &table = fabric.dieGroups();
+    groups_.reserve(group_total);
+    std::vector<hw::DieId> members;
     for (std::size_t ai = 0; ai < static_cast<std::size_t>(Axis::Count);
          ++ai) {
-        const Axis axis = static_cast<Axis>(ai);
-        const int degree = spec.degree(axis);
+        axis_begin_[ai] = static_cast<std::uint32_t>(groups_.size());
+        const int degree = spec.degree(static_cast<Axis>(ai));
         if (degree <= 1)
             continue;
         const int s = stride[ai];
-        const int group_count = total / degree;
-        groups_[ai].reserve(group_count);
         // Enumerate groups: iterate all snake indices whose axis
         // coordinate is zero; the group walks the axis coordinate.
         for (int base = 0; base < total; ++base) {
-            const int coord = (base / s) % degree;
-            if (coord != 0)
+            if ((base / s) % degree != 0)
                 continue;
-            std::vector<hw::DieId> group;
-            group.reserve(degree);
+            members.clear();
             for (int x = 0; x < degree; ++x)
-                group.push_back(active_[base + x * s]);
-            const int gi = static_cast<int>(groups_[ai].size());
-            for (hw::DieId die : group)
-                group_of_[ai][die] = gi;
-            groups_[ai].push_back(std::move(group));
+                members.push_back(active_[base + x * s]);
+            groups_.push_back(table.intern(members));
         }
     }
-}
-
-const std::vector<std::vector<hw::DieId>> &
-GroupLayout::groups(Axis axis) const
-{
-    return groups_[static_cast<std::size_t>(axis)];
+    axis_begin_.back() = static_cast<std::uint32_t>(groups_.size());
 }
 
 const std::vector<hw::DieId> &
 GroupLayout::groupOf(Axis axis, hw::DieId die) const
 {
-    const auto &index = group_of_[static_cast<std::size_t>(axis)];
-    if (die < 0 || die >= static_cast<int>(index.size()) || index[die] < 0)
-        panic("GroupLayout::groupOf: die %d not in a %s group", die,
-              axisName(axis));
-    return groups_[static_cast<std::size_t>(axis)][index[die]];
+    for (const std::vector<hw::DieId> &group : groups(axis))
+        if (std::find(group.begin(), group.end(), die) != group.end())
+            return group;
+    panic("GroupLayout::groupOf: die %d not in a %s group", die,
+          axisName(axis));
 }
 
 long
 GroupLayout::byteEstimate() const
 {
-    long bytes = static_cast<long>(
-        order_.capacity() * sizeof(Axis) +
-        active_.capacity() * sizeof(hw::DieId));
-    for (const auto &axis_groups : groups_) {
-        bytes += static_cast<long>(
-            sizeof(axis_groups) +
-            axis_groups.capacity() * sizeof(std::vector<hw::DieId>));
-        for (const auto &group : axis_groups)
-            bytes += static_cast<long>(group.capacity() *
-                                       sizeof(hw::DieId));
-    }
-    for (const auto &index : group_of_)
-        bytes += static_cast<long>(sizeof(index) +
-                                   index.capacity() * sizeof(int));
-    return bytes;
+    return static_cast<long>(order_.capacity() * sizeof(Axis) +
+                             active_.capacity() * sizeof(hw::DieId) +
+                             groups_.capacity() * sizeof(hw::DieGroup *));
 }
 
 }  // namespace temp::parallel

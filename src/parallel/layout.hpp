@@ -13,6 +13,11 @@
  */
 #pragma once
 
+#include <array>
+#include <cstddef>
+#include <cstdint>
+#include <ranges>
+#include <span>
 #include <vector>
 
 #include "hw/topology.hpp"
@@ -27,7 +32,9 @@ std::vector<Axis> defaultAxisOrder();
  * Assignment of a ParallelSpec's groups to physical dies.
  *
  * The spec's total degree may be smaller than the wafer (surplus dies
- * stay idle); it must never exceed it.
+ * stay idle); it must never exceed it. Groups are interned in the
+ * fabric's dieGroups() table, so a layout holds one handle per group
+ * and its collectives copy no die list.
  */
 class GroupLayout
 {
@@ -41,11 +48,13 @@ class GroupLayout
                 std::vector<Axis> inner_to_outer = defaultAxisOrder());
 
     /**
-     * Layout over an explicit die enumeration (e.g. the snake order
-     * filtered to a fault-free connected component). The first
-     * spec.totalDegree() entries carry work.
+     * Layout over an explicit die enumeration of `fabric` (e.g. the
+     * snake order filtered to a fault-free connected component). The
+     * first spec.totalDegree() entries carry work.
      */
-    GroupLayout(std::vector<hw::DieId> die_order, const ParallelSpec &spec,
+    GroupLayout(const hw::Topology &fabric,
+                const std::vector<hw::DieId> &die_order,
+                const ParallelSpec &spec,
                 std::vector<Axis> inner_to_outer = defaultAxisOrder());
 
     /// Dies in snake order (size = spec.totalDegree()).
@@ -55,11 +64,27 @@ class GroupLayout
     int usedDies() const { return static_cast<int>(active_.size()); }
 
     /**
-     * All groups of one axis. Each group is ordered by the axis
-     * coordinate; group count = totalDegree / degree(axis). For a degree-1
-     * axis this returns an empty vector (no communication groups).
+     * The interned groups of one axis. Each group is ordered by the
+     * axis coordinate; group count = totalDegree / degree(axis). For a
+     * degree-1 axis this is empty (no communication groups).
      */
-    const std::vector<std::vector<hw::DieId>> &groups(Axis axis) const;
+    std::span<const hw::DieGroup *const> handles(Axis axis) const
+    {
+        const auto a = static_cast<std::size_t>(axis);
+        return std::span<const hw::DieGroup *const>(groups_).subspan(
+            axis_begin_[a], axis_begin_[a + 1] - axis_begin_[a]);
+    }
+
+    /// handles(axis), each group viewed as its die-id vector.
+    auto groups(Axis axis) const
+    {
+        return handles(axis) |
+               std::views::transform(
+                   [](const hw::DieGroup *group)
+                       -> const std::vector<hw::DieId> & {
+                       return group->dies;
+                   });
+    }
 
     /// The group of `axis` containing a given die.
     const std::vector<hw::DieId> &groupOf(Axis axis, hw::DieId die) const;
@@ -77,17 +102,19 @@ class GroupLayout
     static std::vector<hw::DieId> snakeOrder(const hw::MeshTopology &mesh);
 
     /// Estimated heap bytes held by this layout (feeds the layout
-    /// cache's byte budget; object size excluded, the cache adds it).
+    /// cache's byte budget; object size excluded, the cache adds it;
+    /// the groups belong to the fabric's table).
     long byteEstimate() const;
 
   private:
     ParallelSpec spec_;
     std::vector<Axis> order_;
     std::vector<hw::DieId> active_;
-    /// groups_[axis] -> list of groups.
-    std::vector<std::vector<std::vector<hw::DieId>>> groups_;
-    /// group_of_[axis][die] -> index into groups_[axis], or -1.
-    std::vector<std::vector<int>> group_of_;
+    /// Every axis's groups, axis by axis: axis a owns
+    /// groups_[axis_begin_[a] .. axis_begin_[a + 1]).
+    std::vector<const hw::DieGroup *> groups_;
+    std::array<std::uint32_t, static_cast<std::size_t>(Axis::Count) + 1>
+        axis_begin_{};
 };
 
 }  // namespace temp::parallel

@@ -31,7 +31,7 @@ OpExecution::collectivePayloadBytes() const
     double total = 0.0;
     auto add = [&total](const std::vector<CollectiveTask> &tasks) {
         for (const CollectiveTask &task : tasks) {
-            const double n = static_cast<double>(task.group.size());
+            const double n = static_cast<double>(task.size());
             if (n <= 1.0)
                 continue;
             switch (task.kind) {
@@ -92,9 +92,34 @@ Partitioner::activationShardFactor(const Operator &op,
 OpExecution
 Partitioner::analyze(const Operator &op, const GroupLayout &layout) const
 {
-    const ParallelSpec &spec = layout.spec();
+    CollectivePlan plan;
+    OpExecution exec = analyzeUnplaced(op, layout.spec(), plan);
+    // Each list is reserved once at its exact size; tasks copy the
+    // layout's group handles, not die lists.
+    for (auto list : {&OpExecution::fwd_collectives,
+                      &OpExecution::bwd_collectives,
+                      &OpExecution::step_collectives,
+                      &OpExecution::overlap_collectives}) {
+        std::size_t count = 0;
+        for (const CollectivePlan::Emission &e : plan.items())
+            if (e.list == list)
+                count += layout.groups(e.axis).size();
+        (exec.*list).reserve(count);
+    }
+    for (const CollectivePlan::Emission &e : plan.items())
+        for (const hw::DieGroup *group : layout.handles(e.axis))
+            (exec.*e.list).push_back(
+                {e.kind, axisTag(e.axis), e.bytes, group});
+    return exec;
+}
+
+OpExecution
+Partitioner::analyzeUnplaced(const Operator &op, const ParallelSpec &spec,
+                             CollectivePlan &plan) const
+{
     OpExecution exec;
     exec.spec = spec;
+    plan.size = 0;
 
     const double d = spec.dp;
     const double f = spec.fsdp;
@@ -170,31 +195,24 @@ Partitioner::analyze(const Operator &op, const GroupLayout &layout) const
     const double in_bytes_group =
         op.inputBytes(options_.act_bytes_per_elem) / batch_split;
 
-    auto emit = [](std::vector<CollectiveTask> &dst, CollectiveKind kind,
-                   const std::vector<std::vector<hw::DieId>> &groups,
-                   double bytes, Axis axis) {
-        if (bytes <= 0.0)
-            return;
-        for (const auto &group : groups) {
-            CollectiveTask task;
-            task.kind = kind;
-            task.group = group;
-            task.bytes = bytes;
-            task.tag = axisTag(axis);
-            dst.push_back(std::move(task));
-        }
+    // Each emission is one collective over every group of an axis.
+    auto emit = [&plan](std::vector<CollectiveTask> OpExecution::*list,
+                        CollectiveKind kind, Axis axis, double bytes) {
+        if (bytes > 0.0)
+            plan.emissions[plan.size++] = {list, kind, axis, bytes};
     };
+    constexpr auto fwd = &OpExecution::fwd_collectives;
+    constexpr auto bwd = &OpExecution::bwd_collectives;
+    constexpr auto step = &OpExecution::step_collectives;
+    constexpr auto overlap = &OpExecution::overlap_collectives;
 
     if (spec.tp > 1) {
-        const auto &tp_groups = layout.groups(Axis::TP);
         if (op.tp_role == TpRole::RowParallel) {
             // Megatron "g" operator: sum partial products forward.
-            emit(exec.fwd_collectives, CollectiveKind::AllReduce, tp_groups,
-                 out_bytes_group, Axis::TP);
+            emit(fwd, CollectiveKind::AllReduce, Axis::TP, out_bytes_group);
         } else if (op.tp_role == TpRole::ColumnParallel) {
             // Megatron "f" operator: reduce input gradients backward.
-            emit(exec.bwd_collectives, CollectiveKind::AllReduce, tp_groups,
-                 in_bytes_group, Axis::TP);
+            emit(bwd, CollectiveKind::AllReduce, Axis::TP, in_bytes_group);
         }
     }
 
@@ -210,16 +228,14 @@ Partitioner::analyze(const Operator &op, const GroupLayout &layout) const
             op.b * op.n * op.k * options_.act_bytes_per_elem /
             (d * f * g * t);
         if (spec.sp > 1) {
-            emit(exec.fwd_collectives, CollectiveKind::AllGather,
-                 layout.groups(Axis::SP), kv_operand_bytes / (s * c),
-                 Axis::SP);
-            emit(exec.bwd_collectives, CollectiveKind::ReduceScatter,
-                 layout.groups(Axis::SP), kv_operand_bytes / c, Axis::SP);
+            emit(fwd, CollectiveKind::AllGather, Axis::SP,
+                 kv_operand_bytes / (s * c));
+            emit(bwd, CollectiveKind::ReduceScatter, Axis::SP,
+                 kv_operand_bytes / c);
         }
         if (spec.cp > 1) {
-            emit(exec.overlap_collectives, CollectiveKind::AllGather,
-                 layout.groups(Axis::CP), kv_operand_bytes / (s * c),
-                 Axis::CP);
+            emit(overlap, CollectiveKind::AllGather, Axis::CP,
+                 kv_operand_bytes / (s * c));
         }
     }
 
@@ -228,14 +244,10 @@ Partitioner::analyze(const Operator &op, const GroupLayout &layout) const
         // reduce-scatter the gradients at step end.
         const double weight_shard_bytes =
             op.n * op.k * options_.weight_bytes_per_elem / (t * g * f);
-        emit(exec.fwd_collectives, CollectiveKind::AllGather,
-             layout.groups(Axis::FSDP), weight_shard_bytes, Axis::FSDP);
-        emit(exec.bwd_collectives, CollectiveKind::AllGather,
-             layout.groups(Axis::FSDP), weight_shard_bytes, Axis::FSDP);
-        emit(exec.step_collectives, CollectiveKind::ReduceScatter,
-             layout.groups(Axis::FSDP),
-             op.n * op.k * options_.grad_bytes_per_elem / (t * g),
-             Axis::FSDP);
+        emit(fwd, CollectiveKind::AllGather, Axis::FSDP, weight_shard_bytes);
+        emit(bwd, CollectiveKind::AllGather, Axis::FSDP, weight_shard_bytes);
+        emit(step, CollectiveKind::ReduceScatter, Axis::FSDP,
+             op.n * op.k * options_.grad_bytes_per_elem / (t * g));
         // Transient full-weight buffer while the op executes.
         exec.comm_buffer_bytes +=
             op.n * op.k * options_.weight_bytes_per_elem / (t * g) *
@@ -251,8 +263,7 @@ Partitioner::analyze(const Operator &op, const GroupLayout &layout) const
         for (Axis axis : {Axis::DP, Axis::SP, Axis::CP}) {
             if (spec.degree(axis) <= 1)
                 continue;
-            emit(exec.step_collectives, CollectiveKind::AllReduce,
-                 layout.groups(axis), grad_shard_bytes, axis);
+            emit(step, CollectiveKind::AllReduce, axis, grad_shard_bytes);
         }
     }
 

@@ -15,6 +15,9 @@
  */
 #pragma once
 
+#include <array>
+#include <cstddef>
+#include <span>
 #include <vector>
 
 #include "mem/memory_ledger.hpp"
@@ -114,6 +117,34 @@ struct OpExecution
 /// Communication tags used to attribute flows to parallel axes.
 int axisTag(Axis axis);
 
+/**
+ * The collectives one operator induces under a spec, before placement:
+ * each emission is `kind` over every group of `axis`, bound for one of
+ * OpExecution's four task lists. analyze() expands them over a
+ * layout's groups; volume estimates read them without placing
+ * anything.
+ */
+struct CollectivePlan
+{
+    struct Emission
+    {
+        std::vector<net::CollectiveTask> OpExecution::*list;
+        net::CollectiveKind kind;
+        Axis axis;
+        double bytes;
+    };
+
+    /// Ten at most: one TP all-reduce, SP's gather and scatter, CP's
+    /// gather, FSDP's three, and the DP/SP/CP gradient all-reduces.
+    std::array<Emission, 10> emissions{};
+    std::size_t size = 0;
+
+    std::span<const Emission> items() const
+    {
+        return {emissions.data(), size};
+    }
+};
+
 /// The partitioner: stateless analysis of (operator, spec, layout).
 class Partitioner
 {
@@ -128,6 +159,15 @@ class Partitioner
      */
     OpExecution analyze(const model::Operator &op,
                         const GroupLayout &layout) const;
+
+    /**
+     * analyze() without a layout: every per-die quantity and the TATP
+     * stream, with the collectives left as `plan` (the four task
+     * lists stay empty).
+     */
+    OpExecution analyzeUnplaced(const model::Operator &op,
+                                const ParallelSpec &spec,
+                                CollectivePlan &plan) const;
 
     const TrainingOptions &options() const { return options_; }
 

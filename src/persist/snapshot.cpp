@@ -157,18 +157,20 @@ putCell(ByteWriter &w, const CellEntry &entry)
         w.u32(static_cast<std::uint32_t>(task.kind));
         w.i32(task.tag);
         w.f64(task.bytes);
-        w.u32(static_cast<std::uint32_t>(task.group.size()));
-        for (hw::DieId die : task.group)
+        w.u32(static_cast<std::uint32_t>(task.size()));
+        for (hw::DieId die : task.group->dies)
             w.i32(die);
     }
 }
 
-/// Decodes one cell; a collective kind past the last one, a negative
-/// die id or a MemClass-count mismatch poisons the reader.
+/// Decodes one cell, interning its step tasks' die lists in `groups`;
+/// a collective kind past the last one, a negative die id or a
+/// MemClass-count mismatch poisons the reader.
 CellEntry
-getCell(ByteReader &r)
+getCell(ByteReader &r, hw::DieGroupTable &groups)
 {
-    cost::OpCellKey key;
+    CellEntry entry;
+    cost::OpCellKey &key = entry.first;
     key.graph_fp = r.u64();
     key.op_index = r.i32();
     parallel::ParallelSpec &spec = key.spec;
@@ -176,7 +178,7 @@ getCell(ByteReader &r)
                         &spec.tatp, &spec.pp})
         *degree = r.i32();
     spec.coupled_sp = r.u8() != 0;
-    cost::OpCell cell;
+    cost::OpCell &cell = entry.second;
     cell.breakdown = getBreakdown(r);
     getDoubles(r, cellDoubles(cell));
     cell.step.schedule_lowerings = r.i64();
@@ -185,6 +187,9 @@ getCell(ByteReader &r)
     const std::uint32_t n_tasks = r.u32();
     if (!plausibleCount(n_tasks, 4 + 4 + 8 + 4, r))
         r.fail();
+    else
+        cell.step_tasks.reserve(n_tasks);
+    std::vector<hw::DieId> dies;
     for (std::uint32_t t = 0; t < n_tasks && r.ok(); ++t) {
         net::CollectiveTask task;
         const std::uint32_t kind = r.u32();
@@ -196,15 +201,17 @@ getCell(ByteReader &r)
         const std::uint32_t n_dies = r.u32();
         if (!plausibleCount(n_dies, 4, r))
             r.fail();
+        dies.clear();
         for (std::uint32_t d = 0; d < n_dies && r.ok(); ++d) {
             const hw::DieId die = r.i32();
             if (die < 0)
                 r.fail();
-            task.group.push_back(die);
+            dies.push_back(die);
         }
-        cell.step_tasks.push_back(std::move(task));
+        task.group = groups.intern(dies);
+        cell.step_tasks.push_back(task);
     }
-    return {key, std::move(cell)};
+    return entry;
 }
 
 void
@@ -292,10 +299,10 @@ encodeEntries(const std::vector<Entry> &entries,
 /// Decodes one section into `entries`. A count the payload cannot hold
 /// (no entry is shorter than `min_entry_bytes`), a poisoned entry or
 /// trailing bytes fail it.
-template <typename Entry>
+template <typename Entry, typename Get>
 bool
 decodeEntries(ByteReader &r, std::uint32_t tag, std::size_t min_entry_bytes,
-              Entry (*get)(ByteReader &), std::vector<Entry> &entries)
+              Get get, std::vector<Entry> &entries)
 {
     ByteReader section = getSection(r, tag);
     const std::uint64_t count = section.u64();
@@ -311,12 +318,15 @@ bool
 decodeBlock(ByteReader &r, MemoBlock *block)
 {
     block->framework_key = r.str();
+    block->groups = std::make_shared<hw::DieGroupTable>();
+    hw::DieGroupTable &groups = *block->groups;
     // A cell is at least its key, breakdown, fixed fields and two
     // counts; a step entry at least its key's length, flags and a
     // handful of doubles.
     return decodeEntries(r, kTagCells,
                          8 + 4 + 7 * 4 + 1 + (1 + 14 * 8) + 8 * 8 + 2 * 4,
-                         getCell, block->cells) &&
+                         [&](ByteReader &in) { return getCell(in, groups); },
+                         block->cells) &&
            decodeEntries(r, kTagStepReports, 4 + 3 + 10 * 8, getStep,
                          block->step_reports);
 }

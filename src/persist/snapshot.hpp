@@ -43,6 +43,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -63,6 +64,15 @@ struct MemoBlock
     std::string framework_key;
     /// Op-cell memo: (graph fingerprint, op, spec) -> cell, by value.
     std::vector<std::pair<cost::OpCellKey, cost::OpCell>> cells;
+    /**
+     * The die groups the cells' step tasks name. Groups are interned
+     * per topology (hw/die_group.hpp) and a block outlives any wafer,
+     * so a block owns its own table, shared by its copies: decode
+     * interns each die list there, and the import re-interns each
+     * distinct group once into the importing wafer's table. Null when
+     * no cell has a step task.
+     */
+    std::shared_ptr<hw::DieGroupTable> groups;
     /// StepEvaluator memo: stepKey -> report, by value.
     std::vector<std::pair<std::string, sim::PerfReport>> step_reports;
 

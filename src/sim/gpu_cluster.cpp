@@ -27,12 +27,12 @@ GpuClusterSimulator::collectiveTime(const net::CollectiveTask &task) const
     // group, which interleaves across nodes) rides the inter-node tier.
     const bool intra_node =
         task.tag == parallel::axisTag(parallel::Axis::TP) &&
-        static_cast<int>(task.group.size()) <= config_.gpus_per_node;
+        static_cast<int>(task.size()) <= config_.gpus_per_node;
     const double bw = intra_node
                           ? config_.nic_bandwidth_bytes_per_s
                           : config_.inter_node_bandwidth_bytes_per_s;
     return net::collectiveLowerBoundTime(
-        task.kind, static_cast<int>(task.group.size()), task.bytes, bw,
+        task.kind, static_cast<int>(task.size()), task.bytes, bw,
         config_.nic_latency_s);
 }
 

@@ -173,7 +173,11 @@ TrainingSimulator::simulateMicro(const model::ComputeGraph &graph,
     double layer_reshard = 0.0;
     mem::MemoryFootprint static_mem;  // weights/grads/optimizer/buffers
     double act_per_layer = 0.0;       // activations stored per layer
-    std::vector<net::CollectiveTask> step_tasks;
+    // The layer's step tasks, merged into a per-thread buffer: tasks
+    // are flat values, so the merge copies no die list and, once the
+    // buffer has grown, allocates nothing.
+    thread_local std::vector<net::CollectiveTask> step_tasks;
+    step_tasks.clear();
 
     // Each (op, spec) cell comes from the cost model's cell memo, which
     // the DP matrix fills too, so a cell is costed once per fault state
@@ -184,10 +188,9 @@ TrainingSimulator::simulateMicro(const model::ComputeGraph &graph,
     // the plan: feasibility early-outs, footprints, step-task
     // collection and resharding.
     const std::uint64_t graph_fp = model::graphFingerprint(graph);
-    std::vector<cost::OpCostBreakdown> cells;
-    cells.reserve(graph.opCount());
+    thread_local std::vector<cost::OpCostBreakdown> cells;
+    cells.clear();
     double first_activation_bytes = 0.0;
-    // A breadth-first search over the fault map: once per call.
     const int usable_dies = wafer_.usableDieCount();
 
     for (int i = 0; i < graph.opCount(); ++i) {

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <map>
 #include <span>
 
 #include "common/logging.hpp"
@@ -27,7 +26,7 @@ OptimizationStats
 TrafficOptimizer::optimize(net::CommSchedule &schedule) const
 {
     OptimizationStats total;
-    // The arena is rebuilt run by run through a reused scratch vector:
+    // The arena is rebuilt run by run through a per-thread scratch vector:
     // path merging can change a round's flow count, so rounds cannot be
     // rewritten in place. Flows are trivially copyable (a route is a
     // non-owning handle), so the copies write no shared state.
@@ -38,7 +37,7 @@ TrafficOptimizer::optimize(net::CommSchedule &schedule) const
     rebuilt.payload_bytes = schedule.payload_bytes;
     rebuilt.feasible = schedule.feasible;
     rebuilt.reserve(schedule.flows().size(), schedule.runCount());
-    std::vector<net::Flow> scratch;
+    thread_local std::vector<net::Flow> scratch;
     for (int i = 0; i < schedule.runCount(); ++i) {
         const std::span<const net::Flow> run = schedule.run(i);
         const std::uint32_t repeat = schedule.repeat(i);
@@ -72,8 +71,9 @@ TrafficOptimizer::optimizePhase(std::vector<Flow> &flows) const
         return stats;
 
     // Phase 1 happened upstream (flows carry initial routes). Build the
-    // load picture.
-    LinkLoadMap loads(router_.topology().linkCount());
+    // load picture in a per-thread map reused across phases.
+    thread_local LinkLoadMap loads(0);
+    loads.reset(router_.topology().linkCount());
     for (const Flow &flow : flows)
         loads.add(flow.route, flow.bytes);
 
@@ -109,21 +109,19 @@ TrafficOptimizer::mergeDuplicates(std::vector<Flow> &flows,
     // Duplicate payloads: same source, tag and size crossing the
     // bottleneck toward different destinations (e.g. a broadcast that
     // was lowered to unicasts). Fold them into one multicast tree.
-    struct Key
+    // Bucketed by sorting a per-thread list of (key, flow) entries:
+    // buckets come out in key order with ascending flow indices, and
+    // the reused lists allocate nothing once grown.
+    struct Entry
     {
         hw::DieId src;
         int tag;
         long long bytes_q;
-        bool operator<(const Key &o) const
-        {
-            if (src != o.src)
-                return src < o.src;
-            if (tag != o.tag)
-                return tag < o.tag;
-            return bytes_q < o.bytes_q;
-        }
+        std::size_t flow;
+        auto operator<=>(const Entry &) const = default;
     };
-    std::map<Key, std::vector<std::size_t>> buckets;
+    thread_local std::vector<Entry> entries;
+    entries.clear();
     for (std::size_t i = 0; i < flows.size(); ++i) {
         const Flow &f = flows[i];
         const auto &links = f.route.links();
@@ -131,36 +129,49 @@ TrafficOptimizer::mergeDuplicates(std::vector<Flow> &flows,
             std::find(links.begin(), links.end(), mcl) != links.end();
         if (!crosses)
             continue;
-        buckets[Key{f.src, f.tag,
-                    static_cast<long long>(f.bytes)}].push_back(i);
+        entries.push_back({f.src, f.tag, static_cast<long long>(f.bytes), i});
     }
+    std::sort(entries.begin(), entries.end());
 
     int merges = 0;
-    std::vector<std::size_t> to_remove;
-    std::vector<Flow> to_add;
-    for (const auto &[key, idxs] : buckets) {
-        if (idxs.size() < 2)
+    thread_local std::vector<std::size_t> to_remove;
+    thread_local std::vector<Flow> to_add;
+    thread_local std::vector<hw::DieId> leaves;
+    to_remove.clear();
+    to_add.clear();
+    for (std::size_t begin = 0, end = 0; begin < entries.size();
+         begin = end) {
+        const Entry &key = entries[begin];
+        for (end = begin + 1; end < entries.size(); ++end) {
+            const Entry &e = entries[end];
+            if (e.src != key.src || e.tag != key.tag ||
+                e.bytes_q != key.bytes_q)
+                break;
+        }
+        if (end - begin < 2)
             continue;
+        const std::span<const Entry> bucket(entries.data() + begin,
+                                            end - begin);
         // Build a multicast tree covering all destinations.
-        std::vector<hw::DieId> leaves;
-        for (std::size_t i : idxs)
-            leaves.push_back(flows[i].dst);
+        leaves.clear();
+        for (const Entry &e : bucket)
+            leaves.push_back(flows[e.flow].dst);
         const net::MulticastTree tree =
             net::buildMulticastTree(router_, key.src, leaves);
         if (!tree.complete)
             continue;  // faults block a fault-free tree; keep unicasts
         // Tree payload: one copy per tree link instead of one per flow.
-        const double bytes = flows[idxs[0]].bytes;
+        const double bytes = flows[key.flow].bytes;
         double before = 0.0;
-        for (std::size_t i : idxs)
-            before += bytes * flows[i].route.hops();
+        for (const Entry &e : bucket)
+            before += bytes * flows[e.flow].route.hops();
         const double after = bytes * static_cast<double>(tree.links.size());
         if (after >= before)
             continue;  // no savings; keep unicasts
 
-        for (std::size_t i : idxs) {
-            loads.remove(flows[i].route, flows[i].bytes);
-            to_remove.push_back(i);
+        for (const Entry &e : bucket) {
+            loads.remove(flows[e.flow].route, flows[e.flow].bytes);
+            to_remove.push_back(e.flow);
         }
         for (hw::LinkId link : tree.links) {
             Flow branch;
@@ -190,8 +201,9 @@ TrafficOptimizer::rerouteCongested(std::vector<Flow> &flows,
                                    LinkLoadMap &loads, hw::LinkId mcl) const
 {
     // Collect flows crossing the bottleneck, largest first (moving big
-    // flows helps most).
-    std::vector<std::size_t> hot;
+    // flows helps most), in a per-thread list.
+    thread_local std::vector<std::size_t> hot;
+    hot.clear();
     for (std::size_t i = 0; i < flows.size(); ++i) {
         const auto &links = flows[i].route.links();
         if (std::find(links.begin(), links.end(), mcl) != links.end())

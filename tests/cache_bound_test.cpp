@@ -410,7 +410,8 @@ TEST(CacheBound, ScheduleCacheStatsSnapshotsAreConsistentUnderLoad)
             for (int i = 0; i < kLookupsPerThread; ++i) {
                 net::CollectiveTask task;
                 task.kind = net::CollectiveKind::AllReduce;
-                task.group = {0, 1, 2, 3};
+                task.group = wafer.topology().dieGroups().intern(
+                    std::vector<hw::DieId>{0, 1, 2, 3});
                 task.bytes = 1e6;
                 task.tag = (t + i) % kUniqueTasks;
                 cache.lowered(task);
@@ -482,10 +483,12 @@ TEST(CacheBound, BoundedScheduleCacheEvictsWithinEpochBitExactly)
 
     std::vector<net::CollectiveTask> tasks;
     for (int size : {2, 4, 8, 16}) {
+        std::vector<hw::DieId> group;
+        for (int i = 0; i < size; ++i)
+            group.push_back(i);
         net::CollectiveTask task;
         task.kind = net::CollectiveKind::AllReduce;
-        for (int i = 0; i < size; ++i)
-            task.group.push_back(i);
+        task.group = wafer.topology().dieGroups().intern(group);
         task.bytes = 1e6 * size;
         tasks.push_back(std::move(task));
     }

@@ -5,6 +5,9 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "common/rng.hpp"
 #include "hw/config.hpp"
 #include "hw/fault.hpp"
@@ -247,6 +250,59 @@ TEST(Wafer, SignalIntegrityForbidsLongLinks)
     EXPECT_TRUE(wafer.directLinkFeasible(mesh.dieAt(0, 0), mesh.dieAt(1, 0)));
     EXPECT_FALSE(wafer.directLinkFeasible(mesh.dieAt(0, 0), mesh.dieAt(1, 1)));
     EXPECT_FALSE(wafer.directLinkFeasible(mesh.dieAt(0, 0), mesh.dieAt(0, 7)));
+}
+
+TEST(DieGroups, EqualContentInternsToOneHandle)
+{
+    const MeshTopology mesh(4, 8);
+    DieGroupTable &table = mesh.dieGroups();
+    const std::vector<DieId> dies{0, 1, 2, 3};
+    const DieGroup *a = table.intern(dies);
+    EXPECT_EQ(table.intern(std::vector<DieId>{0, 1, 2, 3}), a);
+    EXPECT_EQ(a->dies, dies);
+    EXPECT_EQ(a->hash, dieGroupHash(dies));
+    EXPECT_EQ(a->table, &table);
+    // Order is content: a reversed ring is another group.
+    const DieGroup *b = table.intern(std::vector<DieId>{3, 2, 1, 0});
+    EXPECT_NE(b, a);
+    EXPECT_EQ(a->index, 0u);
+    EXPECT_EQ(b->index, 1u);
+    EXPECT_EQ(table.size(), 2u);
+    // Each topology owns its table; the content hash does not move.
+    const MeshTopology other(4, 8);
+    const DieGroup *c = other.dieGroups().intern(dies);
+    EXPECT_NE(c, a);
+    EXPECT_EQ(c->hash, a->hash);
+}
+
+TEST(DieGroups, FaultChangesNeverClearTheTable)
+{
+    Wafer wafer(WaferConfig::paperDefault());
+    const DieGroup *group =
+        wafer.topology().dieGroups().intern(std::vector<DieId>{4, 5});
+    FaultMap faults(wafer.dieCount(), wafer.topology().linkCount());
+    faults.failLink(wafer.topology().linkId(4, 5));
+    wafer.setFaults(faults);
+    EXPECT_EQ(wafer.topology().dieGroups().intern(std::vector<DieId>{4, 5}),
+              group);
+    EXPECT_EQ(group->dies, (std::vector<DieId>{4, 5}));
+}
+
+TEST(Wafer, UsableDiesAreStoredAndFollowSetFaults)
+{
+    Wafer wafer(WaferConfig::paperDefault());
+    const std::vector<DieId> &usable = wafer.usableDies();
+    EXPECT_EQ(&wafer.usableDies(), &usable);  // no recomputation
+    EXPECT_EQ(wafer.usableDieCount(), 32);
+
+    FaultMap faults(wafer.dieCount(), wafer.topology().linkCount());
+    faults.setCoreFaultFraction(7, 1.0);
+    wafer.setFaults(faults);
+    EXPECT_EQ(wafer.usableDieCount(), 31);
+    EXPECT_EQ(std::count(usable.begin(), usable.end(), 7), 0);
+
+    wafer.setFaults(FaultMap(wafer.dieCount(), wafer.topology().linkCount()));
+    EXPECT_EQ(wafer.usableDieCount(), 32);
 }
 
 }  // namespace

@@ -273,14 +273,15 @@ TEST(EvalWidth, TableTwoAnswersAreBitIdenticalAcrossEvalThreads)
 {
     // Every Table II model under every level-2 engine, solved cold on
     // a fresh framework at 1, 2 and 4 eval threads: the plan, the
-    // exact step time, the full report and the work counters
-    // must not see the width.
+    // exact step time, the full report, the work counters and the
+    // whole EvalStats (layout hits included) must not see the width.
     for (const model::ModelConfig &model : model::evaluationModels()) {
         for (solver::SearchEngineKind engine :
              {solver::SearchEngineKind::NoRefine,
               solver::SearchEngineKind::Genetic,
               solver::SearchEngineKind::BeamTabu}) {
             std::vector<solver::SolverResult> results;
+            std::vector<std::string> eval_stats;
             for (int threads : {1, 2, 4}) {
                 core::FrameworkOptions options;
                 options.eval_threads = threads;
@@ -288,6 +289,8 @@ TEST(EvalWidth, TableTwoAnswersAreBitIdenticalAcrossEvalThreads)
                 const core::TempFramework framework(
                     hw::WaferConfig::paperDefault(), options);
                 results.push_back(framework.optimize(model));
+                eval_stats.push_back(
+                    api::toJson(framework.evaluatorStats()));
             }
             const std::string label =
                 model.name + " / " + solver::searchEngineName(engine);
@@ -309,6 +312,7 @@ TEST(EvalWidth, TableTwoAnswersAreBitIdenticalAcrossEvalThreads)
                 EXPECT_EQ(results[r].matrix_measurements,
                           results[0].matrix_measurements)
                     << label;
+                EXPECT_EQ(eval_stats[r], eval_stats[0]) << label;
             }
         }
     }

@@ -7,6 +7,8 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <thread>
+#include <vector>
 
 #include "hw/topology.hpp"
 #include "model/graph.hpp"
@@ -201,7 +203,7 @@ TEST_F(PartitionerTest, TpShardsWeightsAndReducesRowParallelOutput)
     // Row-parallel forward all-reduce over the (single active) TP group.
     ASSERT_EQ(exec.fwd_collectives.size(), 1u);
     EXPECT_EQ(exec.fwd_collectives[0].kind, net::CollectiveKind::AllReduce);
-    EXPECT_EQ(exec.fwd_collectives[0].group.size(), 8u);
+    EXPECT_EQ(exec.fwd_collectives[0].size(), 8u);
     EXPECT_DOUBLE_EQ(exec.fwd_collectives[0].bytes, op.outputBytes());
 }
 
@@ -396,6 +398,42 @@ TEST(Reshard, MismatchedSpecsMoveData)
     EXPECT_GT(bytes, 0.0);
     // Bounded by the producer's full output per die.
     EXPECT_LE(bytes, graph.op(1).outputBytes());
+}
+
+TEST(Layout, ConcurrentLayoutBuildsInternTheSameGroups)
+{
+    // Four threads place the same specs on one mesh at once: every
+    // group is interned once, each thread sees the same handles, and
+    // the table holds what one serial pass builds (TSan watches how
+    // the table publishes new entries).
+    const MeshTopology mesh(4, 8);
+    const std::vector<ParallelSpec> specs{spec(2, 2, 1, 8), spec(4, 2, 1, 4),
+                                          spec(2, 4, 1, 4), spec(8, 4, 1, 1),
+                                          spec(1, 2, 1, 16)};
+    constexpr int kThreads = 4;
+    std::vector<std::vector<const hw::DieGroup *>> seen(kThreads);
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t)
+        threads.emplace_back([&, t] {
+            for (int rep = 0; rep < 20; ++rep)
+                for (const ParallelSpec &s : specs) {
+                    const GroupLayout layout(mesh, s);
+                    for (Axis axis : defaultAxisOrder())
+                        for (const hw::DieGroup *group :
+                             layout.handles(axis))
+                            if (rep == 0)
+                                seen[t].push_back(group);
+                }
+        });
+    for (std::thread &thread : threads)
+        thread.join();
+    for (int t = 1; t < kThreads; ++t)
+        EXPECT_EQ(seen[t], seen[0]);
+
+    const MeshTopology serial(4, 8);
+    for (const ParallelSpec &s : specs)
+        (void)GroupLayout(serial, s);
+    EXPECT_EQ(mesh.dieGroups().size(), serial.dieGroups().size());
 }
 
 }  // namespace

@@ -27,11 +27,12 @@ namespace temp::net {
 namespace {
 
 CollectiveTask
-allReduceTask(std::vector<DieId> group, double bytes, int tag = 0)
+allReduceTask(const hw::Topology &fabric, const std::vector<DieId> &group,
+              double bytes, int tag = 0)
 {
     CollectiveTask task;
     task.kind = CollectiveKind::AllReduce;
-    task.group = std::move(group);
+    task.group = fabric.dieGroups().intern(group);
     task.bytes = bytes;
     task.tag = tag;
     return task;
@@ -44,7 +45,8 @@ TEST(ScheduleCache, CountsLoweringsAndHitsHonestly)
     CollectiveScheduler scheduler(router);
     ScheduleCache cache(scheduler);
 
-    const CollectiveTask task = allReduceTask({0, 1, 2, 3}, 4e6);
+    const CollectiveTask task =
+        allReduceTask(wafer.topology(), {0, 1, 2, 3}, 4e6);
     bool hit = true;
     const auto first = cache.lowered(task, &hit);
     EXPECT_FALSE(hit);
@@ -60,7 +62,7 @@ TEST(ScheduleCache, CountsLoweringsAndHitsHonestly)
     EXPECT_EQ(cache.size(), 1u);
 
     // A different signature (bytes) is its own entry.
-    cache.lowered(allReduceTask({0, 1, 2, 3}, 8e6));
+    cache.lowered(allReduceTask(wafer.topology(), {0, 1, 2, 3}, 8e6));
     EXPECT_EQ(cache.stats().lowerings, 2);
     EXPECT_EQ(cache.size(), 2u);
 }
@@ -77,7 +79,8 @@ TEST(ScheduleCache, CachedScheduleTimesBitExactly)
         std::vector<DieId> group;
         for (int i = 0; i < size; ++i)
             group.push_back(i);
-        const CollectiveTask task = allReduceTask(group, 1e6 * size);
+        const CollectiveTask task =
+            allReduceTask(wafer.topology(), group, 1e6 * size);
 
         const CommSchedule fresh = scheduler.schedule(task);
         const auto cached = cache.lowered(task);
@@ -107,7 +110,8 @@ TEST(ScheduleCache, FaultInjectionBumpsEpochAndInvalidates)
         router.newEpoch();
     });
 
-    const CollectiveTask task = allReduceTask({0, 1, 2, 3}, 4e6);
+    const CollectiveTask task =
+        allReduceTask(wafer.topology(), {0, 1, 2, 3}, 4e6);
     const auto healthy = cache.lowered(task);
     EXPECT_TRUE(healthy->feasible);
 
@@ -147,7 +151,7 @@ TEST(ScheduleCache, CostModelReactsToLiveFaultInjection)
     cost::WaferCostModel model(
         wafer, tcme::MappingPolicy{tcme::MappingEngineKind::TCME});
     const std::vector<CollectiveTask> tasks{
-        allReduceTask({0, 1, 2, 3}, 64e6)};
+        allReduceTask(wafer.topology(), {0, 1, 2, 3}, 64e6)};
 
     const PhaseTiming healthy = model.timeCollectiveTasks(tasks);
     const net::ScheduleCacheStats before = model.scheduleStats();
@@ -246,9 +250,9 @@ lookUpConcurrently(ScheduleCache &cache, int unique, int lookups)
         threads.emplace_back([&, t] {
             for (int i = 0; i < lookups; ++i) {
                 const int k = (i + 7 * t) % unique;
-                const auto schedule = cache.lowered(
-                    allReduceTask({0, 1, 2, 3, 4, 5}, 1e6 * (1 + k % 3),
-                                  k));
+                const auto schedule = cache.lowered(allReduceTask(
+                    cache.scheduler().router().topology(),
+                    {0, 1, 2, 3, 4, 5}, 1e6 * (1 + k % 3), k));
                 ASSERT_TRUE(schedule->feasible);
             }
         });
@@ -301,8 +305,8 @@ TEST(RouteEpochs, CachedScheduleStaysReadableAfterSetFaults)
         cache.clear();
         router.newEpoch();
     });
-    const CollectiveTask task =
-        allReduceTask({0, 1, 2, 3, 11, 10, 9, 8}, 8e6);
+    const CollectiveTask task = allReduceTask(
+        wafer.topology(), {0, 1, 2, 3, 11, 10, 9, 8}, 8e6);
     std::shared_ptr<const CommSchedule> held =
         cache.lowered(task);
     std::vector<std::vector<LinkId>> expected;
