@@ -239,9 +239,10 @@ namespace {
  * The schedule-cache section: the network layer under everything. A
  * cold solve lowers each distinct collective task once and serves the
  * rest from the content-keyed net::ScheduleCache (>50% hit rate by the
- * time the matrix, seeding and refiner have run); a repeat solve
- * re-lowers nothing because the breakdown/step memos absorb the
- * queries and charge their schedule work as hits.
+ * time the matrix, seeding and refiner have run); the counts are the
+ * cache's own, read across the solve. A repeat solve reaches the cache
+ * not at all (0 lowerings, 0 hits, rate 0): the cell, phase and step
+ * memos above it answer every query.
  */
 void
 scheduleCacheSection(const char *name)

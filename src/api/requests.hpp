@@ -202,12 +202,14 @@ struct Response
     long quanta_used = 0;
     /// @}
     /// Cumulative evaluator counters of the serving framework, read
-    /// after the request (Optimize/Baseline/Strategy/Fault kinds).
+    /// after the request (Optimize/Baseline/Strategy/Fault kinds); the
+    /// schedule_* pair is the framework's schedule-cache counters.
     /// Note: per-solve deltas (SolverResult's matrix_measurements /
-    /// cache_hits) are exact when requests against one framework do
-    /// not overlap in time; concurrent solves on the same framework
-    /// blur each other's deltas (results stay bit-identical — the
-    /// shared cache is additive — only the counters interleave).
+    /// cache_hits / schedule_lowerings / schedule_cache_hits) are
+    /// exact when requests against one framework do not overlap in
+    /// time; concurrent solves on the same framework blur each other's
+    /// deltas (results stay bit-identical — the shared caches are
+    /// additive — only the counters interleave).
     eval::EvalStats evaluator_stats;
     /// Cumulative full-step simulation counters of the serving
     /// framework's StepEvaluator (same caveats as evaluator_stats);

@@ -265,8 +265,6 @@ toJson(const eval::StepStats &stats)
     return JsonObject()
         .add("sims", stats.sims)
         .add("cache_hits", stats.cache_hits)
-        .add("schedule_lowerings", stats.schedule_lowerings)
-        .add("schedule_cache_hits", stats.schedule_cache_hits)
         .add("evictions", stats.evictions)
         .str();
 }

@@ -10,9 +10,10 @@
  * header owns the shared machinery that bounds them:
  *
  *  - LruMap: the unsynchronized LRU core (hash map + intrusive
- *    recency list) for caches that already run under their own lock
- *    (each ScheduleCache shard). Supports heterogeneous probes
- *    (transparent Hash/Equal) and a byte estimator.
+ *    recency list, kept only under a budget) for caches that already
+ *    run under their own lock (each ScheduleCache shard). Supports
+ *    heterogeneous probes (transparent Hash/Equal) and a byte
+ *    estimator.
  *  - BoundedCache: a thread-safe facade over one LruMap (one
  *    shared_mutex). Unbounded lookups take the lock
  *    shared and touch nothing, so a capacity of 0 — the default
@@ -40,6 +41,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <iterator>
 #include <list>
 #include <memory>
 #include <mutex>
@@ -126,7 +128,10 @@ cacheByteEstimate(const std::string &s)
 
 /**
  * The unsynchronized LRU core: an unordered map plus an intrusive
- * recency list of pointers into the map's (node-stable) keys. For use
+ * recency list of pointers into the map's (node-stable) keys. Only a
+ * bounded map keeps the list: an unbounded one never evicts, so it
+ * allocates no list node and refreshes no recency, and a budget that
+ * first applies lists the resident entries in map order. For use
  * under an external lock; BoundedCache wraps it for stand-alone
  * thread-safe use.
  */
@@ -138,19 +143,14 @@ class LruMap
     explicit LruMap(std::size_t capacity = 0) : capacity_(capacity) {}
 
     /// Entry budget; 0 = unbounded. Shrinking evicts immediately.
-    void setCapacity(std::size_t capacity)
-    {
-        capacity_ = capacity;
-        evictOverBudget();
-    }
+    void setCapacity(std::size_t capacity) { rebudget(capacity, max_bytes_); }
     std::size_t capacity() const { return capacity_; }
 
     /// Byte budget over bytes_est; 0 = unbounded. Composes with the
     /// entry budget: the map evicts while over either.
     void setMaxBytes(long max_bytes)
     {
-        max_bytes_ = max_bytes > 0 ? max_bytes : 0;
-        evictOverBudget();
+        rebudget(capacity_, max_bytes > 0 ? max_bytes : 0);
     }
     long maxBytes() const { return max_bytes_; }
 
@@ -184,7 +184,8 @@ class LruMap
         auto it = map_.find(key);
         if (it == map_.end())
             return nullptr;
-        lru_.splice(lru_.begin(), lru_, it->second.pos);
+        if (bounded())
+            lru_.splice(lru_.begin(), lru_, it->second.pos);
         return &it->second.value;
     }
 
@@ -200,12 +201,15 @@ class LruMap
     {
         auto [it, inserted] = map_.try_emplace(std::move(key));
         if (!inserted) {
-            lru_.splice(lru_.begin(), lru_, it->second.pos);
+            if (bounded())
+                lru_.splice(lru_.begin(), lru_, it->second.pos);
             return {&it->second.value, false};
         }
         it->second.value = std::move(value);
-        lru_.push_front(&it->first);
-        it->second.pos = lru_.begin();
+        if (bounded()) {
+            lru_.push_front(&it->first);
+            it->second.pos = lru_.begin();
+        }
         it->second.bytes = estimate_
                                ? estimate_(it->first, it->second.value)
                                : cacheByteEstimate(it->first) +
@@ -235,9 +239,28 @@ class LruMap
     struct Entry
     {
         Value value{};
-        typename std::list<const Key *>::iterator pos;
+        typename std::list<const Key *>::iterator pos;  ///< when bounded
         long bytes = 0;
     };
+
+    /// Applies both budgets: dropping the last one drops the recency
+    /// list, and the first one builds it from the map.
+    void rebudget(std::size_t capacity, long max_bytes)
+    {
+        const bool was_bounded = bounded();
+        capacity_ = capacity;
+        max_bytes_ = max_bytes;
+        if (!bounded()) {
+            lru_.clear();
+            return;
+        }
+        if (!was_bounded)
+            for (auto it = map_.begin(); it != map_.end(); ++it) {
+                lru_.push_back(&it->first);
+                it->second.pos = std::prev(lru_.end());
+            }
+        evictOverBudget();
+    }
 
     bool overBudget() const
     {
@@ -269,8 +292,8 @@ class LruMap
     std::size_t capacity_;
     long max_bytes_ = 0;
     std::unordered_map<Key, Entry, Hash, Equal> map_;
-    /// Recency list, most recent first; pointers into map_ keys
-    /// (node-based, so stable across rehash).
+    /// Recency list, most recent first (empty while unbounded);
+    /// pointers into map_ keys (node-based, so stable across rehash).
     std::list<const Key *> lru_;
     long bytes_ = 0;
     long evictions_ = 0;

@@ -57,15 +57,8 @@ persist::MemoBlock
 TempFramework::exportMemos() const
 {
     // A snapshot's bytes must not see the race of the pool threads that
-    // filled the memos: entries are sorted by key, and schedule lookups
-    // are exported as hits. Which thread lowered a shared task first
-    // decides a cell's or report's lowering/hit split; an imported
-    // entry is only ever served from its memo, which reads the total
-    // (a served report counts them as hits anyway). Step tasks move to
-    // the block's own group table, which outlives this wafer.
-    const auto as_hits = [](long &lowerings, long &hits) {
-        hits += std::exchange(lowerings, 0);
-    };
+    // filled the memos, so entries are sorted by key. Step tasks move
+    // to the block's own group table, which outlives this wafer.
     persist::MemoBlock block;
     block.groups = std::make_shared<hw::DieGroupTable>();
     sim_->costModel().forEachCell(
@@ -73,10 +66,6 @@ TempFramework::exportMemos() const
             cost::OpCell &entry = block.cells.emplace_back(key, cell).second;
             for (net::CollectiveTask &task : entry.step_tasks)
                 task.group = block.groups->intern(task.group->dies);
-            as_hits(entry.breakdown.schedule_lowerings,
-                    entry.breakdown.schedule_cache_hits);
-            as_hits(entry.step.schedule_lowerings,
-                    entry.step.schedule_cache_hits);
         });
     const auto rank = [](const cost::OpCellKey &k) {
         const parallel::ParallelSpec &s = k.spec;
@@ -89,9 +78,7 @@ TempFramework::exportMemos() const
               });
     steps_->forEachCached(
         [&](const std::string &key, const sim::PerfReport &report) {
-            sim::PerfReport &entry =
-                block.step_reports.emplace_back(key, report).second;
-            as_hits(entry.schedule_lowerings, entry.schedule_cache_hits);
+            block.step_reports.emplace_back(key, report);
         });
     std::sort(block.step_reports.begin(), block.step_reports.end(),
               [](const auto &a, const auto &b) { return a.first < b.first; });

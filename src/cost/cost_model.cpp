@@ -273,8 +273,7 @@ WaferCostModel::setCacheBudgets(const common::CacheBudget &budget) const
 
 net::PhaseTiming
 WaferCostModel::timeCollectiveTasks(
-    const std::vector<net::CollectiveTask> &tasks, double *link_bytes,
-    net::ScheduleCacheStats *sched_stats) const
+    const std::vector<net::CollectiveTask> &tasks, double *link_bytes) const
 {
     if (tasks.empty())
         return net::PhaseTiming{};
@@ -282,11 +281,8 @@ WaferCostModel::timeCollectiveTasks(
     const GroupKey &key = phaseKey(tasks, wafer_.topology().dieGroups());
     Memos &memo = memos();
     std::optional<TimedPhase> phase = memo.phases.get(key);
-    if (phase) {
-        if (sched_stats != nullptr)
-            sched_stats->hits += static_cast<long>(tasks.size());
-    } else {
-        phase = timePhase(tasks, sched_stats);
+    if (!phase) {
+        phase = timePhase(tasks);
         memo.phases.insert(key, *phase);
     }
     if (link_bytes != nullptr)
@@ -295,8 +291,7 @@ WaferCostModel::timeCollectiveTasks(
 }
 
 WaferCostModel::TimedPhase
-WaferCostModel::timePhase(const std::vector<net::CollectiveTask> &tasks,
-                          net::ScheduleCacheStats *sched_stats) const
+WaferCostModel::timePhase(const std::vector<net::CollectiveTask> &tasks) const
 {
     TimedPhase phase;
     // Lower every task through the shared schedule cache (content-keyed
@@ -305,15 +300,8 @@ WaferCostModel::timePhase(const std::vector<net::CollectiveTask> &tasks,
     lowered.reserve(tasks.size());
     bool feasible = true;
     for (const net::CollectiveTask &task : tasks) {
-        bool hit = false;
-        lowered.push_back(schedule_cache_.lowered(task, &hit));
+        lowered.push_back(schedule_cache_.lowered(task));
         feasible = feasible && lowered.back()->feasible;
-        if (sched_stats != nullptr) {
-            if (hit)
-                ++sched_stats->hits;
-            else
-                ++sched_stats->lowerings;
-        }
     }
     if (!feasible) {
         phase.timing.time_s = std::numeric_limits<double>::infinity();
@@ -548,8 +536,6 @@ OpCostBreakdown
 OpCell::withStep() const
 {
     OpCostBreakdown out = breakdown;
-    out.schedule_lowerings += step.schedule_lowerings;
-    out.schedule_cache_hits += step.schedule_cache_hits;
     if (!out.feasible)
         return out;
     out.d2d_link_bytes += step.link_bytes;
@@ -590,18 +576,13 @@ WaferCostModel::costCell(const OpExecution &exec, const model::Operator &op,
     const double comp_bwd = compute_.opTime(
         exec.bwd_flops_per_die, exec.dram_bytes_bwd, op.isGemm(), min_derate);
 
-    // Blocking collectives (Eq. 2's Collective term). One lookup-stat
-    // accumulator for all phases; folded into the breakdown so callers
-    // (evaluators, the simulator) inherit honest cache accounting.
-    net::ScheduleCacheStats sched_stats;
-    const net::PhaseTiming coll_fwd = timeCollectiveTasks(
-        exec.fwd_collectives, &out.d2d_link_bytes, &sched_stats);
-    const net::PhaseTiming coll_bwd = timeCollectiveTasks(
-        exec.bwd_collectives, &out.d2d_link_bytes, &sched_stats);
-    const net::PhaseTiming coll_overlap = timeCollectiveTasks(
-        exec.overlap_collectives, &out.d2d_link_bytes, &sched_stats);
-    out.schedule_lowerings = sched_stats.lowerings;
-    out.schedule_cache_hits = sched_stats.hits;
+    // Blocking collectives (Eq. 2's Collective term).
+    const net::PhaseTiming coll_fwd =
+        timeCollectiveTasks(exec.fwd_collectives, &out.d2d_link_bytes);
+    const net::PhaseTiming coll_bwd =
+        timeCollectiveTasks(exec.bwd_collectives, &out.d2d_link_bytes);
+    const net::PhaseTiming coll_overlap =
+        timeCollectiveTasks(exec.overlap_collectives, &out.d2d_link_bytes);
     if (std::isinf(coll_fwd.time_s) || std::isinf(coll_bwd.time_s) ||
         std::isinf(coll_overlap.time_s)) {
         out.feasible = false;
@@ -641,14 +622,11 @@ WaferCostModel::costCell(const OpExecution &exec, const model::Operator &op,
 
     if (time_step) {
         // The per-op step phase the matrix entry adds (withStep).
-        net::ScheduleCacheStats step_stats;
         const net::PhaseTiming step = timeCollectiveTasks(
-            exec.step_collectives, &cell.step.link_bytes, &step_stats);
+            exec.step_collectives, &cell.step.link_bytes);
         cell.step.time_s = step.time_s;
         cell.step.bytes = step.total_bytes;
         cell.step.utilization = step.bandwidth_utilization;
-        cell.step.schedule_lowerings = step_stats.lowerings;
-        cell.step.schedule_cache_hits = step_stats.hits;
     }
     return cell;
 }

@@ -53,17 +53,6 @@ struct OpCostBreakdown
     double flops = 0.0;           ///< per-wafer executed FLOPs
     double bw_utilization = 0.0;  ///< during communication phases
 
-    /**
-     * Schedule-cache accounting of computing this breakdown: collective
-     * lowerings performed vs. served from the shared ScheduleCache.
-     * Mirrors matrix_measurements/step_sims honesty one layer down.
-     * Note: the lowerings/hits *split* depends on what other threads
-     * populated first, so it is not bit-stable across thread counts —
-     * only the sum is. Never compare these fields for determinism.
-     */
-    long schedule_lowerings = 0;
-    long schedule_cache_hits = 0;
-
     /// Wall time of the operator in one training step.
     double total() const { return fwd_time + bwd_time + step_comm_time; }
 };
@@ -71,8 +60,7 @@ struct OpCostBreakdown
 /**
  * An op's gradient-sync collectives timed as a phase of their own: the
  * per-op share of step communication the DP matrix charges. The
- * simulator times a layer's step tasks jointly instead, but counts
- * these lookups with the cell's own.
+ * simulator times a layer's step tasks jointly instead.
  */
 struct StepPhase
 {
@@ -80,8 +68,6 @@ struct StepPhase
     double bytes = 0.0;        ///< payload bytes: the utilisation weight
     double utilization = 0.0;  ///< bandwidth utilisation of the phase
     double link_bytes = 0.0;   ///< bytes x hops (energy)
-    long schedule_lowerings = 0;   ///< lookups of timing it
-    long schedule_cache_hits = 0;
 };
 
 /**
@@ -104,8 +90,7 @@ struct OpCell
     /**
      * The cell's DP matrix entry, opCost(..., include_step=true): the
      * breakdown with the step phase added last (link bytes,
-     * step_comm_time into exposed_comm, the utilisation blend) and its
-     * schedule lookups added to the counters.
+     * step_comm_time into exposed_comm, the utilisation blend).
      */
     OpCostBreakdown withStep() const;
 };
@@ -167,18 +152,14 @@ class WaferCostModel
      * under link-level contention. Lowerings are served from the shared
      * ScheduleCache (content-keyed), and the timed result from the
      * phase memo (keyed on the exact task-set content). A memo hit
-     * skips lowering,
-     * combination, optimisation and contention evaluation, and counts
-     * every task's lookup as a schedule-cache hit.
+     * skips lowering, combination, optimisation and contention
+     * evaluation, and asks the schedule cache nothing.
      *
      * @param link_bytes Optional accumulator of bytes x hops (energy).
-     * @param sched_stats Optional accumulator of this call's cache
-     *        lookups (lowerings vs. hits).
      */
     net::PhaseTiming timeCollectiveTasks(
         const std::vector<net::CollectiveTask> &tasks,
-        double *link_bytes = nullptr,
-        net::ScheduleCacheStats *sched_stats = nullptr) const;
+        double *link_bytes = nullptr) const;
 
     /**
      * The op-level memo shared by the DP matrix and the simulator: op
@@ -190,7 +171,7 @@ class WaferCostModel
      * are cleared on setFaults(), so a fault change never serves a
      * placement built around dies that have since died. On a racing
      * duplicate miss the resident cell stays and each caller keeps its
-     * own, whose schedule counters are the lookups it really ran.
+     * own bit-identical copy.
      */
     std::shared_ptr<const OpCell> findCell(
         std::uint64_t graph_fp, int op_index,
@@ -255,7 +236,8 @@ class WaferCostModel
         return schedule_cache_;
     }
 
-    /// Cumulative schedule-cache counters since construction.
+    /// Cumulative schedule-cache counters since construction: the one
+    /// count of schedule work (callers take deltas across a solve).
     net::ScheduleCacheStats scheduleStats() const
     {
         return schedule_cache_.stats();
@@ -318,8 +300,7 @@ class WaferCostModel
     Memos &memos() const;
 
     /// timeCollectiveTasks() without the phase memo.
-    TimedPhase timePhase(const std::vector<net::CollectiveTask> &tasks,
-                         net::ScheduleCacheStats *sched_stats) const;
+    TimedPhase timePhase(const std::vector<net::CollectiveTask> &tasks) const;
 
     /// The (memoized) stream plan of a layout's TATP groups.
     std::shared_ptr<const tatp::StreamPlan> streamPlan(

@@ -61,26 +61,16 @@ ExactEvaluator::evaluateBatch(const model::ComputeGraph &graph,
                                            request.spec);
     });
 
-    // A matrix entry is the cell plus its step phase. Schedule
-    // accounting: a cell's lookups include its step phase's; those of
-    // the cells costed here are real lowerings, and every other lookup
-    // a request stands for counts as a hit.
-    long lowerings = 0;
-    for (std::size_t s : missing)
-        lowerings += cells[s]->withStep().schedule_lowerings;
-    long lookups = 0;
+    // A matrix entry is the cell plus its step phase.
     std::vector<cost::OpCostBreakdown> results(requests.size());
     for (std::size_t i = 0; i < requests.size(); ++i) {
         const cost::OpCell &cell = *cells[request_slot[i]];
-        const cost::OpCostBreakdown entry = cell.withStep();
-        lookups += entry.schedule_lowerings + entry.schedule_cache_hits;
-        results[i] = requests[i].include_step ? entry : cell.breakdown;
+        results[i] = requests[i].include_step ? cell.withStep()
+                                              : cell.breakdown;
     }
     const long n_measured = static_cast<long>(missing.size());
     measurements_ += n_measured;
     cache_hits_ += static_cast<long>(requests.size()) - n_measured;
-    schedule_lowerings_ += lowerings;
-    schedule_cache_hits_ += lookups - lowerings;
     // Batch complete: latch any wall/token expiry at this boundary.
     if (gauge != nullptr)
         gauge->exhausted();
@@ -95,12 +85,13 @@ ExactEvaluator::stats() const
     // counts are unique, hence exact at any width (racing duplicate
     // cell costings add lookups, not cells).
     const long builds = model_.layoutBuilds();
+    const net::ScheduleCacheStats schedules = model_.scheduleStats();
     return {measurements_.load(),
             cache_hits_.load(),
             builds,
             model_.cellBuilds() - builds,
-            schedule_lowerings_.load(),
-            schedule_cache_hits_.load(),
+            schedules.lowerings,
+            schedules.hits,
             model_.cellMemoStats().evictions +
                 model_.layoutMemoStats().evictions};
 }

@@ -43,13 +43,8 @@ struct EvalStats
     long cache_hits = 0;     ///< requests served from the cell memo
     long layouts_built = 0;  ///< unique layouts the cost model built
     long layout_hits = 0;    ///< layout lookups served from its memo
-    /**
-     * Collective-schedule accounting one layer down: lowerings run vs.
-     * served from the shared net::ScheduleCache across the entries
-     * this evaluator handled. A memo-served cell charges its schedule
-     * work as hits — recomputing it would have hit the schedule cache
-     * on every lookup.
-     */
+    /// The cost model's schedule-cache counters (model-wide, like
+    /// layouts_built): schedules lowered and lookups served.
     long schedule_lowerings = 0;
     long schedule_cache_hits = 0;
     /**
@@ -140,8 +135,6 @@ class ExactEvaluator : public CostEvaluator
     ThreadPool &pool_;
     std::atomic<long> measurements_{0};
     std::atomic<long> cache_hits_{0};
-    std::atomic<long> schedule_lowerings_{0};
-    std::atomic<long> schedule_cache_hits_{0};
 };
 
 /**

@@ -6,14 +6,6 @@ using parallel::ParallelSpec;
 
 namespace {
 
-/// Memo-served reports charge their schedule work as hits.
-void
-markReportServed(sim::PerfReport &report)
-{
-    report.schedule_cache_hits += report.schedule_lowerings;
-    report.schedule_lowerings = 0;
-}
-
 /// Appends one spec's content encoding to a step key.
 void
 appendSpecKey(std::string &key, const ParallelSpec &spec)
@@ -121,7 +113,6 @@ StepEvaluator::evaluateBatch(
     // simulation is independent and the simulator is thread-safe, so
     // slot s always holds the same bits for any thread count.
     std::vector<sim::PerfReport> slot_value(slot_key.size());
-    std::vector<char> simulated(slot_key.size(), 0);
     std::vector<std::size_t> missing;
     for (std::size_t s = 0; s < slot_key.size(); ++s) {
         if (auto cached = cache_.get(slot_key[s]))
@@ -132,30 +123,17 @@ StepEvaluator::evaluateBatch(
     pool_.parallelFor(missing.size(), [&](std::size_t m) {
         const std::size_t s = missing[m];
         slot_value[s] = sim_.simulate(graph, assignments[slot_request[s]]);
-        simulated[s] = 1;
     });
     for (std::size_t s : missing)
         cache_.insert(slot_key[s], slot_value[s]);
 
-    // Expand slots into request order: the first request of a slot
-    // simulated here charges its real lowerings; every other request is
-    // a hit, and its served report charges its schedule work as hits.
+    // Expand slots into request order.
     std::vector<sim::PerfReport> results(assignments.size());
-    long sched_lowerings = 0;
-    long sched_hits = 0;
-    for (std::size_t i = 0; i < assignments.size(); ++i) {
-        const std::size_t s = request_slot[i];
-        results[i] = slot_value[s];
-        if (!simulated[s] || slot_request[s] != i)
-            markReportServed(results[i]);
-        sched_lowerings += results[i].schedule_lowerings;
-        sched_hits += results[i].schedule_cache_hits;
-    }
+    for (std::size_t i = 0; i < assignments.size(); ++i)
+        results[i] = slot_value[request_slot[i]];
     const long sims = static_cast<long>(missing.size());
     sims_ += sims;
     cache_hits_ += static_cast<long>(assignments.size()) - sims;
-    schedule_lowerings_ += sched_lowerings;
-    schedule_cache_hits_ += sched_hits;
     return results;
 }
 
@@ -165,8 +143,7 @@ StepEvaluator::stats() const
     // Evictions of the report memo only: the cell and layout memos a
     // step query also touches belong to the cost model, and EvalStats
     // counts them.
-    return {sims_.load(), cache_hits_.load(), schedule_lowerings_.load(),
-            schedule_cache_hits_.load(), cache_.stats().evictions};
+    return {sims_.load(), cache_hits_.load(), cache_.stats().evictions};
 }
 
 }  // namespace temp::eval

@@ -45,14 +45,6 @@ struct StepStats
 {
     long sims = 0;        ///< unique full-step simulations run
     long cache_hits = 0;  ///< queries served from the memo
-    /**
-     * Collective-schedule accounting inside the simulations this
-     * evaluator handled (lowerings vs. net::ScheduleCache hits). A
-     * memo-served report charges its schedule work as hits, mirroring
-     * the CostEvaluator convention.
-     */
-    long schedule_lowerings = 0;
-    long schedule_cache_hits = 0;
     /// Entries the report memo dropped to honour a budget (0 under the
     /// default unbounded budgets; evicted genomes re-simulate and
     /// recount as sims on return). The cell and layout memos a
@@ -62,8 +54,6 @@ struct StepStats
     StepStats operator-(const StepStats &other) const
     {
         return {sims - other.sims, cache_hits - other.cache_hits,
-                schedule_lowerings - other.schedule_lowerings,
-                schedule_cache_hits - other.schedule_cache_hits,
                 evictions - other.evictions};
     }
 };
@@ -171,8 +161,6 @@ class StepEvaluator
     common::BoundedCache<std::string, sim::PerfReport> cache_;
     std::atomic<long> sims_{0};
     std::atomic<long> cache_hits_{0};
-    std::atomic<long> schedule_lowerings_{0};
-    std::atomic<long> schedule_cache_hits_{0};
     /// Registration id of the wafer fault listener that clears cache_.
     std::uint64_t fault_listener_id_ = 0;
 };

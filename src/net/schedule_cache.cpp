@@ -96,7 +96,7 @@ ScheduleCache::applyBudgetsLocked()
 }
 
 std::shared_ptr<const CommSchedule>
-ScheduleCache::lowered(const CollectiveTask &task, bool *hit)
+ScheduleCache::lowered(const CollectiveTask &task)
 {
     if (task.group == nullptr)
         panic("ScheduleCache::lowered: task without a group");
@@ -107,8 +107,6 @@ ScheduleCache::lowered(const CollectiveTask &task, bool *hit)
     Shard &shard = shardFor(key.hash);
     const auto served = [&](Schedule schedule) {
         ++shard.hits;
-        if (hit != nullptr)
-            *hit = true;
         return schedule;
     };
 
@@ -175,8 +173,6 @@ ScheduleCache::lowered(const CollectiveTask &task, bool *hit)
     lowering->state.notify_all();
     if (lowering->error != nullptr)
         std::rethrow_exception(lowering->error);
-    if (hit != nullptr)
-        *hit = false;
     return schedule;
 }
 

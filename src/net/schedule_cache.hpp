@@ -86,12 +86,9 @@ class ScheduleCache
      * hits take it exclusive to refresh LRU order. A
      * miss lowers outside the lock while other askers of the same task
      * wait for it, so a task is lowered exactly once regardless of
-     * thread count and the counters stay deterministic.
-     *
-     * @param hit Optional out-flag: true when served from the cache.
+     * thread count and the lowerings counter stays deterministic.
      */
-    std::shared_ptr<const CommSchedule> lowered(const CollectiveTask &task,
-                                                bool *hit = nullptr);
+    std::shared_ptr<const CommSchedule> lowered(const CollectiveTask &task);
 
     /**
      * Cumulative counters since construction (survive clear() and

@@ -50,11 +50,6 @@ class ByteWriter
         u32(static_cast<std::uint32_t>(value));
     }
 
-    void i64(std::int64_t value)
-    {
-        u64(static_cast<std::uint64_t>(value));
-    }
-
     /// Raw IEEE-754 bits: bit-identical round trip, NaN payloads and
     /// signed zeros included.
     void f64(double value) { u64(std::bit_cast<std::uint64_t>(value)); }
@@ -123,7 +118,6 @@ class ByteReader
     }
 
     std::int32_t i32() { return static_cast<std::int32_t>(u32()); }
-    std::int64_t i64() { return static_cast<std::int64_t>(u64()); }
     double f64() { return std::bit_cast<double>(u64()); }
 
     std::string str()

@@ -4,6 +4,7 @@
 #include <bit>
 #include <cstdio>
 #include <cstring>
+#include <span>
 
 #include "persist/codec.hpp"
 
@@ -119,8 +120,6 @@ putBreakdown(ByteWriter &w, const cost::OpCostBreakdown &b)
 {
     w.u8(b.feasible ? 1 : 0);
     putDoubles(w, breakdownDoubles(b));
-    w.i64(b.schedule_lowerings);
-    w.i64(b.schedule_cache_hits);
 }
 
 cost::OpCostBreakdown
@@ -129,16 +128,15 @@ getBreakdown(ByteReader &r)
     cost::OpCostBreakdown b;
     b.feasible = r.u8() != 0;
     getDoubles(r, breakdownDoubles(b));
-    b.schedule_lowerings = r.i64();
-    b.schedule_cache_hits = r.i64();
     return b;
 }
 
 using CellEntry = std::pair<cost::OpCellKey, cost::OpCell>;
 using StepEntry = std::pair<std::string, sim::PerfReport>;
 
+/// Writes one cell; `groups` numbers the block's groups in file order.
 void
-putCell(ByteWriter &w, const CellEntry &entry)
+putCell(ByteWriter &w, const CellEntry &entry, hw::DieGroupTable &groups)
 {
     const auto &[key, cell] = entry;
     w.u64(key.graph_fp);
@@ -149,25 +147,21 @@ putCell(ByteWriter &w, const CellEntry &entry)
     w.u8(key.spec.coupled_sp ? 1 : 0);
     putBreakdown(w, cell.breakdown);
     putDoubles(w, cellDoubles(cell));
-    w.i64(cell.step.schedule_lowerings);
-    w.i64(cell.step.schedule_cache_hits);
     putFootprint(w, cell.footprint);
     w.u32(static_cast<std::uint32_t>(cell.step_tasks.size()));
     for (const net::CollectiveTask &task : cell.step_tasks) {
         w.u32(static_cast<std::uint32_t>(task.kind));
         w.i32(task.tag);
         w.f64(task.bytes);
-        w.u32(static_cast<std::uint32_t>(task.size()));
-        for (hw::DieId die : task.group->dies)
-            w.i32(die);
+        w.u32(groups.intern(task.group->dies)->index);
     }
 }
 
-/// Decodes one cell, interning its step tasks' die lists in `groups`;
-/// a collective kind past the last one, a negative die id or a
-/// MemClass-count mismatch poisons the reader.
+/// Decodes one cell; a collective kind past the last one, a group index
+/// past the block's groups or a MemClass-count mismatch poisons the
+/// reader.
 CellEntry
-getCell(ByteReader &r, hw::DieGroupTable &groups)
+getCell(ByteReader &r, std::span<const hw::DieGroup *const> groups)
 {
     CellEntry entry;
     cost::OpCellKey &key = entry.first;
@@ -181,15 +175,12 @@ getCell(ByteReader &r, hw::DieGroupTable &groups)
     cost::OpCell &cell = entry.second;
     cell.breakdown = getBreakdown(r);
     getDoubles(r, cellDoubles(cell));
-    cell.step.schedule_lowerings = r.i64();
-    cell.step.schedule_cache_hits = r.i64();
     getFootprint(r, cell.footprint);
     const std::uint32_t n_tasks = r.u32();
     if (!plausibleCount(n_tasks, 4 + 4 + 8 + 4, r))
         r.fail();
     else
         cell.step_tasks.reserve(n_tasks);
-    std::vector<hw::DieId> dies;
     for (std::uint32_t t = 0; t < n_tasks && r.ok(); ++t) {
         net::CollectiveTask task;
         const std::uint32_t kind = r.u32();
@@ -198,6 +189,59 @@ getCell(ByteReader &r, hw::DieGroupTable &groups)
         task.kind = static_cast<net::CollectiveKind>(kind);
         task.tag = r.i32();
         task.bytes = r.f64();
+        const std::uint32_t group = r.u32();
+        if (group >= groups.size()) {
+            r.fail();
+            break;
+        }
+        task.group = groups[group];
+        cell.step_tasks.push_back(task);
+    }
+    return entry;
+}
+
+/// The CELL payload: the distinct groups the cells' step tasks name,
+/// once each in order of first use, then the cells, each task naming
+/// its group by index. Interning into a fresh table numbers the groups
+/// by content in cell order, never by the block's table, so the bytes
+/// are as stable as the cell order.
+std::string
+encodeCells(const std::vector<CellEntry> &cells)
+{
+    hw::DieGroupTable groups;
+    std::vector<const hw::DieGroup *> listed;
+    for (const auto &[key, cell] : cells)
+        for (const net::CollectiveTask &task : cell.step_tasks)
+            if (const hw::DieGroup *group = groups.intern(task.group->dies);
+                group->index == listed.size())
+                listed.push_back(group);
+    ByteWriter w;
+    w.u64(listed.size());
+    for (const hw::DieGroup *group : listed) {
+        w.u32(static_cast<std::uint32_t>(group->size()));
+        for (hw::DieId die : group->dies)
+            w.i32(die);
+    }
+    w.u64(cells.size());
+    for (const CellEntry &entry : cells)
+        putCell(w, entry, groups);
+    return w.take();
+}
+
+/// Decodes the CELL payload's groups, interning each in `table`; a
+/// negative die id or a group listed twice poisons the reader.
+std::vector<const hw::DieGroup *>
+getGroups(ByteReader &r, hw::DieGroupTable &table)
+{
+    std::vector<const hw::DieGroup *> groups;
+    const std::uint64_t count = r.u64();
+    if (!plausibleCount(count, 4, r)) {
+        r.fail();
+        return groups;
+    }
+    groups.reserve(count);
+    std::vector<hw::DieId> dies;
+    for (std::uint64_t g = 0; g < count && r.ok(); ++g) {
         const std::uint32_t n_dies = r.u32();
         if (!plausibleCount(n_dies, 4, r))
             r.fail();
@@ -208,10 +252,11 @@ getCell(ByteReader &r, hw::DieGroupTable &groups)
                 r.fail();
             dies.push_back(die);
         }
-        task.group = groups.intern(dies);
-        cell.step_tasks.push_back(task);
+        groups.push_back(table.intern(dies));
+        if (table.size() != groups.size())
+            r.fail();  // a repeated group
     }
-    return entry;
+    return groups;
 }
 
 void
@@ -225,8 +270,6 @@ putStep(ByteWriter &w, const StepEntry &entry)
     w.i32(p.grad_accum);
     putDoubles(w, reportDoubles(p));
     putFootprint(w, p.peak_footprint);
-    w.i64(p.schedule_lowerings);
-    w.i64(p.schedule_cache_hits);
     w.str(p.strategy_desc);
 }
 
@@ -241,8 +284,6 @@ getStep(ByteReader &r)
     p.grad_accum = r.i32();
     getDoubles(r, reportDoubles(p));
     getFootprint(r, p.peak_footprint);
-    p.schedule_lowerings = r.i64();
-    p.schedule_cache_hits = r.i64();
     p.strategy_desc = r.str();
     return entry;
 }
@@ -283,35 +324,21 @@ getSection(ByteReader &r, std::uint32_t expected_tag)
     return ByteReader(base, size);
 }
 
-/// One section's payload: the entry count, then each entry.
-template <typename Entry>
-std::string
-encodeEntries(const std::vector<Entry> &entries,
-              void (*put)(ByteWriter &, const Entry &))
-{
-    ByteWriter w;
-    w.u64(entries.size());
-    for (const Entry &entry : entries)
-        put(w, entry);
-    return w.take();
-}
-
-/// Decodes one section into `entries`. A count the payload cannot hold
-/// (no entry is shorter than `min_entry_bytes`), a poisoned entry or
-/// trailing bytes fail it.
+/// Decodes the rest of a section into `entries`. A count the payload
+/// cannot hold (no entry is shorter than `min_entry_bytes`), a
+/// poisoned entry or trailing bytes fail it.
 template <typename Entry, typename Get>
 bool
-decodeEntries(ByteReader &r, std::uint32_t tag, std::size_t min_entry_bytes,
-              Get get, std::vector<Entry> &entries)
+decodeEntries(ByteReader &section, std::size_t min_entry_bytes, Get get,
+              std::vector<Entry> &entries)
 {
-    ByteReader section = getSection(r, tag);
     const std::uint64_t count = section.u64();
     if (!plausibleCount(count, min_entry_bytes, section))
         return false;
     entries.reserve(count);
     for (std::uint64_t i = 0; i < count && section.ok(); ++i)
         entries.push_back(get(section));
-    return section.ok() && section.atEnd() && r.ok();
+    return section.ok() && section.atEnd();
 }
 
 bool
@@ -319,15 +346,19 @@ decodeBlock(ByteReader &r, MemoBlock *block)
 {
     block->framework_key = r.str();
     block->groups = std::make_shared<hw::DieGroupTable>();
-    hw::DieGroupTable &groups = *block->groups;
+    ByteReader cells = getSection(r, kTagCells);
+    ByteReader steps = getSection(r, kTagStepReports);
+    const std::vector<const hw::DieGroup *> groups =
+        getGroups(cells, *block->groups);
     // A cell is at least its key, breakdown, fixed fields and two
     // counts; a step entry at least its key's length, flags and a
     // handful of doubles.
-    return decodeEntries(r, kTagCells,
-                         8 + 4 + 7 * 4 + 1 + (1 + 14 * 8) + 8 * 8 + 2 * 4,
+    return r.ok() &&
+           decodeEntries(cells, 8 + 4 + 7 * 4 + 1 + (1 + 12 * 8) + 6 * 8 +
+                                    2 * 4,
                          [&](ByteReader &in) { return getCell(in, groups); },
                          block->cells) &&
-           decodeEntries(r, kTagStepReports, 4 + 3 + 10 * 8, getStep,
+           decodeEntries(steps, 4 + 3 + 10 * 8, getStep,
                          block->step_reports);
 }
 
@@ -362,9 +393,12 @@ encodeSnapshot(const Snapshot &snapshot)
     w.u32(static_cast<std::uint32_t>(snapshot.blocks.size()));
     for (const MemoBlock &block : snapshot.blocks) {
         w.str(block.framework_key);
-        putSection(w, kTagCells, encodeEntries(block.cells, putCell));
-        putSection(w, kTagStepReports,
-                   encodeEntries(block.step_reports, putStep));
+        putSection(w, kTagCells, encodeCells(block.cells));
+        ByteWriter steps;
+        steps.u64(block.step_reports.size());
+        for (const StepEntry &entry : block.step_reports)
+            putStep(steps, entry);
+        putSection(w, kTagStepReports, steps.take());
     }
     return w.take();
 }

@@ -25,15 +25,18 @@
  *
  * One block per framework: op cells (under graph fingerprint, op index
  * and spec) and step reports (under their content keys) are persisted
- * by value; cells import into the importing framework's memo. Lowered
+ * by value; cells import into the importing framework's memo. The CELL
+ * payload lists the die groups its step tasks name once each, and each
+ * task names its group by index. Lowered
  * schedules are not persisted: a warm answer reads none (a cell
  * carries its own timed step phase), and a cold cell after a warm
  * start lowers on demand under the live fault state.
  *
  * Validation contract: decode verifies magic, version, contract
- * fingerprint, per-section checksums, exact payload consumption and
- * every cell's collective kinds and die ids (the import then checks
- * the die ids against the importing wafer).
+ * fingerprint, per-section checksums, exact payload consumption, the
+ * group list (non-negative die ids, no group twice) and every cell's
+ * collective kinds and group indices (the import then checks the die
+ * ids against the importing wafer).
  * Any mismatch — truncation, bit flips, a snapshot written by an
  * incompatible build — fails the whole load; callers degrade to a cold
  * start and bump a counter. A valid snapshot from a *different wafer*
@@ -55,7 +58,7 @@ namespace temp::persist {
 
 /// Format version; bump on any layout change or any change to the
 /// byte form of a block key (old files cold-start).
-inline constexpr std::uint32_t kFormatVersion = 6;
+inline constexpr std::uint32_t kFormatVersion = 7;
 
 /// The serialized memo contents of one framework, addressed by the
 /// same canonical key the service's framework cache uses.
@@ -68,7 +71,7 @@ struct MemoBlock
      * The die groups the cells' step tasks name. Groups are interned
      * per topology (hw/die_group.hpp) and a block outlives any wafer,
      * so a block owns its own table, shared by its copies: decode
-     * interns each die list there, and the import re-interns each
+     * interns each listed group there, and the import re-interns each
      * distinct group once into the importing wafer's table. Null when
      * no cell has a step task.
      */
@@ -105,8 +108,9 @@ std::string encodeSnapshot(const Snapshot &snapshot);
  * Parses and validates a byte image.
  *
  * @return false with *error describing the first failure (magic,
- *         version, fingerprint, checksum, truncation, a cell's
- *         collective kind or die id out of range); *out is left
+ *         version, fingerprint, checksum, truncation, a repeated
+ *         group, a cell's collective kind or group index or a die id
+ *         out of range); *out is left
  *         empty then — a failed load never yields partial contents.
  */
 bool decodeSnapshot(const std::string &bytes, Snapshot *out,

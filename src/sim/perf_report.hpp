@@ -56,16 +56,6 @@ struct PerfReport
     double total_flops = 0.0;          ///< useful FLOPs per step
     double throughput_tokens_per_s = 0.0;
 
-    /**
-     * Schedule-cache accounting of producing this report: collective
-     * lowerings performed vs. served from the shared ScheduleCache
-     * across every op costing and the merged grad-sync timing. The
-     * split is thread-schedule dependent (see OpCostBreakdown); only
-     * the sum is deterministic.
-     */
-    long schedule_lowerings = 0;
-    long schedule_cache_hits = 0;
-
     std::string strategy_desc;  ///< human-readable strategy summary
 
     /// Relative throughput vs. a reference report (>1 means faster).

@@ -46,24 +46,10 @@ TrainingSimulator::simulate(const model::ComputeGraph &graph,
         max_bsplit = std::max(max_bsplit, spec.dp * spec.fsdp);
     const int max_accum = std::max(1, cfg.batch / max_bsplit);
 
-    // Schedule-cache accounting spans every microbatch probe this call
-    // runs, including the ones whose composition is discarded.
-    long sched_lowerings = 0;
-    long sched_hits = 0;
-    const auto charge_sched = [&](PerfReport &report) {
-        sched_lowerings += report.schedule_lowerings;
-        sched_hits += report.schedule_cache_hits;
-        report.schedule_lowerings = sched_lowerings;
-        report.schedule_cache_hits = sched_hits;
-    };
-
     PerfReport micro = simulateMicro(graph, per_op_specs);
-    if (!micro.feasible) {
-        charge_sched(micro);
+    if (!micro.feasible)
         return micro;
-    }
     PerfReport full = composeAccum(micro, 1, full_tokens);
-    charge_sched(full);
     if (!full.oom || max_accum == 1)
         return full;
 
@@ -91,12 +77,9 @@ TrainingSimulator::simulate(const model::ComputeGraph &graph,
     const model::ComputeGraph micro_graph = model::ComputeGraph::transformer(
         cfg.withSeqBatch(cfg.seq, cfg.batch / accum));
     PerfReport micro2 = simulateMicro(micro_graph, per_op_specs);
-    if (!micro2.feasible) {
-        charge_sched(micro2);
+    if (!micro2.feasible)
         return micro2;
-    }
     PerfReport full2 = composeAccum(micro2, accum, full_tokens);
-    charge_sched(full2);
     if (!full2.oom)
         return full2;
 
@@ -106,14 +89,9 @@ TrainingSimulator::simulate(const model::ComputeGraph &graph,
         cfg.withSeqBatch(cfg.seq, cfg.batch / final_accum));
     PerfReport micro3 =
         simulateMicro(ckpt_graph, per_op_specs, /*recompute=*/true);
-    if (!micro3.feasible) {
-        charge_sched(micro3);
+    if (!micro3.feasible)
         return micro3;
-    }
     PerfReport full3 = composeAccum(micro3, final_accum, full_tokens);
-    charge_sched(full3);
-    full2.schedule_lowerings = sched_lowerings;
-    full2.schedule_cache_hits = sched_hits;
     // Keep whichever picture is honest: if checkpointing fits, use it.
     return full3.oom && full3.step_time > full2.step_time ? full2 : full3;
 }
@@ -181,8 +159,7 @@ TrainingSimulator::simulateMicro(const model::ComputeGraph &graph,
 
     // Each (op, spec) cell comes from the cost model's cell memo, which
     // the DP matrix fills too, so a cell is costed once per fault state
-    // however many plans and matrix fills reuse it;
-    // a memo hit counts its schedule lookups as cache hits. Breakdowns
+    // however many plans and matrix fills reuse it. Breakdowns
     // are collected and reduced in one batched pass after the loop
     // (cost::reduceBreakdowns); the loop keeps only the work that needs
     // the plan: feasibility early-outs, footprints, step-task
@@ -202,19 +179,9 @@ TrainingSimulator::simulateMicro(const model::ComputeGraph &graph,
         }
         std::shared_ptr<const cost::OpCell> cell =
             cost_model_.findCell(graph_fp, i, spec);
-        const bool hit = cell != nullptr;
-        if (!hit)
+        if (cell == nullptr)
             cell = cost_model_.addCell(graph, graph_fp, i, spec);
-        // A cell's lookups include its own step phase, timed for the DP
-        // matrix when the cell was costed.
         const cost::OpCostBreakdown &c = cell->breakdown;
-        const long lowerings =
-            c.schedule_lowerings + cell->step.schedule_lowerings;
-        const long lookups = lowerings + c.schedule_cache_hits +
-                             cell->step.schedule_cache_hits;
-        if (!hit)
-            report.schedule_lowerings += lowerings;
-        report.schedule_cache_hits += hit ? lookups : lookups - lowerings;
         if (!c.feasible) {
             report.feasible = false;
             return report;
@@ -266,11 +233,8 @@ TrainingSimulator::simulateMicro(const model::ComputeGraph &graph,
     // collectives execute as one bucketed phase, partially overlapped
     // with backward compute.
     double step_link_bytes = 0.0;
-    net::ScheduleCacheStats step_sched_stats;
-    const net::PhaseTiming step_timing = cost_model_.timeCollectiveTasks(
-        step_tasks, &step_link_bytes, &step_sched_stats);
-    report.schedule_lowerings += step_sched_stats.lowerings;
-    report.schedule_cache_hits += step_sched_stats.hits;
+    const net::PhaseTiming step_timing =
+        cost_model_.timeCollectiveTasks(step_tasks, &step_link_bytes);
     if (std::isinf(step_timing.time_s)) {
         report.feasible = false;
         return report;

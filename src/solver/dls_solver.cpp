@@ -177,6 +177,8 @@ DlsSolver::solve(const model::ComputeGraph &graph,
 {
     const double t_start = now();
     SolverResult result;
+    const net::ScheduleCacheStats sched_before =
+        sim_.costModel().scheduleStats();
 
     // One gauge per solve, metering the tighter of the configured
     // deadline and the caller's budget (the serving layer passes a
@@ -389,12 +391,10 @@ DlsSolver::solve(const model::ComputeGraph &graph,
             steps_->stats() - step_stats_before;
         result.step_sims = step_delta.sims;
         result.step_cache_hits = step_delta.cache_hits;
-        // Schedule-cache accounting spans both query layers: the
-        // matrix fill's entries and the full-step simulations.
-        result.schedule_lowerings = matrix.stats.schedule_lowerings +
-                                    step_delta.schedule_lowerings;
-        result.schedule_cache_hits = matrix.stats.schedule_cache_hits +
-                                     step_delta.schedule_cache_hits;
+        const net::ScheduleCacheStats sched =
+            sim_.costModel().scheduleStats() - sched_before;
+        result.schedule_lowerings = sched.lowerings;
+        result.schedule_cache_hits = sched.hits;
         result.cache_evictions =
             matrix.stats.evictions + step_delta.evictions;
         result.quanta_used = gauge.used();
@@ -457,6 +457,8 @@ ExhaustiveSolver::solve(const model::ComputeGraph &graph, int op_limit,
     result.evaluations += matrix.requests;
     result.matrix_measurements = matrix.stats.measurements;
     result.cache_hits = matrix.stats.cache_hits;
+    // The fill is the only schedule work here: the evaluator's
+    // (model-wide) schedule counters across it.
     result.schedule_lowerings = matrix.stats.schedule_lowerings;
     result.schedule_cache_hits = matrix.stats.schedule_cache_hits;
     result.cache_evictions = matrix.stats.evictions;

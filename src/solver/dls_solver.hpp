@@ -130,16 +130,21 @@ struct SolverResult
     /// Step queries served from the StepEvaluator memo.
     long step_cache_hits = 0;
     /**
-     * Collective-schedule lowerings this solve ran — the network-layer
-     * mirror of matrix_measurements/step_sims. Lowerings are unique
-     * (task, fault state) schedules built; every further need for one
-     * is a schedule_cache_hit (queries absorbed by the higher-level
-     * breakdown/step memos charge their schedule work as hits too, so
-     * a repeat solve on a shared framework reports
-     * schedule_lowerings == 0 with schedule_cache_hits > 0).
+     * Collective schedules lowered during this solve — the
+     * network-layer mirror of matrix_measurements/step_sims, read as
+     * the delta of the cost model's ScheduleCache counters across the
+     * solve. A task is lowered once per fault state at any
+     * eval_threads, so the count is exact; a repeat solve on a warm
+     * framework reports 0.
      */
     long schedule_lowerings = 0;
-    /// Schedule queries served by (or absorbed above) the cache.
+    /**
+     * Schedule-cache lookups served during this solve. Only lookups
+     * that really ran count: one a memo above the cache (phase, cell
+     * or step report) answers never reaches it, so a warm repeat
+     * reports 0. A gauge that varies with eval_threads (which thread
+     * fills a shared cell first decides which lookups run).
+     */
     long schedule_cache_hits = 0;
     /**
      * Memo entries (cells, layouts, step reports) evicted during

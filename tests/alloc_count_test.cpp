@@ -6,10 +6,12 @@
  * runs one cold OptimizeRequest per model at eval_threads 1, each on a
  * fresh TempService, counting every heap allocation from service
  * construction to teardown. At width 1 the solve is serial and fully
- * deterministic, so the count is exact: the bars below are half the
- * count the cost path made before die groups were interned (66,579 on
- * GPT-3 6.7B and 151,873 on OPT 175B, measured with this test), and
- * the pinned step times prove the leaner path answers the same.
+ * deterministic, so the count is exact. The cost path made 66,579
+ * (GPT-3 6.7B) and 151,873 (OPT 175B) before die groups were interned,
+ * 20,914 and 41,190 while unbounded memos still kept LRU list nodes,
+ * and 18,557 and 35,859 since (all measured with this test); the bars
+ * below hold that last step with a little headroom, and the pinned
+ * step times prove the leaner path answers the same.
  */
 #include <gtest/gtest.h>
 
@@ -113,7 +115,7 @@ TEST(AllocCount, ColdGpt3SolveAllocatesAtMostHalfOfTheCopyingPath)
     const ColdSolve solve = coldSolve("GPT-3 6.7B");
     ASSERT_TRUE(solve.ok);
     EXPECT_EQ(solve.step_time_s, 0.27889315815968801);
-    EXPECT_LE(solve.allocations, 66579 / 2);
+    EXPECT_LE(solve.allocations, 18800);
 }
 
 TEST(AllocCount, ColdOpt175bSolveAllocatesAtMostHalfOfTheCopyingPath)
@@ -121,7 +123,7 @@ TEST(AllocCount, ColdOpt175bSolveAllocatesAtMostHalfOfTheCopyingPath)
     const ColdSolve solve = coldSolve("OPT 175B");
     ASSERT_TRUE(solve.ok);
     EXPECT_EQ(solve.step_time_s, 12.558925539876896);
-    EXPECT_LE(solve.allocations, 151873 / 2);
+    EXPECT_LE(solve.allocations, 37000);
 }
 
 }  // namespace

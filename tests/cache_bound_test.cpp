@@ -56,6 +56,40 @@ TEST(LruMap, EvictsLeastRecentlyUsedAndCountsEvictions)
     EXPECT_EQ(map.evictions(), 2);
 }
 
+TEST(LruMap, BudgetAppliedLateListsTheResidentEntries)
+{
+    // An unbounded map keeps no recency; a budget that first applies
+    // lists the resident entries and evicts down to it, and recency
+    // holds from then on.
+    common::LruMap<int, int> map;
+    for (int i = 0; i < 5; ++i)
+        map.insert(i, i);
+    ASSERT_NE(map.touch(2), nullptr);
+    map.setCapacity(3);
+    EXPECT_EQ(map.size(), 3u);
+    EXPECT_EQ(map.evictions(), 2);
+
+    int survivor = -1;
+    map.forEachResident([&](int key, int) { survivor = key; });
+    ASSERT_NE(map.touch(survivor), nullptr);
+    map.insert(10, 10);
+    map.insert(11, 11);  // evicts the two untouched listed entries
+    EXPECT_EQ(map.size(), 3u);
+    EXPECT_NE(map.peek(survivor), nullptr);
+    EXPECT_NE(map.peek(10), nullptr);
+    EXPECT_EQ(map.evictions(), 4);
+
+    // Dropping the budget drops the list; the next one rebuilds it.
+    map.setCapacity(0);
+    for (int i = 20; i < 30; ++i)
+        map.insert(i, i);
+    EXPECT_EQ(map.size(), 13u);
+    EXPECT_EQ(map.evictions(), 4);
+    map.setCapacity(4);
+    EXPECT_EQ(map.size(), 4u);
+    EXPECT_EQ(map.evictions(), 13);
+}
+
 TEST(LruMap, MruIsNeverDropped)
 {
     // A byte budget smaller than one entry: every insert is over

@@ -74,10 +74,8 @@ syntheticCell(hw::DieGroupTable &groups)
         *field = value;
         value *= 1.75;
     }
-    b.schedule_lowerings = 7;
-    b.schedule_cache_hits = 11;
     cell.comm_bytes = 4096.25;
-    cell.step = {2.5e-3, 8.0e8, 0.625, 1.6e9, 3, 5};
+    cell.step = {2.5e-3, 8.0e8, 0.625, 1.6e9};
     for (std::size_t c = 0; c < cell.footprint.bytes.size(); ++c)
         cell.footprint.bytes[c] = 1e6 * static_cast<double>(c + 1);
     cell.step_tasks.push_back(
@@ -169,16 +167,11 @@ TEST(SnapshotCodec, EncodeDecodeRoundTripsByteStable)
     EXPECT_EQ(b.dram_bytes, e.dram_bytes);
     EXPECT_EQ(b.flops, e.flops);
     EXPECT_EQ(b.bw_utilization, e.bw_utilization);
-    EXPECT_EQ(b.schedule_lowerings, e.schedule_lowerings);
-    EXPECT_EQ(b.schedule_cache_hits, e.schedule_cache_hits);
     EXPECT_EQ(cell.comm_bytes, expected.comm_bytes);
     EXPECT_EQ(cell.step.time_s, expected.step.time_s);
     EXPECT_EQ(cell.step.bytes, expected.step.bytes);
     EXPECT_EQ(cell.step.utilization, expected.step.utilization);
     EXPECT_EQ(cell.step.link_bytes, expected.step.link_bytes);
-    EXPECT_EQ(cell.step.schedule_lowerings, expected.step.schedule_lowerings);
-    EXPECT_EQ(cell.step.schedule_cache_hits,
-              expected.step.schedule_cache_hits);
     EXPECT_EQ(cell.footprint.bytes, expected.footprint.bytes);
     EXPECT_EQ(cell.activation_bytes, expected.activation_bytes);
     ASSERT_EQ(cell.step_tasks.size(), expected.step_tasks.size());
@@ -216,6 +209,74 @@ TEST(SnapshotCodec, CellWithBadKindOrDieFailsTheWholeLoad)
         groups.intern(std::vector<hw::DieId>{0, 1, -3, 3});
     EXPECT_TRUE(rejected(bad_die));
     EXPECT_FALSE(rejected(syntheticCell(groups)));
+}
+
+/// Rewrites the first `from` in the first block's CELL payload to `to`
+/// and re-signs the section, so only the structural checks can reject
+/// the result.
+std::string
+patchCells(const Snapshot &snapshot, const std::string &from,
+           const std::string &to)
+{
+    std::string bytes = encodeSnapshot(snapshot);
+    // magic, version, fingerprint, block count, framework key, then the
+    // CELL tag, size and checksum.
+    const std::size_t section =
+        8 + 4 + 8 + 4 + 4 + snapshot.blocks[0].framework_key.size();
+    const std::size_t payload = section + 4 + 8 + 8;
+    std::uint64_t size = 0;
+    for (std::size_t i = 0; i < 8; ++i)
+        size |= static_cast<std::uint64_t>(
+                    static_cast<unsigned char>(bytes[section + 4 + i]))
+                << (8 * i);
+    const std::size_t at = bytes.find(from, payload);
+    EXPECT_LT(at, payload + size) << "pattern not in the CELL payload";
+    bytes.replace(at, from.size(), to);
+    const std::uint64_t checksum = fnv1aBytes(bytes.data() + payload, size);
+    for (std::size_t i = 0; i < 8; ++i)
+        bytes[section + 12 + i] =
+            static_cast<char>((checksum >> (8 * i)) & 0xff);
+    return bytes;
+}
+
+TEST(SnapshotCodec, GroupIndexOutOfRangeOrRepeatedGroupFailsTheWholeLoad)
+{
+    const auto decodes = [](const std::string &bytes) {
+        Snapshot out;
+        std::string error;
+        const bool ok = decodeSnapshot(bytes, &out, &error);
+        EXPECT_EQ(ok, !out.blocks.empty());
+        return ok;
+    };
+    // The synthetic cell's second task (P2P, tag 7) names the second
+    // of the block's two groups.
+    const auto p2pTask = [](std::uint32_t group) {
+        ByteWriter w;
+        w.u32(static_cast<std::uint32_t>(net::CollectiveKind::P2P));
+        w.i32(7);
+        w.f64(1.25e6);
+        w.u32(group);
+        return w.take();
+    };
+    const Snapshot snapshot = syntheticSnapshot();
+    EXPECT_TRUE(decodes(patchCells(snapshot, p2pTask(1), p2pTask(0))));
+    EXPECT_FALSE(decodes(patchCells(snapshot, p2pTask(1), p2pTask(2))));
+
+    // Two groups of two dies; listing the second as a copy of the first
+    // names one group twice.
+    Snapshot twins = syntheticSnapshot();
+    MemoBlock &block = twins.blocks[0];
+    block.cells[0].second.step_tasks[0].group =
+        block.groups->intern(std::vector<hw::DieId>{30, 31});
+    const auto group = [](hw::DieId a, hw::DieId b) {
+        ByteWriter w;
+        w.u32(2);
+        w.i32(a);
+        w.i32(b);
+        return w.take();
+    };
+    EXPECT_TRUE(decodes(patchCells(twins, group(31, 30), group(31, 29))));
+    EXPECT_FALSE(decodes(patchCells(twins, group(31, 30), group(30, 31))));
 }
 
 TEST(SnapshotCodec, EveryHeaderFieldIsValidated)

@@ -47,11 +47,10 @@ TEST(ScheduleCache, CountsLoweringsAndHitsHonestly)
 
     const CollectiveTask task =
         allReduceTask(wafer.topology(), {0, 1, 2, 3}, 4e6);
-    bool hit = true;
-    const auto first = cache.lowered(task, &hit);
-    EXPECT_FALSE(hit);
-    const auto second = cache.lowered(task, &hit);
-    EXPECT_TRUE(hit);
+    const auto first = cache.lowered(task);
+    EXPECT_EQ(cache.stats().lowerings, 1);
+    EXPECT_EQ(cache.stats().hits, 0);
+    const auto second = cache.lowered(task);
     // Hits share the lowered instance, they do not re-lower.
     EXPECT_EQ(first.get(), second.get());
 
@@ -126,10 +125,9 @@ TEST(ScheduleCache, FaultInjectionBumpsEpochAndInvalidates)
     // The stale schedule must not be served: the lookup re-lowers
     // against the degraded fabric and the detour shows up as longer
     // routes.
-    bool hit = true;
-    const auto degraded = cache.lowered(task, &hit);
-    EXPECT_FALSE(hit);
+    const auto degraded = cache.lowered(task);
     EXPECT_EQ(cache.stats().lowerings, 2);
+    EXPECT_EQ(cache.stats().hits, 0);
     EXPECT_TRUE(degraded->feasible);
     EXPECT_GT(degraded->linkBytes(), healthy->linkBytes());
     for (const Flow &flow : degraded->flows())
@@ -137,8 +135,9 @@ TEST(ScheduleCache, FaultInjectionBumpsEpochAndInvalidates)
             EXPECT_TRUE(wafer.linkUsable(link));
 
     // Same fault state again: served from the rebuilt cache.
-    cache.lowered(task, &hit);
-    EXPECT_TRUE(hit);
+    cache.lowered(task);
+    EXPECT_EQ(cache.stats().lowerings, 2);
+    EXPECT_EQ(cache.stats().hits, 1);
     wafer.removeFaultListener(listener);
 }
 
@@ -209,8 +208,8 @@ TEST(ScheduleCache, SolveIsDeterministicAcrossEvalThreads)
     // The flat-arena schedules and the shared cache must not leak any
     // thread-count dependence into results: identical per-op specs and
     // bit-identical step time for 1-thread and 4-thread frameworks,
-    // and the schedule accounting's total lookup count matches too
-    // (the lowerings/hits split is attribution, the sum is work).
+    // and the same lowerings (a task is lowered once at any width;
+    // hits count the lookups that ran, which the width moves).
     const model::ModelConfig model = model::modelByName("GPT-3 6.7B");
     core::FrameworkOptions serial;
     serial.eval_threads = 1;
@@ -230,14 +229,54 @@ TEST(ScheduleCache, SolveIsDeterministicAcrossEvalThreads)
     EXPECT_DOUBLE_EQ(r1.step_time_s, r4.step_time_s);
     EXPECT_GT(r1.schedule_lowerings, 0);
     EXPECT_GT(r1.schedule_cache_hits, 0);
-    EXPECT_EQ(r1.schedule_lowerings + r1.schedule_cache_hits,
-              r4.schedule_lowerings + r4.schedule_cache_hits);
+    EXPECT_EQ(r1.schedule_lowerings, r4.schedule_lowerings);
     // Cold-solve acceptance: most lookups are served by the cache.
     const double hit_rate =
         static_cast<double>(r1.schedule_cache_hits) /
         static_cast<double>(r1.schedule_lowerings +
                             r1.schedule_cache_hits);
     EXPECT_GT(hit_rate, 0.5);
+}
+
+TEST(ScheduleCache, SolveCountsEveryLoweringOnceAtAnyWidth)
+{
+    // A solve's schedule counters are the cache's own: a cold solve
+    // lowers exactly what the `schedules` layer missed, the same at
+    // every width and under every engine, and a warm repeat reaches
+    // the cache not at all.
+    const model::ModelConfig model = model::modelByName("GPT-3 6.7B");
+    for (solver::SearchEngineKind engine :
+         {solver::SearchEngineKind::NoRefine,
+          solver::SearchEngineKind::Genetic,
+          solver::SearchEngineKind::BeamTabu}) {
+        std::vector<long> lowerings;
+        for (int threads : {1, 4}) {
+            core::FrameworkOptions options;
+            options.eval_threads = threads;
+            options.solver.engine = engine;
+            const core::TempFramework framework(
+                hw::WaferConfig::paperDefault(), options);
+            const std::string label =
+                std::string(solver::searchEngineName(engine)) + " @ " +
+                std::to_string(threads);
+            const solver::SolverResult cold = framework.optimize(model);
+            ASSERT_TRUE(cold.feasible) << label;
+            long misses = -1;
+            for (const auto &[layer, stats] : framework.cacheStats())
+                if (layer == "schedules")
+                    misses = stats.misses;
+            EXPECT_GT(cold.schedule_lowerings, 0) << label;
+            EXPECT_EQ(cold.schedule_lowerings, misses) << label;
+            lowerings.push_back(cold.schedule_lowerings);
+
+            const solver::SolverResult warm = framework.optimize(model);
+            EXPECT_EQ(warm.step_time_s, cold.step_time_s) << label;
+            EXPECT_EQ(warm.schedule_lowerings, 0) << label;
+            EXPECT_EQ(warm.schedule_cache_hits, 0) << label;
+        }
+        EXPECT_EQ(lowerings[0], lowerings[1])
+            << solver::searchEngineName(engine);
+    }
 }
 
 /// Runs `lookups` lookups per thread on 4 threads over `unique`
