@@ -8,25 +8,27 @@
  *  - lowering_shape: schedules/sec of flat-arena lowering vs. the same
  *    lowering copied out into the former vector<vector<Flow>> nested
  *    shape (what every schedule build used to allocate);
- *  - schedule_cache: schedules/sec of cold lowering vs. cache-served
- *    re-lowering of the same task mix (the acceptance bar: >= 2x);
- *  - quickstart_solve: the schedule-cache hit rate of a real cold DLS
- *    solve on the quickstart model (the acceptance bar: > 50%);
- *  - bounded_cache: the same task mix against a schedule cache
- *    budgeted to 1/4 of the working set, driven with a service-like
- *    skewed access pattern (a hot quarter plus a cold scan). The
- *    acceptance bars: the LRU keeps the hot set resident (bounded
- *    hit rate >= 25% — graceful degradation, not a cliff), entries
- *    never exceed the budget, and bounded timings stay bit-identical
- *    to unbounded ones.
+ *  - phase_lowering: ns per lowered task of a phase lowered straight
+ *    into one arena (CollectiveScheduler::lowerPhase, the cost model's
+ *    path) vs. the reference path it replaced (each task scheduled on
+ *    its own, then CommSchedule::combine). The acceptance bar: the
+ *    direct arena equals the reference merge flow by flow and run by
+ *    run, with equal payload and feasibility, on every phase;
+ *  - quickstart_solve: the collective tasks a real cold DLS solve on
+ *    the quickstart model lowers, and a repeat solve on the same
+ *    service (the acceptance bars: the cold count is nonzero and the
+ *    repeat, answered by the memos, lowers nothing).
  *
  * Exit code is non-zero when any acceptance bar fails, so a CI
  * Release build can run this binary as a smoke test and catch perf
- * plumbing rot (a cache that silently stops hitting).
+ * plumbing rot.
  */
 #include "bench_util.hpp"
 
+#include <algorithm>
+#include <bit>
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <span>
 #include <vector>
@@ -35,7 +37,6 @@
 #include "hw/wafer.hpp"
 #include "model/model_zoo.hpp"
 #include "net/collective.hpp"
-#include "net/schedule_cache.hpp"
 #include "parallel/layout.hpp"
 
 using namespace temp;
@@ -89,13 +90,72 @@ taskMix(const hw::Wafer &wafer)
     return tasks;
 }
 
+/// The mix as phases of concurrent tasks: consecutive runs of one to
+/// six tasks, the widths the partitioner's per-op phases have.
+std::vector<std::vector<net::CollectiveTask>>
+phaseMix(const std::vector<net::CollectiveTask> &tasks)
+{
+    std::vector<std::vector<net::CollectiveTask>> phases;
+    std::size_t width = 1;
+    for (std::size_t begin = 0; begin < tasks.size();) {
+        const std::size_t end = std::min(tasks.size(), begin + width);
+        phases.emplace_back(tasks.begin() + begin, tasks.begin() + end);
+        begin = end;
+        width = width % 6 + 1;
+    }
+    return phases;
+}
+
+/// Flow by flow (src, dst, bytes, route, tag), run by run, payload and
+/// feasibility.
+bool
+sameSchedule(const net::CommSchedule &a, const net::CommSchedule &b)
+{
+    if (std::bit_cast<std::uint64_t>(a.payload_bytes) !=
+            std::bit_cast<std::uint64_t>(b.payload_bytes) ||
+        a.feasible != b.feasible || a.runCount() != b.runCount() ||
+        a.flows().size() != b.flows().size())
+        return false;
+    for (int i = 0; i < a.runCount(); ++i)
+        if (a.runEnd(i) != b.runEnd(i) || a.repeat(i) != b.repeat(i))
+            return false;
+    for (std::size_t f = 0; f < a.flows().size(); ++f) {
+        const net::Flow &x = a.flows()[f];
+        const net::Flow &y = b.flows()[f];
+        if (x.src != y.src || x.dst != y.dst || x.tag != y.tag ||
+            std::bit_cast<std::uint64_t>(x.bytes) !=
+                std::bit_cast<std::uint64_t>(y.bytes) ||
+            x.route.valid() != y.route.valid() ||
+            (x.route.valid() && &*x.route != &*y.route))
+            return false;
+    }
+    return true;
+}
+
+/// The reference lowering of a phase: each task scheduled on its own,
+/// then merged.
+net::CommSchedule
+referencePhase(const net::CollectiveScheduler &scheduler,
+               const std::vector<net::CollectiveTask> &phase)
+{
+    std::vector<net::CommSchedule> parts;
+    parts.reserve(phase.size());
+    for (const net::CollectiveTask &task : phase)
+        parts.push_back(scheduler.schedule(task));
+    std::vector<const net::CommSchedule *> ptrs;
+    ptrs.reserve(parts.size());
+    for (const net::CommSchedule &part : parts)
+        ptrs.push_back(&part);
+    return net::CommSchedule::combine(ptrs);
+}
+
 }  // namespace
 
 int
 main()
 {
     bench::banner("Network hot path",
-                  "flat-arena lowering, schedule cache, contention");
+                  "flat-arena lowering, phase lowering, contention");
 
     hw::Wafer wafer(hw::WaferConfig::paperDefault());
     net::Router router(wafer.topology(), &wafer.faults());
@@ -144,134 +204,76 @@ main()
                 tasks.size(), reps, lowered / flat_s,
                 lowered / nested_s);
 
-    // --- cold lowering vs cache-served re-lowering ---------------------
-    net::ScheduleCache cache(scheduler);
-    const double t2 = now();
-    for (const net::CollectiveTask &task : tasks)
-        cache.lowered(task);
-    const double cold_s = now() - t2;
-
-    const double t3 = now();
-    for (int rep = 0; rep < reps; ++rep)
-        for (const net::CollectiveTask &task : tasks)
-            cache.lowered(task);
-    const double warm_s = (now() - t3) / reps;
-
-    const double cold_rate = static_cast<double>(tasks.size()) / cold_s;
-    const double warm_rate =
-        warm_s > 0.0 ? static_cast<double>(tasks.size()) / warm_s : 0.0;
-    const double speedup = warm_rate > 0.0 ? warm_rate / cold_rate : 0.0;
-    const net::ScheduleCacheStats cache_stats = cache.stats();
-    std::printf("Schedule cache: cold %.0f sched/s, cached %.0f sched/s "
-                "(x%.1f), %ld lowerings / %ld hits\n",
-                cold_rate, warm_rate, speedup, cache_stats.lowerings,
-                cache_stats.hits);
+    // --- phase lowering: one arena vs schedule-per-task + combine ------
+    const std::vector<std::vector<net::CollectiveTask>> phases =
+        phaseMix(tasks);
+    std::size_t mismatched = 0;
+    for (const auto &phase : phases)
+        if (!sameSchedule(scheduler.lowerPhase(phase),
+                          referencePhase(scheduler, phase)))
+            ++mismatched;
+    double direct_s = 0.0;
+    double reference_s = 0.0;
+    std::size_t sink = 0;
+    for (int rep = 0; rep < reps; ++rep) {
+        // Interleaved, so host noise lands on both paths alike.
+        const double t2 = now();
+        for (const auto &phase : phases)
+            sink += scheduler.lowerPhase(phase).flows().size();
+        const double t3 = now();
+        for (const auto &phase : phases)
+            sink += referencePhase(scheduler, phase).flows().size();
+        direct_s += t3 - t2;
+        reference_s += now() - t3;
+    }
+    (void)sink;
+    const double direct_ns = direct_s * 1e9 / lowered;
+    const double reference_ns = reference_s * 1e9 / lowered;
+    std::printf("Phase lowering (%zu phases): direct arena %.0f ns/task, "
+                "schedule + combine %.0f ns/task (x%.2f), %zu mismatched "
+                "phases\n",
+                phases.size(), direct_ns, reference_ns,
+                direct_ns > 0.0 ? reference_ns / direct_ns : 0.0,
+                mismatched);
     std::printf("BENCH_JSON {\"bench\":\"net_hotpath\","
-                "\"section\":\"schedule_cache\",\"tasks\":%zu,"
-                "\"cold_schedules_per_s\":%.1f,"
-                "\"cached_schedules_per_s\":%.1f,"
-                "\"cached_speedup\":%.2f,\"lowerings\":%ld,"
-                "\"hits\":%ld}\n",
-                tasks.size(), cold_rate, warm_rate, speedup,
-                cache_stats.lowerings, cache_stats.hits);
+                "\"section\":\"phase_lowering\",\"tasks\":%zu,"
+                "\"phases\":%zu,\"reps\":%d,\"direct_ns_per_task\":%.1f,"
+                "\"reference_ns_per_task\":%.1f,\"mismatched\":%zu}\n",
+                tasks.size(), phases.size(), reps, direct_ns, reference_ns,
+                mismatched);
 
-    // --- schedule-cache hit rate of a real cold solve -------------------
+    // --- lowerings of a real cold solve and its repeat ------------------
     api::TempService service;
-    const api::Response solve =
-        service.run(api::OptimizeRequest{model::modelByName("GPT-3 6.7B")});
-    const double solve_hit_rate =
-        net::ScheduleCacheStats{solve.solver.schedule_lowerings,
-                                solve.solver.schedule_cache_hits}
-            .hitRate();
-    std::printf("Quickstart cold solve: %ld lowerings / %ld hits "
-                "(hit rate %.3f)\n",
+    const api::OptimizeRequest request{model::modelByName("GPT-3 6.7B")};
+    const api::Response solve = service.run(request);
+    const api::Response repeat = service.run(request);
+    std::printf("Quickstart solve: cold %ld lowerings, repeat %ld\n",
                 solve.solver.schedule_lowerings,
-                solve.solver.schedule_cache_hits, solve_hit_rate);
+                repeat.solver.schedule_lowerings);
     std::printf("BENCH_JSON {\"bench\":\"net_hotpath\","
                 "\"section\":\"quickstart_solve\",\"model\":\"GPT-3 "
                 "6.7B\",\"schedule_lowerings\":%ld,"
-                "\"schedule_cache_hits\":%ld,\"hit_rate\":%.4f,"
-                "\"feasible\":%s}\n",
+                "\"repeat_schedule_lowerings\":%ld,\"feasible\":%s}\n",
                 solve.solver.schedule_lowerings,
-                solve.solver.schedule_cache_hits, solve_hit_rate,
+                repeat.solver.schedule_lowerings,
                 solve.solver.feasible ? "true" : "false");
-
-    // --- bounded mode: 1/4-size budget, skewed access ------------------
-    // A long-lived service cannot keep every signature resident; the
-    // budget must degrade hit rate gracefully (LRU keeps the hot set),
-    // never results. Access pattern: a cold scan of the whole mix
-    // interleaved with a hot slice half the budget's size — the skew
-    // real request streams have. LRU keeps the hot slice resident
-    // (every hot task recurs within a budget's worth of accesses), so
-    // roughly half the lookups keep hitting; a recency-blind eviction
-    // policy would cliff to ~0 on this pattern.
-    net::ScheduleCache bounded(scheduler);
-    const std::size_t budget = std::max<std::size_t>(2, tasks.size() / 4);
-    bounded.setMaxEntries(budget);
-    const std::size_t hot = budget / 2;
-    std::size_t over_budget = 0;
-    double mismatches = 0.0;
-    const double t4 = now();
-    for (int rep = 0; rep < reps; ++rep) {
-        for (std::size_t i = 0; i < tasks.size(); ++i) {
-            const auto b =
-                bounded.lowered(tasks[i]);
-            // The interleaved hot-slice touch (the skew).
-            (void)bounded.lowered(tasks[i % hot]);
-            if (bounded.size() > budget)
-                ++over_budget;
-            // Bit-exactness spot check against the unbounded cache.
-            const auto u = cache.lowered(tasks[i]);
-            if (b->linkBytes() != u->linkBytes() ||
-                b->flowCount() != u->flowCount())
-                mismatches += 1.0;
-        }
-    }
-    const double bounded_s = now() - t4;
-    const net::ScheduleCacheStats bounded_stats = bounded.stats();
-    const double bounded_hit_rate = bounded_stats.hitRate();
-    const common::CacheStats bounded_gov = bounded.cacheStats();
-    std::printf("Bounded cache (budget %zu of %zu tasks): hit rate %.3f, "
-                "%ld evictions, %zu over-budget probes, %.1fs\n",
-                budget, tasks.size(), bounded_hit_rate,
-                bounded_gov.evictions, over_budget, bounded_s);
-    std::printf("BENCH_JSON {\"bench\":\"net_hotpath\","
-                "\"section\":\"bounded_cache\",\"tasks\":%zu,"
-                "\"budget\":%zu,\"hit_rate\":%.4f,\"evictions\":%ld,"
-                "\"entries\":%ld,\"over_budget_probes\":%zu,"
-                "\"timing_mismatches\":%.0f}\n",
-                tasks.size(), budget, bounded_hit_rate,
-                bounded_gov.evictions, bounded_gov.entries, over_budget,
-                mismatches);
 
     // --- acceptance bars (CI smoke) -------------------------------------
     bool ok = true;
-    if (speedup < 2.0) {
-        std::printf("FAIL: cached re-lowering %.2fx < 2x cold\n", speedup);
+    if (mismatched > 0) {
+        std::printf("FAIL: %zu phases lowered into one arena differ from "
+                    "the reference merge\n",
+                    mismatched);
         ok = false;
     }
-    if (solve.solver.schedule_cache_hits <= 0 || solve_hit_rate <= 0.5) {
-        std::printf("FAIL: cold-solve schedule cache hit rate %.3f "
-                    "(want > 0.5 with nonzero hits)\n",
-                    solve_hit_rate);
+    if (!solve.solver.feasible || solve.solver.schedule_lowerings <= 0) {
+        std::printf("FAIL: the cold quickstart solve lowered nothing\n");
         ok = false;
     }
-    if (bounded_hit_rate < 0.25) {
-        std::printf("FAIL: bounded (1/4 budget) hit rate %.3f < 0.25 — "
-                    "eviction is cliffing instead of degrading\n",
-                    bounded_hit_rate);
-        ok = false;
-    }
-    if (over_budget > 0 || bounded_gov.evictions <= 0) {
-        std::printf("FAIL: budget not enforced (%zu over-budget probes, "
-                    "%ld evictions)\n",
-                    over_budget, bounded_gov.evictions);
-        ok = false;
-    }
-    if (mismatches > 0.0) {
-        std::printf("FAIL: %.0f bounded lowerings differed from "
-                    "unbounded\n",
-                    mismatches);
+    if (repeat.solver.schedule_lowerings != 0) {
+        std::printf("FAIL: the repeat solve lowered %ld tasks (want 0: "
+                    "the memos answer it)\n",
+                    repeat.solver.schedule_lowerings);
         ok = false;
     }
     if (!ok)

@@ -17,7 +17,6 @@
 
 #include "api/service.hpp"
 #include "eval/cost_evaluator.hpp"
-#include "net/schedule_cache.hpp"
 #include "sim/trainer_sim.hpp"
 #include "solver/dls_solver.hpp"
 #include "solver/strategy_space.hpp"
@@ -236,45 +235,29 @@ serviceCacheReuse(const char *name)
 namespace {
 
 /**
- * The schedule-cache section: the network layer under everything. A
- * cold solve lowers each distinct collective task once and serves the
- * rest from the content-keyed net::ScheduleCache (>50% hit rate by the
- * time the matrix, seeding and refiner have run); the counts are the
- * cache's own, read across the solve. A repeat solve reaches the cache
- * not at all (0 lowerings, 0 hits, rate 0): the cell, phase and step
- * memos above it answer every query.
+ * The lowering section: the network layer under everything. A cold
+ * solve lowers the collective tasks of every phase it times once (the
+ * phase memo serves each repeat), so its count is exact at any width;
+ * a repeat solve lowers nothing: the cell, phase and step memos answer
+ * every query.
  */
 void
-scheduleCacheSection(const char *name)
+loweringSection(const char *name)
 {
-    api::TempService service;  // fresh caches: first = cold lowering
+    api::TempService service;  // fresh memos: first = cold lowering
     api::OptimizeRequest request{model::modelByName(name)};
     const api::Response first = service.run(request);
     const api::Response repeat = service.run(request);
 
-    const auto hit_rate = [](const solver::SolverResult &r) {
-        return net::ScheduleCacheStats{r.schedule_lowerings,
-                                       r.schedule_cache_hits}
-            .hitRate();
-    };
-    std::printf("Schedule cache (%s): cold %ld lowerings / %ld hits "
-                "(rate %.3f); repeat %ld lowerings / %ld hits "
-                "(rate %.3f)\n",
+    std::printf("Collective lowering (%s): cold %ld tasks lowered; "
+                "repeat %ld\n",
                 name, first.solver.schedule_lowerings,
-                first.solver.schedule_cache_hits, hit_rate(first.solver),
-                repeat.solver.schedule_lowerings,
-                repeat.solver.schedule_cache_hits,
-                hit_rate(repeat.solver));
+                repeat.solver.schedule_lowerings);
     std::printf("BENCH_JSON {\"bench\":\"search_time\","
-                "\"section\":\"schedule_cache\",\"model\":\"%s\","
-                "\"cold_lowerings\":%ld,\"cold_hits\":%ld,"
-                "\"cold_hit_rate\":%.4f,\"repeat_lowerings\":%ld,"
-                "\"repeat_hits\":%ld,\"repeat_hit_rate\":%.4f}\n",
+                "\"section\":\"lowering\",\"model\":\"%s\","
+                "\"cold_lowerings\":%ld,\"repeat_lowerings\":%ld}\n",
                 name, first.solver.schedule_lowerings,
-                first.solver.schedule_cache_hits, hit_rate(first.solver),
-                repeat.solver.schedule_lowerings,
-                repeat.solver.schedule_cache_hits,
-                hit_rate(repeat.solver));
+                repeat.solver.schedule_lowerings);
 }
 
 /**
@@ -576,8 +559,8 @@ main()
     serviceCacheReuse("GPT-3 6.7B");
 
     bench::banner("Network layer",
-                  "schedule cache: collective lowerings vs hits");
-    scheduleCacheSection("GPT-3 6.7B");
+                  "collective lowerings: cold solve vs repeat");
+    loweringSection("GPT-3 6.7B");
 
     bench::banner("Engines",
                   "gain over DP per engine, genetic budget curve");

@@ -84,9 +84,8 @@ struct MultiWaferRequest
 /**
  * Observability: a snapshot of every memo layer's governance counters
  * — the service's framework/pod maps plus, aggregated across all
- * cached frameworks, the step-report memo, schedule cache, routes and
- * the cost model's layout, stream-plan, timed-phase and op-cell
- * memos. The `temp_cli cache-stats` subcommand is the CLI face of this
+ * cached frameworks, the step-report memo, routes and the cost
+ * model's layout, stream-plan, timed-phase and op-cell memos. The `temp_cli cache-stats` subcommand is the CLI face of this
  * request.
  */
 struct CacheStatsRequest
@@ -134,7 +133,7 @@ enum class RequestKind
 /// One memo layer's counters in a CacheStats response.
 struct CacheLayerStats
 {
-    std::string layer;  ///< e.g. "service_frameworks", "schedules"
+    std::string layer;  ///< e.g. "service_frameworks", "collective_phases"
     common::CacheStats stats;
 };
 
@@ -202,10 +201,10 @@ struct Response
     long quanta_used = 0;
     /// @}
     /// Cumulative evaluator counters of the serving framework, read
-    /// after the request (Optimize/Baseline/Strategy/Fault kinds); the
-    /// schedule_* pair is the framework's schedule-cache counters.
+    /// after the request (Optimize/Baseline/Strategy/Fault kinds);
+    /// schedule_lowerings is the framework's lowered-task count.
     /// Note: per-solve deltas (SolverResult's matrix_measurements /
-    /// cache_hits / schedule_lowerings / schedule_cache_hits) are
+    /// cache_hits / schedule_lowerings) are
     /// exact when requests against one framework do not overlap in
     /// time; concurrent solves on the same framework blur each other's
     /// deltas (results stay bit-identical — the shared caches are

@@ -3,17 +3,16 @@
  * Bounded-cache governance for the whole memo stack.
  *
  * Every memo layer in the system — the service's framework/pod maps,
- * the step-report memo, the schedule cache and the cost model's
- * layout, stream-plan, timed-phase and op-cell memos — is an
+ * the step-report memo and the cost model's layout, stream-plan,
+ * timed-phase and op-cell memos — is an
  * append-only map by default, which is a
  * by-design memory leak once the process is a long-lived service. This
  * header owns the shared machinery that bounds them:
  *
  *  - LruMap: the unsynchronized LRU core (hash map + intrusive
- *    recency list, kept only under a budget) for caches that already
- *    run under their own lock (each ScheduleCache shard). Supports
- *    heterogeneous probes (transparent Hash/Equal) and a byte
- *    estimator.
+ *    recency list, kept only under a budget) behind BoundedCache's
+ *    lock. Supports heterogeneous probes (transparent Hash/Equal) and
+ *    a byte estimator.
  *  - BoundedCache: a thread-safe facade over one LruMap (one
  *    shared_mutex). Unbounded lookups take the lock
  *    shared and touch nothing, so a capacity of 0 — the default
@@ -91,13 +90,15 @@ struct CacheBudget
     long max_eval_entries = 0;      ///< eval.cache.max_entries
     long max_step_entries = 0;      ///< eval.cache.max_step_entries
     long max_layout_entries = 0;    ///< eval.cache.max_layouts
-    long max_schedule_entries = 0;  ///< net.schedule_cache.max_entries
+    /// net.schedule_cache.max_entries: the collective-phase memo
+    long max_schedule_entries = 0;
 
     /// @{ Byte budgets, fed by the per-layer bytes_est estimators.
     long max_eval_bytes = 0;      ///< eval.cache.max_bytes
     long max_step_bytes = 0;      ///< eval.cache.max_step_bytes
     long max_layout_bytes = 0;    ///< eval.cache.max_layout_bytes
-    long max_schedule_bytes = 0;  ///< net.schedule_cache.max_bytes
+    /// net.schedule_cache.max_bytes: the collective-phase memo
+    long max_schedule_bytes = 0;
     /// @}
 
     /// True when any framework-level budget is finite (the service

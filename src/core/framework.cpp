@@ -125,7 +125,6 @@ TempFramework::cacheStats() const
     return {
         {"step_reports", steps_->cacheStats()},
         {"layouts", model.layoutMemoStats()},
-        {"schedules", model.scheduleCacheStats()},
         {"routes", model.routePoolStats()},
         {"stream_plans", model.streamPlanStats()},
         {"collective_phases", model.phaseMemoStats()},

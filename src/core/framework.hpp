@@ -227,9 +227,8 @@ class TempFramework
     /**
      * Governance counters of every memo layer this framework owns,
      * as (layer name, counters) pairs: step_reports, layouts,
-     * schedules (the shared net::ScheduleCache), routes (the Router's
-     * current route-epoch storage), stream_plans, collective_phases
-     * and sim_cells (the op-cell memo the DP matrix and the simulator
+     * routes (the Router's current route-epoch storage), stream_plans,
+     * collective_phases (the timed-phase memo) and sim_cells (the op-cell memo the DP matrix and the simulator
      * share). The layer names are the CacheStatsRequest JSON
      * vocabulary.
      */
@@ -240,8 +239,8 @@ class TempFramework
      * Exports this framework's persistable memo layers — the op-cell
      * memo and the step-report memo — as one
      * snapshot block (framework_key left empty; the service stamps its
-     * canonical key). Layouts and lowered schedules are deliberately
-     * not exported: they are only consulted on cell misses, and they
+     * canonical key). Layouts and timed phases are deliberately not
+     * exported: they are only consulted on cell misses, and they
      * re-build bit-identically when one happens.
      */
     persist::MemoBlock exportMemos() const;

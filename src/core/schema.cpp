@@ -115,7 +115,7 @@ const OptionRow kOptionRows[] = {
      "entry budget of the layout and stream-plan memos"},
     {"net.schedule_cache.max_entries", Identity,
      +[](O &o) { return &o.cache.max_schedule_entries; },
-     "entry budget of the schedule cache"},
+     "entry budget of the collective-phase memo"},
     {"eval.cache.max_bytes", Identity,
      +[](O &o) { return &o.cache.max_eval_bytes; },
      "byte budget of the op-cell memo (DP matrix and simulator)"},
@@ -127,7 +127,7 @@ const OptionRow kOptionRows[] = {
      "byte budget of the layout and stream-plan memos"},
     {"net.schedule_cache.max_bytes", Identity,
      +[](O &o) { return &o.cache.max_schedule_bytes; },
-     "byte budget of the schedule cache"},
+     "byte budget of the collective-phase memo"},
     {"persist.path", Local, +[](O &o) { return &o.persist.path; },
      "snapshot file (empty disables the persistent tier)"},
     {"persist.save_on_exit", Local,

@@ -136,6 +136,8 @@ struct WaferCostModel::Memos
         stream_plans;
     /// Collective task-set content -> timed phase.
     common::BoundedCache<GroupKey, TimedPhase, GroupKeyHash> phases;
+    /// Tasks of the phases inserted above (see scheduleLowerings()).
+    std::atomic<long> lowerings{0};
     /// (graph, op, spec) -> the cell the DP matrix and the simulator
     /// share.
     common::BoundedCache<OpCellKey, std::shared_ptr<const OpCell>,
@@ -182,7 +184,6 @@ WaferCostModel::WaferCostModel(const hw::Wafer &wafer,
       power_(wafer.config()),
       router_(wafer.topology(), &wafer.faults()),
       scheduler_(router_),
-      schedule_cache_(scheduler_),
       contention_(wafer, wafer.config().d2d.latency_s),
       chain_mapper_(wafer.topology()),
       tatp_executor_(wafer.config().d2d),
@@ -196,7 +197,6 @@ WaferCostModel::WaferCostModel(const hw::Wafer &wafer,
         memo.cells.clear();
         memo.phases.clear();
         memo.stream_plans.clear();  // releases their route epochs
-        schedule_cache_.clear();
         router_.newEpoch();
         contention_.resnapshot();
     });
@@ -251,15 +251,15 @@ WaferCostModel::cellBuilds() const
     return memos().cell_builds.load();
 }
 
+long
+WaferCostModel::scheduleLowerings() const
+{
+    return memos().lowerings.load();
+}
+
 void
 WaferCostModel::setCacheBudgets(const common::CacheBudget &budget) const
 {
-    // Negative budgets clamp to 0 (unbounded): a size_t wrap would
-    // silently produce a never-evicting "bounded" cache that still
-    // pays the exclusive-lock hit path.
-    schedule_cache_.setMaxEntries(static_cast<std::size_t>(
-        std::max(0L, budget.max_schedule_entries)));
-    schedule_cache_.setMaxBytes(std::max(0L, budget.max_schedule_bytes));
     Memos &memo = memos();
     memo.phases.setCapacity(budget.max_schedule_entries);
     memo.phases.setMaxBytes(budget.max_schedule_bytes);
@@ -283,7 +283,11 @@ WaferCostModel::timeCollectiveTasks(
     std::optional<TimedPhase> phase = memo.phases.get(key);
     if (!phase) {
         phase = timePhase(tasks);
-        memo.phases.insert(key, *phase);
+        // Racing misses of one phase each time it; only the insert
+        // that wins counts its tasks, so the count is exact at any
+        // width.
+        if (memo.phases.insert(key, *phase).second)
+            memo.lowerings += static_cast<long>(tasks.size());
     }
     if (link_bytes != nullptr)
         *link_bytes += phase->link_bytes;
@@ -294,53 +298,22 @@ WaferCostModel::TimedPhase
 WaferCostModel::timePhase(const std::vector<net::CollectiveTask> &tasks) const
 {
     TimedPhase phase;
-    // Lower every task through the shared schedule cache (content-keyed
-    // on the task signature).
-    std::vector<std::shared_ptr<const net::CommSchedule>> lowered;
-    lowered.reserve(tasks.size());
-    bool feasible = true;
-    for (const net::CollectiveTask &task : tasks) {
-        lowered.push_back(schedule_cache_.lowered(task));
-        feasible = feasible && lowered.back()->feasible;
-    }
-    if (!feasible) {
+    // Groups of one axis run concurrently, and different axes'
+    // collectives inside one op contend for the same links (the
+    // Fig. 11 scenario): the whole phase is lowered into one arena
+    // with its tasks' rounds overlaid.
+    net::CommSchedule schedule = scheduler_.lowerPhase(tasks);
+    if (!schedule.feasible) {
         phase.timing.time_s = std::numeric_limits<double>::infinity();
         return phase;
     }
-
-    // Single-task fast path: no overlay combination needed, and when no
-    // traffic optimisation runs the cached schedule is evaluated in
-    // place.
-    if (tasks.size() == 1) {
-        const net::CommSchedule &single = *lowered.front();
-        if (!policy_.contentionOptimization()) {
-            phase.link_bytes = single.linkBytes();
-            phase.timing = contention_.evaluateSequence(single);
-            return phase;
-        }
-        net::CommSchedule optimized = single;
-        optimizer_.optimize(optimized);
-        phase.link_bytes = optimized.linkBytes();
-        phase.timing = contention_.evaluateSequence(optimized);
-        return phase;
-    }
-
-    // Overlay same-kind rounds in one pass: groups of one axis run
-    // concurrently, and different axes' collectives inside one op
-    // contend for the same links (the Fig. 11 scenario).
-    std::vector<const net::CommSchedule *> parts;
-    parts.reserve(lowered.size());
-    for (const auto &schedule : lowered)
-        parts.push_back(schedule.get());
-    net::CommSchedule combined = net::CommSchedule::combine(parts);
-
     if (policy_.contentionOptimization())
-        optimizer_.optimize(combined);  // finalizes its rebuilt arena
-    else
-        combined.finalize();
-
-    phase.link_bytes = combined.linkBytes();
-    phase.timing = contention_.evaluateSequence(combined);
+        optimizer_.optimize(schedule);
+    // Timed once (the memo keeps the result), so the schedule is
+    // evaluated off its arena: building the SoA view would cost more
+    // than the one evaluation it serves.
+    phase.link_bytes = schedule.linkBytes();
+    phase.timing = contention_.evaluateSequence(schedule);
     return phase;
 }
 

@@ -24,7 +24,6 @@
 #include "hw/wafer.hpp"
 #include "model/graph.hpp"
 #include "net/collective.hpp"
-#include "net/schedule_cache.hpp"
 #include "parallel/partitioner.hpp"
 #include "tatp/chain_mapper.hpp"
 #include "tatp/executor.hpp"
@@ -147,13 +146,12 @@ class WaferCostModel
                            bool include_step = true) const;
 
     /**
-     * Lowers a set of collective tasks (all groups concurrently),
-     * applies the policy's traffic optimisation, and times the result
-     * under link-level contention. Lowerings are served from the shared
-     * ScheduleCache (content-keyed), and the timed result from the
-     * phase memo (keyed on the exact task-set content). A memo hit
-     * skips lowering, combination, optimisation and contention
-     * evaluation, and asks the schedule cache nothing.
+     * Lowers a set of collective tasks (all groups concurrently) into
+     * one flow arena, applies the policy's traffic optimisation, and
+     * times the result under link-level contention. The timed result
+     * is served from the phase memo (keyed on the exact task-set
+     * content), the one memo of collective work: a hit skips lowering,
+     * optimisation and contention evaluation.
      *
      * @param link_bytes Optional accumulator of bytes x hops (energy).
      */
@@ -226,39 +224,22 @@ class WaferCostModel
     const tcme::MappingPolicy &policy() const { return policy_; }
 
     /**
-     * The shared collective-schedule cache: one per cost model, and the
-     * framework owns one cost model, so the DP matrix fill, refiner
-     * fitness simulations, surrogate sampling and baselines all hit the
-     * same lowered schedules.
+     * Collective tasks lowered since construction: the tasks of every
+     * phase-memo insert (racing duplicate misses count once; a phase
+     * evicted under a finite budget recounts when it returns). The
+     * one count of schedule work; callers take deltas across a solve.
      */
-    const net::ScheduleCache &scheduleCache() const
-    {
-        return schedule_cache_;
-    }
-
-    /// Cumulative schedule-cache counters since construction: the one
-    /// count of schedule work (callers take deltas across a solve).
-    net::ScheduleCacheStats scheduleStats() const
-    {
-        return schedule_cache_.stats();
-    }
+    long scheduleLowerings() const;
 
     /**
      * Applies the cost model's memo budgets (0 = unbounded): the
-     * schedule cache and the phase memo take the net.schedule_cache
-     * budgets, the layout and stream-plan memos the layout budgets,
-     * the cell memo the eval.cache budgets; routes are not budgeted.
-     * Const for the same reason the caches are mutable: governance
-     * does not change what a cost query computes, only what stays
-     * resident.
+     * phase memo takes the net.schedule_cache budgets, the layout and
+     * stream-plan memos the layout budgets, the cell memo the
+     * eval.cache budgets; routes are not budgeted. Const for the same
+     * reason the memos are mutable: governance does not change what a
+     * cost query computes, only what stays resident.
      */
     void setCacheBudgets(const common::CacheBudget &budget) const;
-
-    /// Governance counters of the shared schedule cache.
-    common::CacheStats scheduleCacheStats() const
-    {
-        return schedule_cache_.cacheStats();
-    }
 
     /// Governance counters of the router's memoized routes.
     common::CacheStats routePoolStats() const
@@ -325,8 +306,6 @@ class WaferCostModel
     PowerModel power_;
     net::Router router_;
     net::CollectiveScheduler scheduler_;
-    /// Thread-safe; mutable because opCost() is const but memoizes.
-    mutable net::ScheduleCache schedule_cache_;
     net::ContentionModel contention_;
     tatp::ChainMapper chain_mapper_;
     tatp::TatpExecutor tatp_executor_;
@@ -334,7 +313,7 @@ class WaferCostModel
     mutable std::once_flag memos_once_;
     mutable std::unique_ptr<Memos> memos_;
     /// Registration id of the wafer fault listener that clears the
-    /// memos, the schedule cache and the route epoch and re-snapshots
+    /// memos and the route epoch and re-snapshots
     /// the contention model on setFaults().
     std::uint64_t fault_listener_id_ = 0;
 };

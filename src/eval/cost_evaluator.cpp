@@ -85,13 +85,12 @@ ExactEvaluator::stats() const
     // counts are unique, hence exact at any width (racing duplicate
     // cell costings add lookups, not cells).
     const long builds = model_.layoutBuilds();
-    const net::ScheduleCacheStats schedules = model_.scheduleStats();
     return {measurements_.load(),
             cache_hits_.load(),
             builds,
             model_.cellBuilds() - builds,
-            schedules.lowerings,
-            schedules.hits,
+            model_.scheduleLowerings(),
+            0,
             model_.cellMemoStats().evictions +
                 model_.layoutMemoStats().evictions};
 }

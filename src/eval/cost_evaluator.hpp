@@ -43,9 +43,10 @@ struct EvalStats
     long cache_hits = 0;     ///< requests served from the cell memo
     long layouts_built = 0;  ///< unique layouts the cost model built
     long layout_hits = 0;    ///< layout lookups served from its memo
-    /// The cost model's schedule-cache counters (model-wide, like
-    /// layouts_built): schedules lowered and lookups served.
+    /// The cost model's collective tasks lowered (model-wide, like
+    /// layouts_built; see WaferCostModel::scheduleLowerings()).
     long schedule_lowerings = 0;
+    /// Retired: always 0 (see SolverResult::schedule_cache_hits).
     long schedule_cache_hits = 0;
     /**
      * Entries the cost model's cell and layout memos dropped to honour

@@ -1,12 +1,13 @@
 /**
  * @file
  * Interned die groups: each distinct ordered die list a topology's
- * collectives name is stored once, and every collective task, cached
- * schedule key and phase-memo key refers to it by a `const DieGroup *`.
+ * collectives name is stored once, and every collective task,
+ * stream-plan key and phase-memo key refers to it by a
+ * `const DieGroup *`.
  *
  * Die lists depend only on the layout, never on faults, so a table is
  * append-only for the life of its topology: a fault change never
- * clears it, and handles held by cells, cached schedules and imported
+ * clears it, and handles held by cells, phase keys and imported
  * snapshot cells stay valid as long as the topology. Within one table,
  * equal content means equal handle; the hash comes from the content,
  * never from an address, so every hash-derived order stays the same

@@ -55,8 +55,8 @@ class Wafer
      * Replaces the fault state (fault-injection sweeps). The one
      * fault-invalidation rule: before this returns, every registered
      * fault listener has run, and each owner has cleared everything it
-     * derived from the old fault state (memos, lowered schedules, route
-     * storage, bandwidth snapshots). No evaluation may run over this
+     * derived from the old fault state (memos, route storage, bandwidth
+     * snapshots). No evaluation may run over this
      * wafer during the call: callers quiesce evaluation first.
      */
     void setFaults(FaultMap faults)

@@ -58,6 +58,8 @@ CommSchedule
 CommSchedule::combine(std::span<const CommSchedule *const> schedules)
 {
     CommSchedule out;
+    std::vector<PartCursor> parts;
+    parts.reserve(schedules.size());
     std::size_t total_flows = 0;
     std::size_t total_runs = 0;
     for (const CommSchedule *s : schedules) {
@@ -65,45 +67,65 @@ CommSchedule::combine(std::span<const CommSchedule *const> schedules)
         total_runs += s->runs_.size();
         out.payload_bytes += s->payload_bytes;
         out.feasible = out.feasible && s->feasible;
+        const Run *runs = s->runs_.data();
+        parts.push_back({s->flows_.data(), runs, runs + s->runs_.size(), 0,
+                         0});
     }
     out.reserve(total_flows, total_runs);
+    mergeParts(parts, out);
+    return out;
+}
 
-    // Per part: its current run and the executions of it still owed.
+CommSchedule
+CommSchedule::combineParts(std::span<const std::uint32_t> part_ends) const
+{
+    CommSchedule out;
+    out.payload_bytes = payload_bytes;
+    out.feasible = feasible;
+    std::vector<PartCursor> parts;
+    parts.reserve(part_ends.size());
+    std::uint32_t run_begin = 0;
+    for (const std::uint32_t run_end : part_ends) {
+        parts.push_back({flows_.data(), runs_.data() + run_begin,
+                         runs_.data() + run_end,
+                         runBegin(static_cast<int>(run_begin)), 0});
+        run_begin = run_end;
+    }
+    out.reserve(flows_.size(), runs_.size());
+    mergeParts(parts, out);
+    return out;
+}
+
+void
+CommSchedule::mergeParts(std::span<PartCursor> parts, CommSchedule &out)
+{
     // Every step emits one output run covering the active parts'
     // current runs (in part order, as the per-round overlay did), as
     // long as the shortest of them still repeats.
-    struct Cursor
-    {
-        int run = 0;
-        std::uint32_t left = 0;
-    };
-    std::vector<Cursor> cursors(schedules.size());
-    for (std::size_t p = 0; p < schedules.size(); ++p)
-        if (!schedules[p]->runs_.empty())
-            cursors[p].left = schedules[p]->runs_[0].repeat;
+    for (PartCursor &part : parts)
+        if (part.run != part.end)
+            part.left = part.run->repeat;
     for (;;) {
         std::uint32_t step = 0;
-        for (std::size_t p = 0; p < schedules.size(); ++p) {
-            const std::uint32_t left = cursors[p].left;
-            if (left > 0 && (step == 0 || left < step))
-                step = left;
-        }
+        for (const PartCursor &part : parts)
+            if (part.left > 0 && (step == 0 || part.left < step))
+                step = part.left;
         if (step == 0)
             break;
-        for (std::size_t p = 0; p < schedules.size(); ++p) {
-            Cursor &c = cursors[p];
-            if (c.left == 0)
+        for (PartCursor &part : parts) {
+            if (part.left == 0)
                 continue;
-            const CommSchedule &part = *schedules[p];
-            const std::span<const Flow> flows = part.run(c.run);
-            out.flows_.insert(out.flows_.end(), flows.begin(), flows.end());
-            c.left -= step;
-            if (c.left == 0 && ++c.run < part.runCount())
-                c.left = part.runs_[c.run].repeat;
+            out.flows_.insert(out.flows_.end(), part.flows + part.begin,
+                              part.flows + part.run->flow_end);
+            part.left -= step;
+            if (part.left == 0) {
+                part.begin = part.run->flow_end;
+                if (++part.run != part.end)
+                    part.left = part.run->repeat;
+            }
         }
         out.sealRound(step);
     }
-    return out;
 }
 
 int
@@ -186,40 +208,80 @@ CollectiveScheduler::CollectiveScheduler(const Router &router,
 CommSchedule
 CollectiveScheduler::schedule(const CollectiveTask &task) const
 {
-    if (task.group == nullptr)
-        panic("CollectiveScheduler::schedule: task without a group");
-    const std::vector<DieId> &group = task.group->dies;
-    switch (task.kind) {
-      case CollectiveKind::AllReduce:
-        return ringAllReduce(group, task.bytes, task.tag);
-      case CollectiveKind::AllGather:
-        return ringAllGather(group, task.bytes, task.tag);
-      case CollectiveKind::ReduceScatter:
-        return ringReduceScatter(group, task.bytes, task.tag);
-      case CollectiveKind::Broadcast:
-        return broadcast(group, task.bytes, task.tag);
-      case CollectiveKind::P2P:
-        if (group.size() != 2)
-            panic("P2P task needs exactly 2 members, got %zu",
-                  group.size());
-        return p2p(group[0], group[1], task.bytes, task.tag);
-    }
-    panic("CollectiveScheduler::schedule: unknown kind");
+    CommSchedule sched;
+    sched.reserve(task.size(), 1);
+    lowerInto(task, sched);
+    return sched;
 }
 
 CommSchedule
-CollectiveScheduler::ringPasses(const std::vector<DieId> &group,
-                                double shard_bytes, int tag,
-                                int passes) const
+CollectiveScheduler::lowerPhase(std::span<const CollectiveTask> tasks) const
 {
-    CommSchedule sched;
+    // Rings, p2p and broadcasts store one run each, of at most a
+    // group's worth of flows (a broadcast tree may need a few more).
+    std::size_t flows = 0;
+    for (const CollectiveTask &task : tasks)
+        flows += task.size();
+    CommSchedule arena;
+    arena.reserve(flows, tasks.size());
+    if (tasks.size() == 1) {
+        lowerInto(tasks.front(), arena);
+        return arena;
+    }
+    std::vector<std::uint32_t> part_ends;
+    part_ends.reserve(tasks.size());
+    for (const CollectiveTask &task : tasks) {
+        lowerInto(task, arena);
+        part_ends.push_back(static_cast<std::uint32_t>(arena.runCount()));
+    }
+    return arena.combineParts(part_ends);
+}
+
+void
+CollectiveScheduler::lowerInto(const CollectiveTask &task,
+                               CommSchedule &out) const
+{
+    if (task.group == nullptr)
+        panic("CollectiveScheduler: task without a group");
+    const std::span<const DieId> group = task.group->dies;
+    const int n = static_cast<int>(group.size());
+    switch (task.kind) {
+      case CollectiveKind::AllReduce:
+        // Reduce-scatter then all-gather: two passes over the same hops.
+        if (n > 1)
+            appendRing(group, task.bytes / n, task.tag, 2, out);
+        return;
+      case CollectiveKind::AllGather:
+        appendRing(group, task.bytes, task.tag, 1, out);
+        return;
+      case CollectiveKind::ReduceScatter:
+        // Same flow pattern as all-gather with tensor/N shards.
+        if (n > 1)
+            appendRing(group, task.bytes / n, task.tag, 1, out);
+        return;
+      case CollectiveKind::Broadcast:
+        appendBroadcast(group, task.bytes, task.tag, out);
+        return;
+      case CollectiveKind::P2P:
+        if (n != 2)
+            panic("P2P task needs exactly 2 members, got %d", n);
+        appendP2p(group[0], group[1], task.bytes, task.tag, out);
+        return;
+    }
+    panic("CollectiveScheduler: unknown collective kind");
+}
+
+void
+CollectiveScheduler::appendRing(std::span<const DieId> group,
+                                double shard_bytes, int tag, int passes,
+                                CommSchedule &out) const
+{
     const int n = static_cast<int>(group.size());
     if (n <= 1 || shard_bytes <= 0.0)
-        return sched;
+        return;
 
     // Every round moves a shard over the same n ring hops, so the
     // whole lowering is one run of n flows.
-    sched.reserve(static_cast<std::size_t>(n), 1);
     for (int i = 0; i < n; ++i) {
         Flow flow;
         flow.src = group[i];
@@ -227,55 +289,28 @@ CollectiveScheduler::ringPasses(const std::vector<DieId> &group,
         flow.bytes = shard_bytes;
         flow.route = router_.safeRouteRef(flow.src, flow.dst, policy_);
         if (!flow.route.valid())
-            sched.feasible = false;
+            out.feasible = false;
         flow.tag = tag;
-        sched.addFlow(std::move(flow));
+        out.addFlow(flow);
     }
-    sched.sealRound(static_cast<std::uint32_t>(passes * (n - 1)));
+    out.sealRound(static_cast<std::uint32_t>(passes * (n - 1)));
     const double pass_payload = shard_bytes * n * (n - 1);
+    double payload = 0.0;
     for (int pass = 0; pass < passes; ++pass)
-        sched.payload_bytes += pass_payload;
-    return sched;
+        payload += pass_payload;
+    out.payload_bytes += payload;
 }
 
-CommSchedule
-CollectiveScheduler::ringAllGather(const std::vector<DieId> &group,
-                                   double shard_bytes, int tag) const
-{
-    return ringPasses(group, shard_bytes, tag, 1);
-}
-
-CommSchedule
-CollectiveScheduler::ringReduceScatter(const std::vector<DieId> &group,
-                                       double tensor_bytes, int tag) const
+void
+CollectiveScheduler::appendTree(std::span<const DieId> group,
+                                double tensor_bytes, int tag,
+                                CommSchedule &out) const
 {
     const int n = static_cast<int>(group.size());
     if (n <= 1 || tensor_bytes <= 0.0)
-        return CommSchedule{};
-    // Same flow pattern as all-gather with tensor/N shards.
-    return ringPasses(group, tensor_bytes / n, tag, 1);
-}
+        return;
 
-CommSchedule
-CollectiveScheduler::ringAllReduce(const std::vector<DieId> &group,
-                                   double tensor_bytes, int tag) const
-{
-    const int n = static_cast<int>(group.size());
-    if (n <= 1 || tensor_bytes <= 0.0)
-        return CommSchedule{};
-    // Reduce-scatter then all-gather: two passes over the same hops.
-    return ringPasses(group, tensor_bytes / n, tag, 2);
-}
-
-CommSchedule
-CollectiveScheduler::treeAllReduce(const std::vector<DieId> &group,
-                                   double tensor_bytes, int tag) const
-{
-    CommSchedule sched;
-    const int n = static_cast<int>(group.size());
-    if (n <= 1 || tensor_bytes <= 0.0)
-        return sched;
-
+    double payload = 0.0;
     auto emit_round = [&](int step, bool reduce_phase) {
         for (int i = 0; i < n; ++i) {
             // Reduce phase: nodes at odd multiples of `step` send to the
@@ -289,13 +324,13 @@ CollectiveScheduler::treeAllReduce(const std::vector<DieId> &group,
             flow.bytes = tensor_bytes;
             flow.route = router_.safeRouteRef(flow.src, flow.dst, policy_);
             if (!flow.route.valid())
-                sched.feasible = false;
+                out.feasible = false;
             flow.tag = tag;
-            sched.addFlow(std::move(flow));
-            sched.payload_bytes += tensor_bytes;
+            out.addFlow(flow);
+            payload += tensor_bytes;
         }
-        if (sched.openFlowCount() > 0)
-            sched.sealRound();
+        if (out.openFlowCount() > 0)
+            out.sealRound();
     };
 
     for (int step = 1; step < n; step *= 2)
@@ -305,6 +340,94 @@ CollectiveScheduler::treeAllReduce(const std::vector<DieId> &group,
         top *= 2;
     for (int step = top; step >= 1; step /= 2)
         emit_round(step, /*reduce_phase=*/false);
+    out.payload_bytes += payload;
+}
+
+void
+CollectiveScheduler::appendBroadcast(std::span<const DieId> group,
+                                     double bytes, int tag,
+                                     CommSchedule &out) const
+{
+    if (group.size() <= 1 || bytes <= 0.0)
+        return;
+
+    const DieId root = group[0];
+    const std::vector<DieId> leaves(group.begin() + 1, group.end());
+    const MulticastTree tree =
+        buildMulticastTree(router_, root, leaves, policy_);
+    if (!tree.complete)
+        out.feasible = false;
+
+    for (LinkId link : tree.links) {
+        const hw::Link &l = router_.topology().link(link);
+        Flow flow;
+        flow.src = l.src;
+        flow.dst = l.dst;
+        flow.bytes = bytes;
+        flow.route = router_.linkRoute(link);
+        flow.tag = tag;
+        out.addFlow(flow);
+    }
+    out.sealRound();
+    out.payload_bytes += bytes * static_cast<double>(leaves.size());
+}
+
+void
+CollectiveScheduler::appendP2p(DieId src, DieId dst, double bytes, int tag,
+                               CommSchedule &out) const
+{
+    if (src == dst || bytes <= 0.0)
+        return;
+    Flow flow;
+    flow.src = src;
+    flow.dst = dst;
+    flow.bytes = bytes;
+    flow.route = router_.safeRouteRef(src, dst, policy_);
+    if (!flow.route.valid())
+        out.feasible = false;
+    flow.tag = tag;
+    out.addFlow(flow);
+    out.sealRound();
+    out.payload_bytes += bytes;
+}
+
+CommSchedule
+CollectiveScheduler::ringAllGather(const std::vector<DieId> &group,
+                                   double shard_bytes, int tag) const
+{
+    CommSchedule sched;
+    appendRing(group, shard_bytes, tag, 1, sched);
+    return sched;
+}
+
+CommSchedule
+CollectiveScheduler::ringReduceScatter(const std::vector<DieId> &group,
+                                       double tensor_bytes, int tag) const
+{
+    CommSchedule sched;
+    if (group.size() > 1)
+        appendRing(group, tensor_bytes / static_cast<double>(group.size()),
+                   tag, 1, sched);
+    return sched;
+}
+
+CommSchedule
+CollectiveScheduler::ringAllReduce(const std::vector<DieId> &group,
+                                   double tensor_bytes, int tag) const
+{
+    CommSchedule sched;
+    if (group.size() > 1)
+        appendRing(group, tensor_bytes / static_cast<double>(group.size()),
+                   tag, 2, sched);
+    return sched;
+}
+
+CommSchedule
+CollectiveScheduler::treeAllReduce(const std::vector<DieId> &group,
+                                   double tensor_bytes, int tag) const
+{
+    CommSchedule sched;
+    appendTree(group, tensor_bytes, tag, sched);
     return sched;
 }
 
@@ -332,28 +455,7 @@ CollectiveScheduler::broadcast(const std::vector<DieId> &group, double bytes,
                                int tag) const
 {
     CommSchedule sched;
-    if (group.size() <= 1 || bytes <= 0.0)
-        return sched;
-
-    const DieId root = group[0];
-    std::vector<DieId> leaves(group.begin() + 1, group.end());
-    const MulticastTree tree =
-        buildMulticastTree(router_, root, leaves, policy_);
-    sched.feasible = tree.complete;
-
-    sched.reserve(tree.links.size(), 1);
-    for (LinkId link : tree.links) {
-        const hw::Link &l = router_.topology().link(link);
-        Flow flow;
-        flow.src = l.src;
-        flow.dst = l.dst;
-        flow.bytes = bytes;
-        flow.route = router_.linkRoute(link);
-        flow.tag = tag;
-        sched.addFlow(std::move(flow));
-    }
-    sched.sealRound();
-    sched.payload_bytes = bytes * static_cast<double>(leaves.size());
+    appendBroadcast(group, bytes, tag, sched);
     return sched;
 }
 
@@ -361,19 +463,7 @@ CommSchedule
 CollectiveScheduler::p2p(DieId src, DieId dst, double bytes, int tag) const
 {
     CommSchedule sched;
-    if (src == dst || bytes <= 0.0)
-        return sched;
-    Flow flow;
-    flow.src = src;
-    flow.dst = dst;
-    flow.bytes = bytes;
-    flow.route = router_.safeRouteRef(src, dst, policy_);
-    if (!flow.route.valid())
-        sched.feasible = false;
-    flow.tag = tag;
-    sched.addFlow(std::move(flow));
-    sched.sealRound();
-    sched.payload_bytes = bytes;
+    appendP2p(src, dst, bytes, tag, sched);
     return sched;
 }
 

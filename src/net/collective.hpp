@@ -96,8 +96,9 @@ struct FlowSoa
  *
  * A *finalized* schedule additionally carries a FlowSoa view of the
  * arena, the layout the contention model's deposit loop prefers. Any
- * arena mutation invalidates the view; schedules evaluated after
- * building (combined phases, optimizer output) finalize once.
+ * arena mutation invalidates the view. It pays only for a schedule
+ * evaluated more than once: the cost model times each phase once and
+ * evaluates it off the arena.
  */
 class CommSchedule
 {
@@ -109,9 +110,8 @@ class CommSchedule
     bool feasible = true;
 
     CommSchedule() = default;
-    // Copies drop the SoA view instead of duplicating it: the only
-    // copied schedules are cache entries about to be rewritten by the
-    // traffic optimizer, which re-finalizes after its rebuild.
+    // Copies drop the SoA view instead of duplicating it: a copy is
+    // made to be rewritten, so the view would be stale at once.
     CommSchedule(const CommSchedule &other)
         : payload_bytes(other.payload_bytes), feasible(other.feasible),
           flows_(other.flows_), runs_(other.runs_)
@@ -226,6 +226,17 @@ class CommSchedule
     static CommSchedule combine(
         std::span<const CommSchedule *const> schedules);
 
+    /**
+     * The same merge over parts stored back to back in this one
+     * arena: part p is runs [part_ends[p-1], part_ends[p]) (part 0
+     * starts at run 0). Flow by flow and run by run it equals
+     * combine() of the parts as separate schedules; payload_bytes and
+     * feasible are this arena's, which a part-by-part build already
+     * summed in part order.
+     */
+    CommSchedule combineParts(
+        std::span<const std::uint32_t> part_ends) const;
+
     /// Total bytes*hops deposited on the fabric over executed rounds.
     double linkBytes() const;
 
@@ -235,6 +246,21 @@ class CommSchedule
         std::uint32_t flow_end;  ///< run i = flows_[end(i-1) .. flow_end)
         std::uint32_t repeat;    ///< back-to-back executions
     };
+
+    /// One part's position in a merge: its current run, where that
+    /// run's flows begin, and the executions of it still owed.
+    struct PartCursor
+    {
+        const Flow *flows;
+        const Run *run;
+        const Run *end;
+        std::uint32_t begin;
+        std::uint32_t left;
+    };
+
+    /// The merge behind combine() and combineParts(): appends the
+    /// parts' runs to `out` step by step (consumes the cursors).
+    static void mergeParts(std::span<PartCursor> parts, CommSchedule &out);
 
     std::vector<Flow> flows_;
     std::vector<Run> runs_;
@@ -275,6 +301,16 @@ class CollectiveScheduler
 
     /// Lowers one task according to its kind.
     CommSchedule schedule(const CollectiveTask &task) const;
+
+    /**
+     * Lowers a phase's tasks, which run concurrently, straight into
+     * one flow arena and merges their runs: the result equals
+     * CommSchedule::combine over each task's schedule(), flow by flow
+     * and run by run, with the same payload and feasibility, but
+     * builds no schedule per task. A single task's arena is returned
+     * as is.
+     */
+    CommSchedule lowerPhase(std::span<const CollectiveTask> tasks) const;
 
     /// Ring all-gather: N-1 rounds, each member forwards a shard.
     CommSchedule ringAllGather(const std::vector<DieId> &group,
@@ -317,10 +353,24 @@ class CollectiveScheduler
     const Router &router() const { return router_; }
 
   private:
+    // The lowerings proper. Each appends its runs to `out` after the
+    // sealed ones, adds its payload (summed on its own first, so the
+    // total matches a part-by-part combine) and clears `out.feasible`
+    // when a transfer has no route.
+
+    /// Appends a task according to its kind.
+    void lowerInto(const CollectiveTask &task, CommSchedule &out) const;
+
     /// `passes` back-to-back ring passes of (N-1) rounds each, every
     /// member forwarding a shard to its ring successor per round.
-    CommSchedule ringPasses(const std::vector<DieId> &group,
-                            double shard_bytes, int tag, int passes) const;
+    void appendRing(std::span<const DieId> group, double shard_bytes,
+                    int tag, int passes, CommSchedule &out) const;
+    void appendTree(std::span<const DieId> group, double tensor_bytes,
+                    int tag, CommSchedule &out) const;
+    void appendBroadcast(std::span<const DieId> group, double bytes,
+                         int tag, CommSchedule &out) const;
+    void appendP2p(DieId src, DieId dst, double bytes, int tag,
+                   CommSchedule &out) const;
 
     const Router &router_;
     RoutePolicy policy_;

@@ -51,12 +51,12 @@ struct RouteEpoch;
  * A non-owning handle to an immutable Route in a Router's storage.
  *
  * Flows reference routes through this instead of owning a Route copy,
- * so a Flow is trivially copyable and copying one (schedule-cache
- * reuse, overlay combination) writes no shared state. Only the Router
- * makes valid refs. A ref stays valid while its route's storage lives:
- * link routes as long as the router, every other route as long as its
- * route epoch's storage (the router keeps the current epoch; cached
- * schedules and stream plans each keep theirs). A default-constructed
+ * so a Flow is trivially copyable and copying one (overlay
+ * combination, the optimizer's rebuild) writes no shared state. Only
+ * the Router makes valid refs. A ref stays valid while its route's
+ * storage lives: link routes as long as the router, every other route
+ * as long as its route epoch's storage (the router keeps the current
+ * epoch; cached stream plans keep theirs). A default-constructed
  * ref reads as an empty route (no links), the state of an infeasible
  * transfer.
  */
@@ -168,7 +168,7 @@ class Router
 
     /**
      * The current route epoch's storage. A cache that keeps
-     * flows routed in this epoch (schedules, stream plans) holds one
+     * flows routed in this epoch (the stream plans) holds one
      * of these per entry, so the epoch's routes outlive a fault swap
      * for as long as any such entry does.
      */

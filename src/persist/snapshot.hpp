@@ -27,10 +27,10 @@
  * and spec) and step reports (under their content keys) are persisted
  * by value; cells import into the importing framework's memo. The CELL
  * payload lists the die groups its step tasks name once each, and each
- * task names its group by index. Lowered
- * schedules are not persisted: a warm answer reads none (a cell
- * carries its own timed step phase), and a cold cell after a warm
- * start lowers on demand under the live fault state.
+ * task names its group by index. Timed collective phases are not
+ * persisted: a warm answer reads none (a cell carries its own timed
+ * step phase), and a cold cell after a warm start lowers and times its
+ * phases on demand under the live fault state.
  *
  * Validation contract: decode verifies magic, version, contract
  * fingerprint, per-section checksums, exact payload consumption, the

@@ -177,8 +177,7 @@ DlsSolver::solve(const model::ComputeGraph &graph,
 {
     const double t_start = now();
     SolverResult result;
-    const net::ScheduleCacheStats sched_before =
-        sim_.costModel().scheduleStats();
+    const long lowerings_before = sim_.costModel().scheduleLowerings();
 
     // One gauge per solve, metering the tighter of the configured
     // deadline and the caller's budget (the serving layer passes a
@@ -391,10 +390,8 @@ DlsSolver::solve(const model::ComputeGraph &graph,
             steps_->stats() - step_stats_before;
         result.step_sims = step_delta.sims;
         result.step_cache_hits = step_delta.cache_hits;
-        const net::ScheduleCacheStats sched =
-            sim_.costModel().scheduleStats() - sched_before;
-        result.schedule_lowerings = sched.lowerings;
-        result.schedule_cache_hits = sched.hits;
+        result.schedule_lowerings =
+            sim_.costModel().scheduleLowerings() - lowerings_before;
         result.cache_evictions =
             matrix.stats.evictions + step_delta.evictions;
         result.quanta_used = gauge.used();
@@ -458,9 +455,8 @@ ExhaustiveSolver::solve(const model::ComputeGraph &graph, int op_limit,
     result.matrix_measurements = matrix.stats.measurements;
     result.cache_hits = matrix.stats.cache_hits;
     // The fill is the only schedule work here: the evaluator's
-    // (model-wide) schedule counters across it.
+    // (model-wide) lowering count across it.
     result.schedule_lowerings = matrix.stats.schedule_lowerings;
-    result.schedule_cache_hits = matrix.stats.schedule_cache_hits;
     result.cache_evictions = matrix.stats.evictions;
 
     std::vector<int> current(n_ops, 0);

@@ -130,21 +130,17 @@ struct SolverResult
     /// Step queries served from the StepEvaluator memo.
     long step_cache_hits = 0;
     /**
-     * Collective schedules lowered during this solve — the
-     * network-layer mirror of matrix_measurements/step_sims, read as
-     * the delta of the cost model's ScheduleCache counters across the
-     * solve. A task is lowered once per fault state at any
-     * eval_threads, so the count is exact; a repeat solve on a warm
-     * framework reports 0.
+     * Collective tasks lowered during this solve — the network-layer
+     * mirror of matrix_measurements/step_sims: the tasks of every
+     * collective phase the cost model's phase memo inserted, read as
+     * the delta of WaferCostModel::scheduleLowerings() across the
+     * solve. Racing duplicate misses count once, so the count is
+     * exact at any eval_threads; a repeat solve on a warm framework
+     * reports 0.
      */
     long schedule_lowerings = 0;
-    /**
-     * Schedule-cache lookups served during this solve. Only lookups
-     * that really ran count: one a memo above the cache (phase, cell
-     * or step report) answers never reaches it, so a warm repeat
-     * reports 0. A gauge that varies with eval_threads (which thread
-     * fills a shared cell first decides which lookups run).
-     */
+    /// Retired: always 0 since lowered schedules stopped being cached.
+    /// Kept (with its JSON key) until the benchmark stops reading it.
     long schedule_cache_hits = 0;
     /**
      * Memo entries (cells, layouts, step reports) evicted during

@@ -56,9 +56,6 @@ TrafficOptimizer::optimize(net::CommSchedule &schedule) const
         rebuilt.sealRound(repeat);
     }
     schedule = std::move(rebuilt);
-    // The optimized schedule goes straight to contention evaluation;
-    // hand it the SoA deposit path.
-    schedule.finalize();
     return total;
 }
 

@@ -4,19 +4,15 @@
  * common::LruMap/BoundedCache machinery (order, pinning, honest
  * recounting of evicted keys), bounded-vs-unbounded bit-exactness of
  * a real solve, per-layer budget enforcement observed through
- * CacheStatsRequest, the torn-snapshot regression of
- * ScheduleCache::stats() (TSan-exercised), setFaults() clearing every
- * fault-derived layer, and
- * queue-time-aware submit() latency.
+ * CacheStatsRequest, setFaults() clearing every fault-derived layer,
+ * and queue-time-aware submit() latency.
  */
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <future>
 #include <memory>
 #include <set>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "api/serialize.hpp"
@@ -26,7 +22,6 @@
 #include "cost/cost_model.hpp"
 #include "hw/wafer.hpp"
 #include "model/model_zoo.hpp"
-#include "net/schedule_cache.hpp"
 #include "solver/strategy_space.hpp"
 
 namespace temp {
@@ -274,8 +269,8 @@ TEST(CacheBound, BudgetTwoSolveIsBitIdenticalToUnbounded)
     for (const auto &[layer, stats] : bounded.cacheStats()) {
         seen.insert(layer);
         if (layer == "step_reports" || layer == "layouts" ||
-            layer == "schedules" || layer == "stream_plans" ||
-            layer == "collective_phases" || layer == "sim_cells")
+            layer == "stream_plans" || layer == "collective_phases" ||
+            layer == "sim_cells")
             EXPECT_LE(stats.entries, 2) << layer;
         if (layer == "layouts" || layer == "stream_plans" ||
             layer == "collective_phases" || layer == "sim_cells") {
@@ -319,7 +314,7 @@ TEST(CacheBound, ByteBudgetedSolveIsBitIdenticalAndVisible)
     for (const auto &[layer, stats] : bounded.cacheStats()) {
         if (layer == "step_reports")
             EXPECT_LE(stats.bytes_est, 8 << 10) << layer;
-        else if (layer == "schedules" || layer == "collective_phases")
+        else if (layer == "collective_phases")
             EXPECT_LE(stats.bytes_est, 32 << 10) << layer;
         else if (layer == "layouts" || layer == "stream_plans" ||
                  layer == "sim_cells")
@@ -349,7 +344,6 @@ TEST(CacheBound, ServiceBudgetsHoldAfterEveryRequestAndEvictLru)
                 EXPECT_LE(layer.stats.entries, 1);
             else if (layer.layer == "step_reports" ||
                      layer.layer == "layouts" ||
-                     layer.layer == "schedules" ||
                      layer.layer == "stream_plans" ||
                      layer.layer == "collective_phases" ||
                      layer.layer == "sim_cells")
@@ -390,81 +384,18 @@ TEST(CacheBound, ServiceBudgetsHoldAfterEveryRequestAndEvictLru)
         api::toJson(service.run(api::CacheStatsRequest{}));
     for (const char *layer :
          {"service_frameworks", "service_pods", "step_reports", "layouts",
-          "schedules", "routes", "stream_plans", "collective_phases",
-          "sim_cells"})
+          "routes", "stream_plans", "collective_phases", "sim_cells"})
         EXPECT_NE(json.find(layer), std::string::npos) << layer;
     EXPECT_EQ(json.find("eval_breakdowns"), std::string::npos);
+    EXPECT_EQ(json.find("\"schedules\""), std::string::npos);
     EXPECT_NE(json.find("\"evictions\":"), std::string::npos);
 }
 
 // ---------------------------------------------------------------
-// ScheduleCache: consistent stats snapshots (the torn-read bug) and
-// eager epoch flushing
+// Eager flushing on a fault change
 // ---------------------------------------------------------------
 
-TEST(CacheBound, ScheduleCacheStatsSnapshotsAreConsistentUnderLoad)
-{
-    // Regression for the torn stats() snapshot: lowerings_ and hits_
-    // were read as two independent atomic loads, so a reader racing
-    // the lookup path could observe a hit whose sibling lowering was
-    // not yet visible, making interval deltas transiently dishonest.
-    // stats() now snapshots under the exclusive lock; this test runs
-    // lookups and polls concurrently (TSan-exercised in CI) and
-    // checks every snapshot's invariants.
-    hw::Wafer wafer(hw::WaferConfig::paperDefault());
-    net::Router router(wafer.topology(), &wafer.faults());
-    net::CollectiveScheduler scheduler(router);
-    net::ScheduleCache cache(scheduler);
-
-    constexpr int kUniqueTasks = 16;
-    constexpr int kLookupsPerThread = 400;
-    constexpr int kThreads = 4;
-
-    std::atomic<bool> done{false};
-    std::thread poller([&] {
-        net::ScheduleCacheStats last;
-        while (!done.load()) {
-            const net::ScheduleCacheStats snap = cache.stats();
-            // Monotonic counters, never more unique lowerings than
-            // unique tasks, and a hit rate that cannot exceed 1.
-            EXPECT_GE(snap.lowerings, last.lowerings);
-            EXPECT_GE(snap.hits, last.hits);
-            EXPECT_LE(snap.lowerings, kUniqueTasks);
-            EXPECT_LE(snap.hitRate(), 1.0);
-            const net::ScheduleCacheStats delta = snap - last;
-            EXPECT_GE(delta.lowerings, 0);
-            EXPECT_GE(delta.hits, 0);
-            last = snap;
-        }
-    });
-
-    std::vector<std::thread> workers;
-    for (int t = 0; t < kThreads; ++t) {
-        workers.emplace_back([&, t] {
-            for (int i = 0; i < kLookupsPerThread; ++i) {
-                net::CollectiveTask task;
-                task.kind = net::CollectiveKind::AllReduce;
-                task.group = wafer.topology().dieGroups().intern(
-                    std::vector<hw::DieId>{0, 1, 2, 3});
-                task.bytes = 1e6;
-                task.tag = (t + i) % kUniqueTasks;
-                cache.lowered(task);
-            }
-        });
-    }
-    for (std::thread &w : workers)
-        w.join();
-    done.store(true);
-    poller.join();
-
-    // Quiesced: the books balance exactly.
-    const net::ScheduleCacheStats final_stats = cache.stats();
-    EXPECT_EQ(final_stats.lowerings + final_stats.hits,
-              static_cast<long>(kThreads) * kLookupsPerThread);
-    EXPECT_EQ(final_stats.lowerings, kUniqueTasks);
-}
-
-TEST(CacheBound, SetFaultsFlushesScheduleCacheAndRoutePoolEagerly)
+TEST(CacheBound, SetFaultsFlushesPhaseMemoAndRoutePoolEagerly)
 {
     // Fault-injection sweeps must not retain anything derived from the
     // old fault state until some later lookup: setFaults() clears every
@@ -473,8 +404,8 @@ TEST(CacheBound, SetFaultsFlushesScheduleCacheAndRoutePoolEagerly)
     const model::ModelConfig model = model::modelByName("GPT-3 6.7B");
     const model::ComputeGraph graph =
         model::ComputeGraph::transformer(model);
-    // A data- and TATP-parallel plan, so collective schedules and
-    // stream plans are both populated.
+    // A data- and TATP-parallel plan, so collective phases and stream
+    // plans are both populated.
     parallel::ParallelSpec tatp;
     for (const parallel::ParallelSpec &spec : solver::enumerateStrategies(
              framework.wafer().dieCount(), model,
@@ -486,7 +417,7 @@ TEST(CacheBound, SetFaultsFlushesScheduleCacheAndRoutePoolEagerly)
     ASSERT_GT(tatp.tatp, 1);
     ASSERT_TRUE(framework.stepEvaluator().evaluate(graph, tatp).feasible);
     const auto layers = framework.cacheStats();
-    ASSERT_EQ(layers.size(), 7u);
+    ASSERT_EQ(layers.size(), 6u);
     for (const auto &[layer, stats] : layers)
         EXPECT_GT(stats.entries, 0) << layer;
 
@@ -504,44 +435,6 @@ TEST(CacheBound, SetFaultsFlushesScheduleCacheAndRoutePoolEagerly)
     (void)framework.stepEvaluator().evaluate(graph, tatp);
     for (const auto &[layer, stats] : framework.cacheStats())
         EXPECT_GT(stats.entries, 0) << layer;
-}
-
-TEST(CacheBound, BoundedScheduleCacheEvictsWithinEpochBitExactly)
-{
-    hw::Wafer wafer(hw::WaferConfig::paperDefault());
-    net::Router router(wafer.topology(), &wafer.faults());
-    net::CollectiveScheduler scheduler(router);
-    net::ScheduleCache unbounded(scheduler);
-    net::ScheduleCache bounded(scheduler);
-    bounded.setMaxEntries(2);
-
-    std::vector<net::CollectiveTask> tasks;
-    for (int size : {2, 4, 8, 16}) {
-        std::vector<hw::DieId> group;
-        for (int i = 0; i < size; ++i)
-            group.push_back(i);
-        net::CollectiveTask task;
-        task.kind = net::CollectiveKind::AllReduce;
-        task.group = wafer.topology().dieGroups().intern(group);
-        task.bytes = 1e6 * size;
-        tasks.push_back(std::move(task));
-    }
-    for (int rep = 0; rep < 3; ++rep) {
-        for (const net::CollectiveTask &task : tasks) {
-            const auto a = unbounded.lowered(task);
-            const auto b = bounded.lowered(task);
-            EXPECT_EQ(a->linkBytes(), b->linkBytes());
-            EXPECT_EQ(a->flowCount(), b->flowCount());
-            EXPECT_LE(bounded.size(), 2u);
-        }
-    }
-    EXPECT_GT(bounded.cacheStats().evictions, 0);
-    EXPECT_EQ(unbounded.cacheStats().evictions, 0);
-    // Unbounded: 4 lowerings, everything else hits. Bounded: the
-    // cyclic sweep defeats a 2-entry LRU, so re-lowerings recount
-    // honestly as misses.
-    EXPECT_EQ(unbounded.stats().lowerings, 4);
-    EXPECT_GT(bounded.stats().lowerings, 4);
 }
 
 // ---------------------------------------------------------------

@@ -275,9 +275,7 @@ TEST(EvalWidth, TableTwoAnswersAreBitIdenticalAcrossEvalThreads)
     // a fresh framework at 1, 2 and 4 eval threads: the plan, the
     // exact step time, the full report, the work counters and the
     // whole EvalStats (layout hits and schedule lowerings included)
-    // must not see the width. The one exception is the schedule-cache
-    // hit gauge: it counts the lookups that ran, and which thread
-    // costs a shared cell first decides which do.
+    // must not see the width.
     for (const model::ModelConfig &model : model::evaluationModels()) {
         for (solver::SearchEngineKind engine :
              {solver::SearchEngineKind::NoRefine,
@@ -292,9 +290,8 @@ TEST(EvalWidth, TableTwoAnswersAreBitIdenticalAcrossEvalThreads)
                 const core::TempFramework framework(
                     hw::WaferConfig::paperDefault(), options);
                 results.push_back(framework.optimize(model));
-                eval::EvalStats stats = framework.evaluatorStats();
-                stats.schedule_cache_hits = 0;
-                eval_stats.push_back(api::toJson(stats));
+                eval_stats.push_back(
+                    api::toJson(framework.evaluatorStats()));
             }
             const std::string label =
                 model.name + " / " + solver::searchEngineName(engine);

@@ -364,14 +364,12 @@ TEST_F(CellMemoTest, WarmSimulatorMatchesFreshOnRandomPlans)
             randomPlans(model, 12, 7);
         for (std::size_t p = 0; p < plans.size(); ++p) {
             const PerfReport expected = fresh(graph, plans[p]);
-            const long lowered =
-                warm.costModel().scheduleStats().lowerings;
+            const long lowered = warm.costModel().scheduleLowerings();
             const PerfReport got = warm.simulate(graph, plans[p]);
             expectSameReport(got, expected);
             // A repeated plan is served whole: it lowers nothing.
             if (p % 2 == 1) {
-                EXPECT_EQ(warm.costModel().scheduleStats().lowerings,
-                          lowered)
+                EXPECT_EQ(warm.costModel().scheduleLowerings(), lowered)
                     << "plan " << p;
             }
             accumulated += got.grad_accum > 1 ? 1 : 0;
