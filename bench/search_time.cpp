@@ -366,6 +366,11 @@ warmStartSection(const char *name)
     bar(warm_sims == 0, "every warm solve re-simulates nothing");
     bar(identical, "every warm answer is bit-identical to its cold one");
     bar(speedup >= 5.0, "warm start is >= 5x faster (median of pairs)");
+    // The target of ROADMAP item 8 (warm answers at table speed),
+    // reported beside the enforced bar until it is met.
+    std::printf("  [%s] warm start median %.2fx against the >= 8x target "
+                "(ROADMAP item 8, not enforced)\n",
+                speedup >= 8.0 ? "MET" : "OPEN", speedup);
     return failures;
 }
 

@@ -442,10 +442,7 @@ WaferCostModel::timeStream(const OpExecution &exec, const GroupLayout &layout,
             return std::numeric_limits<double>::infinity();
         if (plan->round0.empty())
             return 0.0;
-        std::vector<net::Flow> flows = plan->round0;
-        for (net::Flow &flow : flows)
-            flow.bytes = bytes;
-        return contention_.evaluate(flows).time_s;
+        return contention_.evaluate(plan->round0, bytes).time_s;
     };
 
     const tatp::TatpTiming fwd = tatp_executor_.timePass(
@@ -609,8 +606,24 @@ WaferCostModel::interOpTime(const model::Operator &producer,
                             const ParallelSpec &from,
                             const ParallelSpec &to) const
 {
-    const double bytes = parallel::reshardBytesPerDie(
-        producer, from, to, partitioner_.options());
+    if (from == to)
+        return 0.0;
+    return reshardTime(reshardOutputBytes(producer), from.totalDegree(),
+                       to.totalDegree());
+}
+
+double
+WaferCostModel::reshardOutputBytes(const model::Operator &producer) const
+{
+    return producer.outputBytes(partitioner_.options().act_bytes_per_elem);
+}
+
+double
+WaferCostModel::reshardTime(double out_bytes, int from_degree,
+                            int to_degree) const
+{
+    const double bytes =
+        parallel::reshardBytesPerDie(out_bytes, from_degree, to_degree);
     if (bytes <= 0.0)
         return 0.0;
     // Resharding is a bulk exchange between neighbouring shards; a die

@@ -204,6 +204,19 @@ class WaferCostModel
                        const parallel::ParallelSpec &to) const;
 
     /**
+     * interOpTime() between two *distinct* specs, which depends only
+     * on the producer's output bytes (reshardOutputBytes()) and the
+     * two total degrees: the one expression behind interOpTime() and
+     * the DP's per-producer degree table, so both read the same
+     * doubles.
+     */
+    double reshardTime(double out_bytes, int from_degree,
+                       int to_degree) const;
+
+    /// The producer output volume reshardTime() redistributes.
+    double reshardOutputBytes(const model::Operator &producer) const;
+
+    /**
      * Estimates per-axis communication volumes for a whole graph under a
      * spec (drives GMap/TCME axis ordering) without building layouts.
      */

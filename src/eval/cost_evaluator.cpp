@@ -31,6 +31,8 @@ ExactEvaluator::evaluateBatch(const model::ComputeGraph &graph,
     std::unordered_map<OpCellKey, std::size_t, cost::OpCellKeyHash> slot_of;
     std::vector<std::size_t> request_slot(requests.size());
     std::vector<std::size_t> slot_request;
+    slot_of.reserve(requests.size());
+    slot_request.reserve(requests.size());
     for (std::size_t i = 0; i < requests.size(); ++i) {
         const EvalRequest &request = requests[i];
         const auto [it, inserted] = slot_of.try_emplace(

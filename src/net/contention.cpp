@@ -198,6 +198,27 @@ finishDrain(PhaseTiming &timing, const PhaseScratch &scratch,
     }
 }
 
+/// Deposits each flow's bytes_of(flow) on its route's links (skipping
+/// flows that carry nothing) and sums the phase's byte counts.
+template <typename BytesOf>
+void
+depositFlows(PhaseTiming &timing, PhaseScratch &scratch,
+             std::span<const Flow> flows, BytesOf bytes_of)
+{
+    for (const Flow &flow : flows) {
+        const double bytes = bytes_of(flow);
+        if (bytes <= 0.0)
+            continue;
+        const std::vector<LinkId> &links = flow.route.links();
+        kernels::depositLinks(scratch.loads.data(), scratch.stamp.data(),
+                              scratch.epoch, links.data(),
+                              static_cast<int>(links.size()), bytes);
+        timing.total_bytes += bytes;
+        timing.link_bytes += bytes * flow.route.hops();
+        timing.max_hops = std::max(timing.max_hops, flow.route.hops());
+    }
+}
+
 }  // namespace
 
 PhaseTiming
@@ -209,17 +230,24 @@ ContentionModel::evaluate(std::span<const Flow> flows) const
 
     PhaseScratch &scratch = phaseScratch();
     scratch.prepare(topo_.linkCount());
-    for (const Flow &flow : flows) {
-        if (flow.bytes <= 0.0)
-            continue;
-        const std::vector<LinkId> &links = flow.route.links();
-        kernels::depositLinks(scratch.loads.data(), scratch.stamp.data(),
-                              scratch.epoch, links.data(),
-                              static_cast<int>(links.size()), flow.bytes);
-        timing.total_bytes += flow.bytes;
-        timing.link_bytes += flow.bytes * flow.route.hops();
-        timing.max_hops = std::max(timing.max_hops, flow.route.hops());
-    }
+    depositFlows(timing, scratch, flows,
+                 [](const Flow &flow) { return flow.bytes; });
+    finishDrain(timing, scratch, link_bandwidth_.data(), topo_.linkCount(),
+                hop_latency_s_, fabric_capacity_);
+    return timing;
+}
+
+PhaseTiming
+ContentionModel::evaluate(std::span<const Flow> flows, double bytes) const
+{
+    PhaseTiming timing;
+    if (flows.empty())
+        return timing;
+
+    PhaseScratch &scratch = phaseScratch();
+    scratch.prepare(topo_.linkCount());
+    depositFlows(timing, scratch, flows,
+                 [bytes](const Flow &) { return bytes; });
     finishDrain(timing, scratch, link_bandwidth_.data(), topo_.linkCount(),
                 hop_latency_s_, fabric_capacity_);
     return timing;

@@ -167,6 +167,9 @@ class ContentionModel
         return evaluate(std::span<const Flow>(flows));
     }
 
+    /// Evaluates the phase as if every flow carried `bytes`.
+    PhaseTiming evaluate(std::span<const Flow> flows, double bytes) const;
+
     /// Evaluates a schedule's rounds as dependent phases: each stored
     /// run once, folded in once per executed round. Takes the
     /// contiguous SoA deposit path when the schedule is finalized, the

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <deque>
 #include <mutex>
-#include <unordered_map>
 
 #include "common/logging.hpp"
 
@@ -11,24 +10,36 @@ namespace temp::net {
 
 namespace {
 
-/// Pool key of one (src, dst, policy) endpoint pair.
-std::uint64_t
-endpointKey(DieId src, DieId dst, RoutePolicy policy)
-{
-    return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(src))
-            << 33) |
-           (static_cast<std::uint64_t>(static_cast<std::uint32_t>(dst))
-            << 1) |
-           (policy == RoutePolicy::YX ? 1u : 0u);
-}
+/// The stored value of a slot whose destination is unreachable (an
+/// unfilled slot holds null).
+const Route kUnreachable;
 
 }  // namespace
 
-/// One route epoch's routes. Append-only: deques never move their
-/// elements, so every RouteRef and candidate span handed out stays
-/// valid for the storage's lifetime.
+/// One route epoch's routes and lookup tables. Routes are append-only:
+/// deques never move their elements, so every RouteRef and candidate
+/// span handed out stays valid for the storage's lifetime. The tables
+/// are dense per-source rows of per-destination slots, allocated on a
+/// source's first miss; a filled slot never changes.
 struct RouteEpoch
 {
+    /// The memoized lookups of one (src, dst) pair.
+    struct Slot
+    {
+        /// safeRouteRef() per RoutePolicy (XY, YX); kUnreachable when
+        /// the destination is unreachable.
+        std::atomic<const Route *> safe[2];
+        /// candidateRouteRefs().
+        std::atomic<const std::vector<RouteRef> *> candidates;
+    };
+
+    explicit RouteEpoch(int die_count)
+        : dies(die_count),
+          rows(std::make_unique<std::atomic<Slot *>[]>(
+              static_cast<std::size_t>(die_count)))
+    {
+    }
+
     RouteRef add(Route route)
     {
         bytes += static_cast<long>(sizeof(Route) +
@@ -37,19 +48,50 @@ struct RouteEpoch
         return RouteRef(&routes.back());
     }
 
+    bool contains(DieId src, DieId dst) const
+    {
+        return static_cast<unsigned>(src) < static_cast<unsigned>(dies) &&
+               static_cast<unsigned>(dst) < static_cast<unsigned>(dies);
+    }
+
+    /// The filled-or-empty slot of (src, dst), or null when src's row
+    /// does not exist yet (or the pair is out of range). Lock-free.
+    const Slot *find(DieId src, DieId dst) const
+    {
+        if (!contains(src, dst))
+            return nullptr;
+        const Slot *row = rows[src].load(std::memory_order_acquire);
+        return row != nullptr ? &row[dst] : nullptr;
+    }
+
+    /// The slot of (src, dst), allocating src's row. Caller holds the
+    /// router's lock exclusively.
+    Slot &slotLocked(DieId src, DieId dst)
+    {
+        if (!contains(src, dst))
+            panic("Router: route %d -> %d outside a %d-die fabric", src,
+                  dst, dies);
+        Slot *row = rows[src].load(std::memory_order_relaxed);
+        if (row == nullptr) {
+            row = owned_rows
+                      .emplace_back(std::make_unique<Slot[]>(
+                          static_cast<std::size_t>(dies)))
+                      .get();
+            rows[src].store(row, std::memory_order_release);
+            bytes += static_cast<long>(sizeof(Slot)) * dies;
+        }
+        return row[dst];
+    }
+
+    const int dies;
+    /// Per-source rows of `dies` slots; null until the first miss.
+    std::unique_ptr<std::atomic<Slot *>[]> rows;
+    std::vector<std::unique_ptr<Slot[]>> owned_rows;
     std::deque<Route> routes;
     std::deque<std::vector<RouteRef>> candidate_lists;
-    std::unordered_map<std::uint64_t, RouteRef> safe;
-    std::unordered_map<std::uint64_t, std::span<const RouteRef>> candidates;
-    long bytes = 0;  ///< estimate of routes + candidate lists
+    long entries = 0;  ///< filled slots (safe routes + candidate lists)
+    long bytes = 0;    ///< estimate of rows + routes + candidate lists
 };
-
-const Route &
-RouteRef::get() const
-{
-    static const Route kEmpty;
-    return route_ ? *route_ : kEmpty;
-}
 
 Router::Router(const hw::MeshTopology &topo, const hw::FaultMap *faults)
     : topo_(topo), faults_(faults)
@@ -228,11 +270,12 @@ RouteEpoch &
 Router::currentLocked() const
 {
     if (epoch_ == nullptr) {
-        epoch_ = std::make_shared<RouteEpoch>();
+        epoch_ = std::make_shared<RouteEpoch>(topo_.dieCount());
         std::erase_if(epochs_, [](const std::weak_ptr<const RouteEpoch> &e) {
             return e.expired();
         });
         epochs_.push_back(epoch_);
+        live_.store(epoch_.get(), std::memory_order_release);
     }
     return *epoch_;
 }
@@ -240,25 +283,30 @@ Router::currentLocked() const
 RouteRef
 Router::safeRouteRef(DieId src, DieId dst, RoutePolicy policy) const
 {
-    const std::uint64_t key = endpointKey(src, dst, policy);
-    {
-        std::shared_lock<std::shared_mutex> lock(mutex_);
-        if (epoch_ != nullptr) {
-            auto it = epoch_->safe.find(key);
-            if (it != epoch_->safe.end()) {
-                ++pool_hits_;
-                return it->second;
+    const int p = policy == RoutePolicy::YX ? 1 : 0;
+    if (const RouteEpoch *epoch = live_.load(std::memory_order_acquire)) {
+        if (const RouteEpoch::Slot *slot = epoch->find(src, dst)) {
+            const Route *route =
+                slot->safe[p].load(std::memory_order_acquire);
+            if (route != nullptr) {
+                pool_hits_.fetch_add(1, std::memory_order_relaxed);
+                return route == &kUnreachable ? RouteRef()
+                                              : RouteRef(route);
             }
         }
     }
-    ++pool_misses_;
+    pool_misses_.fetch_add(1, std::memory_order_relaxed);
     std::optional<Route> found = safeRoute(src, dst, policy);
     std::unique_lock<std::shared_mutex> lock(mutex_);
     RouteEpoch &epoch = currentLocked();
-    auto [it, inserted] = epoch.safe.try_emplace(key);
-    if (inserted && found)
-        it->second = epoch.add(std::move(*found));
-    return it->second;
+    std::atomic<const Route *> &slot = epoch.slotLocked(src, dst).safe[p];
+    const Route *route = slot.load(std::memory_order_relaxed);
+    if (route == nullptr) {  // else a racing miss stored it first
+        route = found ? &epoch.add(std::move(*found)).get() : &kUnreachable;
+        slot.store(route, std::memory_order_release);
+        ++epoch.entries;
+    }
+    return route == &kUnreachable ? RouteRef() : RouteRef(route);
 }
 
 RouteRef
@@ -282,32 +330,34 @@ Router::linkRoute(LinkId link) const
 std::span<const RouteRef>
 Router::candidateRouteRefs(DieId src, DieId dst) const
 {
-    const std::uint64_t key = endpointKey(src, dst, RoutePolicy::XY);
-    {
-        std::shared_lock<std::shared_mutex> lock(mutex_);
-        if (epoch_ != nullptr) {
-            auto it = epoch_->candidates.find(key);
-            if (it != epoch_->candidates.end()) {
-                ++pool_hits_;
-                return it->second;
+    if (const RouteEpoch *epoch = live_.load(std::memory_order_acquire)) {
+        if (const RouteEpoch::Slot *slot = epoch->find(src, dst)) {
+            const std::vector<RouteRef> *refs =
+                slot->candidates.load(std::memory_order_acquire);
+            if (refs != nullptr) {
+                pool_hits_.fetch_add(1, std::memory_order_relaxed);
+                return *refs;
             }
         }
     }
-    ++pool_misses_;
+    pool_misses_.fetch_add(1, std::memory_order_relaxed);
     std::vector<Route> routes = candidateRoutes(src, dst);
     std::unique_lock<std::shared_mutex> lock(mutex_);
     RouteEpoch &epoch = currentLocked();
-    if (auto it = epoch.candidates.find(key); it != epoch.candidates.end())
-        return it->second;  // a racing miss stored it first
+    std::atomic<const std::vector<RouteRef> *> &slot =
+        epoch.slotLocked(src, dst).candidates;
+    if (const std::vector<RouteRef> *refs =
+            slot.load(std::memory_order_relaxed))
+        return *refs;  // a racing miss stored it first
     std::vector<RouteRef> &refs = epoch.candidate_lists.emplace_back();
     refs.reserve(routes.size());
     for (Route &r : routes)
         refs.push_back(epoch.add(std::move(r)));
     epoch.bytes += static_cast<long>(sizeof(refs) +
                                      refs.size() * sizeof(RouteRef));
-    const std::span<const RouteRef> span(refs);
-    epoch.candidates.emplace(key, span);
-    return span;
+    slot.store(&refs, std::memory_order_release);
+    ++epoch.entries;
+    return refs;
 }
 
 RouteRef
@@ -329,6 +379,7 @@ void
 Router::newEpoch() const
 {
     std::unique_lock<std::shared_mutex> lock(mutex_);
+    live_.store(nullptr, std::memory_order_release);
     epoch_.reset();
 }
 
@@ -349,8 +400,7 @@ Router::poolStats() const
     std::shared_lock<std::shared_mutex> lock(mutex_);
     common::CacheStats stats;
     if (epoch_ != nullptr) {
-        stats.entries = static_cast<long>(epoch_->safe.size() +
-                                          epoch_->candidates.size());
+        stats.entries = epoch_->entries;
         stats.bytes_est = epoch_->bytes;
     }
     stats.hits = pool_hits_.load();

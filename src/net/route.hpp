@@ -68,7 +68,7 @@ class RouteRef
     /// True when a route is attached (even a trivial src==dst one).
     bool valid() const { return route_ != nullptr; }
 
-    const Route &get() const;
+    const Route &get() const { return route_ ? *route_ : kEmpty; }
     const Route &operator*() const { return get(); }
     const Route *operator->() const { return &get(); }
 
@@ -86,6 +86,9 @@ class RouteRef
     friend class Router;
     friend struct RouteEpoch;
     explicit RouteRef(const Route *route) : route_(route) {}
+
+    /// What an invalid ref reads as.
+    static inline const Route kEmpty{};
 
     const Route *route_ = nullptr;
 };
@@ -140,7 +143,7 @@ class Router
      * Memoized safeRoute(): the hot path of collective lowering.
      * Returns an invalid (empty) ref when the destination is
      * unreachable. The route lives in the current route epoch's
-     * storage. Thread-safe.
+     * storage. Thread-safe; a hit takes no lock (see live_).
      */
     RouteRef safeRouteRef(DieId src, DieId dst,
                           RoutePolicy policy = RoutePolicy::XY) const;
@@ -206,12 +209,17 @@ class Router
     const hw::MeshTopology &topo_;
     const hw::FaultMap *faults_;
 
-    /// Guards epoch_ and the storage it points to: lookups read it
-    /// under the shared lock, misses and interning append under the
-    /// exclusive one. Storage is append-only with stable addresses,
-    /// so handed-out refs never move.
+    /// Guards epoch_ and appends to the storage it points to: misses
+    /// and interning append under the exclusive lock. Storage is
+    /// append-only with stable addresses, so handed-out refs never
+    /// move.
     mutable std::shared_mutex mutex_;
     mutable std::shared_ptr<RouteEpoch> epoch_;
+    /// epoch_ published for lock-free hits: a hit is an acquire load
+    /// of this, of its source's row and of the slot, all filled under
+    /// the exclusive lock and stored with release. newEpoch() clears
+    /// it before releasing the storage.
+    mutable std::atomic<const RouteEpoch *> live_{nullptr};
     /// Every epoch started, for liveEpochs() (pruned as they expire).
     mutable std::vector<std::weak_ptr<const RouteEpoch>> epochs_;
     /// One route per link, built on the first linkRoute().

@@ -303,24 +303,30 @@ Partitioner::analyzeUnplaced(const Operator &op, const ParallelSpec &spec,
 }
 
 double
-reshardBytesPerDie(const Operator &producer, const ParallelSpec &from,
-                   const ParallelSpec &to, const TrainingOptions &options)
+reshardBytesPerDie(double out_bytes, int from_degree, int to_degree)
 {
-    if (from == to)
-        return 0.0;
     // The producer's output is laid out by `from`; the consumer expects
     // `to`. In the worst case every die exchanges its full local shard;
     // the overlap of the two shardings reduces the moved fraction. We
     // approximate the moved fraction by the normalised difference of the
     // shard factors (identical factors with different axis mixes still
     // move about half the tensor).
-    const double out_bytes = producer.outputBytes(options.act_bytes_per_elem);
-    const double fa = std::max(1.0, static_cast<double>(from.totalDegree()));
-    const double fb = std::max(1.0, static_cast<double>(to.totalDegree()));
+    const double fa = std::max(1.0, static_cast<double>(from_degree));
+    const double fb = std::max(1.0, static_cast<double>(to_degree));
     const double per_die_from = out_bytes / fa;
     const double per_die_to = out_bytes / fb;
     const double moved = 0.5 * (per_die_from + per_die_to);
     return moved;
+}
+
+double
+reshardBytesPerDie(const Operator &producer, const ParallelSpec &from,
+                   const ParallelSpec &to, const TrainingOptions &options)
+{
+    if (from == to)
+        return 0.0;
+    return reshardBytesPerDie(producer.outputBytes(options.act_bytes_per_elem),
+                              from.totalDegree(), to.totalDegree());
 }
 
 }  // namespace temp::parallel

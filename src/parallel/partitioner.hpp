@@ -184,10 +184,16 @@ class Partitioner
 
 /**
  * Resharding cost between two consecutive operators with different
- * specs: the producer's output must be redistributed to match the
- * consumer's expected sharding (Eq. 3's inter-operator P2P term).
- * Returns the per-die P2P byte volume (zero when specs agree).
+ * specs: the producer's output (`out_bytes`) must be redistributed to
+ * match the consumer's expected sharding (Eq. 3's inter-operator P2P
+ * term). Returns the per-die P2P byte volume of two *distinct* specs
+ * of total degrees `from_degree` and `to_degree` (specs that agree
+ * move nothing; the caller decides that).
  */
+double reshardBytesPerDie(double out_bytes, int from_degree, int to_degree);
+
+/// The per-die P2P byte volume of resharding `producer`'s output from
+/// `from` to `to` (zero when the specs agree).
 double reshardBytesPerDie(const model::Operator &producer,
                           const ParallelSpec &from, const ParallelSpec &to,
                           const TrainingOptions &options);

@@ -97,10 +97,11 @@ DlsSolver::DlsSolver(const sim::TrainingSimulator &simulator,
 }
 
 std::vector<int>
-DlsSolver::solveChainDp(const model::ComputeGraph &graph, int begin, int end,
-                        const std::vector<ParallelSpec> &candidates,
-                        const std::vector<std::vector<double>> &op_cost,
-                        long *evaluations) const
+solveChainDp(const cost::WaferCostModel &model,
+             const model::ComputeGraph &graph, int begin, int end,
+             const std::vector<ParallelSpec> &candidates,
+             const std::vector<std::vector<double>> &op_cost,
+             long *evaluations)
 {
     const int n_ops = end - begin;
     const int n_cand = static_cast<int>(candidates.size());
@@ -109,26 +110,52 @@ DlsSolver::solveChainDp(const model::ComputeGraph &graph, int begin, int end,
     // Two flat DP rows (previous / current op) plus a flat back-pointer
     // matrix: the fill walks dense contiguous strides, and the per-state
     // minimisation runs through the vectorized min-plus kernel over a
-    // dense transition row built per state. Results are bit-identical
-    // to the former nested loops: the kernel keeps the
-    // (prev + transition) + cost association, the strictly-less
-    // first-minimum tie-break, and +inf entries (infeasible
-    // predecessors) lose every strict comparison exactly like the old
-    // `continue` skips.
+    // dense transition row. The kernel keeps the (prev + transition) +
+    // cost association, the strictly-less first-minimum tie-break, and
+    // +inf entries (infeasible predecessors) lose every strict
+    // comparison exactly like skipped predecessors would.
     std::vector<double> dp_prev(n_cand), dp_cur(n_cand, inf);
     std::vector<int> back(static_cast<std::size_t>(n_ops) * n_cand, -1);
-    std::vector<double> trans_row(n_cand);
+
+    // The degree table. Candidates are distinct, so the transition
+    // between two different candidates is WaferCostModel::reshardTime
+    // of the producer's output bytes and the two total degrees, and a
+    // candidate kept across the edge costs nothing. Each producer
+    // therefore fills one row of transitions per distinct degree (one
+    // on a healthy wafer at full occupancy, a few on a degraded one)
+    // from a degree x degree table, and a state reads its degree's row
+    // with its own entry zeroed.
+    std::vector<int> degrees;
+    std::vector<int> degree_of(n_cand);
+    for (int s = 0; s < n_cand; ++s) {
+        const int degree = candidates[s].totalDegree();
+        const auto it = std::find(degrees.begin(), degrees.end(), degree);
+        degree_of[s] = static_cast<int>(it - degrees.begin());
+        if (it == degrees.end())
+            degrees.push_back(degree);
+    }
+    const int n_deg = static_cast<int>(degrees.size());
+    std::vector<double> table(static_cast<std::size_t>(n_deg));
+    std::vector<double> trans(static_cast<std::size_t>(n_deg) * n_cand);
 
     for (int s = 0; s < n_cand; ++s)
         dp_prev[s] = op_cost[begin][s];
 
-    const cost::WaferCostModel &model = sim_.costModel();
     for (int i = 1; i < n_ops; ++i) {
-        const model::Operator &producer = graph.op(begin + i - 1);
+        const double out_bytes =
+            model.reshardOutputBytes(graph.op(begin + i - 1));
+        for (int to = 0; to < n_deg; ++to) {
+            for (int from = 0; from < n_deg; ++from)
+                table[from] =
+                    model.reshardTime(out_bytes, degrees[from], degrees[to]);
+            double *row = trans.data() + static_cast<std::size_t>(to) * n_cand;
+            for (int p = 0; p < n_cand; ++p)
+                row[p] = table[degree_of[p]];
+        }
         const double *row_cost = op_cost[begin + i].data();
-        // The former loops counted one evaluation per (feasible state,
-        // feasible predecessor) pair; the predecessor count is shared
-        // by every state of this op.
+        // One evaluation per (feasible state, feasible predecessor)
+        // pair; the predecessor count is shared by every state of this
+        // op.
         long finite_prev = 0;
         for (int p = 0; p < n_cand; ++p)
             finite_prev += std::isinf(dp_prev[p]) ? 0 : 1;
@@ -138,15 +165,14 @@ DlsSolver::solveChainDp(const model::ComputeGraph &graph, int begin, int end,
                 dp_cur[s] = inf;
                 continue;
             }
-            for (int p = 0; p < n_cand; ++p) {
-                trans_row[p] =
-                    p != s ? model.interOpTime(producer, candidates[p],
-                                               candidates[s])
-                           : 0.0;
-            }
+            double *row =
+                trans.data() + static_cast<std::size_t>(degree_of[s]) * n_cand;
+            const double moved = row[s];
+            row[s] = 0.0;
             *evaluations += finite_prev;
-            const kernels::MinPlus r = kernels::minPlusArgmin(
-                dp_prev.data(), trans_row.data(), c, n_cand);
+            const kernels::MinPlus r =
+                kernels::minPlusArgmin(dp_prev.data(), row, c, n_cand);
+            row[s] = moved;
             dp_cur[s] = r.value;
             back[static_cast<std::size_t>(i) * n_cand + s] = r.index;
         }
@@ -209,6 +235,13 @@ DlsSolver::solve(const model::ComputeGraph &graph,
         result.search_time_s = now() - t_start;
         return result;
     }
+    // solveChainDp's degree table prices every pair of different
+    // candidates as a reshard, which needs them distinct.
+    for (std::size_t a = 0; a < candidates.size(); ++a)
+        for (std::size_t b = a + 1; b < candidates.size(); ++b)
+            if (candidates[a] == candidates[b])
+                panic("DlsSolver: candidate %s enumerated twice",
+                      candidates[a].str().c_str());
 
     // Per-(op, candidate) cost matrix under the additive model
     // (Eq. 2's T_intra with the per-op share of step communication);
@@ -313,8 +346,9 @@ DlsSolver::solve(const model::ComputeGraph &graph,
     std::vector<int> assignment;
     for (std::size_t b = 0; b + 1 < boundaries.size(); ++b) {
         const std::vector<int> chain =
-            solveChainDp(graph, boundaries[b], boundaries[b + 1],
-                         candidates, op_cost, &result.evaluations);
+            solveChainDp(sim_.costModel(), graph, boundaries[b],
+                         boundaries[b + 1], candidates, op_cost,
+                         &result.evaluations);
         assignment.insert(assignment.end(), chain.begin(), chain.end());
     }
 

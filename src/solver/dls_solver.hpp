@@ -166,6 +166,20 @@ struct SolverResult
     long quanta_used = 0;
 };
 
+/**
+ * Level 1 of DLS: the exact DP over one sub-chain [begin, end) of the
+ * additive (op, candidate) cost matrix plus Eq. (3)'s resharding
+ * between adjacent ops; returns per-op candidate ids. `candidates`
+ * must be distinct (enumerateStrategies emits each degree tuple
+ * once). Adds one to `*evaluations` per (feasible state, feasible
+ * predecessor) pair.
+ */
+std::vector<int> solveChainDp(
+    const cost::WaferCostModel &model, const model::ComputeGraph &graph,
+    int begin, int end,
+    const std::vector<parallel::ParallelSpec> &candidates,
+    const std::vector<std::vector<double>> &op_cost, long *evaluations);
+
 /// The DLS solver.
 class DlsSolver
 {
@@ -225,13 +239,6 @@ class DlsSolver
     eval::StepEvaluator &stepEvaluator() const { return *steps_; }
 
   private:
-    /// DP over one sub-chain [begin, end); returns per-op candidate ids.
-    std::vector<int> solveChainDp(
-        const model::ComputeGraph &graph, int begin, int end,
-        const std::vector<parallel::ParallelSpec> &candidates,
-        const std::vector<std::vector<double>> &op_cost,
-        long *evaluations) const;
-
     const sim::TrainingSimulator &sim_;
     SolverConfig config_;
     /// Owned backends when none are injected.

@@ -59,6 +59,24 @@ TrafficOptimizer::optimize(net::CommSchedule &schedule) const
     return total;
 }
 
+namespace {
+
+/// Appends the indices of the flows whose route crosses `mcl`, in
+/// ascending order, to the cleared `hot`.
+void
+collectHot(const std::vector<Flow> &flows, hw::LinkId mcl,
+           std::vector<std::size_t> &hot)
+{
+    hot.clear();
+    for (std::size_t i = 0; i < flows.size(); ++i) {
+        const std::vector<hw::LinkId> &links = flows[i].route.links();
+        if (std::find(links.begin(), links.end(), mcl) != links.end())
+            hot.push_back(i);
+    }
+}
+
+}  // namespace
+
 OptimizationStats
 TrafficOptimizer::optimizePhase(std::vector<Flow> &flows) const
 {
@@ -80,17 +98,26 @@ TrafficOptimizer::optimizePhase(std::vector<Flow> &flows) const
     stats.initial_max_load = cur;
     double prev = 2.0 * cur;
 
-    // Phases 3-5: iterate while the bottleneck keeps improving.
+    // Phases 3-5: iterate while the bottleneck keeps improving. The
+    // flows crossing the bottleneck are collected once per iteration
+    // and again only after a merge changed the flows; a reroute moves
+    // routes but never adds, drops or reorders flows.
+    thread_local std::vector<std::size_t> hot;
     while (cur < prev && cur > 0.0) {
         if (stats.iterations >= config_.max_iters)
             break;
         prev = cur;
         ++stats.iterations;
 
-        if (config_.enable_merging)
-            stats.merges += mergeDuplicates(flows, loads, mcl);
+        collectHot(flows, mcl, hot);
+        if (config_.enable_merging) {
+            const int merges = mergeDuplicates(flows, loads, hot);
+            stats.merges += merges;
+            if (merges > 0)
+                collectHot(flows, mcl, hot);
+        }
         if (config_.enable_rerouting)
-            stats.reroutes += rerouteCongested(flows, loads, mcl);
+            stats.reroutes += rerouteCongested(flows, loads, hot);
 
         mcl = loads.maxLoadLink();
         cur = loads.load(mcl);
@@ -101,7 +128,8 @@ TrafficOptimizer::optimizePhase(std::vector<Flow> &flows) const
 
 int
 TrafficOptimizer::mergeDuplicates(std::vector<Flow> &flows,
-                                  LinkLoadMap &loads, hw::LinkId mcl) const
+                                  LinkLoadMap &loads,
+                                  std::span<const std::size_t> hot) const
 {
     // Duplicate payloads: same source, tag and size crossing the
     // bottleneck toward different destinations (e.g. a broadcast that
@@ -119,13 +147,8 @@ TrafficOptimizer::mergeDuplicates(std::vector<Flow> &flows,
     };
     thread_local std::vector<Entry> entries;
     entries.clear();
-    for (std::size_t i = 0; i < flows.size(); ++i) {
+    for (std::size_t i : hot) {
         const Flow &f = flows[i];
-        const auto &links = f.route.links();
-        const bool crosses =
-            std::find(links.begin(), links.end(), mcl) != links.end();
-        if (!crosses)
-            continue;
         entries.push_back({f.src, f.tag, static_cast<long long>(f.bytes), i});
     }
     std::sort(entries.begin(), entries.end());
@@ -185,9 +208,19 @@ TrafficOptimizer::mergeDuplicates(std::vector<Flow> &flows,
     }
 
     if (!to_remove.empty()) {
-        std::sort(to_remove.begin(), to_remove.end(), std::greater<>());
-        for (std::size_t i : to_remove)
-            flows.erase(flows.begin() + i);
+        // One stable compaction drops the merged flows (each index
+        // appears once: a flow sits in one bucket); the tree branches
+        // follow the survivors.
+        std::sort(to_remove.begin(), to_remove.end());
+        std::size_t out = to_remove.front();
+        std::size_t next = 0;
+        for (std::size_t i = out; i < flows.size(); ++i) {
+            if (next < to_remove.size() && to_remove[next] == i)
+                ++next;
+            else
+                flows[out++] = flows[i];
+        }
+        flows.resize(out);
         flows.insert(flows.end(), to_add.begin(), to_add.end());
     }
     return merges;
@@ -195,17 +228,11 @@ TrafficOptimizer::mergeDuplicates(std::vector<Flow> &flows,
 
 int
 TrafficOptimizer::rerouteCongested(std::vector<Flow> &flows,
-                                   LinkLoadMap &loads, hw::LinkId mcl) const
+                                   LinkLoadMap &loads,
+                                   std::vector<std::size_t> &hot) const
 {
-    // Collect flows crossing the bottleneck, largest first (moving big
-    // flows helps most), in a per-thread list.
-    thread_local std::vector<std::size_t> hot;
-    hot.clear();
-    for (std::size_t i = 0; i < flows.size(); ++i) {
-        const auto &links = flows[i].route.links();
-        if (std::find(links.begin(), links.end(), mcl) != links.end())
-            hot.push_back(i);
-    }
+    // The flows crossing the bottleneck, largest first (moving big
+    // flows helps most).
     std::sort(hot.begin(), hot.end(), [&](std::size_t a, std::size_t b) {
         return flows[a].bytes > flows[b].bytes;
     });

@@ -18,6 +18,9 @@
  */
 #pragma once
 
+#include <span>
+#include <vector>
+
 #include "net/collective.hpp"
 #include "net/contention.hpp"
 #include "net/route.hpp"
@@ -71,15 +74,21 @@ class TrafficOptimizer
     OptimizationStats optimizePhase(std::vector<net::Flow> &flows) const;
 
   private:
-    /// Replaces duplicate-payload flows through the bottleneck with a
-    /// multicast tree; returns the number of merges performed.
+    /// Replaces duplicate-payload flows among the bottleneck flows
+    /// `hot` (ascending indices into `flows`) with multicast trees;
+    /// returns the number of merges performed. A merge drops the
+    /// merged flows, keeping the others in order, and appends the
+    /// tree branches.
     int mergeDuplicates(std::vector<net::Flow> &flows,
-                        net::LinkLoadMap &loads, hw::LinkId mcl) const;
+                        net::LinkLoadMap &loads,
+                        std::span<const std::size_t> hot) const;
 
-    /// Reroutes bottleneck flows onto less-loaded candidate routes;
-    /// returns the number of flows moved.
+    /// Reroutes the bottleneck flows `hot` (ascending indices, sorted
+    /// here largest first) onto less-loaded candidate routes; returns
+    /// the number of flows moved.
     int rerouteCongested(std::vector<net::Flow> &flows,
-                         net::LinkLoadMap &loads, hw::LinkId mcl) const;
+                         net::LinkLoadMap &loads,
+                         std::vector<std::size_t> &hot) const;
 
     const net::Router &router_;
     Config config_;

@@ -8,10 +8,17 @@
 #include <algorithm>
 #include <bit>
 #include <cstdint>
+#include <memory>
+#include <optional>
+#include <span>
+#include <thread>
+#include <vector>
 
 #include "common/rng.hpp"
+#include "cost/cost_model.hpp"
 #include "hw/fault.hpp"
 #include "hw/topology.hpp"
+#include "hw/wafer.hpp"
 #include "net/collective.hpp"
 #include "net/contention.hpp"
 #include "net/route.hpp"
@@ -601,6 +608,198 @@ TEST(RunLength, CombineEqualsTheExpandedOverlay)
     }
     // Most mixes hold a ring, so storage really is run-length.
     EXPECT_GT(compressed, 30);
+}
+
+/// Every memoized lookup of `router` against the unmemoized routing it
+/// serves: both policies of safeRouteRef(), candidateRouteRefs(), and
+/// unreachable pairs reading as invalid refs and empty candidate lists.
+void
+expectLookupsMatchRouting(const Router &router)
+{
+    const int n = router.topology().dieCount();
+    for (DieId src = 0; src < n; ++src) {
+        for (DieId dst = 0; dst < n; ++dst) {
+            for (RoutePolicy policy : {RoutePolicy::XY, RoutePolicy::YX}) {
+                const std::optional<Route> want =
+                    router.safeRoute(src, dst, policy);
+                const RouteRef got = router.safeRouteRef(src, dst, policy);
+                ASSERT_EQ(got.valid(), want.has_value()) << src << "->" << dst;
+                if (want) {
+                    EXPECT_EQ(got->src, src);
+                    EXPECT_EQ(got->dst, dst);
+                    EXPECT_EQ(got.links(), want->links);
+                }
+            }
+            const std::vector<Route> want = router.candidateRoutes(src, dst);
+            const std::span<const RouteRef> got =
+                router.candidateRouteRefs(src, dst);
+            ASSERT_EQ(got.size(), want.size()) << src << "->" << dst;
+            for (std::size_t c = 0; c < want.size(); ++c)
+                EXPECT_EQ(got[c].links(), want[c].links);
+        }
+    }
+}
+
+/// Cuts both directions of the link between two adjacent dies.
+void
+cutLink(hw::FaultMap &faults, const MeshTopology &mesh, DieId a, DieId b)
+{
+    faults.failLink(mesh.linkId(a, b));
+    faults.failLink(mesh.linkId(b, a));
+}
+
+TEST(RouteTable, LookupsMatchRoutingForBothPoliciesAndUnreachablePairs)
+{
+    // Die (0,0) is cut off from the rest, and two interior cuts force
+    // detours, so every kind of slot gets filled: direct routes, the
+    // other dimension order, BFS detours and unreachable pairs.
+    MeshTopology mesh(4, 8);
+    hw::FaultMap faults(mesh.dieCount(), mesh.linkCount());
+    cutLink(faults, mesh, mesh.dieAt(0, 0), mesh.dieAt(0, 1));
+    cutLink(faults, mesh, mesh.dieAt(0, 0), mesh.dieAt(1, 0));
+    cutLink(faults, mesh, mesh.dieAt(1, 3), mesh.dieAt(1, 4));
+    cutLink(faults, mesh, mesh.dieAt(2, 5), mesh.dieAt(3, 5));
+    const Router router(mesh, &faults);
+    const long keys = 3L * mesh.dieCount() * mesh.dieCount();
+
+    expectLookupsMatchRouting(router);
+    common::CacheStats stats = router.poolStats();
+    EXPECT_EQ(stats.misses, keys);
+    EXPECT_EQ(stats.hits, 0);
+    EXPECT_EQ(stats.entries, keys);
+    EXPECT_GT(stats.bytes_est, 0);
+
+    const DieId isolated = mesh.dieAt(0, 0);
+    const DieId far = mesh.dieAt(3, 7);
+    EXPECT_FALSE(router.safeRouteRef(isolated, far).valid());
+    EXPECT_FALSE(router.safeRouteRef(far, isolated, RoutePolicy::YX).valid());
+    EXPECT_TRUE(router.candidateRouteRefs(isolated, far).empty());
+    EXPECT_TRUE(router.safeRouteRef(isolated, isolated).valid());
+
+    // A second pass hits every slot and returns the stored routes.
+    const RouteRef first = router.safeRouteRef(far, mesh.dieAt(1, 1));
+    expectLookupsMatchRouting(router);
+    EXPECT_EQ(&router.safeRouteRef(far, mesh.dieAt(1, 1)).get(), &first.get());
+    stats = router.poolStats();
+    EXPECT_EQ(stats.misses, keys);
+    EXPECT_EQ(stats.hits, keys + 6);  // the six single lookups above
+    EXPECT_EQ(stats.entries, keys);
+}
+
+TEST(RouteTable, NewEpochServesTheNewFaultMap)
+{
+    MeshTopology mesh(4, 8);
+    hw::FaultMap faults(mesh.dieCount(), mesh.linkCount());
+    const Router router(mesh, &faults);
+    const DieId src = mesh.dieAt(1, 0);
+    const DieId dst = mesh.dieAt(1, 6);
+    const RouteRef before = router.safeRouteRef(src, dst);
+    const std::vector<LinkId> old_links = before.links();
+    ASSERT_EQ(old_links.size(), 6u);
+    std::shared_ptr<const RouteEpoch> held = router.routeEpoch();
+
+    // Cut the middle of the straight route; the owner starts a new
+    // epoch, as the cost model's fault listener does.
+    const hw::Link &cut = mesh.link(old_links[3]);
+    cutLink(faults, mesh, cut.src, cut.dst);
+    router.newEpoch();
+    EXPECT_EQ(router.poolStats().entries, 0);
+
+    expectLookupsMatchRouting(router);
+    const RouteRef after = router.safeRouteRef(src, dst);
+    ASSERT_TRUE(after.valid());
+    EXPECT_NE(after.links(), old_links);
+    for (LinkId link : after.links())
+        EXPECT_FALSE(faults.linkFailed(link));
+    // A ref of the old epoch still reads its route while its storage
+    // is held, and the storage goes once nothing holds it.
+    EXPECT_EQ(before.links(), old_links);
+    EXPECT_EQ(router.liveEpochs(), 2);
+    held.reset();
+    EXPECT_EQ(router.liveEpochs(), 1);
+}
+
+TEST(RouteTable, SetFaultsReroutesTheCostModelsRouter)
+{
+    hw::Wafer wafer(hw::WaferConfig::paperDefault());
+    const cost::WaferCostModel model(
+        wafer, tcme::MappingPolicy{tcme::MappingEngineKind::TCME});
+    const Router &router = model.router();
+    const MeshTopology &mesh = router.topology();
+    const DieId src = mesh.dieAt(2, 1);
+    const DieId dst = mesh.dieAt(2, 5);
+    const std::vector<LinkId> healthy = router.safeRouteRef(src, dst).links();
+
+    hw::FaultMap faults(mesh.dieCount(), mesh.linkCount());
+    const hw::Link &cut = mesh.link(healthy[1]);
+    cutLink(faults, mesh, cut.src, cut.dst);
+    wafer.setFaults(faults);
+
+    expectLookupsMatchRouting(router);
+    const RouteRef rerouted = router.safeRouteRef(src, dst);
+    ASSERT_TRUE(rerouted.valid());
+    EXPECT_NE(rerouted.links(), healthy);
+    for (LinkId link : rerouted.links())
+        EXPECT_FALSE(wafer.faults().linkFailed(link));
+}
+
+TEST(RouteTable, ConcurrentLookupsAgree)
+{
+    // Four threads race every lookup of a faulted mesh, each starting
+    // at a different pair: all see the same stored routes (the first
+    // store of a slot wins), and each key is stored once however many
+    // racing misses computed it.
+    MeshTopology mesh(4, 8);
+    hw::FaultMap faults(mesh.dieCount(), mesh.linkCount());
+    cutLink(faults, mesh, mesh.dieAt(0, 0), mesh.dieAt(0, 1));
+    cutLink(faults, mesh, mesh.dieAt(0, 0), mesh.dieAt(1, 0));
+    cutLink(faults, mesh, mesh.dieAt(2, 3), mesh.dieAt(2, 4));
+    const Router router(mesh, &faults);
+    const int n = mesh.dieCount();
+    const std::size_t keys = static_cast<std::size_t>(n) * n;
+    constexpr int kThreads = 4;
+
+    struct Seen
+    {
+        std::vector<const Route *> xy, yx;
+        std::vector<const RouteRef *> candidates;
+    };
+    std::vector<Seen> seen(kThreads);
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+        threads.emplace_back([&, t] {
+            Seen &mine = seen[static_cast<std::size_t>(t)];
+            mine.xy.resize(keys);
+            mine.yx.resize(keys);
+            mine.candidates.resize(keys);
+            for (std::size_t k = 0; k < keys; ++k) {
+                const std::size_t key = (k + t * keys / kThreads) % keys;
+                const DieId src = static_cast<DieId>(key / n);
+                const DieId dst = static_cast<DieId>(key % n);
+                const RouteRef xy = router.safeRouteRef(src, dst);
+                const RouteRef yx =
+                    router.safeRouteRef(src, dst, RoutePolicy::YX);
+                mine.xy[key] = xy.valid() ? &xy.get() : nullptr;
+                mine.yx[key] = yx.valid() ? &yx.get() : nullptr;
+                mine.candidates[key] =
+                    router.candidateRouteRefs(src, dst).data();
+            }
+        });
+    }
+    for (std::thread &thread : threads)
+        thread.join();
+
+    for (int t = 1; t < kThreads; ++t) {
+        EXPECT_EQ(seen[t].xy, seen[0].xy);
+        EXPECT_EQ(seen[t].yx, seen[0].yx);
+        EXPECT_EQ(seen[t].candidates, seen[0].candidates);
+    }
+    const common::CacheStats stats = router.poolStats();
+    EXPECT_EQ(stats.entries, static_cast<long>(3 * keys));
+    EXPECT_EQ(stats.hits + stats.misses,
+              static_cast<long>(3 * keys * kThreads));
+    EXPECT_GE(stats.misses, static_cast<long>(3 * keys));
+    expectLookupsMatchRouting(router);
 }
 
 }  // namespace

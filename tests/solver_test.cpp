@@ -6,14 +6,20 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
 #include <memory>
 #include <set>
 #include <string>
 #include <vector>
 
 #include "common/budget.hpp"
+#include "common/kernels.hpp"
+#include "common/rng.hpp"
 #include "common/thread_pool.hpp"
+#include "eval/cost_evaluator.hpp"
 #include "eval/step_evaluator.hpp"
+#include "hw/fault.hpp"
 #include "model/graph.hpp"
 #include "model/model_zoo.hpp"
 #include "sim/trainer_sim.hpp"
@@ -531,6 +537,152 @@ TEST_F(SolverTest, BeamTabuDeterministicAcrossEvalThreadsUnderBudget)
         EXPECT_EQ(other.evaluations, first.evaluations);
         EXPECT_EQ(other.budget_exhausted, first.budget_exhausted);
     }
+}
+
+/// The level-1 DP as it was before the degree table: one interOpTime
+/// call per (producer, predecessor, state) triple.
+std::vector<int>
+referenceChainDp(const cost::WaferCostModel &model,
+                 const model::ComputeGraph &graph, int begin, int end,
+                 const std::vector<ParallelSpec> &candidates,
+                 const std::vector<std::vector<double>> &op_cost,
+                 long *evaluations)
+{
+    const int n_ops = end - begin;
+    const int n_cand = static_cast<int>(candidates.size());
+    const double inf = std::numeric_limits<double>::infinity();
+    std::vector<double> dp_prev(op_cost[begin]), dp_cur(n_cand, inf);
+    std::vector<int> back(static_cast<std::size_t>(n_ops) * n_cand, -1);
+    std::vector<double> trans_row(n_cand);
+    for (int i = 1; i < n_ops; ++i) {
+        const model::Operator &producer = graph.op(begin + i - 1);
+        long finite_prev = 0;
+        for (int p = 0; p < n_cand; ++p)
+            finite_prev += std::isinf(dp_prev[p]) ? 0 : 1;
+        for (int s = 0; s < n_cand; ++s) {
+            const double c = op_cost[begin + i][s];
+            if (std::isinf(c)) {
+                dp_cur[s] = inf;
+                continue;
+            }
+            for (int p = 0; p < n_cand; ++p)
+                trans_row[p] = p != s ? model.interOpTime(producer,
+                                                          candidates[p],
+                                                          candidates[s])
+                                      : 0.0;
+            *evaluations += finite_prev;
+            const kernels::MinPlus r = kernels::minPlusArgmin(
+                dp_prev.data(), trans_row.data(), c, n_cand);
+            dp_cur[s] = r.value;
+            back[static_cast<std::size_t>(i) * n_cand + s] = r.index;
+        }
+        std::swap(dp_prev, dp_cur);
+    }
+    int best = 0;
+    for (int s = 1; s < n_cand; ++s)
+        if (dp_prev[s] < dp_prev[best])
+            best = s;
+    std::vector<int> assignment(n_ops, 0);
+    for (int i = n_ops - 1, cur = best; i >= 0; --i) {
+        assignment[i] = cur;
+        cur = i > 0 ? back[static_cast<std::size_t>(i) * n_cand + cur] : cur;
+    }
+    return assignment;
+}
+
+TEST(ChainDp, DegreeTableMatchesNestedInterOpTime)
+{
+    // On a healthy wafer every candidate has one total degree; on a
+    // degraded one (dead dies, a partitioning link storm) occupancy is
+    // relaxed and candidates of several degrees meet in one DP. The
+    // tabled DP must pick the reference's assignment and count the
+    // reference's evaluations, on the real cost matrix and on one
+    // with random infeasible cells and jittered costs.
+    const auto graph = model::ComputeGraph::transformer(
+        model::modelByName("GPT-3 6.7B"));
+    const hw::WaferConfig config = hw::WaferConfig::paperDefault();
+    const hw::MeshTopology mesh(config.rows, config.cols);
+    Rng fault_rng(5);
+    std::vector<std::pair<std::string, hw::FaultMap>> wafers;
+    wafers.emplace_back("healthy", hw::FaultMap());
+    wafers.emplace_back("link", hw::FaultMap::randomLinkFaults(mesh, 0.2,
+                                                               fault_rng));
+    wafers.emplace_back("core", hw::FaultMap::randomCoreFaults(mesh, 0.3,
+                                                               fault_rng));
+    hw::FaultMap dead(mesh.dieCount(), mesh.linkCount());
+    for (hw::DieId die : {3, 12, 21})
+        dead.setCoreFaultFraction(die, 1.0);
+    wafers.emplace_back("die", dead);
+
+    int degraded_with_mixed_degrees = 0;
+    for (const auto &[name, faults] : wafers) {
+        SCOPED_TRACE(name);
+        const hw::Wafer wafer(config, faults);
+        const sim::TrainingSimulator sim(
+            wafer, tcme::MappingPolicy{tcme::MappingEngineKind::TCME});
+        // The candidate space DlsSolver::solve searches on this wafer.
+        const int budget = wafer.usableDieCount();
+        StrategySpaceOptions space;
+        space.full_occupancy = budget == wafer.dieCount();
+        std::vector<ParallelSpec> candidates =
+            enumerateStrategies(budget, graph.config(), space);
+        if (!space.full_occupancy)
+            std::erase_if(candidates, [&](const ParallelSpec &c) {
+                return c.totalDegree() <= budget / 2;
+            });
+        ASSERT_GT(candidates.size(), 1u);
+        std::set<int> degrees;
+        for (const ParallelSpec &c : candidates)
+            degrees.insert(c.totalDegree());
+        if (degrees.size() > 1)
+            ++degraded_with_mixed_degrees;
+
+        eval::ExactEvaluator evaluator(sim.costModel());
+        std::vector<eval::EvalRequest> requests;
+        for (int i = 0; i < graph.opCount(); ++i)
+            for (const ParallelSpec &c : candidates)
+                requests.push_back({i, c, true});
+        const std::vector<cost::OpCostBreakdown> cells =
+            evaluator.evaluateBatch(graph, requests);
+        std::vector<std::vector<double>> real(
+            static_cast<std::size_t>(graph.opCount()));
+        for (int i = 0; i < graph.opCount(); ++i)
+            for (std::size_t c = 0; c < candidates.size(); ++c) {
+                const cost::OpCostBreakdown &cell =
+                    cells[static_cast<std::size_t>(i) * candidates.size() +
+                          c];
+                real[i].push_back(cell.feasible
+                                      ? cell.total()
+                                      : std::numeric_limits<double>::
+                                            infinity());
+            }
+        std::vector<std::vector<double>> jittered = real;
+        Rng rng(11);
+        for (auto &row : jittered)
+            for (double &cost : row)
+                cost = rng.uniformReal(0.0, 1.0) < 0.2
+                           ? std::numeric_limits<double>::infinity()
+                           : cost * rng.uniformReal(0.5, 1.5);
+
+        for (const auto *op_cost : {&real, &jittered}) {
+            for (const auto &[begin, end] :
+                 {std::pair{0, graph.opCount()}, std::pair{2, 7}}) {
+                long got_evals = 0;
+                long want_evals = 0;
+                const std::vector<int> got =
+                    solveChainDp(sim.costModel(), graph, begin, end,
+                                 candidates, *op_cost, &got_evals);
+                const std::vector<int> want =
+                    referenceChainDp(sim.costModel(), graph, begin, end,
+                                     candidates, *op_cost, &want_evals);
+                EXPECT_EQ(got, want) << begin << ".." << end;
+                EXPECT_EQ(got_evals, want_evals) << begin << ".." << end;
+                EXPECT_GT(want_evals, 0);
+            }
+        }
+    }
+    // The degraded wafers must actually mix degrees in one DP.
+    EXPECT_GE(degraded_with_mixed_degrees, 2);
 }
 
 }  // namespace

@@ -8,6 +8,9 @@
 #include <algorithm>
 #include <bit>
 #include <cstdint>
+#include <span>
+#include <utility>
+#include <vector>
 
 #include "common/rng.hpp"
 #include "hw/fault.hpp"
@@ -322,6 +325,307 @@ TEST(Optimizer, RunLengthScheduleOptimizesLikeItsExpansion)
     EXPECT_GT(reroutes, 0);
     EXPECT_GT(repeated_merges, 0);
     EXPECT_GT(repeated_reroutes, 0);
+}
+
+/**
+ * The optimizer as it was before its bottleneck flows were collected
+ * once per iteration: merge and reroute each re-scan every flow's
+ * route for the bottleneck, and a merge erases the merged flows one by
+ * one. The reference the reworked optimizer must match flow for flow.
+ */
+class ReferenceOptimizer
+{
+  public:
+    explicit ReferenceOptimizer(const net::Router &router) : router_(router)
+    {
+    }
+
+    OptimizationStats optimizePhase(std::vector<Flow> &flows) const
+    {
+        OptimizationStats stats;
+        stats.phases = 1;
+        if (flows.empty())
+            return stats;
+        net::LinkLoadMap loads(router_.topology().linkCount());
+        for (const Flow &flow : flows)
+            loads.add(flow.route, flow.bytes);
+        hw::LinkId mcl = loads.maxLoadLink();
+        double cur = loads.load(mcl);
+        stats.initial_max_load = cur;
+        double prev = 2.0 * cur;
+        while (cur < prev && cur > 0.0) {
+            if (stats.iterations >= TrafficOptimizer::Config().max_iters)
+                break;
+            prev = cur;
+            ++stats.iterations;
+            stats.merges += mergeDuplicates(flows, loads, mcl);
+            stats.reroutes += rerouteCongested(flows, loads, mcl);
+            mcl = loads.maxLoadLink();
+            cur = loads.load(mcl);
+        }
+        stats.final_max_load = loads.maxLoad();
+        return stats;
+    }
+
+  private:
+    static bool crosses(const Flow &flow, hw::LinkId mcl)
+    {
+        const auto &links = flow.route.links();
+        return std::find(links.begin(), links.end(), mcl) != links.end();
+    }
+
+    int mergeDuplicates(std::vector<Flow> &flows, net::LinkLoadMap &loads,
+                        hw::LinkId mcl) const
+    {
+        struct Entry
+        {
+            hw::DieId src;
+            int tag;
+            long long bytes_q;
+            std::size_t flow;
+            auto operator<=>(const Entry &) const = default;
+        };
+        std::vector<Entry> entries;
+        for (std::size_t i = 0; i < flows.size(); ++i)
+            if (crosses(flows[i], mcl))
+                entries.push_back({flows[i].src, flows[i].tag,
+                                   static_cast<long long>(flows[i].bytes),
+                                   i});
+        std::sort(entries.begin(), entries.end());
+        int merges = 0;
+        std::vector<std::size_t> to_remove;
+        std::vector<Flow> to_add;
+        for (std::size_t begin = 0, end = 0; begin < entries.size();
+             begin = end) {
+            const Entry &key = entries[begin];
+            for (end = begin + 1; end < entries.size(); ++end)
+                if (entries[end].src != key.src ||
+                    entries[end].tag != key.tag ||
+                    entries[end].bytes_q != key.bytes_q)
+                    break;
+            if (end - begin < 2)
+                continue;
+            std::vector<DieId> leaves;
+            for (std::size_t e = begin; e < end; ++e)
+                leaves.push_back(flows[entries[e].flow].dst);
+            const net::MulticastTree tree =
+                net::buildMulticastTree(router_, key.src, leaves);
+            if (!tree.complete)
+                continue;
+            const double bytes = flows[key.flow].bytes;
+            double before = 0.0;
+            for (std::size_t e = begin; e < end; ++e)
+                before += bytes * flows[entries[e].flow].route.hops();
+            const double after =
+                bytes * static_cast<double>(tree.links.size());
+            if (after >= before)
+                continue;
+            for (std::size_t e = begin; e < end; ++e) {
+                const Flow &f = flows[entries[e].flow];
+                loads.remove(f.route, f.bytes);
+                to_remove.push_back(entries[e].flow);
+            }
+            for (hw::LinkId link : tree.links) {
+                Flow branch;
+                const hw::Link &l = router_.topology().link(link);
+                branch.src = l.src;
+                branch.dst = l.dst;
+                branch.bytes = bytes;
+                branch.tag = key.tag;
+                branch.route = router_.linkRoute(link);
+                loads.add(branch.route, branch.bytes);
+                to_add.push_back(branch);
+            }
+            ++merges;
+        }
+        std::sort(to_remove.begin(), to_remove.end(), std::greater<>());
+        for (std::size_t i : to_remove)
+            flows.erase(flows.begin() + static_cast<std::ptrdiff_t>(i));
+        flows.insert(flows.end(), to_add.begin(), to_add.end());
+        return merges;
+    }
+
+    int rerouteCongested(std::vector<Flow> &flows, net::LinkLoadMap &loads,
+                         hw::LinkId mcl) const
+    {
+        std::vector<std::size_t> hot;
+        for (std::size_t i = 0; i < flows.size(); ++i)
+            if (crosses(flows[i], mcl))
+                hot.push_back(i);
+        std::sort(hot.begin(), hot.end(),
+                  [&](std::size_t a, std::size_t b) {
+                      return flows[a].bytes > flows[b].bytes;
+                  });
+        int reroutes = 0;
+        for (std::size_t i : hot) {
+            Flow &flow = flows[i];
+            loads.remove(flow.route, flow.bytes);
+            auto route_peak = [&](const net::RouteRef &r) {
+                double peak = 0.0;
+                for (hw::LinkId link : r.links())
+                    peak = std::max(peak, loads.load(link) + flow.bytes);
+                return peak;
+            };
+            net::RouteRef best = flow.route;
+            double best_peak = route_peak(flow.route);
+            for (const net::RouteRef &cand :
+                 router_.candidateRouteRefs(flow.src, flow.dst)) {
+                const double peak = route_peak(cand);
+                if (peak < best_peak) {
+                    best_peak = peak;
+                    best = cand;
+                }
+            }
+            if (!best.sameLinks(flow.route)) {
+                flow.route = best;
+                ++reroutes;
+            }
+            loads.add(flow.route, flow.bytes);
+        }
+        return reroutes;
+    }
+
+    const net::Router &router_;
+};
+
+void
+expectSameFlows(std::span<const Flow> a, std::span<const Flow> b)
+{
+    ASSERT_EQ(a.size(), b.size());
+    for (std::size_t f = 0; f < a.size(); ++f) {
+        EXPECT_EQ(a[f].src, b[f].src) << "flow " << f;
+        EXPECT_EQ(a[f].dst, b[f].dst) << "flow " << f;
+        EXPECT_EQ(bits(a[f].bytes), bits(b[f].bytes)) << "flow " << f;
+        EXPECT_EQ(a[f].tag, b[f].tag) << "flow " << f;
+        EXPECT_EQ(a[f].route.links(), b[f].route.links()) << "flow " << f;
+    }
+}
+
+TEST(Optimizer, MatchesTheRescanningReference)
+{
+    // Random phases on a healthy and a link-faulted mesh: lowered
+    // collectives sharing tags and shard sizes (so same-source,
+    // same-payload flows meet and merge) plus unicast fans (a
+    // broadcast lowered to unicasts). Run by run, the optimizer must
+    // leave the reference's flows in the reference's order with the
+    // reference's stats, and optimize() must sum them per repeat.
+    MeshTopology mesh(4, 8);
+    hw::FaultMap faults(mesh.dieCount(), mesh.linkCount());
+    for (const auto &[a, b] : {std::pair{mesh.dieAt(1, 2), mesh.dieAt(1, 3)},
+                               std::pair{mesh.dieAt(2, 5), mesh.dieAt(2, 6)},
+                               std::pair{mesh.dieAt(0, 4), mesh.dieAt(1, 4)},
+                               std::pair{mesh.dieAt(2, 1), mesh.dieAt(3, 1)}}) {
+        faults.failLink(mesh.linkId(a, b));
+        faults.failLink(mesh.linkId(b, a));
+    }
+    int merges = 0;
+    int reroutes = 0;
+    const hw::FaultMap *healthy = nullptr;
+    for (const hw::FaultMap *fault_map : {healthy, &std::as_const(faults)}) {
+        const net::Router router(mesh, fault_map);
+        const net::CollectiveScheduler sched(router);
+        const TrafficOptimizer opt(router);
+        const ReferenceOptimizer reference(router);
+        Rng rng(fault_map == nullptr ? 7 : 8);
+        std::vector<DieId> dies(static_cast<std::size_t>(mesh.dieCount()));
+        for (std::size_t d = 0; d < dies.size(); ++d)
+            dies[d] = static_cast<DieId>(d);
+        for (int trial = 0; trial < 40; ++trial) {
+            std::vector<net::CommSchedule> parts;
+            const int count = rng.uniformInt(2, 6);
+            const double shard = 1e6 * rng.uniformInt(1, 3);
+            for (int p = 0; p < count; ++p) {
+                std::shuffle(dies.begin(), dies.end(), rng.engine());
+                const int n = rng.uniformInt(2, 12);
+                const std::vector<DieId> group(dies.begin(),
+                                               dies.begin() + n);
+                const int tag = rng.uniformInt(1, 2);
+                switch (rng.uniformInt(0, 4)) {
+                  case 0:
+                    parts.push_back(sched.ringAllGather(group, shard, tag));
+                    break;
+                  case 1:
+                    parts.push_back(
+                        sched.ringAllReduce(group, shard * n, tag));
+                    break;
+                  case 2:
+                    parts.push_back(sched.treeAllReduce(group, shard, tag));
+                    break;
+                  case 3: {
+                    net::CommSchedule fan;
+                    fan.feasible = true;
+                    for (int k = 1; k < n; ++k) {
+                        Flow f;
+                        f.src = group[0];
+                        f.dst = group[k];
+                        f.bytes = shard;
+                        f.tag = tag;
+                        f.route = router.safeRouteRef(group[0], group[k]);
+                        fan.addFlow(f);
+                    }
+                    fan.sealRound();
+                    parts.push_back(std::move(fan));
+                    break;
+                  }
+                  default:
+                    parts.push_back(
+                        sched.p2p(group[0], group[1], shard, tag));
+                }
+            }
+            std::vector<const net::CommSchedule *> ptrs;
+            for (const net::CommSchedule &part : parts)
+                ptrs.push_back(&part);
+            net::CommSchedule schedule = net::CommSchedule::combine(ptrs);
+            if (!schedule.feasible)
+                continue;
+
+            OptimizationStats want;
+            std::vector<std::vector<Flow>> want_runs;
+            for (int i = 0; i < schedule.runCount(); ++i) {
+                std::vector<Flow> got(schedule.run(i).begin(),
+                                      schedule.run(i).end());
+                std::vector<Flow> ref = got;
+                const OptimizationStats g = opt.optimizePhase(got);
+                const OptimizationStats r = reference.optimizePhase(ref);
+                SCOPED_TRACE(testing::Message() << "trial " << trial
+                                                << " run " << i);
+                expectSameFlows(got, ref);
+                EXPECT_EQ(g.iterations, r.iterations);
+                EXPECT_EQ(g.merges, r.merges);
+                EXPECT_EQ(g.reroutes, r.reroutes);
+                EXPECT_EQ(bits(g.initial_max_load), bits(r.initial_max_load));
+                EXPECT_EQ(bits(g.final_max_load), bits(r.final_max_load));
+                const int repeat = static_cast<int>(schedule.repeat(i));
+                want.initial_max_load =
+                    std::max(want.initial_max_load, r.initial_max_load);
+                want.final_max_load =
+                    std::max(want.final_max_load, r.final_max_load);
+                want.iterations += r.iterations * repeat;
+                want.merges += r.merges * repeat;
+                want.reroutes += r.reroutes * repeat;
+                want.phases += repeat;
+                merges += r.merges;
+                reroutes += r.reroutes;
+                want_runs.push_back(std::move(ref));
+            }
+
+            const OptimizationStats got = opt.optimize(schedule);
+            EXPECT_EQ(got.iterations, want.iterations);
+            EXPECT_EQ(got.merges, want.merges);
+            EXPECT_EQ(got.reroutes, want.reroutes);
+            EXPECT_EQ(got.phases, want.phases);
+            EXPECT_EQ(bits(got.initial_max_load),
+                      bits(want.initial_max_load));
+            EXPECT_EQ(bits(got.final_max_load), bits(want.final_max_load));
+            ASSERT_EQ(schedule.runCount(),
+                      static_cast<int>(want_runs.size()));
+            for (int i = 0; i < schedule.runCount(); ++i)
+                expectSameFlows(schedule.run(i), want_runs[i]);
+        }
+    }
+    // The comparison only means something if both rewrites fired.
+    EXPECT_GT(merges, 0);
+    EXPECT_GT(reroutes, 0);
 }
 
 }  // namespace
