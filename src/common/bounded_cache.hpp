@@ -158,6 +158,7 @@ class LruMap
     bool bounded() const { return capacity_ > 0 || max_bytes_ > 0; }
 
     std::size_t size() const { return map_.size(); }
+    void reserve(std::size_t entries) { map_.reserve(entries); }
     long bytesEstimate() const { return bytes_; }
     long evictions() const { return evictions_; }
 
@@ -353,8 +354,10 @@ class BoundedCache
         return capacity_.load() > 0 || max_bytes_.load() > 0;
     }
 
-    /// Looks a key up, counting a hit or miss.
-    std::optional<Value> get(const Key &key)
+    /// Looks a key up, counting a hit or miss. A probe of another type
+    /// needs a transparent Hash and Equal.
+    template <typename K = Key>
+    std::optional<Value> get(const K &key)
     {
         if (!bounded()) {
             std::shared_lock<std::shared_mutex> lock(mutex_);
@@ -378,10 +381,11 @@ class BoundedCache
      * value wins and is returned, so concurrent computers of one key
      * converge on a single shared instance.
      */
-    std::pair<Value, bool> insert(const Key &key, Value value)
+    std::pair<Value, bool> insert(Key key, Value value)
     {
         std::unique_lock<std::shared_mutex> lock(mutex_);
-        auto [resident, inserted] = map_.insert(key, std::move(value));
+        auto [resident, inserted] =
+            map_.insert(std::move(key), std::move(value));
         return {*resident, inserted};
     }
 
@@ -395,6 +399,22 @@ class BoundedCache
     {
         std::shared_lock<std::shared_mutex> lock(mutex_);
         return map_.size();
+    }
+
+    /**
+     * A bulk import: inserts entry(0) .. entry(n-1), each a (key,
+     * value) pair, under one exclusive lock and one rehash. Resident
+     * values win, as in insert().
+     */
+    template <typename EntryFn>
+    void insertAll(std::size_t n, EntryFn &&entry)
+    {
+        std::unique_lock<std::shared_mutex> lock(mutex_);
+        map_.reserve(map_.size() + n);
+        for (std::size_t i = 0; i < n; ++i) {
+            auto [key, value] = entry(i);
+            map_.insert(std::move(key), std::move(value));
+        }
     }
 
     /// Counters, snapshotted under the lock.

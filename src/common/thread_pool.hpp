@@ -22,6 +22,7 @@
  */
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <condition_variable>
 #include <cstddef>
@@ -44,13 +45,11 @@ class ThreadPool
     ///        0 means hardware concurrency.
     explicit ThreadPool(int threads = 0)
     {
-        if (threads <= 0) {
-            threads =
-                static_cast<int>(std::thread::hardware_concurrency());
-            if (threads <= 0)
-                threads = 1;
-        }
-        thread_count_ = threads;
+        // The count is read once per process: glibc re-reads it from
+        // /sys on every call, three system calls per pool.
+        static const int hardware = std::max(
+            1, static_cast<int>(std::thread::hardware_concurrency()));
+        thread_count_ = threads > 0 ? threads : hardware;
     }
 
     /// Drains queued tasks (their futures resolve) before joining.

@@ -89,32 +89,28 @@ bool
 TempFramework::importMemos(persist::MemoBlock block) const
 {
     // Each distinct group of the block is checked against this wafer
-    // and re-interned into its table once; the tasks then swap handles.
+    // and re-interned into its table once, at its first task; every
+    // task swaps handles as it passes. A block naming a die this wafer
+    // lacks imports nothing.
     const int dies = wafer_->dieCount();
     hw::DieGroupTable &groups = wafer_->topology().dieGroups();
     std::vector<const hw::DieGroup *> local(
         block.groups != nullptr ? block.groups->size() : 0);
-    for (const auto &[key, cell] : block.cells)
-        for (const net::CollectiveTask &task : cell.step_tasks) {
+    for (auto &[key, cell] : block.cells)
+        for (net::CollectiveTask &task : cell.step_tasks) {
             if (task.group->table != block.groups.get())
                 panic("importMemos: a step task outside the block's groups");
             const hw::DieGroup *&mine = local[task.group->index];
-            if (mine != nullptr)
-                continue;
-            for (hw::DieId die : task.group->dies)
-                if (die < 0 || die >= dies)
-                    return false;
-            mine = groups.intern(task.group->dies);
+            if (mine == nullptr) {
+                for (hw::DieId die : task.group->dies)
+                    if (die < 0 || die >= dies)
+                        return false;
+                mine = groups.intern(task.group->dies);
+            }
+            task.group = mine;
         }
-    const cost::WaferCostModel &model = sim_->costModel();
-    for (auto &[key, cell] : block.cells) {
-        for (net::CollectiveTask &task : cell.step_tasks)
-            task.group = local[task.group->index];
-        model.importCell(key.graph_fp, key.op_index, key.spec,
-                         std::move(cell));
-    }
-    for (const auto &[key, report] : block.step_reports)
-        steps_->importCached(key, report);
+    sim_->costModel().importCells(std::move(block.cells));
+    steps_->importCached(std::move(block.step_reports));
     return true;
 }
 

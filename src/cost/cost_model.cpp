@@ -351,7 +351,7 @@ WaferCostModel::findCell(std::uint64_t graph_fp, int op_index,
                          const ParallelSpec &spec) const
 {
     auto cell = memos().cells.get(OpCellKey{graph_fp, op_index, spec});
-    return cell ? *cell : nullptr;
+    return cell ? std::move(*cell) : nullptr;
 }
 
 std::shared_ptr<const OpCell>
@@ -384,11 +384,24 @@ WaferCostModel::addCell(const model::ComputeGraph &graph,
 }
 
 void
-WaferCostModel::importCell(std::uint64_t graph_fp, int op_index,
-                           const ParallelSpec &spec, OpCell cell) const
+WaferCostModel::importCells(
+    std::vector<std::pair<OpCellKey, OpCell>> cells) const
 {
-    memos().cells.insert(OpCellKey{graph_fp, op_index, spec},
-                         std::make_shared<const OpCell>(std::move(cell)));
+    auto &memo = memos().cells;
+    if (memo.bounded()) {
+        memo.insertAll(cells.size(), [&](std::size_t i) {
+            return std::pair(cells[i].first, std::make_shared<const OpCell>(
+                                                 std::move(cells[i].second)));
+        });
+        return;
+    }
+    const auto owner =
+        std::make_shared<const std::vector<std::pair<OpCellKey, OpCell>>>(
+            std::move(cells));
+    memo.insertAll(owner->size(), [&](std::size_t i) {
+        const auto &[key, cell] = (*owner)[i];
+        return std::pair(key, std::shared_ptr<const OpCell>(owner, &cell));
+    });
 }
 
 void

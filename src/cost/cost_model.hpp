@@ -180,9 +180,13 @@ class WaferCostModel
                                           const parallel::ParallelSpec &spec)
         const;
 
-    /// Seeds the cell memo (warm start); a resident cell wins.
-    void importCell(std::uint64_t graph_fp, int op_index,
-                    const parallel::ParallelSpec &spec, OpCell cell) const;
+    /**
+     * Seeds the cell memo (warm start); a resident cell wins. An
+     * unbounded memo never evicts, so its imported cells share the
+     * vector's one allocation; under a budget each cell owns its
+     * memory, so an eviction frees it.
+     */
+    void importCells(std::vector<std::pair<OpCellKey, OpCell>> cells) const;
 
     /// Visits every resident cell (the persist layer's export hook).
     void forEachCell(

@@ -1,42 +1,64 @@
 #include "eval/step_evaluator.hpp"
 
+#include <charconv>
+#include <memory>
+
 namespace temp::eval {
 
 using parallel::ParallelSpec;
 
 namespace {
 
-/// Appends one spec's content encoding to a step key.
-void
-appendSpecKey(std::string &key, const ParallelSpec &spec)
+/// Writes one spec's content encoding of a step key at `out` and
+/// returns the end of what it wrote (at most kSpecKeyChars chars).
+char *
+writeSpecKey(char *out, char *end, const ParallelSpec &spec)
 {
-    key += std::to_string(spec.dp);
-    key += ',';
-    key += std::to_string(spec.fsdp);
-    key += ',';
-    key += std::to_string(spec.tp);
-    key += ',';
-    key += std::to_string(spec.sp);
-    key += ',';
-    key += std::to_string(spec.cp);
-    key += ',';
-    key += std::to_string(spec.tatp);
-    key += ',';
-    key += std::to_string(spec.pp);
-    key += spec.coupled_sp ? ",c" : ",n";
+    for (int degree : {spec.dp, spec.fsdp, spec.tp, spec.sp, spec.cp,
+                       spec.tatp, spec.pp}) {
+        if (degree >= 0 && degree < 10)  // most degrees: one digit
+            *out++ = static_cast<char>('0' + degree);
+        else
+            out = std::to_chars(out, end, degree).ptr;
+        *out++ = ',';
+    }
+    *out++ = spec.coupled_sp ? 'c' : 'n';
+    return out;
 }
+
+/// '|', seven ints of up to 11 chars each and their commas, and c/n.
+constexpr std::size_t kSpecKeyChars = 1 + 7 * 12 + 1;
 
 }  // namespace
 
 std::string
 stepKey(std::uint64_t graph_fp, const std::vector<ParallelSpec> &specs)
 {
-    std::string key = std::to_string(graph_fp);
-    for (const ParallelSpec &spec : specs) {
-        key += '|';
-        appendSpecKey(key, spec);
-    }
+    std::string key;
+    appendStepKey(key, graph_fp, specs);
     return key;
+}
+
+void
+appendStepKey(std::string &out, std::uint64_t graph_fp,
+              const std::vector<ParallelSpec> &specs)
+{
+    // Decimal as std::to_string prints it, written into a buffer sized
+    // for the longest key (on the stack for any usual graph), then
+    // appended in one piece.
+    char stack[4096];
+    const std::size_t bound = 20 + kSpecKeyChars * specs.size();
+    std::unique_ptr<char[]> heap;
+    if (bound > sizeof stack)
+        heap = std::make_unique_for_overwrite<char[]>(bound);
+    char *const begin = heap != nullptr ? heap.get() : stack;
+    char *const end = begin + bound;
+    char *last = std::to_chars(begin, end, graph_fp).ptr;
+    for (const ParallelSpec &spec : specs) {
+        *last++ = '|';
+        last = writeSpecKey(last, end, spec);
+    }
+    out.append(begin, last);
 }
 
 StepEvaluator::StepEvaluator(const sim::TrainingSimulator &simulator,
@@ -93,17 +115,34 @@ StepEvaluator::evaluateBatch(
         gauge->charge(static_cast<long>(assignments.size()));
     const std::uint64_t graph_fp = model::graphFingerprint(graph);
 
+    // Every assignment's key goes into one arena (keys of one graph
+    // are about equally long, so it grows once after the first), and
+    // the memo is probed with views of it: only an inserted report
+    // gets a key string of its own.
+    std::string arena;
+    std::vector<std::size_t> key_end(assignments.size());
+    for (std::size_t i = 0; i < assignments.size(); ++i) {
+        appendStepKey(arena, graph_fp, assignments[i]);
+        key_end[i] = arena.size();
+        if (i == 0)
+            arena.reserve(arena.size() * assignments.size());
+    }
+
     // Dedup: one slot per distinct assignment, every request maps to a
     // slot.
-    std::vector<std::string> slot_key;
+    std::vector<std::string_view> slot_key;
     std::vector<std::size_t> slot_request;
     std::vector<std::size_t> request_slot(assignments.size());
-    std::unordered_map<std::string, std::size_t> slot_of;
-    for (std::size_t i = 0; i < assignments.size(); ++i) {
-        auto [it, inserted] = slot_of.emplace(
-            stepKey(graph_fp, assignments[i]), slot_key.size());
+    std::unordered_map<std::string_view, std::size_t> slot_of;
+    slot_key.reserve(assignments.size());
+    slot_request.reserve(assignments.size());
+    slot_of.reserve(assignments.size());
+    for (std::size_t i = 0, begin = 0; i < assignments.size(); ++i) {
+        const std::string_view key(arena.data() + begin, key_end[i] - begin);
+        begin = key_end[i];
+        auto [it, inserted] = slot_of.try_emplace(key, slot_key.size());
         if (inserted) {
-            slot_key.push_back(it->first);
+            slot_key.push_back(key);
             slot_request.push_back(i);
         }
         request_slot[i] = it->second;
@@ -125,15 +164,18 @@ StepEvaluator::evaluateBatch(
         slot_value[s] = sim_.simulate(graph, assignments[slot_request[s]]);
     });
     for (std::size_t s : missing)
-        cache_.insert(slot_key[s], slot_value[s]);
+        cache_.insert(std::string(slot_key[s]), slot_value[s]);
 
-    // Expand slots into request order.
-    std::vector<sim::PerfReport> results(assignments.size());
-    for (std::size_t i = 0; i < assignments.size(); ++i)
-        results[i] = slot_value[request_slot[i]];
     const long sims = static_cast<long>(missing.size());
     sims_ += sims;
     cache_hits_ += static_cast<long>(assignments.size()) - sims;
+    // Expand slots into request order (slot s is request s when the
+    // batch holds no duplicate).
+    if (slot_value.size() == assignments.size())
+        return slot_value;
+    std::vector<sim::PerfReport> results(assignments.size());
+    for (std::size_t i = 0; i < assignments.size(); ++i)
+        results[i] = slot_value[request_slot[i]];
     return results;
 }
 

@@ -29,6 +29,7 @@
 
 #include <atomic>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -61,6 +62,21 @@ struct StepStats
 /// Cache key of one per-op assignment under a graph fingerprint.
 std::string stepKey(std::uint64_t graph_fp,
                     const std::vector<parallel::ParallelSpec> &specs);
+
+/// Appends stepKey(graph_fp, specs) to `out`.
+void appendStepKey(std::string &out, std::uint64_t graph_fp,
+                   const std::vector<parallel::ParallelSpec> &specs);
+
+/// Transparent hash of the report memo's keys, so a batch probes it
+/// with views and builds a key string only to insert.
+struct StepKeyHash
+{
+    using is_transparent = void;
+    std::size_t operator()(std::string_view key) const
+    {
+        return std::hash<std::string_view>{}(key);
+    }
+};
 
 /**
  * Memoizing, batch-parallel front end over TrainingSimulator::simulate.
@@ -144,12 +160,14 @@ class StepEvaluator
         cache_.forEach(std::forward<Fn>(fn));
     }
 
-    /// Seeds the memo with one persisted report (warm start); the
-    /// resident value wins, and imports touch no honest counter.
-    void importCached(const std::string &key,
-                      const sim::PerfReport &report)
+    /// Seeds the memo with persisted reports (warm start); a resident
+    /// value wins, and imports touch no honest counter.
+    void importCached(std::vector<std::pair<std::string, sim::PerfReport>>
+                          reports)
     {
-        cache_.insert(key, report);
+        cache_.insertAll(reports.size(), [&](std::size_t i) {
+            return std::move(reports[i]);
+        });
     }
 
     const sim::TrainingSimulator &simulator() const { return sim_; }
@@ -158,7 +176,9 @@ class StepEvaluator
     const sim::TrainingSimulator &sim_;
     ThreadPool serial_{1};
     ThreadPool &pool_;
-    common::BoundedCache<std::string, sim::PerfReport> cache_;
+    common::BoundedCache<std::string, sim::PerfReport, StepKeyHash,
+                         std::equal_to<>>
+        cache_;
     std::atomic<long> sims_{0};
     std::atomic<long> cache_hits_{0};
     /// Registration id of the wafer fault listener that clears cache_.

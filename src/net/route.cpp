@@ -16,11 +16,12 @@ const Route kUnreachable;
 
 }  // namespace
 
-/// One route epoch's routes and lookup tables. Routes are append-only:
+/// One route epoch's routes and lookup table. Routes are append-only:
 /// deques never move their elements, so every RouteRef and candidate
-/// span handed out stays valid for the storage's lifetime. The tables
-/// are dense per-source rows of per-destination slots, allocated on a
-/// source's first miss; a filled slot never changes.
+/// span handed out stays valid for the storage's lifetime. The table
+/// is one dense (src, dst) array of slots, allocated with the epoch
+/// (24 bytes a pair: 24 KiB on a 32-die wafer); a filled slot never
+/// changes.
 struct RouteEpoch
 {
     /// The memoized lookups of one (src, dst) pair.
@@ -35,8 +36,9 @@ struct RouteEpoch
 
     explicit RouteEpoch(int die_count)
         : dies(die_count),
-          rows(std::make_unique<std::atomic<Slot *>[]>(
-              static_cast<std::size_t>(die_count)))
+          slots(std::make_unique<Slot[]>(static_cast<std::size_t>(dies) *
+                                         static_cast<std::size_t>(dies))),
+          bytes(static_cast<long>(sizeof(Slot)) * dies * dies)
     {
     }
 
@@ -54,43 +56,35 @@ struct RouteEpoch
                static_cast<unsigned>(dst) < static_cast<unsigned>(dies);
     }
 
-    /// The filled-or-empty slot of (src, dst), or null when src's row
-    /// does not exist yet (or the pair is out of range). Lock-free.
-    const Slot *find(DieId src, DieId dst) const
+    /// The filled-or-empty slot of (src, dst), or null when the pair is
+    /// out of range. Reading it is lock-free; filling it needs the
+    /// router's lock held exclusively.
+    Slot *find(DieId src, DieId dst) const
     {
         if (!contains(src, dst))
             return nullptr;
-        const Slot *row = rows[src].load(std::memory_order_acquire);
-        return row != nullptr ? &row[dst] : nullptr;
+        return &slots[static_cast<std::size_t>(src) *
+                          static_cast<std::size_t>(dies) +
+                      static_cast<std::size_t>(dst)];
     }
 
-    /// The slot of (src, dst), allocating src's row. Caller holds the
-    /// router's lock exclusively.
+    /// The slot of (src, dst). Caller holds the router's lock
+    /// exclusively.
     Slot &slotLocked(DieId src, DieId dst)
     {
-        if (!contains(src, dst))
+        Slot *slot = find(src, dst);
+        if (slot == nullptr)
             panic("Router: route %d -> %d outside a %d-die fabric", src,
                   dst, dies);
-        Slot *row = rows[src].load(std::memory_order_relaxed);
-        if (row == nullptr) {
-            row = owned_rows
-                      .emplace_back(std::make_unique<Slot[]>(
-                          static_cast<std::size_t>(dies)))
-                      .get();
-            rows[src].store(row, std::memory_order_release);
-            bytes += static_cast<long>(sizeof(Slot)) * dies;
-        }
-        return row[dst];
+        return *slot;
     }
 
     const int dies;
-    /// Per-source rows of `dies` slots; null until the first miss.
-    std::unique_ptr<std::atomic<Slot *>[]> rows;
-    std::vector<std::unique_ptr<Slot[]>> owned_rows;
+    std::unique_ptr<Slot[]> slots;  ///< dies x dies, row-major by src
     std::deque<Route> routes;
     std::deque<std::vector<RouteRef>> candidate_lists;
     long entries = 0;  ///< filled slots (safe routes + candidate lists)
-    long bytes = 0;    ///< estimate of rows + routes + candidate lists
+    long bytes = 0;    ///< estimate of slots + routes + candidate lists
 };
 
 Router::Router(const hw::MeshTopology &topo, const hw::FaultMap *faults)

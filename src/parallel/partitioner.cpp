@@ -319,14 +319,4 @@ reshardBytesPerDie(double out_bytes, int from_degree, int to_degree)
     return moved;
 }
 
-double
-reshardBytesPerDie(const Operator &producer, const ParallelSpec &from,
-                   const ParallelSpec &to, const TrainingOptions &options)
-{
-    if (from == to)
-        return 0.0;
-    return reshardBytesPerDie(producer.outputBytes(options.act_bytes_per_elem),
-                              from.totalDegree(), to.totalDegree());
-}
-
 }  // namespace temp::parallel

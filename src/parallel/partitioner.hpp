@@ -192,10 +192,4 @@ class Partitioner
  */
 double reshardBytesPerDie(double out_bytes, int from_degree, int to_degree);
 
-/// The per-die P2P byte volume of resharding `producer`'s output from
-/// `from` to `to` (zero when the specs agree).
-double reshardBytesPerDie(const model::Operator &producer,
-                          const ParallelSpec &from, const ParallelSpec &to,
-                          const TrainingOptions &options);
-
 }  // namespace temp::parallel

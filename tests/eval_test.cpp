@@ -40,6 +40,45 @@ TEST(ThreadPool, ParallelForCoversEveryIndexExactlyOnce)
         EXPECT_EQ(v.load(), 1);
 }
 
+TEST(StepKey, SpellsEveryDegreeAsToStringDoes)
+{
+    // The key is persisted (snapshot STEP entries), so its spelling is
+    // pinned against a std::to_string reference, one- to three-digit
+    // degrees and both coupling flags included.
+    const auto reference = [](std::uint64_t fp,
+                              const std::vector<ParallelSpec> &specs) {
+        std::string key = std::to_string(fp);
+        for (const ParallelSpec &s : specs) {
+            key += '|';
+            for (int degree : {s.dp, s.fsdp, s.tp, s.sp, s.cp, s.tatp, s.pp})
+                key += std::to_string(degree) + ',';
+            key += s.coupled_sp ? 'c' : 'n';
+        }
+        return key;
+    };
+    ParallelSpec wide;
+    wide.dp = 128;
+    wide.fsdp = 16;
+    wide.tp = 9;
+    wide.sp = 10;
+    wide.tatp = 32;
+    wide.coupled_sp = true;
+    ParallelSpec narrow;
+    narrow.tp = 8;
+    const std::vector<ParallelSpec> specs{wide, narrow, wide};
+    for (std::uint64_t fp : {std::uint64_t{0}, std::uint64_t{7},
+                             std::uint64_t{18446744073709551615u}}) {
+        EXPECT_EQ(stepKey(fp, specs), reference(fp, specs));
+        EXPECT_EQ(stepKey(fp, {}), reference(fp, {}));
+        std::string appended = "prefix";
+        appendStepKey(appended, fp, specs);
+        EXPECT_EQ(appended, "prefix" + reference(fp, specs));
+    }
+    // Longer than the on-stack buffer: the heap path.
+    const std::vector<ParallelSpec> many(100, wide);
+    EXPECT_EQ(stepKey(3, many), reference(3, many));
+}
+
 TEST(ThreadPool, ReusableAcrossJobsAndPropagatesExceptions)
 {
     ThreadPool pool(3);

@@ -377,27 +377,20 @@ TEST_F(PartitionerTest, CollectivePayloadBytesAccounting)
     EXPECT_NEAR(exec.collectivePayloadBytes(), expected, 1.0);
 }
 
-TEST(Reshard, IdenticalSpecsAreFree)
-{
-    const auto graph =
-        model::ComputeGraph::transformer(model::modelByName("GPT-3 6.7B"));
-    TrainingOptions opts;
-    EXPECT_DOUBLE_EQ(
-        reshardBytesPerDie(graph.op(1), spec(2, 4, 1, 4), spec(2, 4, 1, 4),
-                           opts),
-        0.0);
-}
-
 TEST(Reshard, MismatchedSpecsMoveData)
 {
+    // Two distinct specs of total degree 8 (say dp=8 and fsdp=8); that
+    // equal specs move nothing is WaferCostModel::interOpTime's rule.
     const auto graph =
         model::ComputeGraph::transformer(model::modelByName("GPT-3 6.7B"));
     TrainingOptions opts;
-    const double bytes = reshardBytesPerDie(graph.op(1), spec(8, 1, 1, 1),
-                                            spec(1, 8, 1, 1), opts);
+    const double out_bytes = graph.op(1).outputBytes(opts.act_bytes_per_elem);
+    const double bytes = reshardBytesPerDie(out_bytes, 8, 8);
     EXPECT_GT(bytes, 0.0);
     // Bounded by the producer's full output per die.
     EXPECT_LE(bytes, graph.op(1).outputBytes());
+    // A finer sharding on either side moves less per die.
+    EXPECT_LT(reshardBytesPerDie(out_bytes, 8, 16), bytes);
 }
 
 TEST(Layout, ConcurrentLayoutBuildsInternTheSameGroups)

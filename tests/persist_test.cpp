@@ -455,6 +455,50 @@ TEST(ServiceWarmStart, ByteBudgetedCachesStayBitIdentical)
     EXPECT_DOUBLE_EQ(warm.solver.step_time_s, cold.solver.step_time_s);
 }
 
+TEST(FrameworkImport, ImportedCellsAnswerAndReexportWithOrWithoutBudget)
+{
+    // An unbounded cell memo keeps the imported cells in the block's
+    // one vector and a budgeted one copies each: both answer like the
+    // cold framework, the unbounded one re-exports the same bytes, and
+    // under an entry budget the import itself evicts.
+    const api::OptimizeRequest request = testRequest();
+    core::TempFramework cold(request.wafer, request.options);
+    const solver::SolverResult cold_result = cold.optimize(request.model);
+    Snapshot exported;
+    exported.blocks.push_back(cold.exportMemos());
+    const std::string bytes = encodeSnapshot(exported);
+    const long cells = static_cast<long>(exported.blocks[0].cells.size());
+    ASSERT_GT(cells, 8);
+    const auto cellStats = [](const core::TempFramework &fw) {
+        for (const auto &[layer, stats] : fw.cacheStats())
+            if (layer == "sim_cells")
+                return stats;
+        return common::CacheStats{};
+    };
+
+    core::TempFramework warm(request.wafer, request.options);
+    ASSERT_TRUE(warm.importMemos(exported.blocks[0]));
+    EXPECT_EQ(cellStats(warm).entries, cells);
+    Snapshot again;
+    again.blocks.push_back(warm.exportMemos());
+    EXPECT_TRUE(encodeSnapshot(again) == bytes);
+    const solver::SolverResult warm_result = warm.optimize(request.model);
+    EXPECT_EQ(warm_result.matrix_measurements, 0);
+    EXPECT_EQ(warm_result.step_sims, 0);
+    EXPECT_EQ(warm_result.per_op_specs, cold_result.per_op_specs);
+    EXPECT_EQ(warm_result.step_time_s, cold_result.step_time_s);
+
+    core::FrameworkOptions budgeted = request.options;
+    budgeted.cache.max_eval_entries = cells / 4;
+    core::TempFramework small(request.wafer, budgeted);
+    ASSERT_TRUE(small.importMemos(exported.blocks[0]));
+    EXPECT_EQ(cellStats(small).entries, cells / 4);
+    EXPECT_EQ(cellStats(small).evictions, cells - cells / 4);
+    const solver::SolverResult small_result = small.optimize(request.model);
+    EXPECT_EQ(small_result.per_op_specs, cold_result.per_op_specs);
+    EXPECT_EQ(small_result.step_time_s, cold_result.step_time_s);
+}
+
 TEST(ServiceWarmStart, CorruptSnapshotColdStartsAndCounts)
 {
     TempFile file("corrupt.snap");
