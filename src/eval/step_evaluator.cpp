@@ -29,16 +29,7 @@ writeSpecKey(char *out, char *end, const ParallelSpec &spec)
 /// '|', seven ints of up to 11 chars each and their commas, and c/n.
 constexpr std::size_t kSpecKeyChars = 1 + 7 * 12 + 1;
 
-}  // namespace
-
-std::string
-stepKey(std::uint64_t graph_fp, const std::vector<ParallelSpec> &specs)
-{
-    std::string key;
-    appendStepKey(key, graph_fp, specs);
-    return key;
-}
-
+/// Appends stepKey(graph_fp, specs) to `out`.
 void
 appendStepKey(std::string &out, std::uint64_t graph_fp,
               const std::vector<ParallelSpec> &specs)
@@ -59,6 +50,16 @@ appendStepKey(std::string &out, std::uint64_t graph_fp,
         last = writeSpecKey(last, end, spec);
     }
     out.append(begin, last);
+}
+
+}  // namespace
+
+std::string
+stepKey(std::uint64_t graph_fp, const std::vector<ParallelSpec> &specs)
+{
+    std::string key;
+    appendStepKey(key, graph_fp, specs);
+    return key;
 }
 
 StepEvaluator::StepEvaluator(const sim::TrainingSimulator &simulator,

@@ -63,10 +63,6 @@ struct StepStats
 std::string stepKey(std::uint64_t graph_fp,
                     const std::vector<parallel::ParallelSpec> &specs);
 
-/// Appends stepKey(graph_fp, specs) to `out`.
-void appendStepKey(std::string &out, std::uint64_t graph_fp,
-                   const std::vector<parallel::ParallelSpec> &specs);
-
 /// Transparent hash of the report memo's keys, so a batch probes it
 /// with views and builds a key string only to insert.
 struct StepKeyHash

@@ -70,9 +70,6 @@ TEST(StepKey, SpellsEveryDegreeAsToStringDoes)
                              std::uint64_t{18446744073709551615u}}) {
         EXPECT_EQ(stepKey(fp, specs), reference(fp, specs));
         EXPECT_EQ(stepKey(fp, {}), reference(fp, {}));
-        std::string appended = "prefix";
-        appendStepKey(appended, fp, specs);
-        EXPECT_EQ(appended, "prefix" + reference(fp, specs));
     }
     // Longer than the on-stack buffer: the heap path.
     const std::vector<ParallelSpec> many(100, wide);
