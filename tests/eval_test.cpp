@@ -405,6 +405,14 @@ TEST_F(EvalTest, StepBatchDeterministicAcrossThreadCountsAndDedups)
         runs.push_back(steps.evaluateBatch(graph_, generation));
         EXPECT_EQ(steps.stats().sims, unique);
         EXPECT_EQ(steps.stats().cache_hits, total - unique);
+        // The memo files each report under its stepKey (snapshots
+        // persist these keys).
+        std::set<std::string> cached;
+        steps.forEachCached(
+            [&](const std::string &key, const sim::PerfReport &) {
+                cached.insert(key);
+            });
+        EXPECT_EQ(cached, unique_keys);
 
         // A repeat batch is served entirely from the memo.
         steps.evaluateBatch(graph_, generation);
