@@ -347,30 +347,17 @@ main()
             std::printf("FAIL: breakdown reduce scalar/simd diverged\n");
             ok = false;
         }
-        std::vector<double> tot_a(n_cells);
-        std::vector<double> tot_b(n_cells);
-        cost::breakdownTotalsScalar(cells, tot_a.data());
-        cost::breakdownTotalsSimd(cells, tot_b.data());
-        if (std::memcmp(tot_a.data(), tot_b.data(),
-                        tot_a.size() * sizeof(double)) != 0) {
-            std::printf("FAIL: breakdown totals scalar/simd diverged\n");
-            ok = false;
-        }
 
         double sink = 0.0;
         const Paired t = pairedBestOf(
             trials,
             [&] {
-                for (int r = 0; r < reps; ++r) {
+                for (int r = 0; r < reps; ++r)
                     sink += cost::reduceBreakdownsScalar(cells).wall;
-                    cost::breakdownTotalsScalar(cells, tot_a.data());
-                }
             },
             [&] {
-                for (int r = 0; r < reps; ++r) {
+                for (int r = 0; r < reps; ++r)
                     sink += cost::reduceBreakdownsSimd(cells).wall;
-                    cost::breakdownTotalsSimd(cells, tot_b.data());
-                }
             });
         const double scalar_s = t.a;
         const double simd_s = t.b;

@@ -3,7 +3,7 @@
  * Network hot-path microbench: the layer every (op, strategy) cost
  * query bottoms out in.
  *
- * Three measurements, each emitted as a BENCH_JSON line:
+ * Four measurements, each emitted as a BENCH_JSON line:
  *
  *  - lowering_shape: schedules/sec of flat-arena lowering vs. the same
  *    lowering copied out into the former vector<vector<Flow>> nested
@@ -14,6 +14,13 @@
  *    its own, then CommSchedule::combine). The acceptance bar: the
  *    direct arena equals the reference merge flow by flow and run by
  *    run, with equal payload and feasibility, on every phase;
+ *  - optimizer: ns per optimized flow of the traffic optimizer run by
+ *    run in a scratch buffer (TrafficOptimizer::optimizePhase, the
+ *    cost model's path) vs. optimize() rebuilding the whole schedule,
+ *    on a seeded phase mix of the 4x8 wafer (104 links) and an 8x10
+ *    one (284 links, beyond the route masks). The acceptance bar: every
+ *    run optimized in scratch equals the rebuilt schedule's run flow
+ *    for flow;
  *  - quickstart_solve: the collective tasks a real cold DLS solve on
  *    the quickstart model lowers, and a repeat solve on the same
  *    service (the acceptance bars: the cold count is nonzero and the
@@ -34,10 +41,12 @@
 #include <vector>
 
 #include "api/service.hpp"
+#include "common/rng.hpp"
 #include "hw/wafer.hpp"
 #include "model/model_zoo.hpp"
 #include "net/collective.hpp"
 #include "parallel/layout.hpp"
+#include "tcme/optimizer.hpp"
 
 using namespace temp;
 
@@ -149,6 +158,120 @@ referencePhase(const net::CollectiveScheduler &scheduler,
     return net::CommSchedule::combine(ptrs);
 }
 
+/// Flow by flow: src, dst, bytes, tag and the interned route.
+bool
+sameFlows(std::span<const net::Flow> a, std::span<const net::Flow> b)
+{
+    if (a.size() != b.size())
+        return false;
+    for (std::size_t f = 0; f < a.size(); ++f)
+        if (a[f].src != b[f].src || a[f].dst != b[f].dst ||
+            a[f].tag != b[f].tag ||
+            std::bit_cast<std::uint64_t>(a[f].bytes) !=
+                std::bit_cast<std::uint64_t>(b[f].bytes) ||
+            &*a[f].route != &*b[f].route)
+            return false;
+    return true;
+}
+
+/// One optimizer measurement on one wafer grid.
+struct OptimizerRun
+{
+    std::size_t links = 0;
+    std::size_t phases = 0;
+    std::size_t flows = 0;  ///< input flows of the stored runs
+    double scratch_ns_per_flow = 0.0;
+    double rebuild_ns_per_flow = 0.0;
+    std::size_t mismatched = 0;  ///< runs differing from the rebuild
+};
+
+/**
+ * Seeded phases of one to six concurrent tasks (rings of 2..9 members
+ * of all three kinds, broadcasts and p2p transfers, shards of 1-3 MB
+ * on two tags, so duplicate payloads meet and merge) on a wafer of
+ * `config`'s grid, optimized run by run in a scratch buffer and by
+ * optimize() over the whole schedule.
+ */
+OptimizerRun
+optimizerSection(const hw::WaferConfig &config, int reps)
+{
+    const hw::Wafer wafer(config);
+    const net::Router router(wafer.topology(), &wafer.faults());
+    const net::CollectiveScheduler scheduler(router);
+    const tcme::TrafficOptimizer optimizer(router);
+    hw::DieGroupTable &groups = wafer.topology().dieGroups();
+    Rng rng(29);
+    std::vector<hw::DieId> dies(static_cast<std::size_t>(wafer.dieCount()));
+    for (std::size_t d = 0; d < dies.size(); ++d)
+        dies[d] = static_cast<hw::DieId>(d);
+    const net::CollectiveKind kinds[] = {
+        net::CollectiveKind::AllReduce, net::CollectiveKind::AllGather,
+        net::CollectiveKind::ReduceScatter, net::CollectiveKind::Broadcast,
+        net::CollectiveKind::P2P};
+    std::vector<net::CommSchedule> lowered;
+    for (int p = 0; p < 200; ++p) {
+        std::vector<net::CollectiveTask> phase(
+            static_cast<std::size_t>(rng.uniformInt(1, 6)));
+        for (net::CollectiveTask &task : phase) {
+            std::shuffle(dies.begin(), dies.end(), rng.engine());
+            task.kind = kinds[rng.uniformInt(0, 4)];
+            const int n = task.kind == net::CollectiveKind::P2P
+                              ? 2
+                              : rng.uniformInt(2, 9);
+            task.group = groups.intern(
+                std::span<const hw::DieId>(dies).first(
+                    static_cast<std::size_t>(n)));
+            task.bytes = 1e6 * rng.uniformInt(1, 3) * n;
+            task.tag = rng.uniformInt(1, 2);
+        }
+        lowered.push_back(scheduler.lowerPhase(phase));
+    }
+
+    OptimizerRun out;
+    out.links = static_cast<std::size_t>(wafer.topology().linkCount());
+    out.phases = lowered.size();
+    std::vector<net::Flow> scratch;
+    for (const net::CommSchedule &schedule : lowered) {
+        net::CommSchedule rebuilt = schedule;
+        optimizer.optimize(rebuilt);
+        for (int i = 0; i < schedule.runCount(); ++i) {
+            scratch.assign(schedule.run(i).begin(), schedule.run(i).end());
+            optimizer.optimizePhase(scratch);
+            out.flows += schedule.run(i).size();
+            if (i >= rebuilt.runCount() ||
+                !sameFlows(scratch, rebuilt.run(i)))
+                ++out.mismatched;
+        }
+    }
+    double scratch_s = 0.0;
+    double rebuild_s = 0.0;
+    std::size_t sink = 0;
+    for (int rep = 0; rep < reps; ++rep) {
+        // Interleaved, so host noise lands on both paths alike.
+        const double t0 = now();
+        for (const net::CommSchedule &schedule : lowered)
+            for (int i = 0; i < schedule.runCount(); ++i) {
+                scratch.assign(schedule.run(i).begin(),
+                               schedule.run(i).end());
+                optimizer.optimizePhase(scratch);
+                sink += scratch.size();
+            }
+        const double t1 = now();
+        for (const net::CommSchedule &schedule : lowered) {
+            net::CommSchedule rebuilt = schedule;
+            optimizer.optimize(rebuilt);
+            sink += rebuilt.flows().size();
+        }
+        scratch_s += t1 - t0;
+        rebuild_s += now() - t1;
+    }
+    (void)sink;
+    const double flows = static_cast<double>(out.flows) * reps;
+    out.scratch_ns_per_flow = flows > 0.0 ? scratch_s * 1e9 / flows : 0.0;
+    out.rebuild_ns_per_flow = flows > 0.0 ? rebuild_s * 1e9 / flows : 0.0;
+    return out;
+}
+
 }  // namespace
 
 int
@@ -242,6 +365,29 @@ main()
                 tasks.size(), phases.size(), reps, direct_ns, reference_ns,
                 mismatched);
 
+    // --- traffic optimizer: run by run in scratch vs rebuilt ------------
+    std::size_t optimizer_mismatched = 0;
+    for (const hw::WaferConfig &config :
+         {hw::WaferConfig::paperDefault(),
+          hw::WaferConfig::paperDefault().withGrid(8, 10)}) {
+        const OptimizerRun run = optimizerSection(config, reps);
+        optimizer_mismatched += run.mismatched;
+        std::printf("Optimizer %dx%d (%zu links, %zu phases, %zu flows): "
+                    "scratch %.1f ns/flow, rebuilt schedule %.1f ns/flow, "
+                    "%zu mismatched runs\n",
+                    config.rows, config.cols, run.links, run.phases,
+                    run.flows, run.scratch_ns_per_flow,
+                    run.rebuild_ns_per_flow, run.mismatched);
+        std::printf("BENCH_JSON {\"bench\":\"net_hotpath\","
+                    "\"section\":\"optimizer\",\"grid\":\"%dx%d\","
+                    "\"links\":%zu,\"phases\":%zu,\"flows\":%zu,"
+                    "\"reps\":%d,\"scratch_ns_per_flow\":%.1f,"
+                    "\"rebuild_ns_per_flow\":%.1f,\"mismatched\":%zu}\n",
+                    config.rows, config.cols, run.links, run.phases,
+                    run.flows, reps, run.scratch_ns_per_flow,
+                    run.rebuild_ns_per_flow, run.mismatched);
+    }
+
     // --- lowerings of a real cold solve and its repeat ------------------
     api::TempService service;
     const api::OptimizeRequest request{model::modelByName("GPT-3 6.7B")};
@@ -264,6 +410,12 @@ main()
         std::printf("FAIL: %zu phases lowered into one arena differ from "
                     "the reference merge\n",
                     mismatched);
+        ok = false;
+    }
+    if (optimizer_mismatched > 0) {
+        std::printf("FAIL: %zu runs optimized in scratch differ from the "
+                    "rebuilt schedule\n",
+                    optimizer_mismatched);
         ok = false;
     }
     if (!solve.solver.feasible || solve.solver.schedule_lowerings <= 0) {

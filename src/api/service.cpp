@@ -311,12 +311,13 @@ TempService::run(const OptimizeRequest &request,
         return finish(std::move(response), t0);
     auto fw = frameworkFor(request.wafer, request.options,
                            &response.framework_reused);
-    response.solver = fw->optimize(request.model, budget);
+    const model::ComputeGraph graph =
+        model::ComputeGraph::transformer(request.model);
+    response.solver = fw->optimize(graph, budget);
     response.budget_exhausted = response.solver.budget_exhausted;
     response.quanta_used = response.solver.quanta_used;
     response.report = response.solver.report;
-    response.op_names =
-        opNames(model::ComputeGraph::transformer(request.model));
+    response.op_names = opNames(graph);
     response.evaluator_stats = fw->evaluatorStats();
     response.step_stats = fw->stepStats();
     response.ok = true;

@@ -46,6 +46,7 @@
 #include <mutex>
 #include <optional>
 #include <shared_mutex>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -374,6 +375,35 @@ class BoundedCache
         }
         ++misses_;
         return std::nullopt;
+    }
+
+    /**
+     * Bulk get(): looks every key up under one lock, counting a hit or
+     * a miss each, and calls found(i, value) for each hit on keys[i].
+     */
+    template <typename K, typename Found>
+    void getAll(std::span<const K> keys, Found &&found)
+    {
+        long hits = 0;
+        if (!bounded()) {
+            std::shared_lock<std::shared_mutex> lock(mutex_);
+            for (std::size_t i = 0; i < keys.size(); ++i) {
+                if (const Value *value = map_.peek(keys[i])) {
+                    ++hits;
+                    found(i, *value);
+                }
+            }
+        } else {
+            std::unique_lock<std::shared_mutex> lock(mutex_);
+            for (std::size_t i = 0; i < keys.size(); ++i) {
+                if (Value *value = map_.touch(keys[i])) {
+                    ++hits;
+                    found(i, *value);
+                }
+            }
+        }
+        hits_ += hits;
+        misses_ += static_cast<long>(keys.size()) - hits;
     }
 
     /**

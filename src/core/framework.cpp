@@ -138,7 +138,13 @@ solver::SolverResult
 TempFramework::optimize(const model::ModelConfig &model,
                         const solver::SolveBudget &budget) const
 {
-    const model::ComputeGraph graph = model::ComputeGraph::transformer(model);
+    return optimize(model::ComputeGraph::transformer(model), budget);
+}
+
+solver::SolverResult
+TempFramework::optimize(const model::ComputeGraph &graph,
+                        const solver::SolveBudget &budget) const
+{
     solver::DlsSolver solver(*sim_, options_.solver, evaluator_.get(),
                              steps_.get());
     return solver.solve(graph, nullptr, budget);

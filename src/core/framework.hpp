@@ -162,6 +162,11 @@ class TempFramework
     solver::SolverResult optimize(const model::ModelConfig &model,
                                   const solver::SolveBudget &budget) const;
 
+    /// The same solve over an already built transformer graph (a
+    /// caller that also reads the graph builds it once).
+    solver::SolverResult optimize(const model::ComputeGraph &graph,
+                                  const solver::SolveBudget &budget) const;
+
     /**
      * Fault-tolerant re-optimisation: rebuilds the wafer with the given
      * fault state and re-runs the pipeline (the three-step strategy of

@@ -1,7 +1,5 @@
 #include "cost/breakdown_reduce.hpp"
 
-#include <limits>
-
 #include "common/kernels.hpp"
 
 namespace temp::cost {
@@ -63,37 +61,6 @@ reduceBreakdowns(std::span<const OpCostBreakdown> cells)
 {
     return kernels::simdActive() ? reduceBreakdownsSimd(cells)
                                  : reduceBreakdownsScalar(cells);
-}
-
-TEMP_NO_AUTOVEC void
-breakdownTotalsScalar(std::span<const OpCostBreakdown> cells, double *out)
-{
-    const double inf = std::numeric_limits<double>::infinity();
-    for (std::size_t k = 0; k < cells.size(); ++k)
-        out[k] = cells[k].feasible ? cells[k].total() : inf;
-}
-
-void
-breakdownTotalsSimd(std::span<const OpCostBreakdown> cells, double *out)
-{
-    // Independent per-cell expressions; total() keeps its association
-    // ((fwd + bwd) + step_comm).
-    const double inf = std::numeric_limits<double>::infinity();
-    const OpCostBreakdown *c = cells.data();
-    const std::size_t n = cells.size();
-    TEMP_PRAGMA_SIMD
-    for (std::size_t k = 0; k < n; ++k) {
-        const double total =
-            (c[k].fwd_time + c[k].bwd_time) + c[k].step_comm_time;
-        out[k] = c[k].feasible ? total : inf;
-    }
-}
-
-void
-breakdownTotals(std::span<const OpCostBreakdown> cells, double *out)
-{
-    return kernels::simdActive() ? breakdownTotalsSimd(cells, out)
-                                 : breakdownTotalsScalar(cells, out);
 }
 
 }  // namespace temp::cost

@@ -1,14 +1,13 @@
 /**
  * @file
- * Batched reductions over OpCostBreakdown cells: the per-layer sums the
- * step simulator folds over every op, and the feasible-total column the
- * solvers' (op, strategy) matrices are filled from.
+ * Batched reduction over OpCostBreakdown cells: the per-layer sums the
+ * step simulator folds over every op.
  *
  * Bit-exactness: each output accumulator keeps the exact per-cell
- * addition order of the former field-by-field loop; the SIMD variants
- * vectorize *across independent accumulators* (one lane per field) and
- * across independent cells (the totals column), never reassociating any
- * single accumulation chain. See common/kernels.hpp for the contract.
+ * addition order of the former field-by-field loop; the SIMD variant
+ * vectorizes *across independent accumulators* (one lane per field),
+ * never reassociating any single accumulation chain. See
+ * common/kernels.hpp for the contract.
  */
 #pragma once
 
@@ -40,15 +39,5 @@ BreakdownSums reduceBreakdownsScalar(std::span<const OpCostBreakdown> cells);
 BreakdownSums reduceBreakdownsSimd(std::span<const OpCostBreakdown> cells);
 /// Runtime-dispatched reduction (kernels::simdActive()).
 BreakdownSums reduceBreakdowns(std::span<const OpCostBreakdown> cells);
-
-/**
- * Fills `out[k] = cells[k].feasible ? cells[k].total() : +inf` — the
- * additive-model matrix column. `out` must hold cells.size() doubles.
- */
-void breakdownTotalsScalar(std::span<const OpCostBreakdown> cells,
-                           double *out);
-void breakdownTotalsSimd(std::span<const OpCostBreakdown> cells,
-                         double *out);
-void breakdownTotals(std::span<const OpCostBreakdown> cells, double *out);
 
 }  // namespace temp::cost

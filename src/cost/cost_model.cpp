@@ -302,18 +302,34 @@ WaferCostModel::timePhase(const std::vector<net::CollectiveTask> &tasks) const
     // collectives inside one op contend for the same links (the
     // Fig. 11 scenario): the whole phase is lowered into one arena
     // with its tasks' rounds overlaid.
-    net::CommSchedule schedule = scheduler_.lowerPhase(tasks);
+    const net::CommSchedule schedule = scheduler_.lowerPhase(tasks);
     if (!schedule.feasible) {
         phase.timing.time_s = std::numeric_limits<double>::infinity();
         return phase;
     }
-    if (policy_.contentionOptimization())
-        optimizer_.optimize(schedule);
-    // Timed once (the memo keeps the result), so the schedule is
-    // evaluated off its arena: building the SoA view would cost more
-    // than the one evaluation it serves.
-    phase.link_bytes = schedule.linkBytes();
-    phase.timing = contention_.evaluateSequence(schedule);
+    // Timed run by run, while each run is hot in cache: under TCME a
+    // run is optimized in a per-thread scratch buffer (optimizePhase is
+    // a pure function of its flows, so no optimized schedule is
+    // rebuilt), then its link bytes and its timing are each folded in
+    // once per executed round, in the order CommSchedule::linkBytes()
+    // and ContentionModel::evaluateSequence() sum the optimized
+    // schedule.
+    const bool optimize = policy_.contentionOptimization();
+    thread_local std::vector<net::Flow> optimized;
+    net::PhaseSequence sequence(contention_.fabricCapacity());
+    for (int i = 0; i < schedule.runCount(); ++i) {
+        std::span<const net::Flow> run = schedule.run(i);
+        if (optimize) {
+            optimized.assign(run.begin(), run.end());
+            optimizer_.optimizePhase(optimized);
+            run = optimized;
+        }
+        const std::uint32_t repeat = schedule.repeat(i);
+        phase.link_bytes = net::CommSchedule::addRunLinkBytes(
+            phase.link_bytes, run, repeat);
+        sequence.add(contention_.evaluate(run), repeat);
+    }
+    phase.timing = sequence.total();
     return phase;
 }
 
@@ -352,6 +368,17 @@ WaferCostModel::findCell(std::uint64_t graph_fp, int op_index,
 {
     auto cell = memos().cells.get(OpCellKey{graph_fp, op_index, spec});
     return cell ? std::move(*cell) : nullptr;
+}
+
+void
+WaferCostModel::findCells(std::span<const OpCellKey> keys,
+                          std::shared_ptr<const OpCell> *cells) const
+{
+    memos().cells.getAll(keys,
+                         [cells](std::size_t i,
+                                 const std::shared_ptr<const OpCell> &cell) {
+                             cells[i] = cell;
+                         });
 }
 
 std::shared_ptr<const OpCell>
@@ -536,6 +563,14 @@ OpCell::withStep() const
              step.utilization * step.bytes) /
             (comm_bytes + step.bytes);
     return out;
+}
+
+double
+OpCell::entryTotal(bool include_step) const
+{
+    const OpCostBreakdown entry = include_step ? withStep() : breakdown;
+    return entry.feasible ? entry.total()
+                          : std::numeric_limits<double>::infinity();
 }
 
 OpCell

@@ -18,6 +18,7 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <span>
 
 #include "cost/compute_model.hpp"
 #include "cost/power_model.hpp"
@@ -92,6 +93,10 @@ struct OpCell
      * step_comm_time into exposed_comm, the utilisation blend).
      */
     OpCostBreakdown withStep() const;
+
+    /// The entry's matrix total: the total() of withStep() (or of the
+    /// bare breakdown without `include_step`), +inf when infeasible.
+    double entryTotal(bool include_step) const;
 };
 
 /// Exact key of an OpCell: graph fingerprint, op index and spec. The
@@ -174,6 +179,10 @@ class WaferCostModel
     std::shared_ptr<const OpCell> findCell(
         std::uint64_t graph_fp, int op_index,
         const parallel::ParallelSpec &spec) const;
+    /// Bulk findCell(): cells[i] is the resident cell of keys[i] or
+    /// null, all probed under one memo lock (one miss per null).
+    void findCells(std::span<const OpCellKey> keys,
+                   std::shared_ptr<const OpCell> *cells) const;
     std::shared_ptr<const OpCell> addCell(const model::ComputeGraph &graph,
                                           std::uint64_t graph_fp,
                                           int op_index,

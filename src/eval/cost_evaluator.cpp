@@ -19,27 +19,31 @@ ExactEvaluator::evaluate(const model::ComputeGraph &graph,
     return evaluateBatch(graph, {request}).front();
 }
 
-std::vector<cost::OpCostBreakdown>
-ExactEvaluator::evaluateBatch(const model::ComputeGraph &graph,
-                              const std::vector<EvalRequest> &requests,
-                              common::BudgetGauge *gauge)
+std::vector<std::shared_ptr<const cost::OpCell>>
+ExactEvaluator::cells(const model::ComputeGraph &graph,
+                      const std::vector<EvalRequest> &requests,
+                      common::BudgetGauge *gauge)
 {
     const std::uint64_t graph_fp = model::graphFingerprint(graph);
 
-    // Serve resident cells serially (a warm batch never wakes the pool
-    // and builds no slot map). The misses are this batch's
-    // measurements: one slot per distinct missing (op, spec) cell, so
-    // in-batch duplicates are hits at any thread count, costed in
-    // parallel. Requests come op-major, so concurrent misses almost
-    // always place different specs; a racing duplicate layout build is
-    // discarded and counted once.
+    // Serve resident cells through one bulk memo lookup (a warm batch
+    // never wakes the pool and builds no slot map). The misses are
+    // this batch's measurements: one slot per distinct missing (op,
+    // spec) cell, so in-batch duplicates are hits at any thread count,
+    // costed in parallel. Requests come op-major, so concurrent misses
+    // almost always place different specs; a racing duplicate layout
+    // build is discarded and counted once.
+    std::vector<OpCellKey> keys;
+    keys.reserve(requests.size());
+    for (const EvalRequest &request : requests)
+        keys.push_back({graph_fp, request.op_id, request.spec});
     std::vector<std::shared_ptr<const cost::OpCell>> cells(requests.size());
+    model_.findCells(keys, cells.data());
+
     std::unordered_map<OpCellKey, std::size_t, cost::OpCellKeyHash> slot_of;
     std::vector<std::size_t> slot_request;  // first request of each slot
     std::vector<std::pair<std::size_t, std::size_t>> missed;  // (req, slot)
     for (std::size_t i = 0; i < requests.size(); ++i) {
-        const EvalRequest &request = requests[i];
-        cells[i] = model_.findCell(graph_fp, request.op_id, request.spec);
         if (cells[i] != nullptr)
             continue;
         if (missed.empty()) {  // room for every request left to miss
@@ -47,9 +51,8 @@ ExactEvaluator::evaluateBatch(const model::ComputeGraph &graph,
             slot_request.reserve(requests.size() - i);
             missed.reserve(requests.size() - i);
         }
-        const auto [it, inserted] = slot_of.try_emplace(
-            OpCellKey{graph_fp, request.op_id, request.spec},
-            slot_request.size());
+        const auto [it, inserted] =
+            slot_of.try_emplace(keys[i], slot_request.size());
         if (inserted)
             slot_request.push_back(i);
         missed.emplace_back(i, it->second);
@@ -64,18 +67,39 @@ ExactEvaluator::evaluateBatch(const model::ComputeGraph &graph,
     for (const auto &[i, s] : missed)
         cells[i] = built[s];
 
-    // A matrix entry is the cell plus its step phase.
-    std::vector<cost::OpCostBreakdown> results(requests.size());
-    for (std::size_t i = 0; i < requests.size(); ++i)
-        results[i] = requests[i].include_step ? cells[i]->withStep()
-                                              : cells[i]->breakdown;
     const long n_measured = static_cast<long>(built.size());
     measurements_ += n_measured;
     cache_hits_ += static_cast<long>(requests.size()) - n_measured;
     // Batch complete: latch any wall/token expiry at this boundary.
     if (gauge != nullptr)
         gauge->exhausted();
+    return cells;
+}
+
+std::vector<cost::OpCostBreakdown>
+ExactEvaluator::evaluateBatch(const model::ComputeGraph &graph,
+                              const std::vector<EvalRequest> &requests,
+                              common::BudgetGauge *gauge)
+{
+    // A matrix entry is the cell plus its step phase.
+    const auto batch = cells(graph, requests, gauge);
+    std::vector<cost::OpCostBreakdown> results(requests.size());
+    for (std::size_t i = 0; i < requests.size(); ++i)
+        results[i] = requests[i].include_step ? batch[i]->withStep()
+                                              : batch[i]->breakdown;
     return results;
+}
+
+std::vector<double>
+ExactEvaluator::evaluateTotals(const model::ComputeGraph &graph,
+                               const std::vector<EvalRequest> &requests,
+                               common::BudgetGauge *gauge)
+{
+    const auto batch = cells(graph, requests, gauge);
+    std::vector<double> totals(requests.size());
+    for (std::size_t i = 0; i < requests.size(); ++i)
+        totals[i] = batch[i]->entryTotal(requests[i].include_step);
+    return totals;
 }
 
 EvalStats

@@ -100,6 +100,16 @@ class CostEvaluator
         const std::vector<EvalRequest> &requests,
         common::BudgetGauge *gauge = nullptr) = 0;
 
+    /**
+     * The same batch reduced to matrix entries: result[i] is the
+     * total() of evaluateBatch()'s entry i, or +inf when it is
+     * infeasible. Same counters and budget contract.
+     */
+    virtual std::vector<double> evaluateTotals(
+        const model::ComputeGraph &graph,
+        const std::vector<EvalRequest> &requests,
+        common::BudgetGauge *gauge = nullptr) = 0;
+
     /// Cumulative counters.
     virtual EvalStats stats() const = 0;
 };
@@ -128,9 +138,22 @@ class ExactEvaluator : public CostEvaluator
         const std::vector<EvalRequest> &requests,
         common::BudgetGauge *gauge = nullptr) override;
 
+    std::vector<double> evaluateTotals(
+        const model::ComputeGraph &graph,
+        const std::vector<EvalRequest> &requests,
+        common::BudgetGauge *gauge = nullptr) override;
+
     EvalStats stats() const override;
 
   private:
+    /// The batch's cells in request order: resident ones from one bulk
+    /// memo lookup, the misses costed in parallel. Counts and polls
+    /// the gauge as the batch contract says.
+    std::vector<std::shared_ptr<const cost::OpCell>> cells(
+        const model::ComputeGraph &graph,
+        const std::vector<EvalRequest> &requests,
+        common::BudgetGauge *gauge);
+
     const cost::WaferCostModel &model_;
     ThreadPool serial_{1};
     ThreadPool &pool_;
@@ -160,6 +183,14 @@ class CachingEvaluator : public CostEvaluator
         common::BudgetGauge *gauge = nullptr) override
     {
         return inner_.evaluateBatch(graph, requests, gauge);
+    }
+
+    std::vector<double> evaluateTotals(
+        const model::ComputeGraph &graph,
+        const std::vector<EvalRequest> &requests,
+        common::BudgetGauge *gauge = nullptr) override
+    {
+        return inner_.evaluateTotals(graph, requests, gauge);
     }
 
     EvalStats stats() const override { return inner_.stats(); }

@@ -161,12 +161,18 @@ CommSchedule::linkBytes() const
     // Accumulated once per executed round, in round order, so the sum
     // is bit-identical to walking the expanded schedule.
     double total = 0.0;
-    for (int i = 0; i < runCount(); ++i) {
-        const std::span<const Flow> flows = run(i);
-        for (std::uint32_t k = 0; k < repeat(i); ++k)
-            for (const Flow &flow : flows)
-                total += flow.bytes * flow.route.hops();
-    }
+    for (int i = 0; i < runCount(); ++i)
+        total = addRunLinkBytes(total, run(i), repeat(i));
+    return total;
+}
+
+double
+CommSchedule::addRunLinkBytes(double total, std::span<const Flow> run,
+                              std::uint32_t repeat)
+{
+    for (std::uint32_t k = 0; k < repeat; ++k)
+        for (const Flow &flow : run)
+            total += flow.bytes * flow.route.hops();
     return total;
 }
 
@@ -175,28 +181,38 @@ buildMulticastTree(const Router &router, DieId root,
                    const std::vector<DieId> &leaves, RoutePolicy policy)
 {
     MulticastTree tree;
-    tree.root = root;
-    tree.leaves = leaves;
+    buildMulticastTree(router, root, leaves, policy, tree);
+    return tree;
+}
+
+void
+buildMulticastTree(const Router &router, DieId root,
+                   std::span<const DieId> leaves, RoutePolicy policy,
+                   MulticastTree &out)
+{
+    out.root = root;
+    out.leaves.assign(leaves.begin(), leaves.end());
+    out.links.clear();
+    out.depth = 0;
+    out.complete = true;
     // Collect every path link into a flat vector, then sort+unique: no
     // tree-node allocation per link, same ascending order the former
     // std::set produced.
-    std::vector<LinkId> links;
     for (DieId leaf : leaves) {
         if (leaf == root)
             continue;
         const RouteRef route = router.safeRouteRef(root, leaf, policy);
         if (!route.valid()) {
-            tree.complete = false;
+            out.complete = false;
             continue;
         }
-        tree.depth = std::max(tree.depth, route.hops());
-        links.insert(links.end(), route.links().begin(),
-                     route.links().end());
+        out.depth = std::max(out.depth, route.hops());
+        out.links.insert(out.links.end(), route.links().begin(),
+                         route.links().end());
     }
-    std::sort(links.begin(), links.end());
-    links.erase(std::unique(links.begin(), links.end()), links.end());
-    tree.links = std::move(links);
-    return tree;
+    std::sort(out.links.begin(), out.links.end());
+    out.links.erase(std::unique(out.links.begin(), out.links.end()),
+                    out.links.end());
 }
 
 CollectiveScheduler::CollectiveScheduler(const Router &router,
@@ -351,10 +367,9 @@ CollectiveScheduler::appendBroadcast(std::span<const DieId> group,
     if (group.size() <= 1 || bytes <= 0.0)
         return;
 
-    const DieId root = group[0];
-    const std::vector<DieId> leaves(group.begin() + 1, group.end());
-    const MulticastTree tree =
-        buildMulticastTree(router_, root, leaves, policy_);
+    const std::span<const DieId> leaves = group.subspan(1);
+    thread_local MulticastTree tree;
+    buildMulticastTree(router_, group[0], leaves, policy_, tree);
     if (!tree.complete)
         out.feasible = false;
 

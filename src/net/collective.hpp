@@ -240,6 +240,16 @@ class CommSchedule
     /// Total bytes*hops deposited on the fabric over executed rounds.
     double linkBytes() const;
 
+    /**
+     * Adds one run's bytes*hops to `total` once per executed round, flow
+     * by flow (never a per-run sum times `repeat`, which rounds
+     * differently), and returns it. linkBytes() is this over every run;
+     * a caller that walks runs itself (the cost model's timePhase) gets
+     * the same bits by calling it run by run.
+     */
+    static double addRunLinkBytes(double total, std::span<const Flow> run,
+                                  std::uint32_t repeat);
+
   private:
     struct Run
     {
@@ -287,6 +297,12 @@ struct MulticastTree
 MulticastTree buildMulticastTree(const Router &router, DieId root,
                                  const std::vector<DieId> &leaves,
                                  RoutePolicy policy = RoutePolicy::XY);
+
+/// The same tree built into `out`, whose buffers are reused: a tree
+/// rebuilt into a grown buffer allocates nothing.
+void buildMulticastTree(const Router &router, DieId root,
+                        std::span<const DieId> leaves, RoutePolicy policy,
+                        MulticastTree &out);
 
 /**
  * Lowers collective tasks into flow schedules using ring algorithms over

@@ -1,6 +1,7 @@
 #include "net/contention.hpp"
 
 #include <algorithm>
+#include <bit>
 
 #include "common/kernels.hpp"
 #include "common/logging.hpp"
@@ -8,63 +9,76 @@
 
 namespace temp::net {
 
+template <typename Fn>
 void
-LinkLoadMap::add(const Route &route, double bytes)
+LinkLoadMap::forEachTouched(Fn &&fn) const
 {
-    for (LinkId link : route.links) {
-        if (marked_[link] == 0) {
-            marked_[link] = 1;
-            touched_.push_back(link);
-        }
-        loads_[link] += bytes;
+    if (!masked_) {
+        for (LinkId link : touched_)
+            fn(link);
+        return;
     }
-}
-
-void
-LinkLoadMap::remove(const Route &route, double bytes)
-{
-    // The mark stays: dropping it would need an O(touched) membership
-    // check per re-add, and a removed-to-zero link still contributes an
-    // exact +0.0 to the stats scans.
-    for (LinkId link : route.links) {
-        loads_[link] -= bytes;
-        if (loads_[link] < 0.0)
-            loads_[link] = 0.0;
-    }
+    for (int word = 0; word < 2; ++word)
+        for (std::uint64_t bits = touched_mask_[word]; bits != 0;
+             bits &= bits - 1)
+            fn(static_cast<LinkId>(word * 64 + std::countr_zero(bits)));
 }
 
 void
 LinkLoadMap::reset(int link_count)
 {
     if (link_count != linkCount()) {
-        loads_.assign(link_count, 0.0);
-        marked_.assign(link_count, 0);
+        loads_.assign(static_cast<std::size_t>(link_count), 0.0);
+        masked_ = link_count <= Route::kMaskLinks;
+        marked_.assign(masked_ ? 0 : static_cast<std::size_t>(link_count),
+                       0);
     } else {
-        for (LinkId link : touched_) {
-            loads_[link] = 0.0;
+        forEachTouched([this](LinkId link) { loads_[link] = 0.0; });
+        for (LinkId link : touched_)
             marked_[link] = 0;
+    }
+    touched_mask_ = {};
+    touched_.clear();
+}
+
+void
+LinkLoadMap::mark(const Route &route)
+{
+    for (LinkId link : route.links) {
+        if (marked_[link] == 0) {
+            marked_[link] = 1;
+            touched_.push_back(link);
         }
     }
-    touched_.clear();
 }
 
 LinkId
 LinkLoadMap::maxLoadLink() const
 {
-    // The former dense scan returned the smallest link id among the
-    // maxima (ascending order + strictly-greater). The touched list is
-    // insertion-ordered, so ties break on the id explicitly.
+    // Untouched links hold zero. The mask walks ascending ids, so the
+    // strict compare keeps the first maximum, selected without a branch
+    // (the comparisons are data-dependent); the list is in first-touch
+    // order, so ties break on the id explicitly.
     LinkId best = -1;
     double best_load = -1.0;
-    for (LinkId link : touched_) {
-        const double load = loads_[link];
-        if (load > best_load || (load == best_load && link < best)) {
-            best_load = load;
-            best = link;
-        }
+    if (masked_) {
+        forEachTouched([&](LinkId link) {
+            const double load = loads_[link];
+            const bool better = load > best_load;
+            best_load = better ? load : best_load;
+            best = better ? link : best;
+        });
+    } else {
+        forEachTouched([&](LinkId link) {
+            const double load = loads_[link];
+            if (load > best_load || (load == best_load && link < best)) {
+                best_load = load;
+                best = link;
+            }
+        });
     }
-    // All-zero loads: the dense scan picked link 0 (0.0 > -1.0 at the
-    // first link), whether or not anything was ever touched.
+    // All-zero loads: a dense scan's first maximum is link 0, whether
+    // or not anything was ever touched.
     if (best_load <= 0.0)
         return linkCount() > 0 ? 0 : -1;
     return best;
@@ -74,33 +88,9 @@ double
 LinkLoadMap::maxLoad() const
 {
     double best = 0.0;
-    for (LinkId link : touched_)
-        best = std::max(best, loads_[link]);
+    forEachTouched(
+        [&](LinkId link) { best = std::max(best, loads_[link]); });
     return best;
-}
-
-double
-LinkLoadMap::totalLoad() const
-{
-    // Summed in ascending link order, exactly like the former dense
-    // scan: untouched links contributed +0.0, the identity on this
-    // non-negative accumulation, so skipping them is bit-identical.
-    std::vector<LinkId> ordered(touched_);
-    std::sort(ordered.begin(), ordered.end());
-    double total = 0.0;
-    for (LinkId link : ordered)
-        total += loads_[link];
-    return total;
-}
-
-int
-LinkLoadMap::activeLinkCount() const
-{
-    int active = 0;
-    for (LinkId link : touched_)
-        if (loads_[link] > 0.0)
-            ++active;
-    return active;
 }
 
 namespace {
@@ -282,62 +272,57 @@ ContentionModel::evaluateSoaRound(const FlowSoa &soa, std::uint32_t begin,
     return timing;
 }
 
-namespace {
-
-/// Folds one phase's timing into a running sequence total.
 void
-accumulatePhase(PhaseTiming &total, const PhaseTiming &t,
-                double fabric_capacity, double &busy_capacity_time)
+PhaseSequence::add(const PhaseTiming &t, std::uint32_t repeat)
 {
-    total.time_s += t.time_s;
-    total.serial_time_s += t.serial_time_s;
-    total.total_bytes += t.total_bytes;
-    total.link_bytes += t.link_bytes;
-    total.max_hops = std::max(total.max_hops, t.max_hops);
-    if (t.bottleneck_bytes > total.bottleneck_bytes) {
-        total.bottleneck_bytes = t.bottleneck_bytes;
-        total.bottleneck_link = t.bottleneck_link;
+    for (std::uint32_t k = 0; k < repeat; ++k) {
+        total_.time_s += t.time_s;
+        total_.serial_time_s += t.serial_time_s;
+        total_.total_bytes += t.total_bytes;
+        total_.link_bytes += t.link_bytes;
+        total_.max_hops = std::max(total_.max_hops, t.max_hops);
+        if (t.bottleneck_bytes > total_.bottleneck_bytes) {
+            total_.bottleneck_bytes = t.bottleneck_bytes;
+            total_.bottleneck_link = t.bottleneck_link;
+        }
+        busy_capacity_time_ += t.time_s * fabric_capacity_;
     }
-    busy_capacity_time += t.time_s * fabric_capacity;
 }
 
-}  // namespace
+PhaseTiming
+PhaseSequence::total() const
+{
+    PhaseTiming total = total_;
+    if (busy_capacity_time_ > 0.0)
+        total.bandwidth_utilization = total.link_bytes / busy_capacity_time_;
+    return total;
+}
 
 PhaseTiming
 ContentionModel::evaluateSequence(const CommSchedule &schedule) const
 {
-    PhaseTiming total;
-    double busy_capacity_time = 0.0;
     // Each stored run is evaluated once and folded in once per executed
     // round, so the accumulation order matches the expanded schedule.
+    PhaseSequence sequence(fabric_capacity_);
     for (int i = 0; i < schedule.runCount(); ++i) {
-        const PhaseTiming t =
-            schedule.soaReady()
-                ? evaluateSoaRound(schedule.soa(), schedule.runBegin(i),
-                                   schedule.runEnd(i))
-                : evaluate(schedule.run(i));
-        for (std::uint32_t k = 0; k < schedule.repeat(i); ++k)
-            accumulatePhase(total, t, fabric_capacity_,
-                            busy_capacity_time);
+        sequence.add(schedule.soaReady()
+                         ? evaluateSoaRound(schedule.soa(),
+                                            schedule.runBegin(i),
+                                            schedule.runEnd(i))
+                         : evaluate(schedule.run(i)),
+                     schedule.repeat(i));
     }
-    if (busy_capacity_time > 0.0)
-        total.bandwidth_utilization = total.link_bytes / busy_capacity_time;
-    return total;
+    return sequence.total();
 }
 
 PhaseTiming
 ContentionModel::evaluateSequence(
     const std::vector<std::vector<Flow>> &phases) const
 {
-    PhaseTiming total;
-    double busy_capacity_time = 0.0;
-    for (const auto &phase : phases) {
-        accumulatePhase(total, evaluate(phase), fabric_capacity_,
-                        busy_capacity_time);
-    }
-    if (busy_capacity_time > 0.0)
-        total.bandwidth_utilization = total.link_bytes / busy_capacity_time;
-    return total;
+    PhaseSequence sequence(fabric_capacity_);
+    for (const auto &phase : phases)
+        sequence.add(evaluate(phase));
+    return sequence.total();
 }
 
 double

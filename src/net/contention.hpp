@@ -22,6 +22,7 @@
  */
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <span>
 #include <type_traits>
@@ -55,36 +56,50 @@ static_assert(std::is_trivially_copyable_v<Flow>,
               "flows are copied freely on the cost path");
 
 /**
- * Per-link accumulated byte loads.
+ * Per-link accumulated byte loads: the traffic optimizer's picture of
+ * a phase, over routes the router stored (RouteRef targets).
  *
- * Tracks the set of links that ever carried load so the stats queries
- * (maxLoadLink / maxLoad / totalLoad / activeLinkCount) scan O(active)
- * entries instead of the full linkCount() — the optimizer calls
- * maxLoadLink once per iteration while only a group's worth of links is
- * loaded. Results are identical to the former dense scans (totalLoad
- * sums in ascending link order; untouched links contribute exact +0.0).
+ * An add is a plain `+=` per link. The links that ever carried load
+ * are tracked per route, not per link: on a fabric of at most
+ * Route::kMaskLinks links as the union of the routes' link masks, on
+ * a larger one as a list of marked links. reset() and the stats walk
+ * only those links, in ascending id order under a mask, so no call
+ * costs O(all links). The stats equal a dense scan's bit for bit:
+ * maxLoadLink() is the first (smallest-id) maximum, or link 0 when
+ * every load is zero.
  */
 class LinkLoadMap
 {
   public:
-    explicit LinkLoadMap(int link_count)
-        : loads_(link_count, 0.0), marked_(link_count, 0)
-    {
-    }
+    explicit LinkLoadMap(int link_count) { reset(link_count); }
 
-    /// Empties the map for reuse over `link_count` links, zeroing only
-    /// the touched ones: a reused map allocates nothing once grown.
+    /// Empties the map for reuse over `link_count` links: a reused map
+    /// allocates nothing once grown.
     void reset(int link_count);
 
     /// Adds a flow's bytes to every link on its route.
-    void add(const Route &route, double bytes);
-    void add(const RouteRef &route, double bytes) { add(*route, bytes); }
+    void add(const RouteRef &route, double bytes)
+    {
+        const Route &r = *route;
+        if (masked_) {
+            touched_mask_[0] |= r.link_mask[0];
+            touched_mask_[1] |= r.link_mask[1];
+        } else {
+            mark(r);
+        }
+        for (LinkId link : r.links)
+            loads_[link] += bytes;
+    }
 
-    /// Removes a flow's bytes from every link on its route.
-    void remove(const Route &route, double bytes);
+    /// Removes a flow's bytes from every link on its route, clamping
+    /// at zero (a removed-to-zero link stays touched).
     void remove(const RouteRef &route, double bytes)
     {
-        remove(*route, bytes);
+        for (LinkId link : route.links()) {
+            loads_[link] -= bytes;
+            if (loads_[link] < 0.0)
+                loads_[link] = 0.0;
+        }
     }
 
     /// Current load on a link.
@@ -93,28 +108,26 @@ class LinkLoadMap
     /// The most-loaded link (`mcl` in the paper's Fig. 11 algorithm).
     LinkId maxLoadLink() const;
 
-    /// The load of the most-loaded link.
+    /// The load of the most-loaded link (0 for an empty map).
     double maxLoad() const;
-
-    /// Sum of loads across all links.
-    double totalLoad() const;
-
-    /// Number of links carrying non-zero load.
-    int activeLinkCount() const;
 
     int linkCount() const { return static_cast<int>(loads_.size()); }
 
-    /// Number of links that ever carried load (the stats-scan bound;
-    /// a removed-to-zero link stays counted).
-    int touchedLinkCount() const
-    {
-        return static_cast<int>(touched_.size());
-    }
-
   private:
+    /// Records the route's links as touched (list form only).
+    void mark(const Route &route);
+
+    /// Calls fn(link) for every touched link (ascending under a mask,
+    /// first-touch order in the list form).
+    template <typename Fn>
+    void forEachTouched(Fn &&fn) const;
+
     std::vector<double> loads_;
-    std::vector<std::uint8_t> marked_;  ///< 1 once a link carried load
-    std::vector<LinkId> touched_;       ///< marked links, insertion order
+    /// At most Route::kMaskLinks links: touched links are a bitmask.
+    bool masked_ = true;
+    std::array<std::uint64_t, 2> touched_mask_{};
+    std::vector<std::uint8_t> marked_;  ///< list form: 1 once touched
+    std::vector<LinkId> touched_;       ///< list form: touched links
 };
 
 /// Result of evaluating one communication phase.
@@ -130,6 +143,33 @@ struct PhaseTiming
     /// Fraction of aggregate fabric bandwidth actually used during the
     /// phase ("BW utilization" in Fig. 4b).
     double bandwidth_utilization = 0.0;
+};
+
+/**
+ * Folds the timings of dependent phases (a schedule's rounds) into one
+ * sequence timing, in execution order: times and bytes add up, the
+ * bottleneck is the largest phase bottleneck (the earliest on ties),
+ * and utilisation is the link bytes over the fabric capacity busy for
+ * the summed time.
+ */
+class PhaseSequence
+{
+  public:
+    explicit PhaseSequence(double fabric_capacity)
+        : fabric_capacity_(fabric_capacity)
+    {
+    }
+
+    /// Folds one phase in `repeat` times (a run executing back to back).
+    void add(const PhaseTiming &t, std::uint32_t repeat = 1);
+
+    /// The sequence's timing so far.
+    PhaseTiming total() const;
+
+  private:
+    PhaseTiming total_;
+    double busy_capacity_time_ = 0.0;
+    double fabric_capacity_;
 };
 
 /**

@@ -1,6 +1,7 @@
 #include "net/route.hpp"
 
 #include <algorithm>
+#include <cstdlib>
 #include <deque>
 #include <mutex>
 
@@ -13,6 +14,17 @@ namespace {
 /// The stored value of a slot whose destination is unreachable (an
 /// unfilled slot holds null).
 const Route kUnreachable;
+
+/// Sets the route's link_mask bits (every stored route gets them).
+void
+fillLinkMask(Route &route)
+{
+    route.link_mask = {};
+    for (LinkId link : route.links)
+        if (static_cast<unsigned>(link) < Route::kMaskLinks)
+            route.link_mask[static_cast<unsigned>(link) >> 6] |=
+                std::uint64_t{1} << (static_cast<unsigned>(link) & 63);
+}
 
 }  // namespace
 
@@ -46,6 +58,7 @@ struct RouteEpoch
     {
         bytes += static_cast<long>(sizeof(Route) +
                                    route.links.size() * sizeof(LinkId));
+        fillLinkMask(route);
         routes.push_back(std::move(route));
         return RouteRef(&routes.back());
     }
@@ -104,52 +117,52 @@ Router::route(DieId src, DieId dst, RoutePolicy policy) const
     Route out;
     out.src = src;
     out.dst = dst;
+    appendRoute(src, dst, policy, out.links);
+    return out;
+}
+
+void
+Router::appendRoute(DieId src, DieId dst, RoutePolicy policy,
+                    std::vector<LinkId> &links) const
+{
     if (src == dst)
-        return out;
+        return;
 
-    hw::DieCoord cur = topo_.coordOf(src);
+    // Walk die ids: a column step moves the id by one, a row step by a
+    // row's width.
+    const hw::DieCoord from = topo_.coordOf(src);
     const hw::DieCoord goal = topo_.coordOf(dst);
-
-    auto step_col = [&]() {
-        while (cur.col != goal.col) {
-            const int next_col = cur.col + (goal.col > cur.col ? 1 : -1);
-            const DieId from = topo_.dieAt(cur.row, cur.col);
-            const DieId to = topo_.dieAt(cur.row, next_col);
-            out.links.push_back(topo_.linkId(from, to));
-            cur.col = next_col;
-        }
-    };
-    auto step_row = [&]() {
-        while (cur.row != goal.row) {
-            const int next_row = cur.row + (goal.row > cur.row ? 1 : -1);
-            const DieId from = topo_.dieAt(cur.row, cur.col);
-            const DieId to = topo_.dieAt(next_row, cur.col);
-            out.links.push_back(topo_.linkId(from, to));
-            cur.row = next_row;
+    const int d_col = goal.col - from.col;
+    const int d_row = goal.row - from.row;
+    links.reserve(links.size() + static_cast<std::size_t>(std::abs(d_col)) +
+                  static_cast<std::size_t>(std::abs(d_row)));
+    DieId cur = src;
+    const auto walk = [&](int steps, int stride) {
+        const int step = steps > 0 ? stride : -stride;
+        for (int k = std::abs(steps); k > 0; --k) {
+            links.push_back(topo_.linkId(cur, cur + step));
+            cur += step;
         }
     };
 
     if (policy == RoutePolicy::XY) {
-        step_col();
-        step_row();
+        walk(d_col, 1);
+        walk(d_row, topo_.cols());
     } else {
-        step_row();
-        step_col();
+        walk(d_row, topo_.cols());
+        walk(d_col, 1);
     }
-    return out;
 }
 
 Route
 Router::routeVia(DieId src, DieId waypoint, DieId dst, RoutePolicy first,
                  RoutePolicy second) const
 {
-    const Route a = route(src, waypoint, first);
-    const Route b = route(waypoint, dst, second);
     Route out;
     out.src = src;
     out.dst = dst;
-    out.links = a.links;
-    out.links.insert(out.links.end(), b.links.begin(), b.links.end());
+    appendRoute(src, waypoint, first, out.links);
+    appendRoute(waypoint, dst, second, out.links);
     return out;
 }
 
@@ -211,27 +224,32 @@ Router::safeRoute(DieId src, DieId dst, RoutePolicy policy) const
 std::vector<Route>
 Router::candidateRoutes(DieId src, DieId dst) const
 {
+    // XY, YX and two detours through each usable neighbour.
     std::vector<Route> candidates;
+    candidates.reserve(2 + 2 * topo_.neighbors(src).size());
 
-    // First-occurrence dedup over a flat vector: the candidate set is
-    // tiny (XY + YX + a handful of one-bend detours), so a linear scan
-    // beats the former std::set<std::vector<LinkId>>'s node allocation
-    // per probe while preserving the insertion order the reroute
-    // tie-breaking depends on.
-    auto consider = [&](const Route &r) {
-        if (r.src != src || r.dst != dst)
-            return;
-        if (!routeUsable(r))
+    // Each candidate's links are built in one reused buffer and copied
+    // out only when kept. First-occurrence dedup over a flat vector:
+    // the candidate set is tiny (XY + YX + a handful of one-bend
+    // detours), so a linear scan is cheapest, and it preserves the
+    // insertion order the reroute tie-breaking depends on.
+    std::vector<LinkId> links;
+    auto consider = [&] {
+        if (!std::all_of(links.begin(), links.end(),
+                         [this](LinkId l) { return linkUsable(l); }))
             return;
         const bool seen =
             std::any_of(candidates.begin(), candidates.end(),
-                        [&](const Route &c) { return c.links == r.links; });
+                        [&](const Route &c) { return c.links == links; });
         if (!seen)
-            candidates.push_back(r);
+            candidates.push_back(Route{src, dst, links});
     };
 
-    consider(route(src, dst, RoutePolicy::XY));
-    consider(route(src, dst, RoutePolicy::YX));
+    for (RoutePolicy policy : {RoutePolicy::XY, RoutePolicy::YX}) {
+        links.clear();
+        appendRoute(src, dst, policy, links);
+        consider();
+    }
     // One-bend detours: step to a neighbour first, then route onward with
     // both dimension orders. This is the "idle neighbouring links" escape
     // hatch the Fig. 11 optimizer exploits.
@@ -241,8 +259,10 @@ Router::candidateRoutes(DieId src, DieId dst) const
         if (!linkUsable(topo_.linkId(src, mid)))
             continue;
         for (RoutePolicy second : {RoutePolicy::XY, RoutePolicy::YX}) {
-            Route detour = routeVia(src, mid, dst, RoutePolicy::XY, second);
-            consider(detour);
+            links.clear();
+            appendRoute(src, mid, RoutePolicy::XY, links);
+            appendRoute(mid, dst, second, links);
+            consider();
         }
     }
     if (candidates.empty()) {
@@ -316,6 +336,7 @@ Router::linkRoute(LinkId link) const
             r.src = l.src;
             r.dst = l.dst;
             r.links = {id};
+            fillLinkMask(r);
         }
     });
     return RouteRef(&link_routes_[static_cast<std::size_t>(link)]);

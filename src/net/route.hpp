@@ -9,6 +9,7 @@
  */
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <memory>
@@ -30,9 +31,16 @@ using hw::LinkId;
 /// An ordered sequence of directed links from src to dst.
 struct Route
 {
+    /// Links a route's bitmask covers: ids 0 .. kMaskLinks - 1.
+    static constexpr int kMaskLinks = 128;
+
     DieId src = -1;
     DieId dst = -1;
     std::vector<LinkId> links;
+    /// Bit l set for every link l < kMaskLinks on the route. Filled
+    /// when the router stores the route, so it is valid on every
+    /// RouteRef target and zero on a Route value the router returns.
+    std::array<std::uint64_t, 2> link_mask{};
 
     /// Number of link traversals.
     int hops() const { return static_cast<int>(links.size()); }
@@ -75,6 +83,24 @@ class RouteRef
     int hops() const { return route_ ? route_->hops() : 0; }
     bool empty() const { return route_ == nullptr || route_->empty(); }
     const std::vector<LinkId> &links() const { return get().links; }
+
+    /**
+     * True when the route crosses `link`: one bit test through the
+     * stored route's mask for links below Route::kMaskLinks, a scan
+     * of the links above it (fabrics of more than 128 links).
+     */
+    bool crosses(LinkId link) const
+    {
+        const Route &r = get();
+        if (static_cast<unsigned>(link) < Route::kMaskLinks)
+            return (r.link_mask[static_cast<unsigned>(link) >> 6] >>
+                    (static_cast<unsigned>(link) & 63)) &
+                   1;
+        for (LinkId l : r.links)
+            if (l == link)
+                return true;
+        return false;
+    }
 
     /// Content equality of the underlying link sequences.
     bool sameLinks(const RouteRef &other) const
@@ -201,6 +227,10 @@ class Router
 
   private:
     bool linkUsable(LinkId link) const;
+
+    /// Appends the dimension-ordered route's links to `links`.
+    void appendRoute(DieId src, DieId dst, RoutePolicy policy,
+                     std::vector<LinkId> &links) const;
 
     /// The current epoch's storage, started on the first lookup after
     /// construction or newEpoch(). Caller must hold mutex_ exclusively.

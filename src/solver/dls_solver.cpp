@@ -9,7 +9,6 @@
 
 #include "common/kernels.hpp"
 #include "common/logging.hpp"
-#include "cost/breakdown_reduce.hpp"
 
 namespace temp::solver {
 
@@ -36,10 +35,10 @@ struct CostMatrix
 
 /**
  * Fills the matrix through the shared evaluation layer: one
- * evaluateBatch over the row-major (op, candidate) requests (layouts
+ * evaluateTotals over the row-major (op, candidate) requests (layouts
  * and op cells are memoized in the cost model, misses run in
- * parallel), then per-op rows through the batched totals kernel
- * (feasible ? total() : inf).
+ * parallel), each entry reduced to feasible ? total() : inf, then cut
+ * into per-op rows.
  */
 CostMatrix
 fillCostMatrix(eval::CostEvaluator &evaluator,
@@ -53,10 +52,8 @@ fillCostMatrix(eval::CostEvaluator &evaluator,
     for (int i = 0; i < n_ops; ++i)
         for (const ParallelSpec &spec : candidates)
             requests.push_back({i, spec, true});
-    const std::vector<cost::OpCostBreakdown> cells =
-        evaluator.evaluateBatch(graph, requests, gauge);
-    std::vector<double> totals(cells.size());
-    cost::breakdownTotals(cells, totals.data());
+    const std::vector<double> totals =
+        evaluator.evaluateTotals(graph, requests, gauge);
 
     CostMatrix matrix;
     matrix.op_cost.resize(static_cast<std::size_t>(n_ops));

@@ -62,17 +62,16 @@ TrafficOptimizer::optimize(net::CommSchedule &schedule) const
 namespace {
 
 /// Appends the indices of the flows whose route crosses `mcl`, in
-/// ascending order, to the cleared `hot`.
+/// ascending order, to the cleared `hot`: one mask bit test per flow
+/// below Route::kMaskLinks, a route scan above it.
 void
 collectHot(const std::vector<Flow> &flows, hw::LinkId mcl,
            std::vector<std::size_t> &hot)
 {
     hot.clear();
-    for (std::size_t i = 0; i < flows.size(); ++i) {
-        const std::vector<hw::LinkId> &links = flows[i].route.links();
-        if (std::find(links.begin(), links.end(), mcl) != links.end())
+    for (std::size_t i = 0; i < flows.size(); ++i)
+        if (flows[i].route.crosses(mcl))
             hot.push_back(i);
-    }
 }
 
 }  // namespace
@@ -110,6 +109,16 @@ TrafficOptimizer::optimizePhase(std::vector<Flow> &flows) const
         ++stats.iterations;
 
         collectHot(flows, mcl, hot);
+        // First iteration only, while the loads are the initial deposit
+        // (sums of adds, no remove residue): one flow alone on the
+        // bottleneck leaves nothing to merge, and every link of its
+        // (loop-free) route reads exactly its bytes, since none exceeds
+        // the bottleneck. Lifted off, those links read exactly zero, so
+        // no candidate peaks below its own route: the iteration would
+        // change nothing and end the loop. A later iteration can see
+        // residue ((a + b) - b need not equal a) and is run in full.
+        if (hot.size() == 1 && stats.iterations == 1)
+            break;
         if (config_.enable_merging) {
             const int merges = mergeDuplicates(flows, loads, hot);
             stats.merges += merges;
@@ -122,7 +131,9 @@ TrafficOptimizer::optimizePhase(std::vector<Flow> &flows) const
         mcl = loads.maxLoadLink();
         cur = loads.load(mcl);
     }
-    stats.final_max_load = loads.maxLoad();
+    // The last bottleneck reading is the final maximum, so no second
+    // scan runs; clamped at 0 like maxLoad().
+    stats.final_max_load = std::max(0.0, cur);
     return stats;
 }
 
@@ -157,6 +168,7 @@ TrafficOptimizer::mergeDuplicates(std::vector<Flow> &flows,
     thread_local std::vector<std::size_t> to_remove;
     thread_local std::vector<Flow> to_add;
     thread_local std::vector<hw::DieId> leaves;
+    thread_local net::MulticastTree tree;
     to_remove.clear();
     to_add.clear();
     for (std::size_t begin = 0, end = 0; begin < entries.size();
@@ -172,12 +184,13 @@ TrafficOptimizer::mergeDuplicates(std::vector<Flow> &flows,
             continue;
         const std::span<const Entry> bucket(entries.data() + begin,
                                             end - begin);
-        // Build a multicast tree covering all destinations.
+        // Build a multicast tree covering all destinations, into a
+        // per-thread buffer.
         leaves.clear();
         for (const Entry &e : bucket)
             leaves.push_back(flows[e.flow].dst);
-        const net::MulticastTree tree =
-            net::buildMulticastTree(router_, key.src, leaves);
+        net::buildMulticastTree(router_, key.src, leaves,
+                                net::RoutePolicy::XY, tree);
         if (!tree.complete)
             continue;  // faults block a fault-free tree; keep unicasts
         // Tree payload: one copy per tree link instead of one per flow.

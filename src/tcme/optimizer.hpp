@@ -15,6 +15,19 @@
  *      (YX / one-bend detours);
  *  (5) global update & termination check — stop when the bottleneck
  *      stops improving or MAX_ITER is reached.
+ *
+ * The cost model runs it once per stored run of a lowered phase, in a
+ * per-thread scratch buffer (optimizePhase), and times the result in
+ * the same pass; nothing rebuilds an optimized schedule on that path.
+ * Phase 3 finds the flows crossing the bottleneck by one bit test of
+ * each stored route's link mask (a route scan for a bottleneck beyond
+ * net::Route::kMaskLinks), and the per-thread load map, bottleneck
+ * list, merge buckets and multicast tree are reused across calls.
+ * Work that provably changes nothing is skipped: a first iteration
+ * whose bottleneck carries one flow ends the loop (nothing to merge, no
+ * lower-peaking candidate).
+ * Stats cost nothing extra: final_max_load is the loop's last
+ * bottleneck reading, and only optimize() folds stats across runs.
  */
 #pragma once
 
@@ -63,14 +76,18 @@ class TrafficOptimizer
     TrafficOptimizer(const net::Router &router, Config config);
 
     /**
-     * Optimises every round of a schedule in place (rounds execute
-     * back-to-back, so each is an independent contention domain). Each
-     * stored run is optimized once; stats count it once per executed
-     * round.
+     * Optimises every round of a schedule, rebuilding its arena
+     * (rounds execute back-to-back, so each is an independent
+     * contention domain). Each stored run is optimized once; stats
+     * count it once per executed round. For callers that read the
+     * stats or keep the schedule (perfbench's probe, the tests); the
+     * cost model optimizes run by run with optimizePhase instead.
      */
     OptimizationStats optimize(net::CommSchedule &schedule) const;
 
-    /// Optimises one phase (set of concurrent flows) in place.
+    /// Optimises one phase (set of concurrent flows) in place: a pure
+    /// function of the flows, thread-safe, allocation-free once the
+    /// per-thread buffers have grown.
     OptimizationStats optimizePhase(std::vector<net::Flow> &flows) const;
 
   private:

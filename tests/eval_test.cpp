@@ -11,6 +11,7 @@
 
 #include <atomic>
 #include <cmath>
+#include <limits>
 #include <numeric>
 #include <set>
 #include <string>
@@ -223,6 +224,30 @@ TEST_F(EvalTest, StatsCountUniqueMeasurementsOnceAndHitsSeparately)
     // Layouts were built once per candidate, not once per cell.
     EXPECT_EQ(caching.stats().layouts_built,
               static_cast<long>(candidates_.size()));
+
+    // The matrix's totals form counts alike and reduces each entry to
+    // feasible ? total() : +inf, with and without the step phase.
+    const std::vector<EvalRequest> bare = [&] {
+        std::vector<EvalRequest> out = requests;
+        for (EvalRequest &request : out)
+            request.include_step = false;
+        return out;
+    }();
+    for (const std::vector<EvalRequest> *batch : {&requests, &bare}) {
+        const std::vector<double> totals =
+            caching.evaluateTotals(graph_, *batch);
+        const std::vector<cost::OpCostBreakdown> entries =
+            caching.evaluateBatch(graph_, *batch);
+        ASSERT_EQ(totals.size(), entries.size());
+        for (std::size_t i = 0; i < entries.size(); ++i) {
+            EXPECT_EQ(totals[i],
+                      entries[i].feasible
+                          ? entries[i].total()
+                          : std::numeric_limits<double>::infinity());
+        }
+    }
+    EXPECT_EQ(caching.stats().measurements, n);
+    EXPECT_EQ(caching.stats().cache_hits, 5 * n);
 }
 
 TEST_F(EvalTest, DuplicateRequestsWithinOneBatchMeasureOnce)

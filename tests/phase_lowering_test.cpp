@@ -139,20 +139,26 @@ expectSameTiming(const PhaseTiming &got, const PhaseTiming &want,
 }
 
 /// The fault states the phase tests run under: healthy, a few failed
-/// channels (detours), and die 9 cut off (infeasible transfers).
+/// channels (detours), and the die at (1, 1) cut off (infeasible
+/// transfers). On the paper's 4x8 wafer the channels are 1-2, 5-13 and
+/// 20-21 and the cut-off die is 9.
 std::vector<hw::FaultMap>
 faultStates(const hw::Wafer &wafer)
 {
-    const hw::Topology &fabric = wafer.topology();
+    const hw::MeshTopology &fabric = wafer.topology();
     std::vector<hw::FaultMap> states(
         3, hw::FaultMap(wafer.dieCount(), fabric.linkCount()));
-    for (const auto &[a, b] : {std::pair{1, 2}, {5, 13}, {20, 21}}) {
+    for (const auto &[a, b] :
+         {std::pair{fabric.dieAt(0, 1), fabric.dieAt(0, 2)},
+          std::pair{fabric.dieAt(0, 5), fabric.dieAt(1, 5)},
+          std::pair{fabric.dieAt(2, 4), fabric.dieAt(2, 5)}}) {
         states[1].failLink(fabric.linkId(a, b));
         states[1].failLink(fabric.linkId(b, a));
     }
-    for (DieId nb : fabric.neighbors(9)) {
-        states[2].failLink(fabric.linkId(9, nb));
-        states[2].failLink(fabric.linkId(nb, 9));
+    const DieId cut = fabric.dieAt(1, 1);
+    for (DieId nb : fabric.neighbors(cut)) {
+        states[2].failLink(fabric.linkId(cut, nb));
+        states[2].failLink(fabric.linkId(nb, cut));
     }
     return states;
 }
@@ -228,15 +234,16 @@ TEST(PhaseLowering, CombinePartsMergesMultiRunPartsLikeCombine)
     }
 }
 
-TEST(PhaseLowering, TimedPhasesMatchTheReferencePathBitForBit)
+/// timeCollectiveTasks on a wafer of `config`'s grid against the path
+/// it replaced: each task scheduled alone, combined, optimized (TCME)
+/// or finalized, then timed under contention, in every fault state.
+void
+expectTimedPhasesMatchReference(const hw::WaferConfig &config)
 {
-    // timeCollectiveTasks against the path it replaced: each task
-    // scheduled alone, combined, optimized (TCME) or finalized, then
-    // timed under contention.
     for (tcme::MappingEngineKind engine :
          {tcme::MappingEngineKind::SMap, tcme::MappingEngineKind::GMap,
           tcme::MappingEngineKind::TCME}) {
-        hw::Wafer wafer(hw::WaferConfig::paperDefault());
+        hw::Wafer wafer(config);
         const tcme::MappingPolicy policy{engine};
         const cost::WaferCostModel model(wafer, policy);
         const CollectiveScheduler scheduler(model.router());
@@ -250,8 +257,10 @@ TEST(PhaseLowering, TimedPhasesMatchTheReferencePathBitForBit)
                 const std::vector<CollectiveTask> tasks =
                     randomPhase(wafer.topology(), rng);
                 const std::string label =
-                    std::string(tcme::mappingEngineName(engine)) +
-                    " trial " + std::to_string(trial);
+                    std::to_string(config.rows) + "x" +
+                    std::to_string(config.cols) + " " +
+                    tcme::mappingEngineName(engine) + " trial " +
+                    std::to_string(trial);
                 double link_bytes = 0.0;
                 const PhaseTiming got =
                     model.timeCollectiveTasks(tasks, &link_bytes);
@@ -275,6 +284,16 @@ TEST(PhaseLowering, TimedPhasesMatchTheReferencePathBitForBit)
             }
         }
     }
+}
+
+TEST(PhaseLowering, TimedPhasesMatchTheReferencePathBitForBit)
+{
+    // The paper's 4x8 wafer (104 links) and an 8x10 one (284 links,
+    // beyond the route masks), each healthy, link-faulted and with a
+    // die cut off.
+    expectTimedPhasesMatchReference(hw::WaferConfig::paperDefault());
+    expectTimedPhasesMatchReference(
+        hw::WaferConfig::paperDefault().withGrid(8, 10));
 }
 
 TEST(PhaseMemo, LiveFaultInjectionEmptiesItAndRelowers)

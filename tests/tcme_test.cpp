@@ -9,6 +9,7 @@
 #include <bit>
 #include <cstdint>
 #include <span>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -327,11 +328,51 @@ TEST(Optimizer, RunLengthScheduleOptimizesLikeItsExpansion)
     EXPECT_GT(repeated_reroutes, 0);
 }
 
+/// Dense per-link loads scanned in full: the reference's own load
+/// picture, independent of net::LinkLoadMap.
+struct DenseLoads
+{
+    std::vector<double> load;
+
+    void add(const net::RouteRef &route, double bytes)
+    {
+        for (hw::LinkId link : route.links())
+            load[link] += bytes;
+    }
+
+    void remove(const net::RouteRef &route, double bytes)
+    {
+        for (hw::LinkId link : route.links())
+            load[link] = std::max(0.0, load[link] - bytes);
+    }
+
+    /// The first (smallest-id) maximum; link 0 when all are zero.
+    hw::LinkId maxLoadLink() const
+    {
+        hw::LinkId best = 0;
+        for (hw::LinkId link = 1; link < static_cast<int>(load.size());
+             ++link)
+            if (load[link] > load[best])
+                best = link;
+        return best;
+    }
+
+    double maxLoad() const
+    {
+        double best = 0.0;
+        for (double l : load)
+            best = std::max(best, l);
+        return best;
+    }
+};
+
 /**
  * The optimizer as it was before its bottleneck flows were collected
  * once per iteration: merge and reroute each re-scan every flow's
- * route for the bottleneck, and a merge erases the merged flows one by
- * one. The reference the reworked optimizer must match flow for flow.
+ * route for the bottleneck, a merge erases the merged flows one by one
+ * and builds each tree with the allocating buildMulticastTree, and
+ * loads live in a dense vector scanned in full. The reference the
+ * reworked optimizer must match flow for flow.
  */
 class ReferenceOptimizer
 {
@@ -346,11 +387,12 @@ class ReferenceOptimizer
         stats.phases = 1;
         if (flows.empty())
             return stats;
-        net::LinkLoadMap loads(router_.topology().linkCount());
+        DenseLoads loads{std::vector<double>(
+            static_cast<std::size_t>(router_.topology().linkCount()), 0.0)};
         for (const Flow &flow : flows)
             loads.add(flow.route, flow.bytes);
         hw::LinkId mcl = loads.maxLoadLink();
-        double cur = loads.load(mcl);
+        double cur = loads.load[mcl];
         stats.initial_max_load = cur;
         double prev = 2.0 * cur;
         while (cur < prev && cur > 0.0) {
@@ -358,14 +400,18 @@ class ReferenceOptimizer
                 break;
             prev = cur;
             ++stats.iterations;
+            high_bottlenecks += mcl >= net::Route::kMaskLinks ? 1 : 0;
             stats.merges += mergeDuplicates(flows, loads, mcl);
             stats.reroutes += rerouteCongested(flows, loads, mcl);
             mcl = loads.maxLoadLink();
-            cur = loads.load(mcl);
+            cur = loads.load[mcl];
         }
         stats.final_max_load = loads.maxLoad();
         return stats;
     }
+
+    /// Iterations whose bottleneck lies beyond the route masks.
+    mutable int high_bottlenecks = 0;
 
   private:
     static bool crosses(const Flow &flow, hw::LinkId mcl)
@@ -374,7 +420,7 @@ class ReferenceOptimizer
         return std::find(links.begin(), links.end(), mcl) != links.end();
     }
 
-    int mergeDuplicates(std::vector<Flow> &flows, net::LinkLoadMap &loads,
+    int mergeDuplicates(std::vector<Flow> &flows, DenseLoads &loads,
                         hw::LinkId mcl) const
     {
         struct Entry
@@ -445,7 +491,7 @@ class ReferenceOptimizer
         return merges;
     }
 
-    int rerouteCongested(std::vector<Flow> &flows, net::LinkLoadMap &loads,
+    int rerouteCongested(std::vector<Flow> &flows, DenseLoads &loads,
                          hw::LinkId mcl) const
     {
         std::vector<std::size_t> hot;
@@ -463,7 +509,7 @@ class ReferenceOptimizer
             auto route_peak = [&](const net::RouteRef &r) {
                 double peak = 0.0;
                 for (hw::LinkId link : r.links())
-                    peak = std::max(peak, loads.load(link) + flow.bytes);
+                    peak = std::max(peak, loads.load[link] + flow.bytes);
                 return peak;
             };
             net::RouteRef best = flow.route;
@@ -501,15 +547,70 @@ expectSameFlows(std::span<const Flow> a, std::span<const Flow> b)
     }
 }
 
-TEST(Optimizer, MatchesTheRescanningReference)
+/**
+ * A random phase on `router`'s mesh: two to six lowered collectives
+ * sharing tags and shard sizes (so same-source, same-payload flows
+ * meet and merge) plus unicast fans (a broadcast lowered to unicasts),
+ * combined into one schedule. `dies` lists every die; it is shuffled.
+ */
+net::CommSchedule
+randomSchedule(const net::Router &router,
+               const net::CollectiveScheduler &sched, Rng &rng,
+               std::vector<DieId> &dies)
 {
-    // Random phases on a healthy and a link-faulted mesh: lowered
-    // collectives sharing tags and shard sizes (so same-source,
-    // same-payload flows meet and merge) plus unicast fans (a
-    // broadcast lowered to unicasts). Run by run, the optimizer must
-    // leave the reference's flows in the reference's order with the
-    // reference's stats, and optimize() must sum them per repeat.
-    MeshTopology mesh(4, 8);
+    std::vector<net::CommSchedule> parts;
+    const int count = rng.uniformInt(2, 6);
+    const double shard = 1e6 * rng.uniformInt(1, 3);
+    for (int p = 0; p < count; ++p) {
+        std::shuffle(dies.begin(), dies.end(), rng.engine());
+        const int n = rng.uniformInt(2, 12);
+        const std::vector<DieId> group(dies.begin(), dies.begin() + n);
+        const int tag = rng.uniformInt(1, 2);
+        switch (rng.uniformInt(0, 4)) {
+          case 0:
+            parts.push_back(sched.ringAllGather(group, shard, tag));
+            break;
+          case 1:
+            parts.push_back(sched.ringAllReduce(group, shard * n, tag));
+            break;
+          case 2:
+            parts.push_back(sched.treeAllReduce(group, shard, tag));
+            break;
+          case 3: {
+            net::CommSchedule fan;
+            fan.feasible = true;
+            for (int k = 1; k < n; ++k) {
+                Flow f;
+                f.src = group[0];
+                f.dst = group[k];
+                f.bytes = shard;
+                f.tag = tag;
+                f.route = router.safeRouteRef(group[0], group[k]);
+                fan.addFlow(f);
+            }
+            fan.sealRound();
+            parts.push_back(std::move(fan));
+            break;
+          }
+          default:
+            parts.push_back(sched.p2p(group[0], group[1], shard, tag));
+        }
+    }
+    std::vector<const net::CommSchedule *> ptrs;
+    for (const net::CommSchedule &part : parts)
+        ptrs.push_back(&part);
+    return net::CommSchedule::combine(ptrs);
+}
+
+/**
+ * Random phases (randomSchedule) on a healthy and a link-faulted copy
+ * of `mesh`. Run by run, the optimizer must leave the reference's flows
+ * in the reference's order with the reference's stats, and optimize()
+ * must sum them per repeat.
+ */
+void
+expectOptimizerMatchesReference(const MeshTopology &mesh)
+{
     hw::FaultMap faults(mesh.dieCount(), mesh.linkCount());
     for (const auto &[a, b] : {std::pair{mesh.dieAt(1, 2), mesh.dieAt(1, 3)},
                                std::pair{mesh.dieAt(2, 5), mesh.dieAt(2, 6)},
@@ -520,6 +621,7 @@ TEST(Optimizer, MatchesTheRescanningReference)
     }
     int merges = 0;
     int reroutes = 0;
+    int high_bottlenecks = 0;
     const hw::FaultMap *healthy = nullptr;
     for (const hw::FaultMap *fault_map : {healthy, &std::as_const(faults)}) {
         const net::Router router(mesh, fault_map);
@@ -531,51 +633,8 @@ TEST(Optimizer, MatchesTheRescanningReference)
         for (std::size_t d = 0; d < dies.size(); ++d)
             dies[d] = static_cast<DieId>(d);
         for (int trial = 0; trial < 40; ++trial) {
-            std::vector<net::CommSchedule> parts;
-            const int count = rng.uniformInt(2, 6);
-            const double shard = 1e6 * rng.uniformInt(1, 3);
-            for (int p = 0; p < count; ++p) {
-                std::shuffle(dies.begin(), dies.end(), rng.engine());
-                const int n = rng.uniformInt(2, 12);
-                const std::vector<DieId> group(dies.begin(),
-                                               dies.begin() + n);
-                const int tag = rng.uniformInt(1, 2);
-                switch (rng.uniformInt(0, 4)) {
-                  case 0:
-                    parts.push_back(sched.ringAllGather(group, shard, tag));
-                    break;
-                  case 1:
-                    parts.push_back(
-                        sched.ringAllReduce(group, shard * n, tag));
-                    break;
-                  case 2:
-                    parts.push_back(sched.treeAllReduce(group, shard, tag));
-                    break;
-                  case 3: {
-                    net::CommSchedule fan;
-                    fan.feasible = true;
-                    for (int k = 1; k < n; ++k) {
-                        Flow f;
-                        f.src = group[0];
-                        f.dst = group[k];
-                        f.bytes = shard;
-                        f.tag = tag;
-                        f.route = router.safeRouteRef(group[0], group[k]);
-                        fan.addFlow(f);
-                    }
-                    fan.sealRound();
-                    parts.push_back(std::move(fan));
-                    break;
-                  }
-                  default:
-                    parts.push_back(
-                        sched.p2p(group[0], group[1], shard, tag));
-                }
-            }
-            std::vector<const net::CommSchedule *> ptrs;
-            for (const net::CommSchedule &part : parts)
-                ptrs.push_back(&part);
-            net::CommSchedule schedule = net::CommSchedule::combine(ptrs);
+            net::CommSchedule schedule =
+                randomSchedule(router, sched, rng, dies);
             if (!schedule.feasible)
                 continue;
 
@@ -622,10 +681,100 @@ TEST(Optimizer, MatchesTheRescanningReference)
             for (int i = 0; i < schedule.runCount(); ++i)
                 expectSameFlows(schedule.run(i), want_runs[i]);
         }
+        high_bottlenecks += reference.high_bottlenecks;
     }
-    // The comparison only means something if both rewrites fired.
+    // The comparison only means something if both rewrites fired, and
+    // on the large mesh only if some bottleneck lay beyond the masks.
     EXPECT_GT(merges, 0);
     EXPECT_GT(reroutes, 0);
+    if (mesh.linkCount() > net::Route::kMaskLinks)
+        EXPECT_GT(high_bottlenecks, 0);
+    else
+        EXPECT_EQ(high_bottlenecks, 0);
+}
+
+TEST(Optimizer, MatchesTheRescanningReference)
+{
+    // The 4x8 mesh (104 links) finds bottleneck flows through route
+    // masks and keeps its loads under a touched-link mask; the 8x10
+    // mesh (284 links) also scans routes for bottlenecks beyond the
+    // masks, and keeps its loads in the touched-list form.
+    for (const auto &[rows, cols] : {std::pair{4, 8}, std::pair{8, 10}}) {
+        SCOPED_TRACE(testing::Message() << rows << "x" << cols);
+        expectOptimizerMatchesReference(MeshTopology(rows, cols));
+    }
+}
+
+TEST(Optimizer, ConcurrentThreadsMatchOneThread)
+{
+    // Four threads optimize the same runs through one router whose
+    // candidate and link-route tables start empty, so their misses race
+    // while each thread reuses its own load map, bottleneck list and
+    // tree buffers. Every run must come out as one thread leaves it on
+    // a router of its own. The 8x10 mesh keeps its loads in the
+    // touched-list form.
+    constexpr int kThreads = 4;
+    for (const auto &[rows, cols] : {std::pair{4, 8}, std::pair{8, 10}}) {
+        SCOPED_TRACE(testing::Message() << rows << "x" << cols);
+        const MeshTopology mesh(rows, cols);
+        hw::FaultMap faults(mesh.dieCount(), mesh.linkCount());
+        for (const auto &[a, b] :
+             {std::pair{mesh.dieAt(1, 2), mesh.dieAt(1, 3)},
+              std::pair{mesh.dieAt(2, 5), mesh.dieAt(2, 6)}}) {
+            faults.failLink(mesh.linkId(a, b));
+            faults.failLink(mesh.linkId(b, a));
+        }
+        // The stored runs of seeded random phases, lowered on `router`.
+        const auto lowerRuns = [&](const net::Router &router) {
+            const net::CollectiveScheduler sched(router);
+            Rng rng(11);
+            std::vector<DieId> dies(static_cast<std::size_t>(mesh.dieCount()));
+            for (std::size_t d = 0; d < dies.size(); ++d)
+                dies[d] = static_cast<DieId>(d);
+            std::vector<std::vector<Flow>> runs;
+            for (int trial = 0; trial < 30; ++trial) {
+                const net::CommSchedule schedule =
+                    randomSchedule(router, sched, rng, dies);
+                if (!schedule.feasible)
+                    continue;
+                for (int i = 0; i < schedule.runCount(); ++i)
+                    runs.emplace_back(schedule.run(i).begin(),
+                                      schedule.run(i).end());
+            }
+            return runs;
+        };
+
+        const net::Router own(mesh, &faults);
+        std::vector<std::vector<Flow>> want = lowerRuns(own);
+        const TrafficOptimizer serial(own);
+        for (std::vector<Flow> &run : want)
+            serial.optimizePhase(run);
+
+        const net::Router shared(mesh, &faults);
+        const TrafficOptimizer concurrent(shared);
+        std::vector<std::vector<std::vector<Flow>>> got(kThreads,
+                                                        lowerRuns(shared));
+        std::vector<std::thread> threads;
+        for (int t = 0; t < kThreads; ++t) {
+            threads.emplace_back([&, t] {
+                std::vector<std::vector<Flow>> &mine = got[t];
+                const std::size_t n = mine.size();
+                for (std::size_t k = 0; k < n; ++k)
+                    concurrent.optimizePhase(mine[(k + t * n / kThreads) % n]);
+            });
+        }
+        for (std::thread &thread : threads)
+            thread.join();
+
+        for (int t = 0; t < kThreads; ++t) {
+            ASSERT_EQ(got[t].size(), want.size());
+            for (std::size_t r = 0; r < want.size(); ++r) {
+                SCOPED_TRACE(testing::Message() << "thread " << t << " run "
+                                                << r);
+                expectSameFlows(got[t][r], want[r]);
+            }
+        }
+    }
 }
 
 }  // namespace
