@@ -15,6 +15,8 @@
 #include <thread>
 #include <vector>
 
+#include <sys/resource.h>
+
 #include "api/service.hpp"
 #include "eval/cost_evaluator.hpp"
 #include "sim/trainer_sim.hpp"
@@ -33,12 +35,43 @@ now()
         .count();
 }
 
+/// The process's CPU time (user + system, every thread) and voluntary
+/// context switches so far, from getrusage.
+struct ProcessUsage
+{
+    double cpu_s = 0.0;
+    long voluntary_switches = 0;
+
+    ProcessUsage operator-(const ProcessUsage &other) const
+    {
+        return {cpu_s - other.cpu_s,
+                voluntary_switches - other.voluntary_switches};
+    }
+};
+
+ProcessUsage
+processUsage()
+{
+    rusage usage{};
+    getrusage(RUSAGE_SELF, &usage);
+    const auto seconds = [](const timeval &t) {
+        return static_cast<double>(t.tv_sec) +
+               static_cast<double>(t.tv_usec) * 1e-6;
+    };
+    return {seconds(usage.ru_utime) + seconds(usage.ru_stime),
+            usage.ru_nvcsw};
+}
+
 /**
  * The evaluation-layer micro-bench: fills the full (op, candidate)
  * matrix cold (all measurements) and then warm (all cache hits) at
  * several thread counts, and runs the DLS search with the same pool
  * width. Emits one BENCH_JSON line per thread count so trajectories
- * can track evaluations/sec and hit-rate across commits.
+ * can track evaluations/sec and hit-rate across commits, with the
+ * process CPU time and voluntary context switches the cold work (fill
+ * plus solve) cost at that width: CPU above wall time is threads
+ * spinning or queueing, and context switches count a lock's sleepers.
+ * Printed only; nothing gates on them.
  */
 void
 evaluatorThroughput(const sim::TrainingSimulator &sim,
@@ -56,7 +89,7 @@ evaluatorThroughput(const sim::TrainingSimulator &sim,
         4u, std::thread::hardware_concurrency());
     TablePrinter t({"Threads", "Cold fill (s)", "Evals/s (cold)",
                     "Warm refill (s)", "Warm hit rate", "DLS solve (s)",
-                    "Speedup vs 1T"});
+                    "Speedup vs 1T", "Cold CPU (ms)", "Vol. ctx sw"});
     double base_cold = 0.0;
     // Each width fills, and then solves on, simulators of its own: the
     // op-cell memo lives in the cost model, so a shared one would make
@@ -71,9 +104,11 @@ evaluatorThroughput(const sim::TrainingSimulator &sim,
         const auto fill_sim = fresh();
         eval::ExactEvaluator evaluator(fill_sim->costModel(), &pool);
 
+        const ProcessUsage usage0 = processUsage();
         const double t0 = now();
         evaluator.evaluateBatch(graph, requests);
         const double cold = now() - t0;
+        const ProcessUsage fill_usage = processUsage() - usage0;
         const eval::EvalStats after_cold = evaluator.stats();
         const double t1 = now();
         evaluator.evaluateBatch(graph, requests);
@@ -94,10 +129,17 @@ evaluatorThroughput(const sim::TrainingSimulator &sim,
 
         solver::SolverConfig cfg;
         cfg.eval_threads = threads;
+        const auto solve_sim = fresh();
+        const ProcessUsage usage2 = processUsage();
         const double t2 = now();
         const solver::SolverResult solved =
-            solver::DlsSolver(*fresh(), cfg).solve(graph);
+            solver::DlsSolver(*solve_sim, cfg).solve(graph);
         const double solve = now() - t2;
+        const ProcessUsage solve_usage = processUsage() - usage2;
+        const double cold_cpu_ms =
+            (fill_usage.cpu_s + solve_usage.cpu_s) * 1e3;
+        const long cold_switches = fill_usage.voluntary_switches +
+                                   solve_usage.voluntary_switches;
 
         if (threads == 1)
             base_cold = cold;
@@ -109,22 +151,29 @@ evaluatorThroughput(const sim::TrainingSimulator &sim,
                   TablePrinter::fmtX(
                       base_cold > 0.0 && cold > 0.0 ? base_cold / cold
                                                     : 0.0,
-                      2)});
+                      2),
+                  TablePrinter::fmt(cold_cpu_ms, 1),
+                  std::to_string(cold_switches)});
         std::printf("BENCH_JSON {\"bench\":\"search_time\","
                     "\"section\":\"evaluator_throughput\","
                     "\"model\":\"%s\",\"threads\":%d,"
                     "\"matrix_cells\":%zu,\"cold_fill_s\":%.6f,"
                     "\"evals_per_s\":%.1f,\"warm_refill_s\":%.6f,"
                     "\"cache_hit_rate\":%.4f,\"dls_solve_s\":%.4f,"
+                    "\"cold_cpu_ms\":%.2f,\"cold_wall_ms\":%.2f,"
+                    "\"cold_voluntary_switches\":%ld,"
                     "\"solver_feasible\":%s}\n",
                     graph.config().name.c_str(), threads,
                     requests.size(), cold, evals_per_s, warm, hit_rate,
-                    solve, solved.feasible ? "true" : "false");
+                    solve, cold_cpu_ms, (cold + solve) * 1e3,
+                    cold_switches, solved.feasible ? "true" : "false");
     }
     t.print("Evaluator batch throughput (memoized exact backend)");
     std::printf("Warm refills are pure cache hits; the solver's matrix "
                 "fill sees the same hit-rate when phases share one "
-                "evaluator.\n");
+                "evaluator. Cold CPU and voluntary context switches "
+                "(getrusage, whole process) cover the cold fill plus the "
+                "DLS solve, whose wall time is their two columns.\n");
 }
 
 /**

@@ -11,14 +11,18 @@
  *
  *  - LruMap: the unsynchronized LRU core (hash map + intrusive
  *    recency list, kept only under a budget) behind BoundedCache's
- *    lock. Supports heterogeneous probes (transparent Hash/Equal) and
+ *    locks. Supports heterogeneous probes (transparent Hash/Equal) and
  *    a byte estimator.
- *  - BoundedCache: a thread-safe facade over one LruMap (one
- *    shared_mutex). Unbounded lookups take the lock
- *    shared and touch nothing, so a capacity of 0 — the default
- *    everywhere — keeps the pre-governance hot paths and their
- *    bit-exactness guarantees intact; bounded lookups upgrade to the
- *    exclusive lock to maintain recency.
+ *  - BoundedCache: a thread-safe facade over LruMap lock shards, each
+ *    one LruMap under one shared_mutex. A cache has one shard unless
+ *    its owner asks for more (the cost model's memos ask for a number
+ *    sized from their evaluators' pool width), and a budgeted cache
+ *    always folds into one, so budgets and LRU order stay exact.
+ *    Unbounded lookups take their shard's lock shared and touch
+ *    nothing, so a capacity of 0 — the default everywhere — keeps the
+ *    pre-governance hot paths and their bit-exactness guarantees
+ *    intact; bounded lookups upgrade to the exclusive lock to maintain
+ *    recency.
  *  - CacheStats / CacheBudget: the per-cache counter snapshot every
  *    layer reports (CacheStatsRequest serializes them) and the knob
  *    struct config_io parses budgets into.
@@ -37,6 +41,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
@@ -238,6 +243,34 @@ class LruMap
             fn(key, entry.value);
     }
 
+    /**
+     * Moves every entry to the map `into(key)` names, its byte
+     * estimate with it; entries it maps to this map stay. Nodes move,
+     * values are not copied. Both maps must be unbounded: neither has
+     * a recency list to carry the entry over.
+     */
+    template <typename Into>
+    void moveEntries(Into &&into)
+    {
+        for (auto it = map_.begin(); it != map_.end();) {
+            LruMap *target = into(it->first);
+            if (target == this) {
+                ++it;
+                continue;
+            }
+            auto node = map_.extract(it++);
+            bytes_ -= node.mapped().bytes;
+            target->bytes_ += node.mapped().bytes;
+            target->map_.insert(std::move(node));
+        }
+    }
+
+    const std::function<long(const Key &, const Value &)> &byteEstimate()
+        const
+    {
+        return estimate_;
+    }
+
   private:
     struct Entry
     {
@@ -305,19 +338,42 @@ class LruMap
 
 /**
  * Thread-safe LRU cache: the drop-in replacement for the mutex +
- * unordered_map idiom of the memo layers, one shared_mutex over an
- * LruMap. When the cache is unbounded (the default), get() takes the
- * lock shared and performs no recency maintenance — the exact cost
- * profile of the maps it replaces; a finite budget upgrades lookups to
- * the exclusive lock so LRU order stays truthful.
+ * unordered_map idiom of the memo layers, LruMaps under shared_mutex
+ * lock shards. When the cache is unbounded (the default), get() takes
+ * its shard's lock shared and performs no recency maintenance — the
+ * exact cost profile of the maps it replaces; a finite budget upgrades
+ * lookups to the exclusive lock so LRU order stays truthful.
+ *
+ * Sharding: a cache built with `shards` > 1 spreads its keys over that
+ * many LruMaps by key hash, each under its own lock, so callers on
+ * different threads rarely queue on one lock. A cache starts in one
+ * inline shard and spreads at its first unbounded insert (allocating
+ * the rest then), so a one-shard cache — and a cache whose budget is
+ * set before it fills — allocates nothing more than one LruMap. A
+ * budget folds a spread cache back into its inline shard: budgets and
+ * LRU order stay exact over all entries, as with one shard. Hit and
+ * miss counters live beside each shard's lock, so counting a lookup
+ * writes no line another shard's callers write.
  */
 template <typename Key, typename Value, typename Hash = std::hash<Key>,
           typename Equal = std::equal_to<Key>>
 class BoundedCache
 {
   public:
+    /// The most lock shards a cache spreads over.
+    static constexpr unsigned kMaxShards = 64;
+
     /// @param capacity Entry budget (0 = unbounded).
-    explicit BoundedCache(long capacity = 0) { setCapacity(capacity); }
+    /// @param shards Lock shards while unbounded, rounded up to a
+    ///        power of two and capped at kMaxShards (1 = one lock).
+    explicit BoundedCache(long capacity = 0, unsigned shards = 1)
+        : shards_(std::bit_ceil(std::clamp(shards, 1u, kMaxShards)))
+    {
+        setCapacity(capacity);
+    }
+
+    /// Lock shards the cache spreads over while unbounded.
+    unsigned shardCount() const { return shards_; }
 
     /// Re-budgets in place; shrinking evicts immediately. An unchanged
     /// capacity is a lock-free no-op — per-request budget application
@@ -328,9 +384,9 @@ class BoundedCache
             capacity = 0;
         if (capacity_.load() == capacity)
             return;
-        std::unique_lock<std::shared_mutex> lock(mutex_);
+        AllShards<true> lock(*this);
         capacity_ = capacity;
-        map_.setCapacity(static_cast<std::size_t>(capacity));
+        rebudgetLocked();
     }
 
     long capacity() const { return capacity_.load(); }
@@ -343,9 +399,9 @@ class BoundedCache
             max_bytes = 0;
         if (max_bytes_.load() == max_bytes)
             return;
-        std::unique_lock<std::shared_mutex> lock(mutex_);
+        AllShards<true> lock(*this);
         max_bytes_ = max_bytes;
-        map_.setMaxBytes(max_bytes);
+        rebudgetLocked();
     }
 
     long maxBytes() const { return max_bytes_.load(); }
@@ -361,49 +417,56 @@ class BoundedCache
     std::optional<Value> get(const K &key)
     {
         if (!bounded()) {
-            std::shared_lock<std::shared_mutex> lock(mutex_);
-            if (const Value *value = map_.peek(key)) {
-                ++hits_;
+            std::shared_lock<std::shared_mutex> lock;
+            Shard &shard = lockShardOf(key, lock);
+            if (const Value *value = shard.map.peek(key)) {
+                ++shard.hits;
                 return *value;
             }
+            ++shard.misses;
         } else {
-            std::unique_lock<std::shared_mutex> lock(mutex_);
-            if (Value *value = map_.touch(key)) {
-                ++hits_;
+            std::unique_lock<std::shared_mutex> lock;
+            Shard &shard = lockShardOf(key, lock);
+            if (Value *value = shard.map.touch(key)) {
+                ++shard.hits;
                 return *value;
             }
+            ++shard.misses;
         }
-        ++misses_;
         return std::nullopt;
     }
 
     /**
-     * Bulk get(): looks every key up under one lock, counting a hit or
-     * a miss each, and calls found(i, value) for each hit on keys[i].
+     * Bulk get(): looks every key up under one lock per shard, counting
+     * a hit or a miss each, and calls found(i, value) for each hit on
+     * keys[i].
      */
     template <typename K, typename Found>
     void getAll(std::span<const K> keys, Found &&found)
     {
         long hits = 0;
         if (!bounded()) {
-            std::shared_lock<std::shared_mutex> lock(mutex_);
+            AllShards<false> lock(*this);
             for (std::size_t i = 0; i < keys.size(); ++i) {
-                if (const Value *value = map_.peek(keys[i])) {
+                if (const Value *value = shardOfLocked(keys[i]).map.peek(
+                        keys[i])) {
                     ++hits;
                     found(i, *value);
                 }
             }
         } else {
-            std::unique_lock<std::shared_mutex> lock(mutex_);
+            AllShards<true> lock(*this);
             for (std::size_t i = 0; i < keys.size(); ++i) {
-                if (Value *value = map_.touch(keys[i])) {
+                if (Value *value = shardOfLocked(keys[i]).map.touch(
+                        keys[i])) {
                     ++hits;
                     found(i, *value);
                 }
             }
         }
-        hits_ += hits;
-        misses_ += static_cast<long>(keys.size()) - hits;
+        // Counted on the inline shard: stats() sums every shard.
+        first_.hits += hits;
+        first_.misses += static_cast<long>(keys.size()) - hits;
     }
 
     /**
@@ -413,75 +476,235 @@ class BoundedCache
      */
     std::pair<Value, bool> insert(Key key, Value value)
     {
-        std::unique_lock<std::shared_mutex> lock(mutex_);
+        spreadIfDue();
+        std::unique_lock<std::shared_mutex> lock;
+        Shard &shard = lockShardOf(key, lock);
         auto [resident, inserted] =
-            map_.insert(std::move(key), std::move(value));
+            shard.map.insert(std::move(key), std::move(value));
         return {*resident, inserted};
     }
 
     void clear()
     {
-        std::unique_lock<std::shared_mutex> lock(mutex_);
-        map_.clear();
+        AllShards<true> lock(*this);
+        lock.forEach([](Shard &shard) { shard.map.clear(); });
     }
 
     std::size_t size() const
     {
-        std::shared_lock<std::shared_mutex> lock(mutex_);
-        return map_.size();
+        AllShards<false> lock(*this);
+        std::size_t size = 0;
+        lock.forEach([&](const Shard &shard) { size += shard.map.size(); });
+        return size;
     }
 
     /**
      * A bulk import: inserts entry(0) .. entry(n-1), each a (key,
-     * value) pair, under one exclusive lock and one rehash. Resident
-     * values win, as in insert().
+     * value) pair, under one exclusive lock per shard and one rehash
+     * each. Resident values win, as in insert().
      */
     template <typename EntryFn>
     void insertAll(std::size_t n, EntryFn &&entry)
     {
-        std::unique_lock<std::shared_mutex> lock(mutex_);
-        map_.reserve(map_.size() + n);
+        spreadIfDue();
+        AllShards<true> lock(*this);
+        const unsigned active = active_.load(std::memory_order_relaxed);
+        for (unsigned s = 0; s < active; ++s) {
+            LruMap<Key, Value, Hash, Equal> &map = shardAt(s).map;
+            map.reserve(map.size() + n / active + 1);
+        }
         for (std::size_t i = 0; i < n; ++i) {
             auto [key, value] = entry(i);
-            map_.insert(std::move(key), std::move(value));
+            shardOfLocked(key).map.insert(std::move(key), std::move(value));
         }
     }
 
-    /// Counters, snapshotted under the lock.
+    /// Counters, summed over the shards under their locks.
     CacheStats stats() const
     {
-        std::unique_lock<std::shared_mutex> lock(mutex_);
+        AllShards<false> lock(*this);
         CacheStats stats;
-        stats.entries = static_cast<long>(map_.size());
-        stats.bytes_est = map_.bytesEstimate();
-        stats.hits = hits_.load();
-        stats.misses = misses_.load();
-        stats.evictions = map_.evictions();
+        lock.forEach([&](const Shard &shard) {
+            stats.entries += static_cast<long>(shard.map.size());
+            stats.bytes_est += shard.map.bytesEstimate();
+            stats.hits += shard.hits.load();
+            stats.misses += shard.misses.load();
+            stats.evictions += shard.map.evictions();
+        });
         return stats;
     }
 
     void setByteEstimate(
         std::function<long(const Key &, const Value &)> estimate)
     {
-        std::unique_lock<std::shared_mutex> lock(mutex_);
-        map_.setByteEstimate(std::move(estimate));
+        AllShards<true> lock(*this);
+        lock.forEach(
+            [&](Shard &shard) { shard.map.setByteEstimate(estimate); });
     }
 
-    /// Visits every resident (key, value) pair under the shared lock.
+    /// Visits every resident (key, value) pair under the shared locks.
     /// For stats collection, not mutation.
     template <typename Fn>
     void forEach(Fn &&fn) const
     {
-        std::shared_lock<std::shared_mutex> lock(mutex_);
-        map_.forEachResident(fn);
+        AllShards<false> lock(*this);
+        lock.forEach(
+            [&](const Shard &shard) { shard.map.forEachResident(fn); });
     }
 
   private:
-    mutable std::shared_mutex mutex_;
-    LruMap<Key, Value, Hash, Equal> map_;
-    /// Atomic: bumped under the shared lock on unbounded hits.
-    std::atomic<long> hits_{0};
-    std::atomic<long> misses_{0};
+    /// One lock shard: its map, and the counters of lookups it served.
+    struct alignas(64) Shard
+    {
+        mutable std::shared_mutex mutex;
+        /// Atomic: bumped under the shared lock on unbounded lookups.
+        std::atomic<long> hits{0};
+        std::atomic<long> misses{0};
+        LruMap<Key, Value, Hash, Equal> map;
+    };
+
+    /**
+     * Every allocated shard's lock, shared or exclusive, taken in index
+     * order: shard 0 first, since the others are allocated under its
+     * exclusive lock. While held, the shard layout cannot change.
+     */
+    template <bool Exclusive>
+    class AllShards
+    {
+      public:
+        explicit AllShards(const BoundedCache &cache) : cache_(cache)
+        {
+            lock(cache_.first_.mutex);
+            count_ = cache_.rest_ ? cache_.shards_ : 1;
+            for (unsigned s = 1; s < count_; ++s)
+                lock(cache_.rest_[s - 1].mutex);
+        }
+        ~AllShards()
+        {
+            for (unsigned s = count_; s-- > 0;) {
+                if constexpr (Exclusive)
+                    cache_.shardAt(s).mutex.unlock();
+                else
+                    cache_.shardAt(s).mutex.unlock_shared();
+            }
+        }
+        AllShards(const AllShards &) = delete;
+        AllShards &operator=(const AllShards &) = delete;
+
+        /// Calls fn(shard) on every allocated shard.
+        template <typename Fn>
+        void forEach(Fn &&fn) const
+        {
+            for (unsigned s = 0; s < count_; ++s)
+                fn(cache_.shardAt(s));
+        }
+
+      private:
+        static void lock(std::shared_mutex &mutex)
+        {
+            if constexpr (Exclusive)
+                mutex.lock();
+            else
+                mutex.lock_shared();
+        }
+
+        const BoundedCache &cache_;
+        unsigned count_ = 1;
+    };
+
+    Shard &shardAt(unsigned s) const
+    {
+        return s == 0 ? first_ : rest_[s - 1];
+    }
+
+    /// The shard of `key` among `active` shards: the top bits of its
+    /// hash times the golden ratio (Fibonacci hashing), so the shard
+    /// and the map's own bucket index use different hash bits.
+    template <typename K>
+    static unsigned shardIndex(const K &key, unsigned active)
+    {
+        if (active == 1)
+            return 0;
+        const std::uint64_t hash = static_cast<std::uint64_t>(Hash{}(key));
+        return static_cast<unsigned>((hash * 0x9e3779b97f4a7c15ull) >>
+                                     (64 - std::countr_zero(active)));
+    }
+
+    /// The shard of `key`; the caller holds every shard's lock.
+    template <typename K>
+    Shard &shardOfLocked(const K &key) const
+    {
+        return shardAt(
+            shardIndex(key, active_.load(std::memory_order_relaxed)));
+    }
+
+    /**
+     * Locks the shard of `key` with `lock` (shared or exclusive) and
+     * returns it. The layout is re-read under the shard's lock and the
+     * lookup retried if it changed meanwhile: the layout changes only
+     * under every shard's exclusive lock, so once the re-read matches,
+     * the key cannot live in any other shard.
+     */
+    template <typename Lock, typename K>
+    Shard &lockShardOf(const K &key, Lock &lock) const
+    {
+        for (;;) {
+            const unsigned active = active_.load(std::memory_order_acquire);
+            Shard &shard = shardAt(shardIndex(key, active));
+            lock = Lock(shard.mutex);
+            if (active_.load(std::memory_order_relaxed) == active)
+                return shard;
+            lock.unlock();
+        }
+    }
+
+    /// Spreads an unbounded one-shard cache over its shards before an
+    /// insert (see the class comment); a no-op for a one-shard cache.
+    void spreadIfDue()
+    {
+        if (shards_ == 1 || bounded() ||
+            active_.load(std::memory_order_acquire) > 1)
+            return;
+        AllShards<true> lock(*this);
+        if (bounded() || active_.load(std::memory_order_relaxed) > 1)
+            return;  // budgeted or spread meanwhile
+        if (!rest_) {
+            // Written under shard 0's exclusive lock, read by others
+            // only after the release store of active_ below or under
+            // shard 0's lock.
+            rest_ = std::make_unique<Shard[]>(shards_ - 1);
+            for (unsigned s = 1; s < shards_; ++s)
+                rest_[s - 1].map.setByteEstimate(first_.map.byteEstimate());
+        }
+        first_.map.moveEntries([&](const Key &key) {
+            return &shardAt(shardIndex(key, shards_)).map;
+        });
+        active_.store(shards_, std::memory_order_release);
+    }
+
+    /// Applies capacity_ and max_bytes_ to the inline shard, first
+    /// folding a spread cache into it when a budget applies. Caller
+    /// holds every shard's exclusive lock.
+    void rebudgetLocked()
+    {
+        if (bounded() && active_.load(std::memory_order_relaxed) > 1) {
+            for (unsigned s = 1; s < shards_; ++s)
+                rest_[s - 1].map.moveEntries(
+                    [&](const Key &) { return &first_.map; });
+            active_.store(1, std::memory_order_release);
+        }
+        first_.map.setCapacity(static_cast<std::size_t>(capacity_.load()));
+        first_.map.setMaxBytes(max_bytes_.load());
+    }
+
+    const unsigned shards_;
+    /// Shards in use: shards_ once spread, else 1. Changes only under
+    /// every shard's exclusive lock.
+    std::atomic<unsigned> active_{1};
+    mutable Shard first_;
+    /// Shards 1 .. shards_-1, allocated on the first spread and kept
+    /// for the cache's lifetime (a reader may still hold a pointer).
+    std::unique_ptr<Shard[]> rest_;
     std::atomic<long> capacity_{0};
     std::atomic<long> max_bytes_{0};
 };

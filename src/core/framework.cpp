@@ -1,6 +1,7 @@
 #include "core/framework.hpp"
 
 #include <algorithm>
+#include <span>
 #include <tuple>
 #include <utility>
 
@@ -88,27 +89,34 @@ TempFramework::exportMemos() const
 bool
 TempFramework::importMemos(persist::MemoBlock block) const
 {
-    // Each distinct group of the block is checked against this wafer
-    // and re-interned into its table once, at its first task; every
-    // task swaps handles as it passes. A block naming a die this wafer
-    // lacks imports nothing.
+    // Each distinct group of the block is checked against this wafer,
+    // in the order the tasks first name them; then all of them are
+    // re-interned into its table in one call, in that order, and every
+    // task swaps handles. A block naming a die this wafer lacks
+    // imports nothing.
     const int dies = wafer_->dieCount();
-    hw::DieGroupTable &groups = wafer_->topology().dieGroups();
-    std::vector<const hw::DieGroup *> local(
-        block.groups != nullptr ? block.groups->size() : 0);
-    for (auto &[key, cell] : block.cells)
-        for (net::CollectiveTask &task : cell.step_tasks) {
+    constexpr std::size_t kUnseen = static_cast<std::size_t>(-1);
+    std::vector<std::size_t> slot(
+        block.groups != nullptr ? block.groups->size() : 0, kUnseen);
+    std::vector<std::span<const hw::DieId>> distinct;
+    for (const auto &[key, cell] : block.cells)
+        for (const net::CollectiveTask &task : cell.step_tasks) {
             if (task.group->table != block.groups.get())
                 panic("importMemos: a step task outside the block's groups");
-            const hw::DieGroup *&mine = local[task.group->index];
-            if (mine == nullptr) {
-                for (hw::DieId die : task.group->dies)
-                    if (die < 0 || die >= dies)
-                        return false;
-                mine = groups.intern(task.group->dies);
-            }
-            task.group = mine;
+            std::size_t &mine = slot[task.group->index];
+            if (mine != kUnseen)
+                continue;
+            for (hw::DieId die : task.group->dies)
+                if (die < 0 || die >= dies)
+                    return false;
+            mine = distinct.size();
+            distinct.emplace_back(task.group->dies);
         }
+    std::vector<const hw::DieGroup *> local(distinct.size());
+    wafer_->topology().dieGroups().internAll(distinct, local);
+    for (auto &[key, cell] : block.cells)
+        for (net::CollectiveTask &task : cell.step_tasks)
+            task.group = local[slot[task.group->index]];
     sim_->costModel().importCells(std::move(block.cells));
     steps_->importCached(std::move(block.step_reports));
     return true;

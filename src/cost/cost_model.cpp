@@ -121,6 +121,17 @@ OpCellKeyHash::operator()(const OpCellKey &key) const
     return static_cast<std::size_t>(hash ^ (hash >> 29));
 }
 
+/**
+ * The lock shards of each unbounded memo for `width` concurrent
+ * callers: one for a serial caller, else eight per caller (16 at width
+ * 2), so two callers rarely meet on one lock.
+ */
+unsigned
+memoShards(int width)
+{
+    return width > 1 ? 8u * static_cast<unsigned>(width) : 1u;
+}
+
 /// The cost model's exact memos; the fault listener clears them all.
 struct WaferCostModel::Memos
 {
@@ -145,7 +156,9 @@ struct WaferCostModel::Memos
         cells;
     std::atomic<long> cell_builds{0};
 
-    Memos()
+    explicit Memos(unsigned shards)
+        : layouts(0, shards), stream_plans(0, shards), phases(0, shards),
+          cells(0, shards)
     {
         // Honest byte estimates, so the configured byte budgets bound
         // what the memos really hold.
@@ -210,9 +223,19 @@ WaferCostModel::~WaferCostModel()
 WaferCostModel::Memos &
 WaferCostModel::memos() const
 {
-    std::call_once(memos_once_,
-                   [this] { memos_ = std::make_unique<Memos>(); });
+    std::call_once(memos_once_, [this] {
+        memos_ = std::make_unique<Memos>(memoShards(memo_width_.load()));
+    });
     return *memos_;
+}
+
+void
+WaferCostModel::shardMemosFor(int threads) const
+{
+    int width = memo_width_.load();
+    while (threads > width &&
+           !memo_width_.compare_exchange_weak(width, threads)) {
+    }
 }
 
 common::CacheStats
@@ -237,6 +260,12 @@ common::CacheStats
 WaferCostModel::layoutMemoStats() const
 {
     return memos().layouts.stats();
+}
+
+unsigned
+WaferCostModel::memoShardCount() const
+{
+    return memos().cells.shardCount();
 }
 
 long

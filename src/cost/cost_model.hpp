@@ -15,6 +15,7 @@
 #pragma once
 
 #include <algorithm>
+#include <atomic>
 #include <functional>
 #include <memory>
 #include <mutex>
@@ -258,6 +259,16 @@ class WaferCostModel
     long scheduleLowerings() const;
 
     /**
+     * Sizes the memos' lock shards for `threads` concurrent callers;
+     * the evaluators call it with their pool's width when built. The
+     * widest call before the memos' first use decides, and later calls
+     * change nothing. Width 1 (and every memo under a budget) keeps
+     * one inline shard; a wider pool gets eight shards per thread (16
+     * at width 2), so a batch's threads rarely queue on one memo lock.
+     */
+    void shardMemosFor(int threads) const;
+
+    /**
      * Applies the cost model's memo budgets (0 = unbounded): the
      * phase memo takes the net.schedule_cache budgets, the layout and
      * stream-plan memos the layout budgets, the cell memo the
@@ -284,6 +295,10 @@ class WaferCostModel
 
     /// Governance counters of the layout memo.
     common::CacheStats layoutMemoStats() const;
+
+    /// Lock shards each unbounded memo spreads over (see
+    /// shardMemosFor()); creates the memos if they do not exist yet.
+    unsigned memoShardCount() const;
 
     /// Fraction of grad-sync communication hidden behind backward
     /// compute (bucketed overlap, as Megatron/FSDP implement).
@@ -338,6 +353,8 @@ class WaferCostModel
     tcme::TrafficOptimizer optimizer_;
     mutable std::once_flag memos_once_;
     mutable std::unique_ptr<Memos> memos_;
+    /// The widest shardMemosFor() before the memos' first use.
+    mutable std::atomic<int> memo_width_{1};
     /// Registration id of the wafer fault listener that clears the
     /// memos and the route epoch and re-snapshots
     /// the contention model on setFaults().

@@ -10,6 +10,7 @@ ExactEvaluator::ExactEvaluator(const cost::WaferCostModel &model,
                                ThreadPool *pool, bool)
     : model_(model), pool_(pool != nullptr ? *pool : serial_)
 {
+    model_.shardMemosFor(pool_.threadCount());
 }
 
 cost::OpCostBreakdown

@@ -66,6 +66,7 @@ StepEvaluator::StepEvaluator(const sim::TrainingSimulator &simulator,
                              ThreadPool *pool)
     : sim_(simulator), pool_(pool != nullptr ? *pool : serial_)
 {
+    sim_.costModel().shardMemosFor(pool_.threadCount());
     // Honest byte estimate: PerfReport owns a heap string
     // (strategy_desc) the default sizeof-based estimate would miss.
     cache_.setByteEstimate(
@@ -88,7 +89,22 @@ StepEvaluator::evaluate(const model::ComputeGraph &graph,
                         const std::vector<ParallelSpec> &per_op_specs,
                         common::BudgetGauge *gauge)
 {
-    return evaluateBatch(graph, {per_op_specs}, gauge).front();
+    // evaluateBatch() of one assignment, without the batch's copy of
+    // it, its dedup table and its slot vectors: the refiners ask one
+    // genome at a time, so this is the warm answer's hot path. Charges
+    // and counts exactly as the batch does.
+    if (gauge != nullptr)
+        gauge->charge(1);
+    std::string key;
+    appendStepKey(key, model::graphFingerprint(graph), per_op_specs);
+    if (auto cached = cache_.get(key)) {
+        ++cache_hits_;
+        return std::move(*cached);
+    }
+    sim::PerfReport report = sim_.simulate(graph, per_op_specs);
+    cache_.insert(std::move(key), report);
+    ++sims_;
+    return report;
 }
 
 sim::PerfReport

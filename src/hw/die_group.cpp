@@ -35,11 +35,47 @@ DieGroupTable::intern(std::span<const DieId> dies)
     std::unique_lock<std::shared_mutex> lock(mutex_);
     if (auto it = index_.find(probe); it != index_.end())
         return *it;  // another thread interned it meanwhile
+    return addLocked(probe);
+}
+
+void
+DieGroupTable::internAll(std::span<const std::span<const DieId>> groups,
+                         std::span<const DieGroup *> out)
+{
+    if (out.size() != groups.size())
+        panic("DieGroupTable::internAll: %zu groups, %zu handles",
+              groups.size(), out.size());
+    bool missing = false;
+    {
+        std::shared_lock<std::shared_mutex> lock(mutex_);
+        for (std::size_t i = 0; i < groups.size(); ++i) {
+            auto it = index_.find(Probe{groups[i], dieGroupHash(groups[i])});
+            out[i] = it != index_.end() ? *it : nullptr;
+            missing = missing || out[i] == nullptr;
+        }
+    }
+    if (!missing)
+        return;
+    std::unique_lock<std::shared_mutex> lock(mutex_);
+    for (std::size_t i = 0; i < groups.size(); ++i) {
+        if (out[i] != nullptr)
+            continue;
+        // Another thread, or an earlier group of this call, may have
+        // interned it since the shared pass.
+        const Probe probe{groups[i], dieGroupHash(groups[i])};
+        auto it = index_.find(probe);
+        out[i] = it != index_.end() ? *it : addLocked(probe);
+    }
+}
+
+const DieGroup *
+DieGroupTable::addLocked(const Probe &probe)
+{
     // Memo keys pack the index with a collective kind into one word.
     if (groups_.size() >= (1u << 29))
         panic("DieGroupTable: more than 2^29 distinct die groups");
     auto group = std::make_unique<DieGroup>();
-    group->dies.assign(dies.begin(), dies.end());
+    group->dies.assign(probe.dies.begin(), probe.dies.end());
     group->hash = probe.hash;
     group->index = static_cast<std::uint32_t>(groups_.size());
     group->table = this;

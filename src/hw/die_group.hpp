@@ -65,6 +65,16 @@ class DieGroupTable
     /// The handle of `dies`, interning it on first sight.
     const DieGroup *intern(std::span<const DieId> dies);
 
+    /**
+     * intern() of every group in `groups`, handles stored in `out` in
+     * order: one shared lock for the lookups, plus one exclusive lock
+     * only when some group is new. New groups are interned in call
+     * order (a repeat within the call gets its first handle), so the
+     * handles equal those of intern() called group by group.
+     */
+    void internAll(std::span<const std::span<const DieId>> groups,
+                   std::span<const DieGroup *> out);
+
     /// Groups interned so far.
     std::size_t size() const;
 
@@ -102,6 +112,9 @@ class DieGroupTable
             return (*this)(b, a);
         }
     };
+
+    /// Stores a new group. Caller holds mutex_ exclusively.
+    const DieGroup *addLocked(const Probe &probe);
 
     mutable std::shared_mutex mutex_;  ///< guards both members below
     /// Owns every group; handles point into the nodes, which never

@@ -26,16 +26,32 @@ fillLinkMask(Route &route)
                 std::uint64_t{1} << (static_cast<unsigned>(link) & 63);
 }
 
+/// The byte estimate of one stored route.
+long
+routeBytes(const Route &route)
+{
+    return static_cast<long>(sizeof(Route) +
+                             route.links.size() * sizeof(LinkId));
+}
+
 }  // namespace
 
-/// One route epoch's routes and lookup table. Routes are append-only:
-/// deques never move their elements, so every RouteRef and candidate
-/// span handed out stays valid for the storage's lifetime. The table
-/// is one dense (src, dst) array of slots, allocated with the epoch
-/// (24 bytes a pair: 24 KiB on a 32-die wafer); a filled slot never
-/// changes.
+/// One route epoch's routes and lookup table. Every stored route keeps
+/// its address for the storage's lifetime, so each RouteRef and
+/// candidate span handed out stays valid that long. The table is one
+/// dense (src, dst) array of slots, allocated with the epoch (24 bytes
+/// a pair: 24 KiB on a 32-die wafer); a slot is filled once, by a
+/// compare-exchange from null, and owns what it holds.
 struct RouteEpoch
 {
+    /// A memoized candidateRouteRefs() list: the routes and their
+    /// handles.
+    struct Candidates
+    {
+        std::vector<Route> routes;
+        std::vector<RouteRef> refs;  ///< into routes
+    };
+
     /// The memoized lookups of one (src, dst) pair.
     struct Slot
     {
@@ -43,24 +59,65 @@ struct RouteEpoch
         /// the destination is unreachable.
         std::atomic<const Route *> safe[2];
         /// candidateRouteRefs().
-        std::atomic<const std::vector<RouteRef> *> candidates;
+        std::atomic<const Candidates *> candidates;
     };
 
     explicit RouteEpoch(int die_count)
         : dies(die_count),
-          slots(std::make_unique<Slot[]>(static_cast<std::size_t>(dies) *
-                                         static_cast<std::size_t>(dies))),
+          slots(std::make_unique<Slot[]>(slotCount())),
           bytes(static_cast<long>(sizeof(Slot)) * dies * dies)
     {
     }
 
+    ~RouteEpoch()
+    {
+        for (std::size_t i = 0; i < slotCount(); ++i) {
+            for (const std::atomic<const Route *> &safe : slots[i].safe)
+                if (const Route *route = safe.load(std::memory_order_relaxed);
+                    route != &kUnreachable)
+                    delete route;
+            delete slots[i].candidates.load(std::memory_order_relaxed);
+        }
+    }
+
+    RouteEpoch(const RouteEpoch &) = delete;
+    RouteEpoch &operator=(const RouteEpoch &) = delete;
+
+    /// Stores an ad-hoc route. Caller holds the router's lock
+    /// exclusively.
     RouteRef add(Route route)
     {
-        bytes += static_cast<long>(sizeof(Route) +
-                                   route.links.size() * sizeof(LinkId));
+        bytes += routeBytes(route);
         fillLinkMask(route);
         routes.push_back(std::move(route));
         return RouteRef(&routes.back());
+    }
+
+    /**
+     * Fills an empty slot with `value` by one compare-exchange, so a
+     * miss publishes without the router's lock. Returns what the slot
+     * holds: `value` when this call filled it (counting `value_bytes`;
+     * `owned`, if set, is handed to the slot), else what a racing miss
+     * stored first (and `owned` is freed).
+     */
+    template <typename T>
+    const T *publish(std::atomic<const T *> &slot, const T *value,
+                     std::unique_ptr<T> owned, long value_bytes)
+    {
+        const T *resident = nullptr;
+        if (!slot.compare_exchange_strong(resident, value,
+                                          std::memory_order_acq_rel,
+                                          std::memory_order_acquire))
+            return resident;
+        owned.release();
+        bytes += value_bytes;
+        ++entries;
+        return value;
+    }
+
+    std::size_t slotCount() const
+    {
+        return static_cast<std::size_t>(dies) * static_cast<std::size_t>(dies);
     }
 
     bool contains(DieId src, DieId dst) const
@@ -70,8 +127,7 @@ struct RouteEpoch
     }
 
     /// The filled-or-empty slot of (src, dst), or null when the pair is
-    /// out of range. Reading it is lock-free; filling it needs the
-    /// router's lock held exclusively.
+    /// out of range. Lock-free.
     Slot *find(DieId src, DieId dst) const
     {
         if (!contains(src, dst))
@@ -81,9 +137,8 @@ struct RouteEpoch
                       static_cast<std::size_t>(dst)];
     }
 
-    /// The slot of (src, dst). Caller holds the router's lock
-    /// exclusively.
-    Slot &slotLocked(DieId src, DieId dst)
+    /// The slot of (src, dst), which must be in range.
+    Slot &slot(DieId src, DieId dst) const
     {
         Slot *slot = find(src, dst);
         if (slot == nullptr)
@@ -94,10 +149,10 @@ struct RouteEpoch
 
     const int dies;
     std::unique_ptr<Slot[]> slots;  ///< dies x dies, row-major by src
-    std::deque<Route> routes;
-    std::deque<std::vector<RouteRef>> candidate_lists;
-    long entries = 0;  ///< filled slots (safe routes + candidate lists)
-    long bytes = 0;    ///< estimate of slots + routes + candidate lists
+    std::deque<Route> routes;       ///< ad-hoc routes (Router::intern)
+    std::atomic<long> entries{0};   ///< filled slots
+    /// Estimate of slots + stored routes + candidate lists.
+    std::atomic<long> bytes;
 };
 
 Router::Router(const hw::MeshTopology &topo, const hw::FaultMap *faults)
@@ -294,6 +349,15 @@ Router::currentLocked() const
     return *epoch_;
 }
 
+RouteEpoch &
+Router::current() const
+{
+    if (RouteEpoch *epoch = live_.load(std::memory_order_acquire))
+        return *epoch;
+    std::unique_lock<std::shared_mutex> lock(mutex_);
+    return currentLocked();
+}
+
 RouteRef
 Router::safeRouteRef(DieId src, DieId dst, RoutePolicy policy) const
 {
@@ -310,16 +374,17 @@ Router::safeRouteRef(DieId src, DieId dst, RoutePolicy policy) const
         }
     }
     pool_misses_.fetch_add(1, std::memory_order_relaxed);
-    std::optional<Route> found = safeRoute(src, dst, policy);
-    std::unique_lock<std::shared_mutex> lock(mutex_);
-    RouteEpoch &epoch = currentLocked();
-    std::atomic<const Route *> &slot = epoch.slotLocked(src, dst).safe[p];
-    const Route *route = slot.load(std::memory_order_relaxed);
-    if (route == nullptr) {  // else a racing miss stored it first
-        route = found ? &epoch.add(std::move(*found)).get() : &kUnreachable;
-        slot.store(route, std::memory_order_release);
-        ++epoch.entries;
+    std::unique_ptr<Route> mine;
+    long bytes = 0;
+    if (std::optional<Route> found = safeRoute(src, dst, policy)) {
+        bytes = routeBytes(*found);
+        mine = std::make_unique<Route>(std::move(*found));
+        fillLinkMask(*mine);
     }
+    RouteEpoch &epoch = current();
+    const Route *value = mine ? mine.get() : &kUnreachable;
+    const Route *route = epoch.publish(epoch.slot(src, dst).safe[p], value,
+                                       std::move(mine), bytes);
     return route == &kUnreachable ? RouteRef() : RouteRef(route);
 }
 
@@ -347,32 +412,31 @@ Router::candidateRouteRefs(DieId src, DieId dst) const
 {
     if (const RouteEpoch *epoch = live_.load(std::memory_order_acquire)) {
         if (const RouteEpoch::Slot *slot = epoch->find(src, dst)) {
-            const std::vector<RouteRef> *refs =
+            const RouteEpoch::Candidates *list =
                 slot->candidates.load(std::memory_order_acquire);
-            if (refs != nullptr) {
+            if (list != nullptr) {
                 pool_hits_.fetch_add(1, std::memory_order_relaxed);
-                return *refs;
+                return list->refs;
             }
         }
     }
     pool_misses_.fetch_add(1, std::memory_order_relaxed);
-    std::vector<Route> routes = candidateRoutes(src, dst);
-    std::unique_lock<std::shared_mutex> lock(mutex_);
-    RouteEpoch &epoch = currentLocked();
-    std::atomic<const std::vector<RouteRef> *> &slot =
-        epoch.slotLocked(src, dst).candidates;
-    if (const std::vector<RouteRef> *refs =
-            slot.load(std::memory_order_relaxed))
-        return *refs;  // a racing miss stored it first
-    std::vector<RouteRef> &refs = epoch.candidate_lists.emplace_back();
-    refs.reserve(routes.size());
-    for (Route &r : routes)
-        refs.push_back(epoch.add(std::move(r)));
-    epoch.bytes += static_cast<long>(sizeof(refs) +
-                                     refs.size() * sizeof(RouteRef));
-    slot.store(&refs, std::memory_order_release);
-    ++epoch.entries;
-    return refs;
+    auto mine = std::make_unique<RouteEpoch::Candidates>();
+    mine->routes = candidateRoutes(src, dst);
+    mine->refs.reserve(mine->routes.size());
+    long bytes = static_cast<long>(sizeof(mine->refs) +
+                                   mine->routes.size() * sizeof(RouteRef));
+    for (Route &r : mine->routes) {
+        bytes += routeBytes(r);
+        fillLinkMask(r);
+        mine->refs.push_back(RouteRef(&r));
+    }
+    RouteEpoch &epoch = current();
+    const RouteEpoch::Candidates *value = mine.get();
+    return epoch
+        .publish(epoch.slot(src, dst).candidates, value, std::move(mine),
+                 bytes)
+        ->refs;
 }
 
 RouteRef
@@ -415,8 +479,8 @@ Router::poolStats() const
     std::shared_lock<std::shared_mutex> lock(mutex_);
     common::CacheStats stats;
     if (epoch_ != nullptr) {
-        stats.entries = epoch_->entries;
-        stats.bytes_est = epoch_->bytes;
+        stats.entries = epoch_->entries.load();
+        stats.bytes_est = epoch_->bytes.load();
     }
     stats.hits = pool_hits_.load();
     stats.misses = pool_misses_.load();

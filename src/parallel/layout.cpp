@@ -58,20 +58,26 @@ GroupLayout::GroupLayout(const hw::Topology &fabric,
     std::array<int, static_cast<std::size_t>(Axis::Count)> stride{};
     int running = 1;
     std::size_t group_total = 0;
+    std::size_t grouped_axes = 0;
     for (Axis axis : order_) {
         const int degree = spec.degree(axis);
         stride[static_cast<std::size_t>(axis)] = running;
         running *= degree;
-        if (degree > 1)
+        if (degree > 1) {
             group_total += static_cast<std::size_t>(total / degree);
+            ++grouped_axes;
+        }
     }
 
-    hw::DieGroupTable &table = fabric.dieGroups();
-    groups_.reserve(group_total);
+    // Every group's dies, flat in group order (each grouped axis's
+    // groups cover the active dies once), then interned in one call.
     std::vector<hw::DieId> members;
+    members.reserve(grouped_axes * static_cast<std::size_t>(total));
+    std::vector<std::span<const hw::DieId>> groups;
+    groups.reserve(group_total);
     for (std::size_t ai = 0; ai < static_cast<std::size_t>(Axis::Count);
          ++ai) {
-        axis_begin_[ai] = static_cast<std::uint32_t>(groups_.size());
+        axis_begin_[ai] = static_cast<std::uint32_t>(groups.size());
         const int degree = spec.degree(static_cast<Axis>(ai));
         if (degree <= 1)
             continue;
@@ -81,13 +87,17 @@ GroupLayout::GroupLayout(const hw::Topology &fabric,
         for (int base = 0; base < total; ++base) {
             if ((base / s) % degree != 0)
                 continue;
-            members.clear();
+            const std::size_t first = members.size();
             for (int x = 0; x < degree; ++x)
                 members.push_back(active_[base + x * s]);
-            groups_.push_back(table.intern(members));
+            // No reallocation: `members` was reserved to its final size.
+            groups.emplace_back(members.data() + first,
+                                static_cast<std::size_t>(degree));
         }
     }
-    axis_begin_.back() = static_cast<std::uint32_t>(groups_.size());
+    axis_begin_.back() = static_cast<std::uint32_t>(groups.size());
+    groups_.resize(groups.size());
+    fabric.dieGroups().internAll(groups, groups_);
 }
 
 const std::vector<hw::DieId> &

@@ -9,10 +9,16 @@
  */
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <future>
+#include <map>
 #include <memory>
+#include <optional>
 #include <set>
+#include <span>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "api/serialize.hpp"
@@ -197,6 +203,179 @@ TEST(BoundedCache, ByteBudgetComposesWithEntryBudget)
         cache.insert("key-" + std::to_string(i),
                      std::string(96, 'x'));
     EXPECT_EQ(cache.stats().evictions, evictions_before);
+}
+
+// ---------------------------------------------------------------
+// Sharded BoundedCache: the cost model's memos at pool width > 1
+// ---------------------------------------------------------------
+
+TEST(ShardedBoundedCache, StatsSumExactlyAcrossShards)
+{
+    common::BoundedCache<int, int> sharded(0, 8);
+    common::BoundedCache<int, int> single;
+    EXPECT_EQ(sharded.shardCount(), 8u);
+    EXPECT_EQ(single.shardCount(), 1u);
+    for (common::BoundedCache<int, int> *cache : {&sharded, &single}) {
+        for (int i = 0; i < 100; ++i)
+            cache->insert(i, i * 10);
+        for (int i = 0; i < 150; ++i)
+            cache->get(i);  // 100 hits, 50 misses
+    }
+    const common::CacheStats stats = sharded.stats();
+    EXPECT_EQ(stats.entries, 100);
+    EXPECT_EQ(stats.bytes_est, 100 * static_cast<long>(2 * sizeof(int)));
+    EXPECT_EQ(stats.hits, 100);
+    EXPECT_EQ(stats.misses, 50);
+    EXPECT_EQ(stats.evictions, 0);
+    const common::CacheStats reference = single.stats();
+    EXPECT_EQ(stats.entries, reference.entries);
+    EXPECT_EQ(stats.bytes_est, reference.bytes_est);
+    EXPECT_EQ(stats.hits, reference.hits);
+    EXPECT_EQ(stats.misses, reference.misses);
+    EXPECT_EQ(sharded.size(), 100u);
+}
+
+TEST(ShardedBoundedCache, EveryOperationReachesEveryShard)
+{
+    common::BoundedCache<int, int> cache(0, 8);
+    for (int i = 0; i < 64; ++i)
+        cache.insert(i, i + 1000);
+    for (int i = 0; i < 64; ++i) {
+        const std::optional<int> value = cache.get(i);
+        ASSERT_TRUE(value.has_value()) << i;
+        EXPECT_EQ(*value, i + 1000);
+    }
+
+    // getAll finds every resident key, whatever its shard.
+    std::vector<int> keys;
+    for (int i = 0; i < 128; ++i)
+        keys.push_back(i);
+    std::vector<int> found(keys.size(), -1);
+    cache.getAll(std::span<const int>(keys),
+                 [&](std::size_t i, int value) { found[i] = value; });
+    for (int i = 0; i < 128; ++i)
+        EXPECT_EQ(found[i], i < 64 ? i + 1000 : -1) << i;
+
+    // insertAll spreads into the shards; resident values win.
+    cache.insertAll(128, [](std::size_t i) {
+        return std::pair(static_cast<int>(i), static_cast<int>(i) + 2000);
+    });
+    EXPECT_EQ(cache.size(), 128u);
+    for (int i = 0; i < 128; ++i)
+        EXPECT_EQ(cache.get(i).value_or(-1), i < 64 ? i + 1000 : i + 2000);
+
+    // forEach visits every entry exactly once.
+    std::multiset<int> visited;
+    cache.forEach([&](int key, int) { visited.insert(key); });
+    EXPECT_EQ(visited.size(), 128u);
+    EXPECT_EQ(std::set<int>(visited.begin(), visited.end()).size(), 128u);
+
+    // clear empties every shard.
+    cache.clear();
+    EXPECT_EQ(cache.size(), 0u);
+    EXPECT_EQ(cache.stats().entries, 0);
+    EXPECT_EQ(cache.stats().bytes_est, 0);
+    for (int i = 0; i < 128; ++i)
+        EXPECT_FALSE(cache.get(i).has_value());
+}
+
+TEST(ShardedBoundedCache, BudgetKeepsTheExactEntryBudgetAndStrictLru)
+{
+    // A budget folds the shards into one: the entry budget holds over
+    // all entries, not per shard.
+    common::BoundedCache<int, int> spread(0, 8);
+    for (int i = 0; i < 40; ++i)
+        spread.insert(i, i);
+    spread.setCapacity(5);
+    EXPECT_EQ(spread.size(), 5u);
+    EXPECT_EQ(spread.stats().evictions, 35);
+    std::vector<int> survivors;
+    spread.forEach([&](int key, int) { survivors.push_back(key); });
+    ASSERT_EQ(survivors.size(), 5u);
+    ASSERT_TRUE(spread.get(survivors[0]).has_value());  // now MRU
+    for (int i = 100; i < 104; ++i)
+        spread.insert(i, i);  // evicts the four untouched survivors
+    EXPECT_EQ(spread.size(), 5u);
+    EXPECT_TRUE(spread.get(survivors[0]).has_value());
+    for (int k = 1; k < 5; ++k)
+        EXPECT_FALSE(spread.get(survivors[k]).has_value());
+
+    // From empty, a budgeted sharded cache evicts exactly as one
+    // shard does, lookup for lookup.
+    common::BoundedCache<int, int> sharded(3, 8);
+    common::BoundedCache<int, int> single(3);
+    for (common::BoundedCache<int, int> *cache : {&sharded, &single}) {
+        for (int step = 0; step < 200; ++step) {
+            const int key = (step * 7) % 11;
+            if (step % 3 == 0)
+                cache->get(key);
+            else
+                cache->insert(key, step);
+        }
+    }
+    std::map<int, int> a;
+    std::map<int, int> b;
+    sharded.forEach([&](int key, int value) { a[key] = value; });
+    single.forEach([&](int key, int value) { b[key] = value; });
+    EXPECT_EQ(a, b);
+    EXPECT_EQ(sharded.stats().evictions, single.stats().evictions);
+    EXPECT_EQ(sharded.stats().hits, single.stats().hits);
+    EXPECT_EQ(sharded.stats().misses, single.stats().misses);
+
+    // Dropping the budget spreads the cache again and keeps every
+    // entry.
+    sharded.setCapacity(0);
+    for (int i = 20; i < 60; ++i)
+        sharded.insert(i, i);
+    EXPECT_EQ(sharded.size(), 43u);
+    for (const auto &[key, value] : a)
+        EXPECT_EQ(sharded.get(key).value_or(-1), value);
+}
+
+TEST(ShardedBoundedCache, RacingInsertsAndGetsLoseNoEntry)
+{
+    // Four threads insert overlapping key ranges and read each other's
+    // keys while the main thread folds and re-spreads the shards with
+    // a budget too large to evict: no entry may be lost, and each key
+    // is inserted exactly once.
+    constexpr int kThreads = 4;
+    constexpr int kKeys = 2000;
+    common::BoundedCache<int, int> cache(0, 16);
+    std::atomic<int> running{kThreads};
+    std::atomic<long> inserted{0};
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+        threads.emplace_back([&, t] {
+            for (int n = 0; n < kKeys; ++n) {
+                const int key = (n * 13 + t * 500) % kKeys;
+                const auto [value, fresh] = cache.insert(key, key * 3);
+                EXPECT_EQ(value, key * 3);
+                inserted += fresh ? 1 : 0;
+                const std::optional<int> mine = cache.get(key);
+                ASSERT_TRUE(mine.has_value()) << key;
+                EXPECT_EQ(*mine, key * 3);
+                if (const std::optional<int> other =
+                        cache.get((key + 1) % kKeys))
+                    EXPECT_EQ(*other, ((key + 1) % kKeys) * 3);
+            }
+            --running;
+        });
+    }
+    // Each fold or spread moves every entry, so the toggles are paced
+    // to leave the workers room.
+    for (int toggles = 0; toggles < 200 && running.load() > 0; ++toggles) {
+        cache.setCapacity(1 << 20);
+        std::this_thread::sleep_for(std::chrono::microseconds(20));
+        cache.setCapacity(0);
+        std::this_thread::sleep_for(std::chrono::microseconds(20));
+    }
+    for (std::thread &thread : threads)
+        thread.join();
+    EXPECT_EQ(inserted.load(), kKeys);
+    EXPECT_EQ(cache.size(), static_cast<std::size_t>(kKeys));
+    EXPECT_EQ(cache.stats().evictions, 0);
+    for (int key = 0; key < kKeys; ++key)
+        EXPECT_EQ(cache.get(key).value_or(-1), key * 3) << key;
 }
 
 // ---------------------------------------------------------------

@@ -181,6 +181,10 @@ TEST_F(EvalTest, BatchDeterministicAcrossThreadCounts)
         const sim::TrainingSimulator sim(wafer_, sim_.costModel().policy());
         ExactEvaluator evaluator(sim.costModel(), &pool);
         runs.push_back(evaluator.evaluateBatch(graph_, requests));
+        // The memos take their lock shards from the pool's width: one
+        // inline shard for a serial pool, eight per thread otherwise.
+        EXPECT_EQ(sim.costModel().memoShardCount(),
+                  threads > 1 ? 8u * static_cast<unsigned>(threads) : 1u);
         EXPECT_EQ(evaluator.stats().measurements,
                   static_cast<long>(requests.size()));
         EXPECT_EQ(evaluator.stats().layouts_built,
@@ -426,8 +430,11 @@ TEST_F(EvalTest, StepBatchDeterministicAcrossThreadCountsAndDedups)
     std::vector<std::vector<sim::PerfReport>> runs;
     for (int threads : {1, 2, 4}) {
         ThreadPool pool(threads);
-        StepEvaluator steps(sim_, &pool);
+        const sim::TrainingSimulator sim(wafer_, sim_.costModel().policy());
+        StepEvaluator steps(sim, &pool);
         runs.push_back(steps.evaluateBatch(graph_, generation));
+        EXPECT_EQ(sim.costModel().memoShardCount(),
+                  threads > 1 ? 8u * static_cast<unsigned>(threads) : 1u);
         EXPECT_EQ(steps.stats().sims, unique);
         EXPECT_EQ(steps.stats().cache_hits, total - unique);
         // The memo files each report under its stepKey (snapshots

@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <span>
+#include <thread>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -273,6 +275,92 @@ TEST(DieGroups, EqualContentInternsToOneHandle)
     const DieGroup *c = other.dieGroups().intern(dies);
     EXPECT_NE(c, a);
     EXPECT_EQ(c->hash, a->hash);
+}
+
+TEST(DieGroups, InternAllMatchesIntern)
+{
+    // Repeats inside one call, groups already resident and new ones
+    // mixed: one internAll call hands out the handles (and intern
+    // order) of intern() called group by group.
+    const std::vector<std::vector<DieId>> lists{
+        {0, 1}, {2, 3}, {0, 1}, {4, 5, 6}, {2, 3}, {7}, {3, 2}, {4, 5, 6}};
+    const std::vector<std::span<const DieId>> groups(lists.begin(),
+                                                     lists.end());
+    const MeshTopology one_by_one(4, 8);
+    const MeshTopology batched(4, 8);
+    // One group is resident in both tables before the batch.
+    one_by_one.dieGroups().intern(lists[3]);
+    batched.dieGroups().intern(lists[3]);
+    std::vector<const DieGroup *> expected;
+    for (const std::vector<DieId> &dies : lists)
+        expected.push_back(one_by_one.dieGroups().intern(dies));
+    std::vector<const DieGroup *> handles(groups.size());
+    batched.dieGroups().internAll(groups, handles);
+    ASSERT_EQ(batched.dieGroups().size(), one_by_one.dieGroups().size());
+    for (std::size_t i = 0; i < lists.size(); ++i) {
+        EXPECT_EQ(handles[i], batched.dieGroups().intern(lists[i])) << i;
+        EXPECT_EQ(handles[i]->index, expected[i]->index) << i;
+        EXPECT_EQ(handles[i]->hash, expected[i]->hash) << i;
+        EXPECT_EQ(handles[i]->dies, lists[i]) << i;
+        EXPECT_EQ(handles[i]->table, &batched.dieGroups()) << i;
+    }
+    EXPECT_EQ(handles[0], handles[2]);
+    EXPECT_EQ(handles[1], handles[4]);
+    EXPECT_NE(handles[1], handles[6]);
+
+    // An all-resident batch adds nothing.
+    std::vector<const DieGroup *> again(groups.size());
+    batched.dieGroups().internAll(groups, again);
+    EXPECT_EQ(again, handles);
+    EXPECT_EQ(batched.dieGroups().size(), 5u);
+
+    // Four threads racing overlapping batches (and one thread calling
+    // intern() alone) agree on one handle per content.
+    const MeshTopology shared(4, 8);
+    DieGroupTable &table = shared.dieGroups();
+    std::vector<std::vector<DieId>> pool;
+    for (DieId a = 0; a < 32; ++a)
+        pool.push_back({a, (a + 1) % 32, (a + 5) % 32});
+    std::vector<std::vector<const DieGroup *>> seen(
+        5, std::vector<const DieGroup *>(pool.size()));
+    std::vector<std::thread> threads;
+    for (int t = 0; t < 4; ++t) {
+        threads.emplace_back([&, t] {
+            // Thread t walks the pool from its own offset, in batches
+            // of seven that repeat one group.
+            for (std::size_t begin = 0; begin < pool.size(); begin += 6) {
+                std::vector<std::size_t> which;
+                for (std::size_t k = begin; k < begin + 6; ++k)
+                    which.push_back((k + 8 * t) % pool.size());
+                which.push_back(which.front());
+                std::vector<std::span<const DieId>> batch;
+                for (std::size_t w : which)
+                    batch.emplace_back(pool[w]);
+                std::vector<const DieGroup *> out(batch.size());
+                table.internAll(batch, out);
+                for (std::size_t k = 0; k < which.size(); ++k)
+                    seen[t][which[k]] = out[k];
+            }
+        });
+    }
+    threads.emplace_back([&] {
+        for (std::size_t w = pool.size(); w-- > 0;)
+            seen[4][w] = table.intern(pool[w]);
+    });
+    for (std::thread &thread : threads)
+        thread.join();
+    EXPECT_EQ(table.size(), pool.size());
+    std::vector<bool> index_used(pool.size(), false);
+    for (std::size_t w = 0; w < pool.size(); ++w) {
+        const DieGroup *handle = seen[4][w];
+        ASSERT_NE(handle, nullptr);
+        EXPECT_EQ(handle->dies, pool[w]);
+        ASSERT_LT(handle->index, pool.size());
+        EXPECT_FALSE(index_used[handle->index]);
+        index_used[handle->index] = true;
+        for (int t = 0; t < 4; ++t)
+            EXPECT_EQ(seen[t][w], handle) << "thread " << t << " group " << w;
+    }
 }
 
 TEST(DieGroups, FaultChangesNeverClearTheTable)
