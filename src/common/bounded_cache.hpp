@@ -347,7 +347,7 @@ class LruMap
  * Sharding: a cache built with `shards` > 1 spreads its keys over that
  * many LruMaps by key hash, each under its own lock, so callers on
  * different threads rarely queue on one lock. A cache starts in one
- * inline shard and spreads at its first unbounded insert (allocating
+ * inline shard and spreads at its first unbounded insert() (allocating
  * the rest then), so a one-shard cache — and a cache whose budget is
  * set before it fills — allocates nothing more than one LruMap. A
  * budget folds a spread cache back into its inline shard: budgets and
@@ -501,12 +501,14 @@ class BoundedCache
     /**
      * A bulk import: inserts entry(0) .. entry(n-1), each a (key,
      * value) pair, under one exclusive lock per shard and one rehash
-     * each. Resident values win, as in insert().
+     * each. Resident values win, as in insert(). A cache still in its
+     * inline shard stays there: an import is one writer, and the
+     * lookups that follow it (a warm answer) then probe one map with
+     * one hash. The next insert() spreads it.
      */
     template <typename EntryFn>
     void insertAll(std::size_t n, EntryFn &&entry)
     {
-        spreadIfDue();
         AllShards<true> lock(*this);
         const unsigned active = active_.load(std::memory_order_relaxed);
         for (unsigned s = 0; s < active; ++s) {
@@ -554,13 +556,21 @@ class BoundedCache
 
   private:
     /// One lock shard: its map, and the counters of lookups it served.
-    struct alignas(64) Shard
+    struct Shard
     {
         mutable std::shared_mutex mutex;
         /// Atomic: bumped under the shared lock on unbounded lookups.
         std::atomic<long> hits{0};
         std::atomic<long> misses{0};
         LruMap<Key, Value, Hash, Equal> map;
+    };
+
+    /// A spread shard, on cache lines of its own, so threads working in
+    /// neighbouring shards write no common line. The inline shard is
+    /// not padded: an over-aligned member would make every owner of a
+    /// cache over-aligned, and each allocation of one slower.
+    struct alignas(64) PaddedShard : Shard
+    {
     };
 
     /**
@@ -672,7 +682,7 @@ class BoundedCache
             // Written under shard 0's exclusive lock, read by others
             // only after the release store of active_ below or under
             // shard 0's lock.
-            rest_ = std::make_unique<Shard[]>(shards_ - 1);
+            rest_ = std::make_unique<PaddedShard[]>(shards_ - 1);
             for (unsigned s = 1; s < shards_; ++s)
                 rest_[s - 1].map.setByteEstimate(first_.map.byteEstimate());
         }
@@ -704,7 +714,7 @@ class BoundedCache
     mutable Shard first_;
     /// Shards 1 .. shards_-1, allocated on the first spread and kept
     /// for the cache's lifetime (a reader may still hold a pointer).
-    std::unique_ptr<Shard[]> rest_;
+    std::unique_ptr<PaddedShard[]> rest_;
     std::atomic<long> capacity_{0};
     std::atomic<long> max_bytes_{0};
 };

@@ -256,7 +256,8 @@ TEST(ShardedBoundedCache, EveryOperationReachesEveryShard)
     for (int i = 0; i < 128; ++i)
         EXPECT_EQ(found[i], i < 64 ? i + 1000 : -1) << i;
 
-    // insertAll spreads into the shards; resident values win.
+    // insertAll fills every shard of a spread cache; resident values
+    // win.
     cache.insertAll(128, [](std::size_t i) {
         return std::pair(static_cast<int>(i), static_cast<int>(i) + 2000);
     });
@@ -277,6 +278,19 @@ TEST(ShardedBoundedCache, EveryOperationReachesEveryShard)
     EXPECT_EQ(cache.stats().bytes_est, 0);
     for (int i = 0; i < 128; ++i)
         EXPECT_FALSE(cache.get(i).has_value());
+
+    // A bulk import leaves a fresh cache in its inline shard; the next
+    // insert spreads it, moving every imported entry to its shard.
+    common::BoundedCache<int, int> imported(0, 8);
+    imported.insertAll(50, [](std::size_t i) {
+        return std::pair(static_cast<int>(i), static_cast<int>(i) * 2);
+    });
+    imported.insert(1000, 1);
+    EXPECT_EQ(imported.size(), 51u);
+    EXPECT_EQ(imported.stats().bytes_est,
+              51 * static_cast<long>(2 * sizeof(int)));
+    for (int i = 0; i < 50; ++i)
+        EXPECT_EQ(imported.get(i).value_or(-1), i * 2) << i;
 }
 
 TEST(ShardedBoundedCache, BudgetKeepsTheExactEntryBudgetAndStrictLru)
