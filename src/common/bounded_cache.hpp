@@ -15,9 +15,9 @@
  *    a byte estimator.
  *  - BoundedCache: a thread-safe facade over LruMap lock shards, each
  *    one LruMap under one shared_mutex. A cache has one shard unless
- *    its owner asks for more (the cost model's memos ask for a number
- *    sized from their evaluators' pool width), and a budgeted cache
- *    always folds into one, so budgets and LRU order stay exact.
+ *    its owner asks for more (the cost model's memos ask for 16 when
+ *    their evaluators' pool has more than one thread), and a budgeted
+ *    cache always folds into one, so budgets and LRU order stay exact.
  *    Unbounded lookups take their shard's lock shared and touch
  *    nothing, so a capacity of 0 — the default everywhere — keeps the
  *    pre-governance hot paths and their bit-exactness guarantees
@@ -52,6 +52,7 @@
 #include <optional>
 #include <shared_mutex>
 #include <span>
+#include <stdexcept>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -218,10 +219,7 @@ class LruMap
             lru_.push_front(&it->first);
             it->second.pos = lru_.begin();
         }
-        it->second.bytes = estimate_
-                               ? estimate_(it->first, it->second.value)
-                               : cacheByteEstimate(it->first) +
-                                     cacheByteEstimate(it->second.value);
+        it->second.bytes = estimateBytes(it->first, it->second.value);
         bytes_ += it->second.bytes;
         Value *resident = &it->second.value;
         evictOverBudget();
@@ -269,6 +267,13 @@ class LruMap
         const
     {
         return estimate_;
+    }
+
+    /// The byte estimate an entry inserted now would carry.
+    long estimateBytes(const Key &key, const Value &value) const
+    {
+        return estimate_ ? estimate_(key, value)
+                         : cacheByteEstimate(key) + cacheByteEstimate(value);
     }
 
   private:
@@ -347,28 +352,29 @@ class LruMap
  * Sharding: a cache built with `shards` > 1 spreads its keys over that
  * many LruMaps by key hash, each under its own lock, so callers on
  * different threads rarely queue on one lock. A cache starts in one
- * inline shard and spreads at its first unbounded insert() (allocating
- * the rest then), so a one-shard cache — and a cache whose budget is
- * set before it fills — allocates nothing more than one LruMap. A
- * budget folds a spread cache back into its inline shard: budgets and
- * LRU order stay exact over all entries, as with one shard. Hit and
- * miss counters live beside each shard's lock, so counting a lookup
- * writes no line another shard's callers write.
+ * inline shard and spreads, allocating the rest, when an unbounded
+ * cache first stores an entry in a shard (insert(), or an insertAll()
+ * it cannot adopt whole), so a one-shard cache, and one budgeted
+ * before it fills, allocates nothing more than one LruMap. A budget
+ * folds a spread cache back into its inline shard: budgets and LRU
+ * order stay exact over all entries, as with one shard. Hit and miss
+ * counters live beside each shard's lock, so counting a lookup writes
+ * no line another shard's callers write.
  */
 template <typename Key, typename Value, typename Hash = std::hash<Key>,
           typename Equal = std::equal_to<Key>>
 class BoundedCache
 {
   public:
-    /// The most lock shards a cache spreads over.
-    static constexpr unsigned kMaxShards = 64;
-
     /// @param capacity Entry budget (0 = unbounded).
-    /// @param shards Lock shards while unbounded, rounded up to a
-    ///        power of two and capped at kMaxShards (1 = one lock).
+    /// @param shards Lock shards while unbounded, a power of two (1 =
+    ///        one lock).
     explicit BoundedCache(long capacity = 0, unsigned shards = 1)
-        : shards_(std::bit_ceil(std::clamp(shards, 1u, kMaxShards)))
+        : shards_(shards)
     {
+        if (!std::has_single_bit(shards))
+            throw std::invalid_argument(
+                "BoundedCache: shards must be a power of two");
         setCapacity(capacity);
     }
 
@@ -419,7 +425,8 @@ class BoundedCache
         if (!bounded()) {
             std::shared_lock<std::shared_mutex> lock;
             Shard &shard = lockShardOf(key, lock);
-            if (const Value *value = shard.map.peek(key)) {
+            const Value *value = findImported(key);
+            if (value != nullptr || (value = shard.map.peek(key))) {
                 ++shard.hits;
                 return *value;
             }
@@ -427,7 +434,8 @@ class BoundedCache
         } else {
             std::unique_lock<std::shared_mutex> lock;
             Shard &shard = lockShardOf(key, lock);
-            if (Value *value = shard.map.touch(key)) {
+            const Value *value = findImported(key);
+            if (value != nullptr || (value = shard.map.touch(key))) {
                 ++shard.hits;
                 return *value;
             }
@@ -448,8 +456,9 @@ class BoundedCache
         if (!bounded()) {
             AllShards<false> lock(*this);
             for (std::size_t i = 0; i < keys.size(); ++i) {
-                if (const Value *value = shardOfLocked(keys[i]).map.peek(
-                        keys[i])) {
+                const Value *value = findImported(keys[i]);
+                if (value != nullptr ||
+                    (value = shardOfLocked(keys[i]).map.peek(keys[i]))) {
                     ++hits;
                     found(i, *value);
                 }
@@ -457,8 +466,9 @@ class BoundedCache
         } else {
             AllShards<true> lock(*this);
             for (std::size_t i = 0; i < keys.size(); ++i) {
-                if (Value *value = shardOfLocked(keys[i]).map.touch(
-                        keys[i])) {
+                const Value *value = findImported(keys[i]);
+                if (value != nullptr ||
+                    (value = shardOfLocked(keys[i]).map.touch(keys[i]))) {
                     ++hits;
                     found(i, *value);
                 }
@@ -479,6 +489,8 @@ class BoundedCache
         spreadIfDue();
         std::unique_lock<std::shared_mutex> lock;
         Shard &shard = lockShardOf(key, lock);
+        if (const Value *resident = findImported(key))
+            return {*resident, false};
         auto [resident, inserted] =
             shard.map.insert(std::move(key), std::move(value));
         return {*resident, inserted};
@@ -487,38 +499,51 @@ class BoundedCache
     void clear()
     {
         AllShards<true> lock(*this);
+        imported_.reset();
         lock.forEach([](Shard &shard) { shard.map.clear(); });
     }
 
     std::size_t size() const
     {
         AllShards<false> lock(*this);
-        std::size_t size = 0;
+        std::size_t size = imported_ ? imported_->entries.size() : 0;
         lock.forEach([&](const Shard &shard) { size += shard.map.size(); });
         return size;
     }
 
     /**
-     * A bulk import: inserts entry(0) .. entry(n-1), each a (key,
-     * value) pair, under one exclusive lock per shard and one rehash
-     * each. Resident values win, as in insert(). A cache still in its
-     * inline shard stays there: an import is one writer, and the
-     * lookups that follow it (a warm answer) then probe one map with
-     * one hash. The next insert() spreads it.
+     * A bulk import of (key, value) pairs. Resident values win, as in
+     * insert(), and so does the first of two equal keys. An empty
+     * unbounded cache adopts the vector itself under a flat index (see
+     * Imported): no map node per entry, and no entry moves. Any other
+     * cache inserts the entries under one exclusive lock per shard and
+     * one rehash each.
      */
-    template <typename EntryFn>
-    void insertAll(std::size_t n, EntryFn &&entry)
+    void insertAll(std::vector<std::pair<Key, Value>> entries)
     {
+        {
+            AllShards<true> lock(*this);
+            bool empty = !bounded() && !imported_;
+            lock.forEach([&](const Shard &shard) {
+                empty = empty && shard.map.size() == 0;
+            });
+            if (empty) {
+                imported_ = std::make_unique<Imported>(std::move(entries),
+                                                       first_.map);
+                return;
+            }
+        }
+        spreadIfDue();
         AllShards<true> lock(*this);
         const unsigned active = active_.load(std::memory_order_relaxed);
         for (unsigned s = 0; s < active; ++s) {
             LruMap<Key, Value, Hash, Equal> &map = shardAt(s).map;
-            map.reserve(map.size() + n / active + 1);
+            map.reserve(map.size() + entries.size() / active + 1);
         }
-        for (std::size_t i = 0; i < n; ++i) {
-            auto [key, value] = entry(i);
-            shardOfLocked(key).map.insert(std::move(key), std::move(value));
-        }
+        for (auto &[key, value] : entries)
+            if (findImported(key) == nullptr)
+                shardOfLocked(key).map.insert(std::move(key),
+                                              std::move(value));
     }
 
     /// Counters, summed over the shards under their locks.
@@ -526,6 +551,10 @@ class BoundedCache
     {
         AllShards<false> lock(*this);
         CacheStats stats;
+        if (imported_) {
+            stats.entries = static_cast<long>(imported_->entries.size());
+            stats.bytes_est = imported_->bytes;
+        }
         lock.forEach([&](const Shard &shard) {
             stats.entries += static_cast<long>(shard.map.size());
             stats.bytes_est += shard.map.bytesEstimate();
@@ -550,6 +579,9 @@ class BoundedCache
     void forEach(Fn &&fn) const
     {
         AllShards<false> lock(*this);
+        if (imported_)
+            for (const auto &[key, value] : imported_->entries)
+                fn(key, value);
         lock.forEach(
             [&](const Shard &shard) { shard.map.forEachResident(fn); });
     }
@@ -572,6 +604,74 @@ class BoundedCache
     struct alignas(64) PaddedShard : Shard
     {
     };
+
+    /**
+     * The entries of a bulk import into an empty unbounded cache, kept
+     * as imported: the imported vector itself, found through a flat
+     * open-addressing index over it, with no map node per entry (a
+     * warm start adopts a snapshot block this way). A key lives here
+     * or in a shard, never in both. Set and dropped only under every
+     * shard's exclusive lock and read under any one shard's lock; a
+     * budget moves its entries into the inline shard.
+     */
+    struct Imported
+    {
+        /// Indexes `imported`, dropping each repeat of an earlier key;
+        /// `map` estimates each entry's bytes.
+        Imported(std::vector<std::pair<Key, Value>> imported,
+                 const LruMap<Key, Value, Hash, Equal> &map)
+            : entries(std::move(imported)),
+              slots(std::bit_ceil(2 * entries.size() + 2), 0)
+        {
+            std::size_t kept = 0;
+            for (std::size_t i = 0; i < entries.size(); ++i) {
+                std::uint32_t &slot = slots[slotOf(entries[i].first)];
+                if (slot != 0)
+                    continue;
+                if (kept != i)
+                    entries[kept] = std::move(entries[i]);
+                slot = static_cast<std::uint32_t>(++kept);
+                bytes += map.estimateBytes(entries[kept - 1].first,
+                                           entries[kept - 1].second);
+            }
+            entries.erase(entries.begin() + static_cast<long>(kept),
+                          entries.end());
+        }
+
+        /// Where `key` is in slots (linear probing): its slot, or the
+        /// empty one it would take.
+        template <typename K>
+        std::size_t slotOf(const K &key) const
+        {
+            const std::size_t mask = slots.size() - 1;
+            std::size_t i = Hash{}(key) & mask;
+            while (slots[i] != 0 &&
+                   !Equal{}(entries[slots[i] - 1].first, key))
+                i = (i + 1) & mask;
+            return i;
+        }
+
+        template <typename K>
+        const Value *find(const K &key) const
+        {
+            const std::uint32_t slot = slots[slotOf(key)];
+            return slot != 0 ? &entries[slot - 1].second : nullptr;
+        }
+
+        std::vector<std::pair<Key, Value>> entries;
+        /// Entry index + 1 per slot, 0 = empty; more than twice as
+        /// many slots as entries, a power of two.
+        std::vector<std::uint32_t> slots;
+        long bytes = 0;
+    };
+
+    /// The imported entry of `key`, if any; the caller holds a shard's
+    /// lock.
+    template <typename K>
+    const Value *findImported(const K &key) const
+    {
+        return imported_ ? imported_->find(key) : nullptr;
+    }
 
     /**
      * Every allocated shard's lock, shared or exclusive, taken in index
@@ -668,8 +768,9 @@ class BoundedCache
         }
     }
 
-    /// Spreads an unbounded one-shard cache over its shards before an
-    /// insert (see the class comment); a no-op for a one-shard cache.
+    /// Spreads an unbounded one-shard cache over its shards before it
+    /// stores an entry in a shard (see the class comment); a no-op for
+    /// a one-shard cache.
     void spreadIfDue()
     {
         if (shards_ == 1 || bounded() ||
@@ -693,8 +794,8 @@ class BoundedCache
     }
 
     /// Applies capacity_ and max_bytes_ to the inline shard, first
-    /// folding a spread cache into it when a budget applies. Caller
-    /// holds every shard's exclusive lock.
+    /// folding a spread cache, and any imported entries, into it when
+    /// a budget applies. Caller holds every shard's exclusive lock.
     void rebudgetLocked()
     {
         if (bounded() && active_.load(std::memory_order_relaxed) > 1) {
@@ -702,6 +803,11 @@ class BoundedCache
                 rest_[s - 1].map.moveEntries(
                     [&](const Key &) { return &first_.map; });
             active_.store(1, std::memory_order_release);
+        }
+        if (bounded() && imported_) {
+            for (auto &[key, value] : imported_->entries)
+                first_.map.insert(std::move(key), std::move(value));
+            imported_.reset();
         }
         first_.map.setCapacity(static_cast<std::size_t>(capacity_.load()));
         first_.map.setMaxBytes(max_bytes_.load());
@@ -715,6 +821,8 @@ class BoundedCache
     /// Shards 1 .. shards_-1, allocated on the first spread and kept
     /// for the cache's lifetime (a reader may still hold a pointer).
     std::unique_ptr<PaddedShard[]> rest_;
+    /// The adopted bulk import, if any (see Imported).
+    std::unique_ptr<Imported> imported_;
     std::atomic<long> capacity_{0};
     std::atomic<long> max_bytes_{0};
 };

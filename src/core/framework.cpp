@@ -89,34 +89,46 @@ TempFramework::exportMemos() const
 bool
 TempFramework::importMemos(persist::MemoBlock block) const
 {
-    // Each distinct group of the block is checked against this wafer,
-    // in the order the tasks first name them; then all of them are
-    // re-interned into its table in one call, in that order, and every
-    // task swaps handles. A block naming a die this wafer lacks
-    // imports nothing.
+    // A block naming a die this wafer lacks imports nothing. A wafer
+    // that has interned no group yet (a fresh framework) adopts the
+    // block's table whole, so every step task keeps its handle.
+    // Otherwise each distinct group is re-interned into the wafer's
+    // table in one call, in the order the tasks first name them, and
+    // every task swaps handles.
+    hw::DieGroupTable *const from = block.groups.get();
     const int dies = wafer_->dieCount();
-    constexpr std::size_t kUnseen = static_cast<std::size_t>(-1);
-    std::vector<std::size_t> slot(
-        block.groups != nullptr ? block.groups->size() : 0, kUnseen);
-    std::vector<std::span<const hw::DieId>> distinct;
-    for (const auto &[key, cell] : block.cells)
-        for (const net::CollectiveTask &task : cell.step_tasks) {
-            if (task.group->table != block.groups.get())
-                panic("importMemos: a step task outside the block's groups");
-            std::size_t &mine = slot[task.group->index];
-            if (mine != kUnseen)
-                continue;
-            for (hw::DieId die : task.group->dies)
-                if (die < 0 || die >= dies)
-                    return false;
-            mine = distinct.size();
-            distinct.emplace_back(task.group->dies);
-        }
-    std::vector<const hw::DieGroup *> local(distinct.size());
-    wafer_->topology().dieGroups().internAll(distinct, local);
-    for (auto &[key, cell] : block.cells)
-        for (net::CollectiveTask &task : cell.step_tasks)
-            task.group = local[slot[task.group->index]];
+    const auto on_wafer = [dies](const hw::DieGroup &group) {
+        return std::ranges::all_of(group.dies, [dies](hw::DieId die) {
+            return die >= 0 && die < dies;
+        });
+    };
+    if (from != nullptr && !from->allOf(on_wafer))
+        return false;
+    hw::DieGroupTable &groups = wafer_->topology().dieGroups();
+    // Only an unshared table may move: a copy of the block would keep
+    // handles this wafer then owns.
+    if (block.groups.use_count() != 1 || !groups.adopt(*from)) {
+        constexpr std::size_t kUnseen = static_cast<std::size_t>(-1);
+        std::vector<std::size_t> slot(from != nullptr ? from->size() : 0,
+                                      kUnseen);
+        std::vector<std::span<const hw::DieId>> distinct;
+        for (const auto &[key, cell] : block.cells)
+            for (const net::CollectiveTask &task : cell.step_tasks) {
+                if (task.group->table != from)
+                    panic("importMemos: a step task outside the block's "
+                          "groups");
+                std::size_t &mine = slot[task.group->index];
+                if (mine == kUnseen) {
+                    mine = distinct.size();
+                    distinct.emplace_back(task.group->dies);
+                }
+            }
+        std::vector<const hw::DieGroup *> local(distinct.size());
+        groups.internAll(distinct, local);
+        for (auto &[key, cell] : block.cells)
+            for (net::CollectiveTask &task : cell.step_tasks)
+                task.group = local[slot[task.group->index]];
+    }
     sim_->costModel().importCells(std::move(block.cells));
     steps_->importCached(std::move(block.step_reports));
     return true;

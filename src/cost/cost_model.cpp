@@ -122,14 +122,14 @@ OpCellKeyHash::operator()(const OpCellKey &key) const
 }
 
 /**
- * The lock shards of each unbounded memo for `width` concurrent
- * callers: one for a serial caller, else eight per caller (16 at width
- * 2), so two callers rarely meet on one lock.
+ * The lock shards of each unbounded memo: one for a serial caller, 16
+ * when evaluator threads share the memos, so two of them rarely meet
+ * on one lock (16 is the count measured at width 2).
  */
 unsigned
-memoShards(int width)
+memoShards(bool threaded)
 {
-    return width > 1 ? 8u * static_cast<unsigned>(width) : 1u;
+    return threaded ? 16u : 1u;
 }
 
 /// The cost model's exact memos; the fault listener clears them all.
@@ -224,7 +224,7 @@ WaferCostModel::Memos &
 WaferCostModel::memos() const
 {
     std::call_once(memos_once_, [this] {
-        memos_ = std::make_unique<Memos>(memoShards(memo_width_.load()));
+        memos_ = std::make_unique<Memos>(memoShards(memos_threaded_.load()));
     });
     return *memos_;
 }
@@ -232,10 +232,8 @@ WaferCostModel::memos() const
 void
 WaferCostModel::shardMemosFor(int threads) const
 {
-    int width = memo_width_.load();
-    while (threads > width &&
-           !memo_width_.compare_exchange_weak(width, threads)) {
-    }
+    if (threads > 1)
+        memos_threaded_.store(true);
 }
 
 common::CacheStats
@@ -444,20 +442,22 @@ WaferCostModel::importCells(
     std::vector<std::pair<OpCellKey, OpCell>> cells) const
 {
     auto &memo = memos().cells;
+    std::vector<std::pair<OpCellKey, std::shared_ptr<const OpCell>>> entries;
+    entries.reserve(cells.size());
     if (memo.bounded()) {
-        memo.insertAll(cells.size(), [&](std::size_t i) {
-            return std::pair(cells[i].first, std::make_shared<const OpCell>(
-                                                 std::move(cells[i].second)));
-        });
-        return;
+        for (auto &[key, cell] : cells)
+            entries.emplace_back(
+                key, std::make_shared<const OpCell>(std::move(cell)));
+    } else {
+        // One allocation owns every cell; the entries alias into it.
+        const auto owner =
+            std::make_shared<const std::vector<std::pair<OpCellKey, OpCell>>>(
+                std::move(cells));
+        for (const auto &[key, cell] : *owner)
+            entries.emplace_back(key,
+                                 std::shared_ptr<const OpCell>(owner, &cell));
     }
-    const auto owner =
-        std::make_shared<const std::vector<std::pair<OpCellKey, OpCell>>>(
-            std::move(cells));
-    memo.insertAll(owner->size(), [&](std::size_t i) {
-        const auto &[key, cell] = (*owner)[i];
-        return std::pair(key, std::shared_ptr<const OpCell>(owner, &cell));
-    });
+    memo.insertAll(std::move(entries));
 }
 
 void

@@ -260,11 +260,11 @@ class WaferCostModel
 
     /**
      * Sizes the memos' lock shards for `threads` concurrent callers;
-     * the evaluators call it with their pool's width when built. The
-     * widest call before the memos' first use decides, and later calls
-     * change nothing. Width 1 (and every memo under a budget) keeps
-     * one inline shard; a wider pool gets eight shards per thread (16
-     * at width 2), so a batch's threads rarely queue on one memo lock.
+     * the evaluators call it with their pool's width when built. Any
+     * call with more than one thread before the memos' first use gives
+     * every unbounded memo 16 shards, so a batch's threads rarely queue
+     * on one memo lock; otherwise (and under a budget) a memo keeps
+     * one inline shard. Calls after the first use change nothing.
      */
     void shardMemosFor(int threads) const;
 
@@ -353,8 +353,8 @@ class WaferCostModel
     tcme::TrafficOptimizer optimizer_;
     mutable std::once_flag memos_once_;
     mutable std::unique_ptr<Memos> memos_;
-    /// The widest shardMemosFor() before the memos' first use.
-    mutable std::atomic<int> memo_width_{1};
+    /// Whether a shardMemosFor() call named more than one thread.
+    mutable std::atomic<bool> memos_threaded_{false};
     /// Registration id of the wafer fault listener that clears the
     /// memos and the route epoch and re-snapshots
     /// the contention model on setFaults().

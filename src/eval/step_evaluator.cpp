@@ -89,22 +89,7 @@ StepEvaluator::evaluate(const model::ComputeGraph &graph,
                         const std::vector<ParallelSpec> &per_op_specs,
                         common::BudgetGauge *gauge)
 {
-    // evaluateBatch() of one assignment, without the batch's copy of
-    // it, its dedup table and its slot vectors: the refiners ask one
-    // genome at a time, so this is the warm answer's hot path. Charges
-    // and counts exactly as the batch does.
-    if (gauge != nullptr)
-        gauge->charge(1);
-    std::string key;
-    appendStepKey(key, model::graphFingerprint(graph), per_op_specs);
-    if (auto cached = cache_.get(key)) {
-        ++cache_hits_;
-        return std::move(*cached);
-    }
-    sim::PerfReport report = sim_.simulate(graph, per_op_specs);
-    cache_.insert(std::move(key), report);
-    ++sims_;
-    return report;
+    return evaluateBatch(graph, {per_op_specs}, gauge).front();
 }
 
 sim::PerfReport

@@ -161,9 +161,7 @@ class StepEvaluator
     void importCached(std::vector<std::pair<std::string, sim::PerfReport>>
                           reports)
     {
-        cache_.insertAll(reports.size(), [&](std::size_t i) {
-            return std::move(reports[i]);
-        });
+        cache_.insertAll(std::move(reports));
     }
 
     const sim::TrainingSimulator &simulator() const { return sim_; }

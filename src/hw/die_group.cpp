@@ -85,6 +85,21 @@ DieGroupTable::addLocked(const Probe &probe)
     return handle;
 }
 
+bool
+DieGroupTable::adopt(DieGroupTable &from)
+{
+    if (&from == this)
+        return false;
+    std::scoped_lock lock(mutex_, from.mutex_);
+    if (!groups_.empty())
+        return false;
+    groups_.swap(from.groups_);
+    index_.swap(from.index_);
+    for (const std::unique_ptr<DieGroup> &group : groups_)
+        group->table = this;
+    return true;
+}
+
 std::size_t
 DieGroupTable::size() const
 {

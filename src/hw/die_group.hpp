@@ -18,6 +18,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <shared_mutex>
 #include <span>
 #include <unordered_set>
@@ -75,8 +76,28 @@ class DieGroupTable
     void internAll(std::span<const std::span<const DieId>> groups,
                    std::span<const DieGroup *> out);
 
+    /**
+     * Moves every group of `from` into this table, which must be
+     * empty: each keeps its handle, contents and index, and names this
+     * table from then on; `from` is left empty. A table that already
+     * holds a group takes nothing and returns false. Handles of `from`
+     * held elsewhere then live as long as this table.
+     */
+    bool adopt(DieGroupTable &from);
+
     /// Groups interned so far.
     std::size_t size() const;
+
+    /// Whether pred(group) holds for every group interned so far.
+    template <typename Pred>
+    bool allOf(Pred &&pred) const
+    {
+        std::shared_lock<std::shared_mutex> lock(mutex_);
+        for (const std::unique_ptr<DieGroup> &group : groups_)
+            if (!pred(*group))
+                return false;
+        return true;
+    }
 
   private:
     /// Non-owning probe so a resident lookup copies nothing.

@@ -26,32 +26,16 @@ fillLinkMask(Route &route)
                 std::uint64_t{1} << (static_cast<unsigned>(link) & 63);
 }
 
-/// The byte estimate of one stored route.
-long
-routeBytes(const Route &route)
-{
-    return static_cast<long>(sizeof(Route) +
-                             route.links.size() * sizeof(LinkId));
-}
-
 }  // namespace
 
-/// One route epoch's routes and lookup table. Every stored route keeps
-/// its address for the storage's lifetime, so each RouteRef and
-/// candidate span handed out stays valid that long. The table is one
-/// dense (src, dst) array of slots, allocated with the epoch (24 bytes
-/// a pair: 24 KiB on a 32-die wafer); a slot is filled once, by a
-/// compare-exchange from null, and owns what it holds.
+/// One route epoch's routes and lookup table. Routes are append-only:
+/// deques never move their elements, so every RouteRef and candidate
+/// span handed out stays valid for the storage's lifetime. The table
+/// is one dense (src, dst) array of slots, allocated with the epoch
+/// (24 bytes a pair: 24 KiB on a 32-die wafer); a filled slot never
+/// changes.
 struct RouteEpoch
 {
-    /// A memoized candidateRouteRefs() list: the routes and their
-    /// handles.
-    struct Candidates
-    {
-        std::vector<Route> routes;
-        std::vector<RouteRef> refs;  ///< into routes
-    };
-
     /// The memoized lookups of one (src, dst) pair.
     struct Slot
     {
@@ -59,65 +43,24 @@ struct RouteEpoch
         /// the destination is unreachable.
         std::atomic<const Route *> safe[2];
         /// candidateRouteRefs().
-        std::atomic<const Candidates *> candidates;
+        std::atomic<const std::vector<RouteRef> *> candidates;
     };
 
     explicit RouteEpoch(int die_count)
         : dies(die_count),
-          slots(std::make_unique<Slot[]>(slotCount())),
+          slots(std::make_unique<Slot[]>(static_cast<std::size_t>(dies) *
+                                         static_cast<std::size_t>(dies))),
           bytes(static_cast<long>(sizeof(Slot)) * dies * dies)
     {
     }
 
-    ~RouteEpoch()
-    {
-        for (std::size_t i = 0; i < slotCount(); ++i) {
-            for (const std::atomic<const Route *> &safe : slots[i].safe)
-                if (const Route *route = safe.load(std::memory_order_relaxed);
-                    route != &kUnreachable)
-                    delete route;
-            delete slots[i].candidates.load(std::memory_order_relaxed);
-        }
-    }
-
-    RouteEpoch(const RouteEpoch &) = delete;
-    RouteEpoch &operator=(const RouteEpoch &) = delete;
-
-    /// Stores an ad-hoc route. Caller holds the router's lock
-    /// exclusively.
     RouteRef add(Route route)
     {
-        bytes += routeBytes(route);
+        bytes += static_cast<long>(sizeof(Route) +
+                                   route.links.size() * sizeof(LinkId));
         fillLinkMask(route);
         routes.push_back(std::move(route));
         return RouteRef(&routes.back());
-    }
-
-    /**
-     * Fills an empty slot with `value` by one compare-exchange, so a
-     * miss publishes without the router's lock. Returns what the slot
-     * holds: `value` when this call filled it (counting `value_bytes`;
-     * `owned`, if set, is handed to the slot), else what a racing miss
-     * stored first (and `owned` is freed).
-     */
-    template <typename T>
-    const T *publish(std::atomic<const T *> &slot, const T *value,
-                     std::unique_ptr<T> owned, long value_bytes)
-    {
-        const T *resident = nullptr;
-        if (!slot.compare_exchange_strong(resident, value,
-                                          std::memory_order_acq_rel,
-                                          std::memory_order_acquire))
-            return resident;
-        owned.release();
-        bytes += value_bytes;
-        ++entries;
-        return value;
-    }
-
-    std::size_t slotCount() const
-    {
-        return static_cast<std::size_t>(dies) * static_cast<std::size_t>(dies);
     }
 
     bool contains(DieId src, DieId dst) const
@@ -127,7 +70,8 @@ struct RouteEpoch
     }
 
     /// The filled-or-empty slot of (src, dst), or null when the pair is
-    /// out of range. Lock-free.
+    /// out of range. Reading it is lock-free; filling it needs the
+    /// router's lock held exclusively.
     Slot *find(DieId src, DieId dst) const
     {
         if (!contains(src, dst))
@@ -137,8 +81,9 @@ struct RouteEpoch
                       static_cast<std::size_t>(dst)];
     }
 
-    /// The slot of (src, dst), which must be in range.
-    Slot &slot(DieId src, DieId dst) const
+    /// The slot of (src, dst). Caller holds the router's lock
+    /// exclusively.
+    Slot &slotLocked(DieId src, DieId dst)
     {
         Slot *slot = find(src, dst);
         if (slot == nullptr)
@@ -149,10 +94,10 @@ struct RouteEpoch
 
     const int dies;
     std::unique_ptr<Slot[]> slots;  ///< dies x dies, row-major by src
-    std::deque<Route> routes;       ///< ad-hoc routes (Router::intern)
-    std::atomic<long> entries{0};   ///< filled slots
-    /// Estimate of slots + stored routes + candidate lists.
-    std::atomic<long> bytes;
+    std::deque<Route> routes;
+    std::deque<std::vector<RouteRef>> candidate_lists;
+    long entries = 0;  ///< filled slots (safe routes + candidate lists)
+    long bytes = 0;    ///< estimate of slots + routes + candidate lists
 };
 
 Router::Router(const hw::MeshTopology &topo, const hw::FaultMap *faults)
@@ -349,15 +294,6 @@ Router::currentLocked() const
     return *epoch_;
 }
 
-RouteEpoch &
-Router::current() const
-{
-    if (RouteEpoch *epoch = live_.load(std::memory_order_acquire))
-        return *epoch;
-    std::unique_lock<std::shared_mutex> lock(mutex_);
-    return currentLocked();
-}
-
 RouteRef
 Router::safeRouteRef(DieId src, DieId dst, RoutePolicy policy) const
 {
@@ -374,17 +310,16 @@ Router::safeRouteRef(DieId src, DieId dst, RoutePolicy policy) const
         }
     }
     pool_misses_.fetch_add(1, std::memory_order_relaxed);
-    std::unique_ptr<Route> mine;
-    long bytes = 0;
-    if (std::optional<Route> found = safeRoute(src, dst, policy)) {
-        bytes = routeBytes(*found);
-        mine = std::make_unique<Route>(std::move(*found));
-        fillLinkMask(*mine);
+    std::optional<Route> found = safeRoute(src, dst, policy);
+    std::unique_lock<std::shared_mutex> lock(mutex_);
+    RouteEpoch &epoch = currentLocked();
+    std::atomic<const Route *> &slot = epoch.slotLocked(src, dst).safe[p];
+    const Route *route = slot.load(std::memory_order_relaxed);
+    if (route == nullptr) {  // else a racing miss stored it first
+        route = found ? &epoch.add(std::move(*found)).get() : &kUnreachable;
+        slot.store(route, std::memory_order_release);
+        ++epoch.entries;
     }
-    RouteEpoch &epoch = current();
-    const Route *value = mine ? mine.get() : &kUnreachable;
-    const Route *route = epoch.publish(epoch.slot(src, dst).safe[p], value,
-                                       std::move(mine), bytes);
     return route == &kUnreachable ? RouteRef() : RouteRef(route);
 }
 
@@ -412,31 +347,32 @@ Router::candidateRouteRefs(DieId src, DieId dst) const
 {
     if (const RouteEpoch *epoch = live_.load(std::memory_order_acquire)) {
         if (const RouteEpoch::Slot *slot = epoch->find(src, dst)) {
-            const RouteEpoch::Candidates *list =
+            const std::vector<RouteRef> *refs =
                 slot->candidates.load(std::memory_order_acquire);
-            if (list != nullptr) {
+            if (refs != nullptr) {
                 pool_hits_.fetch_add(1, std::memory_order_relaxed);
-                return list->refs;
+                return *refs;
             }
         }
     }
     pool_misses_.fetch_add(1, std::memory_order_relaxed);
-    auto mine = std::make_unique<RouteEpoch::Candidates>();
-    mine->routes = candidateRoutes(src, dst);
-    mine->refs.reserve(mine->routes.size());
-    long bytes = static_cast<long>(sizeof(mine->refs) +
-                                   mine->routes.size() * sizeof(RouteRef));
-    for (Route &r : mine->routes) {
-        bytes += routeBytes(r);
-        fillLinkMask(r);
-        mine->refs.push_back(RouteRef(&r));
-    }
-    RouteEpoch &epoch = current();
-    const RouteEpoch::Candidates *value = mine.get();
-    return epoch
-        .publish(epoch.slot(src, dst).candidates, value, std::move(mine),
-                 bytes)
-        ->refs;
+    std::vector<Route> routes = candidateRoutes(src, dst);
+    std::unique_lock<std::shared_mutex> lock(mutex_);
+    RouteEpoch &epoch = currentLocked();
+    std::atomic<const std::vector<RouteRef> *> &slot =
+        epoch.slotLocked(src, dst).candidates;
+    if (const std::vector<RouteRef> *refs =
+            slot.load(std::memory_order_relaxed))
+        return *refs;  // a racing miss stored it first
+    std::vector<RouteRef> &refs = epoch.candidate_lists.emplace_back();
+    refs.reserve(routes.size());
+    for (Route &r : routes)
+        refs.push_back(epoch.add(std::move(r)));
+    epoch.bytes += static_cast<long>(sizeof(refs) +
+                                     refs.size() * sizeof(RouteRef));
+    slot.store(&refs, std::memory_order_release);
+    ++epoch.entries;
+    return refs;
 }
 
 RouteRef
@@ -479,8 +415,8 @@ Router::poolStats() const
     std::shared_lock<std::shared_mutex> lock(mutex_);
     common::CacheStats stats;
     if (epoch_ != nullptr) {
-        stats.entries = epoch_->entries.load();
-        stats.bytes_est = epoch_->bytes.load();
+        stats.entries = epoch_->entries;
+        stats.bytes_est = epoch_->bytes;
     }
     stats.hits = pool_hits_.load();
     stats.misses = pool_misses_.load();

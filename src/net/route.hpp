@@ -169,8 +169,7 @@ class Router
      * Memoized safeRoute(): the hot path of collective lowering.
      * Returns an invalid (empty) ref when the destination is
      * unreachable. The route lives in the current route epoch's
-     * storage. Thread-safe; a hit takes no lock, and a miss fills its
-     * slot by compare-exchange (see live_).
+     * storage. Thread-safe; a hit takes no lock (see live_).
      */
     RouteRef safeRouteRef(DieId src, DieId dst,
                           RoutePolicy policy = RoutePolicy::XY) const;
@@ -237,24 +236,20 @@ class Router
     /// construction or newEpoch(). Caller must hold mutex_ exclusively.
     RouteEpoch &currentLocked() const;
 
-    /// currentLocked() without the lock once the epoch is live (the
-    /// lookup misses' path).
-    RouteEpoch &current() const;
-
     const hw::MeshTopology &topo_;
     const hw::FaultMap *faults_;
 
-    /// Guards epoch_ and the ad-hoc routes intern() appends to its
-    /// storage. Lookup misses take it only to start an epoch: they fill
-    /// a slot by compare-exchange. Storage is append-only with stable
-    /// addresses, so handed-out refs never move.
+    /// Guards epoch_ and appends to the storage it points to: misses
+    /// and interning append under the exclusive lock. Storage is
+    /// append-only with stable addresses, so handed-out refs never
+    /// move.
     mutable std::shared_mutex mutex_;
     mutable std::shared_ptr<RouteEpoch> epoch_;
-    /// epoch_ published for lock-free lookups: a hit is an acquire load
-    /// of this and of the slot, and a miss fills the empty slot by one
-    /// compare-exchange. newEpoch() clears it before releasing the
-    /// storage.
-    mutable std::atomic<RouteEpoch *> live_{nullptr};
+    /// epoch_ published for lock-free hits: a hit is an acquire load
+    /// of this, of its source's row and of the slot, all filled under
+    /// the exclusive lock and stored with release. newEpoch() clears
+    /// it before releasing the storage.
+    mutable std::atomic<const RouteEpoch *> live_{nullptr};
     /// Every epoch started, for liveEpochs() (pruned as they expire).
     mutable std::vector<std::weak_ptr<const RouteEpoch>> epochs_;
     /// One route per link, built on the first linkRoute().

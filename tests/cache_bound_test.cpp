@@ -258,9 +258,10 @@ TEST(ShardedBoundedCache, EveryOperationReachesEveryShard)
 
     // insertAll fills every shard of a spread cache; resident values
     // win.
-    cache.insertAll(128, [](std::size_t i) {
-        return std::pair(static_cast<int>(i), static_cast<int>(i) + 2000);
-    });
+    std::vector<std::pair<int, int>> more;
+    for (int i = 0; i < 128; ++i)
+        more.emplace_back(i, i + 2000);
+    cache.insertAll(std::move(more));
     EXPECT_EQ(cache.size(), 128u);
     for (int i = 0; i < 128; ++i)
         EXPECT_EQ(cache.get(i).value_or(-1), i < 64 ? i + 1000 : i + 2000);
@@ -279,12 +280,13 @@ TEST(ShardedBoundedCache, EveryOperationReachesEveryShard)
     for (int i = 0; i < 128; ++i)
         EXPECT_FALSE(cache.get(i).has_value());
 
-    // A bulk import leaves a fresh cache in its inline shard; the next
-    // insert spreads it, moving every imported entry to its shard.
+    // A bulk import into a fresh cache reaches every shard as inserts
+    // do.
     common::BoundedCache<int, int> imported(0, 8);
-    imported.insertAll(50, [](std::size_t i) {
-        return std::pair(static_cast<int>(i), static_cast<int>(i) * 2);
-    });
+    std::vector<std::pair<int, int>> block;
+    for (int i = 0; i < 50; ++i)
+        block.emplace_back(i, i * 2);
+    imported.insertAll(std::move(block));
     imported.insert(1000, 1);
     EXPECT_EQ(imported.size(), 51u);
     EXPECT_EQ(imported.stats().bytes_est,
@@ -344,6 +346,101 @@ TEST(ShardedBoundedCache, BudgetKeepsTheExactEntryBudgetAndStrictLru)
     EXPECT_EQ(sharded.size(), 43u);
     for (const auto &[key, value] : a)
         EXPECT_EQ(sharded.get(key).value_or(-1), value);
+}
+
+TEST(ShardedBoundedCache, AnAdoptedImportActsLikeInsertedEntries)
+{
+    // A bulk import into an empty unbounded cache is adopted whole (no
+    // map node per entry); every operation must see its entries as if
+    // they had been inserted one by one, at one shard or many.
+    for (unsigned shards : {1u, 8u}) {
+        std::vector<std::pair<int, int>> block;
+        for (int i = 0; i < 40; ++i)
+            block.emplace_back(i, i * 3);
+        block.emplace_back(7, -1);  // a repeat: the first value wins
+        common::BoundedCache<int, int> adopted(0, shards);
+        common::BoundedCache<int, int> inserted(0, shards);
+        for (const auto &[key, value] : block)
+            inserted.insert(key, value);
+        adopted.insertAll(block);
+        for (common::BoundedCache<int, int> *cache : {&adopted, &inserted})
+            for (int i = 0; i < 50; ++i)
+                cache->get(i);  // 40 hits, 10 misses
+        const common::CacheStats a = adopted.stats();
+        const common::CacheStats b = inserted.stats();
+        EXPECT_EQ(a.entries, 40);
+        EXPECT_EQ(a.entries, b.entries);
+        EXPECT_EQ(a.bytes_est, b.bytes_est);
+        EXPECT_EQ(a.hits, b.hits);
+        EXPECT_EQ(a.misses, b.misses);
+        EXPECT_EQ(adopted.size(), 40u);
+        EXPECT_EQ(adopted.get(7).value_or(0), 21);
+
+        std::vector<int> keys;
+        for (int i = 0; i < 60; ++i)
+            keys.push_back(i);
+        std::vector<int> found(keys.size(), -1);
+        adopted.getAll(std::span<const int>(keys),
+                       [&](std::size_t i, int value) { found[i] = value; });
+        for (int i = 0; i < 60; ++i)
+            EXPECT_EQ(found[i], i < 40 ? i * 3 : -1) << i;
+
+        // An imported key is resident: insert() returns it.
+        EXPECT_EQ(adopted.insert(5, 99), std::pair(15, false));
+        EXPECT_EQ(adopted.insert(100, 1), std::pair(1, true));
+        // A second import meets a non-empty cache and goes entry by
+        // entry; resident values still win.
+        adopted.insertAll({{3, 0}, {200, 2}});
+        EXPECT_EQ(adopted.get(3).value_or(-1), 9);
+        EXPECT_EQ(adopted.get(200).value_or(-1), 2);
+        std::multiset<int> visited;
+        adopted.forEach([&](int key, int) { visited.insert(key); });
+        EXPECT_EQ(visited.size(), 42u);
+        EXPECT_EQ(std::set<int>(visited.begin(), visited.end()).size(), 42u);
+        EXPECT_EQ(adopted.stats().entries, 42);
+
+        adopted.clear();
+        EXPECT_EQ(adopted.size(), 0u);
+        EXPECT_EQ(adopted.stats().bytes_est, 0);
+        EXPECT_FALSE(adopted.get(3).has_value());
+        // Empty again: the next import is adopted anew.
+        adopted.insertAll({{4, 40}});
+        EXPECT_EQ(adopted.get(4).value_or(-1), 40);
+    }
+}
+
+TEST(ShardedBoundedCache, ABudgetFoldsAnAdoptedImport)
+{
+    // A budget moves the adopted entries into the inline shard, so the
+    // exact entry budget and strict LRU hold over them too.
+    common::BoundedCache<int, int> cache(0, 8);
+    std::vector<std::pair<int, int>> block;
+    for (int i = 0; i < 10; ++i)
+        block.emplace_back(i, i);
+    cache.insertAll(std::move(block));
+    cache.setCapacity(4);
+    EXPECT_EQ(cache.size(), 4u);
+    EXPECT_EQ(cache.stats().entries, 4);
+    EXPECT_EQ(cache.stats().evictions, 6);
+    std::vector<int> survivors;
+    cache.forEach([&](int key, int) { survivors.push_back(key); });
+    ASSERT_EQ(survivors.size(), 4u);
+    ASSERT_TRUE(cache.get(survivors[0]).has_value());  // now MRU
+    for (int i = 100; i < 103; ++i)
+        cache.insert(i, i);  // evicts the three untouched survivors
+    EXPECT_EQ(cache.size(), 4u);
+    EXPECT_TRUE(cache.get(survivors[0]).has_value());
+    for (int k = 1; k < 4; ++k)
+        EXPECT_FALSE(cache.get(survivors[k]).has_value());
+    // A bounded cache never adopts: an import into it evicts as it
+    // goes.
+    common::BoundedCache<int, int> bounded(3, 8);
+    std::vector<std::pair<int, int>> more;
+    for (int i = 0; i < 10; ++i)
+        more.emplace_back(i, i);
+    bounded.insertAll(std::move(more));
+    EXPECT_EQ(bounded.size(), 3u);
+    EXPECT_EQ(bounded.stats().evictions, 7);
 }
 
 TEST(ShardedBoundedCache, RacingInsertsAndGetsLoseNoEntry)

@@ -182,9 +182,8 @@ TEST_F(EvalTest, BatchDeterministicAcrossThreadCounts)
         ExactEvaluator evaluator(sim.costModel(), &pool);
         runs.push_back(evaluator.evaluateBatch(graph_, requests));
         // The memos take their lock shards from the pool's width: one
-        // inline shard for a serial pool, eight per thread otherwise.
-        EXPECT_EQ(sim.costModel().memoShardCount(),
-                  threads > 1 ? 8u * static_cast<unsigned>(threads) : 1u);
+        // inline shard for a serial pool, 16 otherwise.
+        EXPECT_EQ(sim.costModel().memoShardCount(), threads > 1 ? 16u : 1u);
         EXPECT_EQ(evaluator.stats().measurements,
                   static_cast<long>(requests.size()));
         EXPECT_EQ(evaluator.stats().layouts_built,
@@ -433,8 +432,7 @@ TEST_F(EvalTest, StepBatchDeterministicAcrossThreadCountsAndDedups)
         const sim::TrainingSimulator sim(wafer_, sim_.costModel().policy());
         StepEvaluator steps(sim, &pool);
         runs.push_back(steps.evaluateBatch(graph_, generation));
-        EXPECT_EQ(sim.costModel().memoShardCount(),
-                  threads > 1 ? 8u * static_cast<unsigned>(threads) : 1u);
+        EXPECT_EQ(sim.costModel().memoShardCount(), threads > 1 ? 16u : 1u);
         EXPECT_EQ(steps.stats().sims, unique);
         EXPECT_EQ(steps.stats().cache_hits, total - unique);
         // The memo files each report under its stepKey (snapshots

@@ -363,6 +363,46 @@ TEST(DieGroups, InternAllMatchesIntern)
     }
 }
 
+TEST(DieGroups, AdoptMovesEveryGroupIntoAnEmptyTable)
+{
+    hw::DieGroupTable from;
+    const std::vector<hw::DieId> a{0, 1, 2, 3};
+    const std::vector<hw::DieId> b{4, 5};
+    const hw::DieGroup *ga = from.intern(a);
+    const hw::DieGroup *gb = from.intern(b);
+
+    // An empty table takes every group: same handles, same indices,
+    // and the groups name it from then on.
+    hw::DieGroupTable into;
+    ASSERT_TRUE(into.adopt(from));
+    EXPECT_EQ(from.size(), 0u);
+    EXPECT_EQ(into.size(), 2u);
+    EXPECT_EQ(ga->table, &into);
+    EXPECT_EQ(gb->table, &into);
+    EXPECT_EQ(ga->index, 0u);
+    EXPECT_EQ(gb->index, 1u);
+    EXPECT_EQ(into.intern(a), ga);
+    EXPECT_EQ(into.intern(b), gb);
+    const std::vector<hw::DieId> c{6, 7, 8};
+    EXPECT_EQ(into.intern(c)->index, 2u);
+    EXPECT_TRUE(into.allOf(
+        [](const hw::DieGroup &group) { return !group.dies.empty(); }));
+    EXPECT_FALSE(into.allOf(
+        [](const hw::DieGroup &group) { return group.size() < 3; }));
+
+    // A table holding any group takes nothing.
+    hw::DieGroupTable other;
+    const hw::DieGroup *gc = other.intern(c);
+    EXPECT_FALSE(into.adopt(other));
+    EXPECT_FALSE(into.adopt(into));
+    EXPECT_EQ(other.size(), 1u);
+    EXPECT_EQ(gc->table, &other);
+    EXPECT_EQ(into.size(), 3u);
+    // The emptied table interns afresh.
+    EXPECT_EQ(from.intern(a)->index, 0u);
+    EXPECT_NE(from.intern(a), ga);
+}
+
 TEST(DieGroups, FaultChangesNeverClearTheTable)
 {
     Wafer wafer(WaferConfig::paperDefault());

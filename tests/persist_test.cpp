@@ -499,6 +499,76 @@ TEST(FrameworkImport, ImportedCellsAnswerAndReexportWithOrWithoutBudget)
     EXPECT_EQ(small_result.step_time_s, cold_result.step_time_s);
 }
 
+TEST(FrameworkImport, FreshFrameworkAdoptsTheBlockGroupsAndCells)
+{
+    // A decoded block moved into a fresh framework is adopted whole:
+    // the step tasks keep their die-group handles, which now belong to
+    // the wafer's table. A framework that has interned groups already
+    // re-interns them instead. Both answer like the cold framework.
+    const api::OptimizeRequest request = testRequest();
+    core::TempFramework cold(request.wafer, request.options);
+    const solver::SolverResult cold_result = cold.optimize(request.model);
+    Snapshot exported;
+    exported.blocks.push_back(cold.exportMemos());
+    const std::string bytes = encodeSnapshot(exported);
+
+    Snapshot decoded;
+    std::string why;
+    ASSERT_TRUE(decodeSnapshot(bytes, &decoded, &why)) << why;
+    MemoBlock block = std::move(decoded.blocks[0]);
+    std::size_t first = 0;
+    while (first < block.cells.size() &&
+           block.cells[first].second.step_tasks.empty())
+        ++first;
+    ASSERT_LT(first, block.cells.size());
+    const cost::OpCellKey key = block.cells[first].first;
+    const hw::DieGroup *handle =
+        block.cells[first].second.step_tasks.front().group;
+    const std::size_t groups = block.groups->size();
+
+    core::TempFramework warm(request.wafer, request.options);
+    ASSERT_TRUE(warm.importMemos(std::move(block)));
+    const hw::DieGroupTable &table = warm.wafer().topology().dieGroups();
+    EXPECT_EQ(table.size(), groups);
+    const auto cell = warm.simulator().costModel().findCell(
+        key.graph_fp, key.op_index, key.spec);
+    ASSERT_NE(cell, nullptr);
+    EXPECT_EQ(cell->step_tasks.front().group, handle);
+    EXPECT_EQ(handle->table, &table);
+    Snapshot again;
+    again.blocks.push_back(warm.exportMemos());
+    EXPECT_TRUE(encodeSnapshot(again) == bytes);
+    const solver::SolverResult warm_result = warm.optimize(request.model);
+    EXPECT_EQ(warm_result.matrix_measurements, 0);
+    EXPECT_EQ(warm_result.step_sims, 0);
+    EXPECT_EQ(warm_result.per_op_specs, cold_result.per_op_specs);
+    EXPECT_EQ(warm_result.step_time_s, cold_result.step_time_s);
+
+    // A framework whose wafer has interned groups already (it solved
+    // another batch size, so its cell memo lacks the block's keys)
+    // re-interns the block's groups: the imported cell names the
+    // wafer's handle, not the block's.
+    model::ModelConfig other = request.model;
+    other.batch *= 2;
+    core::TempFramework busy(request.wafer, request.options);
+    busy.optimize(other);
+    const hw::DieGroupTable &busy_table = busy.wafer().topology().dieGroups();
+    ASSERT_GT(busy_table.size(), 0u);
+    Snapshot redecoded;
+    ASSERT_TRUE(decodeSnapshot(bytes, &redecoded, &why)) << why;
+    MemoBlock second = std::move(redecoded.blocks[0]);
+    const hw::DieGroup *foreign =
+        second.cells[first].second.step_tasks.front().group;
+    ASSERT_TRUE(busy.importMemos(std::move(second)));
+    const auto imported = busy.simulator().costModel().findCell(
+        key.graph_fp, key.op_index, key.spec);
+    ASSERT_NE(imported, nullptr);
+    EXPECT_NE(imported->step_tasks.front().group, foreign);
+    EXPECT_EQ(imported->step_tasks.front().group->table, &busy_table);
+    EXPECT_EQ(busy.optimize(request.model).per_op_specs,
+              cold_result.per_op_specs);
+}
+
 TEST(ServiceWarmStart, CorruptSnapshotColdStartsAndCounts)
 {
     TempFile file("corrupt.snap");
