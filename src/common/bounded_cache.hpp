@@ -22,7 +22,8 @@
  *    nothing, so a capacity of 0 — the default everywhere — keeps the
  *    pre-governance hot paths and their bit-exactness guarantees
  *    intact; bounded lookups upgrade to the exclusive lock to maintain
- *    recency.
+ *    recency. A bulk import into an empty unbounded cache is adopted
+ *    as one vector under a flat index instead of one node per entry.
  *  - CacheStats / CacheBudget: the per-cache counter snapshot every
  *    layer reports (CacheStatsRequest serializes them) and the knob
  *    struct config_io parses budgets into.

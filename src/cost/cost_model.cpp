@@ -122,15 +122,11 @@ OpCellKeyHash::operator()(const OpCellKey &key) const
 }
 
 /**
- * The lock shards of each unbounded memo: one for a serial caller, 16
- * when evaluator threads share the memos, so two of them rarely meet
- * on one lock (16 is the count measured at width 2).
+ * The lock shards of each unbounded memo when evaluator threads share
+ * the memos, so two of them rarely meet on one lock (the count measured
+ * at width 2); a serial caller's memos keep one.
  */
-unsigned
-memoShards(bool threaded)
-{
-    return threaded ? 16u : 1u;
-}
+constexpr unsigned kThreadedMemoShards = 16;
 
 /// The cost model's exact memos; the fault listener clears them all.
 struct WaferCostModel::Memos
@@ -224,7 +220,8 @@ WaferCostModel::Memos &
 WaferCostModel::memos() const
 {
     std::call_once(memos_once_, [this] {
-        memos_ = std::make_unique<Memos>(memoShards(memos_threaded_.load()));
+        memos_ = std::make_unique<Memos>(
+            memos_threaded_.load() ? kThreadedMemoShards : 1u);
     });
     return *memos_;
 }

@@ -443,6 +443,49 @@ TEST(ShardedBoundedCache, ABudgetFoldsAnAdoptedImport)
     EXPECT_EQ(bounded.stats().evictions, 7);
 }
 
+TEST(ShardedBoundedCache, AdoptionsRaceLookupsAndInsertsSafely)
+{
+    // Readers and writers race the main thread clearing the cache and
+    // adopting imports into it: every value read is the one its key
+    // maps to, and a key is never resident twice.
+    constexpr int kKeys = 256;
+    common::BoundedCache<int, int> cache(0, 8);
+    std::atomic<bool> stop{false};
+    std::vector<std::thread> threads;
+    for (int t = 0; t < 3; ++t) {
+        threads.emplace_back([&, t] {
+            for (int n = 0; !stop.load(); ++n) {
+                const int key = (n * 7 + t * 31) % kKeys;
+                if (const std::optional<int> value = cache.get(key)) {
+                    EXPECT_EQ(*value, key * 3);
+                }
+                EXPECT_EQ(cache.insert(key, key * 3).first, key * 3);
+            }
+        });
+    }
+    for (int round = 0; round < 200; ++round) {
+        cache.clear();
+        std::vector<std::pair<int, int>> block;
+        for (int key = round % 2; key < kKeys; key += 2)
+            block.emplace_back(key, key * 3);
+        cache.insertAll(std::move(block));
+        std::multiset<int> keys;
+        cache.forEach([&](int key, int) { keys.insert(key); });
+        EXPECT_EQ(std::set<int>(keys.begin(), keys.end()).size(),
+                  keys.size());
+    }
+    stop = true;
+    for (std::thread &thread : threads)
+        thread.join();
+    std::multiset<int> keys;
+    cache.forEach([&](int key, int value) {
+        keys.insert(key);
+        EXPECT_EQ(value, key * 3);
+    });
+    EXPECT_EQ(std::set<int>(keys.begin(), keys.end()).size(), keys.size());
+    EXPECT_EQ(cache.size(), keys.size());
+}
+
 TEST(ShardedBoundedCache, RacingInsertsAndGetsLoseNoEntry)
 {
     // Four threads insert overlapping key ranges and read each other's
@@ -466,8 +509,9 @@ TEST(ShardedBoundedCache, RacingInsertsAndGetsLoseNoEntry)
                 ASSERT_TRUE(mine.has_value()) << key;
                 EXPECT_EQ(*mine, key * 3);
                 if (const std::optional<int> other =
-                        cache.get((key + 1) % kKeys))
+                        cache.get((key + 1) % kKeys)) {
                     EXPECT_EQ(*other, ((key + 1) % kKeys) * 3);
+                }
             }
             --running;
         });
