@@ -522,6 +522,8 @@ class BoundedCache
      */
     void insertAll(std::vector<std::pair<Key, Value>> entries)
     {
+        if (entries.empty())
+            return;
         {
             AllShards<true> lock(*this);
             bool empty = !bounded() && !imported_;
